@@ -5,7 +5,8 @@ applies --preset and --seed overrides, writes its outputs plus a
 checksummed manifest.json into --out, and prints a short summary.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
-(solver non-convergence, failed fit or a manifest integrity mismatch).
+(failed fit or calibration, a non-finite operating point, or a manifest
+integrity mismatch).
 """
 import argparse
 import json
@@ -53,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE",
@@ -63,7 +71,7 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="output directory (default bolomux_<command>)")
     common.add_argument("--preset", choices=("desk", "paper", "fig3"),
                         help="sampling/averaging posture override")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
+    common.add_argument("--threads", type=_thread_count, default=1, metavar="N",
                         help="worker threads; results are identical for any value")
     return common
 
@@ -76,28 +84,27 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    sub.add_parser("characterize", parents=[common],
-                   help="sweep and fit every resonance dip across probe powers")
-    sub.add_parser("filterscan", parents=[common],
-                   help="sweep a CW heater tone to map the filter bank")
-    sub.add_parser("powersweep", parents=[common],
-                   help="heater power sweeps, compression fits and crosstalk")
-    p = sub.add_parser("trigger", parents=[common],
-                       help="run one heater on/off pattern")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    command("characterize", cmd_characterize,
+            "sweep and fit every resonance dip across probe powers")
+    command("filterscan", cmd_filterscan, "sweep a CW heater tone to map the filter bank")
+    command("powersweep", cmd_powersweep,
+            "heater power sweeps, compression fits and crosstalk")
+    p = command("trigger", cmd_trigger, "run one heater on/off pattern")
     p.add_argument("--pattern", required=True, metavar="BITS",
                    help="heater bits, e.g. 101")
-    sub.add_parser("multiplex", parents=[common],
-                   help="run every heater pattern and build the SNR table")
-    p = sub.add_parser("analyze", parents=[common],
-                       help="verify a results directory and summarize it")
+    command("multiplex", cmd_multiplex, "run every heater pattern and build the SNR table")
+    p = command("analyze", cmd_analyze, "verify a results directory and summarize it")
     p.add_argument("results_dir")
-    p = sub.add_parser("report", parents=[common],
-                       help="emit plot-ready tables from a results directory")
+    p = command("report", cmd_report, "emit plot-ready tables from a results directory")
     p.add_argument("results_dir")
-    sub.add_parser("calibrate", parents=[common],
-                   help="retune responsivity and noise to the shipped targets")
-    p = sub.add_parser("capacity", parents=[common],
-                       help="channel count fitting in a readout band")
+    command("calibrate", cmd_calibrate,
+            "retune responsivity and noise to the shipped targets")
+    p = command("capacity", cmd_capacity, "channel count fitting in a readout band")
     p.add_argument("--fmin", type=float, metavar="HZ")
     p.add_argument("--fmax", type=float, metavar="HZ")
     p.add_argument("--spacing", type=float, metavar="HZ")
@@ -167,7 +174,7 @@ def _lorentzian_dict(fit):
     }
 
 
-def cmd_characterize(ctx: _Context) -> int:
+def cmd_characterize(ctx: _Context, args) -> int:
     sw = ctx.sweeps.get("characterize", {})
     powers = sw.get("powers_dbm", [-160.0, -150.0, -144.0, -137.0, -130.0])
     sweep, fits = characterize(
@@ -200,7 +207,7 @@ def cmd_characterize(ctx: _Context) -> int:
     return 0
 
 
-def cmd_filterscan(ctx: _Context) -> int:
+def cmd_filterscan(ctx: _Context, args) -> int:
     sw = ctx.sweeps.get("filterscan", {})
     grid = np.linspace(sw.get("f_min_hz", 4.0e9), sw.get("f_max_hz", 8.0e9),
                        int(sw.get("n_points", 401)))
@@ -225,7 +232,7 @@ def cmd_filterscan(ctx: _Context) -> int:
     return 0
 
 
-def cmd_powersweep(ctx: _Context) -> int:
+def cmd_powersweep(ctx: _Context, args) -> int:
     sw = ctx.sweeps.get("powersweep", {})
     powers = np.linspace(sw.get("p_min_dbm", -150.0), sw.get("p_max_dbm", -120.0),
                          int(sw.get("n_points", 16)))
@@ -284,8 +291,8 @@ def _run_dict(run):
     }
 
 
-def cmd_trigger(ctx: _Context, pattern_label: str) -> int:
-    pattern = TriggerPattern.from_label(pattern_label)
+def cmd_trigger(ctx: _Context, args) -> int:
+    pattern = TriggerPattern.from_label(args.pattern)
     run = run_trigger(ctx.chip, pattern, ctx.settings, ctx.seed)
     os.makedirs(ctx.out_dir, exist_ok=True)
     for ch, iq in enumerate(run.iq):
@@ -297,7 +304,7 @@ def cmd_trigger(ctx: _Context, pattern_label: str) -> int:
     return 0
 
 
-def cmd_multiplex(ctx: _Context) -> int:
+def cmd_multiplex(ctx: _Context, args) -> int:
     runs = run_full_multiplex(ctx.chip, ctx.settings, ctx.seed, threads=ctx.threads)
     os.makedirs(ctx.out_dir, exist_ok=True)
     for run in runs:
@@ -320,7 +327,8 @@ def cmd_multiplex(ctx: _Context) -> int:
     return 0
 
 
-def cmd_analyze(ctx: _Context, results_dir: str) -> int:
+def cmd_analyze(ctx: _Context, args) -> int:
+    results_dir = args.results_dir
     problems = verify_manifest(results_dir)
     if problems:
         for problem in problems:
@@ -354,7 +362,8 @@ def cmd_analyze(ctx: _Context, results_dir: str) -> int:
     return 0
 
 
-def cmd_report(ctx: _Context, results_dir: str) -> int:
+def cmd_report(ctx: _Context, args) -> int:
+    results_dir = args.results_dir
     problems = verify_manifest(results_dir)
     if problems:
         for problem in problems:
@@ -421,7 +430,7 @@ def cmd_report(ctx: _Context, results_dir: str) -> int:
     return 0
 
 
-def cmd_calibrate(ctx: _Context) -> int:
+def cmd_calibrate(ctx: _Context, args) -> int:
     chip, report = calibrate_chip(ctx.chip, settings=ctx.settings, seed=ctx.seed)
     doc = configmod.deep_merge(ctx.doc, {})
     for ch, entry in enumerate(report["channels"]):
@@ -459,27 +468,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        ctx = _load_context(args)
-        if args.command == "characterize":
-            return cmd_characterize(ctx)
-        if args.command == "filterscan":
-            return cmd_filterscan(ctx)
-        if args.command == "powersweep":
-            return cmd_powersweep(ctx)
-        if args.command == "trigger":
-            return cmd_trigger(ctx, args.pattern)
-        if args.command == "multiplex":
-            return cmd_multiplex(ctx)
-        if args.command == "analyze":
-            return cmd_analyze(ctx, args.results_dir)
-        if args.command == "report":
-            return cmd_report(ctx, args.results_dir)
-        if args.command == "calibrate":
-            return cmd_calibrate(ctx)
-        if args.command == "capacity":
-            return cmd_capacity(ctx, args)
-        print(f"error: unknown command {args.command}", file=sys.stderr)
-        return 1
+        return args.handler(_load_context(args), args)
     except (SolverError, FitError, CalibrationError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

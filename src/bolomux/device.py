@@ -6,6 +6,9 @@ a single-pole thermal model for that temperature.  Probe power absorbed in
 the resonator heats the absorber, which moves the resonance, which changes
 the absorption: the electrothermal feedback loop closed by
 :func:`solve_operating_point`.
+
+`_gamma` and `_absorbed_fraction` are the one copy of the reflection and
+absorption arithmetic; the solver and the time-domain engine both use them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Operating-point iteration failed to converge."""
+    """The operating point came out non-finite."""
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,19 @@ class BolometerState:
     f_r_hz: float
 
 
-def _gamma(f_hz, f_r_hz, kappa_ext_hz: float, kappa_int_hz: float):
-    """Complex reflection; broadcasts over f_hz and f_r_hz."""
-    detuning = np.asarray(f_hz, dtype=float) - f_r_hz
-    half_total = 0.5 * (kappa_ext_hz + kappa_int_hz)
-    return 1.0 - kappa_ext_hz / (1j * detuning + half_total)
+def _gamma(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):
+    """Complex reflection at detuning f - f_r; floats or arrays alike."""
+    return 1.0 - kappa_ext_hz / (0.5 * (kappa_ext_hz + kappa_int_hz) + 1j * detuning_hz)
+
+
+def _absorbed_fraction(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):
+    """1 - |Gamma|^2 = kappa_ext kappa_int / (detuning^2 + (kappa/2)^2).
+
+    Non-negative exactly, and free of the cancellation in 1 - |Gamma|^2 far
+    off resonance.  Floats or arrays alike.
+    """
+    half = 0.5 * (kappa_ext_hz + kappa_int_hz)
+    return kappa_ext_hz * kappa_int_hz / (detuning_hz * detuning_hz + half * half)
 
 
 def reflection_coefficient(params: BolometerParams, state: BolometerState, f_hz):
@@ -117,7 +128,8 @@ def reflection_coefficient(params: BolometerParams, state: BolometerState, f_hz)
     critical coupling (kappa_ext == kappa_int) the on-resonance reflection
     vanishes.  Scalar in, scalar out; array in, array out.
     """
-    out = _gamma(f_hz, state.f_r_hz, params.kappa_ext_hz, params.kappa_int_hz)
+    detuning = np.asarray(f_hz, dtype=float) - state.f_r_hz
+    out = _gamma(detuning, params.kappa_ext_hz, params.kappa_int_hz)
     if np.isscalar(f_hz) or np.ndim(f_hz) == 0:
         return complex(out)
     return out
@@ -128,10 +140,8 @@ def absorbed_probe_power(params: BolometerParams, state: BolometerState,
     """Probe power dissipated in the device: p_in * (1 - |Gamma|^2)."""
     if not math.isfinite(p_in_w) or p_in_w < 0.0:
         raise ValueError(f"incident power must be finite and >= 0 W, got {p_in_w}")
-    gamma = _gamma(f_p_hz, state.f_r_hz, params.kappa_ext_hz, params.kappa_int_hz)
-    frac = 1.0 - float(np.abs(gamma)) ** 2
-    # clamp fp droppings; the fraction is in [0, 1] exactly in real arithmetic
-    return p_in_w * min(max(frac, 0.0), 1.0)
+    return p_in_w * _absorbed_fraction(f_p_hz - state.f_r_hz, params.kappa_ext_hz,
+                                       params.kappa_int_hz)
 
 
 def thermal_step(params: BolometerParams, state: BolometerState,
@@ -154,106 +164,107 @@ def thermal_step(params: BolometerParams, state: BolometerState,
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Self-consistent steady state under a CW probe tone."""
+    """Self-consistent steady state under a CW probe tone.
+
+    stable: the power-balance residual g_th (T - t_bath) - p_abs(T) rises
+    through zero at t_star_k, so a small temperature excursion relaxes.
+    multivalued: the balance has three distinct steady states (a folded,
+    bistable response); t_star_k is the coolest.
+    """
 
     t_star_k: float
     f_r_star_hz: float
     gamma: complex
     p_abs_w: float
     residual_w: float
-    iterations: int
     stable: bool
     multivalued: bool
 
 
-def _steady_residual(params: BolometerParams, f_p_hz: float, p_probe_w: float,
-                     extra_power_w: float, t_e_k):
-    """g_th (T - t_bath) - p_absorbed(T); vectorized over t_e_k."""
-    t_e = np.asarray(t_e_k, dtype=float)
-    f_r = params.f_r0_hz - params.dfdt_hz_per_k * (t_e - params.t_bath_k)
-    gamma = _gamma(f_p_hz, f_r, params.kappa_ext_hz, params.kappa_int_hz)
-    p_abs = p_probe_w * np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0) + extra_power_w
-    return params.g_th_w_per_k * (t_e - params.t_bath_k) - p_abs
+def _lowest_cubic_root(a: float, b: float):
+    """Lowest real root v of v (1 + (v + a)^2) = b (b >= 0).
 
-
-def _count_sign_changes(values: np.ndarray) -> int:
-    signs = np.sign(values)
-    nonzero = signs[signs != 0]
-    if nonzero.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(nonzero) != 0))
+    Returns (v, slope of the left side at v, three distinct real roots?).
+    Closed form in w = v + 2a/3, then Newton until the step stops
+    shrinking, which restores the accuracy the closed form loses in v when
+    |a| is large.
+    """
+    p = 1.0 - a * a / 3.0
+    half_q = -(a ** 3 / 27.0 + a / 3.0 + 0.5 * b)
+    # 27 (half_q^2 + (p/3)^3), expanded so the a^6 terms cancel exactly
+    disc27 = a ** 4 + a ** 3 * b + 2.0 * a * a + 9.0 * a * b + 1.0 + 6.75 * b * b
+    three = disc27 < 0.0 and p < 0.0
+    if three:
+        m = math.sqrt(-p / 3.0)
+        c = min(1.0, max(-1.0, 3.0 * half_q / (p * m)))
+        w = 2.0 * m * math.cos((math.acos(c) + 2.0 * math.pi) / 3.0)
+    else:
+        # Cardano, with the cube roots' product -p/3 avoiding cancellation
+        t = -half_q + math.copysign(math.sqrt(max(disc27, 0.0) / 27.0), -half_q)
+        s1 = math.copysign(abs(t) ** (1.0 / 3.0), t)
+        w = s1 - p / (3.0 * s1)
+    v = max(w - 2.0 * a / 3.0, 0.0)
+    last = math.inf
+    for _ in range(32):
+        step = (((v + 2.0 * a) * v + 1.0 + a * a) * v - b) / (
+            (3.0 * v + 4.0 * a) * v + 1.0 + a * a)
+        if not abs(step) < last:
+            break
+        v -= step
+        last = abs(step)
+    return v, (3.0 * v + 4.0 * a) * v + 1.0 + a * a, three
 
 
 def solve_operating_point(params: BolometerParams, f_p_hz: float, p_probe_w: float,
-                          extra_power_w: float = 0.0, damping: float = 0.5,
-                          tol_k: float = 1e-9, max_iter: int = 10_000,
-                          scan_points: int = 2001) -> OperatingPoint:
-    """Solve the electrothermal fixed point for a CW probe at f_p_hz.
+                          extra_power_w: float = 0.0) -> OperatingPoint:
+    """Solve the electrothermal steady state for a CW probe at f_p_hz.
 
-    Damped fixed-point iteration on T <- T + damping * (t_bath +
-    p_abs(T)/g_th - T) from T = t_bath.  extra_power_w models any constant
-    additional load (e.g. a steady heater tone).  Raises SolverError if the
-    temperature step has not fallen below tol_k after max_iter iterations.
+    The detuning Delta = Delta0 + dfdt x is linear in x = T - t_bath, so
+    the balance g_th x = p_probe kappa_ext kappa_int / (Delta^2 +
+    (kappa/2)^2) + extra is, in u = Delta / (kappa/2), the cubic
+    (u - a)(1 + u^2) = b with a = (Delta0 + extra dfdt / g_th) / (kappa/2)
+    and b = p_probe kappa_ext kappa_int dfdt / (g_th (kappa/2)^3).  Every
+    real root has u >= a, so every root is physical.  The lowest root is
+    returned: the coolest steady state, which a probe switched on at the
+    bath settles into.  extra_power_w is any constant additional load
+    (e.g. a steady heater tone); dfdt == 0 makes the balance linear.
 
-    Multivaluedness is detected by a bracketing scan of the steady-state
-    residual over T in [t_bath, t_bath + p_total/g_th] on a scan_points
-    grid; more than one sign change sets the flag.  Roots closer together
-    than the grid pitch are not resolved.
+    multivalued is exact (three distinct real roots); stable is the sign
+    of the residual slope at the root.  Raises SolverError only if the
+    result is not finite.
     """
     if not math.isfinite(p_probe_w) or p_probe_w < 0.0:
         raise ValueError(f"probe power must be finite and >= 0 W, got {p_probe_w}")
     if not math.isfinite(extra_power_w) or extra_power_w < 0.0:
         raise ValueError(f"extra power must be finite and >= 0 W, got {extra_power_w}")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
 
-    # scalar inline of state_at/absorbed_probe_power; this loop dominates
-    # sweep runtimes
     ke, ki = params.kappa_ext_hz, params.kappa_int_hz
     half = 0.5 * (ke + ki)
-    t_bath, g_th, dfdt = params.t_bath_k, params.g_th_w_per_k, params.dfdt_hz_per_k
-
-    def _p_abs(t_e: float) -> float:
-        detuning = f_p_hz - (params.f_r0_hz - dfdt * (t_e - t_bath))
-        gamma = 1.0 - ke / complex(half, detuning)
-        frac = 1.0 - (gamma.real * gamma.real + gamma.imag * gamma.imag)
-        return p_probe_w * min(max(frac, 0.0), 1.0) + extra_power_w
-
-    t_e = t_bath
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        t_target = t_bath + _p_abs(t_e) / g_th
-        t_next = t_e + damping * (t_target - t_e)
-        step = abs(t_next - t_e)
-        t_e = t_next
-        if step < tol_k:
-            converged = True
-            break
+    g_th, dfdt = params.g_th_w_per_k, params.dfdt_hz_per_k
+    detuning0 = f_p_hz - params.f_r0_hz
+    if dfdt == 0.0:
+        x = (p_probe_w * _absorbed_fraction(detuning0, ke, ki) + extra_power_w) / g_th
+        stable, multivalued = True, False
+    else:
+        a = (detuning0 + extra_power_w * dfdt / g_th) / half
+        b = p_probe_w * _absorbed_fraction(0.0, ke, ki) * dfdt / (g_th * half)
+        v, slope, multivalued = _lowest_cubic_root(a, b)
+        x = v * half / dfdt + extra_power_w / g_th
+        stable = slope > 0.0
+    t_e = params.t_bath_k + x
+    if not math.isfinite(t_e):
+        raise SolverError(
+            f"operating point is not finite (T = {t_e} K at f_p = {f_p_hz} Hz, "
+            f"p_probe = {p_probe_w} W, extra = {extra_power_w} W)")
 
     state = params.state_at(t_e)
     p_abs = absorbed_probe_power(params, state, f_p_hz, p_probe_w) + extra_power_w
-    residual = params.g_th_w_per_k * (t_e - params.t_bath_k) - p_abs
-    if not converged:
-        raise SolverError(
-            f"operating point did not converge after {max_iter} iterations "
-            f"(last residual {residual:.3e} W at T = {t_e:.9f} K)")
-
-    multivalued = False
-    p_total = p_probe_w + extra_power_w
-    if p_total > 0.0:
-        t_hi = params.t_bath_k + p_total / params.g_th_w_per_k
-        grid = np.linspace(params.t_bath_k, t_hi, scan_points)
-        res_grid = _steady_residual(params, f_p_hz, p_probe_w, extra_power_w, grid)
-        multivalued = _count_sign_changes(res_grid) > 1
-
     return OperatingPoint(
         t_star_k=t_e,
         f_r_star_hz=state.f_r_hz,
-        gamma=complex(reflection_coefficient(params, state, f_p_hz)),
+        gamma=reflection_coefficient(params, state, f_p_hz),
         p_abs_w=p_abs,
-        residual_w=residual,
-        iterations=iterations,
-        stable=True,
+        residual_w=g_th * (t_e - params.t_bath_k) - p_abs,
+        stable=stable,
         multivalued=multivalued,
     )

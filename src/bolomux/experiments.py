@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .device import (BolometerParams, OperatingPoint, SolverError,
-                     solve_operating_point)
+from .device import (BolometerParams, OperatingPoint, SolverError, _absorbed_fraction,
+                     _gamma, solve_operating_point)
 from .dsp import (IQTrace, PairwiseAccumulator, ResponseMetric, TimeTrace,
                   demodulate, response_metric)
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
@@ -215,10 +215,10 @@ def _device_dbm(chip: ChipConfig, p_dbm: float) -> float:
     return p_dbm - chip.line_attenuation_db
 
 
-def _check_probe_power(chip: ChipConfig, settings: RunSettings) -> None:
-    p_dev = _device_dbm(chip, settings.probe_power_dbm)
+def _check_probe_power(chip: ChipConfig, p_dbm: float, allow_nonlinear: bool) -> None:
+    p_dev = _device_dbm(chip, p_dbm)
     for ch, par in enumerate(chip.bolometers):
-        if p_dev > par.p_nonlinear_dbm and not settings.allow_nonlinear:
+        if p_dev > par.p_nonlinear_dbm and not allow_nonlinear:
             raise NonlinearOperationError(
                 f"probe power {p_dev:.1f} dBm exceeds the nonlinear threshold "
                 f"{par.p_nonlinear_dbm:.1f} dBm of channel {ch}; the model does not cover "
@@ -235,7 +235,7 @@ def operating_tones(chip: ChipConfig, settings: RunSettings):
     self-heating, so the offset is re-applied to the re-solved resonance
     before snapping.
     """
-    _check_probe_power(chip, settings)
+    _check_probe_power(chip, settings.probe_power_dbm, settings.allow_nonlinear)
     p_dev_dbm = _device_dbm(chip, settings.probe_power_dbm)
     p_w = dbm_to_watts(p_dev_dbm)
     grid = 1.0 / settings.window_s
@@ -268,7 +268,6 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
                     pattern: TriggerPattern | None = None) -> MultiplexRun:
     """Shared engine for trigger and power-sweep runs."""
     settings.validate_against(chip)
-    _check_probe_power(chip, settings)
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
     steps = round(settings.window_s / settings.thermal_dt_s)
@@ -301,14 +300,13 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
     for ch, par in enumerate(chip.bolometers):
         tone = tones[ch]
         p_probe_w = dbm_to_watts(tone.p_dbm)
-        # scalar inline of thermal_step/reflection_coefficient (the exact
-        # exponential update with precomputed decay factors); the public ops
-        # express the same arithmetic one step at a time.  The absorbed power
-        # is re-evaluated at a predicted half-step temperature, which makes
-        # the stepping second order in dt and leaves a true fixed point
-        # exactly stationary; heater edges are step-aligned by validation.
+        # scalar inline of thermal_step (the exact exponential update with
+        # precomputed decay factors); the public op expresses the same
+        # arithmetic one step at a time.  The absorbed power is re-evaluated
+        # at a predicted half-step temperature, which makes the stepping
+        # second order in dt and leaves a true fixed point exactly
+        # stationary; heater edges are step-aligned by validation.
         ke, ki = par.kappa_ext_hz, par.kappa_int_hz
-        half = 0.5 * (ke + ki)
         t_bath, g_th, dfdt = par.t_bath_k, par.g_th_w_per_k, par.dfdt_hz_per_k
         decay = math.exp(-dt / par.tau_th_s)
         decay_half = math.exp(-0.5 * dt / par.tau_th_s)
@@ -321,14 +319,10 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
                 if on <= s < off:
                     heater += delivered[ch][k]
             detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_e - t_bath))
-            gamma = 1.0 - ke / complex(half, detuning)
-            frac = 1.0 - (gamma.real * gamma.real + gamma.imag * gamma.imag)
-            p_abs = p_probe_w * min(max(frac, 0.0), 1.0) + heater
+            p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
             t_mid = t_bath + p_abs / g_th + (t_e - t_bath - p_abs / g_th) * decay_half
             detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_mid - t_bath))
-            gamma = 1.0 - ke / complex(half, detuning)
-            frac = 1.0 - (gamma.real * gamma.real + gamma.imag * gamma.imag)
-            p_abs = p_probe_w * min(max(frac, 0.0), 1.0) + heater
+            p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
             t_inf = t_bath + p_abs / g_th
             t_start[s] = t_e
             t_inf_of[s] = t_inf
@@ -340,7 +334,7 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
         idx = np.repeat(np.arange(steps), block)
         t_samples = t_inf_of[idx] + (t_start[idx] - t_inf_of[idx]) * fade
         det_samples = tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath))
-        gam = 1.0 - ke / (half + 1j * det_samples)
+        gam = _gamma(det_samples, ke, ki)
         amp = tone_amplitude_volts(tone.p_dbm)
         carrier = np.exp(1j * (2.0 * np.pi * tone.f_hz * t + tone.phase_rad))
         composite += np.real(gam * (amp * carrier))
@@ -373,6 +367,21 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
     )
 
 
+def _fan_out(fn, jobs, threads: int) -> list:
+    """[fn(*job) for job in jobs], run on up to `threads` worker threads.
+
+    Results keep job order whatever the completion order; every future is
+    read, so a job's exception reaches the caller.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        return [fn(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
+
+
 def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings | None = None,
                 seed: Seed = Seed(0)) -> MultiplexRun:
     """Fire one heater on/off pattern and read out every probe channel.
@@ -401,13 +410,7 @@ def run_full_multiplex(chip: ChipConfig, settings: RunSettings | None = None,
     """
     settings = settings if settings is not None else RunSettings()
     patterns = TriggerPattern.all_patterns(chip.n_channels)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return [run_trigger(chip, pat, settings, seed) for pat in patterns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_trigger, chip, pat, settings, seed) for pat in patterns]
-        return [f.result() for f in futures]
+    return _fan_out(run_trigger, [(chip, pat, settings, seed) for pat in patterns], threads)
 
 
 @dataclass(frozen=True)
@@ -436,13 +439,7 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
     if not powers:
         raise ValueError("need at least one probe power")
     for p in powers:
-        p_dev = _device_dbm(chip, p)
-        for ch, par in enumerate(chip.bolometers):
-            if p_dev > par.p_nonlinear_dbm and not allow_nonlinear:
-                raise NonlinearOperationError(
-                    f"probe power {p_dev:.1f} dBm exceeds the nonlinear threshold "
-                    f"{par.p_nonlinear_dbm:.1f} dBm of channel {ch} "
-                    f"(set allow_nonlinear to override)")
+        _check_probe_power(chip, p, allow_nonlinear)
     if f_hz is None:
         grids = []
         for par in chip.bolometers:
@@ -653,13 +650,8 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | Non
         return run_power_sweep(chip, i, chip.filters[j].f_center_hz, powers_dbm,
                                settings, seed, stream_tag=j)
 
-    jobs = [(i, j) for i in range(n) for j in range(n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {ij: pool.submit(one, *ij) for ij in jobs}
-            sweeps = [[futs[(i, j)].result() for j in range(n)] for i in range(n)]
-    else:
-        sweeps = [[one(i, j) for j in range(n)] for i in range(n)]
+    flat = _fan_out(one, [(i, j) for i in range(n) for j in range(n)], threads)
+    sweeps = [flat[i * n:(i + 1) * n] for i in range(n)]
 
     p1db = np.full((n, n), np.nan)
     for i in range(n):
@@ -720,13 +712,7 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
         target_shift = targets.shift_fraction * par.kappa_total_hz
 
         def shift_of(dfdt: float) -> float:
-            trial = replace(par, dfdt_hz_per_k=dfdt)
-            try:
-                return _steady_shift_hz(trial, chip, settings, delivered)
-            except SolverError:
-                # no fixed point reachable: dfdt far too steep, shift is
-                # beyond any usable target
-                return math.inf
+            return _steady_shift_hz(replace(par, dfdt_hz_per_k=dfdt), chip, settings, delivered)
 
         lo, hi = targets.dfdt_bounds_hz_per_k
         s_lo, s_hi = shift_of(lo), shift_of(hi)

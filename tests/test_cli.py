@@ -56,6 +56,13 @@ def test_trigger_requires_pattern(capsys):
     assert "pattern" in capsys.readouterr().err
 
 
+def test_threads_below_one_rejected_before_running(capsys, tmp_path):
+    out = tmp_path / "ps"
+    assert run_cli("powersweep", "--threads", "0", "--out", str(out)) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(capsys, tmp_path):
     assert run_cli("capacity", "--config", str(tmp_path / "nope.json")) == 1
     assert "error" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 
 from bolomux.device import (
     BolometerParams,
-    SolverError,
+    _lowest_cubic_root,
     absorbed_probe_power,
     reflection_coefficient,
     solve_operating_point,
@@ -258,6 +258,14 @@ def test_thermal_step_rejects():
 # ----------------------------------------------------------- operating point
 
 
+def steady_residual(par, f_p_hz, p_probe_w, extra_power_w, t_e):
+    """g_th (T - t_bath) - absorbed power, with Gamma from its definition."""
+    det = f_p_hz - (par.f_r0_hz - par.dfdt_hz_per_k * (t_e - par.t_bath_k))
+    gamma = 1.0 - par.kappa_ext_hz / complex(par.kappa_total_hz / 2, det)
+    return par.g_th_w_per_k * (t_e - par.t_bath_k) - (
+        p_probe_w * (1.0 - abs(gamma) ** 2) + extra_power_w)
+
+
 def brute_force_roots(par, f_p_hz, p_probe_w, extra_power_w=0.0, n=10_000):
     """All steady-state temperatures by dense bracketing plus bisection.
 
@@ -268,11 +276,7 @@ def brute_force_roots(par, f_p_hz, p_probe_w, extra_power_w=0.0, n=10_000):
     t_hi = par.t_bath_k + 1.05 * p_total / par.g_th_w_per_k + 1e-12
 
     def residual(t_e):
-        det = f_p_hz - (par.f_r0_hz - par.dfdt_hz_per_k * (t_e - par.t_bath_k))
-        gamma = 1.0 - par.kappa_ext_hz / complex(par.kappa_total_hz / 2, det)
-        frac = 1.0 - abs(gamma) ** 2
-        return par.g_th_w_per_k * (t_e - par.t_bath_k) - (
-            p_probe_w * frac + extra_power_w)
+        return steady_residual(par, f_p_hz, p_probe_w, extra_power_w, t_e)
 
     grid = np.linspace(par.t_bath_k, t_hi, n)
     vals = np.array([residual(t) for t in grid])
@@ -293,6 +297,40 @@ def brute_force_roots(par, f_p_hz, p_probe_w, extra_power_w=0.0, n=10_000):
                     a, fa = m, fm
             roots.append(0.5 * (a + b))
     return roots
+
+
+def damped_fixed_point(par, f_p_hz, p_probe_w, extra_power_w=0.0, damping=0.5,
+                       tol_k=1e-15, max_iter=100_000):
+    """The damped iteration T <- T + damping (t_bath + p_abs(T)/g_th - T).
+
+    Started at the bath, it settles on the coolest steady state wherever
+    its map contracts.  Independent of the production solver's cubic.
+    """
+    ke, ki = par.kappa_ext_hz, par.kappa_int_hz
+    half = 0.5 * (ke + ki)
+    t_bath, g_th, dfdt = par.t_bath_k, par.g_th_w_per_k, par.dfdt_hz_per_k
+    t_e = t_bath
+    for _ in range(max_iter):
+        detuning = f_p_hz - (par.f_r0_hz - dfdt * (t_e - t_bath))
+        gamma = 1.0 - ke / complex(half, detuning)
+        frac = 1.0 - (gamma.real * gamma.real + gamma.imag * gamma.imag)
+        p_abs = p_probe_w * min(max(frac, 0.0), 1.0) + extra_power_w
+        t_next = t_e + damping * (t_bath + p_abs / g_th - t_e)
+        step = abs(t_next - t_e)
+        t_e = t_next
+        if step < tol_k:
+            return t_e
+    raise AssertionError(f"damped oracle did not converge after {max_iter} iterations")
+
+
+def test_cubic_root_exact_across_scales():
+    # the closed form alone loses v entirely when |a| >> 1 and v << 1 (a
+    # weak probe far off resonance); the Newton polish must restore it
+    for a in (-1e5, -300.0, -3.0, -0.1, 0.0, 0.1, 3.0, 300.0, 1e5):
+        for b in (1e-8, 1e-3, 1.0, 1e3, 1e6):
+            v, _, _ = _lowest_cubic_root(a, b)
+            assert v >= 0.0
+            assert v * (1.0 + (v + a) ** 2) == pytest.approx(b, rel=1e-12), (a, b)
 
 
 def test_operating_point_zero_power_sits_at_bath():
@@ -384,14 +422,73 @@ def test_operating_point_single_valued_cases_unflagged():
         assert len(brute_force_roots(par, par.f_r0_hz, dbm_to_watts(p_dbm))) == 1
 
 
-def test_operating_point_reports_nonconvergence():
-    # oscillating fixed-point iteration in a strongly bistable corner must
-    # surface as an error, not a silently wrong answer
+@pytest.mark.parametrize("dfdt_scale", [0.0, 1.0])
+def test_operating_point_matches_damped_oracle(dfdt_scale):
+    par = make_params()
+    par = replace(par, dfdt_hz_per_k=dfdt_scale * par.dfdt_hz_per_k)
+    for det in (-2.0, -0.5, 0.0, 0.3, 1.0):
+        f_p = par.f_r0_hz + det * par.kappa_total_hz
+        for p_dbm in (-160.0, -144.0, -135.0, -128.0):
+            p_w = dbm_to_watts(p_dbm)
+            for extra in (0.0, 1e-17, 1e-15):
+                op = solve_operating_point(par, f_p, p_w, extra_power_w=extra)
+                oracle = damped_fixed_point(par, f_p, p_w, extra)
+                assert abs(op.t_star_k - oracle) <= 1e-12, (det, p_dbm, extra)
+                roots = brute_force_roots(par, f_p, p_w, extra_power_w=extra)
+                assert op.multivalued == (len(roots) >= 3), (det, p_dbm, extra)
+
+
+def test_operating_point_multivalued_matches_brute_force():
+    # x300 on the low-frequency flank is the folded corner; x100 and x1
+    # cover both sides of the fold
+    par = make_params()
+    flagged = 0
+    for scale in (1.0, 100.0, 300.0):
+        steep = replace(par, dfdt_hz_per_k=scale * par.dfdt_hz_per_k)
+        for det in (-3.0, -2.0, -1.0, 0.0):
+            f_p = steep.f_r0_hz + det * steep.kappa_total_hz
+            for p_dbm in (-144.0, -140.0, -135.0):
+                p_w = dbm_to_watts(p_dbm)
+                op = solve_operating_point(steep, f_p, p_w)
+                roots = brute_force_roots(steep, f_p, p_w)
+                assert op.multivalued == (len(roots) >= 3), (scale, det, p_dbm)
+                # the coolest steady state is the one reported
+                assert op.t_star_k == pytest.approx(min(roots), abs=1e-12)
+                flagged += op.multivalued
+    assert flagged >= 4
+
+
+def test_operating_point_stable_matches_residual_slope():
+    par = make_params()
+    for scale in (1.0, 100.0, 300.0):
+        steep = replace(par, dfdt_hz_per_k=scale * par.dfdt_hz_per_k)
+        for det in (-3.0, -2.0, -1.0, 0.0, 0.5):
+            f_p = steep.f_r0_hz + det * steep.kappa_total_hz
+            for p_dbm in (-144.0, -135.0):
+                p_w = dbm_to_watts(p_dbm)
+                op = solve_operating_point(steep, f_p, p_w)
+                h = 1e-9 * max(op.t_star_k - steep.t_bath_k, 1e-9)
+                slope = (steady_residual(steep, f_p, p_w, 0.0, op.t_star_k + h)
+                         - steady_residual(steep, f_p, p_w, 0.0, op.t_star_k - h)) / (2 * h)
+                assert op.stable == (slope > 0.0), (scale, det, p_dbm)
+
+
+def test_operating_point_solves_where_damped_iteration_oscillates():
+    # the damped map's slope here is about -1.12, so the iteration never
+    # settles; the balance itself has a single, stable root
     par = make_params()
     steep = replace(par, dfdt_hz_per_k=100 * par.dfdt_hz_per_k)
     f_p = steep.f_r0_hz - 1.0 * steep.kappa_total_hz
-    with pytest.raises(SolverError, match="did not converge"):
-        solve_operating_point(steep, f_p, dbm_to_watts(-135.0))
+    p_w = dbm_to_watts(-135.0)
+    with pytest.raises(AssertionError, match="did not converge"):
+        damped_fixed_point(steep, f_p, p_w, max_iter=10_000)
+    roots = brute_force_roots(steep, f_p, p_w)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(0.05000111438971987, abs=1e-12)
+    op = solve_operating_point(steep, f_p, p_w)
+    assert abs(op.t_star_k - roots[0]) <= 1e-12
+    assert not op.multivalued
+    assert op.stable
 
 
 def test_operating_point_rejects_bad_arguments():
@@ -400,10 +497,6 @@ def test_operating_point_rejects_bad_arguments():
         solve_operating_point(par, par.f_r0_hz, -1e-18)
     with pytest.raises(ValueError):
         solve_operating_point(par, par.f_r0_hz, 1e-18, extra_power_w=-1e-18)
-    with pytest.raises(ValueError):
-        solve_operating_point(par, par.f_r0_hz, 1e-18, damping=0.0)
-    with pytest.raises(ValueError):
-        solve_operating_point(par, par.f_r0_hz, 1e-18, damping=1.5)
 
 
 def test_operating_point_default_chip_channels(default_chip):

@@ -1,6 +1,7 @@
 """End-to-end measurement drivers on the shipped chip: trigger patterns,
 sweeps, and calibration."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from bolomux.analysis import fit_exponential
 from bolomux.device import solve_operating_point
 from bolomux.experiments import (
     PRESETS,
+    _fan_out,
     CalibrationError,
     CalibrationTargets,
     ChipConfig,
@@ -226,6 +228,19 @@ def test_multiplex_threaded_schedule_is_bit_identical(default_chip):
         assert a.metrics == b.metrics
         for x, y in zip(a.iq, b.iq):
             assert np.array_equal(x.samples, y.samples)
+
+
+def test_fan_out_keeps_job_order():
+    # later jobs finish first; results still come back in job order
+    def job(i):
+        time.sleep(0.002 * (8 - i))
+        return i * i
+
+    jobs = [(i,) for i in range(8)]
+    assert _fan_out(job, jobs, 4) == [i * i for i in range(8)]
+    assert _fan_out(job, jobs, 1) == [i * i for i in range(8)]
+    with pytest.raises(ValueError, match="threads"):
+        _fan_out(job, jobs, 0)
 
 
 def test_multiplex_matched_response_consistency(noiseless_runs):
