@@ -262,7 +262,7 @@ def solve_operating_point(params: BolometerParams, f_p_hz: float, p_probe_w: flo
     return OperatingPoint(
         t_star_k=t_e,
         f_r_star_hz=state.f_r_hz,
-        gamma=reflection_coefficient(params, state, f_p_hz),
+        gamma=_gamma(f_p_hz - state.f_r_hz, ke, ki),
         p_abs_w=p_abs,
         residual_w=g_th * (t_e - params.t_bath_k) - p_abs,
         stable=stable,

@@ -1,10 +1,11 @@
 """Deterministic signal chain: traces, noise, brick-wall filters, demodulation.
 
-All filtering is done by exact DFT bin masking (brick-wall), which makes the
-operations idempotent projections and keeps the whole chain reproducible to
-the bit.  Band edges are inclusive; a bin sitting exactly on an edge is kept
-(comparisons carry a guard of 1e-6 of a bin spacing so edge bins survive
-floating-point rounding of the edge itself).
+All filtering is done by exact DFT bin selection (brick-wall), which makes
+the operations idempotent projections and keeps the whole chain reproducible
+to the bit.  Band-pass and demodulation both take their inclusive bin range
+from `_band_bins` (a guard of 1e-6 of a bin spacing keeps edge bins against
+rounding of the edge).  Demodulation is a band slice of one real FFT, equal
+to a full-record mixer for any carrier on the record's DFT grid.
 
 Filtered traces carry their masked spectrum along as a private cache, so
 re-filtering reuses the exact masked bins instead of re-transforming the
@@ -101,9 +102,9 @@ def add_noise(trace: TimeTrace, sigma_v: float, stream: np.random.Generator) -> 
     return TimeTrace(trace.sample_rate_hz, trace.t0_s, trace.samples + noise)
 
 
-def _band_mask(freqs: np.ndarray, f_lo_hz: float, f_hi_hz: float, bin_hz: float) -> np.ndarray:
-    guard = 1e-6 * bin_hz
-    return (freqs >= f_lo_hz - guard) & (freqs <= f_hi_hz + guard)
+def _band_bins(f_lo_hz: float, f_hi_hz: float, bin_hz: float) -> tuple[int, int]:
+    """First and last DFT bin k with f_lo <= k * bin_hz <= f_hi, edges inclusive."""
+    return math.ceil(f_lo_hz / bin_hz - 1e-6), math.floor(f_hi_hz / bin_hz + 1e-6)
 
 
 def brickwall_bandpass(trace: TimeTrace, f_center_hz: float, bandwidth_hz: float) -> TimeTrace:
@@ -122,26 +123,27 @@ def brickwall_bandpass(trace: TimeTrace, f_center_hz: float, bandwidth_hz: float
         raise ValueError(
             f"band [{f_lo:.6g}, {f_hi:.6g}] Hz must lie within [0, fs/2] = [0, {0.5 * fs:.6g}] Hz")
     n = trace.samples.size
-    spectrum = trace._rfft_cache
-    if spectrum is None:
-        spectrum = np.fft.rfft(trace.samples)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    mask = _band_mask(freqs, f_lo, f_hi, fs / n)
-    if not mask.any():
+    k_lo, k_hi = _band_bins(f_lo, f_hi, fs / n)
+    if k_hi < k_lo:
         raise ValueError("band contains no DFT bins")
-    masked = np.where(mask, spectrum, 0.0)
+    spectrum = trace._rfft_cache if trace._rfft_cache is not None else np.fft.rfft(trace.samples)
+    masked = np.zeros_like(spectrum)
+    masked[k_lo:k_hi + 1] = spectrum[k_lo:k_hi + 1]
     filtered = np.fft.irfft(masked, n=n)
     return TimeTrace(fs, trace.t0_s, filtered, _rfft_cache=masked)
 
 
 def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
                decimation: int) -> IQTrace:
-    """Digital down-conversion at f_carrier_hz.
+    """Digital down-conversion at f_carrier_hz, computed as a band slice.
 
-    Multiplies by exp(-2 pi i f_c t), brick-wall low-passes the complex
-    signal at +-lp_bandwidth/2, and keeps every decimation-th sample.  A pure
-    tone a*cos(2 pi f_c t) demodulates to the constant a/2 (magnitude
-    convention used by every response metric downstream).
+    Equals mixing by exp(-2 pi i f_c t), brick-wall low-passing at
+    +-lp_bandwidth/2 and keeping every decimation-th sample, for a carrier
+    on the record's DFT grid (to 1e-9 of a bin; else ValueError).  Bins
+    carrier +-h of one real FFT (conjugated below DC and above fs/2, none
+    twice) are rotated by exp(-i w_c t0), folded onto the n/decimation output
+    bins (a band wider than the output rate aliases as decimation would) and
+    inverse transformed.  A pure tone a*cos(2 pi f_c t) demodulates to a/2.
     """
     fs = trace.sample_rate_hz
     if not 0.0 < f_carrier_hz < 0.5 * fs:
@@ -156,15 +158,22 @@ def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
         raise ValueError(f"decimation must be a positive integer, got {decimation!r}")
     if n % decimation != 0:
         raise ValueError(f"decimation {decimation} must divide the trace length {n}")
+    bin_hz = fs / n
+    k_c = round(f_carrier_hz / bin_hz)
+    if abs(f_carrier_hz - k_c * bin_hz) > 1e-9 * bin_hz:
+        raise ValueError(f"carrier {f_carrier_hz:.12g} Hz is off the DFT grid of {bin_hz:.12g} Hz")
 
-    t = trace.times()
-    mixed = trace.samples * np.exp(-2j * np.pi * f_carrier_hz * t)
-    spectrum = np.fft.fft(mixed)
-    freqs = np.fft.fftfreq(n, 1.0 / fs)
-    half = 0.5 * lp_bandwidth_hz
-    mask = _band_mask(np.abs(freqs), 0.0, half, fs / n)
-    baseband = np.fft.ifft(np.where(mask, spectrum, 0.0))
-    return IQTrace(f_carrier_hz, fs / decimation, trace.t0_s, baseband[::decimation])
+    # offsets -h..h from the carrier bin; for even n, -n/2 and +n/2 are one bin
+    j_lo, j_hi = _band_bins(-0.5 * lp_bandwidth_hz, 0.5 * lp_bandwidth_hz, bin_hz)
+    offsets = np.arange(j_lo, min(j_hi, (n - 1) // 2) + 1)
+    k = k_c + offsets
+    bins = np.fft.rfft(trace.samples)[np.minimum(np.abs(k), n - k)]
+    bins = (np.where((k < 0) | (k > n // 2), np.conj(bins), bins)
+            * np.exp(-2j * np.pi * f_carrier_hz * trace.t0_s))
+    folded = np.zeros(n // decimation, dtype=complex)
+    np.add.at(folded, offsets % folded.size, bins)
+    baseband = np.fft.ifft(folded) / decimation
+    return IQTrace(f_carrier_hz, fs / decimation, trace.t0_s, baseband)
 
 
 class PairwiseAccumulator:

@@ -3,11 +3,11 @@
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 operating-point solver alone.  Time-domain runs integrate the electrothermal
 state at a fixed step, build the reflected probe comb with each channel's
-tone scaled by its instantaneous reflection, push averaged noisy
-realizations through digital down-conversion, and reduce the result to
-windowed response metrics.  Every random draw comes from a stream derived
-from (master seed, experiment kind, pattern, realization), so any execution
-order, including threaded pattern sweeps, produces bit-identical results.
+tone scaled by its instantaneous reflection, add the mean of n_avg noise
+records as one white record of std sigma/sqrt(n_avg), down-convert, and
+reduce the result to windowed response metrics.  Every random draw comes
+from a stream derived from (master seed, experiment kind, pattern), so any
+execution order, including threaded pattern sweeps, is bit-identical.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 from . import analysis
 from .device import (BolometerParams, OperatingPoint, SolverError, _absorbed_fraction,
                      _gamma, solve_operating_point)
-from .dsp import (IQTrace, PairwiseAccumulator, ResponseMetric, TimeTrace,
-                  demodulate, response_metric)
+from .dsp import IQTrace, ResponseMetric, TimeTrace, add_noise, demodulate, response_metric
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
                        filter_transmission, schedule_heaters)
 from .units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts
@@ -184,10 +183,11 @@ def apply_preset(chip: ChipConfig, settings: RunSettings, name: str):
     """Return (chip, settings) adjusted to a named measurement posture.
 
     desk: the shipped defaults (1 GS/s, 100 averages, noise scaled down 10x
-    so the averaged noise matches the full posture at 1% of the runtime).
+    so the averaged noise per raw sample matches the paper posture's).
     "paper": the full-scale posture, 6 GS/s and 10^4 averages at full
-    noise.  "fig3": long-pulse single-trigger posture, 1 ms pulses and
-    2^14 averages.
+    noise; the same noise per sample over 6x the bandwidth leaves its
+    in-band floor sqrt(6) lower, so it reads about sqrt(6) higher SNR.
+    "fig3": long-pulse single-trigger posture, 1 ms pulses and 2^14 averages.
     """
     if name == "desk":
         return chip, settings
@@ -339,17 +339,9 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
         carrier = np.exp(1j * (2.0 * np.pi * tone.f_hz * t + tone.phase_rad))
         composite += np.real(gam * (amp * carrier))
 
-    acc = PairwiseAccumulator()
-    if chip.noise_sigma_v == 0.0:
-        acc.push(composite)
-        n_pushed = 1
-    else:
-        for r in range(settings.n_avg):
-            stream = derive_stream(seed, *stream_labels, r)
-            noise = stream.normal(0.0, chip.noise_sigma_v, n)
-            acc.push(composite + noise)
-        n_pushed = settings.n_avg
-    averaged = TimeTrace(fs, 0.0, acc.total() / n_pushed)
+    averaged = add_noise(TimeTrace(fs, 0.0, composite),
+                         chip.noise_sigma_v / math.sqrt(settings.n_avg),
+                         derive_stream(seed, *stream_labels))
 
     iqs, metrics = [], []
     for ch in range(chip.n_channels):
@@ -405,7 +397,7 @@ def run_full_multiplex(chip: ChipConfig, settings: RunSettings | None = None,
                        seed: Seed = Seed(0), threads: int = 1) -> list[MultiplexRun]:
     """Run every 2**n trigger pattern; results ordered by pattern label.
 
-    Each pattern derives its noise streams from its own label, so the
+    Each pattern derives its noise stream from its own label, so the
     threaded and serial schedules produce bit-identical results.
     """
     settings = settings if settings is not None else RunSettings()
@@ -599,8 +591,8 @@ def run_power_sweep(chip: ChipConfig, channel: int, f_heater_hz: float, powers_d
                     noiseless: bool = True, stream_tag: int = 0) -> PowerSweepResult:
     """Heater power sweep through the full time-domain pipeline.
 
-    Each power runs one pulse-response experiment (noiseless single shot by
-    default, since the compression curve is deterministic) and records the
+    Each power runs one pulse-response experiment (noiseless by default,
+    since the compression curve is deterministic) and records the
     windowed response amplitude of the target channel.  Defaults to the
     flank posture (detuning fraction 0.5) where the response is linear in
     small resonance shifts, which the compression fit relies on.
@@ -612,7 +604,6 @@ def run_power_sweep(chip: ChipConfig, channel: int, f_heater_hz: float, powers_d
     if sorted(powers) != powers:
         raise ValueError("powers must be sorted ascending")
     run_chip = replace(chip, noise_sigma_v=0.0) if noiseless else chip
-    run_settings = replace(settings, n_avg=1) if noiseless else settings
 
     responses = []
     powers_w = []
@@ -623,7 +614,7 @@ def run_power_sweep(chip: ChipConfig, channel: int, f_heater_hz: float, powers_d
             duration_s=settings.pulse_duration_s,
         )
         labels = (_KIND_POWERSWEEP, stream_tag, channel, i)
-        run = _timedomain_run(run_chip, [pulse], run_settings, seed, labels)
+        run = _timedomain_run(run_chip, [pulse], settings, seed, labels)
         responses.append(run.metrics[channel].response)
         powers_w.append(dbm_to_watts(p_dbm - chip.line_attenuation_db))
     return PowerSweepResult(

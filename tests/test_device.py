@@ -356,6 +356,7 @@ def test_operating_point_gamma_consistent():
     f_p = par.f_r0_hz - 0.3 * par.kappa_total_hz
     op = solve_operating_point(par, f_p, dbm_to_watts(-140.0))
     state = par.state_at(op.t_star_k)
+    assert isinstance(op.gamma, complex)
     assert op.gamma == reflection_coefficient(par, state, f_p)
     assert op.p_abs_w == pytest.approx(
         absorbed_probe_power(par, state, f_p, dbm_to_watts(-140.0)), rel=1e-12)

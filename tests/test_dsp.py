@@ -170,6 +170,48 @@ def test_demod_after_bandpass_matches_direct():
     assert np.max(np.abs(direct.samples - filtered.samples)) < 1e-9
 
 
+def mixer_demodulate(trace, f_carrier_hz, lp_bandwidth_hz, decimation):
+    """The record-length mixer that `demodulate` replaced, kept as its oracle.
+
+    Mixes the whole record down by exp(-2 pi i f_c t), brick-wall low-passes
+    it with one complex FFT pair and keeps every decimation-th sample.
+    """
+    fs = trace.sample_rate_hz
+    n = trace.samples.size
+    mixed = trace.samples * np.exp(-2j * np.pi * f_carrier_hz * trace.times())
+    freqs = np.abs(np.fft.fftfreq(n, 1.0 / fs))
+    keep = freqs <= 0.5 * lp_bandwidth_hz + 1e-6 * fs / n
+    baseband = np.fft.ifft(np.where(keep, np.fft.fft(mixed), 0.0))
+    return baseband[::decimation]
+
+
+@pytest.mark.parametrize("t0, f_c, lp_bw, dec", [
+    (3.7e-6, 156.5e6, 2e6, 100),    # on-grid carrier, record not at t = 0
+    (0.0, 1.0e6, 5e6, 10),          # band crosses DC
+    (1.3e-6, 498.5e6, 5e6, 10),     # band reaches past Nyquist
+    (0.0, 120.0e6, 40e6, 100),      # low-pass wider than the output rate
+    (2.0e-6, 250.0e6, 1e9, 4),      # low-pass as wide as the sample rate
+])
+def test_demod_matches_mixer_oracle(t0, f_c, lp_bw, dec):
+    fs, n = 1e9, 2000
+    neighbors = [f for f in (f_c + 1.5e6, f_c - 2.5e6) if 0.0 < f < 0.5 * fs]
+    comb = make_probe_comb([ToneSpec(f_c, -40.0, 0.3)]
+                           + [ToneSpec(f, -45.0, 1.1) for f in neighbors], fs, n / fs)
+    trace = add_noise(TimeTrace(fs, t0, comb.samples), 1e-4, stream(12, 0))
+    oracle = mixer_demodulate(trace, f_c, lp_bw, dec)
+    iq = demodulate(trace, f_c, lp_bw, dec)
+    assert iq.t0_s == t0 and iq.sample_rate_hz == fs / dec
+    assert np.max(np.abs(iq.samples - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+
+def test_demod_rejects_off_grid_carrier():
+    trace = tone_trace(f_hz=10e6)  # 2000 samples: grid spacing 500 kHz
+    with pytest.raises(ValueError, match="grid"):
+        demodulate(trace, 10.25e6, 2e6, 100)
+    with pytest.raises(ValueError, match="grid"):
+        demodulate(trace, 10e6 + 1e-3, 2e6, 100)
+
+
 def test_demod_validation():
     trace = tone_trace()
     with pytest.raises(ValueError):
