@@ -239,8 +239,7 @@ def cmd_powersweep(ctx: _Context, args) -> int:
     # compression fits need the flank posture, where small shifts map to
     # response linearly
     settings = replace(ctx.settings, probe_detuning_fraction=0.5)
-    sweeps, p1db, xtalk = power_sweep_matrix(ctx.chip, powers, settings,
-                                             ctx.seed, threads=ctx.threads)
+    sweeps, p1db, xtalk = power_sweep_matrix(ctx.chip, powers, settings, threads=ctx.threads)
     os.makedirs(ctx.out_dir, exist_ok=True)
     rows = []
     for i, row in enumerate(sweeps):

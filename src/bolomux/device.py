@@ -128,11 +128,10 @@ def reflection_coefficient(params: BolometerParams, state: BolometerState, f_hz)
     critical coupling (kappa_ext == kappa_int) the on-resonance reflection
     vanishes.  Scalar in, scalar out; array in, array out.
     """
-    detuning = np.asarray(f_hz, dtype=float) - state.f_r_hz
-    out = _gamma(detuning, params.kappa_ext_hz, params.kappa_int_hz)
-    if np.isscalar(f_hz) or np.ndim(f_hz) == 0:
-        return complex(out)
-    return out
+    ke, ki = params.kappa_ext_hz, params.kappa_int_hz
+    if np.ndim(f_hz) == 0:
+        return _gamma(float(f_hz) - state.f_r_hz, ke, ki)
+    return _gamma(np.asarray(f_hz, dtype=float) - state.f_r_hz, ke, ki)
 
 
 def absorbed_probe_power(params: BolometerParams, state: BolometerState,

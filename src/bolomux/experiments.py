@@ -51,7 +51,6 @@ __all__ = [
 
 # stream-label namespaces; first label of every derived stream
 _KIND_TRIGGER = 1
-_KIND_POWERSWEEP = 2
 _KIND_CALIBRATION = 3
 
 
@@ -281,31 +280,30 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
             raise ValueError(
                 f"probe tone at {tone.f_hz:.6g} Hz violates Nyquist at {fs:.6g} S/s")
 
-    # per-pulse delivered power into each channel's absorber (time-invariant)
-    att = chip.line_attenuation_db
-    delivered = []
-    for ch in range(chip.n_channels):
-        filt = chip.matched_filter(ch)
-        delivered.append([
-            dbm_to_watts(pl.tone.p_dbm - att) * filter_transmission(filt, pl.tone.f_hz)
-            for pl in pulses])
-    # edge steps as integers: s*dt rounds below the start time for typical
+    # heater power delivered into each channel's absorber, per thermal step.
+    # Edge steps are integers: s*dt rounds below the start time for typical
     # microsecond edges, which would delay every edge by one step and make
     # the stepping first order in dt
-    edges = [(round(pl.t_start_s / dt), round((pl.t_start_s + pl.duration_s) / dt))
-             for pl in pulses]
+    att = chip.line_attenuation_db
+    heater_w = np.zeros((chip.n_channels, steps))
+    for pl in pulses:
+        on = round(pl.t_start_s / dt)
+        off = round((pl.t_start_s + pl.duration_s) / dt)
+        p_w = dbm_to_watts(pl.tone.p_dbm - att)
+        for ch in range(chip.n_channels):
+            heater_w[ch, on:off] += p_w * filter_transmission(chip.matched_filter(ch),
+                                                              pl.tone.f_hz)
 
     t = np.arange(n) / fs
     composite = np.zeros(n)
     for ch, par in enumerate(chip.bolometers):
         tone = tones[ch]
         p_probe_w = dbm_to_watts(tone.p_dbm)
-        # scalar inline of thermal_step (the exact exponential update with
-        # precomputed decay factors); the public op expresses the same
-        # arithmetic one step at a time.  The absorbed power is re-evaluated
-        # at a predicted half-step temperature, which makes the stepping
-        # second order in dt and leaves a true fixed point exactly
-        # stationary; heater edges are step-aligned by validation.
+        # exact exponential update of thermal_step with precomputed decay
+        # factors, plus what thermal_step does not do: the absorbed power is
+        # re-evaluated at a predicted half-step temperature, which makes the
+        # stepping second order in dt and leaves a true fixed point exactly
+        # stationary.  Heater edges are step-aligned by validation.
         ke, ki = par.kappa_ext_hz, par.kappa_int_hz
         t_bath, g_th, dfdt = par.t_bath_k, par.g_th_w_per_k, par.dfdt_hz_per_k
         decay = math.exp(-dt / par.tau_th_s)
@@ -313,11 +311,7 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
         t_e = ops[ch].t_star_k
         t_start = np.empty(steps)
         t_inf_of = np.empty(steps)
-        for s in range(steps):
-            heater = 0.0
-            for k, (on, off) in enumerate(edges):
-                if on <= s < off:
-                    heater += delivered[ch][k]
+        for s, heater in enumerate(heater_w[ch].tolist()):
             detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_e - t_bath))
             p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
             t_mid = t_bath + p_abs / g_th + (t_e - t_bath - p_abs / g_th) * decay_half
@@ -330,9 +324,8 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
         # the reflection is sampled per digitizer sample on the exact
         # within-step exponential, not held constant over a step, so the
         # composite has no zero-order-hold rolloff tied to thermal_dt_s
-        fade = np.tile(np.exp(-np.arange(block) / (fs * par.tau_th_s)), steps)
-        idx = np.repeat(np.arange(steps), block)
-        t_samples = t_inf_of[idx] + (t_start[idx] - t_inf_of[idx]) * fade
+        fade = np.exp(-np.arange(block) / (fs * par.tau_th_s))
+        t_samples = (t_inf_of[:, None] + (t_start - t_inf_of)[:, None] * fade).ravel()
         det_samples = tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath))
         gam = _gamma(det_samples, ke, ki)
         amp = tone_amplitude_volts(tone.p_dbm)
@@ -586,63 +579,70 @@ class PowerSweepResult:
         return analysis.fit_compression(np.array(self.powers_w), np.array(self.responses))
 
 
-def run_power_sweep(chip: ChipConfig, channel: int, f_heater_hz: float, powers_dbm,
-                    settings: RunSettings | None = None, seed: Seed = Seed(0),
-                    noiseless: bool = True, stream_tag: int = 0) -> PowerSweepResult:
-    """Heater power sweep through the full time-domain pipeline.
+def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
+                       settings: RunSettings) -> tuple[PowerSweepResult, ...]:
+    """One heater frequency swept in power, read on every probe at once.
 
-    Each power runs one pulse-response experiment (noiseless by default,
-    since the compression curve is deterministic) and records the
-    windowed response amplitude of the target channel.  Defaults to the
-    flank posture (detuning fraction 0.5) where the response is linear in
-    small resonance shifts, which the compression fit relies on.
+    Each power is one single-pulse run on the quiet chip; every bolometer's
+    response comes from that same run.  Returns one result per bolometer.
     """
-    settings = settings if settings is not None else RunSettings(probe_detuning_fraction=0.5)
-    if not 0 <= channel < chip.n_channels:
-        raise ValueError(f"channel {channel} out of range")
     powers = [float(p) for p in powers_dbm]
     if sorted(powers) != powers:
         raise ValueError("powers must be sorted ascending")
-    run_chip = replace(chip, noise_sigma_v=0.0) if noiseless else chip
-
-    responses = []
-    powers_w = []
-    for i, p_dbm in enumerate(powers):
+    quiet = replace(chip, noise_sigma_v=0.0)
+    metrics = []
+    for p_dbm in powers:
         pulse = PulseSpec(
             tone=ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm),
             t_start_s=settings.pulse_start_s,
             duration_s=settings.pulse_duration_s,
         )
-        labels = (_KIND_POWERSWEEP, stream_tag, channel, i)
-        run = _timedomain_run(run_chip, [pulse], settings, seed, labels)
-        responses.append(run.metrics[channel].response)
-        powers_w.append(dbm_to_watts(p_dbm - chip.line_attenuation_db))
-    return PowerSweepResult(
-        channel=channel,
-        f_heater_hz=float(f_heater_hz),
-        powers_dbm=tuple(powers),
-        powers_w=tuple(powers_w),
-        responses=tuple(responses),
-    )
+        # the quiet chip draws no noise, so the stream is never read
+        metrics.append(_timedomain_run(quiet, [pulse], settings, Seed(0), ()).metrics)
+    powers_w = tuple(dbm_to_watts(p - chip.line_attenuation_db) for p in powers)
+    return tuple(
+        PowerSweepResult(
+            channel=ch,
+            f_heater_hz=float(f_heater_hz),
+            powers_dbm=tuple(powers),
+            powers_w=powers_w,
+            responses=tuple(m[ch].response for m in metrics),
+        )
+        for ch in range(chip.n_channels))
+
+
+def run_power_sweep(chip: ChipConfig, channel: int, f_heater_hz: float, powers_dbm,
+                    settings: RunSettings | None = None) -> PowerSweepResult:
+    """Heater power sweep through the full time-domain pipeline.
+
+    Each power runs one noiseless pulse-response experiment (the
+    compression curve is deterministic) and records the windowed response
+    amplitude of the target channel.  Defaults to the flank posture
+    (detuning fraction 0.5) where the response is linear in small
+    resonance shifts, which the compression fit relies on.
+    """
+    settings = settings if settings is not None else RunSettings(probe_detuning_fraction=0.5)
+    if not 0 <= channel < chip.n_channels:
+        raise ValueError(f"channel {channel} out of range")
+    return _power_sweep_paths(chip, f_heater_hz, powers_dbm, settings)[channel]
 
 
 def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | None = None,
-                       seed: Seed = Seed(0), threads: int = 1):
+                       threads: int = 1):
     """Power sweeps for every (bolometer, filter) pair.
 
     Returns (sweeps, p_1db_dbm, crosstalk) where sweeps[i][j] drives
     bolometer i through filter j's center and p_1db_dbm[i][j] is the fitted
-    1 dB compression point of that path.
+    1 dB compression point of that path.  Each (filter, power) is one
+    noiseless run read on every bolometer, so the result does not depend
+    on any seed; filters fan out over `threads`.
     """
     settings = settings if settings is not None else RunSettings(probe_detuning_fraction=0.5)
     n = chip.n_channels
-
-    def one(i: int, j: int) -> PowerSweepResult:
-        return run_power_sweep(chip, i, chip.filters[j].f_center_hz, powers_dbm,
-                               settings, seed, stream_tag=j)
-
-    flat = _fan_out(one, [(i, j) for i in range(n) for j in range(n)], threads)
-    sweeps = [flat[i * n:(i + 1) * n] for i in range(n)]
+    by_filter = _fan_out(_power_sweep_paths,
+                         [(chip, filt.f_center_hz, powers_dbm, settings) for filt in chip.filters],
+                         threads)
+    sweeps = [[by_filter[j][i] for j in range(n)] for i in range(n)]
 
     p1db = np.full((n, n), np.nan)
     for i in range(n):

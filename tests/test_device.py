@@ -9,6 +9,7 @@ import pytest
 
 from bolomux.device import (
     BolometerParams,
+    _gamma,
     _lowest_cubic_root,
     absorbed_probe_power,
     reflection_coefficient,
@@ -352,14 +353,26 @@ def test_operating_point_balances_power():
 
 
 def test_operating_point_gamma_consistent():
-    par = make_params()
-    f_p = par.f_r0_hz - 0.3 * par.kappa_total_hz
-    op = solve_operating_point(par, f_p, dbm_to_watts(-140.0))
-    state = par.state_at(op.t_star_k)
-    assert isinstance(op.gamma, complex)
-    assert op.gamma == reflection_coefficient(par, state, f_p)
-    assert op.p_abs_w == pytest.approx(
-        absorbed_probe_power(par, state, f_p, dbm_to_watts(-140.0)), rel=1e-12)
+    # the solver's Gamma, reflection_coefficient at the solved state and the
+    # scalar kernel are one Python-float computation: equal bit for bit on
+    # every random cell, not just close
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        par = make_params(
+            kappa_ext_hz=float(10 ** rng.uniform(3, 7)),
+            kappa_int_hz=float(10 ** rng.uniform(2, 7)),
+            dfdt_hz_per_k=float(10 ** rng.uniform(6, 11)),
+        )
+        f_p = float(par.f_r0_hz + rng.uniform(-3, 3) * par.kappa_total_hz)
+        p_w = dbm_to_watts(float(rng.uniform(-160.0, -130.0)))
+        op = solve_operating_point(par, f_p, p_w)
+        state = par.state_at(op.t_star_k)
+        gamma = reflection_coefficient(par, state, f_p)
+        assert type(op.gamma) is complex and type(gamma) is complex
+        assert gamma == op.gamma == _gamma(f_p - state.f_r_hz, par.kappa_ext_hz,
+                                           par.kappa_int_hz)
+        assert op.p_abs_w == pytest.approx(absorbed_probe_power(par, state, f_p, p_w),
+                                           rel=1e-12)
 
 
 def test_operating_point_matches_brute_force():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bolomux import experiments
 from bolomux.analysis import fit_exponential
 from bolomux.device import solve_operating_point
 from bolomux.dsp import PairwiseAccumulator, TimeTrace
@@ -30,7 +31,7 @@ from bolomux.experiments import (
     run_probe_sweep,
     run_trigger,
 )
-from bolomux.frontend import TriggerPattern
+from bolomux.frontend import PulseSpec, ToneSpec, TriggerPattern
 from bolomux.units import Seed, dbm_to_watts, derive_stream, watts_to_dbm
 from test_dsp import mixer_demodulate
 
@@ -155,6 +156,12 @@ def test_operating_tones_nonlinear_guard(default_chip, default_settings):
 # ----------------------------------------------------------- trigger runs
 
 
+# Unheated SNR is pure noise plus a small leakage (sd about 0.54 over seeds
+# 0-63), so a single run bounds it only at the 7-sigma level; its statistics
+# are checked over the seed ensemble (snr_ensemble) instead.
+UNHEATED_SNR_BOUND = 4.0
+
+
 def test_trigger_single_channel_pattern(default_chip, default_settings):
     run = run_trigger(default_chip, TriggerPattern.from_label("001"),
                       default_settings, Seed(15))
@@ -162,14 +169,14 @@ def test_trigger_single_channel_pattern(default_chip, default_settings):
     assert run.n_avg == default_settings.n_avg
     # only the triggered channel responds; the others stay in the noise
     assert run.metrics[2].snr > 5.0
-    assert abs(run.metrics[0].snr) < 1.0
-    assert abs(run.metrics[1].snr) < 1.0
+    assert abs(run.metrics[0].snr) < UNHEATED_SNR_BOUND
+    assert abs(run.metrics[1].snr) < UNHEATED_SNR_BOUND
 
 
 def test_trigger_all_off_and_all_on(default_chip, default_settings):
     quiet = run_trigger(default_chip, TriggerPattern.from_label("000"),
                         default_settings, Seed(15))
-    assert all(abs(m.snr) < 1.0 for m in quiet.metrics)
+    assert all(abs(m.snr) < UNHEATED_SNR_BOUND for m in quiet.metrics)
     loud = run_trigger(default_chip, TriggerPattern.from_label("111"),
                        default_settings, Seed(15))
     assert all(m.snr > 5.0 for m in loud.metrics)
@@ -451,6 +458,55 @@ def test_power_sweep_validation(default_chip):
         run_power_sweep(default_chip, 0, f_heat, [-150.0, -160.0])
     with pytest.raises(ValueError, match="channel"):
         run_power_sweep(default_chip, 5, f_heat, [-160.0, -150.0])
+
+
+SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
+
+
+@pytest.fixture(scope="module")
+def short_matrix(default_chip):
+    settings = RunSettings(probe_detuning_fraction=0.5)
+    return settings, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, settings)
+
+
+def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
+    # one engine run per (filter, power), read on every bolometer
+    calls = []
+    engine = experiments._timedomain_run
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_timedomain_run", counted)
+    power_sweep_matrix(default_chip, SHORT_POWERS_DBM)
+    assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
+
+
+def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
+    # oracle: sweeps[i][j].responses[p] is bolometer i's response in a
+    # direct noiseless single-pulse run at filter j's center and power p
+    settings, (sweeps, _, _) = short_matrix
+    quiet = replace(default_chip, noise_sigma_v=0.0)
+    for j, filt in enumerate(default_chip.filters):
+        for p, p_dbm in enumerate(SHORT_POWERS_DBM):
+            pulse = PulseSpec(tone=ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm),
+                              t_start_s=settings.pulse_start_s,
+                              duration_s=settings.pulse_duration_s)
+            run = experiments._timedomain_run(quiet, [pulse], settings, Seed(0), ())
+            for i in range(default_chip.n_channels):
+                sweep = sweeps[i][j]
+                assert (sweep.channel, sweep.f_heater_hz) == (i, filt.f_center_hz)
+                assert sweep.responses[p] == run.metrics[i].response
+
+
+def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
+    settings, (serial, p1db, xtalk) = short_matrix
+    threaded, p1db_t, xtalk_t = power_sweep_matrix(default_chip, SHORT_POWERS_DBM, settings,
+                                                   threads=3)
+    assert threaded == serial
+    assert np.array_equal(p1db_t, p1db)
+    assert xtalk_t.worst_db == xtalk.worst_db and xtalk_t.best_db == xtalk.best_db
 
 
 # ------------------------------------------------------- pulse time constant
