@@ -44,12 +44,9 @@ from .device import (
 )
 from .dsp import (
     IQTrace,
-    PairwiseAccumulator,
     ResponseMetric,
     TimeTrace,
     add_noise,
-    average_traces,
-    brickwall_bandpass,
     demodulate,
     response_metric,
 )
@@ -80,8 +77,6 @@ from .frontend import (
     ToneSpec,
     TriggerPattern,
     filter_transmission,
-    heater_power_delivered,
-    make_probe_comb,
     schedule_heaters,
 )
 from .traceio import (

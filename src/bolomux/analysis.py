@@ -484,34 +484,6 @@ class SnrTable:
                         "pattern": self.matched_pattern[ch], "snr": self.matched_snr[ch]})
         return out
 
-    @classmethod
-    def from_records(cls, records) -> "SnrTable":
-        names: list[str] = []
-        matched: dict[str, tuple[str, float]] = {}
-        leakage: dict[str, list[tuple[str, float]]] = {}
-        for rec in records:
-            name = str(rec["channel"])
-            if name not in names:
-                names.append(name)
-                leakage[name] = []
-            if rec["kind"] == "matched":
-                matched[name] = (str(rec["pattern"]), float(rec["snr"]))
-            elif rec["kind"] == "leakage":
-                leakage[name].append((str(rec["pattern"]), float(rec["snr"])))
-            else:
-                raise ValueError(f"unknown record kind {rec['kind']!r}")
-        for name in names:
-            if name not in matched:
-                raise ValueError(f"channel {name}: missing matched record")
-            leakage[name].sort(key=lambda pair: pair[0])
-        return cls(
-            channel_names=tuple(names),
-            matched_pattern=tuple(matched[n][0] for n in names),
-            matched_snr=tuple(matched[n][1] for n in names),
-            leakage_patterns=tuple(tuple(p for p, _ in leakage[n]) for n in names),
-            leakage_snr=tuple(tuple(s for _, s in leakage[n]) for n in names),
-        )
-
 
 def snr_table(snr_by_pattern: dict, channel_names) -> SnrTable:
     """Assemble the multiplexing SNR table from per-pattern SNR lists.

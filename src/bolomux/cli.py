@@ -21,9 +21,9 @@ from . import config as configmod
 from .analysis import FitError, capacity_estimate, snr_table
 from .device import SolverError
 from .experiments import (
+    PRESETS,
     CalibrationError,
     ChipConfig,
-    NonlinearOperationError,
     RunSettings,
     apply_preset,
     calibrate_chip,
@@ -69,7 +69,7 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="override the config's master seed")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default bolomux_<command>)")
-    common.add_argument("--preset", choices=("desk", "paper", "fig3"),
+    common.add_argument("--preset", choices=PRESETS,
                         help="sampling/averaging posture override")
     common.add_argument("--threads", type=_thread_count, default=1, metavar="N",
                         help="worker threads; results are identical for any value")
@@ -120,6 +120,7 @@ class _Context:
     sweeps: dict
     out_dir: str
     threads: int
+    preset: str | None
 
 
 def _load_context(args) -> _Context:
@@ -134,7 +135,8 @@ def _load_context(args) -> _Context:
     settings.validate_against(chip)
     out_dir = args.out if args.out else f"bolomux_{args.command}"
     return _Context(chip=chip, settings=settings, seed=seed, doc=doc,
-                    sweeps=cfg.sweeps, out_dir=out_dir, threads=args.threads)
+                    sweeps=cfg.sweeps, out_dir=out_dir, threads=args.threads,
+                    preset=args.preset)
 
 
 def _fmt(value) -> str:
@@ -158,6 +160,8 @@ def _write_json(path, obj) -> None:
 
 
 def _finish(ctx: _Context, command: str) -> None:
+    if ctx.preset:
+        command += f" --preset {ctx.preset}"
     write_manifest(ctx.out_dir, command, ctx.seed.master, ctx.doc, __version__)
 
 
@@ -175,12 +179,9 @@ def _lorentzian_dict(fit):
 
 
 def cmd_characterize(ctx: _Context, args) -> int:
-    sw = ctx.sweeps.get("characterize", {})
-    powers = sw.get("powers_dbm", [-160.0, -150.0, -144.0, -137.0, -130.0])
-    sweep, fits = characterize(
-        ctx.chip, powers,
-        span_linewidths=sw.get("span_linewidths", 8.0),
-        n_points=sw.get("n_points", 201))
+    sw = ctx.sweeps["characterize"]
+    sweep, fits = characterize(ctx.chip, sw["powers_dbm"],
+                               span_linewidths=sw["span_linewidths"], n_points=sw["n_points"])
     os.makedirs(ctx.out_dir, exist_ok=True)
     for ch in range(ctx.chip.n_channels):
         rows = []
@@ -208,11 +209,9 @@ def cmd_characterize(ctx: _Context, args) -> int:
 
 
 def cmd_filterscan(ctx: _Context, args) -> int:
-    sw = ctx.sweeps.get("filterscan", {})
-    grid = np.linspace(sw.get("f_min_hz", 4.0e9), sw.get("f_max_hz", 8.0e9),
-                       int(sw.get("n_points", 401)))
-    result = run_filter_sweep(ctx.chip, grid,
-                              heater_power_dbm=sw.get("heater_power_dbm", -145.0),
+    sw = ctx.sweeps["filterscan"]
+    grid = np.linspace(sw["f_min_hz"], sw["f_max_hz"], int(sw["n_points"]))
+    result = run_filter_sweep(ctx.chip, grid, heater_power_dbm=sw["heater_power_dbm"],
                               settings=ctx.settings)
     os.makedirs(ctx.out_dir, exist_ok=True)
     columns = ["f_heater_hz"] + [f"response_ch{ch}" for ch in range(ctx.chip.n_channels)]
@@ -233,9 +232,8 @@ def cmd_filterscan(ctx: _Context, args) -> int:
 
 
 def cmd_powersweep(ctx: _Context, args) -> int:
-    sw = ctx.sweeps.get("powersweep", {})
-    powers = np.linspace(sw.get("p_min_dbm", -150.0), sw.get("p_max_dbm", -120.0),
-                         int(sw.get("n_points", 16)))
+    sw = ctx.sweeps["powersweep"]
+    powers = np.linspace(sw["p_min_dbm"], sw["p_max_dbm"], int(sw["n_points"]))
     # compression fits need the flank posture, where small shifts map to
     # response linearly
     settings = replace(ctx.settings, probe_detuning_fraction=0.5)
@@ -449,10 +447,10 @@ def cmd_calibrate(ctx: _Context, args) -> int:
 
 
 def cmd_capacity(ctx: _Context, args) -> int:
-    sw = ctx.sweeps.get("capacity", {})
-    f_min = args.fmin if args.fmin is not None else sw.get("f_min_hz", 100.0e6)
-    f_max = args.fmax if args.fmax is not None else sw.get("f_max_hz", 1.0e9)
-    spacing = args.spacing if args.spacing is not None else sw.get("spacing_hz", 5.0e6)
+    sw = ctx.sweeps["capacity"]
+    f_min = args.fmin if args.fmin is not None else sw["f_min_hz"]
+    f_max = args.fmax if args.fmax is not None else sw["f_max_hz"]
+    spacing = args.spacing if args.spacing is not None else sw["spacing_hz"]
     print(capacity_estimate(f_min, f_max, spacing))
     return 0
 

@@ -83,60 +83,22 @@ def load_config_dict(path) -> dict:
 
 
 def build_chip(doc: dict) -> ChipConfig:
+    """The chip section as live objects; omitted optional keys take the defaults."""
     chip = doc["chip"]
-    bolometers = tuple(
-        BolometerParams(
-            f_r0_hz=b["f_r0_hz"],
-            kappa_ext_hz=b["kappa_ext_hz"],
-            kappa_int_hz=b["kappa_int_hz"],
-            tau_th_s=b["tau_th_s"],
-            g_th_w_per_k=b["g_th_w_per_k"],
-            dfdt_hz_per_k=b["dfdt_hz_per_k"],
-            t_bath_k=b["t_bath_k"],
-            p_nonlinear_dbm=b["p_nonlinear_dbm"],
-        )
-        for b in chip["bolometers"])
-    filters = tuple(
-        FilterParams(
-            f_center_hz=f["f_center_hz"],
-            fwhm_hz=f["fwhm_hz"],
-            insertion_loss_db=f["insertion_loss_db"],
-            stopband_floor_db=f["stopband_floor_db"],
-            stopband_floors=tuple((p[0], p[1]) for p in f["stopband_floors"])
-            if f.get("stopband_floors") else None,
-        )
-        for f in chip["filters"])
     try:
-        return ChipConfig(
-            bolometers=bolometers,
-            filters=filters,
-            channel_map=tuple(chip["channel_map"]),
-            noise_sigma_v=chip["noise_sigma_v"],
-            sample_rate_hz=chip["sample_rate_hz"],
-            line_attenuation_db=chip["line_attenuation_db"],
-        )
+        return ChipConfig(**{
+            **chip,
+            "bolometers": tuple(BolometerParams(**b) for b in chip["bolometers"]),
+            "filters": tuple(FilterParams(**f) for f in chip["filters"]),
+        })
     except ValueError as exc:
         raise ConfigError(f"config error at /chip: {exc}") from exc
 
 
 def build_settings(doc: dict) -> RunSettings:
-    run = doc["run"]
+    """The run section as live settings; omitted optional keys take the defaults."""
     try:
-        return RunSettings(
-            window_s=run["window_s"],
-            thermal_dt_s=run["thermal_dt_s"],
-            pulse_start_s=run["pulse_start_s"],
-            pulse_duration_s=run["pulse_duration_s"],
-            demod_bandwidth_hz=run["demod_bandwidth_hz"],
-            output_rate_hz=run["output_rate_hz"],
-            n_avg=run["n_avg"],
-            probe_power_dbm=run["probe_power_dbm"],
-            heater_power_dbm=run["heater_power_dbm"],
-            probe_detuning_fraction=run["probe_detuning_fraction"],
-            baseline_window_s=tuple(run["baseline_window_s"]),
-            signal_window_s=tuple(run["signal_window_s"]),
-            allow_nonlinear=run["allow_nonlinear"],
-        )
+        return RunSettings(**doc["run"])
     except ValueError as exc:
         raise ConfigError(f"config error at /run: {exc}") from exc
 
@@ -152,7 +114,7 @@ class ExperimentConfig:
 
     @property
     def sweeps(self) -> dict:
-        return self.doc.get("sweeps", {})
+        return self.doc["sweeps"]
 
 
 def load_config(path=None) -> ExperimentConfig:

@@ -1,22 +1,16 @@
-"""Deterministic signal chain: traces, noise, brick-wall filters, demodulation.
+"""Deterministic signal chain: traces, noise, demodulation, response metrics.
 
-All filtering is done by exact DFT bin selection (brick-wall), which makes
-the operations idempotent projections and keeps the whole chain reproducible
-to the bit.  Band-pass and demodulation both take their inclusive bin range
+Filtering is exact DFT bin selection (brick-wall), which keeps the whole
+chain reproducible to the bit.  Demodulation takes its inclusive bin range
 from `_band_bins` (a guard of 1e-6 of a bin spacing keeps edge bins against
-rounding of the edge).  Demodulation is a band slice of one real FFT, equal
-to a full-record mixer for any carrier on the record's DFT grid.
-
-Filtered traces carry their masked spectrum along as a private cache, so
-re-filtering reuses the exact masked bins instead of re-transforming the
-samples.  That is what makes "filter twice == filter once" hold bit-exactly
-rather than only to roundoff.
+rounding of the edge) and is a band slice of one real FFT, equal to a
+full-record mixer for any carrier on the record's DFT grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +18,8 @@ __all__ = [
     "TimeTrace",
     "IQTrace",
     "ResponseMetric",
-    "PairwiseAccumulator",
     "add_noise",
-    "brickwall_bandpass",
     "demodulate",
-    "average_traces",
     "response_metric",
 ]
 
@@ -40,7 +31,6 @@ class TimeTrace:
     sample_rate_hz: float
     t0_s: float
     samples: np.ndarray
-    _rfft_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
@@ -97,7 +87,7 @@ def add_noise(trace: TimeTrace, sigma_v: float, stream: np.random.Generator) -> 
     if not math.isfinite(sigma_v) or sigma_v < 0.0:
         raise ValueError(f"noise sigma must be finite and >= 0 V, got {sigma_v}")
     if sigma_v == 0.0:
-        return replace(trace, _rfft_cache=None)
+        return trace
     noise = stream.normal(0.0, sigma_v, trace.samples.size)
     return TimeTrace(trace.sample_rate_hz, trace.t0_s, trace.samples + noise)
 
@@ -105,32 +95,6 @@ def add_noise(trace: TimeTrace, sigma_v: float, stream: np.random.Generator) -> 
 def _band_bins(f_lo_hz: float, f_hi_hz: float, bin_hz: float) -> tuple[int, int]:
     """First and last DFT bin k with f_lo <= k * bin_hz <= f_hi, edges inclusive."""
     return math.ceil(f_lo_hz / bin_hz - 1e-6), math.floor(f_hi_hz / bin_hz + 1e-6)
-
-
-def brickwall_bandpass(trace: TimeTrace, f_center_hz: float, bandwidth_hz: float) -> TimeTrace:
-    """Zero every DFT bin outside [f_center - bw/2, f_center + bw/2].
-
-    Edges are inclusive.  The band must lie inside (0, fs/2] and contain at
-    least one bin.  Output is exactly real (real FFT pair) and carries its
-    masked spectrum, so applying the same filter again is a bit-exact no-op.
-    """
-    fs = trace.sample_rate_hz
-    if not math.isfinite(bandwidth_hz) or bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth_hz}")
-    f_lo = f_center_hz - 0.5 * bandwidth_hz
-    f_hi = f_center_hz + 0.5 * bandwidth_hz
-    if f_lo < 0.0 or f_hi > 0.5 * fs:
-        raise ValueError(
-            f"band [{f_lo:.6g}, {f_hi:.6g}] Hz must lie within [0, fs/2] = [0, {0.5 * fs:.6g}] Hz")
-    n = trace.samples.size
-    k_lo, k_hi = _band_bins(f_lo, f_hi, fs / n)
-    if k_hi < k_lo:
-        raise ValueError("band contains no DFT bins")
-    spectrum = trace._rfft_cache if trace._rfft_cache is not None else np.fft.rfft(trace.samples)
-    masked = np.zeros_like(spectrum)
-    masked[k_lo:k_hi + 1] = spectrum[k_lo:k_hi + 1]
-    filtered = np.fft.irfft(masked, n=n)
-    return TimeTrace(fs, trace.t0_s, filtered, _rfft_cache=masked)
 
 
 def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
@@ -174,73 +138,6 @@ def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
     np.add.at(folded, offsets % folded.size, bins)
     baseband = np.fft.ifft(folded) / decimation
     return IQTrace(f_carrier_hz, fs / decimation, trace.t0_s, baseband)
-
-
-class PairwiseAccumulator:
-    """Streaming pairwise summation with a tree fixed by push order.
-
-    Partial sums are held per rank (rank r = sum of 2**r pushed arrays) and
-    merged binary-counter style; the final reduction combines the leftover
-    ranks from lowest to highest.  The tree shape depends only on the number
-    of pushes, so the result is bit-identical for a given input order no
-    matter how the inputs were produced.
-    """
-
-    def __init__(self) -> None:
-        self._levels: list[np.ndarray | None] = []
-        self.count = 0
-
-    def push(self, values: np.ndarray) -> None:
-        carry = np.array(values, copy=True)
-        rank = 0
-        while rank < len(self._levels) and self._levels[rank] is not None:
-            carry = self._levels[rank] + carry
-            self._levels[rank] = None
-            rank += 1
-        if rank == len(self._levels):
-            self._levels.append(carry)
-        else:
-            self._levels[rank] = carry
-        self.count += 1
-
-    def total(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("nothing accumulated")
-        acc = None
-        for level in self._levels:
-            if level is None:
-                continue
-            acc = level.copy() if acc is None else level + acc
-        return acc
-
-
-def average_traces(traces):
-    """Pointwise arithmetic mean of equally shaped traces.
-
-    Uses the fixed-order pairwise tree of PairwiseAccumulator, so the mean of
-    a given sequence is bit-identical regardless of how the sequence was
-    computed.  All traces must share type, length, sample rate and t0 (and
-    carrier, for IQ traces).
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("cannot average an empty list of traces")
-    first = traces[0]
-    acc = PairwiseAccumulator()
-    for tr in traces:
-        if type(tr) is not type(first):
-            raise ValueError("traces must all be of the same type")
-        if len(tr) != len(first):
-            raise ValueError(f"trace lengths differ: {len(tr)} vs {len(first)}")
-        if tr.sample_rate_hz != first.sample_rate_hz or tr.t0_s != first.t0_s:
-            raise ValueError("traces must share sample rate and t0")
-        if isinstance(tr, IQTrace) and tr.carrier_hz != first.carrier_hz:
-            raise ValueError("IQ traces must share the carrier")
-        acc.push(tr.samples)
-    mean = acc.total() / acc.count
-    if isinstance(first, IQTrace):
-        return IQTrace(first.carrier_hz, first.sample_rate_hz, first.t0_s, mean)
-    return TimeTrace(first.sample_rate_hz, first.t0_s, mean)
 
 
 @dataclass(frozen=True)

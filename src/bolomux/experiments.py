@@ -262,6 +262,27 @@ class MultiplexRun:
     n_avg: int
 
 
+def _heater_power_w(chip: ChipConfig, pulses, steps: int, dt: float) -> np.ndarray:
+    """Heater power delivered into each channel's absorber, per thermal step.
+
+    Each pulse reaches channel ch through that channel's matched filter and
+    is on for the half-open step window [on:off).  Edge steps are integers:
+    s*dt rounds below the start time for typical microsecond edges, which
+    would delay every edge by one step and make the stepping first order in
+    dt.  Pulses add in power (incoherently).
+    """
+    att = chip.line_attenuation_db
+    heater_w = np.zeros((chip.n_channels, steps))
+    for pl in pulses:
+        on = round(pl.t_start_s / dt)
+        off = round((pl.t_start_s + pl.duration_s) / dt)
+        p_w = dbm_to_watts(pl.tone.p_dbm - att)
+        for ch in range(chip.n_channels):
+            heater_w[ch, on:off] += p_w * filter_transmission(chip.matched_filter(ch),
+                                                              pl.tone.f_hz)
+    return heater_w
+
+
 def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
                     stream_labels: tuple[int, ...],
                     pattern: TriggerPattern | None = None) -> MultiplexRun:
@@ -280,20 +301,7 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
             raise ValueError(
                 f"probe tone at {tone.f_hz:.6g} Hz violates Nyquist at {fs:.6g} S/s")
 
-    # heater power delivered into each channel's absorber, per thermal step.
-    # Edge steps are integers: s*dt rounds below the start time for typical
-    # microsecond edges, which would delay every edge by one step and make
-    # the stepping first order in dt
-    att = chip.line_attenuation_db
-    heater_w = np.zeros((chip.n_channels, steps))
-    for pl in pulses:
-        on = round(pl.t_start_s / dt)
-        off = round((pl.t_start_s + pl.duration_s) / dt)
-        p_w = dbm_to_watts(pl.tone.p_dbm - att)
-        for ch in range(chip.n_channels):
-            heater_w[ch, on:off] += p_w * filter_transmission(chip.matched_filter(ch),
-                                                              pl.tone.f_hz)
-
+    heater_w = _heater_power_w(chip, pulses, steps, dt)
     t = np.arange(n) / fs
     composite = np.zeros(n)
     for ch, par in enumerate(chip.bolometers):
@@ -332,9 +340,10 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
         carrier = np.exp(1j * (2.0 * np.pi * tone.f_hz * t + tone.phase_rad))
         composite += np.real(gam * (amp * carrier))
 
-    averaged = add_noise(TimeTrace(fs, 0.0, composite),
-                         chip.noise_sigma_v / math.sqrt(settings.n_avg),
-                         derive_stream(seed, *stream_labels))
+    averaged = TimeTrace(fs, 0.0, composite)
+    sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
+    if sigma > 0.0:
+        averaged = add_noise(averaged, sigma, derive_stream(seed, *stream_labels))
 
     iqs, metrics = [], []
     for ch in range(chip.n_channels):
@@ -597,7 +606,7 @@ def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
             t_start_s=settings.pulse_start_s,
             duration_s=settings.pulse_duration_s,
         )
-        # the quiet chip draws no noise, so the stream is never read
+        # the quiet chip draws no noise, so no stream is derived
         metrics.append(_timedomain_run(quiet, [pulse], settings, Seed(0), ()).metrics)
     powers_w = tuple(dbm_to_watts(p - chip.line_attenuation_db) for p in powers)
     return tuple(
@@ -697,7 +706,7 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
 
     bolos = []
     for ch, par in enumerate(chip.bolometers):
-        filt = chip.filters[chip.channel_map[ch]]
+        filt = chip.matched_filter(ch)
         delivered = (dbm_to_watts(targets.heater_power_dbm - chip.line_attenuation_db)
                      * filter_transmission(filt, filt.f_center_hz))
         target_shift = targets.shift_fraction * par.kappa_total_hz

@@ -1,4 +1,4 @@
-"""Heater filters, probe/heater tone bookkeeping and comb synthesis.
+"""Heater filters, probe/heater tone bookkeeping and heater scheduling.
 
 The heater line is shared: one wideband input feeds every channel through
 that channel's band-pass filter, so a tone aimed at one filter leaks into
@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dsp import TimeTrace
-from .units import db_to_power_ratio, dbm_to_watts, tone_amplitude_volts
+from .units import db_to_power_ratio
 
 __all__ = [
     "FilterParams",
@@ -24,8 +21,6 @@ __all__ = [
     "PulseSpec",
     "TriggerPattern",
     "filter_transmission",
-    "heater_power_delivered",
-    "make_probe_comb",
     "schedule_heaters",
 ]
 
@@ -120,9 +115,6 @@ class PulseSpec:
         if not math.isfinite(self.duration_s) or self.duration_s <= 0.0:
             raise ValueError(f"pulse duration must be finite and > 0 s, got {self.duration_s}")
 
-    def active_at(self, t_s: float) -> bool:
-        return self.t_start_s <= t_s < self.t_start_s + self.duration_s
-
 
 @dataclass(frozen=True)
 class TriggerPattern:
@@ -163,52 +155,6 @@ class TriggerPattern:
         if not 1 <= n_channels <= 16:
             raise ValueError(f"channel count must be in [1, 16], got {n_channels}")
         return [cls.from_label(format(v, f"0{n_channels}b")) for v in range(2 ** n_channels)]
-
-
-def heater_power_delivered(filters, tones, channel: int) -> float:
-    """Total heater power (W) reaching the absorber of one channel.
-
-    Each tone passes the channel's own filter evaluated at the tone
-    frequency; powers add incoherently.  An empty tone list delivers 0 W.
-    """
-    filters = list(filters)
-    if not 0 <= channel < len(filters):
-        raise ValueError(f"channel {channel} out of range for {len(filters)} filters")
-    filt = filters[channel]
-    total = 0.0
-    for tone in tones:
-        total += dbm_to_watts(tone.p_dbm) * filter_transmission(filt, tone.f_hz)
-    return total
-
-
-def make_probe_comb(tones, sample_rate_hz: float, duration_s: float,
-                    z0_ohm: float = 50.0, t0_s: float = 0.0) -> TimeTrace:
-    """Synthesize the sum of probe tones as a real voltage trace.
-
-    v(t) = sum_k a_k cos(2 pi f_k t + phi_k) with a_k = sqrt(2 P_k Z0).
-    Every tone must satisfy sample_rate > 2 f_k; violations name the
-    offending tone.  An empty tone list gives a zero trace.
-    """
-    if not math.isfinite(sample_rate_hz) or sample_rate_hz <= 0.0:
-        raise ValueError(f"sample rate must be finite and > 0, got {sample_rate_hz}")
-    if not math.isfinite(duration_s) or duration_s <= 0.0:
-        raise ValueError(f"duration must be finite and > 0 s, got {duration_s}")
-    n = round(duration_s * sample_rate_hz)
-    if n < 1 or abs(n - duration_s * sample_rate_hz) > 1e-6:
-        raise ValueError(
-            f"duration {duration_s} s must be an integer number of samples at "
-            f"{sample_rate_hz} S/s")
-    tones = list(tones)
-    for tone in tones:
-        if 2.0 * tone.f_hz >= sample_rate_hz:
-            raise ValueError(
-                f"tone at {tone.f_hz:.6g} Hz violates Nyquist at {sample_rate_hz:.6g} S/s")
-    t = t0_s + np.arange(n) / sample_rate_hz
-    samples = np.zeros(n)
-    for tone in tones:
-        a = tone_amplitude_volts(tone.p_dbm, z0_ohm)
-        samples += a * np.cos(2.0 * np.pi * tone.f_hz * t + tone.phase_rad)
-    return TimeTrace(sample_rate_hz, t0_s, samples)
 
 
 def schedule_heaters(pattern: TriggerPattern, filters, channel_map,

@@ -9,7 +9,6 @@ import pytest
 from bolomux.analysis import (
     P_1DB_FACTOR,
     FitError,
-    SnrTable,
     capacity_estimate,
     crosstalk_matrix,
     fit_compression,
@@ -326,12 +325,6 @@ def test_snr_table_structure():
     assert all(p[0] == "000" for p in table.leakage_patterns)
 
 
-def test_snr_table_round_trips_through_records():
-    table = snr_table(synthetic_patterns(), ["a", "b", "c"])
-    rebuilt = SnrTable.from_records(table.records())
-    assert rebuilt == table
-
-
 def test_snr_table_records_are_tidy():
     table = snr_table(synthetic_patterns(), ["a", "b", "c"])
     recs = table.records()
@@ -352,14 +345,6 @@ def test_snr_table_wrong_arity():
     bad["010"] = [1.0, 2.0]
     with pytest.raises(ValueError, match="010"):
         snr_table(bad, ["a", "b", "c"])
-
-
-def test_snr_table_from_records_requires_matched():
-    table = snr_table(synthetic_patterns(), ["a", "b", "c"])
-    recs = [r for r in table.records() if not
-            (r["channel"] == "b" and r["kind"] == "matched")]
-    with pytest.raises(ValueError, match="matched"):
-        SnrTable.from_records(recs)
 
 
 # ---------------------------------------------------------------- capacity

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from bolomux.cli import main
-from bolomux.config import ConfigError, load_config_dict
+from bolomux.config import ConfigError, default_config_dict, load_config_dict
 from bolomux.traceio import read_manifest, read_trace, verify_manifest
 
 
@@ -73,6 +73,26 @@ def test_invalid_config_content(capsys, tmp_path):
     bad.write_text(json.dumps({"run": {"n_avg": -3}}))
     assert run_cli("capacity", "--config", str(bad)) == 1
     assert "/run/n_avg" in capsys.readouterr().err
+
+
+def test_config_entries_may_omit_optional_keys(capsys, tmp_path):
+    # bolometers without p_nonlinear_dbm and filters with only their center
+    # and width run on the dataclass defaults; a bad value still exits 1
+    chip = default_config_dict()["chip"]
+    bolometers = [{k: v for k, v in b.items() if k != "p_nonlinear_dbm"}
+                  for b in chip["bolometers"]]
+    filters = [{k: f[k] for k in ("f_center_hz", "fwhm_hz")} for f in chip["filters"]]
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(json.dumps({"chip": {"bolometers": bolometers, "filters": filters},
+                                  "run": {"n_avg": 2}}))
+    assert run_cli("trigger", "--pattern", "101", "--config", str(sparse),
+                   "--out", str(tmp_path / "out")) == 0
+    capsys.readouterr()
+    bolometers[0]["p_nonlinear_dbm"] = float("nan")
+    sparse.write_text(json.dumps({"chip": {"bolometers": bolometers}}))
+    assert run_cli("trigger", "--pattern", "101", "--config", str(sparse),
+                   "--out", str(tmp_path / "bad")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ----------------------------------------------------------------- trigger
@@ -249,10 +269,18 @@ def test_report_refuses_corrupt_input(capsys, tmp_path, fast_config):
 
 
 def test_preset_flag_accepted(capsys, tmp_path, fast_config):
-    out = tmp_path / "pre"
-    assert run_cli("trigger", "--pattern", "000", "--config", fast_config,
-                   "--preset", "desk", "--out", str(out)) == 0
+    # the manifest command names the preset only when the flag is given
+    commands = {}
+    for preset in (None, "desk", "paper"):
+        out = tmp_path / f"pre_{preset}"
+        flags = ("--preset", preset) if preset else ()
+        assert run_cli("trigger", "--pattern", "000", "--config", fast_config,
+                       "--out", str(out), *flags) == 0
+        commands[preset] = read_manifest(out).command
     capsys.readouterr()
+    assert commands == {None: "trigger --pattern 000",
+                        "desk": "trigger --pattern 000 --preset desk",
+                        "paper": "trigger --pattern 000 --preset paper"}
 
 
 def test_unknown_preset_rejected(capsys, fast_config, tmp_path):

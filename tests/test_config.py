@@ -2,6 +2,7 @@
 deep merge semantics, and canonical hashing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -20,8 +21,9 @@ from bolomux.config import (
     merge_config,
     validate_config,
 )
-from bolomux.experiments import run_trigger
-from bolomux.frontend import TriggerPattern
+from bolomux.device import BolometerParams
+from bolomux.experiments import ChipConfig, RunSettings, run_trigger
+from bolomux.frontend import FilterParams, TriggerPattern
 from bolomux.units import Seed
 
 
@@ -113,6 +115,17 @@ def test_schema_is_self_contained():
     assert schema["additionalProperties"] is False
 
 
+def test_schema_sections_are_the_dataclass_fields():
+    # the builders pass each section's keys straight to its dataclass
+    props = config_schema()["properties"]
+    chip = props["chip"]["properties"]
+    for section, cls in ((chip, ChipConfig),
+                         (chip["bolometers"]["items"]["properties"], BolometerParams),
+                         (chip["filters"]["items"]["properties"], FilterParams),
+                         (props["run"]["properties"], RunSettings)):
+        assert set(section) == {f.name for f in fields(cls)}, cls.__name__
+
+
 def test_schema_valid_config_can_still_fail_at_runtime():
     # a 600 MHz resonator passes the schema but cannot be synthesized at
     # 1 GS/s; the refusal happens in the experiment layer, naming Nyquist
@@ -182,10 +195,33 @@ def test_load_config_merges_user_file(tmp_path):
     assert cfg.settings.window_s == 100e-6  # default survives
 
 
+def test_load_config_entries_take_dataclass_defaults(tmp_path):
+    # user lists replace the shipped ones, so optional entry keys are absent
+    chip = default_config_dict()["chip"]
+    bolometers = [{k: v for k, v in b.items() if k != "p_nonlinear_dbm"}
+                  for b in chip["bolometers"]]
+    filters = [{k: f[k] for k in ("f_center_hz", "fwhm_hz")} for f in chip["filters"]]
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"chip": {"bolometers": bolometers, "filters": filters}}))
+    cfg = load_config(path)
+    assert [b.p_nonlinear_dbm for b in cfg.chip.bolometers] == [-125.0] * 3
+    assert [b.f_r0_hz for b in cfg.chip.bolometers] == [156.7e6, 179.3e6, 193.7e6]
+    for filt, entry in zip(cfg.chip.filters, filters):
+        assert filt == FilterParams(entry["f_center_hz"], entry["fwhm_hz"])
+        assert (filt.insertion_loss_db, filt.stopband_floor_db) == (0.0, -18.0)
+        assert filt.stopband_floors is None
+
+
 def test_load_config_rejects_bad_user_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"chip": {"sample_rate_hz": -5.0}}))
     with pytest.raises(ConfigError, match="/chip/sample_rate_hz"):
+        load_config(path)
+    # NaN passes the schema's type check; the dataclass refuses it
+    bolometers = default_config_dict()["chip"]["bolometers"]
+    bolometers[1]["p_nonlinear_dbm"] = float("nan")
+    path.write_text(json.dumps({"chip": {"bolometers": bolometers}}))
+    with pytest.raises(ConfigError, match="/chip: p_nonlinear_dbm must be finite"):
         load_config(path)
 
 

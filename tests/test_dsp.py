@@ -1,32 +1,28 @@
-"""Digitizer-side processing: noise injection, brick-wall filtering,
-demodulation, deterministic averaging, and pulse-response metrics."""
+"""Digitizer-side processing: noise injection, demodulation and
+pulse-response metrics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bolomux.dsp import (
-    IQTrace,
-    PairwiseAccumulator,
-    TimeTrace,
-    add_noise,
-    average_traces,
-    brickwall_bandpass,
-    demodulate,
-    response_metric,
-)
-from bolomux.frontend import ToneSpec, make_probe_comb
-from bolomux.units import Seed, derive_stream
+from bolomux.dsp import IQTrace, TimeTrace, add_noise, demodulate, response_metric
+from bolomux.units import Seed, derive_stream, tone_amplitude_volts
 
 
 def stream(master, *labels):
     return derive_stream(Seed(master), *labels)
 
 
+def cosines(fs, n, tones):
+    """Sum of a cos(2 pi f t + phase), a = sqrt(2 P 50 ohm), over (f, dBm, phase)."""
+    t = np.arange(n) / fs
+    return sum(tone_amplitude_volts(p_dbm) * np.cos(2.0 * np.pi * f_hz * t + phase)
+               for f_hz, p_dbm, phase in tones)
+
+
 def tone_trace(f_hz=10e6, p_dbm=0.0, fs=1e9, dur=2e-6, phase=0.0):
-    return make_probe_comb([ToneSpec(f_hz=f_hz, p_dbm=p_dbm, phase_rad=phase)],
-                           fs, dur)
+    return TimeTrace(fs, 0.0, cosines(fs, round(dur * fs), [(f_hz, p_dbm, phase)]))
 
 
 # ----------------------------------------------------------------- traces
@@ -78,55 +74,6 @@ def test_add_noise_rejects_negative_sigma():
         add_noise(tone_trace(), -1e-9, stream(1, 0))
 
 
-# ----------------------------------------------------------------- bandpass
-
-
-def test_bandpass_keeps_in_band_tone():
-    trace = tone_trace(f_hz=10e6)
-    out = brickwall_bandpass(trace, 10e6, 2e6)
-    assert np.max(np.abs(out.samples - trace.samples)) < 1e-9
-
-
-def test_bandpass_removes_out_of_band_tone():
-    fs, dur = 1e9, 2e-6
-    in_band = tone_trace(f_hz=10e6, fs=fs, dur=dur)
-    out_band = tone_trace(f_hz=50e6, fs=fs, dur=dur)
-    both = TimeTrace(fs, 0.0, in_band.samples + out_band.samples)
-    filtered = brickwall_bandpass(both, 10e6, 2e6)
-    assert np.max(np.abs(filtered.samples - in_band.samples)) < 1e-12
-
-
-def test_bandpass_is_bitwise_idempotent():
-    trace = add_noise(tone_trace(), 1e-3, stream(2, 0))
-    once = brickwall_bandpass(trace, 10e6, 4e6)
-    twice = brickwall_bandpass(once, 10e6, 4e6)
-    assert np.array_equal(once.samples, twice.samples)
-
-
-def test_bandpass_edges_inclusive():
-    # tone sitting exactly on the upper band edge must survive
-    fs, dur = 1e9, 2e-6
-    trace = tone_trace(f_hz=12e6, fs=fs, dur=dur)
-    out = brickwall_bandpass(trace, 10e6, 4e6)
-    assert np.max(np.abs(out.samples - trace.samples)) < 1e-9
-
-
-def test_bandpass_output_is_real():
-    trace = add_noise(tone_trace(), 1e-3, stream(3, 0))
-    out = brickwall_bandpass(trace, 10e6, 4e6)
-    assert out.samples.dtype == np.float64
-
-
-def test_bandpass_validation():
-    trace = tone_trace()
-    with pytest.raises(ValueError):
-        brickwall_bandpass(trace, 10e6, 0.0)
-    with pytest.raises(ValueError):
-        brickwall_bandpass(trace, 499e6, 10e6)  # upper edge beyond fs/2
-    with pytest.raises(ValueError):
-        brickwall_bandpass(trace, 1e6, 10e6)  # lower edge below zero
-
-
 # ----------------------------------------------------------------- demod
 
 
@@ -161,15 +108,6 @@ def test_demod_is_linear():
     assert np.max(np.abs(direct.samples - parts)) < 1e-12
 
 
-def test_demod_after_bandpass_matches_direct():
-    # brick-wall band around the carrier wider than the low-pass: filtering
-    # first must not change the demodulated baseband
-    trace = add_noise(tone_trace(f_hz=10e6), 1e-4, stream(6, 0))
-    direct = demodulate(trace, 10e6, 2e6, 100)
-    filtered = demodulate(brickwall_bandpass(trace, 10e6, 8e6), 10e6, 2e6, 100)
-    assert np.max(np.abs(direct.samples - filtered.samples)) < 1e-9
-
-
 def mixer_demodulate(trace, f_carrier_hz, lp_bandwidth_hz, decimation):
     """The record-length mixer that `demodulate` replaced, kept as its oracle.
 
@@ -195,9 +133,8 @@ def mixer_demodulate(trace, f_carrier_hz, lp_bandwidth_hz, decimation):
 def test_demod_matches_mixer_oracle(t0, f_c, lp_bw, dec):
     fs, n = 1e9, 2000
     neighbors = [f for f in (f_c + 1.5e6, f_c - 2.5e6) if 0.0 < f < 0.5 * fs]
-    comb = make_probe_comb([ToneSpec(f_c, -40.0, 0.3)]
-                           + [ToneSpec(f, -45.0, 1.1) for f in neighbors], fs, n / fs)
-    trace = add_noise(TimeTrace(fs, t0, comb.samples), 1e-4, stream(12, 0))
+    comb = cosines(fs, n, [(f_c, -40.0, 0.3)] + [(f, -45.0, 1.1) for f in neighbors])
+    trace = add_noise(TimeTrace(fs, t0, comb), 1e-4, stream(12, 0))
     oracle = mixer_demodulate(trace, f_c, lp_bw, dec)
     iq = demodulate(trace, f_c, lp_bw, dec)
     assert iq.t0_s == t0 and iq.sample_rate_hz == fs / dec
@@ -226,91 +163,6 @@ def test_demod_validation():
         demodulate(trace, 10e6, 2e6, 3)  # does not divide 2000 samples
     with pytest.raises(ValueError):
         demodulate(trace, 10e6, 2e6, 100.0)  # float decimation
-
-
-# ----------------------------------------------------------------- averaging
-
-
-def test_accumulator_matches_plain_sum():
-    rng = np.random.default_rng(0)
-    arrays = [rng.normal(size=257) for _ in range(37)]
-    acc = PairwiseAccumulator()
-    for a in arrays:
-        acc.push(a)
-    assert acc.count == 37
-    assert np.allclose(acc.total(), np.sum(arrays, axis=0), rtol=1e-12)
-
-
-def test_accumulator_deterministic():
-    rng = np.random.default_rng(1)
-    arrays = [rng.normal(size=64) for _ in range(19)]
-
-    def run():
-        acc = PairwiseAccumulator()
-        for a in arrays:
-            acc.push(a)
-        return acc.total()
-
-    assert np.array_equal(run(), run())
-
-
-def test_accumulator_empty_raises():
-    with pytest.raises(ValueError):
-        PairwiseAccumulator().total()
-
-
-def test_average_traces_mean():
-    t1 = TimeTrace(1e9, 0.0, np.full(8, 1.0))
-    t2 = TimeTrace(1e9, 0.0, np.full(8, 3.0))
-    out = average_traces([t1, t2])
-    assert np.array_equal(out.samples, np.full(8, 2.0))
-
-
-def test_average_traces_sequence_form_is_bit_identical():
-    traces = [add_noise(TimeTrace(1e9, 0.0, np.zeros(128)), 1.0,
-                        stream(8, i)) for i in range(12)]
-    from_list = average_traces(traces)
-    from_gen = average_traces(tr for tr in traces)
-    assert np.array_equal(from_list.samples, from_gen.samples)
-
-
-def test_average_traces_noise_shrinks_like_sqrt_n():
-    # white noise: averaging n traces divides the std by sqrt(n)
-    def std_of_mean(n, master):
-        traces = [add_noise(TimeTrace(1e9, 0.0, np.zeros(4096)), 1.0,
-                            stream(master, i)) for i in range(n)]
-        return float(np.std(average_traces(traces).samples))
-
-    s1 = std_of_mean(1, 21)
-    s16 = std_of_mean(16, 22)
-    s256 = std_of_mean(256, 23)
-    assert s1 / s16 == pytest.approx(4.0, rel=0.2)
-    assert s1 / s256 == pytest.approx(16.0, rel=0.2)
-
-
-def test_average_traces_iq_support():
-    a = IQTrace(1e6, 1e7, 0.0, np.full(4, 1 + 1j))
-    b = IQTrace(1e6, 1e7, 0.0, np.full(4, 3 + 3j))
-    out = average_traces([a, b])
-    assert isinstance(out, IQTrace)
-    assert np.array_equal(out.samples, np.full(4, 2 + 2j))
-
-
-def test_average_traces_validation():
-    base = TimeTrace(1e9, 0.0, np.zeros(8))
-    with pytest.raises(ValueError):
-        average_traces([])
-    with pytest.raises(ValueError):
-        average_traces([base, TimeTrace(1e9, 0.0, np.zeros(9))])
-    with pytest.raises(ValueError):
-        average_traces([base, TimeTrace(2e9, 0.0, np.zeros(8))])
-    with pytest.raises(ValueError):
-        average_traces([base, TimeTrace(1e9, 1e-6, np.zeros(8))])
-    with pytest.raises(ValueError):
-        average_traces([base, IQTrace(1e6, 1e9, 0.0, np.zeros(8, complex))])
-    with pytest.raises(ValueError):
-        average_traces([IQTrace(1e6, 1e7, 0.0, np.zeros(4, complex)),
-                        IQTrace(2e6, 1e7, 0.0, np.zeros(4, complex))])
 
 
 # ----------------------------------------------------------------- metrics

@@ -10,7 +10,7 @@ import pytest
 from bolomux import experiments
 from bolomux.analysis import fit_exponential
 from bolomux.device import solve_operating_point
-from bolomux.dsp import PairwiseAccumulator, TimeTrace
+from bolomux.dsp import TimeTrace
 from bolomux.experiments import (
     PRESETS,
     _KIND_TRIGGER,
@@ -245,12 +245,12 @@ def averaged_noise_oracle(fs, n, sigma_v, n_avg, seed, labels):
     """The per-realization averaging the engine replaced, kept as its oracle.
 
     n_avg white records, record r drawn from the stream (seed, *labels, r),
-    summed in the fixed pairwise tree and divided by n_avg.
+    summed and divided by n_avg.
     """
-    acc = PairwiseAccumulator()
+    total = np.zeros(n)
     for r in range(n_avg):
-        acc.push(derive_stream(seed, *labels, r).normal(0.0, sigma_v, n))
-    return TimeTrace(fs, 0.0, acc.total() / n_avg)
+        total += derive_stream(seed, *labels, r).normal(0.0, sigma_v, n)
+    return TimeTrace(fs, 0.0, total / n_avg)
 
 
 def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_chip):
@@ -470,17 +470,40 @@ def short_matrix(default_chip):
 
 
 def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
-    # one engine run per (filter, power), read on every bolometer
-    calls = []
+    # one engine run per (filter, power), read on every bolometer; the runs
+    # are noiseless, so none derives a noise stream
+    calls, streams = [], []
     engine = experiments._timedomain_run
+    derive = experiments.derive_stream
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return engine(*args, **kwargs)
 
+    def counted_derive(*args):
+        streams.append(args)
+        return derive(*args)
+
     monkeypatch.setattr(experiments, "_timedomain_run", counted)
+    monkeypatch.setattr(experiments, "derive_stream", counted_derive)
     power_sweep_matrix(default_chip, SHORT_POWERS_DBM)
     assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
+    assert streams == []
+
+
+def test_multiplex_derives_one_stream_per_pattern(default_chip, monkeypatch):
+    streams = []
+    derive = experiments.derive_stream
+
+    def counted_derive(*args):
+        streams.append(args[1:])
+        return derive(*args)
+
+    monkeypatch.setattr(experiments, "derive_stream", counted_derive)
+    settings = RunSettings(window_s=20e-6, pulse_start_s=5e-6, pulse_duration_s=5e-6,
+                           baseline_window_s=(1e-6, 4e-6), signal_window_s=(11e-6, 12e-6))
+    run_full_multiplex(default_chip, settings, Seed(3))
+    assert streams == [(_KIND_TRIGGER, v) for v in range(2 ** default_chip.n_channels)]
 
 
 def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):

@@ -1,19 +1,18 @@
-"""Room-temperature side of the readout: heater filters, tone synthesis,
-trigger patterns, and heater scheduling."""
+"""Room-temperature side of the readout: heater filters, trigger patterns,
+and heater scheduling."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bolomux.experiments import _heater_power_w
 from bolomux.frontend import (
     FilterParams,
     PulseSpec,
     ToneSpec,
     TriggerPattern,
     filter_transmission,
-    heater_power_delivered,
-    make_probe_comb,
     schedule_heaters,
 )
 from bolomux.units import dbm_to_watts
@@ -24,6 +23,21 @@ def make_filter(**overrides) -> FilterParams:
                 stopband_floor_db=-15.0)
     base.update(overrides)
     return FilterParams(**base)
+
+
+def three_filter_chip(default_chip, floor_db: float = -15.0):
+    # channel_map [1, 0, 2]: channel 0's matched filter is filters[1]
+    filters = (make_filter(f_center_hz=4.4e9, stopband_floor_db=floor_db),
+               make_filter(f_center_hz=5.8e9, stopband_floor_db=floor_db),
+               make_filter(f_center_hz=7.2e9, stopband_floor_db=floor_db))
+    return replace(default_chip, filters=filters, channel_map=(1, 0, 2),
+                   line_attenuation_db=0.0)
+
+
+def heater_pulse(f_hz: float, p_dbm: float = -135.0, t_start_s: float = 40e-6,
+                 duration_s: float = 10e-6) -> PulseSpec:
+    return PulseSpec(tone=ToneSpec(f_hz=f_hz, p_dbm=p_dbm), t_start_s=t_start_s,
+                     duration_s=duration_s)
 
 
 # -------------------------------------------------------------- filter shape
@@ -90,128 +104,56 @@ def test_filter_validation():
 # ----------------------------------------------------------- delivered power
 
 
-def test_heater_power_matched_channel():
-    filters = [make_filter(f_center_hz=4.4e9), make_filter(f_center_hz=5.8e9)]
-    tones = [ToneSpec(f_hz=4.4e9, p_dbm=-135.0)]
-    p = heater_power_delivered(filters, tones, 0)
-    assert p == pytest.approx(dbm_to_watts(-135.0), rel=1e-12)
-    assert p == pytest.approx(3.1623e-17, rel=1e-4)
-
-
-def test_heater_power_mismatched_channel_hits_floor():
-    filters = [make_filter(f_center_hz=4.4e9, stopband_floor_db=-12.0),
-               make_filter(f_center_hz=5.8e9)]
-    tones = [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)]
-    p = heater_power_delivered(filters, tones, 0)
-    assert p == pytest.approx(dbm_to_watts(-135.0) * 10 ** -1.2, rel=1e-9)
-
-
-def test_heater_power_sums_incoherently():
-    filters = [make_filter(f_center_hz=4.4e9, stopband_floor_db=-12.0)]
-    t_matched = ToneSpec(f_hz=4.4e9, p_dbm=-140.0)
-    t_leak = ToneSpec(f_hz=8.0e9, p_dbm=-130.0)
-    both = heater_power_delivered(filters, [t_matched, t_leak], 0)
-    solo = (heater_power_delivered(filters, [t_matched], 0)
-            + heater_power_delivered(filters, [t_leak], 0))
-    assert both == pytest.approx(solo, rel=1e-12)
-
-
-def test_heater_power_empty_and_bad_channel():
-    filters = [make_filter()]
-    assert heater_power_delivered(filters, [], 0) == 0.0
-    with pytest.raises(ValueError):
-        heater_power_delivered(filters, [], 1)
-    with pytest.raises(ValueError):
-        heater_power_delivered(filters, [], -1)
-
-
 def test_heater_power_default_chip_selectivity(default_chip):
-    # each filter passes its own band at full strength and attenuates the
-    # other two by at least 10 dB
-    filters = default_chip.filters
-    for i, filt in enumerate(filters):
-        for j, other in enumerate(filters):
-            tone = ToneSpec(f_hz=other.f_center_hz, p_dbm=-135.0)
-            p = heater_power_delivered(filters, [tone], i)
-            if i == j:
-                assert p == pytest.approx(dbm_to_watts(-135.0), rel=1e-9)
+    # each channel's filter passes its own heater tone at full strength and
+    # attenuates the other channels' tones by at least 10 dB
+    n = default_chip.n_channels
+    for ch in range(n):
+        filt = default_chip.matched_filter(ch)
+        for other in range(n):
+            t = filter_transmission(filt, default_chip.matched_filter(other).f_center_hz)
+            if ch == other:
+                assert t == pytest.approx(1.0, rel=1e-9)
             else:
-                assert p < dbm_to_watts(-135.0) * 0.1
+                assert t < 0.1
 
 
-# ------------------------------------------------------------ tone synthesis
+def test_heater_power_matched_channel(default_chip):
+    # the tone at filters[1]'s center reaches channel 0 through channel_map
+    chip = three_filter_chip(default_chip)
+    heater_w = _heater_power_w(chip, [heater_pulse(5.8e9)], 100, 1e-6)
+    assert heater_w[0, 40] == pytest.approx(dbm_to_watts(-135.0), rel=1e-12)
+    assert heater_w[0, 40] == pytest.approx(3.1623e-17, rel=1e-4)
 
 
-def test_comb_single_tone_amplitude_and_phase():
-    tone = ToneSpec(f_hz=10e6, p_dbm=0.0, phase_rad=0.3)
-    trace = make_probe_comb([tone], 1e9, 1e-6)
-    assert trace.sample_rate_hz == 1e9
-    assert len(trace.samples) == 1000
-    # 0 dBm into 50 ohm: a = sqrt(2 * 1 mW * 50 ohm) = 0.3162 V
-    assert np.max(np.abs(trace.samples)) == pytest.approx(math.sqrt(0.1), rel=1e-3)
-    assert trace.samples[0] == pytest.approx(math.sqrt(0.1) * math.cos(0.3), rel=1e-12)
+def test_heater_power_mismatched_channel_hits_floor(default_chip):
+    chip = three_filter_chip(default_chip, floor_db=-12.0)
+    heater_w = _heater_power_w(chip, [heater_pulse(4.4e9)], 100, 1e-6)
+    assert heater_w[0, 40] == pytest.approx(dbm_to_watts(-135.0) * 10 ** -1.2, rel=1e-9)
 
 
-def test_comb_spectrum_has_one_line_per_tone():
-    tones = [ToneSpec(f_hz=10e6, p_dbm=0.0),
-             ToneSpec(f_hz=20e6, p_dbm=-6.0),
-             ToneSpec(f_hz=40e6, p_dbm=-12.0)]
-    fs, dur = 1e9, 1e-6
-    trace = make_probe_comb(tones, fs, dur)
-    spectrum = np.abs(np.fft.rfft(trace.samples)) / len(trace.samples) * 2.0
-    bins = np.round(np.array([t.f_hz for t in tones]) * dur).astype(int)
-    for tone, b in zip(tones, bins):
-        expected = math.sqrt(2 * dbm_to_watts(tone.p_dbm) * 50.0)
-        assert spectrum[b] == pytest.approx(expected, rel=1e-9)
-    # everything off the comb lines is numerically zero
-    mask = np.ones(spectrum.size, dtype=bool)
-    mask[bins] = False
-    mask[0] = False
-    assert np.max(spectrum[mask]) < 1e-12
-
-
-def test_comb_power_parseval():
-    tones = [ToneSpec(f_hz=10e6, p_dbm=-3.0), ToneSpec(f_hz=25e6, p_dbm=-9.0)]
-    trace = make_probe_comb(tones, 1e9, 2e-6)
-    mean_square = float(np.mean(trace.samples ** 2))
-    expected = sum(2 * dbm_to_watts(t.p_dbm) * 50.0 / 2 for t in tones)
-    assert mean_square == pytest.approx(expected, rel=1e-6)
-
-
-def test_comb_time_origin_offset():
-    tone = ToneSpec(f_hz=10e6, p_dbm=0.0)
-    t0 = 3.7e-7
-    trace = make_probe_comb([tone], 1e9, 1e-6, t0_s=t0)
-    assert trace.t0_s == t0
-    expected = math.sqrt(0.1) * math.cos(2 * math.pi * tone.f_hz * t0)
-    assert trace.samples[0] == pytest.approx(expected, rel=1e-9)
-
-
-def test_comb_empty_tone_list_is_silence():
-    trace = make_probe_comb([], 1e9, 1e-6)
-    assert np.all(trace.samples == 0.0)
-
-
-def test_comb_rejects_nyquist_violation():
-    with pytest.raises(ValueError, match="Nyquist"):
-        make_probe_comb([ToneSpec(f_hz=600e6, p_dbm=-20.0)], 1e9, 1e-6)
-
-
-def test_comb_rejects_fractional_sample_count():
-    with pytest.raises(ValueError):
-        make_probe_comb([ToneSpec(f_hz=10e6, p_dbm=0.0)], 1e9, 1.0000005e-6)
+def test_heater_power_sums_incoherently(default_chip):
+    chip = three_filter_chip(default_chip, floor_db=-12.0)
+    matched = heater_pulse(5.8e9, p_dbm=-140.0)
+    leak = heater_pulse(8.0e9, p_dbm=-130.0)
+    both = _heater_power_w(chip, [matched, leak], 100, 1e-6)
+    solo = (_heater_power_w(chip, [matched], 100, 1e-6)
+            + _heater_power_w(chip, [leak], 100, 1e-6))
+    np.testing.assert_allclose(both, solo, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------ pulses
 
 
-def test_pulse_window_is_half_open():
-    pulse = PulseSpec(tone=ToneSpec(f_hz=4.4e9, p_dbm=-135.0),
-                      t_start_s=40e-6, duration_s=10e-6)
-    assert not pulse.active_at(39.999e-6)
-    assert pulse.active_at(40e-6)
-    assert pulse.active_at(49.999e-6)
-    assert not pulse.active_at(50e-6)
+def test_pulse_window_is_half_open(default_chip):
+    # 40 us + 10 us at 1 us steps: on for steps 40..49, off at 39 and 50
+    chip = three_filter_chip(default_chip)
+    heater_w = _heater_power_w(chip, [heater_pulse(5.8e9)], 100, 1e-6)
+    assert heater_w[0, 39] == 0.0
+    assert heater_w[0, 40] > 0.0
+    assert heater_w[0, 49] > 0.0
+    assert heater_w[0, 50] == 0.0
+    assert np.count_nonzero(heater_w[0]) == 10
 
 
 def test_pulse_validation():
