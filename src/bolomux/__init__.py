@@ -34,13 +34,9 @@ from .config import (
 )
 from .device import (
     BolometerParams,
-    BolometerState,
     OperatingPoint,
     SolverError,
-    absorbed_probe_power,
-    reflection_coefficient,
     solve_operating_point,
-    thermal_step,
 )
 from .dsp import (
     IQTrace,

@@ -42,9 +42,17 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path) if path else "/"
 
 
+# JSON Schema counts 51.0 as an integer; counts, seeds and indices here must
+# be written as JSON integers, since the program uses them as Python ints
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+
+
 def validate_config(doc: dict) -> None:
     """Schema-check a complete (merged) document; ConfigError on violation."""
-    validator = jsonschema.Draft202012Validator(config_schema())
+    validator = _Validator(config_schema())
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = jsonschema.exceptions.best_match(errors)

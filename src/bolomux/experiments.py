@@ -1,13 +1,15 @@
 """Experiment drivers tying device, frontend and signal chain together.
 
 Steady-state sweeps (probe characterization, heater filter scans) run on the
-operating-point solver alone.  Time-domain runs integrate the electrothermal
-state at a fixed step, build the reflected probe comb with each channel's
-tone scaled by its instantaneous reflection, add the mean of n_avg noise
-records as one white record of std sigma/sqrt(n_avg), down-convert, and
-reduce the result to windowed response metrics.  Every random draw comes
-from a stream derived from (master seed, experiment kind, pattern), so any
-execution order, including threaded pattern sweeps, is bit-identical.
+device's steady-state array kernel alone, one call per sweep row; a cell
+with no finite steady state comes out NaN.  Time-domain runs integrate the
+electrothermal state at a fixed step, build the reflected probe comb with
+each channel's tone scaled by its instantaneous reflection, add the mean of
+n_avg noise records as one white record of std sigma/sqrt(n_avg),
+down-convert, and reduce the result to windowed response metrics.  Every
+random draw comes from a stream derived from (master seed, experiment kind,
+pattern), so any execution order, including threaded pattern sweeps, is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .device import (BolometerParams, OperatingPoint, SolverError, _absorbed_fraction,
-                     _gamma, solve_operating_point)
+from .device import (BolometerParams, OperatingPoint, _absorbed_fraction, _gamma,
+                     _steady_state, solve_operating_point)
 from .dsp import IQTrace, ResponseMetric, TimeTrace, add_noise, demodulate, response_metric
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
                        filter_transmission, schedule_heaters)
@@ -307,11 +309,11 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
     for ch, par in enumerate(chip.bolometers):
         tone = tones[ch]
         p_probe_w = dbm_to_watts(tone.p_dbm)
-        # exact exponential update of thermal_step with precomputed decay
-        # factors, plus what thermal_step does not do: the absorbed power is
-        # re-evaluated at a predicted half-step temperature, which makes the
-        # stepping second order in dt and leaves a true fixed point exactly
-        # stationary.  Heater edges are step-aligned by validation.
+        # exact exponential relaxation toward t_bath + p_abs/g_th over each
+        # step, with the absorbed power re-evaluated at a predicted half-step
+        # temperature, which makes the stepping second order in dt and leaves
+        # a true fixed point exactly stationary.  Heater edges are
+        # step-aligned by validation.
         ke, ki = par.kappa_ext_hz, par.kappa_int_hz
         t_bath, g_th, dfdt = par.t_bath_k, par.g_th_w_per_k, par.dfdt_hz_per_k
         decay = math.exp(-dt / par.tau_th_s)
@@ -419,15 +421,22 @@ class ProbeSweepResult:
     unconverged: tuple[tuple[int, int, int], ...]
 
 
+def _nan_cells(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Index tuples of the NaN cells: where the steady-state kernel found no finite state."""
+    return tuple(map(tuple, np.argwhere(np.isnan(values)).tolist()))
+
+
 def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: float = 6.0,
                     n_points: int = 201, allow_nonlinear: bool = False) -> ProbeSweepResult:
     """Sweep the probe over each resonance at each power.
 
-    Every cell is an independent operating-point solve (no hysteresis): the
-    recorded value is |Gamma(f_p)| at the solved state.  Powers above a
-    channel's nonlinear threshold are refused unless allow_nonlinear is set.
-    Cells where the solver fails are NaN and listed in `unconverged`;
-    multivalued cells are flagged but still reported.
+    Every cell is an independent steady state (no hysteresis): the recorded
+    value is |Gamma(f_p)| at the solved state.  Each (channel, power) row is
+    one call of the array kernel behind solve_operating_point.  Powers above
+    a channel's nonlinear threshold are refused unless allow_nonlinear is
+    set.  Cells with no finite steady state are NaN, not an exception, and
+    listed in `unconverged`; multivalued cells are flagged but still
+    reported.
     """
     powers = [float(p) for p in powers_dbm]
     if not powers:
@@ -447,25 +456,14 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
     if any(len(g) != n_f for g in grids):
         raise ValueError("per-channel frequency grids must have equal length")
 
-    mag = np.full((chip.n_channels, len(powers), n_f), np.nan)
-    multi = np.zeros_like(mag, dtype=bool)
-    bad = []
+    mag = np.empty((chip.n_channels, len(powers), n_f))
+    norm = np.full_like(mag, np.nan)
+    multi = np.empty_like(mag, dtype=bool)
     for ch, par in enumerate(chip.bolometers):
         for pi, p_dbm in enumerate(powers):
             p_w = dbm_to_watts(_device_dbm(chip, p_dbm))
-            for fi, f in enumerate(grids[ch]):
-                try:
-                    op = solve_operating_point(par, float(f), p_w)
-                except SolverError:
-                    bad.append((ch, pi, fi))
-                    continue
-                mag[ch, pi, fi] = abs(op.gamma)
-                multi[ch, pi, fi] = op.multivalued
-
-    norm = np.full_like(mag, np.nan)
-    for ch in range(chip.n_channels):
-        for pi in range(len(powers)):
-            row = mag[ch, pi]
+            _, _, gamma, _, multi[ch, pi] = _steady_state(par, grids[ch], p_w)
+            row = mag[ch, pi] = np.abs(gamma)
             finite = row[np.isfinite(row)]
             if finite.size == 0:
                 continue
@@ -477,7 +475,7 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
         magnitude=mag,
         normalized=norm,
         multivalued=multi,
-        unconverged=tuple(bad),
+        unconverged=_nan_cells(mag),
     )
 
 
@@ -542,8 +540,9 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     """Sweep a CW heater tone and record each channel's steady-state response.
 
     The response is |Gamma(with heater) - Gamma(without)| at the channel's
-    probe tone, both from operating-point solves; the peak sits at the
-    channel's own filter center.  Solver failures flag the cell NaN.
+    probe tone, both from steady-state solves, one kernel call per channel;
+    the peak sits at the channel's own filter center.  Cells with no finite
+    steady state are NaN and listed in `unconverged`.
     """
     settings = settings if settings is not None else RunSettings()
     f_grid = np.asarray(f_heater_hz, dtype=float)
@@ -552,25 +551,17 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     tones, ops = operating_tones(chip, settings)
     p_heat_w = dbm_to_watts(heater_power_dbm - chip.line_attenuation_db)
 
-    resp = np.full((chip.n_channels, f_grid.size), np.nan)
-    bad = []
+    resp = np.empty((chip.n_channels, f_grid.size))
     for ch, par in enumerate(chip.bolometers):
-        filt = chip.matched_filter(ch)
-        p_probe_w = dbm_to_watts(tones[ch].p_dbm)
-        gamma0 = ops[ch].gamma
-        for i, f_h in enumerate(f_grid):
-            extra = p_heat_w * filter_transmission(filt, float(f_h))
-            try:
-                op = solve_operating_point(par, tones[ch].f_hz, p_probe_w, extra_power_w=extra)
-            except SolverError:
-                bad.append((ch, i))
-                continue
-            resp[ch, i] = abs(op.gamma - gamma0)
+        extra = p_heat_w * filter_transmission(chip.matched_filter(ch), f_grid)
+        _, _, gamma, _, _ = _steady_state(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
+                                          extra)
+        resp[ch] = np.abs(gamma - ops[ch].gamma)
     return FilterSweepResult(
         f_heater_hz=f_grid,
         response=resp,
         heater_power_dbm=heater_power_dbm,
-        unconverged=tuple(bad),
+        unconverged=_nan_cells(resp),
     )
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .units import db_to_power_ratio
 
 __all__ = [
@@ -62,26 +64,29 @@ class FilterParams:
                     raise ValueError(f"stopband floor must be < 0 dB, got {db}")
             object.__setattr__(self, "stopband_floors", floors)
 
-    def floor_db_at(self, f_hz: float) -> float:
+    def floor_db_at(self, f_hz):
+        """Stopband floor in dB in effect at f_hz; floats or arrays alike."""
         if not self.stopband_floors:
-            return self.stopband_floor_db
-        best = min(self.stopband_floors, key=lambda pair: abs(pair[0] - f_hz))
-        return best[1]
+            return np.full(np.shape(f_hz), self.stopband_floor_db)
+        listed = np.array(self.stopband_floors)
+        nearest = np.abs(np.subtract.outer(f_hz, listed[:, 0])).argmin(axis=-1)
+        return listed[nearest, 1]
 
 
-def filter_transmission(filt: FilterParams, f_hz: float) -> float:
+def filter_transmission(filt: FilterParams, f_hz):
     """Power transmission |H(f)|^2 of the filter, linear scale in [0, 1].
 
     max(Lorentzian passband, stopband floor); both include the insertion
-    loss at the passband peak.
+    loss at the passband peak.  Floats or arrays alike; every frequency
+    must be finite and > 0.
     """
-    if not math.isfinite(f_hz) or f_hz <= 0.0:
+    f_hz = np.asarray(f_hz, dtype=float)
+    if not (np.isfinite(f_hz) & (f_hz > 0.0)).all():
         raise ValueError(f"frequency must be finite and > 0 Hz, got {f_hz}")
     il = db_to_power_ratio(filt.insertion_loss_db)
     detuning = 2.0 * (f_hz - filt.f_center_hz) / filt.fwhm_hz
     passband = il / (1.0 + detuning * detuning)
-    floor = db_to_power_ratio(filt.floor_db_at(f_hz))
-    return max(passband, floor)
+    return np.maximum(passband, 10.0 ** (filt.floor_db_at(f_hz) / 10.0))
 
 
 @dataclass(frozen=True)

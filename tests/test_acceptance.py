@@ -19,7 +19,6 @@ from bolomux.analysis import (
     fit_exponential,
 )
 from bolomux.cli import main
-from bolomux.device import thermal_step
 from bolomux.dsp import TimeTrace, demodulate
 from bolomux.experiments import (
     PowerSweepResult,
@@ -29,6 +28,7 @@ from bolomux.experiments import (
 )
 from bolomux.frontend import TriggerPattern
 from bolomux.units import Seed, dbm_to_watts, tone_amplitude_volts, watts_to_dbm
+from test_device import state_at, thermal_step
 
 
 def _load_json(path):
@@ -252,7 +252,7 @@ def test_dsp_invariant_suite(default_chip):
 
     # exact relaxation update: two half steps equal one full step
     par = default_chip.bolometers[0]
-    state = par.state_at(par.t_bath_k + 1e-3)
+    state = state_at(par, par.t_bath_k + 1e-3)
     p_abs = 1e-15
     one = thermal_step(par, state, 2e-6, p_abs)
     half = thermal_step(par, thermal_step(par, state, 1e-6, p_abs), 1e-6, p_abs)

@@ -75,6 +75,21 @@ def test_invalid_config_content(capsys, tmp_path):
     assert "/run/n_avg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, pointer", [
+    ({"sweeps": {"characterize": {"n_points": 51.0}}}, "/sweeps/characterize/n_points"),
+    ({"run": {"n_avg": 2.0}}, "/run/n_avg"),
+])
+def test_integral_float_for_integer_field_is_config_error(capsys, tmp_path, doc, pointer):
+    # 51.0 is an integer to JSON Schema but not to np.linspace or RunSettings
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("characterize", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {pointer}: ")
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_config_entries_may_omit_optional_keys(capsys, tmp_path):
     # bolometers without p_nonlinear_dbm and filters with only their center
     # and width run on the dataclass defaults; a bad value still exits 1

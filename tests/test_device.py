@@ -2,19 +2,19 @@
 and the electrothermal operating point."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from bolomux.device import (
     BolometerParams,
+    SolverError,
+    _absorbed_fraction,
     _gamma,
     _lowest_cubic_root,
-    absorbed_probe_power,
-    reflection_coefficient,
+    _steady_state,
     solve_operating_point,
-    thermal_step,
 )
 from bolomux.units import dbm_to_watts
 
@@ -32,6 +32,111 @@ def make_params(**overrides) -> BolometerParams:
     )
     base.update(overrides)
     return BolometerParams(**base)
+
+
+# ------------------------------------------------------- scalar model oracles
+#
+# The per-state scalar faces of the model, kept as references: the linearized
+# thermometry, reflection and absorbed power at a given state, the exact
+# single-pole relaxation step, and the per-cell closed-form solve that the
+# array kernel replaced.
+
+
+@dataclass(frozen=True)
+class BolometerState:
+    """Instantaneous electron temperature and the resonance it implies."""
+
+    t_e_k: float
+    f_r_hz: float
+
+
+def state_at(par, t_e_k):
+    """State with the resonance consistent with electron temperature t_e_k."""
+    if not math.isfinite(t_e_k) or t_e_k <= 0.0:
+        raise ValueError(f"electron temperature must be finite and > 0, got {t_e_k}")
+    if t_e_k < par.t_bath_k - 1e-12:
+        raise ValueError(f"electron temperature {t_e_k} below bath {par.t_bath_k}")
+    return BolometerState(t_e_k, par.f_r0_hz - par.dfdt_hz_per_k * (t_e_k - par.t_bath_k))
+
+
+def reflection_coefficient(par, state, f_hz):
+    """Gamma(f) at the given state; scalar in, Python complex out."""
+    ke, ki = par.kappa_ext_hz, par.kappa_int_hz
+    if np.ndim(f_hz) == 0:
+        return _gamma(float(f_hz) - state.f_r_hz, ke, ki)
+    return _gamma(np.asarray(f_hz, dtype=float) - state.f_r_hz, ke, ki)
+
+
+def absorbed_probe_power(par, state, f_p_hz, p_in_w):
+    """Probe power dissipated in the device: p_in (1 - |Gamma|^2)."""
+    if not math.isfinite(p_in_w) or p_in_w < 0.0:
+        raise ValueError(f"incident power must be finite and >= 0 W, got {p_in_w}")
+    return p_in_w * _absorbed_fraction(f_p_hz - state.f_r_hz, par.kappa_ext_hz,
+                                       par.kappa_int_hz)
+
+
+def thermal_step(par, state, dt_s, p_abs_w):
+    """T(t+dt) = T_inf + (T - T_inf) exp(-dt/tau), T_inf = t_bath + p_abs/g_th."""
+    if not math.isfinite(dt_s) or dt_s < 0.0:
+        raise ValueError(f"dt must be finite and >= 0 s, got {dt_s}")
+    if not math.isfinite(p_abs_w) or p_abs_w < 0.0:
+        raise ValueError(f"absorbed power must be finite and >= 0 W, got {p_abs_w}")
+    t_inf = par.t_bath_k + p_abs_w / par.g_th_w_per_k
+    return state_at(par, t_inf + (state.t_e_k - t_inf) * math.exp(-dt_s / par.tau_th_s))
+
+
+def scalar_lowest_cubic_root(a, b):
+    """One cell of the cubic v (1 + (v + a)^2) = b in Python floats.
+
+    Same closed form and Newton stopping rule as the array kernel; Python
+    float powers raise OverflowError where numpy's overflow to inf.
+    """
+    p = 1.0 - a * a / 3.0
+    half_q = -(a ** 3 / 27.0 + a / 3.0 + 0.5 * b)
+    disc27 = a ** 4 + a ** 3 * b + 2.0 * a * a + 9.0 * a * b + 1.0 + 6.75 * b * b
+    three = disc27 < 0.0 and p < 0.0
+    if three:
+        m = math.sqrt(-p / 3.0)
+        c = min(1.0, max(-1.0, 3.0 * half_q / (p * m)))
+        w = 2.0 * m * math.cos((math.acos(c) + 2.0 * math.pi) / 3.0)
+    else:
+        t = -half_q + math.copysign(math.sqrt(max(disc27, 0.0) / 27.0), -half_q)
+        s1 = math.copysign(abs(t) ** (1.0 / 3.0), t)
+        w = s1 - p / (3.0 * s1)
+    v = max(w - 2.0 * a / 3.0, 0.0)
+    last = math.inf
+    for _ in range(32):
+        step = (((v + 2.0 * a) * v + 1.0 + a * a) * v - b) / (
+            (3.0 * v + 4.0 * a) * v + 1.0 + a * a)
+        if not abs(step) < last:
+            break
+        v -= step
+        last = abs(step)
+    return v, (3.0 * v + 4.0 * a) * v + 1.0 + a * a, three
+
+
+def scalar_steady_state(par, f_p_hz, p_probe_w, extra_power_w=0.0):
+    """(t_e, stable, multivalued) of one cell; t_e NaN where no finite state."""
+    ke, ki = par.kappa_ext_hz, par.kappa_int_hz
+    half = 0.5 * (ke + ki)
+    g_th, dfdt = par.g_th_w_per_k, par.dfdt_hz_per_k
+    detuning0 = f_p_hz - par.f_r0_hz
+    if dfdt == 0.0:
+        x = (p_probe_w * _absorbed_fraction(detuning0, ke, ki) + extra_power_w) / g_th
+        stable, multivalued = True, False
+    else:
+        a = (detuning0 + extra_power_w * dfdt / g_th) / half
+        b = p_probe_w * _absorbed_fraction(0.0, ke, ki) * dfdt / (g_th * half)
+        try:
+            v, slope, multivalued = scalar_lowest_cubic_root(a, b)
+        except (OverflowError, ZeroDivisionError):
+            return math.nan, False, False
+        x = v * half / dfdt + extra_power_w / g_th
+        stable = slope > 0.0
+    t_e = par.t_bath_k + x
+    if not math.isfinite(t_e):
+        return math.nan, False, False
+    return t_e, stable, multivalued
 
 
 # ---------------------------------------------------------------- parameters
@@ -63,21 +168,24 @@ def test_params_validation(field, value):
 
 def test_state_tracks_temperature():
     par = make_params()
-    state = par.state_at(0.053)
+    state = state_at(par, 0.053)
     assert state.t_e_k == 0.053
     # linearized thermometry: resonance drops by dfdt per kelvin above bath
     assert state.f_r_hz == par.f_r0_hz - par.dfdt_hz_per_k * (0.053 - 0.05)
-    assert par.state_at(par.t_bath_k).f_r_hz == par.f_r0_hz
+    assert state_at(par, par.t_bath_k).f_r_hz == par.f_r0_hz
+    # the solver reports the resonance of this same thermometry
+    op = solve_operating_point(par, par.f_r0_hz, dbm_to_watts(-140.0))
+    assert op.f_r_star_hz == state_at(par, op.t_star_k).f_r_hz
 
 
 def test_state_rejects_bad_temperature():
     par = make_params()
     for bad in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            par.state_at(bad)
+            state_at(par, bad)
     # below-bath temperatures are unreachable in this model
     with pytest.raises(ValueError, match="below bath"):
-        par.state_at(0.049)
+        state_at(par, 0.049)
 
 
 # ---------------------------------------------------------------- reflection
@@ -85,14 +193,14 @@ def test_state_rejects_bad_temperature():
 
 def test_reflection_critical_coupling_dip():
     par = make_params(kappa_ext_hz=2e5, kappa_int_hz=2e5)
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     gamma = reflection_coefficient(par, state, par.f_r0_hz)
     assert abs(gamma) < 1e-12
 
 
 def test_reflection_lossless_is_allpass():
     par = make_params(kappa_int_hz=0.0)
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     for detuning in (0.0, 1e3, -5e4, 3e5, -2e6):
         gamma = reflection_coefficient(par, state, par.f_r0_hz + detuning)
         assert abs(abs(gamma) - 1.0) < 1e-12
@@ -101,7 +209,7 @@ def test_reflection_lossless_is_allpass():
 def test_reflection_half_linewidth_point():
     # at detuning = kappa_total/2 and critical coupling, Gamma = (1 + i)/2
     par = make_params(kappa_ext_hz=2e5, kappa_int_hz=2e5)
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     gamma = reflection_coefficient(par, state, par.f_r0_hz + par.kappa_total_hz / 2)
     assert gamma == pytest.approx(0.5 + 0.5j, abs=1e-12)
     assert abs(gamma) ** 2 == pytest.approx(0.5, abs=1e-12)
@@ -109,14 +217,14 @@ def test_reflection_half_linewidth_point():
 
 def test_reflection_far_detuned_is_unity():
     par = make_params()
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     gamma = reflection_coefficient(par, state, par.f_r0_hz + 1e4 * par.kappa_total_hz)
     assert abs(gamma - 1.0) < 1e-3
 
 
 def test_reflection_vectorized_matches_scalar():
     par = make_params()
-    state = par.state_at(0.052)
+    state = state_at(par, 0.052)
     freqs = par.f_r0_hz + np.linspace(-5e5, 5e5, 17)
     vec = reflection_coefficient(par, state, freqs)
     assert vec.shape == freqs.shape
@@ -132,7 +240,7 @@ def test_reflection_passive_for_random_params():
             kappa_ext_hz=10 ** rng.uniform(3, 7),
             kappa_int_hz=10 ** rng.uniform(2, 7),
         )
-        state = par.state_at(par.t_bath_k + rng.uniform(0.0, 0.05))
+        state = state_at(par, par.t_bath_k + rng.uniform(0.0, 0.05))
         f = par.f_r0_hz + rng.uniform(-10, 10) * par.kappa_total_hz
         gamma = reflection_coefficient(par, state, f)
         # passivity: internal loss can only remove power
@@ -144,7 +252,7 @@ def test_reflection_passive_for_random_params():
 
 def test_absorbed_critical_on_resonance_takes_all():
     par = make_params(kappa_ext_hz=2e5, kappa_int_hz=2e5)
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     p_in = 1e-15
     assert absorbed_probe_power(par, state, par.f_r0_hz, p_in) == pytest.approx(
         p_in, rel=1e-12)
@@ -152,14 +260,14 @@ def test_absorbed_critical_on_resonance_takes_all():
 
 def test_absorbed_lossless_takes_nothing():
     par = make_params(kappa_int_hz=0.0)
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     assert absorbed_probe_power(par, state, par.f_r0_hz, 1e-15) == pytest.approx(
         0.0, abs=1e-27)
 
 
 def test_absorbed_half_at_half_linewidth():
     par = make_params(kappa_ext_hz=2e5, kappa_int_hz=2e5)
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     p_in = 1e-15
     p_half = absorbed_probe_power(par, state, par.f_r0_hz + par.kappa_total_hz / 2, p_in)
     assert p_half == pytest.approx(p_in / 2, rel=1e-12)
@@ -172,7 +280,7 @@ def test_absorbed_bounded_by_input():
             kappa_ext_hz=10 ** rng.uniform(3, 7),
             kappa_int_hz=10 ** rng.uniform(2, 7),
         )
-        state = par.state_at(par.t_bath_k + rng.uniform(0.0, 0.05))
+        state = state_at(par, par.t_bath_k + rng.uniform(0.0, 0.05))
         f = par.f_r0_hz + rng.uniform(-10, 10) * par.kappa_total_hz
         p_in = 10 ** rng.uniform(-18, -12)
         p_abs = absorbed_probe_power(par, state, f, p_in)
@@ -181,7 +289,7 @@ def test_absorbed_bounded_by_input():
 
 def test_absorbed_rejects_negative_power():
     par = make_params()
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     with pytest.raises(ValueError):
         absorbed_probe_power(par, state, par.f_r0_hz, -1e-18)
 
@@ -193,7 +301,7 @@ def test_thermal_step_holds_equilibrium():
     par = make_params()
     p_abs = 2e-14
     t_eq = par.t_bath_k + p_abs / par.g_th_w_per_k
-    state = par.state_at(t_eq)
+    state = state_at(par, t_eq)
     after = thermal_step(par, state, 1e-6, p_abs)
     assert after.t_e_k == pytest.approx(t_eq, rel=1e-15)
 
@@ -202,7 +310,7 @@ def test_thermal_step_one_time_constant():
     # decay from 60 mK toward a 50 mK bath over exactly one tau:
     # 0.05 + 0.01/e = 0.05367879...
     par = make_params(tau_th_s=10e-6)
-    state = par.state_at(0.060)
+    state = state_at(par, 0.060)
     after = thermal_step(par, state, 10e-6, 0.0)
     assert after.t_e_k == pytest.approx(0.05 + 0.01 * math.exp(-1.0), rel=1e-12)
     assert after.t_e_k == pytest.approx(0.0536788, abs=1e-7)
@@ -211,7 +319,7 @@ def test_thermal_step_one_time_constant():
 def test_thermal_step_long_time_reaches_target():
     par = make_params()
     p_abs = 5e-15
-    state = par.state_at(0.09)
+    state = state_at(par, 0.09)
     after = thermal_step(par, state, 1000 * par.tau_th_s, p_abs)
     assert after.t_e_k == pytest.approx(
         par.t_bath_k + p_abs / par.g_th_w_per_k, rel=1e-9)
@@ -225,7 +333,7 @@ def test_thermal_step_semigroup():
         t0 = par.t_bath_k + rng.uniform(0.0, 0.05)
         p_abs = 10 ** rng.uniform(-18, -13)
         dt = 10 ** rng.uniform(-8, -4)
-        state = par.state_at(t0)
+        state = state_at(par, t0)
         whole = thermal_step(par, state, dt, p_abs)
         halves = thermal_step(par, thermal_step(par, state, dt / 2, p_abs),
                               dt / 2, p_abs)
@@ -234,14 +342,14 @@ def test_thermal_step_semigroup():
 
 def test_thermal_step_zero_dt_is_identity():
     par = make_params()
-    state = par.state_at(0.055)
+    state = state_at(par, 0.055)
     after = thermal_step(par, state, 0.0, 1e-15)
     assert after.t_e_k == state.t_e_k
 
 
 def test_thermal_step_never_cools_below_bath():
     par = make_params()
-    state = par.state_at(par.t_bath_k)
+    state = state_at(par, par.t_bath_k)
     for dt in (1e-9, 1e-6, 1e-3):
         state = thermal_step(par, state, dt, 0.0)
         assert state.t_e_k >= par.t_bath_k - 1e-12
@@ -249,7 +357,7 @@ def test_thermal_step_never_cools_below_bath():
 
 def test_thermal_step_rejects():
     par = make_params()
-    state = par.state_at(0.05)
+    state = state_at(par, 0.05)
     with pytest.raises(ValueError):
         thermal_step(par, state, -1e-9, 0.0)
     with pytest.raises(ValueError):
@@ -326,12 +434,83 @@ def damped_fixed_point(par, f_p_hz, p_probe_w, extra_power_w=0.0, damping=0.5,
 
 def test_cubic_root_exact_across_scales():
     # the closed form alone loses v entirely when |a| >> 1 and v << 1 (a
-    # weak probe far off resonance); the Newton polish must restore it
-    for a in (-1e5, -300.0, -3.0, -0.1, 0.0, 0.1, 3.0, 300.0, 1e5):
-        for b in (1e-8, 1e-3, 1.0, 1e3, 1e6):
-            v, _, _ = _lowest_cubic_root(a, b)
-            assert v >= 0.0
-            assert v * (1.0 + (v + a) ** 2) == pytest.approx(b, rel=1e-12), (a, b)
+    # weak probe far off resonance); the Newton polish must restore it, per
+    # cell and across a whole array in one call
+    a_values = (-1e5, -300.0, -3.0, -0.1, 0.0, 0.1, 3.0, 300.0, 1e5)
+    b_values = (1e-8, 1e-3, 1.0, 1e3, 1e6)
+    with np.errstate(all="ignore"):
+        grid_v, _, _ = _lowest_cubic_root(*np.meshgrid(a_values, b_values, indexing="ij"))
+        for i, a in enumerate(a_values):
+            for j, b in enumerate(b_values):
+                for v in (_lowest_cubic_root(a, b)[0], grid_v[i, j]):
+                    assert v >= 0.0
+                    assert v * (1.0 + (v + a) ** 2) == pytest.approx(b, rel=1e-12), (a, b)
+
+
+def test_cubic_root_elements_stop_independently():
+    # (0, 1) stops Newton after one step, (-300, 1e-3) after three: solved
+    # together, each must still take exactly the steps it takes alone
+    a = np.array([0.0, -300.0, -3.0, 0.1])
+    b = np.array([1.0, 1e-3, 1e-8, 1e-3])
+    with np.errstate(all="ignore"):
+        together, _, _ = _lowest_cubic_root(a, b)
+        for i in range(a.size):
+            alone, _, _ = _lowest_cubic_root(a[i:i + 1], b[i:i + 1])
+            assert together[i] == alone[0], i
+
+
+def test_steady_state_matches_scalar_oracle():
+    # the grid the closed-form solver was first checked on: dfdt x0...x300,
+    # 10 detunings, 8 powers and 5 extra loads, solved as one
+    # (detuning x extra) array per (dfdt, power)
+    par = make_params()
+    detunings = np.linspace(-3.0, 3.0, 10)
+    extras = np.array([0.0, 1e-18, 1e-17, 1e-16, 1e-15])
+    cells = multivalued = 0
+    for scale in (0.0, 1.0, 10.0, 30.0, 100.0, 300.0):
+        steep = replace(par, dfdt_hz_per_k=scale * par.dfdt_hz_per_k)
+        f_p = steep.f_r0_hz + detunings * steep.kappa_total_hz
+        for p_dbm in np.linspace(-160.0, -128.0, 8):
+            p_w = dbm_to_watts(p_dbm)
+            t_e, f_r, gamma, stable, multi = _steady_state(steep, f_p[:, None], p_w,
+                                                           extras[None, :])
+            assert t_e.shape == gamma.shape == stable.shape == multi.shape == (10, 5)
+            for i, f in enumerate(f_p):
+                for j, extra in enumerate(extras):
+                    ref_t, ref_stable, ref_multi = scalar_steady_state(steep, float(f), p_w,
+                                                                       float(extra))
+                    assert abs(t_e[i, j] - ref_t) <= 1e-12, (scale, p_dbm, i, j)
+                    assert stable[i, j] == ref_stable and multi[i, j] == ref_multi
+                    assert f_r[i, j] == steep.f_r0_hz - steep.dfdt_hz_per_k * (
+                        t_e[i, j] - steep.t_bath_k)
+                    assert gamma[i, j] == pytest.approx(
+                        _gamma(float(f) - f_r[i, j], steep.kappa_ext_hz, steep.kappa_int_hz),
+                        rel=1e-15, abs=1e-15)
+                    cells += 1
+            multivalued += int(multi.sum())
+    assert cells == 2400
+    # both root branches are exercised
+    assert multivalued > 0
+
+
+def test_steady_state_non_finite_cell_is_nan():
+    # a linewidth so narrow that a far-detuned probe overflows a**4: that
+    # cell has no finite state; the cells beside it still solve
+    tiny = make_params(kappa_ext_hz=1e-70, kappa_int_hz=1e-70)
+    p_w = dbm_to_watts(-144.0)
+    f_p = tiny.f_r0_hz + np.array([-1e3, 0.0, 1e3, 1e10])
+    with np.errstate(all="raise"):
+        t_e, f_r, gamma, stable, multi = _steady_state(tiny, f_p, p_w)
+    assert np.isnan(t_e[3]) and np.isnan(f_r[3]) and np.isnan(gamma[3])
+    assert not stable[3] and not multi[3]
+    assert np.all(np.isfinite(t_e[:3])) and np.all(np.isfinite(gamma[:3]))
+    for f, t in zip(f_p, t_e):
+        ref = scalar_steady_state(tiny, float(f), p_w)[0]
+        assert (math.isnan(ref) and math.isnan(t)) or abs(t - ref) <= 1e-12
+    # the scalar face refuses what the kernel marks NaN
+    with pytest.raises(SolverError, match="not finite"):
+        solve_operating_point(tiny, float(f_p[3]), p_w)
+    assert solve_operating_point(tiny, float(f_p[2]), p_w).t_star_k == t_e[2]
 
 
 def test_operating_point_zero_power_sits_at_bath():
@@ -366,7 +545,7 @@ def test_operating_point_gamma_consistent():
         f_p = float(par.f_r0_hz + rng.uniform(-3, 3) * par.kappa_total_hz)
         p_w = dbm_to_watts(float(rng.uniform(-160.0, -130.0)))
         op = solve_operating_point(par, f_p, p_w)
-        state = par.state_at(op.t_star_k)
+        state = state_at(par, op.t_star_k)
         gamma = reflection_coefficient(par, state, f_p)
         assert type(op.gamma) is complex and type(gamma) is complex
         assert gamma == op.gamma == _gamma(f_p - state.f_r_hz, par.kappa_ext_hz,

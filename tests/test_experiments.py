@@ -9,7 +9,7 @@ import pytest
 
 from bolomux import experiments
 from bolomux.analysis import fit_exponential
-from bolomux.device import solve_operating_point
+from bolomux.device import _gamma, solve_operating_point
 from bolomux.dsp import TimeTrace
 from bolomux.experiments import (
     PRESETS,
@@ -31,8 +31,9 @@ from bolomux.experiments import (
     run_probe_sweep,
     run_trigger,
 )
-from bolomux.frontend import PulseSpec, ToneSpec, TriggerPattern
+from bolomux.frontend import PulseSpec, ToneSpec, TriggerPattern, filter_transmission
 from bolomux.units import Seed, dbm_to_watts, derive_stream, watts_to_dbm
+from test_device import scalar_steady_state
 from test_dsp import mixer_demodulate
 
 
@@ -370,6 +371,80 @@ def test_characterize_dip_depth_shrinks_with_power(default_chip):
         assert all(f is not None for f in fits[ch])
         for a, b in zip(depths, depths[1:]):
             assert b <= a + 1e-12
+
+
+@pytest.fixture(scope="module")
+def tiny_kappa_chip(default_chip):
+    """Shipped chip whose middle bolometer has a 1e-70 Hz linewidth.
+
+    Probed far off resonance its cubic overflows, so a sweep there has a
+    cell with no finite steady state.
+    """
+    bolos = list(default_chip.bolometers)
+    bolos[1] = replace(bolos[1], kappa_ext_hz=1e-70, kappa_int_hz=1e-70)
+    return replace(default_chip, bolometers=tuple(bolos))
+
+
+def scalar_gamma_at(par, f_p, p_w, extra=0.0):
+    """Reflection at f_p in one cell's steady state, per-cell scalar reference."""
+    t_e, _, multivalued = scalar_steady_state(par, f_p, p_w, extra)
+    f_r = par.f_r0_hz - par.dfdt_hz_per_k * (t_e - par.t_bath_k)
+    return _gamma(f_p - f_r, par.kappa_ext_hz, par.kappa_int_hz), multivalued
+
+
+def test_probe_sweep_matches_per_cell_loop(tiny_kappa_chip):
+    chip = tiny_kappa_chip
+    grids = [par.f_r0_hz + np.linspace(-3.0, 3.0, 7) * par.kappa_total_hz
+             for par in chip.bolometers]
+    grids[1] = chip.bolometers[1].f_r0_hz + np.array([-1e3, -1.0, 0.0, 1.0, 1e3, 1e6, 1e10])
+    powers = (-150.0, -144.0)
+    sweep = run_probe_sweep(chip, powers, f_hz=grids)
+    mag = np.full(sweep.magnitude.shape, np.nan)
+    multi = np.zeros(mag.shape, dtype=bool)
+    bad = []
+    for ch, par in enumerate(chip.bolometers):
+        for pi, p_dbm in enumerate(powers):
+            for fi, f in enumerate(grids[ch]):
+                gamma, multi[ch, pi, fi] = scalar_gamma_at(par, float(f), dbm_to_watts(p_dbm))
+                if np.isnan(gamma.real):
+                    bad.append((ch, pi, fi))
+                else:
+                    mag[ch, pi, fi] = abs(gamma)
+    assert bad == [(1, 0, 6), (1, 1, 6)]
+    assert sweep.unconverged == tuple(bad)
+    np.testing.assert_allclose(sweep.magnitude, mag, rtol=1e-12, atol=0.0)
+    assert np.array_equal(sweep.multivalued, multi) and multi.any()
+    # the NaN cell's neighbours keep finite values and normalization
+    assert np.all(np.isfinite(sweep.normalized[1, :, :6]))
+
+
+def test_filter_sweep_matches_per_cell_loop(tiny_kappa_chip, default_settings):
+    chip = tiny_kappa_chip
+    grid = np.linspace(4.0e9, 8.0e9, 41)
+    sweep = run_filter_sweep(chip, grid, heater_power_dbm=-145.0, settings=default_settings)
+    tones, ops = operating_tones(chip, default_settings)
+    p_heat_w = dbm_to_watts(-145.0 - chip.line_attenuation_db)
+    resp = np.empty(sweep.response.shape)
+    for ch, par in enumerate(chip.bolometers):
+        for i, f_h in enumerate(grid):
+            extra = p_heat_w * filter_transmission(chip.matched_filter(ch), float(f_h))
+            gamma, _ = scalar_gamma_at(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
+                                       float(extra))
+            resp[ch, i] = abs(gamma - ops[ch].gamma)
+    assert sweep.unconverged == () and np.all(np.isfinite(resp))
+    np.testing.assert_allclose(sweep.response, resp, rtol=1e-12, atol=0.0)
+
+
+def test_filter_sweep_lists_non_finite_cells(tiny_kappa_chip, default_settings):
+    # a strong heater drives the narrow channel's cubic past overflow near
+    # its filter's passband; cells out in the stopband still solve
+    grid = np.linspace(4.0e9, 8.0e9, 41)
+    sweep = run_filter_sweep(tiny_kappa_chip, grid, heater_power_dbm=-110.0,
+                             settings=default_settings)
+    nan_cells = tuple(map(tuple, np.argwhere(np.isnan(sweep.response)).tolist()))
+    assert nan_cells and sweep.unconverged == nan_cells
+    assert {ch for ch, _ in nan_cells} == {1}
+    assert np.isfinite(sweep.response[1]).any()
 
 
 # ----------------------------------------------------------- filter sweep

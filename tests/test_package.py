@@ -1,9 +1,13 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves and has a caller."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import bolomux
+import bolomux.device
 
 
 def test_every_all_entry_exists_on_its_module():
@@ -19,3 +23,28 @@ def test_every_all_entry_exists_on_its_module():
                        if not hasattr(module, name))
     assert {"analysis", "device", "dsp", "experiments", "frontend"} <= set(checked)
     assert missing == []
+
+
+def _referenced_names(source: str) -> set[str]:
+    """Every bare name and attribute name the code of `source` refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_device_name_has_a_caller():
+    # a name stays public only if another module of the package or a README
+    # example uses it; imports and re-exports do not count, nor do comments
+    package = pathlib.Path(bolomux.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name not in ("__init__.py", "device.py"):
+            used |= _referenced_names(path.read_text(encoding="utf-8"))
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
+        used |= _referenced_names(block)
+    assert sorted(set(bolomux.device.__all__) - used) == []
