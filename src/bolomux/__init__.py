@@ -89,7 +89,6 @@ from .units import (
     dbm_to_watts,
     db_to_power_ratio,
     derive_stream,
-    power_ratio_to_db,
     tone_amplitude_volts,
     watts_to_dbm,
 )

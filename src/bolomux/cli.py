@@ -428,7 +428,9 @@ def cmd_report(ctx: _Context, args) -> int:
 
 
 def cmd_calibrate(ctx: _Context, args) -> int:
-    chip, report = calibrate_chip(ctx.chip, settings=ctx.settings, seed=ctx.seed)
+    if ctx.preset not in (None, "desk"):  # only apply_preset knows a preset's scaling
+        raise ValueError(f"calibrate writes a desk-scale config; --preset {ctx.preset} is refused")
+    chip, report = calibrate_chip(ctx.chip, settings=ctx.settings)
     doc = configmod.deep_merge(ctx.doc, {})
     for ch, entry in enumerate(report["channels"]):
         doc["chip"]["bolometers"][ch]["dfdt_hz_per_k"] = entry["dfdt_hz_per_k"]
@@ -442,7 +444,7 @@ def cmd_calibrate(ctx: _Context, args) -> int:
         print(f"channel {entry['channel']}: dfdt {entry['dfdt_hz_per_k']:.4g} Hz/K "
               f"(shift {entry['achieved_shift_hz'] / 1e3:.1f} kHz)")
     print(f"noise sigma {report['noise']['sigma_v']:.4g} V "
-          f"(min matched snr {report['noise']['achieved_min_matched_snr']:.2f})")
+          f"(weakest expected snr {min(report['noise']['expected_snr']):.2f})")
     return 0
 
 

@@ -97,6 +97,12 @@ def _band_bins(f_lo_hz: float, f_hi_hz: float, bin_hz: float) -> tuple[int, int]
     return math.ceil(f_lo_hz / bin_hz - 1e-6), math.floor(f_hi_hz / bin_hz + 1e-6)
 
 
+def _band_offsets(n: int, bin_hz: float, lp_bandwidth_hz: float) -> np.ndarray:
+    """Offsets -h..h from the carrier bin kept by `demodulate`; for even n, -n/2 is +n/2."""
+    j_lo, j_hi = _band_bins(-0.5 * lp_bandwidth_hz, 0.5 * lp_bandwidth_hz, bin_hz)
+    return np.arange(j_lo, min(j_hi, (n - 1) // 2) + 1)
+
+
 def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
                decimation: int) -> IQTrace:
     """Digital down-conversion at f_carrier_hz, computed as a band slice.
@@ -127,9 +133,7 @@ def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
     if abs(f_carrier_hz - k_c * bin_hz) > 1e-9 * bin_hz:
         raise ValueError(f"carrier {f_carrier_hz:.12g} Hz is off the DFT grid of {bin_hz:.12g} Hz")
 
-    # offsets -h..h from the carrier bin; for even n, -n/2 and +n/2 are one bin
-    j_lo, j_hi = _band_bins(-0.5 * lp_bandwidth_hz, 0.5 * lp_bandwidth_hz, bin_hz)
-    offsets = np.arange(j_lo, min(j_hi, (n - 1) // 2) + 1)
+    offsets = _band_offsets(n, bin_hz, lp_bandwidth_hz)
     k = k_c + offsets
     bins = np.fft.rfft(trace.samples)[np.minimum(np.abs(k), n - k)]
     bins = (np.where((k < 0) | (k > n // 2), np.conj(bins), bins)
@@ -138,6 +142,26 @@ def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
     np.add.at(folded, offsets % folded.size, bins)
     baseband = np.fft.ifft(folded) / decimation
     return IQTrace(f_carrier_hz, fs / decimation, trace.t0_s, baseband)
+
+
+def _baseline_std_per_volt(n: int, sample_rate_hz: float, lp_bandwidth_hz: float,
+                           decimation: int, baseline_window_s) -> float:
+    """Expected baseline std of |IQ| per volt of white noise on an n-sample record.
+
+    `demodulate` makes each output sample of variance B/n per V**2 (B band
+    bins), correlated by r(d) = mean_j exp(2 pi i j d / M) over the band
+    offsets j (M output samples).  While the carrier dominates the noise,
+    |IQ| follows the in-phase half, so N baseline samples have expected
+    variance B/n/2 * (1 - sum_ij Re r(i - j) / N**2).  Past that, |IQ| is Rician.
+    """
+    offsets = _band_offsets(n, sample_rate_hz / n, lp_bandwidth_hz)
+    m = n // decimation
+    window = _window_slice(0.0, sample_rate_hz / decimation, m, baseline_window_s)
+    n_base = window.stop - window.start
+    lags = np.arange(1 - n_base, n_base)
+    r = np.mean(np.cos(2.0 * np.pi * np.outer(lags, offsets) / m), axis=1)
+    mean_r = float(np.sum((n_base - np.abs(lags)) * r)) / n_base ** 2
+    return math.sqrt(offsets.size / n / 2.0 * (1.0 - mean_r))
 
 
 @dataclass(frozen=True)

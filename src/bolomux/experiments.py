@@ -23,7 +23,8 @@ import numpy as np
 from . import analysis
 from .device import (BolometerParams, OperatingPoint, _absorbed_fraction, _gamma,
                      _steady_state, solve_operating_point)
-from .dsp import IQTrace, ResponseMetric, TimeTrace, add_noise, demodulate, response_metric
+from .dsp import (IQTrace, ResponseMetric, TimeTrace, _baseline_std_per_volt, add_noise,
+                  demodulate, response_metric)
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
                        filter_transmission, schedule_heaters)
 from .units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts
@@ -51,9 +52,8 @@ __all__ = [
     "calibrate_chip",
 ]
 
-# stream-label namespaces; first label of every derived stream
+# stream-label namespace; first label of every derived stream
 _KIND_TRIGGER = 1
-_KIND_CALIBRATION = 3
 
 
 class NonlinearOperationError(ValueError):
@@ -226,8 +226,8 @@ def _check_probe_power(chip: ChipConfig, p_dbm: float, allow_nonlinear: bool) ->
                 f"this regime (set allow_nonlinear to override)")
 
 
-def operating_tones(chip: ChipConfig, settings: RunSettings):
-    """Choose the probe tone per channel and solve its operating point.
+def _place_probe(par: BolometerParams, p_w: float, settings: RunSettings):
+    """One bolometer's probe tone and its operating point at probe power p_w.
 
     The tone sits probe_detuning_fraction total linewidths above the
     power-shifted resonance, snapped to the record's DFT grid so the tone
@@ -236,20 +236,21 @@ def operating_tones(chip: ChipConfig, settings: RunSettings):
     self-heating, so the offset is re-applied to the re-solved resonance
     before snapping.
     """
+    grid = 1.0 / settings.window_s
+    offset = settings.probe_detuning_fraction * par.kappa_total_hz
+    op0 = solve_operating_point(par, par.f_r0_hz, p_w)
+    op1 = solve_operating_point(par, op0.f_r_star_hz + offset, p_w)
+    f_op = round((op1.f_r_star_hz + offset) / grid) * grid
+    return f_op, solve_operating_point(par, f_op, p_w)
+
+
+def operating_tones(chip: ChipConfig, settings: RunSettings):
+    """Choose the probe tone per channel (see _place_probe) and its operating point."""
     _check_probe_power(chip, settings.probe_power_dbm, settings.allow_nonlinear)
     p_dev_dbm = _device_dbm(chip, settings.probe_power_dbm)
-    p_w = dbm_to_watts(p_dev_dbm)
-    grid = 1.0 / settings.window_s
-    tones, ops = [], []
-    for par in chip.bolometers:
-        offset = settings.probe_detuning_fraction * par.kappa_total_hz
-        op0 = solve_operating_point(par, par.f_r0_hz, p_w)
-        op1 = solve_operating_point(par, op0.f_r_star_hz + offset, p_w)
-        f_op = round((op1.f_r_star_hz + offset) / grid) * grid
-        op = solve_operating_point(par, f_op, p_w)
-        tones.append(ToneSpec(f_hz=f_op, p_dbm=p_dev_dbm))
-        ops.append(op)
-    return tuple(tones), tuple(ops)
+    placed = [_place_probe(par, dbm_to_watts(p_dev_dbm), settings) for par in chip.bolometers]
+    return (tuple(ToneSpec(f_hz=f_op, p_dbm=p_dev_dbm) for f_op, _ in placed),
+            tuple(op for _, op in placed))
 
 
 @dataclass(frozen=True)
@@ -285,10 +286,11 @@ def _heater_power_w(chip: ChipConfig, pulses, steps: int, dt: float) -> np.ndarr
     return heater_w
 
 
-def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
-                    stream_labels: tuple[int, ...],
+def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
+                    seed: Seed, stream_labels: tuple[int, ...],
                     pattern: TriggerPattern | None = None) -> MultiplexRun:
-    """Shared engine for trigger and power-sweep runs."""
+    """Shared engine for trigger and power-sweep runs; operating is
+    operating_tones(chip, settings), solved once by the caller."""
     settings.validate_against(chip)
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
@@ -297,7 +299,7 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, seed: Seed,
     dt = settings.thermal_dt_s
     decimation = round(fs / settings.output_rate_hz)
 
-    tones, ops = operating_tones(chip, settings)
+    tones, ops = operating
     for tone in tones:
         if 2.0 * tone.f_hz >= fs:
             raise ValueError(
@@ -394,7 +396,8 @@ def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings
                               settings.heater_power_dbm, settings.pulse_start_s,
                               settings.pulse_duration_s)
     labels = (_KIND_TRIGGER, pattern.value)
-    return _timedomain_run(chip, pulses, settings, seed, labels, pattern=pattern)
+    return _timedomain_run(chip, pulses, settings, operating_tones(chip, settings), seed,
+                           labels, pattern=pattern)
 
 
 def run_full_multiplex(chip: ChipConfig, settings: RunSettings | None = None,
@@ -590,6 +593,7 @@ def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
     if sorted(powers) != powers:
         raise ValueError("powers must be sorted ascending")
     quiet = replace(chip, noise_sigma_v=0.0)
+    operating = operating_tones(quiet, settings)
     metrics = []
     for p_dbm in powers:
         pulse = PulseSpec(
@@ -598,7 +602,8 @@ def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
             duration_s=settings.pulse_duration_s,
         )
         # the quiet chip draws no noise, so no stream is derived
-        metrics.append(_timedomain_run(quiet, [pulse], settings, Seed(0), ()).metrics)
+        metrics.append(_timedomain_run(quiet, [pulse], settings, operating, Seed(0),
+                                       ()).metrics)
     powers_w = tuple(dbm_to_watts(p - chip.line_attenuation_db) for p in powers)
     return tuple(
         PowerSweepResult(
@@ -657,43 +662,37 @@ class CalibrationTargets:
     """What calibrate_chip should achieve on the default posture.
 
     A matched heater tone at heater_power_dbm shifts each resonance by
-    shift_fraction total linewidths in steady state; the averaged matched
-    SNR of the all-on pattern reaches snr within tolerance.
+    shift_fraction total linewidths in steady state (within shift_tolerance),
+    and the weakest channel of the all-on pattern reads an expected matched
+    SNR of snr.
     """
 
     shift_fraction: float = 0.5
     heater_power_dbm: float = -135.0
     snr: float = 7.5
     shift_tolerance: float = 0.05
-    snr_tolerance: float = 0.05
     dfdt_bounds_hz_per_k: tuple[float, float] = (1e3, 1e15)
-    sigma_bounds_v: tuple[float, float] = (1e-12, 1e-3)
-
-
-def _steady_shift_hz(par: BolometerParams, chip: ChipConfig, settings: RunSettings,
-                     extra_power_w: float) -> float:
-    """Resonance shift caused by a constant extra load, probe feedback included."""
-    p_w = dbm_to_watts(_device_dbm(chip, settings.probe_power_dbm))
-    op0 = solve_operating_point(par, par.f_r0_hz, p_w)
-    f_op = op0.f_r_star_hz + settings.probe_detuning_fraction * par.kappa_total_hz
-    base = solve_operating_point(par, f_op, p_w)
-    heated = solve_operating_point(par, f_op, p_w, extra_power_w=extra_power_w)
-    return base.f_r_star_hz - heated.f_r_star_hz
 
 
 def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
-                   settings: RunSettings | None = None, seed: Seed = Seed(0)):
+                   settings: RunSettings | None = None):
     """Fix dfdt per channel and the noise level to meet the stated targets.
 
-    Both knobs are set by bisection: dfdt against the steady-state matched
-    heater shift (monotone in dfdt), then the digitizer noise against the
-    minimum matched SNR of the all-on pattern (monotone decreasing in
-    sigma).  Raises CalibrationError when a target is not bracketed by the
-    allowed parameter range.
+    dfdt is bisected against the steady-state matched heater shift at the
+    run's probe tone (monotone in dfdt).  The noise follows from one
+    noiseless all-on run: sigma = min over channels of response / (snr *
+    floor), floor the expected baseline std of |IQ| per volt of raw noise
+    (dsp._baseline_std_per_volt over sqrt(n_avg)).  So snr is the weakest
+    channel's SNR at the expected floor, not the minimum over one noise
+    realization; the floor holds while the carrier magnitude dominates the
+    noise (past that, |IQ| is Rician and biased).  Raises CalibrationError
+    when the shift target is outside the dfdt bounds or the weakest response
+    is not positive.
     """
     targets = targets if targets is not None else CalibrationTargets()
     settings = settings if settings is not None else RunSettings()
     report: dict = {"channels": [], "noise": {}}
+    p_w = dbm_to_watts(_device_dbm(chip, settings.probe_power_dbm))
 
     bolos = []
     for ch, par in enumerate(chip.bolometers):
@@ -703,7 +702,10 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
         target_shift = targets.shift_fraction * par.kappa_total_hz
 
         def shift_of(dfdt: float) -> float:
-            return _steady_shift_hz(replace(par, dfdt_hz_per_k=dfdt), chip, settings, delivered)
+            trial = replace(par, dfdt_hz_per_k=dfdt)
+            f_op, base = _place_probe(trial, p_w, settings)
+            heated = solve_operating_point(trial, f_op, p_w, extra_power_w=delivered)
+            return base.f_r_star_hz - heated.f_r_star_hz
 
         lo, hi = targets.dfdt_bounds_hz_per_k
         s_lo, s_hi = shift_of(lo), shift_of(hi)
@@ -729,36 +731,16 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
             "achieved_shift_hz": s_mid,
             "target_shift_hz": target_shift,
         })
-    chip = replace(chip, bolometers=tuple(bolos))
-
-    all_on = TriggerPattern((True,) * chip.n_channels)
-
-    def min_matched_snr(sigma: float) -> float:
-        trial = replace(chip, noise_sigma_v=sigma)
-        run = run_trigger(trial, all_on, settings,
-                          seed.child(_KIND_CALIBRATION))
-        return min(m.snr for m in run.metrics)
-
-    lo, hi = targets.sigma_bounds_v
-    snr_lo, snr_hi = min_matched_snr(lo), min_matched_snr(hi)
-    if not (snr_hi <= targets.snr <= snr_lo):
-        raise CalibrationError(
-            f"SNR target {targets.snr} not reachable within sigma bounds "
-            f"(achievable {snr_hi:.3g}..{snr_lo:.3g})")
-    sigma = lo
-    achieved = snr_lo
-    for _ in range(200):
-        sigma = math.sqrt(lo * hi)
-        achieved = min_matched_snr(sigma)
-        if abs(achieved - targets.snr) <= targets.snr_tolerance * targets.snr:
-            break
-        if achieved > targets.snr:
-            lo = sigma
-        else:
-            hi = sigma
-    else:
-        raise CalibrationError("noise bisection did not converge")
-    chip = replace(chip, noise_sigma_v=sigma)
-    report["noise"] = {"sigma_v": sigma, "achieved_min_matched_snr": achieved,
-                       "target_snr": targets.snr}
-    return chip, report
+    quiet = replace(chip, bolometers=tuple(bolos), noise_sigma_v=0.0)
+    run = run_trigger(quiet, TriggerPattern((True,) * chip.n_channels), settings)
+    responses = [m.response for m in run.metrics]
+    if not min(responses) > 0.0:
+        raise CalibrationError(f"weakest all-on response {min(responses):.3g} V is not positive")
+    fs = chip.sample_rate_hz
+    floor = _baseline_std_per_volt(round(settings.window_s * fs), fs, settings.demod_bandwidth_hz,
+                                   round(fs / settings.output_rate_hz),
+                                   settings.baseline_window_s) / math.sqrt(settings.n_avg)
+    sigma = min(responses) / (targets.snr * floor)
+    report["noise"] = {"sigma_v": sigma, "target_snr": targets.snr,
+                       "expected_snr": [r / (sigma * floor) for r in responses]}
+    return replace(quiet, noise_sigma_v=sigma), report

@@ -46,14 +46,6 @@ def db_to_power_ratio(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def power_ratio_to_db(ratio: float) -> float:
-    """Convert a linear power ratio (> 0) to dB."""
-    ratio = float(ratio)
-    if not math.isfinite(ratio) or ratio <= 0.0:
-        raise ValueError(f"power ratio must be finite and > 0, got {ratio}")
-    return 10.0 * math.log10(ratio)
-
-
 def tone_amplitude_volts(p_dbm: float, z0_ohm: float = 50.0) -> float:
     """Peak voltage amplitude of a sinusoid carrying p_dbm into z0_ohm.
 

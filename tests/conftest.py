@@ -34,19 +34,22 @@ def snr_ensemble(default_chip, default_settings):
     unheated SNRs minus their systematic part (the noiseless leakage response
     over the run's baseline std); `control` holds pure-noise SNRs from the
     same unheated traces, read in a pre-pulse window as long as the signal
-    window.
+    window.  `baseline_std` holds every run's per-channel baseline std,
+    indexed (pattern, seed, channel).
     """
     quiet = replace(default_chip, noise_sigma_v=0.0)
     length = default_settings.signal_window_s[1] - default_settings.signal_window_s[0]
     end = default_settings.pulse_start_s - 2e-6
     control_window = (end - length, end)
     matched = [[] for _ in range(default_chip.n_channels)]
-    leakage, control = [], []
+    leakage, control, baseline_std = [], [], []
     for label in ("101", "010"):
         pattern = TriggerPattern.from_label(label)
         systematic = run_trigger(quiet, pattern, default_settings, Seed(0)).metrics
+        baseline_std.append([])
         for seed in range(64):
             run = run_trigger(default_chip, pattern, default_settings, Seed(seed))
+            baseline_std[-1].append([m.baseline_std for m in run.metrics])
             for ch, heated in enumerate(pattern.bits):
                 metric = run.metrics[ch]
                 if heated:
@@ -56,4 +59,4 @@ def snr_ensemble(default_chip, default_settings):
                 control.append(response_metric(run.iq[ch], default_settings.baseline_window_s,
                                                control_window).snr)
     return {"matched": np.array(matched), "leakage": np.array(leakage),
-            "control": np.array(control)}
+            "control": np.array(control), "baseline_std": np.array(baseline_std)}

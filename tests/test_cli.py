@@ -7,7 +7,8 @@ import os
 import pytest
 
 from bolomux.cli import main
-from bolomux.config import ConfigError, default_config_dict, load_config_dict
+from bolomux.config import ConfigError, default_config_dict, load_config, load_config_dict
+from bolomux.experiments import calibrate_chip
 from bolomux.traceio import read_manifest, read_trace, verify_manifest
 
 
@@ -222,6 +223,36 @@ def test_calibrate_writes_tuned_config(capsys, tmp_path, fast_config):
         report["noise"]["sigma_v"])
     assert verify_manifest(out) == []
     capsys.readouterr()
+
+
+def test_calibrated_config_reloads_to_the_calibrated_chip(capsys, tmp_path, fast_config):
+    out = tmp_path / "cal"
+    assert run_cli("calibrate", "--config", fast_config, "--out", str(out)) == 0
+    cfg = load_config(fast_config)
+    calibrated, _ = calibrate_chip(cfg.chip, settings=cfg.settings)
+    reloaded = load_config(out / "calibrated_config.json").chip
+    assert reloaded == calibrated
+    assert reloaded.noise_sigma_v != cfg.chip.noise_sigma_v
+    capsys.readouterr()
+
+
+def test_calibration_report_does_not_depend_on_seed(capsys, tmp_path, fast_config):
+    reports = []
+    for seed in ("7", "8"):
+        out = tmp_path / f"cal{seed}"
+        assert run_cli("calibrate", "--config", fast_config, "--seed", seed,
+                       "--out", str(out)) == 0
+        reports.append((out / "calibration_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset", ["paper", "fig3"])
+def test_calibrate_refuses_scaled_presets(capsys, tmp_path, preset):
+    out = tmp_path / "cal"
+    assert run_cli("calibrate", "--preset", preset, "--out", str(out)) == 1
+    assert f"--preset {preset}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------- analyze/report

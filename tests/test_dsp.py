@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bolomux.dsp import IQTrace, TimeTrace, add_noise, demodulate, response_metric
+from bolomux.dsp import (IQTrace, TimeTrace, _baseline_std_per_volt, add_noise, demodulate,
+                         response_metric)
 from bolomux.units import Seed, derive_stream, tone_amplitude_volts
 
 
@@ -163,6 +164,59 @@ def test_demod_validation():
         demodulate(trace, 10e6, 2e6, 3)  # does not divide 2000 samples
     with pytest.raises(ValueError):
         demodulate(trace, 10e6, 2e6, 100.0)  # float decimation
+
+
+# ------------------------------------------------------- predicted floor
+
+
+FLOOR_FS, FLOOR_N, FLOOR_CARRIER = 1e6, 4000, 100e3   # 250 Hz bins
+FLOOR_WINDOW = (0.5e-3, 2.5e-3)
+
+
+@pytest.mark.parametrize("lp_bw, dec", [(25e3, 10), (25e3, 40), (60e3, 20)])
+def test_baseline_floor_matches_exact_covariance(lp_bw, dec):
+    # oracle: demodulate every unit impulse to get the linear map from the
+    # record to the baseline IQ samples, then the expected population
+    # variance of their real and of their imaginary parts for unit white
+    # noise; dec 40 and the 60 kHz band make the band wider than the
+    # output rate, so bins fold
+    def impulse(k):
+        record = np.zeros(FLOOR_N)
+        record[k] = 1.0
+        return TimeTrace(FLOOR_FS, 0.0, record)
+
+    rows = np.array([demodulate(impulse(k), FLOOR_CARRIER, lp_bw, dec).samples
+                     for k in range(FLOOR_N)]).T
+    rate = FLOOR_FS / dec
+    i0, i1 = (math.ceil(w * rate - 1e-9) for w in FLOOR_WINDOW)
+    predicted = _baseline_std_per_volt(FLOOR_N, FLOOR_FS, lp_bw, dec, FLOOR_WINDOW)
+    for part in (rows.real[i0:i1], rows.imag[i0:i1]):
+        cov = part @ part.T
+        expected_var = np.trace(cov) / cov.shape[0] - np.sum(cov) / cov.shape[0] ** 2
+        assert predicted == pytest.approx(math.sqrt(expected_var), rel=1e-12)
+
+
+def test_baseline_floor_holds_while_the_carrier_dominates():
+    # |IQ| = |c + z| follows z's in-phase part only while |c| >> |z|; with
+    # no carrier it is Rayleigh and its spread falls well below the floor
+    lp_bw, dec, sigma, draws = 25e3, 10, 0.1, 400
+    floor = sigma * _baseline_std_per_volt(FLOOR_N, FLOOR_FS, lp_bw, dec, FLOOR_WINDOW)
+    carrier = np.cos(2.0 * np.pi * FLOOR_CARRIER * np.arange(FLOOR_N) / FLOOR_FS)
+    rng = stream(5, 1)
+    for amplitude, lo, hi in ((1.0, None, None), (0.0, 0.0, 0.8)):
+        var = np.array([
+            response_metric(demodulate(TimeTrace(FLOOR_FS, 0.0, amplitude * carrier
+                                                 + rng.normal(0.0, sigma, FLOOR_N)),
+                                       FLOOR_CARRIER, lp_bw, dec),
+                            FLOOR_WINDOW, (3e-3, 3.5e-3)).baseline_std ** 2
+            for _ in range(draws)])
+        ratio = math.sqrt(np.mean(var)) / floor
+        if lo is None:
+            # within 3 standard errors of the RMS, from the same draws
+            assert abs(ratio - 1.0) <= 3.0 * np.std(var, ddof=1) / math.sqrt(draws) \
+                / (2.0 * np.mean(var))
+        else:
+            assert lo < ratio < hi
 
 
 # ----------------------------------------------------------------- metrics

@@ -8,6 +8,7 @@ import re
 
 import bolomux
 import bolomux.device
+import bolomux.dsp
 
 
 def test_every_all_entry_exists_on_its_module():
@@ -36,15 +37,24 @@ def _referenced_names(source: str) -> set[str]:
     return names
 
 
-def test_every_device_name_has_a_caller():
+def _names_without_caller(module) -> list[str]:
     # a name stays public only if another module of the package or a README
     # example uses it; imports and re-exports do not count, nor do comments
     package = pathlib.Path(bolomux.__file__).parent
+    own = pathlib.Path(module.__file__).name
     used = set()
     for path in package.glob("*.py"):
-        if path.name not in ("__init__.py", "device.py"):
+        if path.name not in ("__init__.py", own):
             used |= _referenced_names(path.read_text(encoding="utf-8"))
     readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
     for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
         used |= _referenced_names(block)
-    assert sorted(set(bolomux.device.__all__) - used) == []
+    return sorted(set(module.__all__) - used)
+
+
+def test_every_device_name_has_a_caller():
+    assert _names_without_caller(bolomux.device) == []
+
+
+def test_every_dsp_name_has_a_caller():
+    assert _names_without_caller(bolomux.dsp) == []

@@ -9,7 +9,6 @@ from bolomux.units import (
     db_to_power_ratio,
     dbm_to_watts,
     derive_stream,
-    power_ratio_to_db,
     tone_amplitude_volts,
     watts_to_dbm,
 )
@@ -52,11 +51,8 @@ def test_dbm_to_watts_rejects_nonfinite(bad):
 
 def test_db_ratio_round_trip():
     assert db_to_power_ratio(-12.0) == pytest.approx(10.0 ** -1.2, rel=1e-12)
-    assert power_ratio_to_db(100.0) == pytest.approx(20.0, rel=1e-12)
     for x in np.linspace(-40.0, 40.0, 33):
-        assert power_ratio_to_db(db_to_power_ratio(x)) == pytest.approx(x, abs=1e-10)
-    with pytest.raises(ValueError):
-        power_ratio_to_db(0.0)
+        assert 10.0 * math.log10(db_to_power_ratio(x)) == pytest.approx(x, abs=1e-10)
 
 
 def test_tone_amplitude():
