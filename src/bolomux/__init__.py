@@ -3,10 +3,11 @@
 A chip of resonant microwave bolometers shares one probe line; each
 bolometer's heater sits behind a dedicated bandpass filter, so tone
 frequency selects the channel.  The package models the full loop: filter
-bank, electrothermal operating point, time-domain probe synthesis,
-digital down-conversion, averaging, and the fits and tables the bench
-produces (resonance characterization, compression points, crosstalk,
-per-pattern SNR).
+bank, electrothermal operating point, time-domain thermal stepping with
+spectral synthesis of each probe's demodulation band, averaged digitizer
+noise, down-conversion, and the fits and tables the bench produces
+(resonance characterization, compression points, crosstalk, per-pattern
+SNR).
 """
 from .analysis import (
     CompressionFit,
@@ -42,7 +43,6 @@ from .dsp import (
     IQTrace,
     ResponseMetric,
     TimeTrace,
-    add_noise,
     demodulate,
     response_metric,
 )

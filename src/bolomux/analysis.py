@@ -137,10 +137,6 @@ class LorentzianFit:
     offset_err: float
     residual_norm: float
 
-    def evaluate(self, f_hz):
-        u = 2.0 * (np.asarray(f_hz, dtype=float) - self.f_r_hz) / self.fwhm_hz
-        return self.offset - self.depth / (1.0 + u * u)
-
 
 def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
     """Fit a Lorentzian dip to a swept-frequency magnitude trace.
@@ -225,9 +221,6 @@ class ExponentialFit:
     amplitude_err: float
     offset_err: float
     residual_norm: float
-
-    def evaluate(self, t_s):
-        return self.offset + self.amplitude * np.exp(-np.asarray(t_s, dtype=float) / self.tau_s)
 
 
 def fit_exponential(t_s, values) -> ExponentialFit:
@@ -316,10 +309,6 @@ class CompressionFit:
     p_sat_err_w: float
     p_1db_err_db: float
     residual_norm: float
-
-    def evaluate(self, p_w):
-        p = np.asarray(p_w, dtype=float)
-        return self.a_per_w * p / (1.0 + p / self.p_sat_w)
 
 
 def fit_compression(p_w, response) -> CompressionFit:

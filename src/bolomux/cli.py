@@ -435,6 +435,13 @@ def cmd_calibrate(ctx: _Context, args) -> int:
     for ch, entry in enumerate(report["channels"]):
         doc["chip"]["bolometers"][ch]["dfdt_hz_per_k"] = entry["dfdt_hz_per_k"]
     doc["chip"]["noise_sigma_v"] = report["noise"]["sigma_v"]
+    # the input's notes describe the input's values; restate them from the report
+    shifts = ", ".join(f"{e['achieved_shift_hz'] / 1e3:.1f} kHz" for e in report["channels"])
+    snrs = ", ".join(f"{s:.2f}" for s in report["noise"]["expected_snr"])
+    doc.setdefault("notes", {}).update(
+        dfdt_hz_per_k=f"calibrated: matched-heater steady-state shifts {shifts} per channel",
+        noise_sigma_v=f"calibrated: expected all-on SNRs {snrs} per channel at the predicted "
+                      f"baseline floor")
     configmod.validate_config(doc)
     os.makedirs(ctx.out_dir, exist_ok=True)
     _write_json(os.path.join(ctx.out_dir, "calibrated_config.json"), doc)

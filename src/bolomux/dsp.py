@@ -1,10 +1,13 @@
-"""Deterministic signal chain: traces, noise, demodulation, response metrics.
+"""Deterministic signal chain: traces, the demodulation band slice, response metrics.
 
 Filtering is exact DFT bin selection (brick-wall), which keeps the whole
-chain reproducible to the bit.  Demodulation takes its inclusive bin range
-from `_band_bins` (a guard of 1e-6 of a bin spacing keeps edge bins against
-rounding of the edge) and is a band slice of one real FFT, equal to a
-full-record mixer for any carrier on the record's DFT grid.
+chain reproducible to the bit.  A down-conversion keeps the inclusive bin
+range carrier +- bandwidth/2 from `_band_offsets` (a guard of 1e-6 of a bin
+spacing keeps edge bins against rounding of the edge), and `_band_iq`, the
+one band slice, folds those bins onto the output rate and inverse
+transforms them.  The engine fills the bins by spectral synthesis;
+`demodulate` reads them from one real FFT of a recorded trace, which
+equals a full-record mixer for any carrier on the record's DFT grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ __all__ = [
     "TimeTrace",
     "IQTrace",
     "ResponseMetric",
-    "add_noise",
     "demodulate",
     "response_metric",
 ]
@@ -39,16 +41,6 @@ class TimeTrace:
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
         object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def times(self) -> np.ndarray:
-        return self.t0_s + np.arange(self.samples.size) / self.sample_rate_hz
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -78,29 +70,55 @@ class IQTrace:
         return np.abs(self.samples)
 
 
-def add_noise(trace: TimeTrace, sigma_v: float, stream: np.random.Generator) -> TimeTrace:
-    """Add white Gaussian digitizer noise with standard deviation sigma_v.
-
-    Drawing from the same derived stream gives bit-identical output.
-    sigma_v == 0 returns the trace unchanged (no draw is consumed).
-    """
-    if not math.isfinite(sigma_v) or sigma_v < 0.0:
-        raise ValueError(f"noise sigma must be finite and >= 0 V, got {sigma_v}")
-    if sigma_v == 0.0:
-        return trace
-    noise = stream.normal(0.0, sigma_v, trace.samples.size)
-    return TimeTrace(trace.sample_rate_hz, trace.t0_s, trace.samples + noise)
-
-
-def _band_bins(f_lo_hz: float, f_hi_hz: float, bin_hz: float) -> tuple[int, int]:
-    """First and last DFT bin k with f_lo <= k * bin_hz <= f_hi, edges inclusive."""
-    return math.ceil(f_lo_hz / bin_hz - 1e-6), math.floor(f_hi_hz / bin_hz + 1e-6)
-
-
 def _band_offsets(n: int, bin_hz: float, lp_bandwidth_hz: float) -> np.ndarray:
-    """Offsets -h..h from the carrier bin kept by `demodulate`; for even n, -n/2 is +n/2."""
-    j_lo, j_hi = _band_bins(-0.5 * lp_bandwidth_hz, 0.5 * lp_bandwidth_hz, bin_hz)
-    return np.arange(j_lo, min(j_hi, (n - 1) // 2) + 1)
+    """Offsets j = -h..h with |j| * bin_hz <= lp_bandwidth/2; for even n, -n/2 is +n/2."""
+    h = math.floor(0.5 * lp_bandwidth_hz / bin_hz + 1e-6)
+    return np.arange(-h, min(h, (n - 1) // 2) + 1)
+
+
+def _demod_band(n: int, sample_rate_hz: float, f_carrier_hz: float, lp_bandwidth_hz: float,
+                decimation: int) -> tuple[int, np.ndarray]:
+    """Carrier bin and band offsets of a down-conversion of an n-sample record.
+
+    Raises ValueError unless the carrier lies below Nyquist on the record's
+    DFT grid (to 1e-9 of a bin), the band fits the sampled band and
+    decimation is a positive integer dividing n.
+    """
+    fs = sample_rate_hz
+    if not 0.0 < f_carrier_hz < 0.5 * fs:
+        raise ValueError(f"carrier {f_carrier_hz:.6g} Hz must lie between 0 and the Nyquist "
+                         f"frequency {0.5 * fs:.6g} Hz")
+    if not math.isfinite(lp_bandwidth_hz) or lp_bandwidth_hz <= 0.0:
+        raise ValueError(f"low-pass bandwidth must be finite and > 0, got {lp_bandwidth_hz}")
+    if 0.5 * lp_bandwidth_hz > 0.5 * fs:
+        raise ValueError("low-pass bandwidth exceeds the sampled band")
+    if not isinstance(decimation, int) or decimation < 1:
+        raise ValueError(f"decimation must be a positive integer, got {decimation!r}")
+    if n % decimation != 0:
+        raise ValueError(f"decimation {decimation} must divide the trace length {n}")
+    bin_hz = fs / n
+    k_c = round(f_carrier_hz / bin_hz)
+    if abs(f_carrier_hz - k_c * bin_hz) > 1e-9 * bin_hz:
+        raise ValueError(f"carrier {f_carrier_hz:.12g} Hz is off the DFT grid of {bin_hz:.12g} Hz")
+    return k_c, _band_offsets(n, bin_hz, lp_bandwidth_hz)
+
+
+def _real_spectrum_bins(spectrum: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """Bins k (taken mod n) of the DFT of a real n-sample record, from its rfft."""
+    k = k % n
+    bins = spectrum[np.minimum(k, n - k)]
+    return np.where(k > n // 2, np.conj(bins), bins)
+
+
+def _band_iq(band: np.ndarray, offsets: np.ndarray, n: int, decimation: int,
+             f_carrier_hz: float, sample_rate_hz: float, t0_s: float) -> IQTrace:
+    """The band slice: DFT bins carrier + offsets of an n-sample record, referred to
+    its start, folded onto the n/decimation output bins (a band wider than the
+    output rate aliases as decimation would) and inverse transformed to IQ."""
+    folded = np.zeros(n // decimation, dtype=complex)
+    np.add.at(folded, offsets % folded.size, band)
+    return IQTrace(f_carrier_hz, sample_rate_hz / decimation, t0_s,
+                   np.fft.ifft(folded) / decimation)
 
 
 def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
@@ -111,37 +129,15 @@ def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
     +-lp_bandwidth/2 and keeping every decimation-th sample, for a carrier
     on the record's DFT grid (to 1e-9 of a bin; else ValueError).  Bins
     carrier +-h of one real FFT (conjugated below DC and above fs/2, none
-    twice) are rotated by exp(-i w_c t0), folded onto the n/decimation output
-    bins (a band wider than the output rate aliases as decimation would) and
-    inverse transformed.  A pure tone a*cos(2 pi f_c t) demodulates to a/2.
+    twice) are rotated by exp(-i w_c t0) and handed to the band slice.  A
+    pure tone a*cos(2 pi f_c t) demodulates to a/2.
     """
     fs = trace.sample_rate_hz
-    if not 0.0 < f_carrier_hz < 0.5 * fs:
-        raise ValueError(
-            f"carrier {f_carrier_hz:.6g} Hz must lie in (0, fs/2) = (0, {0.5 * fs:.6g}) Hz")
-    if not math.isfinite(lp_bandwidth_hz) or lp_bandwidth_hz <= 0.0:
-        raise ValueError(f"low-pass bandwidth must be finite and > 0, got {lp_bandwidth_hz}")
-    if 0.5 * lp_bandwidth_hz > 0.5 * fs:
-        raise ValueError("low-pass bandwidth exceeds the sampled band")
     n = trace.samples.size
-    if not isinstance(decimation, int) or decimation < 1:
-        raise ValueError(f"decimation must be a positive integer, got {decimation!r}")
-    if n % decimation != 0:
-        raise ValueError(f"decimation {decimation} must divide the trace length {n}")
-    bin_hz = fs / n
-    k_c = round(f_carrier_hz / bin_hz)
-    if abs(f_carrier_hz - k_c * bin_hz) > 1e-9 * bin_hz:
-        raise ValueError(f"carrier {f_carrier_hz:.12g} Hz is off the DFT grid of {bin_hz:.12g} Hz")
-
-    offsets = _band_offsets(n, bin_hz, lp_bandwidth_hz)
-    k = k_c + offsets
-    bins = np.fft.rfft(trace.samples)[np.minimum(np.abs(k), n - k)]
-    bins = (np.where((k < 0) | (k > n // 2), np.conj(bins), bins)
+    k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
+    band = (_real_spectrum_bins(np.fft.rfft(trace.samples), k_c + offsets, n)
             * np.exp(-2j * np.pi * f_carrier_hz * trace.t0_s))
-    folded = np.zeros(n // decimation, dtype=complex)
-    np.add.at(folded, offsets % folded.size, bins)
-    baseband = np.fft.ifft(folded) / decimation
-    return IQTrace(f_carrier_hz, fs / decimation, trace.t0_s, baseband)
+    return _band_iq(band, offsets, n, decimation, f_carrier_hz, fs, trace.t0_s)
 
 
 def _baseline_std_per_volt(n: int, sample_rate_hz: float, lp_bandwidth_hz: float,

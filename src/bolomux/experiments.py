@@ -3,10 +3,12 @@
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
 with no finite steady state comes out NaN.  Time-domain runs integrate the
-electrothermal state at a fixed step, build the reflected probe comb with
-each channel's tone scaled by its instantaneous reflection, add the mean of
-n_avg noise records as one white record of std sigma/sqrt(n_avg),
-down-convert, and reduce the result to windowed response metrics.  Every
+electrothermal state at a fixed step and sample each channel's reflection
+Gamma(t) at the digitizer rate.  The probe comb itself is never built: its
+spectrum in each channel's demod band follows from one FFT per Gamma, as
+every tone sits on the record's DFT grid.  The mean of n_avg noise records,
+one white record of std sigma/sqrt(n_avg), adds its real FFT to the bands;
+each band is sliced to baseband IQ and reduced to response metrics.  Every
 random draw comes from a stream derived from (master seed, experiment kind,
 pattern), so any execution order, including threaded pattern sweeps, is
 bit-identical.
@@ -23,8 +25,8 @@ import numpy as np
 from . import analysis
 from .device import (BolometerParams, OperatingPoint, _absorbed_fraction, _gamma,
                      _steady_state, solve_operating_point)
-from .dsp import (IQTrace, ResponseMetric, TimeTrace, _baseline_std_per_volt, add_noise,
-                  demodulate, response_metric)
+from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _demod_band,
+                  _real_spectrum_bins, response_metric)
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
                        filter_transmission, schedule_heaters)
 from .units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts
@@ -300,14 +302,14 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
     decimation = round(fs / settings.output_rate_hz)
 
     tones, ops = operating
-    for tone in tones:
-        if 2.0 * tone.f_hz >= fs:
-            raise ValueError(
-                f"probe tone at {tone.f_hz:.6g} Hz violates Nyquist at {fs:.6g} S/s")
-
     heater_w = _heater_power_w(chip, pulses, steps, dt)
-    t = np.arange(n) / fs
-    composite = np.zeros(n)
+    # every channel's demod band as DFT bins k_c + offsets of the record
+    # (the offsets do not depend on the carrier)
+    planned = [_demod_band(n, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)
+               for tone in tones]
+    carrier_bins, offsets = np.array([k_c for k_c, _ in planned]), planned[0][1]
+    band_k = carrier_bins[:, None] + offsets
+    bands = np.zeros(band_k.shape, dtype=complex)
     for ch, par in enumerate(chip.bolometers):
         tone = tones[ch]
         p_probe_w = dbm_to_watts(tone.p_dbm)
@@ -335,23 +337,27 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
             t_e = t_inf + (t_e - t_inf) * decay
         # the reflection is sampled per digitizer sample on the exact
         # within-step exponential, not held constant over a step, so the
-        # composite has no zero-order-hold rolloff tied to thermal_dt_s
+        # readout has no zero-order-hold rolloff tied to thermal_dt_s
         fade = np.exp(-np.arange(block) / (fs * par.tau_th_s))
-        t_samples = (t_inf_of[:, None] + (t_start - t_inf_of)[:, None] * fade).ravel()
-        det_samples = tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath))
-        gam = _gamma(det_samples, ke, ki)
-        amp = tone_amplitude_volts(tone.p_dbm)
-        carrier = np.exp(1j * (2.0 * np.pi * tone.f_hz * t + tone.phase_rad))
-        composite += np.real(gam * (amp * carrier))
+        det_inf = tone.f_hz - (par.f_r0_hz - dfdt * (t_inf_of - t_bath))
+        det_samples = (det_inf[:, None] + (dfdt * (t_start - t_inf_of))[:, None] * fade).ravel()
+        # the channel's reflected tone Re(2 w gamma(t) exp(2 pi i k_ch m / n))
+        # has DFT w G[k - k_ch] + conj(w G[-k - k_ch]), G = DFT(gamma): the
+        # tone sits on the record's DFT grid, so this is exact
+        spectrum = np.fft.fft(_gamma(det_samples, ke, ki))
+        w = 0.5 * tone_amplitude_volts(tone.p_dbm) * np.exp(1j * tone.phase_rad)
+        k_ch = carrier_bins[ch]
+        bands += (w * spectrum[(band_k - k_ch) % n]
+                  + np.conj(w * spectrum[(-band_k - k_ch) % n]))
 
-    averaged = TimeTrace(fs, 0.0, composite)
     sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
     if sigma > 0.0:
-        averaged = add_noise(averaged, sigma, derive_stream(seed, *stream_labels))
+        noise = derive_stream(seed, *stream_labels).normal(0.0, sigma, n)
+        bands += _real_spectrum_bins(np.fft.rfft(noise), band_k, n)
 
     iqs, metrics = [], []
     for ch in range(chip.n_channels):
-        iq = demodulate(averaged, tones[ch].f_hz, settings.demod_bandwidth_hz, decimation)
+        iq = _band_iq(bands[ch], offsets, n, decimation, tones[ch].f_hz, fs, 0.0)
         iqs.append(iq)
         metrics.append(response_metric(iq, settings.baseline_window_s,
                                        settings.signal_window_s))

@@ -221,6 +221,14 @@ def test_calibrate_writes_tuned_config(capsys, tmp_path, fast_config):
             tuned["chip"]["bolometers"][entry["channel"]]["dfdt_hz_per_k"])
     assert tuned["chip"]["noise_sigma_v"] == pytest.approx(
         report["noise"]["sigma_v"])
+    # the notes describe the calibrated values, not the shipped ones
+    shipped = default_config_dict()["notes"]
+    for key in ("dfdt_hz_per_k", "noise_sigma_v"):
+        assert tuned["notes"][key] != shipped[key]
+    assert ", ".join(f"{s:.2f}" for s in report["noise"]["expected_snr"]) in \
+        tuned["notes"]["noise_sigma_v"]
+    assert all(f"{e['achieved_shift_hz'] / 1e3:.1f} kHz" in tuned["notes"]["dfdt_hz_per_k"]
+               for e in report["channels"])
     assert verify_manifest(out) == []
     capsys.readouterr()
 

@@ -10,8 +10,8 @@ import pytest
 
 from bolomux import experiments
 from bolomux.analysis import fit_exponential
-from bolomux.device import _gamma, solve_operating_point
-from bolomux.dsp import TimeTrace, _baseline_std_per_volt
+from bolomux.device import _absorbed_fraction, _gamma, solve_operating_point
+from bolomux.dsp import TimeTrace, _baseline_std_per_volt, demodulate
 from bolomux.experiments import (
     PRESETS,
     _KIND_TRIGGER,
@@ -32,8 +32,9 @@ from bolomux.experiments import (
     run_probe_sweep,
     run_trigger,
 )
-from bolomux.frontend import PulseSpec, ToneSpec, TriggerPattern, filter_transmission
-from bolomux.units import Seed, dbm_to_watts, derive_stream, watts_to_dbm
+from bolomux.frontend import (PulseSpec, ToneSpec, TriggerPattern, filter_transmission,
+                              schedule_heaters)
+from bolomux.units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts, watts_to_dbm
 from test_device import scalar_steady_state
 from test_dsp import mixer_demodulate
 
@@ -314,6 +315,117 @@ def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_c
     assert abs(v_e - analytic) <= 3.0 * se_e
     assert abs(v_o - analytic) <= 3.0 * se_o
     assert abs(v_e - v_o) <= 3.0 * np.hypot(se_e, se_o)
+
+
+# ------------------------------------------------------ spectral synthesis
+
+
+def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
+    """The carrier-and-composite engine that spectral synthesis replaced, kept as its oracle.
+
+    Steps each channel's thermal state, builds its reflected tone
+    Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's time axis, adds
+    the tones and the averaged noise record of std sigma/sqrt(n_avg) from the
+    stream (seed, *labels) into one composite trace and demodulates that
+    trace once per channel.  Returns the IQ samples, one row per channel.
+    """
+    fs = chip.sample_rate_hz
+    n = round(settings.window_s * fs)
+    steps = round(settings.window_s / settings.thermal_dt_s)
+    dt = settings.thermal_dt_s
+    tones, ops = operating
+    heater_w = experiments._heater_power_w(chip, pulses, steps, dt)
+    t = np.arange(n) / fs
+    composite = np.zeros(n)
+    for ch, par in enumerate(chip.bolometers):
+        tone = tones[ch]
+        p_probe_w = dbm_to_watts(tone.p_dbm)
+        ke, ki = par.kappa_ext_hz, par.kappa_int_hz
+        t_bath, g_th, dfdt = par.t_bath_k, par.g_th_w_per_k, par.dfdt_hz_per_k
+        decay = math.exp(-dt / par.tau_th_s)
+        decay_half = math.exp(-0.5 * dt / par.tau_th_s)
+        t_e = ops[ch].t_star_k
+        t_start, t_inf_of = np.empty(steps), np.empty(steps)
+        for s, heater in enumerate(heater_w[ch]):
+            detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_e - t_bath))
+            p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
+            t_mid = t_bath + p_abs / g_th + (t_e - t_bath - p_abs / g_th) * decay_half
+            detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_mid - t_bath))
+            p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
+            t_inf = t_bath + p_abs / g_th
+            t_start[s], t_inf_of[s] = t_e, t_inf
+            t_e = t_inf + (t_e - t_inf) * decay
+        fade = np.exp(-np.arange(n // steps) / (fs * par.tau_th_s))
+        t_samples = (t_inf_of[:, None] + (t_start - t_inf_of)[:, None] * fade).ravel()
+        gam = _gamma(tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath)), ke, ki)
+        carrier = np.exp(1j * (2.0 * np.pi * tone.f_hz * t + tone.phase_rad))
+        composite += np.real(gam * (tone_amplitude_volts(tone.p_dbm) * carrier))
+    sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
+    if sigma > 0.0:
+        composite += derive_stream(seed, *labels).normal(0.0, sigma, n)
+    trace = TimeTrace(fs, 0.0, composite)
+    decimation = round(fs / settings.output_rate_hz)
+    return np.array([demodulate(trace, tone.f_hz, settings.demod_bandwidth_hz,
+                                decimation).samples for tone in tones])
+
+
+def assert_close_to(engine, oracle, rel=1e-9):
+    assert np.max(np.abs(engine - oracle)) <= rel * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+@pytest.mark.parametrize("label", ["000", "101", "111"])
+def test_spectral_engine_matches_composite_oracle(default_chip, default_settings, preset,
+                                                  label):
+    # noiseless and noisy at the same seed; the noisy-minus-noiseless IQ,
+    # the noise alone, matches to the same tolerance of its own scale
+    chip, settings = apply_preset(default_chip, default_settings, preset)
+    pattern = TriggerPattern.from_label(label)
+    pulses = schedule_heaters(pattern, chip.filters, chip.channel_map,
+                              settings.heater_power_dbm, settings.pulse_start_s,
+                              settings.pulse_duration_s)
+    engine, oracle = [], []
+    for c in (replace(chip, noise_sigma_v=0.0), chip):
+        run = run_trigger(c, pattern, settings, Seed(7))
+        engine.append(np.array([iq.samples for iq in run.iq]))
+        oracle.append(composite_engine_oracle(c, pulses, settings, operating_tones(c, settings),
+                                              Seed(7), (_KIND_TRIGGER, pattern.value)))
+        assert_close_to(engine[-1], oracle[-1])
+    assert_close_to(engine[1] - engine[0], oracle[1] - oracle[0])
+
+
+def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(default_chip):
+    # deep in compression on bolometer 0's matched path, read on every probe
+    settings = RunSettings(probe_detuning_fraction=0.5)
+    quiet = replace(default_chip, noise_sigma_v=0.0)
+    pulse = PulseSpec(tone=ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0),
+                      t_start_s=settings.pulse_start_s, duration_s=settings.pulse_duration_s)
+    operating = operating_tones(quiet, settings)
+    run = experiments._timedomain_run(quiet, [pulse], settings, operating, Seed(0), ())
+    assert_close_to(np.array([iq.samples for iq in run.iq]),
+                    composite_engine_oracle(quiet, [pulse], settings, operating, Seed(0), ()))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_engine_takes_one_record_length_fft_per_channel(default_chip, default_settings,
+                                                        monkeypatch, noisy):
+    # one transform of each channel's reflection, plus one of the noise
+    # record when there is noise; a carrier or composite record, or a
+    # repeated transform of the same record, would show up here
+    n = round(default_settings.window_s * default_chip.sample_rate_hz)
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            if np.shape(a)[-1] == n:
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    chip = default_chip if noisy else replace(default_chip, noise_sigma_v=0.0)
+    run_trigger(chip, TriggerPattern.from_label("101"), default_settings, Seed(3))
+    assert sorted(calls) == ["fft"] * chip.n_channels + ["rfft"] * int(noisy)
 
 
 def test_fan_out_keeps_job_order():
