@@ -53,18 +53,14 @@ from .experiments import (
     FilterSweepResult,
     MultiplexRun,
     NonlinearOperationError,
-    PowerSweepResult,
     ProbeSweepResult,
     RunSettings,
     apply_preset,
     calibrate_chip,
     characterize,
-    operating_tones,
     power_sweep_matrix,
     run_filter_sweep,
     run_full_multiplex,
-    run_power_sweep,
-    run_probe_sweep,
     run_trigger,
 )
 from .frontend import (

@@ -181,7 +181,8 @@ def _lorentzian_dict(fit):
 def cmd_characterize(ctx: _Context, args) -> int:
     sw = ctx.sweeps["characterize"]
     sweep, fits = characterize(ctx.chip, sw["powers_dbm"],
-                               span_linewidths=sw["span_linewidths"], n_points=sw["n_points"])
+                               span_linewidths=sw["span_linewidths"], n_points=sw["n_points"],
+                               allow_nonlinear=ctx.settings.allow_nonlinear)
     os.makedirs(ctx.out_dir, exist_ok=True)
     for ch in range(ctx.chip.n_channels):
         rows = []
@@ -237,16 +238,14 @@ def cmd_powersweep(ctx: _Context, args) -> int:
     # compression fits need the flank posture, where small shifts map to
     # response linearly
     settings = replace(ctx.settings, probe_detuning_fraction=0.5)
-    sweeps, p1db, xtalk = power_sweep_matrix(ctx.chip, powers, settings, threads=ctx.threads)
+    responses, powers_w, p1db, xtalk = power_sweep_matrix(ctx.chip, powers, settings,
+                                                          threads=ctx.threads)
     os.makedirs(ctx.out_dir, exist_ok=True)
-    rows = []
-    for i, row in enumerate(sweeps):
-        for j, sweep in enumerate(row):
-            for p_dbm, p_w, resp in zip(sweep.powers_dbm, sweep.powers_w, sweep.responses):
-                rows.append((i, j, p_dbm, p_w, resp))
-    _write_csv(os.path.join(ctx.out_dir, "powersweep.csv"),
-               ("bolometer", "filter", "power_dbm", "power_w", "response"), rows)
     n = ctx.chip.n_channels
+    _write_csv(os.path.join(ctx.out_dir, "powersweep.csv"),
+               ("bolometer", "filter", "power_dbm", "power_w", "response"),
+               [(i, j, powers[p], powers_w[p], responses[i, j, p])
+                for i in range(n) for j in range(n) for p in range(len(powers))])
     _write_csv(os.path.join(ctx.out_dir, "p1db_matrix.csv"),
                ("bolometer", *(f"filter{j}" for j in range(n))),
                [(i, *p1db[i]) for i in range(n)])

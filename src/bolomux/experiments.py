@@ -37,17 +37,13 @@ __all__ = [
     "MultiplexRun",
     "ProbeSweepResult",
     "FilterSweepResult",
-    "PowerSweepResult",
     "CalibrationTargets",
     "CalibrationError",
     "NonlinearOperationError",
     "PRESETS",
     "apply_preset",
-    "operating_tones",
-    "run_probe_sweep",
     "characterize",
     "run_filter_sweep",
-    "run_power_sweep",
     "power_sweep_matrix",
     "run_trigger",
     "run_full_multiplex",
@@ -218,6 +214,13 @@ def _device_dbm(chip: ChipConfig, p_dbm: float) -> float:
     return p_dbm - chip.line_attenuation_db
 
 
+def _delivered_w(chip: ChipConfig, channel: int, f_hz, p_dbm: float):
+    """Heater power reaching channel's absorber from a source tone at p_dbm:
+    line attenuation, then the channel's matched filter.  f_hz may be an array."""
+    return (dbm_to_watts(_device_dbm(chip, p_dbm))
+            * filter_transmission(chip.matched_filter(channel), f_hz))
+
+
 def _check_probe_power(chip: ChipConfig, p_dbm: float, allow_nonlinear: bool) -> None:
     p_dev = _device_dbm(chip, p_dbm)
     for ch, par in enumerate(chip.bolometers):
@@ -276,15 +279,12 @@ def _heater_power_w(chip: ChipConfig, pulses, steps: int, dt: float) -> np.ndarr
     would delay every edge by one step and make the stepping first order in
     dt.  Pulses add in power (incoherently).
     """
-    att = chip.line_attenuation_db
     heater_w = np.zeros((chip.n_channels, steps))
     for pl in pulses:
         on = round(pl.t_start_s / dt)
         off = round((pl.t_start_s + pl.duration_s) / dt)
-        p_w = dbm_to_watts(pl.tone.p_dbm - att)
         for ch in range(chip.n_channels):
-            heater_w[ch, on:off] += p_w * filter_transmission(chip.matched_filter(ch),
-                                                              pl.tone.f_hz)
+            heater_w[ch, on:off] += _delivered_w(chip, ch, pl.tone.f_hz, pl.tone.p_dbm)
     return heater_w
 
 
@@ -345,7 +345,7 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
         # has DFT w G[k - k_ch] + conj(w G[-k - k_ch]), G = DFT(gamma): the
         # tone sits on the record's DFT grid, so this is exact
         spectrum = np.fft.fft(_gamma(det_samples, ke, ki))
-        w = 0.5 * tone_amplitude_volts(tone.p_dbm) * np.exp(1j * tone.phase_rad)
+        w = 0.5 * tone_amplitude_volts(tone.p_dbm)
         k_ch = carrier_bins[ch]
         bands += (w * spectrum[(band_k - k_ch) % n]
                   + np.conj(w * spectrum[(-band_k - k_ch) % n]))
@@ -558,11 +558,10 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     if f_grid.ndim != 1 or f_grid.size < 3:
         raise ValueError("heater frequency grid must be 1-d with >= 3 points")
     tones, ops = operating_tones(chip, settings)
-    p_heat_w = dbm_to_watts(heater_power_dbm - chip.line_attenuation_db)
 
     resp = np.empty((chip.n_channels, f_grid.size))
     for ch, par in enumerate(chip.bolometers):
-        extra = p_heat_w * filter_transmission(chip.matched_filter(ch), f_grid)
+        extra = _delivered_w(chip, ch, f_grid, heater_power_dbm)
         _, _, gamma, _, _ = _steady_state(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
                                           extra)
         resp[ch] = np.abs(gamma - ops[ch].gamma)
@@ -574,93 +573,57 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     )
 
 
-@dataclass(frozen=True)
-class PowerSweepResult:
-    """Pulse response of one bolometer versus heater power at one frequency."""
-
-    channel: int
-    f_heater_hz: float
-    powers_dbm: tuple[float, ...]
-    powers_w: tuple[float, ...]     # device-plane power at the filter input
-    responses: tuple[float, ...]
-
-    def fit(self) -> analysis.CompressionFit:
-        return analysis.fit_compression(np.array(self.powers_w), np.array(self.responses))
-
-
 def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
-                       settings: RunSettings) -> tuple[PowerSweepResult, ...]:
+                       settings: RunSettings) -> np.ndarray:
     """One heater frequency swept in power, read on every probe at once.
 
     Each power is one single-pulse run on the quiet chip; every bolometer's
-    response comes from that same run.  Returns one result per bolometer.
+    windowed response comes from that same run.  Returns an (n_bolometers,
+    n_powers) array.
     """
-    powers = [float(p) for p in powers_dbm]
-    if sorted(powers) != powers:
-        raise ValueError("powers must be sorted ascending")
     quiet = replace(chip, noise_sigma_v=0.0)
     operating = operating_tones(quiet, settings)
-    metrics = []
-    for p_dbm in powers:
+    responses = np.empty((chip.n_channels, len(powers_dbm)))
+    for p, p_dbm in enumerate(powers_dbm):
         pulse = PulseSpec(
             tone=ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm),
             t_start_s=settings.pulse_start_s,
             duration_s=settings.pulse_duration_s,
         )
         # the quiet chip draws no noise, so no stream is derived
-        metrics.append(_timedomain_run(quiet, [pulse], settings, operating, Seed(0),
-                                       ()).metrics)
-    powers_w = tuple(dbm_to_watts(p - chip.line_attenuation_db) for p in powers)
-    return tuple(
-        PowerSweepResult(
-            channel=ch,
-            f_heater_hz=float(f_heater_hz),
-            powers_dbm=tuple(powers),
-            powers_w=powers_w,
-            responses=tuple(m[ch].response for m in metrics),
-        )
-        for ch in range(chip.n_channels))
-
-
-def run_power_sweep(chip: ChipConfig, channel: int, f_heater_hz: float, powers_dbm,
-                    settings: RunSettings | None = None) -> PowerSweepResult:
-    """Heater power sweep through the full time-domain pipeline.
-
-    Each power runs one noiseless pulse-response experiment (the
-    compression curve is deterministic) and records the windowed response
-    amplitude of the target channel.  Defaults to the flank posture
-    (detuning fraction 0.5) where the response is linear in small
-    resonance shifts, which the compression fit relies on.
-    """
-    settings = settings if settings is not None else RunSettings(probe_detuning_fraction=0.5)
-    if not 0 <= channel < chip.n_channels:
-        raise ValueError(f"channel {channel} out of range")
-    return _power_sweep_paths(chip, f_heater_hz, powers_dbm, settings)[channel]
+        run = _timedomain_run(quiet, [pulse], settings, operating, Seed(0), ())
+        responses[:, p] = [m.response for m in run.metrics]
+    return responses
 
 
 def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | None = None,
                        threads: int = 1):
-    """Power sweeps for every (bolometer, filter) pair.
+    """Heater power sweeps for every (bolometer, filter) pair.
 
-    Returns (sweeps, p_1db_dbm, crosstalk) where sweeps[i][j] drives
-    bolometer i through filter j's center and p_1db_dbm[i][j] is the fitted
-    1 dB compression point of that path.  Each (filter, power) is one
-    noiseless run read on every bolometer, so the result does not depend
-    on any seed; filters fan out over `threads`.
+    Returns (responses, powers_w, p_1db_dbm, crosstalk).  responses[i, j, p]
+    is bolometer i's windowed pulse response with the heater at filter j's
+    center and source power powers_dbm[p]; powers_w is that power axis at
+    the device plane (after line attenuation), against which every path is
+    fitted; p_1db_dbm[i, j] is the fitted 1 dB compression point of path
+    (i, j).  Each (filter, power) is one noiseless run read on every
+    bolometer, so the result does not depend on any seed; filters fan out
+    over `threads`.  Defaults to the flank posture (detuning fraction 0.5),
+    where the response is linear in small resonance shifts, which the
+    compression fit relies on.
     """
     settings = settings if settings is not None else RunSettings(probe_detuning_fraction=0.5)
-    n = chip.n_channels
+    powers = [float(p) for p in powers_dbm]
+    if sorted(powers) != powers:
+        raise ValueError("powers must be sorted ascending")
     by_filter = _fan_out(_power_sweep_paths,
-                         [(chip, filt.f_center_hz, powers_dbm, settings) for filt in chip.filters],
+                         [(chip, filt.f_center_hz, powers, settings) for filt in chip.filters],
                          threads)
-    sweeps = [[by_filter[j][i] for j in range(n)] for i in range(n)]
-
-    p1db = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(n):
-            p1db[i, j] = sweeps[i][j].fit().p_1db_dbm
-    xtalk = analysis.crosstalk_matrix(p1db, chip.channel_map)
-    return sweeps, p1db, xtalk
+    responses = np.stack(by_filter, axis=1)
+    powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
+    n = chip.n_channels
+    p1db = np.array([[analysis.fit_compression(powers_w, responses[i, j]).p_1db_dbm
+                      for j in range(n)] for i in range(n)])
+    return responses, powers_w, p1db, analysis.crosstalk_matrix(p1db, chip.channel_map)
 
 
 @dataclass(frozen=True)
@@ -702,9 +665,8 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
 
     bolos = []
     for ch, par in enumerate(chip.bolometers):
-        filt = chip.matched_filter(ch)
-        delivered = (dbm_to_watts(targets.heater_power_dbm - chip.line_attenuation_db)
-                     * filter_transmission(filt, filt.f_center_hz))
+        delivered = _delivered_w(chip, ch, chip.matched_filter(ch).f_center_hz,
+                                 targets.heater_power_dbm)
         target_shift = targets.shift_fraction * par.kappa_total_hz
 
         def shift_of(dfdt: float) -> float:

@@ -91,19 +91,16 @@ def filter_transmission(filt: FilterParams, f_hz):
 
 @dataclass(frozen=True)
 class ToneSpec:
-    """One CW tone: frequency, source power, initial phase."""
+    """One CW tone: frequency and source power."""
 
     f_hz: float
     p_dbm: float
-    phase_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.f_hz) or self.f_hz <= 0.0:
             raise ValueError(f"tone frequency must be finite and > 0 Hz, got {self.f_hz}")
         if not math.isfinite(self.p_dbm):
             raise ValueError(f"tone power must be finite, got {self.p_dbm}")
-        if not math.isfinite(self.phase_rad):
-            raise ValueError(f"tone phase must be finite, got {self.phase_rad}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _DBM_REF_W = 1e-3
+_Z0_OHM = 50.0
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -46,15 +47,12 @@ def db_to_power_ratio(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def tone_amplitude_volts(p_dbm: float, z0_ohm: float = 50.0) -> float:
-    """Peak voltage amplitude of a sinusoid carrying p_dbm into z0_ohm.
+def tone_amplitude_volts(p_dbm: float) -> float:
+    """Peak voltage amplitude of a sinusoid carrying p_dbm into the 50 ohm line.
 
-    P = a**2 / (2 Z0), hence a = sqrt(2 P Z0).  0 dBm into 50 ohm gives
-    0.3162 V.
+    P = a**2 / (2 Z0), hence a = sqrt(2 P Z0).  0 dBm gives 0.3162 V.
     """
-    if z0_ohm <= 0.0 or not math.isfinite(z0_ohm):
-        raise ValueError(f"impedance must be finite and > 0, got {z0_ohm}")
-    return math.sqrt(2.0 * dbm_to_watts(p_dbm) * z0_ohm)
+    return math.sqrt(2.0 * dbm_to_watts(p_dbm) * _Z0_OHM)
 
 
 _MASTER_MAX = 2**64

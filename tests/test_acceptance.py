@@ -16,12 +16,12 @@ import pytest
 from bolomux.analysis import (
     P_1DB_FACTOR,
     crosstalk_matrix,
+    fit_compression,
     fit_exponential,
 )
 from bolomux.cli import main
 from bolomux.dsp import TimeTrace, demodulate
 from bolomux.experiments import (
-    PowerSweepResult,
     RunSettings,
     apply_preset,
     run_trigger,
@@ -93,14 +93,7 @@ def test_power_sweep_fit_recovers_known_compression_point():
     p_sat_w = 2.2e-12
     gain = 3.0e6
     p_w = np.logspace(-14.2, -10.8, 25)
-    sweep = PowerSweepResult(
-        channel=0,
-        f_heater_hz=4.4e9,
-        powers_dbm=tuple(watts_to_dbm(p) for p in p_w),
-        powers_w=tuple(float(p) for p in p_w),
-        responses=tuple(float(r) for r in gain * p_w / (1.0 + p_w / p_sat_w)),
-    )
-    fit = sweep.fit()
+    fit = fit_compression(p_w, gain * p_w / (1.0 + p_w / p_sat_w))
     assert abs(fit.p_1db_dbm - watts_to_dbm(P_1DB_FACTOR * p_sat_w)) < 0.5
     # closed form at a 1 pW saturation power
     assert watts_to_dbm(P_1DB_FACTOR * 1e-12) == pytest.approx(-99.14, abs=0.05)

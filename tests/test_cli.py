@@ -177,6 +177,23 @@ def test_characterize_writes_fits(capsys, tmp_path):
     assert "MHz" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("allow", [True, False])
+def test_characterize_honours_allow_nonlinear(capsys, tmp_path, allow):
+    # -120 dBm is above every channel's nonlinear threshold; run.allow_nonlinear
+    # lifts the guard for characterize as it does for trigger
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "run": {"allow_nonlinear": allow},
+        "sweeps": {"characterize": {"powers_dbm": [-160.0, -120.0]}}}))
+    out = tmp_path / "char"
+    code = run_cli("characterize", "--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    if allow:
+        assert code == 0 and verify_manifest(out) == []
+    else:
+        assert code == 1 and "allow_nonlinear" in err and not out.exists()
+
+
 def test_filterscan_finds_peaks(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sweeps": {"filterscan": {"n_points": 81}}}))

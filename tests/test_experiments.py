@@ -28,7 +28,6 @@ from bolomux.experiments import (
     power_sweep_matrix,
     run_filter_sweep,
     run_full_multiplex,
-    run_power_sweep,
     run_probe_sweep,
     run_trigger,
 )
@@ -358,7 +357,7 @@ def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
         fade = np.exp(-np.arange(n // steps) / (fs * par.tau_th_s))
         t_samples = (t_inf_of[:, None] + (t_start - t_inf_of)[:, None] * fade).ravel()
         gam = _gamma(tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath)), ke, ki)
-        carrier = np.exp(1j * (2.0 * np.pi * tone.f_hz * t + tone.phase_rad))
+        carrier = np.exp(1j * 2.0 * np.pi * tone.f_hz * t)
         composite += np.real(gam * (tone_amplitude_volts(tone.p_dbm) * carrier))
     sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
     if sigma > 0.0:
@@ -624,11 +623,18 @@ def test_filter_sweep_rejects_short_grid(default_chip):
 # ----------------------------------------------------------- power sweeps
 
 
+FLANK = RunSettings(probe_detuning_fraction=0.5)
+
+
+def device_watts(chip, powers_dbm):
+    return np.array([dbm_to_watts(p - chip.line_attenuation_db) for p in powers_dbm])
+
+
 def test_power_sweep_linear_at_low_power(default_chip):
     f_heat = default_chip.matched_filter(0).f_center_hz
     powers = [-160.0, -157.5, -155.0, -152.5, -150.0]
-    sweep = run_power_sweep(default_chip, 0, f_heat, powers)
-    gains = [r / w for r, w in zip(sweep.responses, sweep.powers_w)]
+    responses = experiments._power_sweep_paths(default_chip, f_heat, powers, FLANK)[0]
+    gains = responses / device_watts(default_chip, powers)
     spread = (max(gains) - min(gains)) / np.mean(gains)
     assert spread < 0.02
 
@@ -637,19 +643,17 @@ def test_power_sweep_concave_in_linear_watts(default_chip):
     f_heat = default_chip.matched_filter(0).f_center_hz
     watts = np.linspace(1e-17, 4e-16, 10)
     powers = [watts_to_dbm(w) for w in watts]
-    sweep = run_power_sweep(default_chip, 0, f_heat, powers)
-    second = np.diff(np.array(sweep.responses), n=2)
-    assert np.all(second <= 1e-12 * max(sweep.responses))
+    responses = experiments._power_sweep_paths(default_chip, f_heat, powers, FLANK)[0]
+    second = np.diff(responses, n=2)
+    assert np.all(second <= 1e-12 * max(responses))
 
 
 def test_power_sweep_fit_yields_compression_point(default_chip, default_config):
     ps = default_config.sweeps["powersweep"]
     powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
-    f_heat = default_chip.matched_filter(1).f_center_hz
-    sweep = run_power_sweep(default_chip, 1, f_heat, [float(p) for p in powers])
-    fit = sweep.fit()
-    assert powers[0] < fit.p_1db_dbm < powers[-1]
-    assert fit.p_sat_w > 0
+    _, _, p1db, _ = power_sweep_matrix(default_chip, powers)
+    matched = p1db[1, default_chip.channel_map[1]]
+    assert powers[0] < matched < powers[-1]
 
 
 def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
@@ -659,19 +663,16 @@ def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
     wrong_f = 5.8e9
     floor_db = default_chip.matched_filter(1).floor_db_at(wrong_f)
     powers = [-152.0, -150.0]
-    matched = run_power_sweep(default_chip, 1, matched_f, powers)
-    leaked = run_power_sweep(default_chip, 1, wrong_f, powers)
-    for r_m, r_l in zip(matched.responses, leaked.responses):
+    matched = experiments._power_sweep_paths(default_chip, matched_f, powers, FLANK)[1]
+    leaked = experiments._power_sweep_paths(default_chip, wrong_f, powers, FLANK)[1]
+    for r_m, r_l in zip(matched, leaked):
         ratio_db = 10 * np.log10(r_l / r_m)
         assert ratio_db == pytest.approx(floor_db, abs=1.0)
 
 
 def test_power_sweep_validation(default_chip):
-    f_heat = default_chip.matched_filter(0).f_center_hz
     with pytest.raises(ValueError, match="sorted"):
-        run_power_sweep(default_chip, 0, f_heat, [-150.0, -160.0])
-    with pytest.raises(ValueError, match="channel"):
-        run_power_sweep(default_chip, 5, f_heat, [-160.0, -150.0])
+        power_sweep_matrix(default_chip, [-150.0, -160.0])
 
 
 SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
@@ -729,9 +730,10 @@ def test_multiplex_derives_one_stream_per_pattern(default_chip, monkeypatch):
 
 
 def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
-    # oracle: sweeps[i][j].responses[p] is bolometer i's response in a
-    # direct noiseless single-pulse run at filter j's center and power p
-    settings, (sweeps, _, _) = short_matrix
+    # oracle: responses[i, j, p] is bolometer i's response in a direct
+    # noiseless single-pulse run at filter j's center and power p
+    settings, (responses, powers_w, _, _) = short_matrix
+    assert np.array_equal(powers_w, device_watts(default_chip, SHORT_POWERS_DBM))
     quiet = replace(default_chip, noise_sigma_v=0.0)
     for j, filt in enumerate(default_chip.filters):
         for p, p_dbm in enumerate(SHORT_POWERS_DBM):
@@ -741,16 +743,15 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
             run = experiments._timedomain_run(quiet, [pulse], settings,
                                               operating_tones(quiet, settings), Seed(0), ())
             for i in range(default_chip.n_channels):
-                sweep = sweeps[i][j]
-                assert (sweep.channel, sweep.f_heater_hz) == (i, filt.f_center_hz)
-                assert sweep.responses[p] == run.metrics[i].response
+                assert responses[i, j, p] == run.metrics[i].response
 
 
 def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
-    settings, (serial, p1db, xtalk) = short_matrix
-    threaded, p1db_t, xtalk_t = power_sweep_matrix(default_chip, SHORT_POWERS_DBM, settings,
-                                                   threads=3)
-    assert threaded == serial
+    settings, (serial, powers_w, p1db, xtalk) = short_matrix
+    threaded, powers_w_t, p1db_t, xtalk_t = power_sweep_matrix(default_chip, SHORT_POWERS_DBM,
+                                                               settings, threads=3)
+    assert np.array_equal(threaded, serial)
+    assert np.array_equal(powers_w_t, powers_w)
     assert np.array_equal(p1db_t, p1db)
     assert xtalk_t.worst_db == xtalk.worst_db and xtalk_t.best_db == xtalk.best_db
 

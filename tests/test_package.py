@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -9,6 +10,10 @@ import re
 import bolomux
 import bolomux.device
 import bolomux.dsp
+import bolomux.experiments
+import bolomux.frontend
+
+_PACKAGE = pathlib.Path(bolomux.__file__).parent
 
 
 def test_every_all_entry_exists_on_its_module():
@@ -37,16 +42,28 @@ def _referenced_names(source: str) -> set[str]:
     return names
 
 
+def _constructed_names(source: str) -> set[str]:
+    """Every name the code of `source` calls or raises."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        target = (node.func if isinstance(node, ast.Call)
+                  else node.exc if isinstance(node, ast.Raise) else None)
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.add(target.attr)
+    return names
+
+
 def _names_without_caller(module) -> list[str]:
     # a name stays public only if another module of the package or a README
     # example uses it; imports and re-exports do not count, nor do comments
-    package = pathlib.Path(bolomux.__file__).parent
     own = pathlib.Path(module.__file__).name
     used = set()
-    for path in package.glob("*.py"):
+    for path in _PACKAGE.glob("*.py"):
         if path.name not in ("__init__.py", own):
             used |= _referenced_names(path.read_text(encoding="utf-8"))
-    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (_PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
         used |= _referenced_names(block)
     return sorted(set(module.__all__) - used)
@@ -58,3 +75,22 @@ def test_every_device_name_has_a_caller():
 
 def test_every_dsp_name_has_a_caller():
     assert _names_without_caller(bolomux.dsp) == []
+
+
+def _unused_names(module) -> list[str]:
+    # a class is used when package code, its own module included, constructs
+    # or raises it: result types reach their callers as instances.  Any other
+    # name needs a caller in another module or a README example
+    constructed = set()
+    for path in _PACKAGE.glob("*.py"):
+        constructed |= _constructed_names(path.read_text(encoding="utf-8"))
+    classes = {name for name in module.__all__ if inspect.isclass(getattr(module, name))}
+    return sorted((set(_names_without_caller(module)) - classes) | (classes - constructed))
+
+
+def test_every_experiments_name_has_a_caller():
+    assert _unused_names(bolomux.experiments) == []
+
+
+def test_every_frontend_name_has_a_caller():
+    assert _unused_names(bolomux.frontend) == []

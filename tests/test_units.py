@@ -62,8 +62,6 @@ def test_tone_amplitude():
     # 20 dB less power is 10x less amplitude
     ratio = tone_amplitude_volts(-124.0) / tone_amplitude_volts(-144.0)
     assert ratio == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        tone_amplitude_volts(0.0, z0_ohm=0.0)
 
 
 def test_stream_reproducible():
