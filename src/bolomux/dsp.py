@@ -5,13 +5,15 @@ chain reproducible to the bit.  A down-conversion keeps the inclusive bin
 range carrier +- bandwidth/2 from `_band_offsets` (a guard of 1e-6 of a bin
 spacing keeps edge bins against rounding of the edge), and `_band_iq`, the
 one band slice, folds those bins onto the output rate and inverse
-transforms them.  The engine fills the bins by spectral synthesis;
-`demodulate` reads them from one real FFT of a recorded trace, which
-equals a full-record mixer for any carrier on the record's DFT grid.
+transforms them.  `_dft_bins`, a DFT pruned to a few windows of bins,
+reads the bins: from the engine's (steps, block) matrices in spectral
+synthesis, and from a recorded trace in `demodulate`, which equals a
+full-record mixer for any carrier on the record's DFT grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,11 +105,28 @@ def _demod_band(n: int, sample_rate_hz: float, f_carrier_hz: float, lp_bandwidth
     return k_c, _band_offsets(n, bin_hz, lp_bandwidth_hz)
 
 
-def _real_spectrum_bins(spectrum: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """Bins k (taken mod n) of the DFT of a real n-sample record, from its rfft."""
-    k = k % n
-    bins = spectrum[np.minimum(k, n - k)]
-    return np.where(k > n // 2, np.conj(bins), bins)
+@functools.lru_cache(maxsize=8)
+def _twiddles(n: int, c: int, width: int) -> np.ndarray:
+    """exp(-2 pi i j m / n) for j < width, m < c, shared by every window of _dft_bins."""
+    table = np.exp(-2j * np.pi / n * (np.outer(np.arange(width), np.arange(c)) % n))
+    table.flags.writeable = False   # one cached array serves every caller
+    return table
+
+
+def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """Bins starts[w] + j, j < width (mod n), of the DFT G of the n-sample record x.ravel().
+
+    With x viewed as (n/c, c), c = min(x.shape) (or 1 where the windows hold
+    more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod n/c, m], A
+    that view's FFT along axis 0; window w's twiddle is exp(-2 pi i starts[w]
+    m / n) times the shared table.  Returns a (windows, width) array.
+    """
+    n = x.size
+    c = min(x.shape) if len(starts) * width * min(x.shape) <= n else 1
+    a = np.fft.fft(x.reshape(-1, c), axis=0)
+    start_twiddles = np.exp(-2j * np.pi / n * (np.outer(starts % n, np.arange(c)) % n))
+    picked = a[(starts[:, None] + np.arange(width)) % a.shape[0]] * _twiddles(n, c, width)
+    return np.einsum("wjm,wm->wj", picked, start_twiddles)
 
 
 def _band_iq(band: np.ndarray, offsets: np.ndarray, n: int, decimation: int,
@@ -128,14 +147,14 @@ def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
     Equals mixing by exp(-2 pi i f_c t), brick-wall low-passing at
     +-lp_bandwidth/2 and keeping every decimation-th sample, for a carrier
     on the record's DFT grid (to 1e-9 of a bin; else ValueError).  Bins
-    carrier +-h of one real FFT (conjugated below DC and above fs/2, none
-    twice) are rotated by exp(-i w_c t0) and handed to the band slice.  A
-    pure tone a*cos(2 pi f_c t) demodulates to a/2.
+    carrier +-h of the record's DFT (one full transform in _dft_bins) are
+    rotated by exp(-i w_c t0) and handed to the band slice.  A pure tone
+    a*cos(2 pi f_c t) demodulates to a/2.
     """
     fs = trace.sample_rate_hz
     n = trace.samples.size
     k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
-    band = (_real_spectrum_bins(np.fft.rfft(trace.samples), k_c + offsets, n)
+    band = (_dft_bins(trace.samples[:, None], np.array([k_c + offsets[0]]), offsets.size)[0]
             * np.exp(-2j * np.pi * f_carrier_hz * trace.t0_s))
     return _band_iq(band, offsets, n, decimation, f_carrier_hz, fs, trace.t0_s)
 

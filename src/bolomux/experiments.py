@@ -4,14 +4,14 @@ Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
 with no finite steady state comes out NaN.  Time-domain runs integrate the
 electrothermal state at a fixed step and sample each channel's reflection
-Gamma(t) at the digitizer rate.  The probe comb itself is never built: its
-spectrum in each channel's demod band follows from one FFT per Gamma, as
-every tone sits on the record's DFT grid.  The mean of n_avg noise records,
-one white record of std sigma/sqrt(n_avg), adds its real FFT to the bands;
-each band is sliced to baseband IQ and reduced to response metrics.  Every
-random draw comes from a stream derived from (master seed, experiment kind,
-pattern), so any execution order, including threaded pattern sweeps, is
-bit-identical.
+Gamma(t) at the digitizer rate as a (steps, block) matrix.  The probe comb is
+never built: every tone sits on the record's DFT grid, so each channel's
+demod band follows from a few bins of each Gamma's DFT, read by a pruned
+transform of that matrix; the mean of n_avg noise records, one white record
+of std sigma/sqrt(n_avg), adds its bins alike.  Each band is sliced to
+baseband IQ and reduced to response metrics.  Every random draw comes from
+a stream derived from (master seed, experiment kind, pattern), so any
+execution order, including threaded pattern sweeps, is bit-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import analysis
 from .device import (BolometerParams, OperatingPoint, _absorbed_fraction, _gamma,
                      _steady_state, solve_operating_point)
 from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _demod_band,
-                  _real_spectrum_bins, response_metric)
+                  _dft_bins, response_metric)
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
                        filter_transmission, schedule_heaters)
 from .units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts
@@ -308,8 +308,7 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
     planned = [_demod_band(n, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)
                for tone in tones]
     carrier_bins, offsets = np.array([k_c for k_c, _ in planned]), planned[0][1]
-    band_k = carrier_bins[:, None] + offsets
-    bands = np.zeros(band_k.shape, dtype=complex)
+    bands = np.zeros((chip.n_channels, offsets.size), dtype=complex)
     for ch, par in enumerate(chip.bolometers):
         tone = tones[ch]
         p_probe_w = dbm_to_watts(tone.p_dbm)
@@ -340,20 +339,22 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
         # readout has no zero-order-hold rolloff tied to thermal_dt_s
         fade = np.exp(-np.arange(block) / (fs * par.tau_th_s))
         det_inf = tone.f_hz - (par.f_r0_hz - dfdt * (t_inf_of - t_bath))
-        det_samples = (det_inf[:, None] + (dfdt * (t_start - t_inf_of))[:, None] * fade).ravel()
+        det_samples = det_inf[:, None] + (dfdt * (t_start - t_inf_of))[:, None] * fade
         # the channel's reflected tone Re(2 w gamma(t) exp(2 pi i k_ch m / n))
         # has DFT w G[k - k_ch] + conj(w G[-k - k_ch]), G = DFT(gamma): the
-        # tone sits on the record's DFT grid, so this is exact
-        spectrum = np.fft.fft(_gamma(det_samples, ke, ki))
-        w = 0.5 * tone_amplitude_volts(tone.p_dbm)
+        # tone sits on the record's DFT grid, so this is exact.  The image
+        # bins -k - k_ch fall, so they are read as a rising window, reversed
         k_ch = carrier_bins[ch]
-        bands += (w * spectrum[(band_k - k_ch) % n]
-                  + np.conj(w * spectrum[(-band_k - k_ch) % n]))
+        spectrum = _dft_bins(_gamma(det_samples, ke, ki),
+                             np.concatenate([carrier_bins - k_ch + offsets[0],
+                                             -carrier_bins - k_ch - offsets[-1]]), offsets.size)
+        w = 0.5 * tone_amplitude_volts(tone.p_dbm)
+        bands += w * spectrum[:chip.n_channels] + np.conj(w * spectrum[chip.n_channels:, ::-1])
 
     sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
     if sigma > 0.0:
         noise = derive_stream(seed, *stream_labels).normal(0.0, sigma, n)
-        bands += _real_spectrum_bins(np.fft.rfft(noise), band_k, n)
+        bands += _dft_bins(noise.reshape(steps, block), carrier_bins + offsets[0], offsets.size)
 
     iqs, metrics = [], []
     for ch in range(chip.n_channels):

@@ -21,6 +21,9 @@ import numpy as np
 from .config import config_hash
 from .dsp import IQTrace, TimeTrace
 
+__all__ = ["RunManifest", "TraceFormatError", "read_manifest", "read_trace", "verify_manifest",
+           "write_manifest", "write_trace"]
+
 MANIFEST_NAME = "manifest.json"
 
 
@@ -115,7 +118,7 @@ def read_trace(path):
     return IQTrace(carrier_hz=carrier, sample_rate_hz=sample_rate, t0_s=t0, samples=values)
 
 
-def sha256_file(path) -> str:
+def _sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -162,7 +165,7 @@ def write_manifest(out_dir, command: str, seed: int, config_doc: dict,
     names = sorted(
         name for name in os.listdir(out_dir)
         if name != MANIFEST_NAME and os.path.isfile(os.path.join(out_dir, name)))
-    files = tuple((name, sha256_file(os.path.join(out_dir, name))) for name in names)
+    files = tuple((name, _sha256_file(os.path.join(out_dir, name))) for name in names)
     manifest = RunManifest(
         tool_version=tool_version,
         command=command,
@@ -198,7 +201,7 @@ def verify_manifest(out_dir) -> list[str]:
         if not os.path.isfile(path):
             problems.append(f"missing file {name}")
             continue
-        actual = sha256_file(path)
+        actual = _sha256_file(path)
         if actual != expected:
             problems.append(f"checksum mismatch for {name}")
     return problems

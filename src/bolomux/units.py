@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["Seed", "dbm_to_watts", "db_to_power_ratio", "derive_stream", "tone_amplitude_volts",
+           "watts_to_dbm"]
+
 _DBM_REF_W = 1e-3
 _Z0_OHM = 50.0
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bolomux.dsp import (IQTrace, TimeTrace, _baseline_std_per_volt, demodulate,
+from bolomux.dsp import (IQTrace, TimeTrace, _baseline_std_per_volt, _dft_bins, demodulate,
                          response_metric)
 from bolomux.units import Seed, derive_stream, tone_amplitude_volts
 
@@ -140,6 +140,40 @@ def test_demod_validation():
         demodulate(trace, 10e6, 2e6, 3)  # does not divide 2000 samples
     with pytest.raises(ValueError):
         demodulate(trace, 10e6, 2e6, 100.0)  # float decimation
+
+
+# ---------------------------------------------------------- pruned DFT
+
+
+@pytest.mark.parametrize("shape, width, view", [
+    ((1000, 100), 101, (1000, 100)),
+    ((100, 1000), 101, (1000, 100)),    # fewer rows than columns: rows become c
+    ((997, 3), 40, (997, 3)),           # prime row count
+    ((50, 40), 60, (2000, 1)),          # windows hold more than n / c bins: c = 1
+])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dft_bins_matches_full_fft(monkeypatch, shape, width, view, dtype):
+    gen = stream(21, shape[0], width)
+    x = gen.normal(size=shape)
+    if dtype is complex:
+        x = x + 1j * gen.normal(size=shape)
+    n = x.size
+    # negative starts, starts at and past n, and a repeated start
+    starts = np.array([-7, 3, n, 2 * n + 11, 3, -n - 1])
+    views = []
+    original = np.fft.fft
+
+    def recorded(a, *args, **kwargs):
+        views.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    bins = _dft_bins(x, starts, width)
+    monkeypatch.undo()
+    assert views == [view]
+    expected = np.fft.fft(x.ravel())[(starts[:, None] + np.arange(width)) % n]
+    assert bins.shape == (starts.size, width)
+    assert np.max(np.abs(bins - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # ------------------------------------------------------- predicted floor

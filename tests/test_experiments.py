@@ -405,26 +405,52 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
                     composite_engine_oracle(quiet, [pulse], settings, operating, Seed(0), ()))
 
 
+@pytest.mark.parametrize("change", [
+    {"thermal_dt_s": 5e-6},           # 20 steps of 5000 samples: the pruned DFT's c = steps
+    {"demod_bandwidth_hz": 40e6},     # bands too wide to prune: c = 1, one full transform
+])
+def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
+                                                                  default_settings, change):
+    settings = replace(default_settings, **change)
+    pattern = TriggerPattern.from_label("101")
+    pulses = schedule_heaters(pattern, default_chip.filters, default_chip.channel_map,
+                              settings.heater_power_dbm, settings.pulse_start_s,
+                              settings.pulse_duration_s)
+    engine, oracle = [], []
+    for c in (replace(default_chip, noise_sigma_v=0.0), default_chip):
+        run = run_trigger(c, pattern, settings, Seed(7))
+        engine.append(np.array([iq.samples for iq in run.iq]))
+        oracle.append(composite_engine_oracle(c, pulses, settings, operating_tones(c, settings),
+                                              Seed(7), (_KIND_TRIGGER, pattern.value)))
+        assert_close_to(engine[-1], oracle[-1])
+    assert_close_to(engine[1] - engine[0], oracle[1] - oracle[0])
+
+
 @pytest.mark.parametrize("noisy", [False, True])
-def test_engine_takes_one_record_length_fft_per_channel(default_chip, default_settings,
-                                                        monkeypatch, noisy):
-    # one transform of each channel's reflection, plus one of the noise
-    # record when there is noise; a carrier or composite record, or a
-    # repeated transform of the same record, would show up here
+def test_engine_takes_no_record_length_transform(default_chip, default_settings, monkeypatch,
+                                                 noisy):
+    # each channel's reflection, and the noise record when there is noise,
+    # is transformed once along the steps axis of its (steps, block) matrix;
+    # a record-length transform, a carrier or composite record, or a
+    # repeated transform of the same record would show up here
     n = round(default_settings.window_s * default_chip.sample_rate_hz)
+    steps = round(default_settings.window_s / default_settings.thermal_dt_s)
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
         original = getattr(np.fft, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
-            if np.shape(a)[-1] == n:
-                calls.append(_name)
+            calls.append((_name, np.shape(a), kwargs.get("axis", -1)))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     chip = default_chip if noisy else replace(default_chip, noise_sigma_v=0.0)
     run_trigger(chip, TriggerPattern.from_label("101"), default_settings, Seed(3))
-    assert sorted(calls) == ["fft"] * chip.n_channels + ["rfft"] * int(noisy)
+    assert [c for c in calls if c[1][-1] == n] == []
+    along_steps = [c for c in calls if c == ("fft", (steps, n // steps), 0)]
+    assert len(along_steps) == chip.n_channels + int(noisy)
+    # the rest are the band slices' short inverse transforms, one per channel
+    assert sorted(c[0] for c in calls if c not in along_steps) == ["ifft"] * chip.n_channels
 
 
 def test_fan_out_keeps_job_order():

@@ -7,11 +7,15 @@ import pathlib
 import pkgutil
 import re
 
+import pytest
+
 import bolomux
 import bolomux.device
 import bolomux.dsp
 import bolomux.experiments
 import bolomux.frontend
+import bolomux.traceio
+import bolomux.units
 
 _PACKAGE = pathlib.Path(bolomux.__file__).parent
 
@@ -27,7 +31,8 @@ def test_every_all_entry_exists_on_its_module():
         checked.append(info.name)
         missing.extend(f"{info.name}.{name}" for name in module.__all__
                        if not hasattr(module, name))
-    assert {"analysis", "device", "dsp", "experiments", "frontend"} <= set(checked)
+    assert {"analysis", "device", "dsp", "experiments", "frontend", "traceio",
+            "units"} <= set(checked)
     assert missing == []
 
 
@@ -94,3 +99,19 @@ def test_every_experiments_name_has_a_caller():
 
 def test_every_frontend_name_has_a_caller():
     assert _unused_names(bolomux.frontend) == []
+
+
+def test_every_traceio_name_has_a_caller():
+    assert _unused_names(bolomux.traceio) == []
+
+
+def test_every_units_name_has_a_caller():
+    assert _unused_names(bolomux.units) == []
+
+
+@pytest.mark.parametrize("module", [bolomux.traceio, bolomux.units], ids=["traceio", "units"])
+def test_all_lists_what_the_package_re_exports(module):
+    # the package namespace re-exports exactly the module's public surface
+    exported = {name for name, value in vars(bolomux).items()
+                if getattr(value, "__module__", None) == module.__name__}
+    assert sorted(module.__all__) == sorted(exported)

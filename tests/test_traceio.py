@@ -11,9 +11,9 @@ from bolomux.traceio import (
     MANIFEST_NAME,
     RunManifest,
     TraceFormatError,
+    _sha256_file,
     read_manifest,
     read_trace,
-    sha256_file,
     verify_manifest,
     write_manifest,
     write_trace,
@@ -204,5 +204,5 @@ def test_manifest_dict_round_trip():
 def test_sha256_file_matches_known_digest(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"abc")
-    assert sha256_file(path) == (
+    assert _sha256_file(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
