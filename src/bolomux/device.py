@@ -80,13 +80,18 @@ class BolometerParams:
         return self.g_th_w_per_k * self.tau_th_s
 
 
-def _gamma(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):
+def _gamma(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float, out=None):
     """Complex reflection at detuning f - f_r; floats or arrays alike.
 
     Gamma = 1 - kappa_ext / (i (f - f_r) + (kappa_ext + kappa_int)/2), all
-    rates in Hz; |Gamma| <= 1 for any passive device (kappa_int >= 0).
+    rates in Hz; |Gamma| <= 1 for any passive device (kappa_int >= 0).  Given
+    out, a complex array whose imaginary part out.imag is detuning_hz, Gamma
+    is computed in place there, bit for bit the same, and returned.
     """
-    return 1.0 - kappa_ext_hz / (0.5 * (kappa_ext_hz + kappa_int_hz) + 1j * detuning_hz)
+    if out is None:
+        return 1.0 - kappa_ext_hz / (0.5 * (kappa_ext_hz + kappa_int_hz) + 1j * detuning_hz)
+    out.real = 0.5 * (kappa_ext_hz + kappa_int_hz)
+    return np.subtract(1.0, np.divide(kappa_ext_hz, out, out=out), out=out)
 
 
 def _absorbed_fraction(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):

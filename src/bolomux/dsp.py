@@ -113,19 +113,21 @@ def _twiddles(n: int, c: int, width: int) -> np.ndarray:
     return table
 
 
-def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, overwrite=False) -> np.ndarray:
     """Bins starts[w] + j, j < width (mod n), of the DFT G of the n-sample record x.ravel().
 
     With x viewed as (n/c, c), c = min(x.shape) (or 1 where the windows hold
     more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod n/c, m], A
-    that view's FFT along axis 0; window w's twiddle is exp(-2 pi i starts[w]
-    m / n) times the shared table.  Returns a (windows, width) array.
+    that view's FFT along axis 0 (in x's own memory with overwrite, x being
+    complex and C-contiguous); window w's twiddle is exp(-2 pi i starts[w] m
+    / n) times the shared table.  Returns a (windows, width) array.
     """
     n = x.size
     c = min(x.shape) if len(starts) * width * min(x.shape) <= n else 1
-    a = np.fft.fft(x.reshape(-1, c), axis=0)
+    a = np.fft.fft(x.reshape(-1, c), axis=0, out=x.reshape(-1, c) if overwrite else None)
     start_twiddles = np.exp(-2j * np.pi / n * (np.outer(starts % n, np.arange(c)) % n))
-    picked = a[(starts[:, None] + np.arange(width)) % a.shape[0]] * _twiddles(n, c, width)
+    picked = a[(starts[:, None] + np.arange(width)) % a.shape[0]]
+    picked *= _twiddles(n, c, width)
     return np.einsum("wjm,wm->wj", picked, start_twiddles)
 
 

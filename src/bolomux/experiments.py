@@ -2,16 +2,17 @@
 
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
-with no finite steady state comes out NaN.  Time-domain runs integrate the
-electrothermal state at a fixed step and sample each channel's reflection
-Gamma(t) at the digitizer rate as a (steps, block) matrix.  The probe comb is
-never built: every tone sits on the record's DFT grid, so each channel's
-demod band follows from a few bins of each Gamma's DFT, read by a pruned
-transform of that matrix; the mean of n_avg noise records, one white record
-of std sigma/sqrt(n_avg), adds its bins alike.  Each band is sliced to
-baseband IQ and reduced to response metrics.  Every random draw comes from
-a stream derived from (master seed, experiment kind, pattern), so any
-execution order, including threaded pattern sweeps, is bit-identical.
+with no finite steady state comes out NaN.  Time-domain runs come in
+batches: one thermal pass steps every (run, channel) together, then each run
+samples each channel's reflection Gamma(t) at the digitizer rate into one
+(steps, block) workspace per batch.  The probe comb is never built: every
+tone sits on the record's DFT grid, so each channel's demod band follows
+from a few bins of each Gamma's DFT, read by a pruned transform of that
+matrix in place; the mean of n_avg noise records, one white record of std
+sigma/sqrt(n_avg), adds its bins alike.  Each band is sliced to baseband IQ
+and reduced to response metrics.  Every random draw comes from a stream
+derived from (master seed, experiment kind, pattern), and no number depends
+on the batching, so any execution order is bit-identical.
 """
 
 from __future__ import annotations
@@ -288,21 +289,67 @@ def _heater_power_w(chip: ChipConfig, pulses, steps: int, dt: float) -> np.ndarr
     return heater_w
 
 
-def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
-                    seed: Seed, stream_labels: tuple[int, ...],
-                    pattern: TriggerPattern | None = None) -> MultiplexRun:
-    """Shared engine for trigger and power-sweep runs; operating is
-    operating_tones(chip, settings), solved once by the caller."""
+def _thermal_stage(chip: ChipConfig, operating, heater_w: np.ndarray, dt: float):
+    """(t_start, t_inf) per (run, channel, step) for a (runs, channels, steps) heater power.
+
+    All trajectories step together, each step an exact exponential relaxation
+    from t_start toward t_inf = t_bath + p_abs/g_th, p_abs re-evaluated at a
+    predicted half-step temperature (second order in dt).  A step depends
+    only on the state and the heater, so once one maps the whole state onto
+    itself bit for bit, it is repeated up to the next heater change.
+    """
+    tones, ops = operating
+    runs, n_ch, steps = heater_w.shape
+    f_p, p_probe, f_r0, dfdt, ke, ki, t_bath, g_th, decay, decay_half, t_e = np.tile(np.array([
+        (tone.f_hz, dbm_to_watts(tone.p_dbm), p.f_r0_hz, p.dfdt_hz_per_k, p.kappa_ext_hz,
+         p.kappa_int_hz, p.t_bath_k, p.g_th_w_per_k, math.exp(-dt / p.tau_th_s),
+         math.exp(-0.5 * dt / p.tau_th_s), op.t_star_k)
+        for tone, p, op in zip(tones, chip.bolometers, ops)]).T, runs)
+    heater = np.ascontiguousarray(heater_w.reshape(runs * n_ch, steps).T)
+    t_start, t_inf_of, s = np.empty_like(heater), np.empty_like(heater), 0
+    for end in [*(np.flatnonzero((heater[1:] != heater[:-1]).any(axis=1)) + 1).tolist(), steps]:
+        while s < end:
+            heat, rise = heater[s], t_e - t_bath
+            detuning = f_p - (f_r0 - dfdt * rise)
+            rise_inf = (p_probe * _absorbed_fraction(detuning, ke, ki) + heat) / g_th
+            t_mid = t_bath + rise_inf + (rise - rise_inf) * decay_half
+            detuning = f_p - (f_r0 - dfdt * (t_mid - t_bath))
+            t_inf = t_bath + (p_probe * _absorbed_fraction(detuning, ke, ki) + heat) / g_th
+            t_next = t_inf + (t_e - t_inf) * decay
+            stop = end if t_next.tobytes() == t_e.tobytes() else s + 1
+            t_start[s:stop], t_inf_of[s:stop] = t_e, t_inf
+            t_e, s = t_next, stop
+    return t_start.T.reshape(runs, n_ch, steps), t_inf_of.T.reshape(runs, n_ch, steps)
+
+
+def _timedomain_runs(chip: ChipConfig, pulse_sets, settings: RunSettings, operating,
+                     seed: Seed, stream_labels, patterns=None):
+    """The engine: one MultiplexRun per pulse set, from one thermal pass and one
+    workspace.  operating is operating_tones(chip, settings); run r draws its noise
+    from (seed, *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
     settings.validate_against(chip)
+    steps = round(settings.window_s / settings.thermal_dt_s)
+    heater_w = np.array([_heater_power_w(chip, pulses, steps, settings.thermal_dt_s)
+                         for pulses in pulse_sets]).reshape(-1, chip.n_channels, steps)
+    t_start, t_inf = _thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
+    n = round(settings.window_s * chip.sample_rate_hz)
+    workspace = np.empty((steps, n // steps), dtype=complex)
+    for r, labels in enumerate(stream_labels):
+        yield _timedomain_run(chip, settings, operating, t_start[r], t_inf[r], workspace, seed,
+                              labels, patterns[r] if patterns else None)
+
+
+def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, t_start, t_inf_of,
+                    workspace: np.ndarray, seed: Seed, stream_labels: tuple[int, ...],
+                    pattern: TriggerPattern | None = None) -> MultiplexRun:
+    """One run's readout from its (channels, steps) trajectories; overwrites the
+    complex (steps, block) workspace."""
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
-    steps = round(settings.window_s / settings.thermal_dt_s)
-    block = n // steps
-    dt = settings.thermal_dt_s
+    steps, block = workspace.shape
     decimation = round(fs / settings.output_rate_hz)
 
     tones, ops = operating
-    heater_w = _heater_power_w(chip, pulses, steps, dt)
     # every channel's demod band as DFT bins k_c + offsets of the record
     # (the offsets do not depend on the carrier)
     planned = [_demod_band(n, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)
@@ -310,66 +357,43 @@ def _timedomain_run(chip: ChipConfig, pulses, settings: RunSettings, operating,
     carrier_bins, offsets = np.array([k_c for k_c, _ in planned]), planned[0][1]
     bands = np.zeros((chip.n_channels, offsets.size), dtype=complex)
     for ch, par in enumerate(chip.bolometers):
-        tone = tones[ch]
-        p_probe_w = dbm_to_watts(tone.p_dbm)
-        # exact exponential relaxation toward t_bath + p_abs/g_th over each
-        # step, with the absorbed power re-evaluated at a predicted half-step
-        # temperature, which makes the stepping second order in dt and leaves
-        # a true fixed point exactly stationary.  Heater edges are
-        # step-aligned by validation.
-        ke, ki = par.kappa_ext_hz, par.kappa_int_hz
-        t_bath, g_th, dfdt = par.t_bath_k, par.g_th_w_per_k, par.dfdt_hz_per_k
-        decay = math.exp(-dt / par.tau_th_s)
-        decay_half = math.exp(-0.5 * dt / par.tau_th_s)
-        t_e = ops[ch].t_star_k
-        t_start = np.empty(steps)
-        t_inf_of = np.empty(steps)
-        for s, heater in enumerate(heater_w[ch].tolist()):
-            detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_e - t_bath))
-            p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
-            t_mid = t_bath + p_abs / g_th + (t_e - t_bath - p_abs / g_th) * decay_half
-            detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_mid - t_bath))
-            p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
-            t_inf = t_bath + p_abs / g_th
-            t_start[s] = t_e
-            t_inf_of[s] = t_inf
-            t_e = t_inf + (t_e - t_inf) * decay
+        tone, ke, ki, dfdt = tones[ch], par.kappa_ext_hz, par.kappa_int_hz, par.dfdt_hz_per_k
         # the reflection is sampled per digitizer sample on the exact
         # within-step exponential, not held constant over a step, so the
-        # readout has no zero-order-hold rolloff tied to thermal_dt_s
+        # readout has no zero-order-hold rolloff tied to thermal_dt_s; rows
+        # before the first moving step (t_start != t_inf) are one value each
+        det_inf = tone.f_hz - (par.f_r0_hz - dfdt * (t_inf_of[ch] - par.t_bath_k))
+        first = next(iter(np.flatnonzero(t_start[ch] != t_inf_of[ch])), steps)
+        workspace[:first] = _gamma(det_inf[:first, None], ke, ki)
         fade = np.exp(-np.arange(block) / (fs * par.tau_th_s))
-        det_inf = tone.f_hz - (par.f_r0_hz - dfdt * (t_inf_of - t_bath))
-        det_samples = det_inf[:, None] + (dfdt * (t_start - t_inf_of))[:, None] * fade
+        det = workspace[first:].imag
+        np.multiply((dfdt * (t_start[ch, first:] - t_inf_of[ch, first:]))[:, None], fade, out=det)
+        np.add(det, det_inf[first:, None], out=det)
+        _gamma(det, ke, ki, out=workspace[first:])
         # the channel's reflected tone Re(2 w gamma(t) exp(2 pi i k_ch m / n))
         # has DFT w G[k - k_ch] + conj(w G[-k - k_ch]), G = DFT(gamma): the
         # tone sits on the record's DFT grid, so this is exact.  The image
         # bins -k - k_ch fall, so they are read as a rising window, reversed
         k_ch = carrier_bins[ch]
-        spectrum = _dft_bins(_gamma(det_samples, ke, ki),
-                             np.concatenate([carrier_bins - k_ch + offsets[0],
-                                             -carrier_bins - k_ch - offsets[-1]]), offsets.size)
+        spectrum = _dft_bins(workspace, np.concatenate([carrier_bins - k_ch + offsets[0],
+                                                        -carrier_bins - k_ch - offsets[-1]]),
+                             offsets.size, overwrite=True)
         w = 0.5 * tone_amplitude_volts(tone.p_dbm)
         bands += w * spectrum[:chip.n_channels] + np.conj(w * spectrum[chip.n_channels:, ::-1])
 
     sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
     if sigma > 0.0:
         noise = derive_stream(seed, *stream_labels).normal(0.0, sigma, n)
-        bands += _dft_bins(noise.reshape(steps, block), carrier_bins + offsets[0], offsets.size)
+        workspace[:] = noise.reshape(steps, block)
+        bands += _dft_bins(workspace, carrier_bins + offsets[0], offsets.size, overwrite=True)
 
-    iqs, metrics = [], []
-    for ch in range(chip.n_channels):
-        iq = _band_iq(bands[ch], offsets, n, decimation, tones[ch].f_hz, fs, 0.0)
-        iqs.append(iq)
-        metrics.append(response_metric(iq, settings.baseline_window_s,
-                                       settings.signal_window_s))
+    iqs = tuple(_band_iq(bands[ch], offsets, n, decimation, tones[ch].f_hz, fs, 0.0)
+                for ch in range(chip.n_channels))
     return MultiplexRun(
         pattern=pattern if pattern is not None else TriggerPattern((False,) * chip.n_channels),
-        probe_tones=tones,
-        operating_points=ops,
-        iq=tuple(iqs),
-        metrics=tuple(metrics),
-        n_avg=settings.n_avg,
-    )
+        probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
+        metrics=tuple(response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
+                      for iq in iqs))
 
 
 def _fan_out(fn, jobs, threads: int) -> list:
@@ -399,24 +423,34 @@ def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings
     if len(pattern) != chip.n_channels:
         raise ValueError(
             f"pattern has {len(pattern)} bits for a {chip.n_channels}-channel chip")
-    pulses = schedule_heaters(pattern, chip.filters, chip.channel_map,
-                              settings.heater_power_dbm, settings.pulse_start_s,
-                              settings.pulse_duration_s)
-    labels = (_KIND_TRIGGER, pattern.value)
-    return _timedomain_run(chip, pulses, settings, operating_tones(chip, settings), seed,
-                           labels, pattern=pattern)
+    return _trigger_runs(chip, [pattern], settings, operating_tones(chip, settings), seed)[0]
+
+
+def _trigger_runs(chip: ChipConfig, patterns, settings: RunSettings, operating,
+                  seed: Seed) -> list[MultiplexRun]:
+    """run_trigger for each pattern, as one batch of the engine."""
+    pulse_sets = [schedule_heaters(pat, chip.filters, chip.channel_map,
+                                   settings.heater_power_dbm, settings.pulse_start_s,
+                                   settings.pulse_duration_s) for pat in patterns]
+    return list(_timedomain_runs(chip, pulse_sets, settings, operating, seed,
+                                 [(_KIND_TRIGGER, pat.value) for pat in patterns], patterns))
 
 
 def run_full_multiplex(chip: ChipConfig, settings: RunSettings | None = None,
                        seed: Seed = Seed(0), threads: int = 1) -> list[MultiplexRun]:
     """Run every 2**n trigger pattern; results ordered by pattern label.
 
-    Each pattern derives its noise stream from its own label, so the
+    Each worker runs one contiguous share of the patterns as a batch, and
+    every pattern derives its noise stream from its own label, so the
     threaded and serial schedules produce bit-identical results.
     """
     settings = settings if settings is not None else RunSettings()
     patterns = TriggerPattern.all_patterns(chip.n_channels)
-    return _fan_out(run_trigger, [(chip, pat, settings, seed) for pat in patterns], threads)
+    operating = operating_tones(chip, settings)
+    k, n = min(threads, len(patterns)), len(patterns)
+    batches = _fan_out(_trigger_runs, [(chip, patterns[i * n // k:(i + 1) * n // k], settings,
+                                        operating, seed) for i in range(k)], threads)
+    return [run for batch in batches for run in batch]
 
 
 @dataclass(frozen=True)
@@ -584,15 +618,14 @@ def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
     """
     quiet = replace(chip, noise_sigma_v=0.0)
     operating = operating_tones(quiet, settings)
+    pulse_sets = [[PulseSpec(tone=ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm),
+                             t_start_s=settings.pulse_start_s,
+                             duration_s=settings.pulse_duration_s)] for p_dbm in powers_dbm]
     responses = np.empty((chip.n_channels, len(powers_dbm)))
-    for p, p_dbm in enumerate(powers_dbm):
-        pulse = PulseSpec(
-            tone=ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm),
-            t_start_s=settings.pulse_start_s,
-            duration_s=settings.pulse_duration_s,
-        )
-        # the quiet chip draws no noise, so no stream is derived
-        run = _timedomain_run(quiet, [pulse], settings, operating, Seed(0), ())
+    # the quiet chip draws no noise, so no stream is derived
+    runs = _timedomain_runs(quiet, pulse_sets, settings, operating, Seed(0),
+                            [()] * len(pulse_sets))
+    for p, run in enumerate(runs):
         responses[:, p] = [m.response for m in run.metrics]
     return responses
 

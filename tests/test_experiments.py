@@ -3,6 +3,7 @@ sweeps, and calibration."""
 
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,13 +261,16 @@ def test_baseline_std_matches_predicted_floor(default_chip, default_settings, sn
 
 
 def test_multiplex_threaded_schedule_is_bit_identical(default_chip):
+    # 3 workers split the 8 patterns unevenly (2, 3, 3), 4 evenly
     settings = RunSettings(n_avg=10)
     serial = run_full_multiplex(default_chip, settings, Seed(15), threads=1)
-    threaded = run_full_multiplex(default_chip, settings, Seed(15), threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.metrics == b.metrics
-        for x, y in zip(a.iq, b.iq):
-            assert np.array_equal(x.samples, y.samples)
+    for threads in (3, 4):
+        threaded = run_full_multiplex(default_chip, settings, Seed(15), threads=threads)
+        assert [run.pattern for run in threaded] == [run.pattern for run in serial]
+        for a, b in zip(serial, threaded):
+            assert a.metrics == b.metrics
+            for x, y in zip(a.iq, b.iq):
+                assert np.array_equal(x.samples, y.samples)
 
 
 def averaged_noise_oracle(fs, n, sigma_v, n_avg, seed, labels):
@@ -319,23 +323,16 @@ def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_c
 # ------------------------------------------------------ spectral synthesis
 
 
-def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
-    """The carrier-and-composite engine that spectral synthesis replaced, kept as its oracle.
+def scalar_thermal_oracle(chip, operating, heater_w, dt):
+    """The per-channel scalar thermal loop the batched stage replaced, kept as its oracle.
 
-    Steps each channel's thermal state, builds its reflected tone
-    Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's time axis, adds
-    the tones and the averaged noise record of std sigma/sqrt(n_avg) from the
-    stream (seed, *labels) into one composite trace and demodulates that
-    trace once per channel.  Returns the IQ samples, one row per channel.
+    heater_w is one run's (channels, steps) heater power; returns (t_start,
+    t_inf) of that shape.  Every channel is stepped on Python floats over
+    every step: an exact exponential relaxation toward t_bath + p_abs/g_th,
+    the absorbed power re-evaluated at a predicted half-step temperature.
     """
-    fs = chip.sample_rate_hz
-    n = round(settings.window_s * fs)
-    steps = round(settings.window_s / settings.thermal_dt_s)
-    dt = settings.thermal_dt_s
     tones, ops = operating
-    heater_w = experiments._heater_power_w(chip, pulses, steps, dt)
-    t = np.arange(n) / fs
-    composite = np.zeros(n)
+    t_start, t_inf_of = np.empty_like(heater_w), np.empty_like(heater_w)
     for ch, par in enumerate(chip.bolometers):
         tone = tones[ch]
         p_probe_w = dbm_to_watts(tone.p_dbm)
@@ -344,16 +341,42 @@ def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
         decay = math.exp(-dt / par.tau_th_s)
         decay_half = math.exp(-0.5 * dt / par.tau_th_s)
         t_e = ops[ch].t_star_k
-        t_start, t_inf_of = np.empty(steps), np.empty(steps)
-        for s, heater in enumerate(heater_w[ch]):
+        for s, heater in enumerate(heater_w[ch].tolist()):
             detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_e - t_bath))
             p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
             t_mid = t_bath + p_abs / g_th + (t_e - t_bath - p_abs / g_th) * decay_half
             detuning = tone.f_hz - (par.f_r0_hz - dfdt * (t_mid - t_bath))
             p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + heater
             t_inf = t_bath + p_abs / g_th
-            t_start[s], t_inf_of[s] = t_e, t_inf
+            t_start[ch, s], t_inf_of[ch, s] = t_e, t_inf
             t_e = t_inf + (t_e - t_inf) * decay
+    return t_start, t_inf_of
+
+
+def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
+    """The carrier-and-composite engine that spectral synthesis replaced, kept as its oracle.
+
+    Steps each channel's thermal state (scalar_thermal_oracle), builds its
+    reflected tone Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's
+    time axis, adds the tones and the averaged noise record of std
+    sigma/sqrt(n_avg) from the stream (seed, *labels) into one composite
+    trace and demodulates that trace once per channel.  Returns the IQ
+    samples, one row per channel.
+    """
+    fs = chip.sample_rate_hz
+    n = round(settings.window_s * fs)
+    steps = round(settings.window_s / settings.thermal_dt_s)
+    dt = settings.thermal_dt_s
+    tones, ops = operating
+    heater_w = experiments._heater_power_w(chip, pulses, steps, dt)
+    t_starts, t_infs = scalar_thermal_oracle(chip, operating, heater_w, dt)
+    t = np.arange(n) / fs
+    composite = np.zeros(n)
+    for ch, par in enumerate(chip.bolometers):
+        tone = tones[ch]
+        ke, ki = par.kappa_ext_hz, par.kappa_int_hz
+        t_bath, dfdt = par.t_bath_k, par.dfdt_hz_per_k
+        t_start, t_inf_of = t_starts[ch], t_infs[ch]
         fade = np.exp(-np.arange(n // steps) / (fs * par.tau_th_s))
         t_samples = (t_inf_of[:, None] + (t_start - t_inf_of)[:, None] * fade).ravel()
         gam = _gamma(tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath)), ke, ki)
@@ -400,7 +423,7 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
     pulse = PulseSpec(tone=ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0),
                       t_start_s=settings.pulse_start_s, duration_s=settings.pulse_duration_s)
     operating = operating_tones(quiet, settings)
-    run = experiments._timedomain_run(quiet, [pulse], settings, operating, Seed(0), ())
+    run, = experiments._timedomain_runs(quiet, [[pulse]], settings, operating, Seed(0), [()])
     assert_close_to(np.array([iq.samples for iq in run.iq]),
                     composite_engine_oracle(quiet, [pulse], settings, operating, Seed(0), ()))
 
@@ -451,6 +474,69 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
     assert len(along_steps) == chip.n_channels + int(noisy)
     # the rest are the band slices' short inverse transforms, one per channel
     assert sorted(c[0] for c in calls if c not in along_steps) == ["ifft"] * chip.n_channels
+
+
+# ------------------------------------------------------ batched thermal stage
+
+
+def sweep_pulse(chip, settings, p_dbm):
+    """The single pulse of a power-sweep run at bolometer 0's matched filter."""
+    return [PulseSpec(tone=ToneSpec(f_hz=chip.matched_filter(0).f_center_hz, p_dbm=p_dbm),
+                      t_start_s=settings.pulse_start_s, duration_s=settings.pulse_duration_s)]
+
+
+def thermal_batch(chip, settings, batch):
+    """Heater pulse sets of a test batch: "101" (one pattern), "sweep" (one
+    power-sweep pulse deep in compression) or "27" (all eight patterns and
+    nineteen power-sweep pulses from -160 to -90 dBm, mixed in one batch)."""
+    labels, powers = {"101": (["101"], []),
+                      "sweep": ([], [-90.0]),
+                      "27": ([format(v, "03b") for v in range(8)],
+                             np.linspace(-160.0, -90.0, 19).tolist())}[batch]
+    return ([schedule_heaters(TriggerPattern.from_label(label), chip.filters, chip.channel_map,
+                              settings.heater_power_dbm, settings.pulse_start_s,
+                              settings.pulse_duration_s) for label in labels]
+            + [sweep_pulse(chip, settings, p) for p in powers])
+
+
+@pytest.mark.parametrize("posture, batch, change", [
+    ("dip", "101", {}),
+    ("dip", "sweep", {}),
+    ("dip", "27", {}),
+    ("flank", "101", {}),
+    ("flank", "sweep", {}),
+    ("flank", "27", {}),
+    ("flank", "27", {"thermal_dt_s": 5e-6}),
+    ("fig3", "101", {}),
+])
+def test_thermal_stage_matches_scalar_oracle(default_chip, default_settings, posture, batch,
+                                             change):
+    # every (run, channel) trajectory of one batched pass equals the scalar
+    # loop run on that trajectory alone, bit for bit
+    settings = replace(default_settings,
+                       probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
+    chip, settings = apply_preset(default_chip, settings,
+                                  "fig3" if posture == "fig3" else "desk")
+    steps = round(settings.window_s / settings.thermal_dt_s)
+    heater_w = np.stack([experiments._heater_power_w(chip, pulses, steps, settings.thermal_dt_s)
+                         for pulses in thermal_batch(chip, settings, batch)])
+    operating = operating_tones(chip, settings)
+    t_start, t_inf = experiments._thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
+    assert t_start.shape == t_inf.shape == heater_w.shape
+    for r in range(heater_w.shape[0]):
+        oracle_start, oracle_inf = scalar_thermal_oracle(chip, operating, heater_w[r],
+                                                         settings.thermal_dt_s)
+        assert np.array_equal(t_start[r], oracle_start)
+        assert np.array_equal(t_inf[r], oracle_inf)
+    # the pre-pulse is a bitwise fixed point; on the long fig3 record the
+    # state also settles bit for bit under the pulse, so the stage fills a
+    # stationary segment that starts after the first heater edge
+    on = round(settings.pulse_start_s / settings.thermal_dt_s)
+    assert np.all(t_start[..., :on] == t_inf[..., :on])
+    if posture == "fig3":
+        off = round((settings.pulse_start_s + settings.pulse_duration_s) / settings.thermal_dt_s)
+        settled = np.all(t_start[..., on + 1:off] == t_start[..., on:off - 1], axis=(0, 1))
+        assert settled.any() and not settled[0]
 
 
 def test_fan_out_keeps_job_order():
@@ -711,17 +797,23 @@ def short_matrix(default_chip):
 
 
 def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
-    # one engine run per (filter, power), read on every bolometer, and one
+    # one thermal pass per filter, stepping all its powers together; one
+    # per-run readout per (filter, power), read on every bolometer; one
     # operating-tone solve per filter; the runs are noiseless, so none
     # derives a noise stream
-    calls, tone_calls, streams = [], [], []
+    calls, passes, tone_calls, streams = [], [], [], []
     engine = experiments._timedomain_run
+    thermal = experiments._thermal_stage
     tones = experiments.operating_tones
     derive = experiments.derive_stream
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return engine(*args, **kwargs)
+
+    def counted_thermal(chip, operating, heater_w, dt):
+        passes.append(heater_w.shape)
+        return thermal(chip, operating, heater_w, dt)
 
     def counted_tones(*args):
         tone_calls.append(args)
@@ -732,12 +824,35 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
         return derive(*args)
 
     monkeypatch.setattr(experiments, "_timedomain_run", counted)
+    monkeypatch.setattr(experiments, "_thermal_stage", counted_thermal)
     monkeypatch.setattr(experiments, "operating_tones", counted_tones)
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
     power_sweep_matrix(default_chip, SHORT_POWERS_DBM)
     assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
+    steps = round(RunSettings().window_s / RunSettings().thermal_dt_s)
+    assert passes == [(len(SHORT_POWERS_DBM), default_chip.n_channels, steps)] * len(
+        default_chip.filters)
     assert len(tone_calls) == len(default_chip.filters)
     assert streams == []
+
+
+def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
+    # the runs of a path share one complex (steps x block) Gamma workspace
+    # and transform it in place, so the path's traced peak stays within 2.5
+    # such matrices (one is 1.53 MiB on the shipped posture)
+    settings = RunSettings(probe_detuning_fraction=0.5)
+    n = round(settings.window_s * default_chip.sample_rate_hz)
+    matrix_bytes = np.dtype(complex).itemsize * n
+    f_heater = default_chip.filters[0].f_center_hz
+    # once untraced, so cached twiddle tables are not counted
+    experiments._power_sweep_paths(default_chip, f_heater, SHORT_POWERS_DBM, settings)
+    tracemalloc.start()
+    try:
+        experiments._power_sweep_paths(default_chip, f_heater, SHORT_POWERS_DBM, settings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * matrix_bytes
 
 
 def test_multiplex_derives_one_stream_per_pattern(default_chip, monkeypatch):
@@ -766,8 +881,8 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
             pulse = PulseSpec(tone=ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm),
                               t_start_s=settings.pulse_start_s,
                               duration_s=settings.pulse_duration_s)
-            run = experiments._timedomain_run(quiet, [pulse], settings,
-                                              operating_tones(quiet, settings), Seed(0), ())
+            run, = experiments._timedomain_runs(quiet, [[pulse]], settings,
+                                                operating_tones(quiet, settings), Seed(0), [()])
             for i in range(default_chip.n_channels):
                 assert responses[i, j, p] == run.metrics[i].response
 
