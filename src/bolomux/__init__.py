@@ -12,15 +12,12 @@ SNR).
 from .analysis import (
     CompressionFit,
     CrosstalkMatrix,
-    ExponentialFit,
     FitError,
     LorentzianFit,
-    P_1DB_FACTOR,
     SnrTable,
     capacity_estimate,
     crosstalk_matrix,
     fit_compression,
-    fit_exponential,
     fit_lorentzian,
     snr_table,
 )
@@ -42,8 +39,6 @@ from .device import (
 from .dsp import (
     IQTrace,
     ResponseMetric,
-    TimeTrace,
-    demodulate,
     response_metric,
 )
 from .experiments import (

@@ -21,17 +21,14 @@ from .units import watts_to_dbm
 __all__ = [
     "FitError",
     "LorentzianFit",
-    "ExponentialFit",
     "CompressionFit",
     "CrosstalkMatrix",
     "SnrTable",
     "fit_lorentzian",
-    "fit_exponential",
     "fit_compression",
     "crosstalk_matrix",
     "snr_table",
     "capacity_estimate",
-    "P_1DB_FACTOR",
 ]
 
 
@@ -211,7 +208,7 @@ def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
 
 
 @dataclass(frozen=True)
-class ExponentialFit:
+class _ExponentialFit:
     """Decay fit v(t) = offset + amplitude * exp(-t/tau)."""
 
     tau_s: float
@@ -223,7 +220,7 @@ class ExponentialFit:
     residual_norm: float
 
 
-def fit_exponential(t_s, values) -> ExponentialFit:
+def _fit_exponential(t_s, values) -> _ExponentialFit:
     """Fit a single exponential relaxation toward a constant offset.
 
     The offset guess is the tail mean; amplitude and tau come from a
@@ -279,7 +276,7 @@ def fit_exponential(t_s, values) -> ExponentialFit:
     if tau <= 0.0:
         raise FitError("fitted time constant is not positive")
     tau_s = tau * tscale
-    return ExponentialFit(
+    return _ExponentialFit(
         tau_s=tau_s,
         amplitude=float(amp * yscale * math.exp(t[0] / tau_s)),
         offset=float(off) * yscale,
@@ -290,7 +287,7 @@ def fit_exponential(t_s, values) -> ExponentialFit:
     )
 
 
-P_1DB_FACTOR = 10.0 ** (1.0 / 20.0) - 1.0  # P_1dB = factor * p_sat for the hyperbolic model
+_P_1DB_FACTOR = 10.0 ** (1.0 / 20.0) - 1.0  # P_1dB = factor * p_sat for the hyperbolic model
 
 
 @dataclass(frozen=True)
@@ -364,7 +361,7 @@ def fit_compression(p_w, response) -> CompressionFit:
             "extend the power sweep further into saturation")
     a = a_s * rref / pref
     p_sat_err = float(qerr[1]) * pref
-    p_1db = P_1DB_FACTOR * p_sat
+    p_1db = _P_1DB_FACTOR * p_sat
     # dBm error of a multiplicative quantity: 10/ln(10) * relative error
     p_1db_err_db = 10.0 / math.log(10.0) * p_sat_err / p_sat
     return CompressionFit(

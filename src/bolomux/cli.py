@@ -323,14 +323,19 @@ def cmd_multiplex(ctx: _Context, args) -> int:
     return 0
 
 
+def _verified_manifest(results_dir):
+    """The directory's manifest, or None after printing each integrity problem."""
+    problems = verify_manifest(results_dir)
+    for problem in problems:
+        print(f"integrity: {problem}", file=sys.stderr)
+    return None if problems else read_manifest(results_dir)
+
+
 def cmd_analyze(ctx: _Context, args) -> int:
     results_dir = args.results_dir
-    problems = verify_manifest(results_dir)
-    if problems:
-        for problem in problems:
-            print(f"integrity: {problem}", file=sys.stderr)
+    manifest = _verified_manifest(results_dir)
+    if manifest is None:
         return 2
-    manifest = read_manifest(results_dir)
     summary = {
         "command": manifest.command,
         "tool_version": manifest.tool_version,
@@ -360,12 +365,9 @@ def cmd_analyze(ctx: _Context, args) -> int:
 
 def cmd_report(ctx: _Context, args) -> int:
     results_dir = args.results_dir
-    problems = verify_manifest(results_dir)
-    if problems:
-        for problem in problems:
-            print(f"integrity: {problem}", file=sys.stderr)
+    manifest = _verified_manifest(results_dir)
+    if manifest is None:
         return 2
-    manifest = read_manifest(results_dir)
     out_dir = ctx.out_dir if ctx.out_dir != "bolomux_report" else os.path.join(results_dir, "report")
     os.makedirs(out_dir, exist_ok=True)
     written = []

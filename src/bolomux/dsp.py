@@ -1,4 +1,4 @@
-"""Deterministic signal chain: traces, the demodulation band slice, response metrics.
+"""Deterministic signal chain: IQ traces, the demodulation band slice, response metrics.
 
 Filtering is exact DFT bin selection (brick-wall), which keeps the whole
 chain reproducible to the bit.  A down-conversion keeps the inclusive bin
@@ -6,9 +6,9 @@ range carrier +- bandwidth/2 from `_band_offsets` (a guard of 1e-6 of a bin
 spacing keeps edge bins against rounding of the edge), and `_band_iq`, the
 one band slice, folds those bins onto the output rate and inverse
 transforms them.  `_dft_bins`, a DFT pruned to a few windows of bins,
-reads the bins: from the engine's (steps, block) matrices in spectral
-synthesis, and from a recorded trace in `demodulate`, which equals a
-full-record mixer for any carrier on the record's DFT grid.
+reads the bins from the engine's (steps, block) matrices in spectral
+synthesis.  For a carrier on the record's DFT grid the chain equals a
+full-record mixer.
 """
 
 from __future__ import annotations
@@ -20,29 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TimeTrace",
     "IQTrace",
     "ResponseMetric",
-    "demodulate",
     "response_metric",
 ]
-
-
-@dataclass(frozen=True)
-class TimeTrace:
-    """Uniformly sampled real-valued trace.  Sample n sits at t0_s + n/fs."""
-
-    sample_rate_hz: float
-    t0_s: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
-            raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate_hz}")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-d array")
-        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
@@ -142,30 +123,11 @@ def _band_iq(band: np.ndarray, offsets: np.ndarray, n: int, decimation: int,
                    np.fft.ifft(folded) / decimation)
 
 
-def demodulate(trace: TimeTrace, f_carrier_hz: float, lp_bandwidth_hz: float,
-               decimation: int) -> IQTrace:
-    """Digital down-conversion at f_carrier_hz, computed as a band slice.
-
-    Equals mixing by exp(-2 pi i f_c t), brick-wall low-passing at
-    +-lp_bandwidth/2 and keeping every decimation-th sample, for a carrier
-    on the record's DFT grid (to 1e-9 of a bin; else ValueError).  Bins
-    carrier +-h of the record's DFT (one full transform in _dft_bins) are
-    rotated by exp(-i w_c t0) and handed to the band slice.  A pure tone
-    a*cos(2 pi f_c t) demodulates to a/2.
-    """
-    fs = trace.sample_rate_hz
-    n = trace.samples.size
-    k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
-    band = (_dft_bins(trace.samples[:, None], np.array([k_c + offsets[0]]), offsets.size)[0]
-            * np.exp(-2j * np.pi * f_carrier_hz * trace.t0_s))
-    return _band_iq(band, offsets, n, decimation, f_carrier_hz, fs, trace.t0_s)
-
-
 def _baseline_std_per_volt(n: int, sample_rate_hz: float, lp_bandwidth_hz: float,
                            decimation: int, baseline_window_s) -> float:
     """Expected baseline std of |IQ| per volt of white noise on an n-sample record.
 
-    `demodulate` makes each output sample of variance B/n per V**2 (B band
+    The band slice makes each output sample of variance B/n per V**2 (B band
     bins), correlated by r(d) = mean_j exp(2 pi i j d / M) over the band
     offsets j (M output samples).  While the carrier dominates the noise,
     |IQ| follows the in-phase half, so N baseline samples have expected

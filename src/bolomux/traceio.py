@@ -1,10 +1,9 @@
 """Trace CSV files and checksummed run manifests.
 
-Trace format: `#`-prefixed header lines (`# key=value`), then one sample
-per row.  Real traces carry `index,value` rows; complex baseband traces
-carry `index,re,im` rows plus a `# carrier_hz=` header.  Values are
-written with shortest round-trip precision, so write -> read -> write is
-byte-identical.
+Trace format: `#`-prefixed header lines (`# key=value`, with `kind=iq`
+and a `carrier_hz`), then one complex baseband sample per `index,re,im`
+row.  Values are written with shortest round-trip precision, so write ->
+read -> write is byte-identical.
 
 Each run directory gets a `manifest.json` naming the tool version, the
 seed, the sha256 of the canonical config and of every output file.  The
@@ -19,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .config import config_hash
-from .dsp import IQTrace, TimeTrace
+from .dsp import IQTrace
 
 __all__ = ["RunManifest", "TraceFormatError", "read_manifest", "read_trace", "verify_manifest",
            "write_manifest", "write_trace"]
@@ -31,21 +30,16 @@ class TraceFormatError(ValueError):
     """Malformed trace file; message carries the 1-based line number."""
 
 
-def write_trace(trace, path) -> None:
-    """Write a TimeTrace or IQTrace as a headered CSV."""
-    iq = isinstance(trace, IQTrace)
+def write_trace(trace: IQTrace, path) -> None:
+    """Write an IQTrace as a headered CSV."""
     lines = [
         f"# sample_rate_hz={trace.sample_rate_hz!r}",
         f"# t0_s={trace.t0_s!r}",
-        f"# kind={'iq' if iq else 'real'}",
+        "# kind=iq",
+        f"# carrier_hz={trace.carrier_hz!r}",
     ]
-    if iq:
-        lines.append(f"# carrier_hz={trace.carrier_hz!r}")
-        for i, z in enumerate(trace.samples):
-            lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
-    else:
-        for i, v in enumerate(trace.samples):
-            lines.append(f"{i},{float(v)!r}")
+    for i, z in enumerate(trace.samples):
+        lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
@@ -58,8 +52,8 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
         raise TraceFormatError(f"line {lineno}: bad {what} {text!r}") from None
 
 
-def read_trace(path):
-    """Read a trace CSV back into a TimeTrace or IQTrace."""
+def read_trace(path) -> IQTrace:
+    """Read a trace CSV back into an IQTrace."""
     headers = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -90,20 +84,12 @@ def read_trace(path):
         if key not in headers:
             raise TraceFormatError(f"line 1: missing header '# {key}='")
     kind = headers["kind"]
-    if kind not in ("real", "iq"):
+    if kind != "iq":
         raise TraceFormatError(f"line 1: unknown kind {kind!r}")
     sample_rate = _parse_float(headers["sample_rate_hz"], 1, "sample_rate_hz")
     t0 = _parse_float(headers["t0_s"], 1, "t0_s")
     if not rows:
         raise TraceFormatError("line 1: trace has no samples")
-
-    if kind == "real":
-        values = np.empty(len(rows))
-        for i, (lineno, cells) in enumerate(rows):
-            if len(cells) != 1:
-                raise TraceFormatError(f"line {lineno}: expected index,value row")
-            values[i] = _parse_float(cells[0], lineno, "value")
-        return TimeTrace(sample_rate_hz=sample_rate, t0_s=t0, samples=values)
 
     if "carrier_hz" not in headers:
         raise TraceFormatError("line 1: iq trace missing header '# carrier_hz='")

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from bolomux.analysis import (
-    P_1DB_FACTOR,
+    _P_1DB_FACTOR,
+    _fit_exponential,
     crosstalk_matrix,
     fit_compression,
-    fit_exponential,
 )
 from bolomux.cli import main
-from bolomux.dsp import TimeTrace, demodulate
 from bolomux.experiments import (
     RunSettings,
     apply_preset,
@@ -29,6 +28,7 @@ from bolomux.experiments import (
 from bolomux.frontend import TriggerPattern
 from bolomux.units import Seed, dbm_to_watts, tone_amplitude_volts, watts_to_dbm
 from test_device import state_at, thermal_step
+from test_dsp import mixer_demodulate
 
 
 def _load_json(path):
@@ -94,9 +94,9 @@ def test_power_sweep_fit_recovers_known_compression_point():
     gain = 3.0e6
     p_w = np.logspace(-14.2, -10.8, 25)
     fit = fit_compression(p_w, gain * p_w / (1.0 + p_w / p_sat_w))
-    assert abs(fit.p_1db_dbm - watts_to_dbm(P_1DB_FACTOR * p_sat_w)) < 0.5
+    assert abs(fit.p_1db_dbm - watts_to_dbm(_P_1DB_FACTOR * p_sat_w)) < 0.5
     # closed form at a 1 pW saturation power
-    assert watts_to_dbm(P_1DB_FACTOR * 1e-12) == pytest.approx(-99.14, abs=0.05)
+    assert watts_to_dbm(_P_1DB_FACTOR * 1e-12) == pytest.approx(-99.14, abs=0.05)
 
 
 # 1 dB compression thresholds (dBm) of each bolometer against each heater
@@ -168,7 +168,7 @@ def test_pulse_decay_matches_configured_time_constants(default_chip):
         iq = run.iq[ch]
         t = iq.times()
         keep = (t >= t_end + 2e-6) & (t <= 95e-6)
-        fit = fit_exponential(t[keep], iq.magnitude()[keep])
+        fit = _fit_exponential(t[keep], iq.magnitude()[keep])
         assert fit.tau_s == pytest.approx(chip.bolometers[ch].tau_th_s, rel=0.05)
     assert time.monotonic() - t0 < 30.0
 
@@ -233,14 +233,13 @@ def test_dsp_invariant_suite(default_chip):
     tones_hz = (156.7e6, 179.3e6, 193.7e6)
     p_dbm = -144.0
     t = np.arange(round(duration * fs)) / fs
-    comb = TimeTrace(fs, 0.0, sum(tone_amplitude_volts(p_dbm) * np.cos(2.0 * np.pi * f * t)
-                                  for f in tones_hz))
+    comb = sum(tone_amplitude_volts(p_dbm) * np.cos(2.0 * np.pi * f * t) for f in tones_hz)
 
     # demodulating each comb line recovers that tone's a/2 envelope
     for f_hz in tones_hz:
-        iq = demodulate(comb, f_hz, 2e6, 100)
+        iq = mixer_demodulate(comb, fs, f_hz, 2e6, 100)
         half_amp = 0.5 * math.sqrt(2.0 * dbm_to_watts(p_dbm) * 50.0)
-        err = np.abs(np.abs(iq.samples) - half_amp) / half_amp
+        err = np.abs(np.abs(iq) - half_amp) / half_amp
         assert float(np.max(err)) < 1e-3
 
     # exact relaxation update: two half steps equal one full step

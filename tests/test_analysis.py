@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from bolomux.analysis import (
-    P_1DB_FACTOR,
+    _P_1DB_FACTOR,
     FitError,
+    _fit_exponential,
     capacity_estimate,
     crosstalk_matrix,
     fit_compression,
-    fit_exponential,
     fit_lorentzian,
     snr_table,
 )
@@ -105,7 +105,7 @@ def test_exponential_recovers_noiseless_parameters():
             amp = 0.1
         offset = rng.uniform(0.5, 1.5)
         t = np.linspace(0.0, 5 * tau, 300)
-        fit = fit_exponential(t, offset + amp * np.exp(-t / tau))
+        fit = _fit_exponential(t, offset + amp * np.exp(-t / tau))
         assert fit.tau_s == pytest.approx(tau, rel=1e-6)
         assert fit.amplitude == pytest.approx(amp, rel=1e-5)
         assert fit.offset == pytest.approx(offset, rel=1e-6)
@@ -115,7 +115,7 @@ def test_exponential_time_origin_invariance():
     # amplitude is referenced to t = 0 even when samples start later
     tau, amp, offset = 13e-6, 0.2, 1.0
     t = np.linspace(42e-6, 95e-6, 200)
-    fit = fit_exponential(t, offset + amp * np.exp(-t / tau))
+    fit = _fit_exponential(t, offset + amp * np.exp(-t / tau))
     assert fit.tau_s == pytest.approx(tau, rel=1e-6)
     assert fit.amplitude == pytest.approx(amp, rel=1e-4)
 
@@ -125,7 +125,7 @@ def test_exponential_noisy_tau_recovery():
     tau = 13e-6
     t = np.linspace(0.0, 80e-6, 400)
     y = 1.0 + 0.3 * np.exp(-t / tau) + rng.normal(0.0, 0.003, t.size)
-    fit = fit_exponential(t, y)
+    fit = _fit_exponential(t, y)
     assert fit.tau_s == pytest.approx(tau, rel=0.05)
     assert fit.tau_err_s < 0.05 * tau
 
@@ -133,18 +133,18 @@ def test_exponential_noisy_tau_recovery():
 def test_exponential_rejects_constant():
     t = np.linspace(0.0, 1e-4, 50)
     with pytest.raises(FitError, match="constant"):
-        fit_exponential(t, np.full(t.size, 2.0))
+        _fit_exponential(t, np.full(t.size, 2.0))
 
 
 def test_exponential_needs_enough_points():
     with pytest.raises(ValueError):
-        fit_exponential([0.0, 1e-6, 2e-6], [1.0, 0.5, 0.2])
+        _fit_exponential([0.0, 1e-6, 2e-6], [1.0, 0.5, 0.2])
 
 
 def test_exponential_evaluate_round_trip():
     t = np.linspace(0.0, 60e-6, 200)
     y = 0.8 + 0.25 * np.exp(-t / 8e-6)
-    fit = fit_exponential(t, y)
+    fit = _fit_exponential(t, y)
     model = fit.offset + fit.amplitude * np.exp(-t / fit.tau_s)
     assert np.max(np.abs(model - y)) < 1e-9
 
@@ -165,9 +165,9 @@ def test_compression_recovers_noiseless_parameters():
         fit = fit_compression(p, compress(p, a, p_sat))
         assert fit.a_per_w == pytest.approx(a, rel=1e-6)
         assert fit.p_sat_w == pytest.approx(p_sat, rel=1e-6)
-        assert fit.p_1db_w == pytest.approx(P_1DB_FACTOR * p_sat, rel=1e-6)
+        assert fit.p_1db_w == pytest.approx(_P_1DB_FACTOR * p_sat, rel=1e-6)
         assert fit.p_1db_dbm == pytest.approx(
-            watts_to_dbm(P_1DB_FACTOR * p_sat), abs=1e-5)
+            watts_to_dbm(_P_1DB_FACTOR * p_sat), abs=1e-5)
 
 
 def test_compression_one_db_point_definition():
@@ -181,8 +181,8 @@ def test_compression_one_db_point_definition():
 
 
 def test_compression_factor_constant():
-    assert P_1DB_FACTOR == pytest.approx(10 ** (1 / 20) - 1, rel=1e-15)
-    assert P_1DB_FACTOR == pytest.approx(0.122018, abs=1e-6)
+    assert _P_1DB_FACTOR == pytest.approx(10 ** (1 / 20) - 1, rel=1e-15)
+    assert _P_1DB_FACTOR == pytest.approx(0.122018, abs=1e-6)
 
 
 def test_compression_known_example():
@@ -226,7 +226,7 @@ def test_compression_noisy_p1db_stability():
     for _ in range(10):
         noisy = clean * (1.0 + rng.normal(0.0, 0.01, p.size))
         fit = fit_compression(p, noisy)
-        assert fit.p_1db_dbm == pytest.approx(watts_to_dbm(P_1DB_FACTOR * p_sat),
+        assert fit.p_1db_dbm == pytest.approx(watts_to_dbm(_P_1DB_FACTOR * p_sat),
                                               abs=0.3)
 
 

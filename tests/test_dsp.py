@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bolomux.dsp import (IQTrace, TimeTrace, _baseline_std_per_volt, _dft_bins, demodulate,
+from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band, _dft_bins,
                          response_metric)
 from bolomux.units import Seed, derive_stream, tone_amplitude_volts
 
@@ -22,26 +22,47 @@ def cosines(fs, n, tones):
                for f_hz, p_dbm, phase in tones)
 
 
-def tone_trace(f_hz=10e6, p_dbm=0.0, fs=1e9, dur=2e-6, phase=0.0):
-    return TimeTrace(fs, 0.0, cosines(fs, round(dur * fs), [(f_hz, p_dbm, phase)]))
+def tone_record(f_hz=10e6, p_dbm=0.0, fs=1e9, dur=2e-6, phase=0.0):
+    return cosines(fs, round(dur * fs), [(f_hz, p_dbm, phase)])
 
 
-def with_noise(trace, sigma_v, gen):
-    """trace plus white Gaussian noise of std sigma_v drawn from gen."""
-    noise = gen.normal(0.0, sigma_v, trace.samples.size)
-    return TimeTrace(trace.sample_rate_hz, trace.t0_s, trace.samples + noise)
+def with_noise(record, sigma_v, gen):
+    """record plus white Gaussian noise of std sigma_v drawn from gen."""
+    return record + gen.normal(0.0, sigma_v, record.size)
+
+
+def band_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=0.0):
+    """Down-convert a real record sampled from t0_s through the engine's chain.
+
+    _demod_band plans the carrier bin and band, _dft_bins reads the band's
+    bins of the record's DFT, which are rotated by exp(-i w_c t0) to refer
+    them to the record's start, and _band_iq slices them to IQ.  A pure tone
+    a*cos(2 pi f_c t) demodulates to a/2.
+    """
+    n = record.size
+    k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
+    band = (_dft_bins(record[:, None], np.array([k_c + offsets[0]]), offsets.size)[0]
+            * np.exp(-2j * np.pi * f_carrier_hz * t0_s))
+    return _band_iq(band, offsets, n, decimation, f_carrier_hz, fs, t0_s)
+
+
+def mixer_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=0.0):
+    """The record-length mixer that the band slice replaced, kept as its oracle.
+
+    Mixes the whole record, sampled from t0_s, down by exp(-2 pi i f_c t),
+    brick-wall low-passes it with one complex FFT pair and keeps every
+    decimation-th sample.
+    """
+    n = record.size
+    times = t0_s + np.arange(n) / fs
+    mixed = record * np.exp(-2j * np.pi * f_carrier_hz * times)
+    freqs = np.abs(np.fft.fftfreq(n, 1.0 / fs))
+    keep = freqs <= 0.5 * lp_bandwidth_hz + 1e-6 * fs / n
+    baseband = np.fft.ifft(np.where(keep, np.fft.fft(mixed), 0.0))
+    return baseband[::decimation]
 
 
 # ----------------------------------------------------------------- traces
-
-
-def test_time_trace_basics():
-    trace = TimeTrace(1e9, 1e-6, [0.0, 1.0])
-    assert trace.samples.dtype == float and trace.t0_s == 1e-6
-    with pytest.raises(ValueError):
-        TimeTrace(0.0, 0.0, np.zeros(4))
-    with pytest.raises(ValueError):
-        TimeTrace(1e9, 0.0, np.zeros(0))
 
 
 def test_iq_trace_magnitude():
@@ -55,7 +76,7 @@ def test_iq_trace_magnitude():
 
 def test_demod_pure_carrier_gives_half_amplitude():
     a = math.sqrt(0.1)  # 0 dBm tone
-    iq = demodulate(tone_trace(f_hz=10e6, p_dbm=0.0), 10e6, 2e6, 100)
+    iq = band_demodulate(tone_record(f_hz=10e6, p_dbm=0.0), 1e9, 10e6, 2e6, 100)
     assert np.max(np.abs(iq.magnitude() - a / 2)) < 1e-9
     assert iq.sample_rate_hz == 1e7
     assert iq.carrier_hz == 10e6
@@ -63,41 +84,24 @@ def test_demod_pure_carrier_gives_half_amplitude():
 
 def test_demod_carries_phase():
     phase = 0.7
-    iq = demodulate(tone_trace(f_hz=10e6, phase=phase), 10e6, 2e6, 100)
+    iq = band_demodulate(tone_record(f_hz=10e6, phase=phase), 1e9, 10e6, 2e6, 100)
     assert np.angle(iq.samples[3]) == pytest.approx(phase, abs=1e-9)
 
 
 def test_demod_rejects_distant_tone():
     # a tone 40 MHz off carrier is outside the 2 MHz low-pass
-    iq = demodulate(tone_trace(f_hz=50e6), 10e6, 2e6, 100)
+    iq = band_demodulate(tone_record(f_hz=50e6), 1e9, 10e6, 2e6, 100)
     assert np.max(iq.magnitude()) < 1e-12
 
 
 def test_demod_is_linear():
     fs, dur = 1e9, 2e-6
-    x = with_noise(tone_trace(fs=fs, dur=dur), 1e-3, stream(4, 0))
-    y = with_noise(tone_trace(fs=fs, dur=dur), 1e-3, stream(4, 1))
-    combo = TimeTrace(fs, 0.0, 2.0 * x.samples + 3.0 * y.samples)
-    direct = demodulate(combo, 10e6, 2e6, 100)
-    parts = (2.0 * demodulate(x, 10e6, 2e6, 100).samples
-             + 3.0 * demodulate(y, 10e6, 2e6, 100).samples)
+    x = with_noise(tone_record(fs=fs, dur=dur), 1e-3, stream(4, 0))
+    y = with_noise(tone_record(fs=fs, dur=dur), 1e-3, stream(4, 1))
+    direct = band_demodulate(2.0 * x + 3.0 * y, fs, 10e6, 2e6, 100)
+    parts = (2.0 * band_demodulate(x, fs, 10e6, 2e6, 100).samples
+             + 3.0 * band_demodulate(y, fs, 10e6, 2e6, 100).samples)
     assert np.max(np.abs(direct.samples - parts)) < 1e-12
-
-
-def mixer_demodulate(trace, f_carrier_hz, lp_bandwidth_hz, decimation):
-    """The record-length mixer that `demodulate` replaced, kept as its oracle.
-
-    Mixes the whole record down by exp(-2 pi i f_c t), brick-wall low-passes
-    it with one complex FFT pair and keeps every decimation-th sample.
-    """
-    fs = trace.sample_rate_hz
-    n = trace.samples.size
-    times = trace.t0_s + np.arange(n) / fs
-    mixed = trace.samples * np.exp(-2j * np.pi * f_carrier_hz * times)
-    freqs = np.abs(np.fft.fftfreq(n, 1.0 / fs))
-    keep = freqs <= 0.5 * lp_bandwidth_hz + 1e-6 * fs / n
-    baseband = np.fft.ifft(np.where(keep, np.fft.fft(mixed), 0.0))
-    return baseband[::decimation]
 
 
 @pytest.mark.parametrize("t0, f_c, lp_bw, dec", [
@@ -111,35 +115,35 @@ def test_demod_matches_mixer_oracle(t0, f_c, lp_bw, dec):
     fs, n = 1e9, 2000
     neighbors = [f for f in (f_c + 1.5e6, f_c - 2.5e6) if 0.0 < f < 0.5 * fs]
     comb = cosines(fs, n, [(f_c, -40.0, 0.3)] + [(f, -45.0, 1.1) for f in neighbors])
-    trace = with_noise(TimeTrace(fs, t0, comb), 1e-4, stream(12, 0))
-    oracle = mixer_demodulate(trace, f_c, lp_bw, dec)
-    iq = demodulate(trace, f_c, lp_bw, dec)
+    record = with_noise(comb, 1e-4, stream(12, 0))
+    oracle = mixer_demodulate(record, fs, f_c, lp_bw, dec, t0)
+    iq = band_demodulate(record, fs, f_c, lp_bw, dec, t0)
     assert iq.t0_s == t0 and iq.sample_rate_hz == fs / dec
     assert np.max(np.abs(iq.samples - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 def test_demod_rejects_off_grid_carrier():
-    trace = tone_trace(f_hz=10e6)  # 2000 samples: grid spacing 500 kHz
+    n, fs = 2000, 1e9  # grid spacing 500 kHz
     with pytest.raises(ValueError, match="grid"):
-        demodulate(trace, 10.25e6, 2e6, 100)
+        _demod_band(n, fs, 10.25e6, 2e6, 100)
     with pytest.raises(ValueError, match="grid"):
-        demodulate(trace, 10e6 + 1e-3, 2e6, 100)
+        _demod_band(n, fs, 10e6 + 1e-3, 2e6, 100)
 
 
 def test_demod_validation():
-    trace = tone_trace()
+    n, fs = 2000, 1e9
     with pytest.raises(ValueError):
-        demodulate(trace, 0.0, 2e6, 100)
+        _demod_band(n, fs, 0.0, 2e6, 100)
     with pytest.raises(ValueError):
-        demodulate(trace, 600e6, 2e6, 100)
+        _demod_band(n, fs, 600e6, 2e6, 100)
     with pytest.raises(ValueError):
-        demodulate(trace, 10e6, 0.0, 100)
+        _demod_band(n, fs, 10e6, 0.0, 100)
     with pytest.raises(ValueError):
-        demodulate(trace, 10e6, 2e6, 0)
+        _demod_band(n, fs, 10e6, 2e6, 0)
     with pytest.raises(ValueError):
-        demodulate(trace, 10e6, 2e6, 3)  # does not divide 2000 samples
+        _demod_band(n, fs, 10e6, 2e6, 3)  # does not divide 2000 samples
     with pytest.raises(ValueError):
-        demodulate(trace, 10e6, 2e6, 100.0)  # float decimation
+        _demod_band(n, fs, 10e6, 2e6, 100.0)  # float decimation
 
 
 # ---------------------------------------------------------- pruned DFT
@@ -188,7 +192,7 @@ FLOOR_WINDOW = (0.5e-3, 2.5e-3)
 
 @pytest.mark.parametrize("lp_bw, dec", [(25e3, 10), (25e3, 40), (60e3, 20)])
 def test_baseline_floor_matches_exact_covariance(lp_bw, dec):
-    # oracle: demodulate every unit impulse to get the linear map from the
+    # oracle: mix every unit impulse down to get the linear map from the
     # record to the baseline IQ samples, then the expected population
     # variance of their real and of their imaginary parts for unit white
     # noise; dec 40 and the 60 kHz band make the band wider than the
@@ -196,9 +200,9 @@ def test_baseline_floor_matches_exact_covariance(lp_bw, dec):
     def impulse(k):
         record = np.zeros(FLOOR_N)
         record[k] = 1.0
-        return TimeTrace(FLOOR_FS, 0.0, record)
+        return record
 
-    rows = np.array([demodulate(impulse(k), FLOOR_CARRIER, lp_bw, dec).samples
+    rows = np.array([mixer_demodulate(impulse(k), FLOOR_FS, FLOOR_CARRIER, lp_bw, dec)
                      for k in range(FLOOR_N)]).T
     rate = FLOOR_FS / dec
     i0, i1 = (math.ceil(w * rate - 1e-9) for w in FLOOR_WINDOW)
@@ -218,10 +222,9 @@ def test_baseline_floor_holds_while_the_carrier_dominates():
     rng = stream(5, 1)
     for amplitude, lo, hi in ((1.0, None, None), (0.0, 0.0, 0.8)):
         var = np.array([
-            response_metric(demodulate(TimeTrace(FLOOR_FS, 0.0, amplitude * carrier
-                                                 + rng.normal(0.0, sigma, FLOOR_N)),
-                                       FLOOR_CARRIER, lp_bw, dec),
-                            FLOOR_WINDOW, (3e-3, 3.5e-3)).baseline_std ** 2
+            response_metric(IQTrace(FLOOR_CARRIER, FLOOR_FS / dec, 0.0, mixer_demodulate(
+                amplitude * carrier + rng.normal(0.0, sigma, FLOOR_N), FLOOR_FS,
+                FLOOR_CARRIER, lp_bw, dec)), FLOOR_WINDOW, (3e-3, 3.5e-3)).baseline_std ** 2
             for _ in range(draws)])
         ratio = math.sqrt(np.mean(var)) / floor
         if lo is None:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from bolomux import experiments
-from bolomux.analysis import fit_exponential
+from bolomux.analysis import _fit_exponential
 from bolomux.device import _absorbed_fraction, _gamma, solve_operating_point
-from bolomux.dsp import TimeTrace, _baseline_std_per_volt, demodulate
+from bolomux.dsp import _baseline_std_per_volt
 from bolomux.experiments import (
     PRESETS,
     _KIND_TRIGGER,
@@ -273,7 +273,7 @@ def test_multiplex_threaded_schedule_is_bit_identical(default_chip):
                 assert np.array_equal(x.samples, y.samples)
 
 
-def averaged_noise_oracle(fs, n, sigma_v, n_avg, seed, labels):
+def averaged_noise_oracle(n, sigma_v, n_avg, seed, labels):
     """The per-realization averaging the engine replaced, kept as its oracle.
 
     n_avg white records, record r drawn from the stream (seed, *labels, r),
@@ -282,7 +282,7 @@ def averaged_noise_oracle(fs, n, sigma_v, n_avg, seed, labels):
     total = np.zeros(n)
     for r in range(n_avg):
         total += derive_stream(seed, *labels, r).normal(0.0, sigma_v, n)
-    return TimeTrace(fs, 0.0, total / n_avg)
+    return total / n_avg
 
 
 def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_chip):
@@ -301,12 +301,12 @@ def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_c
     engine, oracle = [], []
     for master in range(64):
         noisy = run_trigger(default_chip, pattern, settings, Seed(master))
-        record = averaged_noise_oracle(fs, n, sigma, settings.n_avg, Seed(master),
+        record = averaged_noise_oracle(n, sigma, settings.n_avg, Seed(master),
                                        (_KIND_TRIGGER, pattern.value))
         for ch, tone in enumerate(noisy.probe_tones):
             engine.append(np.mean(np.abs(noisy.iq[ch].samples - quiet.iq[ch].samples) ** 2))
             oracle.append(np.mean(np.abs(mixer_demodulate(
-                record, tone.f_hz, settings.demod_bandwidth_hz, decimation)) ** 2))
+                record, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)) ** 2))
     bins = 2 * round(0.5 * settings.demod_bandwidth_hz * settings.window_s) + 1
     analytic = bins * sigma ** 2 / (n * settings.n_avg)
 
@@ -360,8 +360,8 @@ def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
     reflected tone Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's
     time axis, adds the tones and the averaged noise record of std
     sigma/sqrt(n_avg) from the stream (seed, *labels) into one composite
-    trace and demodulates that trace once per channel.  Returns the IQ
-    samples, one row per channel.
+    record and mixes that record down once per channel (mixer_demodulate).
+    Returns the IQ samples, one row per channel.
     """
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
@@ -385,10 +385,9 @@ def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
     sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
     if sigma > 0.0:
         composite += derive_stream(seed, *labels).normal(0.0, sigma, n)
-    trace = TimeTrace(fs, 0.0, composite)
     decimation = round(fs / settings.output_rate_hz)
-    return np.array([demodulate(trace, tone.f_hz, settings.demod_bandwidth_hz,
-                                decimation).samples for tone in tones])
+    return np.array([mixer_demodulate(composite, fs, tone.f_hz, settings.demod_bandwidth_hz,
+                                      decimation) for tone in tones])
 
 
 def assert_close_to(engine, oracle, rel=1e-9):
@@ -913,7 +912,7 @@ def test_pulse_decay_recovers_time_constants(noiseless_chip):
         iq = run.iq[ch]
         t = iq.times()
         keep = (t >= t_end + 2e-6) & (t <= 95e-6)
-        fit = fit_exponential(t[keep], iq.magnitude()[keep])
+        fit = _fit_exponential(t[keep], iq.magnitude()[keep])
         tau_true = noiseless_chip.bolometers[ch].tau_th_s
         assert fit.tau_s == pytest.approx(tau_true, rel=0.02)
 

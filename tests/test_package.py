@@ -5,34 +5,32 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
-import re
 
 import pytest
 
 import bolomux
-import bolomux.device
-import bolomux.dsp
-import bolomux.experiments
-import bolomux.frontend
-import bolomux.traceio
-import bolomux.units
 
 _PACKAGE = pathlib.Path(bolomux.__file__).parent
+
+
+def _public_modules():
+    """Every bolomux module that declares a public surface in __all__."""
+    modules = (importlib.import_module(f"bolomux.{info.name}")
+               for info in pkgutil.iter_modules(bolomux.__path__))
+    return [module for module in modules if hasattr(module, "__all__")]
+
+
+_MODULES = _public_modules()
+_IDS = [module.__name__.rpartition(".")[2] for module in _MODULES]
 
 
 def test_every_all_entry_exists_on_its_module():
     # a stale __all__ entry survives `import bolomux` and breaks only
     # `from bolomux.<module> import *`
-    checked, missing = [], []
-    for info in pkgutil.iter_modules(bolomux.__path__):
-        module = importlib.import_module(f"bolomux.{info.name}")
-        if not hasattr(module, "__all__"):
-            continue
-        checked.append(info.name)
-        missing.extend(f"{info.name}.{name}" for name in module.__all__
-                       if not hasattr(module, name))
+    missing = [f"{name}.{entry}" for name, module in zip(_IDS, _MODULES)
+               for entry in module.__all__ if not hasattr(module, entry)]
     assert {"analysis", "device", "dsp", "experiments", "frontend", "traceio",
-            "units"} <= set(checked)
+            "units"} <= set(_IDS)
     assert missing == []
 
 
@@ -61,31 +59,21 @@ def _constructed_names(source: str) -> set[str]:
 
 
 def _names_without_caller(module) -> list[str]:
-    # a name stays public only if another module of the package or a README
-    # example uses it; imports and re-exports do not count, nor do comments
+    # a name stays public only if another module of the package uses it;
+    # imports and re-exports do not count, nor do comments, tests or
+    # README examples
     own = pathlib.Path(module.__file__).name
     used = set()
     for path in _PACKAGE.glob("*.py"):
         if path.name not in ("__init__.py", own):
             used |= _referenced_names(path.read_text(encoding="utf-8"))
-    readme = (_PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
-    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
-        used |= _referenced_names(block)
     return sorted(set(module.__all__) - used)
-
-
-def test_every_device_name_has_a_caller():
-    assert _names_without_caller(bolomux.device) == []
-
-
-def test_every_dsp_name_has_a_caller():
-    assert _names_without_caller(bolomux.dsp) == []
 
 
 def _unused_names(module) -> list[str]:
     # a class is used when package code, its own module included, constructs
     # or raises it: result types reach their callers as instances.  Any other
-    # name needs a caller in another module or a README example
+    # name needs a caller in another module
     constructed = set()
     for path in _PACKAGE.glob("*.py"):
         constructed |= _constructed_names(path.read_text(encoding="utf-8"))
@@ -93,25 +81,26 @@ def _unused_names(module) -> list[str]:
     return sorted((set(_names_without_caller(module)) - classes) | (classes - constructed))
 
 
-def test_every_experiments_name_has_a_caller():
-    assert _unused_names(bolomux.experiments) == []
+# modules whose classes, too, need a caller in another module
+_STRICT = {"device", "dsp"}
 
 
-def test_every_frontend_name_has_a_caller():
-    assert _unused_names(bolomux.frontend) == []
+@pytest.mark.parametrize("module", _MODULES, ids=_IDS)
+def test_every_public_name_has_a_caller(module):
+    name = module.__name__.rpartition(".")[2]
+    rule = _names_without_caller if name in _STRICT else _unused_names
+    assert rule(module) == []
 
 
-def test_every_traceio_name_has_a_caller():
-    assert _unused_names(bolomux.traceio) == []
-
-
-def test_every_units_name_has_a_caller():
-    assert _unused_names(bolomux.units) == []
-
-
-@pytest.mark.parametrize("module", [bolomux.traceio, bolomux.units], ids=["traceio", "units"])
+@pytest.mark.parametrize("module", [bolomux.analysis, bolomux.dsp, bolomux.traceio,
+                                    bolomux.units],
+                         ids=["analysis", "dsp", "traceio", "units"])
 def test_all_lists_what_the_package_re_exports(module):
-    # the package namespace re-exports exactly the module's public surface
-    exported = {name for name, value in vars(bolomux).items()
-                if getattr(value, "__module__", None) == module.__name__}
+    # the package namespace re-exports exactly the module's public surface;
+    # read from the import statements, so constants count as well
+    own = module.__name__.rpartition(".")[2]
+    exported = [alias.name
+                for node in ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == own
+                for alias in node.names]
     assert sorted(module.__all__) == sorted(exported)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bolomux.dsp import IQTrace, TimeTrace
+from bolomux.dsp import IQTrace
 from bolomux.traceio import (
     MANIFEST_NAME,
     RunManifest,
@@ -20,9 +20,7 @@ from bolomux.traceio import (
 )
 
 
-def real_trace():
-    rng = np.random.default_rng(0)
-    return TimeTrace(1e9, 2.5e-7, rng.normal(size=64))
+IQ_HEADER = "# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=iq\n# carrier_hz=1e5\n"
 
 
 def iq_trace():
@@ -34,18 +32,6 @@ def iq_trace():
 # ---------------------------------------------------------------- traces
 
 
-def test_real_trace_round_trip_exact(tmp_path):
-    trace = real_trace()
-    path = tmp_path / "trace.csv"
-    write_trace(trace, path)
-    back = read_trace(path)
-    assert isinstance(back, TimeTrace)
-    assert back.sample_rate_hz == trace.sample_rate_hz
-    assert back.t0_s == trace.t0_s
-    # repr round trip: values are restored bit for bit
-    assert np.array_equal(back.samples, trace.samples)
-
-
 def test_iq_trace_round_trip_exact(tmp_path):
     trace = iq_trace()
     path = tmp_path / "iq.csv"
@@ -55,30 +41,32 @@ def test_iq_trace_round_trip_exact(tmp_path):
     assert back.carrier_hz == trace.carrier_hz
     assert back.sample_rate_hz == trace.sample_rate_hz
     assert back.t0_s == trace.t0_s
+    # repr round trip: values are restored bit for bit
     assert np.array_equal(back.samples, trace.samples)
 
 
 def test_write_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace(real_trace(), a)
-    write_trace(real_trace(), b)
+    write_trace(iq_trace(), a)
+    write_trace(iq_trace(), b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_trace_file_shape(tmp_path):
     path = tmp_path / "t.csv"
-    write_trace(TimeTrace(1e6, 0.0, np.array([0.5, -1.25])), path)
+    write_trace(IQTrace(1e5, 1e6, 0.0, np.array([0.5 - 2.0j, -1.25 + 0.0j])), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# sample_rate_hz=1000000.0"
     assert lines[1] == "# t0_s=0.0"
-    assert lines[2] == "# kind=real"
-    assert lines[3] == "0,0.5"
-    assert lines[4] == "1,-1.25"
+    assert lines[2] == "# kind=iq"
+    assert lines[3] == "# carrier_hz=100000.0"
+    assert lines[4] == "0,0.5,-2.0"
+    assert lines[5] == "1,-1.25,0.0"
 
 
 def test_read_rejects_missing_header(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# sample_rate_hz=1e6\n# kind=real\n0,1.0\n")
+    path.write_text("# sample_rate_hz=1e6\n# kind=iq\n# carrier_hz=1e5\n0,1.0,0.0\n")
     with pytest.raises(TraceFormatError, match="t0_s"):
         read_trace(path)
 
@@ -90,24 +78,32 @@ def test_read_rejects_bad_kind(tmp_path):
         read_trace(path)
 
 
+def test_read_rejects_real_kind(tmp_path):
+    # real-valued records are no longer read: `real` is an unknown kind
+    path = tmp_path / "t.csv"
+    path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=real\n0,1.0\n")
+    with pytest.raises(TraceFormatError, match="unknown kind 'real'"):
+        read_trace(path)
+
+
 def test_read_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=real\n0,1.0\n2,2.0\n")
-    with pytest.raises(TraceFormatError, match="line 5"):
+    path.write_text(IQ_HEADER + "0,1.0,0.0\n2,2.0,0.0\n")
+    with pytest.raises(TraceFormatError, match="line 6"):
         read_trace(path)
 
 
 def test_read_rejects_bad_value_with_line_number(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=real\n0,1.0\n1,oops\n")
-    with pytest.raises(TraceFormatError, match="line 5"):
+    path.write_text(IQ_HEADER + "0,1.0,0.0\n1,oops,0.0\n")
+    with pytest.raises(TraceFormatError, match="line 6"):
         read_trace(path)
 
 
 def test_read_rejects_wrong_arity_rows(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=real\n0,1.0,2.0\n")
-    with pytest.raises(TraceFormatError, match="line 4"):
+    path.write_text(IQ_HEADER + "0,1.0\n")
+    with pytest.raises(TraceFormatError, match="line 5"):
         read_trace(path)
 
 
@@ -120,14 +116,14 @@ def test_read_rejects_iq_without_carrier(tmp_path):
 
 def test_read_rejects_empty_body(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=real\n")
+    path.write_text(IQ_HEADER)
     with pytest.raises(TraceFormatError, match="no samples"):
         read_trace(path)
 
 
 def test_read_rejects_header_after_data(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=real\n0,1.0\n# late=1\n")
+    path.write_text(IQ_HEADER + "0,1.0,0.0\n# late=1\n")
     with pytest.raises(TraceFormatError, match="header after data"):
         read_trace(path)
 
