@@ -42,6 +42,7 @@ from .dsp import (
     response_metric,
 )
 from .experiments import (
+    PRESETS,
     CalibrationError,
     CalibrationTargets,
     ChipConfig,

@@ -9,10 +9,12 @@ Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 integrity mismatch).
 """
 import argparse
+import copy
 import json
 import os
+import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -36,6 +38,9 @@ from .experiments import (
 from .frontend import TriggerPattern
 from .traceio import (
     TraceFormatError,
+    _read_json,
+    _write_json,
+    _write_table,
     read_manifest,
     read_trace,
     verify_manifest,
@@ -139,26 +144,6 @@ def _load_context(args) -> _Context:
                     preset=args.preset)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _finish(ctx: _Context, command: str) -> None:
     if ctx.preset:
         command += f" --preset {ctx.preset}"
@@ -184,13 +169,12 @@ def cmd_characterize(ctx: _Context, args) -> int:
                                span_linewidths=sw["span_linewidths"], n_points=sw["n_points"],
                                allow_nonlinear=ctx.settings.allow_nonlinear)
     os.makedirs(ctx.out_dir, exist_ok=True)
+    n_p, n_f = len(sweep.powers_dbm), len(sweep.f_hz[0])
     for ch in range(ctx.chip.n_channels):
-        rows = []
-        for pi, p in enumerate(sweep.powers_dbm):
-            for fi, f in enumerate(sweep.f_hz[ch]):
-                rows.append((p, f, sweep.magnitude[ch, pi, fi], sweep.normalized[ch, pi, fi]))
-        _write_csv(os.path.join(ctx.out_dir, f"characterize_ch{ch}.csv"),
-                   ("power_dbm", "f_probe_hz", "magnitude", "normalized"), rows)
+        _write_table(os.path.join(ctx.out_dir, f"characterize_ch{ch}.csv"),
+                     ("power_dbm", "f_probe_hz", "magnitude", "normalized"),
+                     (np.repeat(sweep.powers_dbm, n_f), np.tile(sweep.f_hz[ch], n_p),
+                      sweep.magnitude[ch].ravel(), sweep.normalized[ch].ravel()))
     _write_json(os.path.join(ctx.out_dir, "characterize_fits.json"), {
         "powers_dbm": list(sweep.powers_dbm),
         "channels": [
@@ -216,8 +200,8 @@ def cmd_filterscan(ctx: _Context, args) -> int:
                               settings=ctx.settings)
     os.makedirs(ctx.out_dir, exist_ok=True)
     columns = ["f_heater_hz"] + [f"response_ch{ch}" for ch in range(ctx.chip.n_channels)]
-    rows = [(f, *result.response[:, i]) for i, f in enumerate(result.f_heater_hz)]
-    _write_csv(os.path.join(ctx.out_dir, "filterscan.csv"), columns, rows)
+    _write_table(os.path.join(ctx.out_dir, "filterscan.csv"), columns,
+                 (result.f_heater_hz, *result.response))
     peaks = result.peaks()
     _write_json(os.path.join(ctx.out_dir, "filterscan_peaks.json"), {
         "heater_power_dbm": result.heater_power_dbm,
@@ -242,13 +226,13 @@ def cmd_powersweep(ctx: _Context, args) -> int:
                                                           threads=ctx.threads)
     os.makedirs(ctx.out_dir, exist_ok=True)
     n = ctx.chip.n_channels
-    _write_csv(os.path.join(ctx.out_dir, "powersweep.csv"),
-               ("bolometer", "filter", "power_dbm", "power_w", "response"),
-               [(i, j, powers[p], powers_w[p], responses[i, j, p])
-                for i in range(n) for j in range(n) for p in range(len(powers))])
-    _write_csv(os.path.join(ctx.out_dir, "p1db_matrix.csv"),
-               ("bolometer", *(f"filter{j}" for j in range(n))),
-               [(i, *p1db[i]) for i in range(n)])
+    bolo, filt, p = (axis.ravel() for axis in np.indices(responses.shape))
+    _write_table(os.path.join(ctx.out_dir, "powersweep.csv"),
+                 ("bolometer", "filter", "power_dbm", "power_w", "response"),
+                 (bolo, filt, powers[p], powers_w[p], responses.ravel()))
+    _write_table(os.path.join(ctx.out_dir, "p1db_matrix.csv"),
+                 ("bolometer", *(f"filter{j}" for j in range(n))),
+                 (np.arange(n), *p1db.T))
     _write_json(os.path.join(ctx.out_dir, "crosstalk.json"), {
         "p_1db_dbm": [[float(v) for v in row] for row in xtalk.p_1db_dbm],
         "row_crosstalk_db": [[None if np.isnan(v) else float(v) for v in row]
@@ -263,17 +247,6 @@ def cmd_powersweep(ctx: _Context, args) -> int:
     return 0
 
 
-def _metric_dict(metric):
-    return {
-        "signal_mean": metric.signal_mean,
-        "baseline_mean": metric.baseline_mean,
-        "baseline_std": metric.baseline_std,
-        "response": metric.response,
-        "snr": metric.snr,
-        "zero_noise": metric.zero_noise,
-    }
-
-
 def _run_dict(run):
     return {
         "pattern": run.pattern.label,
@@ -283,7 +256,7 @@ def _run_dict(run):
             {"t_star_k": op.t_star_k, "f_r_star_hz": op.f_r_star_hz}
             for op in run.operating_points
         ],
-        "metrics": [_metric_dict(m) for m in run.metrics],
+        "metrics": [{**asdict(m), "response": m.response} for m in run.metrics],
     }
 
 
@@ -313,9 +286,9 @@ def cmd_multiplex(ctx: _Context, args) -> int:
                       names)
     records = table.records()
     _write_json(os.path.join(ctx.out_dir, "snr_table.json"), {"records": records})
-    _write_csv(os.path.join(ctx.out_dir, "snr_table.csv"),
-               ("channel", "pattern", "kind", "snr"),
-               [(r["channel"], r["pattern"], r["kind"], r["snr"]) for r in records])
+    header = ("channel", "pattern", "kind", "snr")
+    _write_table(os.path.join(ctx.out_dir, "snr_table.csv"), header,
+                 [[r[key] for r in records] for key in header])
     _finish(ctx, "multiplex")
     worst_matched = min(table.matched_snr)
     worst_leak = max(abs(s) for leaks in table.leakage_snr for s in leaks)
@@ -344,16 +317,14 @@ def cmd_analyze(ctx: _Context, args) -> int:
     }
     snr_path = os.path.join(results_dir, "snr_table.json")
     if os.path.isfile(snr_path):
-        with open(snr_path, "r", encoding="utf-8") as fh:
-            records = json.load(fh)["records"]
+        records = _read_json(snr_path)["records"]
         matched = [r["snr"] for r in records if r["kind"] == "matched"]
         leaks = [abs(r["snr"]) for r in records if r["kind"] == "leakage"]
         summary["min_matched_snr"] = min(matched) if matched else None
         summary["max_abs_leakage_snr"] = max(leaks) if leaks else None
     metrics_path = os.path.join(results_dir, "metrics.json")
     if os.path.isfile(metrics_path):
-        with open(metrics_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(metrics_path)
         runs = doc["runs"] if "runs" in doc else [doc]
         summary["n_runs"] = len(runs)
         summary["snr_by_pattern"] = {
@@ -377,48 +348,35 @@ def cmd_report(ctx: _Context, args) -> int:
                                                   or name.startswith("pattern_")))
     if traces:
         series = [read_trace(os.path.join(results_dir, name)) for name in traces]
-        n = min(len(tr.samples) for tr in series)
-        rate = series[0].sample_rate_hz
-        columns = ["time_s"] + [name[:-4] for name in traces]
-        rows = []
-        for i in range(n):
-            t = series[0].t0_s + i / rate
-            rows.append((t, *(float(np.abs(tr.samples[i])) for tr in series)))
+        n = min(len(tr) for tr in series)
         path = os.path.join(out_dir, "report_magnitude.csv")
-        _write_csv(path, columns, rows)
+        _write_table(path, ["time_s"] + [name[:-4] for name in traces],
+                     [series[0].times()[:n]] + [tr.magnitude()[:n] for tr in series])
         written.append(path)
 
     fits_path = os.path.join(results_dir, "characterize_fits.json")
     if os.path.isfile(fits_path):
-        with open(fits_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rows = []
-        for entry in doc["channels"]:
-            for p_dbm, fit in zip(doc["powers_dbm"], entry["fits"]):
-                if fit is None:
-                    continue
-                rows.append((entry["channel"], p_dbm, fit["f_r_hz"], fit["fwhm_hz"],
-                             fit["depth"], fit["offset"]))
+        doc = _read_json(fits_path)
+        fits = [{"channel": entry["channel"], "power_dbm": p_dbm, **fit}
+                for entry in doc["channels"]
+                for p_dbm, fit in zip(doc["powers_dbm"], entry["fits"]) if fit is not None]
+        header = ("channel", "power_dbm", "f_r_hz", "fwhm_hz", "depth", "offset")
         path = os.path.join(out_dir, "report_fits.csv")
-        _write_csv(path, ("channel", "power_dbm", "f_r_hz", "fwhm_hz", "depth", "offset"), rows)
+        _write_table(path, header, [[fit[key] for fit in fits] for key in header])
         written.append(path)
 
     peaks_path = os.path.join(results_dir, "filterscan_peaks.json")
     if os.path.isfile(peaks_path):
-        with open(peaks_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        peaks = _read_json(peaks_path)["peaks"]
+        header = ("channel", "f_peak_hz", "fwhm_hz")
         path = os.path.join(out_dir, "report_peaks.csv")
-        _write_csv(path, ("channel", "f_peak_hz", "fwhm_hz"),
-                   [(p["channel"], p["f_peak_hz"], p["fwhm_hz"]) for p in doc["peaks"]])
+        _write_table(path, header, [[peak[key] for peak in peaks] for key in header])
         written.append(path)
 
     snr_path = os.path.join(results_dir, "snr_table.csv")
     if os.path.isfile(snr_path):
         path = os.path.join(out_dir, "report_snr.csv")
-        with open(snr_path, "r", encoding="utf-8") as src:
-            body = src.read()
-        with open(path, "w", encoding="utf-8", newline="\n") as dst:
-            dst.write(body)
+        shutil.copyfile(snr_path, path)
         written.append(path)
 
     for path in written:
@@ -432,7 +390,7 @@ def cmd_calibrate(ctx: _Context, args) -> int:
     if ctx.preset not in (None, "desk"):  # only apply_preset knows a preset's scaling
         raise ValueError(f"calibrate writes a desk-scale config; --preset {ctx.preset} is refused")
     chip, report = calibrate_chip(ctx.chip, settings=ctx.settings)
-    doc = configmod.deep_merge(ctx.doc, {})
+    doc = copy.deepcopy(ctx.doc)
     for ch, entry in enumerate(report["channels"]):
         doc["chip"]["bolometers"][ch]["dfdt_hz_per_k"] = entry["dfdt_hz_per_k"]
     doc["chip"]["noise_sigma_v"] = report["noise"]["sigma_v"]

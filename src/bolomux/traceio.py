@@ -1,9 +1,13 @@
-"""Trace CSV files and checksummed run manifests.
+"""Every file bolomux writes: trace CSVs, tables, JSON and run manifests.
+
+One writer serves all of them.  A cell is `repr(float(v))` for a float
+(numpy floats included) and `str(v)` for anything else, so floats carry
+shortest round-trip precision; files are utf-8 with `\n` newlines and a
+trailing newline; JSON is `indent=2, sort_keys=True`.
 
 Trace format: `#`-prefixed header lines (`# key=value`, with `kind=iq`
 and a `carrier_hz`), then one complex baseband sample per `index,re,im`
-row.  Values are written with shortest round-trip precision, so write ->
-read -> write is byte-identical.
+row.  Write -> read -> write is byte-identical.
 
 Each run directory gets a `manifest.json` naming the tool version, the
 seed, the sha256 of the canonical config and of every output file.  The
@@ -30,19 +34,44 @@ class TraceFormatError(ValueError):
     """Malformed trace file; message carries the 1-based line number."""
 
 
+def _cells(column) -> list[str]:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def _write_csv(path, head, columns) -> None:
+    """Write the `head` lines, then one comma-joined row per index of the equal-length columns."""
+    _write_lines(path, [*head, *map(",".join, zip(*map(_cells, columns)))])
+
+
+def _write_table(path, header, columns) -> None:
+    _write_csv(path, [",".join(header)], columns)
+
+
+def _write_json(path, obj) -> None:
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_trace(trace: IQTrace, path) -> None:
     """Write an IQTrace as a headered CSV."""
-    lines = [
+    samples = trace.samples
+    _write_csv(path, [
         f"# sample_rate_hz={trace.sample_rate_hz!r}",
         f"# t0_s={trace.t0_s!r}",
         "# kind=iq",
         f"# carrier_hz={trace.carrier_hz!r}",
-    ]
-    for i, z in enumerate(trace.samples):
-        lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    ], (np.arange(samples.size), samples.real, samples.imag))
 
 
 def _parse_float(text: str, lineno: int, what: str) -> float:
@@ -94,14 +123,19 @@ def read_trace(path) -> IQTrace:
     if "carrier_hz" not in headers:
         raise TraceFormatError("line 1: iq trace missing header '# carrier_hz='")
     carrier = _parse_float(headers["carrier_hz"], 1, "carrier_hz")
-    values = np.empty(len(rows), dtype=complex)
-    for i, (lineno, cells) in enumerate(rows):
-        if len(cells) != 2:
-            raise TraceFormatError(f"line {lineno}: expected index,re,im row")
-        re = _parse_float(cells[0], lineno, "re")
-        im = _parse_float(cells[1], lineno, "im")
-        values[i] = complex(re, im)
-    return IQTrace(carrier_hz=carrier, sample_rate_hz=sample_rate, t0_s=t0, samples=values)
+    try:
+        values = np.array([cells for _, cells in rows], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(rows), 2):
+        for lineno, cells in rows:  # name the first bad row
+            if len(cells) != 2:
+                raise TraceFormatError(f"line {lineno}: expected index,re,im row")
+            _parse_float(cells[0], lineno, "re")
+            _parse_float(cells[1], lineno, "im")
+    # a view of the (re, im) pairs keeps -0.0 and infinite parts as written
+    return IQTrace(carrier_hz=carrier, sample_rate_hz=sample_rate, t0_s=t0,
+                   samples=values.view(complex).ravel())
 
 
 def _sha256_file(path) -> str:
@@ -160,17 +194,14 @@ def write_manifest(out_dir, command: str, seed: int, config_doc: dict,
         created_utc=datetime.now(timezone.utc).isoformat(),
         files=files,
     )
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, MANIFEST_NAME), manifest.to_dict())
     return manifest
 
 
 def read_manifest(out_dir) -> RunManifest:
     path = os.path.join(out_dir, MANIFEST_NAME)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
     except OSError as exc:
         raise TraceFormatError(f"missing manifest: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -4,6 +4,7 @@ analyze/report pipeline."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bolomux.cli import main
@@ -314,6 +315,20 @@ def test_analyze_missing_directory(capsys, tmp_path):
     capsys.readouterr()
 
 
+def check_magnitude_table(out, names):
+    # one time_s column from the first trace, then |z| of every trace read back
+    lines = (out / "report" / "report_magnitude.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["time_s"] + names)
+    traces = [read_trace(out / f"{name}.csv") for name in names]
+    assert len(lines) == 1 + len(traces[0])
+    columns = list(zip(*(line.split(",") for line in lines[1:])))
+    assert list(columns[0]) == [repr(t) for t in traces[0].times().tolist()]
+    for column, trace in zip(columns[1:], traces):
+        # the np.abs ufunc, sample by sample: abs() of a complex, Python's or
+        # numpy's scalar method, can differ from it in the last bit
+        assert list(column) == [repr(float(np.abs(z))) for z in trace.samples]
+
+
 def test_report_renders_tables(capsys, tmp_path, fast_config):
     out = tmp_path / "trig"
     run_cli("trigger", "--pattern", "111", "--config", fast_config,
@@ -324,6 +339,14 @@ def test_report_renders_tables(capsys, tmp_path, fast_config):
     assert (report_dir / "report_magnitude.csv").exists()
     produced = capsys.readouterr().out
     assert "wrote" in produced
+    check_magnitude_table(out, [f"trace_ch{ch}" for ch in range(3)])
+
+    mux = tmp_path / "mux"
+    assert run_cli("multiplex", "--config", fast_config, "--out", str(mux)) == 0
+    assert run_cli("report", str(mux)) == 0
+    check_magnitude_table(mux, [f"pattern_{v:03b}_ch{ch}" for v in range(8) for ch in range(3)])
+    assert (mux / "report" / "report_snr.csv").read_bytes() == \
+        (mux / "snr_table.csv").read_bytes()
 
 
 def test_report_refuses_corrupt_input(capsys, tmp_path, fast_config):

@@ -92,9 +92,7 @@ def test_every_public_name_has_a_caller(module):
     assert rule(module) == []
 
 
-@pytest.mark.parametrize("module", [bolomux.analysis, bolomux.dsp, bolomux.traceio,
-                                    bolomux.units],
-                         ids=["analysis", "dsp", "traceio", "units"])
+@pytest.mark.parametrize("module", _MODULES, ids=_IDS)
 def test_all_lists_what_the_package_re_exports(module):
     # the package namespace re-exports exactly the module's public surface;
     # read from the import statements, so constants count as well

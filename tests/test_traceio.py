@@ -12,6 +12,7 @@ from bolomux.traceio import (
     RunManifest,
     TraceFormatError,
     _sha256_file,
+    _write_table,
     read_manifest,
     read_trace,
     verify_manifest,
@@ -43,6 +44,14 @@ def test_iq_trace_round_trip_exact(tmp_path):
     assert back.t0_s == trace.t0_s
     # repr round trip: values are restored bit for bit
     assert np.array_equal(back.samples, trace.samples)
+
+    # signed zeros, infinities, nan and the extremes keep every bit in both
+    # parts; set without arithmetic, since re + 1j*im loses a -0.0 or inf imag
+    parts = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 0.1])
+    samples = np.empty(parts.size, dtype=complex)
+    samples.real, samples.imag = parts, np.roll(parts, 3)
+    write_trace(IQTrace(1e5, 1e6, 0.0, samples), path)
+    assert np.array_equal(read_trace(path).samples.view(np.uint64), samples.view(np.uint64))
 
 
 def test_write_is_deterministic(tmp_path):
@@ -98,6 +107,10 @@ def test_read_rejects_bad_value_with_line_number(tmp_path):
     path.write_text(IQ_HEADER + "0,1.0,0.0\n1,oops,0.0\n")
     with pytest.raises(TraceFormatError, match="line 6"):
         read_trace(path)
+    # the first bad cell names its line and column, not a later bad row
+    path.write_text(IQ_HEADER + "0,1.0,0.0\n1,2.0,0.0\n2,3.0,oops\n3,bad,0.0\n")
+    with pytest.raises(TraceFormatError, match="line 7: bad im 'oops'"):
+        read_trace(path)
 
 
 def test_read_rejects_wrong_arity_rows(tmp_path):
@@ -126,6 +139,28 @@ def test_read_rejects_header_after_data(tmp_path):
     path.write_text(IQ_HEADER + "0,1.0,0.0\n# late=1\n")
     with pytest.raises(TraceFormatError, match="header after data"):
         read_trace(path)
+
+
+def test_table_cells_share_one_float_rule(tmp_path):
+    # floats, numpy's included, print as repr(float(v)); anything else as str(v)
+    path = tmp_path / "table.csv"
+    _write_table(path, ("a", "b", "c", "d", "e", "f"), (
+        np.array([-0.0, np.nan, np.inf, 5e-324, 0.1, 1e16]),
+        [-np.inf, 1e308, 2.5, 0.0, -1.0, 1e-05],
+        [0, -1, 2, 30, 400, 5000],
+        np.arange(6, dtype=np.int64) - 3,
+        ["ch0", "x", "", "011", "leakage", "None"],
+        [np.float64(-0.0), np.int64(-7), np.float64(1e16), np.int64(2**40), True,
+         np.float32(0.1)],
+    ))
+    assert path.read_bytes() == (
+        b"a,b,c,d,e,f\n"
+        b"-0.0,-inf,0,-3,ch0,-0.0\n"
+        b"nan,1e+308,-1,-2,x,-7\n"
+        b"inf,2.5,2,-1,,1e+16\n"
+        b"5e-324,0.0,30,0,011,1099511627776\n"
+        b"0.1,-1.0,400,1,leakage,True\n"
+        b"1e+16,1e-05,5000,2,None,0.10000000149011612\n")
 
 
 # ---------------------------------------------------------------- manifest
