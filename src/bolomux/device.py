@@ -7,7 +7,7 @@ the resonator heats the absorber, which moves the resonance, which changes
 the absorption: the electrothermal feedback loop whose steady state
 `_steady_state` solves.
 
-`_gamma` and `_absorbed_fraction` are the one copy of the reflection and
+`_gamma` and `_absorption` are the one copy of the reflection and
 absorption arithmetic; the solver and the time-domain engine both use them.
 `_steady_state` is the one steady-state kernel: it solves a whole array of
 probe frequencies and extra loads per call, which is how the probe and
@@ -94,14 +94,18 @@ def _gamma(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float, out=None):
     return np.subtract(1.0, np.divide(kappa_ext_hz, out, out=out), out=out)
 
 
-def _absorbed_fraction(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):
-    """1 - |Gamma|^2 = kappa_ext kappa_int / (detuning^2 + (kappa/2)^2).
-
-    Non-negative exactly, and free of the cancellation in 1 - |Gamma|^2 far
-    off resonance.  Floats or arrays alike.
-    """
+def _absorption(kappa_ext_hz, kappa_int_hz):
+    """detuning -> 1 - |Gamma|^2 = kappa_ext kappa_int / (detuning^2 + (kappa/2)^2), its
+    detuning-free terms computed once.  Non-negative exactly, and free of the
+    cancellation in 1 - |Gamma|^2 far off resonance.  Floats or arrays alike."""
     half = 0.5 * (kappa_ext_hz + kappa_int_hz)
-    return kappa_ext_hz * kappa_int_hz / (detuning_hz * detuning_hz + half * half)
+    product, half_sq = kappa_ext_hz * kappa_int_hz, half * half
+    return lambda detuning_hz: product / (detuning_hz * detuning_hz + half_sq)
+
+
+def _absorbed_fraction(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):
+    """_absorption(kappa_ext_hz, kappa_int_hz) at detuning_hz."""
+    return _absorption(kappa_ext_hz, kappa_int_hz)(detuning_hz)
 
 
 @dataclass(frozen=True)

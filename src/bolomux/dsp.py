@@ -5,10 +5,10 @@ chain reproducible to the bit.  A down-conversion keeps the inclusive bin
 range carrier +- bandwidth/2 from `_band_offsets` (a guard of 1e-6 of a bin
 spacing keeps edge bins against rounding of the edge), and `_band_iq`, the
 one band slice, folds those bins onto the output rate and inverse
-transforms them.  `_dft_bins`, a DFT pruned to a few windows of bins,
-reads the bins from the engine's (steps, block) matrices in spectral
-synthesis.  For a carrier on the record's DFT grid the chain equals a
-full-record mixer.
+transforms them.  `_dft_bins`, a DFT of a real record pruned to a few
+windows of bins, reads every channel's band from one real transform of the
+engine's (steps, block) composite record.  For a carrier on the record's
+DFT grid the chain equals a full-record mixer.
 """
 
 from __future__ import annotations
@@ -94,21 +94,28 @@ def _twiddles(n: int, c: int, width: int) -> np.ndarray:
     return table
 
 
-def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, overwrite=False) -> np.ndarray:
-    """Bins starts[w] + j, j < width (mod n), of the DFT G of the n-sample record x.ravel().
+def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, out=None) -> np.ndarray:
+    """Bins starts[w] + j, j < width (mod n), of the DFT G of the real n-sample record x.ravel().
 
-    With x viewed as (n/c, c), c = min(x.shape) (or 1 where the windows hold
-    more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod n/c, m], A
-    that view's FFT along axis 0 (in x's own memory with overwrite, x being
-    complex and C-contiguous); window w's twiddle is exp(-2 pi i starts[w] m
-    / n) times the shared table.  Returns a (windows, width) array.
+    With x viewed as (r, c), c = min(x.shape) (or 1 where the windows hold
+    more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod r, m], A
+    that view's FFT along axis 0, whose rows past r/2 are A[r - q] =
+    conj(A[q]): one rfft holds them all, in the memory of out (complex,
+    C-contiguous, >= n elements) if given.  Window w's twiddle is
+    exp(-2 pi i starts[w] m / n) times the shared table.  Returns a
+    (windows, width) array.
     """
     n = x.size
     c = min(x.shape) if len(starts) * width * min(x.shape) <= n else 1
-    a = np.fft.fft(x.reshape(-1, c), axis=0, out=x.reshape(-1, c) if overwrite else None)
-    start_twiddles = np.exp(-2j * np.pi / n * (np.outer(starts % n, np.arange(c)) % n))
-    picked = a[(starts[:, None] + np.arange(width)) % a.shape[0]]
+    rows = n // c
+    a = np.fft.rfft(x.reshape(rows, c), axis=0, out=None if out is None else
+                    out.reshape(-1)[:(rows // 2 + 1) * c].reshape(-1, c))
+    q = (starts[:, None] + np.arange(width)) % rows
+    mirrored = q > rows // 2
+    picked = a[np.where(mirrored, rows - q, q)]
+    np.conjugate(picked, out=picked, where=mirrored[..., None])
     picked *= _twiddles(n, c, width)
+    start_twiddles = np.exp(-2j * np.pi / n * (np.outer(starts % n, np.arange(c)) % n))
     return np.einsum("wjm,wm->wj", picked, start_twiddles)
 
 

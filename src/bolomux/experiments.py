@@ -3,16 +3,16 @@
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
 with no finite steady state comes out NaN.  Time-domain runs come in
-batches: one thermal pass steps every (run, channel) together, then each run
-samples each channel's reflection Gamma(t) at the digitizer rate into one
-(steps, block) workspace per batch.  The probe comb is never built: every
-tone sits on the record's DFT grid, so each channel's demod band follows
-from a few bins of each Gamma's DFT, read by a pruned transform of that
-matrix in place; the mean of n_avg noise records, one white record of std
-sigma/sqrt(n_avg), adds its bins alike.  Each band is sliced to baseband IQ
-and reduced to response metrics.  Every random draw comes from a stream
-derived from (master seed, experiment kind, pattern), and no number depends
-on the batching, so any execution order is bit-identical.
+batches, their bands, fades and carriers planned once: one thermal pass
+steps every (run, channel) together, then each run builds the record that
+one probe line and digitizer carry, every channel's tone Re(a Gamma(t)
+carrier) plus the mean of n_avg noise records (one white record of std
+sigma/sqrt(n_avg)), in one real (steps, block) array per batch.  One pruned
+real transform of that record reads every channel's demod band, which is
+sliced to baseband IQ and reduced to response metrics.  Every random draw
+comes from a stream derived from (master seed, experiment kind, pattern),
+and no number depends on the batching, so any execution order is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .device import (BolometerParams, OperatingPoint, _absorbed_fraction, _gamma,
-                     _steady_state, solve_operating_point)
+from .device import (BolometerParams, OperatingPoint, _absorption, _gamma, _steady_state,
+                     solve_operating_point)
 from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _demod_band,
                   _dft_bins, response_metric)
 from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
@@ -305,16 +305,17 @@ def _thermal_stage(chip: ChipConfig, operating, heater_w: np.ndarray, dt: float)
          p.kappa_int_hz, p.t_bath_k, p.g_th_w_per_k, math.exp(-dt / p.tau_th_s),
          math.exp(-0.5 * dt / p.tau_th_s), op.t_star_k)
         for tone, p, op in zip(tones, chip.bolometers, ops)]).T, runs)
+    absorbed = _absorption(ke, ki)
     heater = np.ascontiguousarray(heater_w.reshape(runs * n_ch, steps).T)
     t_start, t_inf_of, s = np.empty_like(heater), np.empty_like(heater), 0
     for end in [*(np.flatnonzero((heater[1:] != heater[:-1]).any(axis=1)) + 1).tolist(), steps]:
         while s < end:
             heat, rise = heater[s], t_e - t_bath
             detuning = f_p - (f_r0 - dfdt * rise)
-            rise_inf = (p_probe * _absorbed_fraction(detuning, ke, ki) + heat) / g_th
+            rise_inf = (p_probe * absorbed(detuning) + heat) / g_th
             t_mid = t_bath + rise_inf + (rise - rise_inf) * decay_half
             detuning = f_p - (f_r0 - dfdt * (t_mid - t_bath))
-            t_inf = t_bath + (p_probe * _absorbed_fraction(detuning, ke, ki) + heat) / g_th
+            t_inf = t_bath + (p_probe * absorbed(detuning) + heat) / g_th
             t_next = t_inf + (t_e - t_inf) * decay
             stop = end if t_next.tobytes() == t_e.tobytes() else s + 1
             t_start[s:stop], t_inf_of[s:stop] = t_e, t_inf
@@ -324,38 +325,55 @@ def _thermal_stage(chip: ChipConfig, operating, heater_w: np.ndarray, dt: float)
 
 def _timedomain_runs(chip: ChipConfig, pulse_sets, settings: RunSettings, operating,
                      seed: Seed, stream_labels, patterns=None):
-    """The engine: one MultiplexRun per pulse set, from one thermal pass and one
-    workspace.  operating is operating_tones(chip, settings); run r draws its noise
-    from (seed, *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
+    """The engine: one MultiplexRun per pulse set, from one thermal pass, one readout
+    plan and one pair of buffers.  operating is operating_tones(chip, settings); run r
+    draws its noise from (seed, *stream_labels[r]) and carries patterns[r] (default:
+    no bit set)."""
     settings.validate_against(chip)
-    steps = round(settings.window_s / settings.thermal_dt_s)
+    fs, (tones, _) = chip.sample_rate_hz, operating
+    n, steps = round(settings.window_s * fs), round(settings.window_s / settings.thermal_dt_s)
+    block, decimation = n // steps, round(fs / settings.output_rate_hz)
     heater_w = np.array([_heater_power_w(chip, pulses, steps, settings.thermal_dt_s)
                          for pulses in pulse_sets]).reshape(-1, chip.n_channels, steps)
     t_start, t_inf = _thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
-    n = round(settings.window_s * chip.sample_rate_hz)
-    workspace = np.empty((steps, n // steps), dtype=complex)
-    for r, labels in enumerate(stream_labels):
-        yield _timedomain_run(chip, settings, operating, t_start[r], t_inf[r], workspace, seed,
-                              labels, patterns[r] if patterns else None)
-
-
-def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, t_start, t_inf_of,
-                    workspace: np.ndarray, seed: Seed, stream_labels: tuple[int, ...],
-                    pattern: TriggerPattern | None = None) -> MultiplexRun:
-    """One run's readout from its (channels, steps) trajectories; overwrites the
-    complex (steps, block) workspace."""
-    fs = chip.sample_rate_hz
-    n = round(settings.window_s * fs)
-    steps, block = workspace.shape
-    decimation = round(fs / settings.output_rate_hz)
-
-    tones, ops = operating
     # every channel's demod band as DFT bins k_c + offsets of the record
     # (the offsets do not depend on the carrier)
     planned = [_demod_band(n, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)
                for tone in tones]
-    carrier_bins, offsets = np.array([k_c for k_c, _ in planned]), planned[0][1]
-    bands = np.zeros((chip.n_channels, offsets.size), dtype=complex)
+    carrier_bins = np.array([k_c for k_c, _ in planned])
+    # channel ch's carrier a exp(2 pi i k_ch (s block + m) / n) at sample
+    # s block + m is a steps factor (a folded in) times a block factor, each
+    # phase an integer reduced mod n, so exact at any record length
+    amplitude = np.array([[tone_amplitude_volts(tone.p_dbm)] for tone in tones])
+    tau = np.array([[p.tau_th_s] for p in chip.bolometers])
+    plan = (carrier_bins, planned[0][1], decimation, np.exp(-np.arange(block) / (fs * tau)),
+            amplitude * np.exp(2j * np.pi / n * (np.outer(carrier_bins * block,
+                                                          np.arange(steps)) % n)),
+            np.exp(2j * np.pi / n * (np.outer(carrier_bins, np.arange(block)) % n)))
+    workspace, record = np.empty((steps, block), dtype=complex), np.empty((steps, block))
+    for r, labels in enumerate(stream_labels):
+        yield _timedomain_run(chip, settings, operating, plan, t_start[r], t_inf[r], workspace,
+                              record, seed, labels, patterns[r] if patterns else None)
+
+
+def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, plan, t_start,
+                    t_inf_of, workspace: np.ndarray, record: np.ndarray, seed: Seed,
+                    stream_labels: tuple[int, ...],
+                    pattern: TriggerPattern | None = None) -> MultiplexRun:
+    """One run's readout from its (channels, steps) trajectories and the batch's plan
+    (carrier bins, band offsets, decimation, and per channel the within-step fade and
+    the two carrier factors); overwrites the complex workspace and the real record."""
+    fs, n, (steps, block) = chip.sample_rate_hz, record.size, record.shape
+    carrier_bins, offsets, decimation, fades, steps_carriers, block_carriers = plan
+    tones, ops = operating
+    # the digitized record: the mean of n_avg noise records, one white record
+    # of std sigma/sqrt(n_avg) drawn in place, plus every channel's tone
+    sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
+    if sigma > 0.0:
+        derive_stream(seed, *stream_labels).standard_normal(out=record)
+        record *= sigma
+    else:
+        record.fill(0.0)
     for ch, par in enumerate(chip.bolometers):
         tone, ke, ki, dfdt = tones[ch], par.kappa_ext_hz, par.kappa_int_hz, par.dfdt_hz_per_k
         # the reflection is sampled per digitizer sample on the exact
@@ -364,29 +382,19 @@ def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, t_start,
         # before the first moving step (t_start != t_inf) are one value each
         det_inf = tone.f_hz - (par.f_r0_hz - dfdt * (t_inf_of[ch] - par.t_bath_k))
         first = next(iter(np.flatnonzero(t_start[ch] != t_inf_of[ch])), steps)
-        workspace[:first] = _gamma(det_inf[:first, None], ke, ki)
-        fade = np.exp(-np.arange(block) / (fs * par.tau_th_s))
+        steps_carrier = steps_carriers[ch, :, None]
+        workspace[:first] = _gamma(det_inf[:first, None], ke, ki) * steps_carrier[:first]
         det = workspace[first:].imag
-        np.multiply((dfdt * (t_start[ch, first:] - t_inf_of[ch, first:]))[:, None], fade, out=det)
+        np.multiply((dfdt * (t_start[ch, first:] - t_inf_of[ch, first:]))[:, None], fades[ch],
+                    out=det)
         np.add(det, det_inf[first:, None], out=det)
         _gamma(det, ke, ki, out=workspace[first:])
-        # the channel's reflected tone Re(2 w gamma(t) exp(2 pi i k_ch m / n))
-        # has DFT w G[k - k_ch] + conj(w G[-k - k_ch]), G = DFT(gamma): the
-        # tone sits on the record's DFT grid, so this is exact.  The image
-        # bins -k - k_ch fall, so they are read as a rising window, reversed
-        k_ch = carrier_bins[ch]
-        spectrum = _dft_bins(workspace, np.concatenate([carrier_bins - k_ch + offsets[0],
-                                                        -carrier_bins - k_ch - offsets[-1]]),
-                             offsets.size, overwrite=True)
-        w = 0.5 * tone_amplitude_volts(tone.p_dbm)
-        bands += w * spectrum[:chip.n_channels] + np.conj(w * spectrum[chip.n_channels:, ::-1])
-
-    sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
-    if sigma > 0.0:
-        noise = derive_stream(seed, *stream_labels).normal(0.0, sigma, n)
-        workspace[:] = noise.reshape(steps, block)
-        bands += _dft_bins(workspace, carrier_bins + offsets[0], offsets.size, overwrite=True)
-
+        workspace[first:] *= steps_carrier[first:]
+        # the reflected tone Re(a Gamma(t) exp(2 pi i k_ch i / n))
+        workspace *= block_carriers[ch]
+        record += workspace.real
+    # every band from one real transform of the record, held in the workspace
+    bands = _dft_bins(record, carrier_bins + offsets[0], offsets.size, out=workspace)
     iqs = tuple(_band_iq(bands[ch], offsets, n, decimation, tones[ch].f_hz, fs, 0.0)
                 for ch in range(chip.n_channels))
     return MultiplexRun(

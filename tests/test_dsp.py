@@ -152,35 +152,44 @@ def test_demod_validation():
 @pytest.mark.parametrize("shape, width, view", [
     ((1000, 100), 101, (1000, 100)),
     ((100, 1000), 101, (1000, 100)),    # fewer rows than columns: rows become c
-    ((997, 3), 40, (997, 3)),           # prime row count
+    ((997, 3), 40, (997, 3)),           # prime row count: no Nyquist row
     ((50, 40), 60, (2000, 1)),          # windows hold more than n / c bins: c = 1
 ])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_dft_bins_matches_full_fft(monkeypatch, shape, width, view, dtype):
-    gen = stream(21, shape[0], width)
-    x = gen.normal(size=shape)
-    if dtype is complex:
-        x = x + 1j * gen.normal(size=shape)
-    n = x.size
-    # negative starts, starts at and past n, and a repeated start
-    starts = np.array([-7, 3, n, 2 * n + 11, 3, -n - 1])
-    views = []
-    original = np.fft.fft
+    # a real record, held in a float array or, strided, as the real part of
+    # a complex one
+    x = np.zeros(shape, dtype=dtype).real
+    x[:] = stream(21, shape[0], width).normal(size=shape)
+    n, rows = x.size, view[0]
+    # negative starts, starts at and past n, a repeated start, and a window
+    # across the middle row: rows past rows // 2 are read as the conjugates
+    # of their mirror rows, and at an even row count the Nyquist row is read
+    starts = np.array([-7, 3, n, 2 * n + 11, 3, -n - 1, rows // 2 - width // 2])
+    q = (starts[:, None] + np.arange(width)) % rows
+    assert (q > rows // 2).any() and (q <= rows // 2).any()
+    assert rows % 2 == 1 or (q == rows // 2).any()
+    calls = []
+    for name in ("fft", "rfft"):
+        original = getattr(np.fft, name)
 
-    def recorded(a, *args, **kwargs):
-        views.append(np.shape(a))
-        return original(a, *args, **kwargs)
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a), kwargs.get("axis", -1)))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft", recorded)
+        monkeypatch.setattr(np.fft, name, recorded)
     bins = _dft_bins(x, starts, width)
     monkeypatch.undo()
-    assert views == [view]
+    assert calls == [("rfft", view, 0)]
     expected = np.fft.fft(x.ravel())[(starts[:, None] + np.arange(width)) % n]
     assert bins.shape == (starts.size, width)
     assert np.max(np.abs(bins - expected)) <= 1e-12 * np.max(np.abs(expected))
-    if dtype is complex:
-        # transformed in its own memory, the same bins bit for bit
-        assert np.array_equal(_dft_bins(x.copy(), starts, width, overwrite=True), bins)
+    # written into a complex buffer's memory, the same bins bit for bit
+    buffer = np.full(shape, np.nan, dtype=complex)
+    assert np.array_equal(_dft_bins(x, starts, width, out=buffer).view(np.uint64),
+                          bins.view(np.uint64))
+    half = np.fft.rfft(x.reshape(view), axis=0)
+    assert np.array_equal(buffer.reshape(-1)[:half.size], half.ravel())
 
 
 # ------------------------------------------------------- predicted floor

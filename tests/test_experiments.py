@@ -354,14 +354,16 @@ def scalar_thermal_oracle(chip, operating, heater_w, dt):
 
 
 def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
-    """The carrier-and-composite engine that spectral synthesis replaced, kept as its oracle.
+    """The mixer-per-channel readout, kept as the engine's oracle.
 
     Steps each channel's thermal state (scalar_thermal_oracle), builds its
     reflected tone Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's
-    time axis, adds the tones and the averaged noise record of std
-    sigma/sqrt(n_avg) from the stream (seed, *labels) into one composite
-    record and mixes that record down once per channel (mixer_demodulate).
-    Returns the IQ samples, one row per channel.
+    time axis from a record-length carrier, adds the tones and the averaged
+    noise record of std sigma/sqrt(n_avg) from the stream (seed, *labels)
+    into one composite record and mixes that record down once per channel
+    with a record-length mixer (mixer_demodulate), where the engine reads
+    every band from one pruned real transform.  Returns the IQ samples, one
+    row per channel.
     """
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
@@ -451,10 +453,10 @@ def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
 @pytest.mark.parametrize("noisy", [False, True])
 def test_engine_takes_no_record_length_transform(default_chip, default_settings, monkeypatch,
                                                  noisy):
-    # each channel's reflection, and the noise record when there is noise,
-    # is transformed once along the steps axis of its (steps, block) matrix;
-    # a record-length transform, a carrier or composite record, or a
-    # repeated transform of the same record would show up here
+    # the channels and the noise add into one real (steps, block) record per
+    # run, transformed once along its steps axis; a record-length transform,
+    # a per-channel or separate noise transform, or a repeated transform of
+    # the same record would show up here
     n = round(default_settings.window_s * default_chip.sample_rate_hz)
     steps = round(default_settings.window_s / default_settings.thermal_dt_s)
     calls = []
@@ -467,12 +469,16 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
 
         monkeypatch.setattr(np.fft, name, counted)
     chip = default_chip if noisy else replace(default_chip, noise_sigma_v=0.0)
-    run_trigger(chip, TriggerPattern.from_label("101"), default_settings, Seed(3))
+    patterns = [TriggerPattern.from_label(label) for label in ("101", "110")]
+    experiments._trigger_runs(chip, patterns, default_settings,
+                              operating_tones(chip, default_settings), Seed(3))
     assert [c for c in calls if c[1][-1] == n] == []
-    along_steps = [c for c in calls if c == ("fft", (steps, n // steps), 0)]
-    assert len(along_steps) == chip.n_channels + int(noisy)
+    along_steps = [c for c in calls if c == ("rfft", (steps, n // steps), 0)]
+    assert len(along_steps) == len(patterns)
+    assert [c for c in calls if c[0] == "fft"] == []
     # the rest are the band slices' short inverse transforms, one per channel
-    assert sorted(c[0] for c in calls if c not in along_steps) == ["ifft"] * chip.n_channels
+    assert sorted(c[0] for c in calls if c not in along_steps) == (
+        ["ifft"] * chip.n_channels * len(patterns))
 
 
 # ------------------------------------------------------ batched thermal stage
@@ -837,8 +843,9 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
 
 def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     # the runs of a path share one complex (steps x block) Gamma workspace
-    # and transform it in place, so the path's traced peak stays within 2.5
-    # such matrices (one is 1.53 MiB on the shipped posture)
+    # and one real record, whose transform is written into the workspace,
+    # so the path's traced peak stays within 2.5 complex such matrices (one
+    # is 1.53 MiB on the shipped posture)
     settings = RunSettings(probe_detuning_fraction=0.5)
     n = round(settings.window_s * default_chip.sample_rate_hz)
     matrix_bytes = np.dtype(complex).itemsize * n
