@@ -1,18 +1,20 @@
 """Experiment configuration: schema-validated JSON with shipped defaults.
 
-A config document has four top-level sections: seed, chip, run and notes.
-User files are deep-merged over the shipped defaults (dicts merge key by
-key, lists and scalars replace), validated against the packaged JSON
-schema, and only then turned into live objects.  Validation errors carry
-the JSON pointer of the offending field.
+A config document has five top-level sections: seed, chip, run, sweeps and
+notes.  User files are deep-merged over the shipped defaults (dicts merge
+key by key, lists and scalars replace), checked against the packaged JSON
+schema, and only then turned into live objects.  The package checks the
+schema itself: it implements the subset of JSON Schema keywords that the
+packaged schema uses and refuses a schema carrying any other.  A
+violation names the JSON pointer of the first offending field in document
+order.
 """
 import copy
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .device import BolometerParams
 from .experiments import ChipConfig, RunSettings
@@ -42,21 +44,88 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path) if path else "/"
 
 
-# JSON Schema counts 51.0 as an integer; counts, seeds and indices here must
-# be written as JSON integers, since the program uses them as Python ints
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+# Counts, seeds and indices must be JSON integers (51.0 is not one, unlike
+# in JSON Schema), since the program uses them as Python ints; a bool is
+# neither an integer nor a number
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+# keyword, test that breaks it, wording; NaN breaks none of them
+_BOUNDS = (("minimum", operator.lt, "less than the minimum of"),
+           ("maximum", operator.gt, "greater than the maximum of"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+           ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"))
+_KEYWORDS = {"$schema", "title", "type", "required", "properties", "additionalProperties",
+             "items", "prefixItems", "minItems", "maxItems", *(key for key, _, _ in _BOUNDS)}
+
+
+def _check_keywords(schema, path=()) -> None:
+    """Refuse a schema using a keyword or type the checker does not implement."""
+    if not isinstance(schema, dict):
+        raise ConfigError(f"config schema at {_pointer(path)} is not an object")
+    unknown, kind = sorted(set(schema) - _KEYWORDS), schema.get("type", "object")
+    if unknown or not (isinstance(kind, str) and kind in _TYPES):
+        what = f"keyword {unknown[0]!r}" if unknown else f"type {kind!r}"
+        raise ConfigError(f"config schema {what} at {_pointer(path)} is not supported")
+    subs = [(("properties", key), sub) for key, sub in schema.get("properties", {}).items()]
+    subs += [(("prefixItems", i), sub) for i, sub in enumerate(schema.get("prefixItems", ()))]
+    subs += [((key,), schema[key]) for key in ("items", "additionalProperties")
+             if key in schema and schema[key] is not False]
+    for where, sub in subs:
+        _check_keywords(sub, path + where)
+
+
+def _violations(value, schema: dict, path=()):
+    """Yield (path, message) for every rule `value` breaks, in document order."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+    elif _TYPES["number"](value):
+        for key, breaks, wording in _BOUNDS:
+            if key in schema and breaks(value, schema[key]):
+                yield path, f"{value!r} is {wording} {schema[key]!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            yield path, f"{value!r} {short}"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield path, f"{value!r} is too long"
+        prefix = schema.get("prefixItems", [])
+        for i, item in enumerate(value):
+            sub = prefix[i] if i < len(prefix) else schema.get("items")
+            if sub is not None:
+                yield from _violations(item, sub, path + (i,))
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        unexpected = [key for key in value if key not in props]
+        if extra is False and unexpected:
+            verb = "was" if len(unexpected) == 1 else "were"
+            names = ", ".join(map(repr, unexpected))
+            yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is not False:
+                yield from _violations(item, sub, path + (key,))
+
+
+def _validate(doc: dict, schema: dict) -> None:
+    _check_keywords(schema)
+    found = next(_violations(doc, schema), None)
+    if found is not None:
+        raise ConfigError(f"config error at {_pointer(found[0])}: {found[1]}")
 
 
 def validate_config(doc: dict) -> None:
     """Schema-check a complete (merged) document; ConfigError on violation."""
-    validator = _Validator(config_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(f"config error at {_pointer(err.absolute_path)}: {err.message}")
+    _validate(doc, _load_packaged("config_schema.json"))
 
 
 def deep_merge(base: dict, override: dict) -> dict:

@@ -18,7 +18,6 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -414,6 +413,8 @@ def _fan_out(fn, jobs, threads: int) -> list:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1:
         return [fn(*job) for job in jobs]
+    # imported here: a one-thread run never needs the pool or the logging it loads
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
@@ -493,6 +494,8 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
     powers = [float(p) for p in powers_dbm]
     if not powers:
         raise ValueError("need at least one probe power")
+    if not (math.isfinite(span_linewidths) and span_linewidths > 0.0):
+        raise ValueError(f"span_linewidths must be finite and > 0, got {span_linewidths}")
     for p in powers:
         _check_probe_power(chip, p, allow_nonlinear)
     if f_hz is None:
@@ -600,6 +603,9 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     f_grid = np.asarray(f_heater_hz, dtype=float)
     if f_grid.ndim != 1 or f_grid.size < 3:
         raise ValueError("heater frequency grid must be 1-d with >= 3 points")
+    if not (np.all(np.isfinite(f_grid)) and np.all(np.diff(f_grid) > 0.0)):
+        raise ValueError("heater frequency grid must be finite and strictly increasing, "
+                         f"got {f_grid[0]:g} to {f_grid[-1]:g} Hz")
     tones, ops = operating_tones(chip, settings)
 
     resp = np.empty((chip.n_channels, f_grid.size))

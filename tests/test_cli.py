@@ -207,6 +207,24 @@ def test_filterscan_finds_peaks(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, sweep", [
+    ("filterscan", {"f_min_hz": 5e9, "f_max_hz": 4e9}),
+    ("filterscan", {"f_min_hz": float("nan")}),
+    ("filterscan", {"f_max_hz": float("inf")}),
+    ("characterize", {"span_linewidths": float("nan")}),
+    ("characterize", {"span_linewidths": float("inf")}),
+])
+def test_sweep_rejects_bad_grid(capsys, tmp_path, command, sweep):
+    # the schema passes these; the sweep refuses them in one line, exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweeps": {command: sweep}}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
+    assert not out.exists()
+
+
 def test_powersweep_writes_crosstalk(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sweeps": {"powersweep": {"n_points": 12}}}))

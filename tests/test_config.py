@@ -1,13 +1,20 @@
 """Config loading: shipped defaults, schema validation with JSON pointers,
 deep merge semantics, and canonical hashing."""
 
+import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
 from bolomux.config import (
     ConfigError,
+    _pointer,
+    _validate,
     ExperimentConfig,
     build_chip,
     build_settings,
@@ -246,3 +253,132 @@ def test_config_hash_tracks_content():
     changed["run"]["n_avg"] = 101
     assert config_hash(doc) != config_hash(changed)
     assert len(config_hash(doc)) == 64  # sha256 hex
+
+
+# ----------------------------------------------------------------- checker
+
+_BAD_VALUES = (-1, 0, 1.5, 51.0, 2 ** 64, "x", None, True, False, [], {},
+               float("nan"), float("inf"), float("-inf"))
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, value
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _edited(doc, path, edit):
+    """A deep copy of doc with edit(container, key) applied at path."""
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    edit(node, path[-1])
+    return out
+
+
+def _mutations(doc):
+    """(path, mutated doc): every node set to each bad value, every key
+    deleted, one extra key or item in every container."""
+    for path, value in _nodes(doc):
+        if path:
+            for bad in _BAD_VALUES:
+                yield path, _edited(doc, path, lambda node, key, bad=bad: node.__setitem__(key, bad))
+        if path and isinstance(path[-1], str):
+            yield path, _edited(doc, path, lambda node, key: node.pop(key))
+        if isinstance(value, dict):
+            yield path, _edited(doc, path + ("extra",), lambda node, key: node.__setitem__(key, 1))
+        elif isinstance(value, list) and value:
+            yield path, _edited(doc, path + (0,), lambda node, key: node.append(node[-1]))
+
+
+def test_checker_matches_jsonschema_oracle():
+    jsonschema = pytest.importorskip("jsonschema")
+    # the oracle counts only JSON integers as integers, as the checker does
+    base = jsonschema.Draft202012Validator
+    oracle = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))(
+            config_schema())
+    schema = config_schema()
+    # an edit below a top-level section leaves the root's own rules and the
+    # other sections as valid as the defaults, so the oracle reads only that
+    # section (half the time); the checker always reads the whole doc
+    sections = {name: oracle.evolve(schema=sub) for name, sub in schema["properties"].items()}
+    seen, rejected, mismatches = 0, 0, []
+    for path, doc in _mutations(default_config_dict()):
+        seen += 1
+        if len(path) > 1:
+            errors = [(path[0], *e.absolute_path) for e in
+                      sections[path[0]].iter_errors(doc[path[0]])]
+        else:
+            errors = [tuple(e.absolute_path) for e in oracle.iter_errors(doc)]
+        try:
+            _validate(doc, schema)
+            pointer = None
+        except ConfigError as exc:
+            rejected += 1
+            pointer = str(exc).removeprefix("config error at ").split(": ", 1)[0]
+        if (pointer is None) != (not errors) or (len(errors) == 1
+                                                 and pointer != _pointer(errors[0])):
+            mismatches.append((_pointer(path), pointer, errors))
+    assert mismatches == []
+    assert seen > 1800 and 0 < rejected < seen
+
+
+def test_checker_names_first_violation_in_document_order():
+    doc = default_config_dict()
+    doc["chip"]["channel_map"] = [-1, 0, -2]
+    with pytest.raises(ConfigError, match=r"^config error at /chip/channel_map/0: -1 is less "):
+        validate_config(doc)
+    doc["chip"]["extra"] = 1
+    with pytest.raises(ConfigError, match=r"^config error at /chip: Additional properties"):
+        validate_config(doc)
+
+
+def test_checker_passes_nan_and_refuses_infinity():
+    doc = default_config_dict()
+    doc["run"]["window_s"] = float("nan")
+    validate_config(doc)
+    doc["run"]["window_s"] = float("-inf")
+    with pytest.raises(ConfigError, match="/run/window_s: -inf is less than or equal to"):
+        validate_config(doc)
+
+
+@pytest.mark.parametrize("where, keyword", [
+    ((), "pattern"),
+    (("properties", "chip", "properties", "filters", "items", "properties",
+      "stopband_floors", "items", "prefixItems", 0), "multipleOf"),
+    (("properties", "notes", "additionalProperties"), "enum"),
+])
+def test_checker_refuses_unsupported_keyword(where, keyword):
+    # refused before any value is read, even where the document has no value
+    schema = config_schema()
+    node = schema
+    for key in where:
+        node = node[key]
+    node[keyword] = 1
+    doc = default_config_dict()
+    del doc["notes"]
+    with pytest.raises(ConfigError, match=f"keyword '{keyword}' at {_pointer(where)} "
+                                          "is not supported"):
+        _validate(doc, schema)
+
+
+def test_checker_refuses_unsupported_type():
+    schema = config_schema()
+    schema["properties"]["seed"]["type"] = ["integer", "null"]
+    with pytest.raises(ConfigError, match=r"type \['integer', 'null'\] at /properties/seed"):
+        _validate(default_config_dict(), schema)
+
+
+def test_cli_import_loads_no_validator_or_thread_pool():
+    modules = ("jsonschema", "referencing", "attrs", "rpds", "concurrent.futures")
+    code = ("import sys, bolomux.cli; bolomux.config.load_config(); "
+            f"print([m for m in {modules!r} if m in sys.modules])")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

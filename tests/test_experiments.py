@@ -609,6 +609,12 @@ def test_probe_sweep_validation(default_chip):
         run_probe_sweep(default_chip, [-144.0], f_hz=[np.linspace(1e8, 2e8, 11)])
 
 
+@pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_probe_sweep_rejects_bad_span(default_chip, span):
+    with pytest.raises(ValueError, match="span_linewidths must be finite and > 0"):
+        run_probe_sweep(default_chip, [-160.0], span_linewidths=span, n_points=11)
+
+
 def test_characterize_recovers_chip_parameters(default_chip):
     sweep, fits = characterize(default_chip)
     for ch, par in enumerate(default_chip.bolometers):
@@ -735,6 +741,19 @@ def test_filter_sweep_response_is_positive_and_selective(default_chip):
 def test_filter_sweep_rejects_short_grid(default_chip):
     with pytest.raises(ValueError):
         run_filter_sweep(default_chip, [4.4e9, 5.8e9])
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(5e9, 4e9, 11),                 # inverted band
+    np.full(11, 4.4e9),                        # f_min == f_max
+    np.linspace(math.nan, 8e9, 2001),
+    [4.0e9, 6.0e9, math.inf],
+    [4.0e9, 4.4e9, 4.2e9, 5.0e9],              # not monotonic
+])
+def test_filter_sweep_rejects_unordered_or_non_finite_grid(default_chip, grid):
+    with pytest.raises(ValueError, match="finite and strictly increasing") as info:
+        run_filter_sweep(default_chip, grid)
+    assert "\n" not in str(info.value) and len(str(info.value)) < 120
 
 
 # ----------------------------------------------------------- power sweeps
