@@ -11,6 +11,7 @@ integrity mismatch).
 import argparse
 import copy
 import json
+import math
 import os
 import shutil
 import sys
@@ -195,7 +196,13 @@ def cmd_characterize(ctx: _Context, args) -> int:
 
 def cmd_filterscan(ctx: _Context, args) -> int:
     sw = ctx.sweeps["filterscan"]
-    grid = np.linspace(sw["f_min_hz"], sw["f_max_hz"], int(sw["n_points"]))
+    f_min, f_max = sw["f_min_hz"], sw["f_max_hz"]
+    # refuse the bounds before np.linspace turns a bad one into a numpy warning;
+    # the schema already holds n_points to an integer >= 5
+    if not (math.isfinite(f_min) and math.isfinite(f_max) and f_min < f_max):
+        raise ValueError("heater frequency grid must be finite and strictly increasing, "
+                         f"got {f_min:g} to {f_max:g} Hz")
+    grid = np.linspace(f_min, f_max, int(sw["n_points"]))
     result = run_filter_sweep(ctx.chip, grid, heater_power_dbm=sw["heater_power_dbm"],
                               settings=ctx.settings)
     os.makedirs(ctx.out_dir, exist_ok=True)

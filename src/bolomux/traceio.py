@@ -7,13 +7,16 @@ trailing newline; JSON is `indent=2, sort_keys=True`.
 
 Trace format: `#`-prefixed header lines (`# key=value`, with `kind=iq`
 and a `carrier_hz`), then one complex baseband sample per `index,re,im`
-row.  Write -> read -> write is byte-identical.
+row.  Write -> read -> write is byte-identical.  The reader converts a
+body in the writer's form with one `np.loadtxt` call and parses any other
+body line by line.
 
 Each run directory gets a `manifest.json` naming the tool version, the
 seed, the sha256 of the canonical config and of every output file.  The
 manifest is the only place a timestamp appears.
 """
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -35,8 +38,35 @@ class TraceFormatError(ValueError):
 
 
 def _cells(column) -> list[str]:
-    values = column.tolist() if isinstance(column, np.ndarray) else column
+    """The text of each cell; the rule is chosen once for an array column."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return _float_cells(column.astype(float, copy=False))
+    if kind in ("b", "i", "u"):
+        return list(map(str, column.tolist()))
+    values = column.tolist() if kind else column
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    """`repr` of each float64, formatting each distinct bit pattern once.
+
+    Sorting brings equal values together; a group is a run of equal bits,
+    so -0.0, 0.0 and every NaN payload keep their own text.  A column that
+    is mostly distinct is formatted directly.
+    """
+    order = np.argsort(values)
+    bits = values.view(np.int64)[order]
+    starts = np.empty(bits.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    firsts = order[starts]
+    if 2 * firsts.size > values.size:
+        return list(map(repr, values.tolist()))
+    texts = list(map(repr, values[firsts].tolist()))
+    group = np.empty(values.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return list(map(texts.__getitem__, group.tolist()))
 
 
 def _write_lines(path, lines) -> None:
@@ -81,33 +111,71 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
         raise TraceFormatError(f"line {lineno}: bad {what} {text!r}") from None
 
 
-def read_trace(path) -> IQTrace:
-    """Read a trace CSV back into an IQTrace."""
+# one body row as the writer puts it: an integer index, then re and im
+_ROW = np.dtype([("index", np.int64), ("iq", np.float64, (2,))])
+
+
+def _bulk_iq(body: str):
+    """The (n, 2) re/im array of a body in the writer's own form, else None.
+
+    One `np.loadtxt` call converts the body.  Every cell it accepts, `int`
+    and `float` accept with the same value, so a body it converts with the
+    index column 0..n-1 reads as the per-line pass would read it.
+    """
+    if not body:
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not np.array_equal(rows["index"], np.arange(rows.size)):
+        return None
+    return np.ascontiguousarray(rows["iq"])
+
+
+def _scan_lines(lines):
+    """Headers and (line number, cells) rows of a trace's lines, in file order."""
     headers = {}
     rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            if rows:
+                raise TraceFormatError(f"line {lineno}: header after data rows")
+            body = line[1:].strip()
+            key, sep, value = body.partition("=")
+            if not sep or not key.strip():
+                raise TraceFormatError(f"line {lineno}: malformed header {line!r}")
+            headers[key.strip()] = value.strip()
+            continue
+        parts = line.split(",")
+        idx_text = parts[0]
+        try:
+            idx = int(idx_text)
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: bad sample index {idx_text!r}") from None
+        if idx != len(rows):
+            raise TraceFormatError(f"line {lineno}: sample index {idx} out of order")
+        rows.append((lineno, parts[1:]))
+    return headers, rows
+
+
+def read_trace(path) -> IQTrace:
+    """Read a trace CSV back into an IQTrace.
+
+    The file is read once.  A body in the writer's own form is converted in
+    one call; any other body takes the per-line pass, which accepts every
+    further form `int` and `float` read and names the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if rows:
-                    raise TraceFormatError(f"line {lineno}: header after data rows")
-                body = line[1:].strip()
-                key, sep, value = body.partition("=")
-                if not sep or not key.strip():
-                    raise TraceFormatError(f"line {lineno}: malformed header {line!r}")
-                headers[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            idx_text = parts[0]
-            try:
-                idx = int(idx_text)
-            except ValueError:
-                raise TraceFormatError(f"line {lineno}: bad sample index {idx_text!r}") from None
-            if idx != len(rows):
-                raise TraceFormatError(f"line {lineno}: sample index {idx} out of order")
-            rows.append((lineno, parts[1:]))
+        text = fh.read()
+    head_end = 0  # past the leading header and blank lines
+    while text.startswith(("#", "\n"), head_end):
+        head_end = text.find("\n", head_end) + 1 or len(text)
+    values = _bulk_iq(text[head_end:])
+    headers, rows = _scan_lines(text[:head_end].split("\n") if values is not None
+                                else text.split("\n"))
 
     for key in ("sample_rate_hz", "t0_s", "kind"):
         if key not in headers:
@@ -117,22 +185,23 @@ def read_trace(path) -> IQTrace:
         raise TraceFormatError(f"line 1: unknown kind {kind!r}")
     sample_rate = _parse_float(headers["sample_rate_hz"], 1, "sample_rate_hz")
     t0 = _parse_float(headers["t0_s"], 1, "t0_s")
-    if not rows:
+    if values is None and not rows:
         raise TraceFormatError("line 1: trace has no samples")
 
     if "carrier_hz" not in headers:
         raise TraceFormatError("line 1: iq trace missing header '# carrier_hz='")
     carrier = _parse_float(headers["carrier_hz"], 1, "carrier_hz")
-    try:
-        values = np.array([cells for _, cells in rows], dtype=float)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (len(rows), 2):
-        for lineno, cells in rows:  # name the first bad row
-            if len(cells) != 2:
-                raise TraceFormatError(f"line {lineno}: expected index,re,im row")
-            _parse_float(cells[0], lineno, "re")
-            _parse_float(cells[1], lineno, "im")
+    if values is None:
+        try:
+            values = np.array([cells for _, cells in rows], dtype=float)
+        except ValueError:
+            values = None
+        if values is None or values.shape != (len(rows), 2):
+            for lineno, cells in rows:  # name the first bad row
+                if len(cells) != 2:
+                    raise TraceFormatError(f"line {lineno}: expected index,re,im row")
+                _parse_float(cells[0], lineno, "re")
+                _parse_float(cells[1], lineno, "im")
     # a view of the (re, im) pairs keeps -0.0 and infinite parts as written
     return IQTrace(carrier_hz=carrier, sample_rate_hz=sample_rate, t0_s=t0,
                    samples=values.view(complex).ravel())
