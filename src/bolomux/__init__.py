@@ -10,7 +10,6 @@ tables the bench produces (resonance characterization, compression
 points, crosstalk, per-pattern SNR).
 """
 from .analysis import (
-    CompressionFit,
     CrosstalkMatrix,
     FitError,
     LorentzianFit,
@@ -25,7 +24,6 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     config_hash,
-    default_config_dict,
     load_config,
     merge_config,
     validate_config,

@@ -21,7 +21,6 @@ from .units import watts_to_dbm
 __all__ = [
     "FitError",
     "LorentzianFit",
-    "CompressionFit",
     "CrosstalkMatrix",
     "SnrTable",
     "fit_lorentzian",
@@ -130,9 +129,6 @@ class LorentzianFit:
     offset: float
     f_r_err_hz: float
     fwhm_err_hz: float
-    depth_err: float
-    offset_err: float
-    residual_norm: float
 
 
 def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
@@ -189,7 +185,7 @@ def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
         return np.column_stack([d_df, d_wid, d_dep, d_off])
 
     p0 = np.array([0.0, fwhm0 / fscale, depth0 / yscale, offset0 / yscale])
-    p, perr, rnorm = _lm_least_squares(model, jac, xs, ys, p0)
+    p, perr, _ = _lm_least_squares(model, jac, xs, ys, p0)
     df, wid, dep, off = p
     wid, dep = abs(wid), float(dep)
     if dep <= 0.0 or dep < 3.0 * perr[2]:
@@ -201,9 +197,6 @@ def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
         offset=float(off) * yscale,
         f_r_err_hz=float(perr[0]) * fscale,
         fwhm_err_hz=float(perr[1]) * fscale,
-        depth_err=float(perr[2]) * yscale,
-        offset_err=float(perr[3]) * yscale,
-        residual_norm=rnorm * yscale,
     )
 
 
@@ -290,31 +283,15 @@ def _fit_exponential(t_s, values) -> _ExponentialFit:
 _P_1DB_FACTOR = 10.0 ** (1.0 / 20.0) - 1.0  # P_1dB = factor * p_sat for the hyperbolic model
 
 
-@dataclass(frozen=True)
-class CompressionFit:
-    """Gain-compression fit r(P) = A P / (1 + P/p_sat).
+def fit_compression(p_w, response) -> float:
+    """Fit the gain compression r(P) = A P / (1 + P/p_sat); return the 1 dB point in dBm.
 
-    p_1db_w is the input power where the response has dropped 1 dB below the
-    small-signal line: (10**(1/20) - 1) * p_sat.
-    """
-
-    a_per_w: float
-    p_sat_w: float
-    p_1db_w: float
-    p_1db_dbm: float
-    a_err_per_w: float
-    p_sat_err_w: float
-    p_1db_err_db: float
-    residual_norm: float
-
-
-def fit_compression(p_w, response) -> CompressionFit:
-    """Fit the saturating response model and extract the 1 dB point.
-
-    Needs at least 6 points with strictly positive powers; the sweep should
-    reach into compression.  If the fitted p_sat lands far above the largest
-    measured power the data were effectively linear and the fit is rejected
-    with advice to widen the power range.
+    The 1 dB point is the input power where the response has dropped 1 dB
+    below the small-signal line: (10**(1/20) - 1) * p_sat.  Needs at least
+    6 points with strictly positive powers; the sweep should reach into
+    compression.  If the fitted p_sat lands far above the largest measured
+    power the data were effectively linear and the fit is rejected with
+    advice to widen the power range.
     """
     p, r = _check_xy(p_w, response, 6, "compression fit")
     if np.any(p <= 0.0):
@@ -350,8 +327,7 @@ def fit_compression(p_w, response) -> CompressionFit:
         return np.column_stack([x / den, a * x * x / (ps * ps * den * den)])
 
     q0 = np.array([a0 * pref / rref, ps0 / pref])
-    q, qerr, rnorm = _lm_least_squares(model, jac, xs, rs, q0)
-    a_s, ps_s = q
+    (a_s, ps_s), _, _ = _lm_least_squares(model, jac, xs, rs, q0)
     if a_s <= 0.0 or ps_s <= 0.0:
         raise FitError("fit collapsed to a non-physical gain or saturation power")
     p_sat = ps_s * pref
@@ -359,21 +335,7 @@ def fit_compression(p_w, response) -> CompressionFit:
         raise FitError(
             "p_sat is unconstrained by the data (responses look linear); "
             "extend the power sweep further into saturation")
-    a = a_s * rref / pref
-    p_sat_err = float(qerr[1]) * pref
-    p_1db = _P_1DB_FACTOR * p_sat
-    # dBm error of a multiplicative quantity: 10/ln(10) * relative error
-    p_1db_err_db = 10.0 / math.log(10.0) * p_sat_err / p_sat
-    return CompressionFit(
-        a_per_w=float(a),
-        p_sat_w=float(p_sat),
-        p_1db_w=float(p_1db),
-        p_1db_dbm=watts_to_dbm(p_1db),
-        a_err_per_w=float(qerr[0]) * rref / pref,
-        p_sat_err_w=p_sat_err,
-        p_1db_err_db=float(p_1db_err_db),
-        residual_norm=rnorm * rref,
-    )
+    return watts_to_dbm(_P_1DB_FACTOR * p_sat)
 
 
 @dataclass(frozen=True)
@@ -389,7 +351,6 @@ class CrosstalkMatrix:
 
     crosstalk_db: np.ndarray
     column_crosstalk_db: np.ndarray
-    channel_map: tuple[int, ...]
     p_1db_dbm: np.ndarray
 
     def offdiagonal(self) -> np.ndarray:
@@ -436,7 +397,6 @@ def crosstalk_matrix(p_1db_dbm, channel_map) -> CrosstalkMatrix:
     return CrosstalkMatrix(
         crosstalk_db=row,
         column_crosstalk_db=col,
-        channel_map=channel_map,
         p_1db_dbm=table,
     )
 
@@ -455,10 +415,6 @@ class SnrTable:
     matched_snr: tuple[float, ...]
     leakage_patterns: tuple[tuple[str, ...], ...]
     leakage_snr: tuple[tuple[float, ...], ...]
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channel_names)
 
     def records(self) -> list[dict]:
         """Tidy rows: one record per (channel, pattern) cell of the table."""

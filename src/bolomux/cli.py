@@ -225,7 +225,11 @@ def cmd_filterscan(ctx: _Context, args) -> int:
 
 def cmd_powersweep(ctx: _Context, args) -> int:
     sw = ctx.sweeps["powersweep"]
-    powers = np.linspace(sw["p_min_dbm"], sw["p_max_dbm"], int(sw["n_points"]))
+    p_min, p_max = sw["p_min_dbm"], sw["p_max_dbm"]
+    # refuse the bounds before np.linspace turns a bad one into a numpy warning
+    if not (math.isfinite(p_min) and math.isfinite(p_max)):
+        raise ValueError(f"sweep powers must be finite, got {p_min:g} to {p_max:g} dBm")
+    powers = np.linspace(p_min, p_max, int(sw["n_points"]))
     # compression fits need the flank posture, where small shifts map to
     # response linearly
     settings = replace(ctx.settings, probe_detuning_fraction=0.5)
@@ -241,11 +245,9 @@ def cmd_powersweep(ctx: _Context, args) -> int:
                  ("bolometer", *(f"filter{j}" for j in range(n))),
                  (np.arange(n), *p1db.T))
     _write_json(os.path.join(ctx.out_dir, "crosstalk.json"), {
-        "p_1db_dbm": [[float(v) for v in row] for row in xtalk.p_1db_dbm],
-        "row_crosstalk_db": [[None if np.isnan(v) else float(v) for v in row]
-                             for row in xtalk.crosstalk_db],
-        "column_crosstalk_db": [[None if np.isnan(v) else float(v) for v in row]
-                                for row in xtalk.column_crosstalk_db],
+        "p_1db_dbm": xtalk.p_1db_dbm.tolist(),
+        "row_crosstalk_db": xtalk.crosstalk_db.tolist(),
+        "column_crosstalk_db": xtalk.column_crosstalk_db.tolist(),
         "worst_db": xtalk.worst_db,
         "best_db": xtalk.best_db,
     })
@@ -375,9 +377,12 @@ def cmd_report(ctx: _Context, args) -> int:
     peaks_path = os.path.join(results_dir, "filterscan_peaks.json")
     if os.path.isfile(peaks_path):
         peaks = _read_json(peaks_path)["peaks"]
-        header = ("channel", "f_peak_hz", "fwhm_hz")
         path = os.path.join(out_dir, "report_peaks.csv")
-        _write_table(path, header, [[peak[key] for peak in peaks] for key in header])
+        # a width cut off by the scan edge is null in the JSON and nan in the table
+        _write_table(path, ("channel", "f_peak_hz", "fwhm_hz"),
+                     [[peak["channel"] for peak in peaks],
+                      *(np.array([peak[key] for peak in peaks], dtype=float)
+                        for key in ("f_peak_hz", "fwhm_hz"))])
         written.append(path)
 
     snr_path = os.path.join(results_dir, "snr_table.csv")

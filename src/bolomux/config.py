@@ -21,6 +21,9 @@ from .experiments import ChipConfig, RunSettings
 from .frontend import FilterParams
 from .units import Seed
 
+__all__ = ["ConfigError", "ExperimentConfig", "config_hash", "load_config", "merge_config",
+           "validate_config"]
+
 
 class ConfigError(ValueError):
     """Configuration rejected: bad JSON, schema violation or bad value."""
@@ -31,13 +34,9 @@ def _load_packaged(name: str) -> dict:
         return json.load(fh)
 
 
-def default_config_dict() -> dict:
-    """Deep copy of the shipped desk-scale default document."""
-    return copy.deepcopy(_load_packaged("default_config.json"))
-
-
-def config_schema() -> dict:
-    return copy.deepcopy(_load_packaged("config_schema.json"))
+def _default_config_dict() -> dict:
+    """A fresh copy of the shipped desk-scale default document."""
+    return _load_packaged("default_config.json")
 
 
 def _pointer(path) -> str:
@@ -128,24 +127,24 @@ def validate_config(doc: dict) -> None:
     _validate(doc, _load_packaged("config_schema.json"))
 
 
-def deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict) -> dict:
     """Dicts merge recursively; lists and scalars in override replace base."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], value)
+            out[key] = _deep_merge(out[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
 def merge_config(user_doc: dict) -> dict:
-    merged = deep_merge(default_config_dict(), user_doc)
+    merged = _deep_merge(_default_config_dict(), user_doc)
     validate_config(merged)
     return merged
 
 
-def load_config_dict(path) -> dict:
+def _load_config_dict(path) -> dict:
     """Read a user JSON file and merge it over the defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -159,7 +158,7 @@ def load_config_dict(path) -> dict:
     return merge_config(user_doc)
 
 
-def build_chip(doc: dict) -> ChipConfig:
+def _build_chip(doc: dict) -> ChipConfig:
     """The chip section as live objects; omitted optional keys take the defaults."""
     chip = doc["chip"]
     try:
@@ -172,7 +171,7 @@ def build_chip(doc: dict) -> ChipConfig:
         raise ConfigError(f"config error at /chip: {exc}") from exc
 
 
-def build_settings(doc: dict) -> RunSettings:
+def _build_settings(doc: dict) -> RunSettings:
     """The run section as live settings; omitted optional keys take the defaults."""
     try:
         return RunSettings(**doc["run"])
@@ -197,22 +196,20 @@ class ExperimentConfig:
 def load_config(path=None) -> ExperimentConfig:
     """Load path (or the shipped defaults when None) into live objects."""
     if path is None:
-        doc = default_config_dict()
+        doc = _default_config_dict()
         validate_config(doc)
     else:
-        doc = load_config_dict(path)
+        doc = _load_config_dict(path)
     return ExperimentConfig(
-        chip=build_chip(doc),
-        settings=build_settings(doc),
+        chip=_build_chip(doc),
+        settings=_build_settings(doc),
         seed=Seed(doc["seed"]),
         doc=doc,
     )
 
 
-def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(doc: dict) -> str:
-    """sha256 of the canonicalized document; stable under key order."""
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    """sha256 of the document's canonical JSON (sorted keys, no whitespace);
+    stable under key order."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

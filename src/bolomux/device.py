@@ -40,8 +40,7 @@ class BolometerParams:
     f_r0_hz is the resonance at the bath temperature; heating by t_e - t_bath
     pulls it down by dfdt_hz_per_k per kelvin.  kappa_* are linewidths in Hz
     (external coupling and internal loss); their sum is the total linewidth.
-    g_th_w_per_k and tau_th_s define the thermal link; heat capacity is their
-    product.
+    g_th_w_per_k and tau_th_s define the thermal link.
     """
 
     f_r0_hz: float
@@ -75,10 +74,6 @@ class BolometerParams:
     def kappa_total_hz(self) -> float:
         return self.kappa_ext_hz + self.kappa_int_hz
 
-    @property
-    def heat_capacity_j_per_k(self) -> float:
-        return self.g_th_w_per_k * self.tau_th_s
-
 
 def _gamma(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float, out=None):
     """Complex reflection at detuning f - f_r; floats or arrays alike.
@@ -103,11 +98,6 @@ def _absorption(kappa_ext_hz, kappa_int_hz):
     return lambda detuning_hz: product / (detuning_hz * detuning_hz + half_sq)
 
 
-def _absorbed_fraction(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float):
-    """_absorption(kappa_ext_hz, kappa_int_hz) at detuning_hz."""
-    return _absorption(kappa_ext_hz, kappa_int_hz)(detuning_hz)
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """Self-consistent steady state under a CW probe tone.
@@ -121,8 +111,6 @@ class OperatingPoint:
     t_star_k: float
     f_r_star_hz: float
     gamma: complex
-    p_abs_w: float
-    residual_w: float
     stable: bool
     multivalued: bool
 
@@ -189,16 +177,16 @@ def _steady_state(params: BolometerParams, f_p_hz, p_probe_w: float, extra_power
         raise ValueError(f"extra power must be finite and >= 0 W, got {extra_power_w}")
 
     ke, ki = params.kappa_ext_hz, params.kappa_int_hz
-    half = 0.5 * (ke + ki)
+    half, absorbed = 0.5 * (ke + ki), _absorption(ke, ki)
     g_th, dfdt = params.g_th_w_per_k, params.dfdt_hz_per_k
     f_p = np.asarray(f_p_hz, dtype=float)
     with np.errstate(all="ignore"):
         if dfdt == 0.0:
-            x = (p_probe_w * _absorbed_fraction(f_p - params.f_r0_hz, ke, ki) + extra) / g_th
+            x = (p_probe_w * absorbed(f_p - params.f_r0_hz) + extra) / g_th
             stable, multivalued = np.full(np.shape(x), True), np.full(np.shape(x), False)
         else:
             a = (f_p - params.f_r0_hz + extra * dfdt / g_th) / half
-            b = p_probe_w * _absorbed_fraction(0.0, ke, ki) * dfdt / (g_th * half)
+            b = p_probe_w * absorbed(0.0) * dfdt / (g_th * half)
             v, slope, multivalued = _lowest_cubic_root(a, b)
             x = v * half / dfdt + extra / g_th
             stable = slope > 0.0
@@ -228,15 +216,10 @@ def solve_operating_point(params: BolometerParams, f_p_hz: float, p_probe_w: flo
             f"operating point is not finite (at f_p = {f_p_hz} Hz, "
             f"p_probe = {p_probe_w} W, extra = {extra_power_w} W)")
     # Python floats from here, so gamma is a Python complex
-    ke, ki = params.kappa_ext_hz, params.kappa_int_hz
-    detuning = float(f_p_hz) - f_r
-    p_abs = p_probe_w * _absorbed_fraction(detuning, ke, ki) + extra_power_w
     return OperatingPoint(
         t_star_k=t_e,
         f_r_star_hz=f_r,
-        gamma=_gamma(detuning, ke, ki),
-        p_abs_w=p_abs,
-        residual_w=params.g_th_w_per_k * (t_e - params.t_bath_k) - p_abs,
+        gamma=_gamma(float(f_p_hz) - f_r, params.kappa_ext_hz, params.kappa_int_hz),
         stable=bool(stable),
         multivalued=bool(multivalued),
     )

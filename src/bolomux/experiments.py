@@ -471,12 +471,6 @@ class ProbeSweepResult:
     magnitude: np.ndarray          # (n_ch, n_powers, n_freqs)
     normalized: np.ndarray         # per-panel min-max normalization
     multivalued: np.ndarray        # bool, same shape as magnitude
-    unconverged: tuple[tuple[int, int, int], ...]
-
-
-def _nan_cells(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Index tuples of the NaN cells: where the steady-state kernel found no finite state."""
-    return tuple(map(tuple, np.argwhere(np.isnan(values)).tolist()))
 
 
 def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: float = 6.0,
@@ -487,9 +481,8 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
     value is |Gamma(f_p)| at the solved state.  Each (channel, power) row is
     one call of the array kernel behind solve_operating_point.  Powers above
     a channel's nonlinear threshold are refused unless allow_nonlinear is
-    set.  Cells with no finite steady state are NaN, not an exception, and
-    listed in `unconverged`; multivalued cells are flagged but still
-    reported.
+    set.  Cells with no finite steady state are NaN, not an exception;
+    multivalued cells are flagged but still reported.
     """
     powers = [float(p) for p in powers_dbm]
     if not powers:
@@ -530,7 +523,6 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
         magnitude=mag,
         normalized=norm,
         multivalued=multi,
-        unconverged=_nan_cells(mag),
     )
 
 
@@ -566,7 +558,6 @@ class FilterSweepResult:
     f_heater_hz: np.ndarray
     response: np.ndarray       # (n_ch, n_freqs), |Gamma shift| at the probe tone
     heater_power_dbm: float
-    unconverged: tuple[tuple[int, int], ...]
 
     def peaks(self):
         """(peak frequency, half-max full width) per channel, interpolated."""
@@ -597,7 +588,7 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     The response is |Gamma(with heater) - Gamma(without)| at the channel's
     probe tone, both from steady-state solves, one kernel call per channel;
     the peak sits at the channel's own filter center.  Cells with no finite
-    steady state are NaN and listed in `unconverged`.
+    steady state are NaN.
     """
     settings = settings if settings is not None else RunSettings()
     f_grid = np.asarray(f_heater_hz, dtype=float)
@@ -618,7 +609,6 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
         f_heater_hz=f_grid,
         response=resp,
         heater_power_dbm=heater_power_dbm,
-        unconverged=_nan_cells(resp),
     )
 
 
@@ -669,8 +659,8 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | Non
     responses = np.stack(by_filter, axis=1)
     powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
     n = chip.n_channels
-    p1db = np.array([[analysis.fit_compression(powers_w, responses[i, j]).p_1db_dbm
-                      for j in range(n)] for i in range(n)])
+    p1db = np.array([[analysis.fit_compression(powers_w, responses[i, j]) for j in range(n)]
+                     for i in range(n)])
     return responses, powers_w, p1db, analysis.crosstalk_matrix(p1db, chip.channel_map)
 
 

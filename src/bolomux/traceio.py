@@ -3,7 +3,8 @@
 One writer serves all of them.  A cell is `repr(float(v))` for a float
 (numpy floats included) and `str(v)` for anything else, so floats carry
 shortest round-trip precision; files are utf-8 with `\n` newlines and a
-trailing newline; JSON is `indent=2, sort_keys=True`.
+trailing newline; JSON is `indent=2, sort_keys=True`, with a non-finite
+float written as `null`.
 
 Trace format: `#`-prefixed header lines (`# key=value`, with `kind=iq`
 and a `carrier_hz`), then one complex baseband sample per `index,re,im`
@@ -18,6 +19,7 @@ manifest is the only place a timestamp appears.
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -84,8 +86,21 @@ def _write_table(path, header, columns) -> None:
     _write_csv(path, [",".join(header)], columns)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path, obj) -> None:
-    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+    """Write obj as JSON, a non-finite float as null: NaN and Infinity are not JSON."""
+    _write_lines(path, [json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                                   allow_nan=False)])
 
 
 def _read_json(path):

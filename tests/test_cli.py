@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bolomux.cli import main
-from bolomux.config import ConfigError, default_config_dict, load_config, load_config_dict
+from bolomux.config import _default_config_dict, _load_config_dict, load_config
 from bolomux.experiments import calibrate_chip
 from bolomux.traceio import read_manifest, read_trace, verify_manifest
 
@@ -95,7 +95,7 @@ def test_integral_float_for_integer_field_is_config_error(capsys, tmp_path, doc,
 def test_config_entries_may_omit_optional_keys(capsys, tmp_path):
     # bolometers without p_nonlinear_dbm and filters with only their center
     # and width run on the dataclass defaults; a bad value still exits 1
-    chip = default_config_dict()["chip"]
+    chip = _default_config_dict()["chip"]
     bolometers = [{k: v for k, v in b.items() if k != "p_nonlinear_dbm"}
                   for b in chip["bolometers"]]
     filters = [{k: f[k] for k in ("f_center_hz", "fwhm_hz")} for f in chip["filters"]]
@@ -207,12 +207,37 @@ def test_filterscan_finds_peaks(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_filterscan_writes_a_width_cut_off_by_the_scan_edge_as_null(capsys, tmp_path):
+    # channel 1's filter is centred on the first grid point, so its peak has
+    # no lower half-maximum crossing and no finite width
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweeps": {"filterscan": {"f_min_hz": 4.4e9, "n_points": 81}}}))
+    out = tmp_path / "scan"
+    assert run_cli("filterscan", "--config", str(cfg), "--out", str(out)) == 0
+    assert run_cli("report", str(out)) == 0
+    capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    docs = {path.name: json.loads(path.read_text(), parse_constant=refuse)
+            for path in out.glob("*.json")}
+    assert sorted(docs) == ["filterscan_peaks.json", "manifest.json"]
+    assert [peak["fwhm_hz"] is None for peak in docs["filterscan_peaks.json"]["peaks"]] == \
+        [False, True, False]
+    # the report table keeps nan for that cell, as the scan's own CSV does
+    assert (out / "report" / "report_peaks.csv").read_text().splitlines()[2] == \
+        "1,4400000000.0,nan"
+
+
 @pytest.mark.parametrize("command, sweep", [
     ("filterscan", {"f_min_hz": 5e9, "f_max_hz": 4e9}),
     ("filterscan", {"f_min_hz": float("nan")}),
     ("filterscan", {"f_max_hz": float("inf")}),
     ("characterize", {"span_linewidths": float("nan")}),
     ("characterize", {"span_linewidths": float("inf")}),
+    ("powersweep", {"p_max_dbm": float("inf")}),
+    ("powersweep", {"p_min_dbm": float("nan")}),
 ])
 def test_sweep_rejects_bad_grid(capsys, tmp_path, command, sweep):
     # the schema passes these; the sweep refuses them in one line, exit 1
@@ -249,7 +274,7 @@ def test_powersweep_writes_crosstalk(capsys, tmp_path):
 def test_calibrate_writes_tuned_config(capsys, tmp_path, fast_config):
     out = tmp_path / "cal"
     assert run_cli("calibrate", "--config", fast_config, "--out", str(out)) == 0
-    tuned = load_config_dict(out / "calibrated_config.json")
+    tuned = _load_config_dict(out / "calibrated_config.json")
     report = json.loads((out / "calibration_report.json").read_text())
     assert len(report["channels"]) == 3
     for entry in report["channels"]:
@@ -258,7 +283,7 @@ def test_calibrate_writes_tuned_config(capsys, tmp_path, fast_config):
     assert tuned["chip"]["noise_sigma_v"] == pytest.approx(
         report["noise"]["sigma_v"])
     # the notes describe the calibrated values, not the shipped ones
-    shipped = default_config_dict()["notes"]
+    shipped = _default_config_dict()["notes"]
     for key in ("dfdt_hz_per_k", "noise_sigma_v"):
         assert tuned["notes"][key] != shipped[key]
     assert ", ".join(f"{s:.2f}" for s in report["noise"]["expected_snr"]) in \

@@ -2,6 +2,7 @@
 deep merge semantics, and canonical hashing."""
 
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -13,18 +14,17 @@ import pytest
 
 from bolomux.config import (
     ConfigError,
+    ExperimentConfig,
+    _build_chip,
+    _build_settings,
+    _deep_merge,
+    _default_config_dict,
+    _load_config_dict,
+    _load_packaged,
     _pointer,
     _validate,
-    ExperimentConfig,
-    build_chip,
-    build_settings,
-    canonical_json,
     config_hash,
-    config_schema,
-    deep_merge,
-    default_config_dict,
     load_config,
-    load_config_dict,
     merge_config,
     validate_config,
 )
@@ -38,7 +38,7 @@ from bolomux.units import Seed
 
 
 def test_shipped_defaults_validate():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     validate_config(doc)  # must not raise
     assert doc["seed"] == 15
 
@@ -81,21 +81,21 @@ def test_load_config_without_path_uses_defaults(default_config):
 
 
 def test_schema_rejects_with_pointer():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     doc["chip"]["filters"][0]["fwhm_hz"] = -1.0
     with pytest.raises(ConfigError, match="/chip/filters/0/fwhm_hz"):
         validate_config(doc)
 
 
 def test_schema_rejects_unknown_key():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     doc["chip"]["bolometers"][1]["quality_factor"] = 1e5
     with pytest.raises(ConfigError, match="/chip/bolometers/1"):
         validate_config(doc)
 
 
 def test_schema_rejects_wrong_type():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     doc["run"]["n_avg"] = "many"
     with pytest.raises(ConfigError, match="/run/n_avg"):
         validate_config(doc)
@@ -103,28 +103,28 @@ def test_schema_rejects_wrong_type():
 
 def test_schema_rejects_bad_seed():
     for bad in (-1, 2 ** 64, 1.5):
-        doc = default_config_dict()
+        doc = _default_config_dict()
         doc["seed"] = bad
         with pytest.raises(ConfigError, match="seed"):
             validate_config(doc)
 
 
 def test_schema_rejects_missing_section():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     del doc["chip"]
     with pytest.raises(ConfigError, match="chip"):
         validate_config(doc)
 
 
 def test_schema_is_self_contained():
-    schema = config_schema()
+    schema = _load_packaged("config_schema.json")
     assert schema["$schema"].endswith("2020-12/schema")
     assert schema["additionalProperties"] is False
 
 
 def test_schema_sections_are_the_dataclass_fields():
     # the builders pass each section's keys straight to its dataclass
-    props = config_schema()["properties"]
+    props = _load_packaged("config_schema.json")["properties"]
     chip = props["chip"]["properties"]
     for section, cls in ((chip, ChipConfig),
                          (chip["bolometers"]["items"]["properties"], BolometerParams),
@@ -136,11 +136,11 @@ def test_schema_sections_are_the_dataclass_fields():
 def test_schema_valid_config_can_still_fail_at_runtime():
     # a 600 MHz resonator passes the schema but cannot be synthesized at
     # 1 GS/s; the refusal happens in the experiment layer, naming Nyquist
-    doc = default_config_dict()
+    doc = _default_config_dict()
     doc["chip"]["bolometers"][2]["f_r0_hz"] = 600e6
     validate_config(doc)
-    chip = build_chip(doc)
-    settings = build_settings(doc)
+    chip = _build_chip(doc)
+    settings = _build_settings(doc)
     with pytest.raises(ValueError, match="Nyquist"):
         run_trigger(chip, TriggerPattern.from_label("000"), settings, Seed(0))
 
@@ -151,7 +151,7 @@ def test_schema_valid_config_can_still_fail_at_runtime():
 def test_deep_merge_nested_dicts():
     base = {"a": {"x": 1, "y": 2}, "b": 3}
     override = {"a": {"y": 20, "z": 30}}
-    merged = deep_merge(base, override)
+    merged = _deep_merge(base, override)
     assert merged == {"a": {"x": 1, "y": 20, "z": 30}, "b": 3}
     # inputs are untouched
     assert base == {"a": {"x": 1, "y": 2}, "b": 3}
@@ -160,7 +160,7 @@ def test_deep_merge_nested_dicts():
 
 def test_deep_merge_replaces_lists_and_scalars():
     base = {"l": [1, 2, 3], "s": "old"}
-    merged = deep_merge(base, {"l": [9], "s": "new"})
+    merged = _deep_merge(base, {"l": [9], "s": "new"})
     assert merged == {"l": [9], "s": "new"}
 
 
@@ -168,8 +168,8 @@ def test_merge_config_overrides_defaults():
     doc = merge_config({"run": {"n_avg": 7}})
     assert doc["run"]["n_avg"] == 7
     # untouched siblings keep their defaults
-    assert doc["run"]["window_s"] == default_config_dict()["run"]["window_s"]
-    settings = build_settings(doc)
+    assert doc["run"]["window_s"] == _default_config_dict()["run"]["window_s"]
+    settings = _build_settings(doc)
     assert settings.n_avg == 7
 
 
@@ -183,14 +183,14 @@ def test_merge_config_validates_result():
 
 def test_load_config_dict_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="missing.json"):
-        load_config_dict(tmp_path / "missing.json")
+        _load_config_dict(tmp_path / "missing.json")
 
 
 def test_load_config_dict_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_config_dict(path)
+        _load_config_dict(path)
 
 
 def test_load_config_merges_user_file(tmp_path):
@@ -204,7 +204,7 @@ def test_load_config_merges_user_file(tmp_path):
 
 def test_load_config_entries_take_dataclass_defaults(tmp_path):
     # user lists replace the shipped ones, so optional entry keys are absent
-    chip = default_config_dict()["chip"]
+    chip = _default_config_dict()["chip"]
     bolometers = [{k: v for k, v in b.items() if k != "p_nonlinear_dbm"}
                   for b in chip["bolometers"]]
     filters = [{k: f[k] for k in ("f_center_hz", "fwhm_hz")} for f in chip["filters"]]
@@ -225,7 +225,7 @@ def test_load_config_rejects_bad_user_file(tmp_path):
     with pytest.raises(ConfigError, match="/chip/sample_rate_hz"):
         load_config(path)
     # NaN passes the schema's type check; the dataclass refuses it
-    bolometers = default_config_dict()["chip"]["bolometers"]
+    bolometers = _default_config_dict()["chip"]["bolometers"]
     bolometers[1]["p_nonlinear_dbm"] = float("nan")
     path.write_text(json.dumps({"chip": {"bolometers": bolometers}}))
     with pytest.raises(ConfigError, match="/chip: p_nonlinear_dbm must be finite"):
@@ -236,20 +236,20 @@ def test_load_config_rejects_bad_user_file(tmp_path):
 
 
 def test_canonical_json_is_sorted_and_compact():
-    assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+    assert config_hash({"b": 1, "a": [1, 2]}) == hashlib.sha256(b'{"a":[1,2],"b":1}').hexdigest()
 
 
 def test_config_hash_ignores_key_order():
-    doc = default_config_dict()
-    scrambled = json.loads(canonical_json(doc))
+    doc = _default_config_dict()
     # rebuild with reversed key insertion order
-    reordered = {k: scrambled[k] for k in reversed(list(scrambled))}
+    reordered = {k: doc[k] for k in reversed(list(doc))}
+    assert list(reordered) != list(doc)
     assert config_hash(doc) == config_hash(reordered)
 
 
 def test_config_hash_tracks_content():
-    doc = default_config_dict()
-    changed = default_config_dict()
+    doc = _default_config_dict()
+    changed = _default_config_dict()
     changed["run"]["n_avg"] = 101
     assert config_hash(doc) != config_hash(changed)
     assert len(config_hash(doc)) == 64  # sha256 hex
@@ -301,14 +301,14 @@ def test_checker_matches_jsonschema_oracle():
     base = jsonschema.Draft202012Validator
     oracle = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
         "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))(
-            config_schema())
-    schema = config_schema()
+            _load_packaged("config_schema.json"))
+    schema = _load_packaged("config_schema.json")
     # an edit below a top-level section leaves the root's own rules and the
     # other sections as valid as the defaults, so the oracle reads only that
     # section (half the time); the checker always reads the whole doc
     sections = {name: oracle.evolve(schema=sub) for name, sub in schema["properties"].items()}
     seen, rejected, mismatches = 0, 0, []
-    for path, doc in _mutations(default_config_dict()):
+    for path, doc in _mutations(_default_config_dict()):
         seen += 1
         if len(path) > 1:
             errors = [(path[0], *e.absolute_path) for e in
@@ -329,7 +329,7 @@ def test_checker_matches_jsonschema_oracle():
 
 
 def test_checker_names_first_violation_in_document_order():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     doc["chip"]["channel_map"] = [-1, 0, -2]
     with pytest.raises(ConfigError, match=r"^config error at /chip/channel_map/0: -1 is less "):
         validate_config(doc)
@@ -339,7 +339,7 @@ def test_checker_names_first_violation_in_document_order():
 
 
 def test_checker_passes_nan_and_refuses_infinity():
-    doc = default_config_dict()
+    doc = _default_config_dict()
     doc["run"]["window_s"] = float("nan")
     validate_config(doc)
     doc["run"]["window_s"] = float("-inf")
@@ -355,12 +355,12 @@ def test_checker_passes_nan_and_refuses_infinity():
 ])
 def test_checker_refuses_unsupported_keyword(where, keyword):
     # refused before any value is read, even where the document has no value
-    schema = config_schema()
+    schema = _load_packaged("config_schema.json")
     node = schema
     for key in where:
         node = node[key]
     node[keyword] = 1
-    doc = default_config_dict()
+    doc = _default_config_dict()
     del doc["notes"]
     with pytest.raises(ConfigError, match=f"keyword '{keyword}' at {_pointer(where)} "
                                           "is not supported"):
@@ -368,10 +368,10 @@ def test_checker_refuses_unsupported_keyword(where, keyword):
 
 
 def test_checker_refuses_unsupported_type():
-    schema = config_schema()
+    schema = _load_packaged("config_schema.json")
     schema["properties"]["seed"]["type"] = ["integer", "null"]
     with pytest.raises(ConfigError, match=r"type \['integer', 'null'\] at /properties/seed"):
-        _validate(default_config_dict(), schema)
+        _validate(_default_config_dict(), schema)
 
 
 def test_cli_import_loads_no_validator_or_thread_pool():

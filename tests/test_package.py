@@ -1,6 +1,8 @@
-"""The package's public surface: every exported name resolves and has a caller."""
+"""The package's public surface: every exported name, field and method resolves and
+has a caller."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -11,6 +13,8 @@ import pytest
 import bolomux
 
 _PACKAGE = pathlib.Path(bolomux.__file__).parent
+# the benchmark drives the package from outside it, so its code counts as a caller
+_BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def _public_modules():
@@ -29,7 +33,7 @@ def test_every_all_entry_exists_on_its_module():
     # `from bolomux.<module> import *`
     missing = [f"{name}.{entry}" for name, module in zip(_IDS, _MODULES)
                for entry in module.__all__ if not hasattr(module, entry)]
-    assert {"analysis", "device", "dsp", "experiments", "frontend", "traceio",
+    assert {"analysis", "config", "device", "dsp", "experiments", "frontend", "traceio",
             "units"} <= set(_IDS)
     assert missing == []
 
@@ -59,14 +63,14 @@ def _constructed_names(source: str) -> set[str]:
 
 
 def _names_without_caller(module) -> list[str]:
-    # a name stays public only if another module of the package uses it;
-    # imports and re-exports do not count, nor do comments, tests or
-    # README examples
+    # a name stays public only if another module of the package, or the
+    # benchmark, uses it; imports and re-exports do not count, nor do
+    # comments, tests or README examples
     own = pathlib.Path(module.__file__).name
+    callers = [path for path in _PACKAGE.glob("*.py") if path.name not in ("__init__.py", own)]
     used = set()
-    for path in _PACKAGE.glob("*.py"):
-        if path.name not in ("__init__.py", own):
-            used |= _referenced_names(path.read_text(encoding="utf-8"))
+    for path in [*callers, *_BENCH.glob("*.py")]:
+        used |= _referenced_names(path.read_text(encoding="utf-8"))
     return sorted(set(module.__all__) - used)
 
 
@@ -92,6 +96,72 @@ def test_every_public_name_has_a_caller(module):
     assert rule(module) == []
 
 
+# dataclasses the CLI writes whole with dataclasses.asdict, each with the
+# cli function that does: every field of theirs reaches an output file
+_WRITTEN_WHOLE = {"ResponseMetric": "_run_dict"}
+
+# members no package code reads yet, each with the ROADMAP item that will
+# publish it; an entry that gains a reader fails the rule, so the list
+# cannot go stale
+_PENDING = {
+    "OperatingPoint.stable": "item 4: stable <=> tau_eff_s > 0",
+    "OperatingPoint.multivalued": "item 3: multivalued cells in the manifest telemetry",
+    "ProbeSweepResult.multivalued": "item 3: multivalued cells in the manifest telemetry",
+}
+
+
+def _loaded_attributes(source: str) -> set[tuple[str, str]]:
+    """(attribute name, class) for every attribute the code of `source` loads;
+    class names the dataclass whose own __post_init__ holds the load, else ""."""
+    tree = ast.parse(source)
+    constructor = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    constructor |= {id(node): cls.name for node in ast.walk(fn)}
+    return {(node.attr, constructor.get(id(node), "")) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _members(cls) -> list[str]:
+    """The fields, properties and public methods of a dataclass."""
+    fields = [field.name for field in dataclasses.fields(cls)]
+    return fields + [name for name, value in vars(cls).items()
+                     if not name.startswith("_") and name not in fields
+                     and (inspect.isfunction(value)
+                          or isinstance(value, (property, staticmethod, classmethod)))]
+
+
+def _members_without_reader() -> list[str]:
+    # a member stays only if package code reads it outside its class's own
+    # constructor, or the CLI writes its class whole; tests, README examples
+    # and getattr strings do not count
+    reads = set()
+    for path in _PACKAGE.glob("*.py"):
+        reads |= _loaded_attributes(path.read_text(encoding="utf-8"))
+    unread = []
+    for module in _MODULES:
+        for cls in map(module.__dict__.get, module.__all__):
+            if not dataclasses.is_dataclass(cls):
+                continue
+            whole = ({field.name for field in dataclasses.fields(cls)}
+                     if cls.__name__ in _WRITTEN_WHOLE else set())
+            unread += [f"{cls.__name__}.{name}" for name in _members(cls)
+                       if name not in whole
+                       and not any(attr == name and owner != cls.__name__
+                                   for attr, owner in reads)]
+    return sorted(unread)
+
+
+def test_every_dataclass_member_has_a_reader():
+    cli = ast.parse((_PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
+    for name, function in _WRITTEN_WHOLE.items():
+        assert "asdict" in _constructed_names(ast.unparse(functions[function])), name
+    assert _members_without_reader() == sorted(_PENDING)
+
+
 @pytest.mark.parametrize("module", _MODULES, ids=_IDS)
 def test_all_lists_what_the_package_re_exports(module):
     # the package namespace re-exports exactly the module's public surface;
@@ -102,3 +172,45 @@ def test_all_lists_what_the_package_re_exports(module):
                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == own
                 for alias in node.names]
     assert sorted(module.__all__) == sorted(exported)
+
+
+# targets bench/tracer.py still hooks although the package deleted them; the
+# benchmark refresh (ROADMAP item 1) drops or re-points these hooks
+_STALE_HOOKS = {"experiments.PairwiseAccumulator", "experiments.demodulate",
+                "experiments.run_power_sweep"}
+
+
+def _hook_targets(source: str) -> list[str]:
+    """module.name of each `t.hook(module, "name", ...)` call in source, read without
+    running it; a name bound by an enclosing `for name in (<strings>)` loop gives one
+    target per string, and a name computed at install time gives none."""
+    tree = ast.parse(source)
+    loop_names = {}
+    for loop in ast.walk(tree):
+        if (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, (ast.Tuple, ast.List))):
+            values = [item.value for item in loop.iter.elts]
+            loop_names |= {id(node): (loop.target.id, values) for node in ast.walk(loop)}
+    targets = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "hook"):
+            continue
+        module, name = call.args[:2]
+        if isinstance(name, ast.Constant):
+            targets.append(f"{module.id}.{name.value}")
+        elif loop_names.get(id(call), ("",))[0] == name.id:
+            targets += [f"{module.id}.{value}" for value in loop_names[id(call)][1]]
+    return targets
+
+
+def test_every_tracer_hook_resolves():
+    # a hook whose target is gone traces nothing and its per-layer metrics
+    # read 0, so a deletion under src/ must not leave one behind
+    targets = _hook_targets((_BENCH / "tracer.py").read_text(encoding="utf-8"))
+    unresolved = {target for target in targets
+                  if not hasattr(importlib.import_module(f"bolomux.{target.split('.')[0]}"),
+                                 target.split(".")[1])}
+    assert {"experiments.solve_operating_point", "experiments.run_probe_sweep",
+            "cli.power_sweep_matrix", "config.load_config"} <= set(targets)
+    assert unresolved == _STALE_HOOKS
