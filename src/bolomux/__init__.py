@@ -42,7 +42,6 @@ from .dsp import (
 from .experiments import (
     PRESETS,
     CalibrationError,
-    CalibrationTargets,
     ChipConfig,
     FilterSweepResult,
     MultiplexRun,
@@ -59,7 +58,6 @@ from .experiments import (
 )
 from .frontend import (
     FilterParams,
-    PulseSpec,
     ToneSpec,
     TriggerPattern,
     filter_transmission,

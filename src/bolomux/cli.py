@@ -151,19 +151,6 @@ def _finish(ctx: _Context, command: str) -> None:
     write_manifest(ctx.out_dir, command, ctx.seed.master, ctx.doc, __version__)
 
 
-def _lorentzian_dict(fit):
-    if fit is None:
-        return None
-    return {
-        "f_r_hz": fit.f_r_hz,
-        "f_r_err_hz": fit.f_r_err_hz,
-        "fwhm_hz": fit.fwhm_hz,
-        "fwhm_err_hz": fit.fwhm_err_hz,
-        "depth": fit.depth,
-        "offset": fit.offset,
-    }
-
-
 def cmd_characterize(ctx: _Context, args) -> int:
     sw = ctx.sweeps["characterize"]
     sweep, fits = characterize(ctx.chip, sw["powers_dbm"],
@@ -179,7 +166,7 @@ def cmd_characterize(ctx: _Context, args) -> int:
     _write_json(os.path.join(ctx.out_dir, "characterize_fits.json"), {
         "powers_dbm": list(sweep.powers_dbm),
         "channels": [
-            {"channel": ch, "fits": [_lorentzian_dict(f) for f in fits[ch]]}
+            {"channel": ch, "fits": [None if f is None else asdict(f) for f in fits[ch]]}
             for ch in range(ctx.chip.n_channels)
         ],
     })
@@ -226,9 +213,10 @@ def cmd_filterscan(ctx: _Context, args) -> int:
 def cmd_powersweep(ctx: _Context, args) -> int:
     sw = ctx.sweeps["powersweep"]
     p_min, p_max = sw["p_min_dbm"], sw["p_max_dbm"]
-    # refuse the bounds before np.linspace turns a bad one into a numpy warning
-    if not (math.isfinite(p_min) and math.isfinite(p_max)):
-        raise ValueError(f"sweep powers must be finite, got {p_min:g} to {p_max:g} dBm")
+    # refuse the bounds before np.linspace turns a bad one into a numpy warning;
+    # a finite span also rules out NaN, an infinite bound and an overflowing span
+    if not math.isfinite(p_max - p_min):
+        raise ValueError(f"sweep powers must span a finite range, got {p_min:g} to {p_max:g} dBm")
     powers = np.linspace(p_min, p_max, int(sw["n_points"]))
     # compression fits need the flank posture, where small shifts map to
     # response linearly
@@ -260,7 +248,7 @@ def _run_dict(run):
     return {
         "pattern": run.pattern.label,
         "n_avg": run.n_avg,
-        "probe_tones": [{"f_hz": t.f_hz, "p_dbm": t.p_dbm} for t in run.probe_tones],
+        "probe_tones": [asdict(t) for t in run.probe_tones],
         "operating_points": [
             {"t_star_k": op.t_star_k, "f_r_star_hz": op.f_r_star_hz}
             for op in run.operating_points

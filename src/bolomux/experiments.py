@@ -27,8 +27,8 @@ from .device import (BolometerParams, OperatingPoint, _absorption, _gamma, _stea
                      solve_operating_point)
 from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _demod_band,
                   _dft_bins, response_metric)
-from .frontend import (FilterParams, PulseSpec, ToneSpec, TriggerPattern,
-                       filter_transmission, schedule_heaters)
+from .frontend import (FilterParams, ToneSpec, TriggerPattern, filter_transmission,
+                       schedule_heaters)
 from .units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "MultiplexRun",
     "ProbeSweepResult",
     "FilterSweepResult",
-    "CalibrationTargets",
     "CalibrationError",
     "NonlinearOperationError",
     "PRESETS",
@@ -115,6 +114,8 @@ class ChipConfig:
 class RunSettings:
     """Timing, drive and reduction parameters of one time-domain run.
 
+    Every heater tone of a run is on for the one window pulse_start_s,
+    pulse_duration_s.
     probe_detuning_fraction places the probe tone this many total linewidths
     above the power-shifted resonance.  0.0 probes the dip minimum, where
     the magnitude response to small leaked-heater shifts is quadratically
@@ -150,8 +151,12 @@ class RunSettings:
         object.__setattr__(self, "baseline_window_s", tuple(self.baseline_window_s))
         object.__setattr__(self, "signal_window_s", tuple(self.signal_window_s))
 
-    def validate_against(self, chip: ChipConfig) -> None:
-        """Timing commensurability and window checks; raises ValueError."""
+    def validate_against(self, chip: ChipConfig) -> tuple[int, int, int, int]:
+        """Timing commensurability and window checks; raises ValueError.
+
+        Returns the record's geometry at the chip's sample rate: (samples,
+        thermal steps, samples per step, decimation to the output rate).
+        """
         fs = chip.sample_rate_hz
         n = self.window_s * fs
         if abs(n - round(n)) > 1e-6 or round(n) < 1:
@@ -176,6 +181,7 @@ class RunSettings:
                 raise ValueError(f"window {w} must lie inside the record")
         if self.baseline_window_s[1] > self.signal_window_s[0]:
             raise ValueError("baseline window must end before the signal window")
+        return round(n), round(steps), round(n) // round(steps), round(dec)
 
 
 def apply_preset(chip: ChipConfig, settings: RunSettings, name: str):
@@ -270,21 +276,22 @@ class MultiplexRun:
     n_avg: int
 
 
-def _heater_power_w(chip: ChipConfig, pulses, steps: int, dt: float) -> np.ndarray:
+def _heater_power_w(chip: ChipConfig, tones, settings: RunSettings) -> np.ndarray:
     """Heater power delivered into each channel's absorber, per thermal step.
 
-    Each pulse reaches channel ch through that channel's matched filter and
-    is on for the half-open step window [on:off).  Edge steps are integers:
-    s*dt rounds below the start time for typical microsecond edges, which
-    would delay every edge by one step and make the stepping first order in
-    dt.  Pulses add in power (incoherently).
+    Each heater tone reaches channel ch through that channel's matched
+    filter and is on for the run's heater window, the half-open step window
+    [on:off).  Edge steps are integers: s*dt rounds below the start time for
+    typical microsecond edges, which would delay every edge by one step and
+    make the stepping first order in dt.  Tones add in power (incoherently).
     """
+    _, steps, _, _ = settings.validate_against(chip)
+    dt, start = settings.thermal_dt_s, settings.pulse_start_s
+    on, off = round(start / dt), round((start + settings.pulse_duration_s) / dt)
     heater_w = np.zeros((chip.n_channels, steps))
-    for pl in pulses:
-        on = round(pl.t_start_s / dt)
-        off = round((pl.t_start_s + pl.duration_s) / dt)
+    for tone in tones:
         for ch in range(chip.n_channels):
-            heater_w[ch, on:off] += _delivered_w(chip, ch, pl.tone.f_hz, pl.tone.p_dbm)
+            heater_w[ch, on:off] += _delivered_w(chip, ch, tone.f_hz, tone.p_dbm)
     return heater_w
 
 
@@ -322,18 +329,16 @@ def _thermal_stage(chip: ChipConfig, operating, heater_w: np.ndarray, dt: float)
     return t_start.T.reshape(runs, n_ch, steps), t_inf_of.T.reshape(runs, n_ch, steps)
 
 
-def _timedomain_runs(chip: ChipConfig, pulse_sets, settings: RunSettings, operating,
+def _timedomain_runs(chip: ChipConfig, heater_tones, settings: RunSettings, operating,
                      seed: Seed, stream_labels, patterns=None):
-    """The engine: one MultiplexRun per pulse set, from one thermal pass, one readout
-    plan and one pair of buffers.  operating is operating_tones(chip, settings); run r
-    draws its noise from (seed, *stream_labels[r]) and carries patterns[r] (default:
-    no bit set)."""
-    settings.validate_against(chip)
+    """The engine: one MultiplexRun per list of heater tones, each on for the
+    settings' heater window, from one thermal pass, one readout plan and one pair of
+    buffers.  operating is operating_tones(chip, settings); run r draws its noise from
+    (seed, *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
+    n, steps, block, decimation = settings.validate_against(chip)
     fs, (tones, _) = chip.sample_rate_hz, operating
-    n, steps = round(settings.window_s * fs), round(settings.window_s / settings.thermal_dt_s)
-    block, decimation = n // steps, round(fs / settings.output_rate_hz)
-    heater_w = np.array([_heater_power_w(chip, pulses, steps, settings.thermal_dt_s)
-                         for pulses in pulse_sets]).reshape(-1, chip.n_channels, steps)
+    heater_w = np.array([_heater_power_w(chip, run_tones, settings)
+                         for run_tones in heater_tones]).reshape(-1, chip.n_channels, steps)
     t_start, t_inf = _thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
     # every channel's demod band as DFT bins k_c + offsets of the record
     # (the offsets do not depend on the carrier)
@@ -438,10 +443,9 @@ def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings
 def _trigger_runs(chip: ChipConfig, patterns, settings: RunSettings, operating,
                   seed: Seed) -> list[MultiplexRun]:
     """run_trigger for each pattern, as one batch of the engine."""
-    pulse_sets = [schedule_heaters(pat, chip.filters, chip.channel_map,
-                                   settings.heater_power_dbm, settings.pulse_start_s,
-                                   settings.pulse_duration_s) for pat in patterns]
-    return list(_timedomain_runs(chip, pulse_sets, settings, operating, seed,
+    heater_tones = [schedule_heaters(pat, chip.filters, chip.channel_map,
+                                     settings.heater_power_dbm) for pat in patterns]
+    return list(_timedomain_runs(chip, heater_tones, settings, operating, seed,
                                  [(_KIND_TRIGGER, pat.value) for pat in patterns], patterns))
 
 
@@ -473,10 +477,11 @@ class ProbeSweepResult:
     multivalued: np.ndarray        # bool, same shape as magnitude
 
 
-def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: float = 6.0,
-                    n_points: int = 201, allow_nonlinear: bool = False) -> ProbeSweepResult:
+def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz,
+                    allow_nonlinear: bool = False) -> ProbeSweepResult:
     """Sweep the probe over each resonance at each power.
 
+    f_hz holds one probe frequency grid per channel, all of one length.
     Every cell is an independent steady state (no hysteresis): the recorded
     value is |Gamma(f_p)| at the solved state.  Each (channel, power) row is
     one call of the array kernel behind solve_operating_point.  Powers above
@@ -487,19 +492,11 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz=None, span_linewidths: fl
     powers = [float(p) for p in powers_dbm]
     if not powers:
         raise ValueError("need at least one probe power")
-    if not (math.isfinite(span_linewidths) and span_linewidths > 0.0):
-        raise ValueError(f"span_linewidths must be finite and > 0, got {span_linewidths}")
     for p in powers:
         _check_probe_power(chip, p, allow_nonlinear)
-    if f_hz is None:
-        grids = []
-        for par in chip.bolometers:
-            half = 0.5 * span_linewidths * par.kappa_total_hz
-            grids.append(np.linspace(par.f_r0_hz - half, par.f_r0_hz + half, n_points))
-    else:
-        grids = [np.asarray(g, dtype=float) for g in f_hz]
-        if len(grids) != chip.n_channels:
-            raise ValueError(f"need one frequency grid per channel ({chip.n_channels})")
+    grids = [np.asarray(g, dtype=float) for g in f_hz]
+    if len(grids) != chip.n_channels:
+        raise ValueError(f"need one frequency grid per channel ({chip.n_channels})")
     n_f = len(grids[0])
     if any(len(g) != n_f for g in grids):
         raise ValueError("per-channel frequency grids must have equal length")
@@ -531,12 +528,19 @@ def characterize(chip: ChipConfig, powers_dbm=(-160.0, -155.0, -150.0, -145.0, -
                  allow_nonlinear: bool = False):
     """Probe sweep plus a Lorentzian dip fit per channel and power.
 
+    Each channel's grid holds n_points probe frequencies spanning
+    span_linewidths total linewidths, centred on its cold resonance.
     Returns (sweep, fits) where fits[ch][pi] is the fit for that panel row,
     or None where fitting failed.  The lowest-power row is the headline
     estimate of f_r0 and the total linewidth.
     """
-    sweep = run_probe_sweep(chip, powers_dbm, span_linewidths=span_linewidths,
-                            n_points=n_points, allow_nonlinear=allow_nonlinear)
+    if not (math.isfinite(span_linewidths) and span_linewidths > 0.0):
+        raise ValueError(f"span_linewidths must be finite and > 0, got {span_linewidths}")
+    grids = []
+    for par in chip.bolometers:
+        half = 0.5 * span_linewidths * par.kappa_total_hz
+        grids.append(np.linspace(par.f_r0_hz - half, par.f_r0_hz + half, n_points))
+    sweep = run_probe_sweep(chip, powers_dbm, grids, allow_nonlinear=allow_nonlinear)
     fits = []
     for ch in range(chip.n_channels):
         row_fits = []
@@ -622,13 +626,11 @@ def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
     """
     quiet = replace(chip, noise_sigma_v=0.0)
     operating = operating_tones(quiet, settings)
-    pulse_sets = [[PulseSpec(tone=ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm),
-                             t_start_s=settings.pulse_start_s,
-                             duration_s=settings.pulse_duration_s)] for p_dbm in powers_dbm]
+    heater_tones = [[ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm)] for p_dbm in powers_dbm]
     responses = np.empty((chip.n_channels, len(powers_dbm)))
     # the quiet chip draws no noise, so no stream is derived
-    runs = _timedomain_runs(quiet, pulse_sets, settings, operating, Seed(0),
-                            [()] * len(pulse_sets))
+    runs = _timedomain_runs(quiet, heater_tones, settings, operating, Seed(0),
+                            [()] * len(heater_tones))
     for p, run in enumerate(runs):
         responses[:, p] = [m.response for m in run.metrics]
     return responses
@@ -664,48 +666,41 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | Non
     return responses, powers_w, p1db, analysis.crosstalk_matrix(p1db, chip.channel_map)
 
 
-@dataclass(frozen=True)
-class CalibrationTargets:
-    """What calibrate_chip should achieve on the default posture.
+# calibrate_chip's targets; its docstring states what each means
+_CAL_SHIFT_FRACTION = 0.5
+_CAL_HEATER_POWER_DBM = -135.0
+_CAL_SNR = 7.5
+_CAL_SHIFT_TOLERANCE = 0.05
+_CAL_DFDT_BOUNDS_HZ_PER_K = (1e3, 1e15)
 
-    A matched heater tone at heater_power_dbm shifts each resonance by
-    shift_fraction total linewidths in steady state (within shift_tolerance),
-    and the weakest channel of the all-on pattern reads an expected matched
-    SNR of snr.
+
+def calibrate_chip(chip: ChipConfig, settings: RunSettings | None = None):
+    """Fix dfdt per channel and the noise level to meet two fixed targets.
+
+    A matched heater tone at -135 dBm (source power) shifts each resonance
+    by 0.5 total linewidths in steady state, within 5% of that shift, and
+    the weakest channel of the all-on pattern reads an expected matched SNR
+    of 7.5.  dfdt is bisected in [1e3, 1e15] Hz/K against the steady-state
+    matched heater shift at the run's probe tone (monotone in dfdt).  The
+    noise follows from one noiseless all-on run: sigma = min over channels
+    of response / (snr * floor), floor the expected baseline std of |IQ| per
+    volt of raw noise (dsp._baseline_std_per_volt over sqrt(n_avg)).  So
+    snr is the weakest channel's SNR at the expected floor, not the minimum
+    over one noise realization; the floor holds while the carrier magnitude
+    dominates the noise (past that, |IQ| is Rician and biased).  Raises
+    CalibrationError when the shift target is outside the dfdt bounds or the
+    weakest response is not positive.
     """
-
-    shift_fraction: float = 0.5
-    heater_power_dbm: float = -135.0
-    snr: float = 7.5
-    shift_tolerance: float = 0.05
-    dfdt_bounds_hz_per_k: tuple[float, float] = (1e3, 1e15)
-
-
-def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
-                   settings: RunSettings | None = None):
-    """Fix dfdt per channel and the noise level to meet the stated targets.
-
-    dfdt is bisected against the steady-state matched heater shift at the
-    run's probe tone (monotone in dfdt).  The noise follows from one
-    noiseless all-on run: sigma = min over channels of response / (snr *
-    floor), floor the expected baseline std of |IQ| per volt of raw noise
-    (dsp._baseline_std_per_volt over sqrt(n_avg)).  So snr is the weakest
-    channel's SNR at the expected floor, not the minimum over one noise
-    realization; the floor holds while the carrier magnitude dominates the
-    noise (past that, |IQ| is Rician and biased).  Raises CalibrationError
-    when the shift target is outside the dfdt bounds or the weakest response
-    is not positive.
-    """
-    targets = targets if targets is not None else CalibrationTargets()
     settings = settings if settings is not None else RunSettings()
+    n, _, _, decimation = settings.validate_against(chip)
     report: dict = {"channels": [], "noise": {}}
     p_w = dbm_to_watts(_device_dbm(chip, settings.probe_power_dbm))
 
     bolos = []
     for ch, par in enumerate(chip.bolometers):
         delivered = _delivered_w(chip, ch, chip.matched_filter(ch).f_center_hz,
-                                 targets.heater_power_dbm)
-        target_shift = targets.shift_fraction * par.kappa_total_hz
+                                 _CAL_HEATER_POWER_DBM)
+        target_shift = _CAL_SHIFT_FRACTION * par.kappa_total_hz
 
         def shift_of(dfdt: float) -> float:
             trial = replace(par, dfdt_hz_per_k=dfdt)
@@ -713,7 +708,7 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
             heated = solve_operating_point(trial, f_op, p_w, extra_power_w=delivered)
             return base.f_r_star_hz - heated.f_r_star_hz
 
-        lo, hi = targets.dfdt_bounds_hz_per_k
+        lo, hi = _CAL_DFDT_BOUNDS_HZ_PER_K
         s_lo, s_hi = shift_of(lo), shift_of(hi)
         if not (s_lo <= target_shift <= s_hi):
             raise CalibrationError(
@@ -722,7 +717,7 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
         for _ in range(200):
             mid = math.sqrt(lo * hi)
             s_mid = shift_of(mid)
-            if abs(s_mid - target_shift) <= targets.shift_tolerance * target_shift:
+            if abs(s_mid - target_shift) <= _CAL_SHIFT_TOLERANCE * target_shift:
                 break
             if s_mid < target_shift:
                 lo = mid
@@ -742,11 +737,10 @@ def calibrate_chip(chip: ChipConfig, targets: CalibrationTargets | None = None,
     responses = [m.response for m in run.metrics]
     if not min(responses) > 0.0:
         raise CalibrationError(f"weakest all-on response {min(responses):.3g} V is not positive")
-    fs = chip.sample_rate_hz
-    floor = _baseline_std_per_volt(round(settings.window_s * fs), fs, settings.demod_bandwidth_hz,
-                                   round(fs / settings.output_rate_hz),
-                                   settings.baseline_window_s) / math.sqrt(settings.n_avg)
-    sigma = min(responses) / (targets.snr * floor)
-    report["noise"] = {"sigma_v": sigma, "target_snr": targets.snr,
+    floor = (_baseline_std_per_volt(n, chip.sample_rate_hz, settings.demod_bandwidth_hz,
+                                    decimation, settings.baseline_window_s)
+             / math.sqrt(settings.n_avg))
+    sigma = min(responses) / (_CAL_SNR * floor)
+    report["noise"] = {"sigma_v": sigma, "target_snr": _CAL_SNR,
                        "expected_snr": [r / (sigma * floor) for r in responses]}
     return replace(quiet, noise_sigma_v=sigma), report

@@ -5,7 +5,9 @@ that channel's band-pass filter, so a tone aimed at one filter leaks into
 the others at their stopband floor.  Filters are Lorentzian passbands with a
 hard stopband floor; the heater path is modelled as a power envelope (the
 GHz carrier itself is never sampled), and powers from distinct heater tones
-add incoherently.
+add incoherently.  A trigger pattern picks which heater tones fire; every
+tone of a run shares the run's one heater window, so a tone carries only
+its frequency and power.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .units import db_to_power_ratio
 __all__ = [
     "FilterParams",
     "ToneSpec",
-    "PulseSpec",
     "TriggerPattern",
     "filter_transmission",
     "schedule_heaters",
@@ -104,21 +105,6 @@ class ToneSpec:
 
 
 @dataclass(frozen=True)
-class PulseSpec:
-    """A heater tone gated on for [t_start, t_start + duration)."""
-
-    tone: ToneSpec
-    t_start_s: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t_start_s) or self.t_start_s < 0.0:
-            raise ValueError(f"pulse start must be finite and >= 0 s, got {self.t_start_s}")
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0.0:
-            raise ValueError(f"pulse duration must be finite and > 0 s, got {self.duration_s}")
-
-
-@dataclass(frozen=True)
 class TriggerPattern:
     """On/off heater bits, ordered by increasing bolometer probe frequency.
 
@@ -160,12 +146,13 @@ class TriggerPattern:
 
 
 def schedule_heaters(pattern: TriggerPattern, filters, channel_map,
-                     p_dbm: float, t_start_s: float, duration_s: float) -> list[PulseSpec]:
-    """Heater pulses implementing a trigger pattern.
+                     p_dbm: float) -> list[ToneSpec]:
+    """Heater tones implementing a trigger pattern.
 
-    Channel i's bit, when set, produces one pulse at the center of the
-    filter assigned to channel i by channel_map, all sharing power, start
-    and duration.
+    Channel i's bit, when set, produces one tone at p_dbm at the center of
+    the filter assigned to channel i by channel_map.  Every tone is gated
+    on for the run's one heater window (RunSettings.pulse_start_s and
+    pulse_duration_s).
     """
     filters = list(filters)
     channel_map = list(channel_map)
@@ -174,11 +161,5 @@ def schedule_heaters(pattern: TriggerPattern, filters, channel_map,
             f"pattern length {len(pattern)} does not match {len(channel_map)} channels")
     if sorted(channel_map) != list(range(len(filters))):
         raise ValueError(f"channel_map {channel_map} is not a bijection onto the filters")
-    pulses = []
-    for ch, bit in enumerate(pattern.bits):
-        if not bit:
-            continue
-        filt = filters[channel_map[ch]]
-        tone = ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm)
-        pulses.append(PulseSpec(tone=tone, t_start_s=t_start_s, duration_s=duration_s))
-    return pulses
+    return [ToneSpec(f_hz=filters[channel_map[ch]].f_center_hz, p_dbm=p_dbm)
+            for ch, bit in enumerate(pattern.bits) if bit]

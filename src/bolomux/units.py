@@ -7,9 +7,9 @@ Conventions used throughout the package:
   (``f_hz``, ``p_dbm``, ``p_w``, ...); converting between dBm and W is
   always explicit, never implied.
 * random streams are derived from a single master seed plus a tuple of
-  integer labels.  The construction is counter based (Philox keyed through
-  a SeedSequence spawn key), so a stream depends only on (master, labels)
-  and never on the order in which streams are created.
+  non-negative integer labels.  The construction is counter based (Philox
+  keyed through a SeedSequence spawn key), so a stream depends only on
+  (master, labels) and never on the order in which streams are created.
 """
 
 from __future__ import annotations
@@ -63,31 +63,17 @@ _MASTER_MAX = 2**64
 
 @dataclass(frozen=True)
 class Seed:
-    """Master seed plus a label path identifying one derived stream.
-
-    Children extend the label path; the generator for a given (master,
-    labels) pair is always the same regardless of creation order, which is
-    what makes multi-threaded experiment drivers reproducible.
-    """
+    """The master seed every random stream of a run derives from."""
 
     master: int
-    labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.master, int) or not 0 <= self.master < _MASTER_MAX:
             raise ValueError(f"master seed must be an int in [0, 2**64), got {self.master!r}")
-        for lab in self.labels:
-            if not isinstance(lab, int) or lab < 0:
-                raise ValueError(f"stream labels must be non-negative ints, got {lab!r}")
-
-    def child(self, *labels: int) -> "Seed":
-        return Seed(self.master, self.labels + tuple(labels))
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master, spawn_key=self.labels)
-        return np.random.Generator(np.random.Philox(ss))
 
 
 def derive_stream(seed: Seed, *labels: int) -> np.random.Generator:
-    """Generator for the stream (seed.master, seed.labels + labels)."""
-    return seed.child(*labels).generator()
+    """Generator for the stream (seed.master, labels); numpy refuses a label
+    that is not a non-negative int."""
+    ss = np.random.SeedSequence(seed.master, spawn_key=labels)
+    return np.random.Generator(np.random.Philox(ss))

@@ -238,6 +238,7 @@ def test_filterscan_writes_a_width_cut_off_by_the_scan_edge_as_null(capsys, tmp_
     ("characterize", {"span_linewidths": float("inf")}),
     ("powersweep", {"p_max_dbm": float("inf")}),
     ("powersweep", {"p_min_dbm": float("nan")}),
+    ("powersweep", {"p_min_dbm": -1e308, "p_max_dbm": 1e308}),
 ])
 def test_sweep_rejects_bad_grid(capsys, tmp_path, command, sweep):
     # the schema passes these; the sweep refuses them in one line, exit 1

@@ -18,7 +18,6 @@ from bolomux.experiments import (
     _KIND_TRIGGER,
     _fan_out,
     CalibrationError,
-    CalibrationTargets,
     ChipConfig,
     NonlinearOperationError,
     RunSettings,
@@ -32,8 +31,7 @@ from bolomux.experiments import (
     run_probe_sweep,
     run_trigger,
 )
-from bolomux.frontend import (PulseSpec, ToneSpec, TriggerPattern, filter_transmission,
-                              schedule_heaters)
+from bolomux.frontend import ToneSpec, TriggerPattern, filter_transmission, schedule_heaters
 from bolomux.units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts, watts_to_dbm
 from test_device import scalar_steady_state
 from test_dsp import mixer_demodulate
@@ -86,6 +84,8 @@ def test_settings_validation(default_chip):
         RunSettings(window_s=-1.0)
     with pytest.raises(ValueError):
         RunSettings(pulse_start_s=-1e-6)
+    with pytest.raises(ValueError):
+        RunSettings(pulse_duration_s=0.0)
     ok = RunSettings()
     ok.validate_against(default_chip)
     with pytest.raises(ValueError, match="thermal"):
@@ -356,7 +356,7 @@ def scalar_thermal_oracle(chip, operating, heater_w, dt):
     return t_start, t_inf_of
 
 
-def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
+def composite_engine_oracle(chip, heater_tones, settings, operating, seed, labels):
     """The mixer-per-channel readout, kept as the engine's oracle.
 
     Steps each channel's thermal state (scalar_thermal_oracle), builds its
@@ -373,7 +373,7 @@ def composite_engine_oracle(chip, pulses, settings, operating, seed, labels):
     steps = round(settings.window_s / settings.thermal_dt_s)
     dt = settings.thermal_dt_s
     tones, ops = operating
-    heater_w = experiments._heater_power_w(chip, pulses, steps, dt)
+    heater_w = experiments._heater_power_w(chip, heater_tones, settings)
     t_starts, t_infs = scalar_thermal_oracle(chip, operating, heater_w, dt)
     t = np.arange(n) / fs
     composite = np.zeros(n)
@@ -407,15 +407,15 @@ def test_spectral_engine_matches_composite_oracle(default_chip, default_settings
     # the noise alone, matches to the same tolerance of its own scale
     chip, settings = apply_preset(default_chip, default_settings, preset)
     pattern = TriggerPattern.from_label(label)
-    pulses = schedule_heaters(pattern, chip.filters, chip.channel_map,
-                              settings.heater_power_dbm, settings.pulse_start_s,
-                              settings.pulse_duration_s)
+    heater_tones = schedule_heaters(pattern, chip.filters, chip.channel_map,
+                                    settings.heater_power_dbm)
     engine, oracle = [], []
     for c in (replace(chip, noise_sigma_v=0.0), chip):
         run = run_trigger(c, pattern, settings, Seed(7))
         engine.append(np.array([iq.samples for iq in run.iq]))
-        oracle.append(composite_engine_oracle(c, pulses, settings, operating_tones(c, settings),
-                                              Seed(7), (_KIND_TRIGGER, pattern.value)))
+        oracle.append(composite_engine_oracle(c, heater_tones, settings,
+                                              operating_tones(c, settings), Seed(7),
+                                              (_KIND_TRIGGER, pattern.value)))
         assert_close_to(engine[-1], oracle[-1])
     assert_close_to(engine[1] - engine[0], oracle[1] - oracle[0])
 
@@ -424,12 +424,11 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
     # deep in compression on bolometer 0's matched path, read on every probe
     settings = RunSettings(probe_detuning_fraction=0.5)
     quiet = replace(default_chip, noise_sigma_v=0.0)
-    pulse = PulseSpec(tone=ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0),
-                      t_start_s=settings.pulse_start_s, duration_s=settings.pulse_duration_s)
+    tone = ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0)
     operating = operating_tones(quiet, settings)
-    run, = experiments._timedomain_runs(quiet, [[pulse]], settings, operating, Seed(0), [()])
+    run, = experiments._timedomain_runs(quiet, [[tone]], settings, operating, Seed(0), [()])
     assert_close_to(np.array([iq.samples for iq in run.iq]),
-                    composite_engine_oracle(quiet, [pulse], settings, operating, Seed(0), ()))
+                    composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
 
 
 @pytest.mark.parametrize("change", [
@@ -440,15 +439,15 @@ def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
                                                                   default_settings, change):
     settings = replace(default_settings, **change)
     pattern = TriggerPattern.from_label("101")
-    pulses = schedule_heaters(pattern, default_chip.filters, default_chip.channel_map,
-                              settings.heater_power_dbm, settings.pulse_start_s,
-                              settings.pulse_duration_s)
+    heater_tones = schedule_heaters(pattern, default_chip.filters, default_chip.channel_map,
+                                    settings.heater_power_dbm)
     engine, oracle = [], []
     for c in (replace(default_chip, noise_sigma_v=0.0), default_chip):
         run = run_trigger(c, pattern, settings, Seed(7))
         engine.append(np.array([iq.samples for iq in run.iq]))
-        oracle.append(composite_engine_oracle(c, pulses, settings, operating_tones(c, settings),
-                                              Seed(7), (_KIND_TRIGGER, pattern.value)))
+        oracle.append(composite_engine_oracle(c, heater_tones, settings,
+                                              operating_tones(c, settings), Seed(7),
+                                              (_KIND_TRIGGER, pattern.value)))
         assert_close_to(engine[-1], oracle[-1])
     assert_close_to(engine[1] - engine[0], oracle[1] - oracle[0])
 
@@ -487,24 +486,18 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
 # ------------------------------------------------------ batched thermal stage
 
 
-def sweep_pulse(chip, settings, p_dbm):
-    """The single pulse of a power-sweep run at bolometer 0's matched filter."""
-    return [PulseSpec(tone=ToneSpec(f_hz=chip.matched_filter(0).f_center_hz, p_dbm=p_dbm),
-                      t_start_s=settings.pulse_start_s, duration_s=settings.pulse_duration_s)]
-
-
 def thermal_batch(chip, settings, batch):
-    """Heater pulse sets of a test batch: "101" (one pattern), "sweep" (one
-    power-sweep pulse deep in compression) or "27" (all eight patterns and
-    nineteen power-sweep pulses from -160 to -90 dBm, mixed in one batch)."""
+    """Heater tone lists of a test batch: "101" (one pattern), "sweep" (one
+    power-sweep tone deep in compression) or "27" (all eight patterns and
+    nineteen power-sweep tones from -160 to -90 dBm, mixed in one batch); a
+    power-sweep run's one tone sits at bolometer 0's matched filter."""
     labels, powers = {"101": (["101"], []),
                       "sweep": ([], [-90.0]),
                       "27": ([format(v, "03b") for v in range(8)],
                              np.linspace(-160.0, -90.0, 19).tolist())}[batch]
     return ([schedule_heaters(TriggerPattern.from_label(label), chip.filters, chip.channel_map,
-                              settings.heater_power_dbm, settings.pulse_start_s,
-                              settings.pulse_duration_s) for label in labels]
-            + [sweep_pulse(chip, settings, p) for p in powers])
+                              settings.heater_power_dbm) for label in labels]
+            + [[ToneSpec(f_hz=chip.matched_filter(0).f_center_hz, p_dbm=p)] for p in powers])
 
 
 @pytest.mark.parametrize("posture, batch, change", [
@@ -525,9 +518,8 @@ def test_thermal_stage_matches_scalar_oracle(default_chip, default_settings, pos
                        probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
     chip, settings = apply_preset(default_chip, settings,
                                   "fig3" if posture == "fig3" else "desk")
-    steps = round(settings.window_s / settings.thermal_dt_s)
-    heater_w = np.stack([experiments._heater_power_w(chip, pulses, steps, settings.thermal_dt_s)
-                         for pulses in thermal_batch(chip, settings, batch)])
+    heater_w = np.stack([experiments._heater_power_w(chip, tones, settings)
+                         for tones in thermal_batch(chip, settings, batch)])
     operating = operating_tones(chip, settings)
     t_start, t_inf = experiments._thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
     assert t_start.shape == t_inf.shape == heater_w.shape
@@ -589,7 +581,7 @@ def test_multiplex_unheated_channels_silent_without_noise(noiseless_runs):
 
 
 def test_probe_sweep_shapes_and_normalization(default_chip):
-    sweep = run_probe_sweep(default_chip, [-160.0, -144.0], n_points=51)
+    sweep, _ = characterize(default_chip, [-160.0, -144.0], n_points=51)
     assert sweep.magnitude.shape == (3, 2, 51)
     assert not np.isnan(sweep.magnitude).any()
     for ch in range(3):
@@ -604,18 +596,21 @@ def test_probe_sweep_shapes_and_normalization(default_chip):
 
 
 def test_probe_sweep_validation(default_chip):
+    grids = [par.f_r0_hz + np.linspace(-1e6, 1e6, 11) for par in default_chip.bolometers]
     with pytest.raises(ValueError):
-        run_probe_sweep(default_chip, [])
+        run_probe_sweep(default_chip, [], grids)
     with pytest.raises(NonlinearOperationError):
-        run_probe_sweep(default_chip, [-120.0])
+        run_probe_sweep(default_chip, [-120.0], grids)
     with pytest.raises(ValueError, match="per channel"):
-        run_probe_sweep(default_chip, [-144.0], f_hz=[np.linspace(1e8, 2e8, 11)])
+        run_probe_sweep(default_chip, [-144.0], [np.linspace(1e8, 2e8, 11)])
+    with pytest.raises(ValueError, match="equal length"):
+        run_probe_sweep(default_chip, [-144.0], [*grids[:2], grids[2][:5]])
 
 
 @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf, 0.0, -2.0])
 def test_probe_sweep_rejects_bad_span(default_chip, span):
     with pytest.raises(ValueError, match="span_linewidths must be finite and > 0"):
-        run_probe_sweep(default_chip, [-160.0], span_linewidths=span, n_points=11)
+        characterize(default_chip, [-160.0], span_linewidths=span, n_points=11)
 
 
 def test_characterize_recovers_chip_parameters(default_chip):
@@ -662,7 +657,7 @@ def test_probe_sweep_matches_per_cell_loop(tiny_kappa_chip):
              for par in chip.bolometers]
     grids[1] = chip.bolometers[1].f_r0_hz + np.array([-1e3, -1.0, 0.0, 1.0, 1e3, 1e6, 1e10])
     powers = (-150.0, -144.0)
-    sweep = run_probe_sweep(chip, powers, f_hz=grids)
+    sweep = run_probe_sweep(chip, powers, grids)
     mag = np.full(sweep.magnitude.shape, np.nan)
     multi = np.zeros(mag.shape, dtype=bool)
     bad = []
@@ -905,10 +900,8 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
     quiet = replace(default_chip, noise_sigma_v=0.0)
     for j, filt in enumerate(default_chip.filters):
         for p, p_dbm in enumerate(SHORT_POWERS_DBM):
-            pulse = PulseSpec(tone=ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm),
-                              t_start_s=settings.pulse_start_s,
-                              duration_s=settings.pulse_duration_s)
-            run, = experiments._timedomain_runs(quiet, [[pulse]], settings,
+            tone = ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm)
+            run, = experiments._timedomain_runs(quiet, [[tone]], settings,
                                                 operating_tones(quiet, settings), Seed(0), [()])
             for i in range(default_chip.n_channels):
                 assert responses[i, j, p] == run.metrics[i].response
@@ -1004,24 +997,23 @@ def test_calibration_closed_loop(default_chip, default_settings, monkeypatch):
         return trigger(chip, pattern, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_trigger", counted)
-    targets = CalibrationTargets()
-    cal_chip, report = calibrate_chip(warped, targets)
+    cal_chip, report = calibrate_chip(warped)
     assert runs == [(0.0, "111")]
     for entry in report["channels"]:
         err = abs(entry["achieved_shift_hz"] - entry["target_shift_hz"])
-        assert err <= targets.shift_tolerance * entry["target_shift_hz"] * 1.001
+        assert err <= experiments._CAL_SHIFT_TOLERANCE * entry["target_shift_hz"] * 1.001
     noise = report["noise"]
     assert noise["sigma_v"] == cal_chip.noise_sigma_v
-    assert noise["target_snr"] == targets.snr
+    assert noise["target_snr"] == experiments._CAL_SNR
     # the weakest expected SNR of the tuned chip, outside the calibration loop
     quiet = run_trigger(replace(cal_chip, noise_sigma_v=0.0), TriggerPattern.from_label("111"),
                         RunSettings())
     floor = predicted_floor(cal_chip, RunSettings())
     expected = [m.response / floor for m in quiet.metrics]
-    assert min(expected) == pytest.approx(targets.snr, rel=1e-12)
+    assert min(expected) == pytest.approx(experiments._CAL_SNR, rel=1e-12)
     assert noise["expected_snr"] == pytest.approx(expected, rel=1e-12)
     # at four times the noise, the same chip comes back
-    again, _ = calibrate_chip(replace(warped, noise_sigma_v=4.0 * warped.noise_sigma_v), targets)
+    again, _ = calibrate_chip(replace(warped, noise_sigma_v=4.0 * warped.noise_sigma_v))
     assert again == cal_chip
 
 
@@ -1032,7 +1024,7 @@ def test_calibration_shift_is_read_at_the_run_tone(default_chip, default_setting
     tones, ops = operating_tones(cal_chip, default_settings)
     for ch, par in enumerate(cal_chip.bolometers):
         filt = cal_chip.matched_filter(ch)
-        extra = (dbm_to_watts(CalibrationTargets().heater_power_dbm)
+        extra = (dbm_to_watts(experiments._CAL_HEATER_POWER_DBM)
                  * filter_transmission(filt, filt.f_center_hz))
         heated = solve_operating_point(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
                                        extra_power_w=extra)
@@ -1041,9 +1033,10 @@ def test_calibration_shift_is_read_at_the_run_tone(default_chip, default_setting
 
 
 def test_calibration_rejects_unreachable_shift(default_chip):
-    targets = CalibrationTargets(shift_fraction=1e-12)
+    # 200 dB of line loss leaves the matched heater too weak to shift any
+    # resonance by half a linewidth within the dfdt bounds
     with pytest.raises(CalibrationError, match="not reachable"):
-        calibrate_chip(default_chip, targets)
+        calibrate_chip(replace(default_chip, line_attenuation_db=200.0))
 
 
 def test_calibration_rejects_non_positive_response(default_chip):

@@ -6,10 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolomux.experiments import _heater_power_w
+from bolomux.experiments import RunSettings, _heater_power_w
 from bolomux.frontend import (
     FilterParams,
-    PulseSpec,
     ToneSpec,
     TriggerPattern,
     filter_transmission,
@@ -34,10 +33,8 @@ def three_filter_chip(default_chip, floor_db: float = -15.0):
                    line_attenuation_db=0.0)
 
 
-def heater_pulse(f_hz: float, p_dbm: float = -135.0, t_start_s: float = 40e-6,
-                 duration_s: float = 10e-6) -> PulseSpec:
-    return PulseSpec(tone=ToneSpec(f_hz=f_hz, p_dbm=p_dbm), t_start_s=t_start_s,
-                     duration_s=duration_s)
+# a 100 x 1 us thermal grid whose heater window is on for steps 40..49
+STEP_GRID = RunSettings(thermal_dt_s=1e-6)
 
 
 # -------------------------------------------------------------- filter shape
@@ -121,24 +118,24 @@ def test_heater_power_default_chip_selectivity(default_chip):
 def test_heater_power_matched_channel(default_chip):
     # the tone at filters[1]'s center reaches channel 0 through channel_map
     chip = three_filter_chip(default_chip)
-    heater_w = _heater_power_w(chip, [heater_pulse(5.8e9)], 100, 1e-6)
+    heater_w = _heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)], STEP_GRID)
     assert heater_w[0, 40] == pytest.approx(dbm_to_watts(-135.0), rel=1e-12)
     assert heater_w[0, 40] == pytest.approx(3.1623e-17, rel=1e-4)
 
 
 def test_heater_power_mismatched_channel_hits_floor(default_chip):
     chip = three_filter_chip(default_chip, floor_db=-12.0)
-    heater_w = _heater_power_w(chip, [heater_pulse(4.4e9)], 100, 1e-6)
+    heater_w = _heater_power_w(chip, [ToneSpec(f_hz=4.4e9, p_dbm=-135.0)], STEP_GRID)
     assert heater_w[0, 40] == pytest.approx(dbm_to_watts(-135.0) * 10 ** -1.2, rel=1e-9)
 
 
 def test_heater_power_sums_incoherently(default_chip):
     chip = three_filter_chip(default_chip, floor_db=-12.0)
-    matched = heater_pulse(5.8e9, p_dbm=-140.0)
-    leak = heater_pulse(8.0e9, p_dbm=-130.0)
-    both = _heater_power_w(chip, [matched, leak], 100, 1e-6)
-    solo = (_heater_power_w(chip, [matched], 100, 1e-6)
-            + _heater_power_w(chip, [leak], 100, 1e-6))
+    matched = ToneSpec(f_hz=5.8e9, p_dbm=-140.0)
+    leak = ToneSpec(f_hz=8.0e9, p_dbm=-130.0)
+    both = _heater_power_w(chip, [matched, leak], STEP_GRID)
+    solo = (_heater_power_w(chip, [matched], STEP_GRID)
+            + _heater_power_w(chip, [leak], STEP_GRID))
     np.testing.assert_allclose(both, solo, rtol=1e-12, atol=0.0)
 
 
@@ -148,20 +145,12 @@ def test_heater_power_sums_incoherently(default_chip):
 def test_pulse_window_is_half_open(default_chip):
     # 40 us + 10 us at 1 us steps: on for steps 40..49, off at 39 and 50
     chip = three_filter_chip(default_chip)
-    heater_w = _heater_power_w(chip, [heater_pulse(5.8e9)], 100, 1e-6)
+    heater_w = _heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)], STEP_GRID)
     assert heater_w[0, 39] == 0.0
     assert heater_w[0, 40] > 0.0
     assert heater_w[0, 49] > 0.0
     assert heater_w[0, 50] == 0.0
     assert np.count_nonzero(heater_w[0]) == 10
-
-
-def test_pulse_validation():
-    tone = ToneSpec(f_hz=4.4e9, p_dbm=-135.0)
-    with pytest.raises(ValueError):
-        PulseSpec(tone=tone, t_start_s=-1e-6, duration_s=1e-6)
-    with pytest.raises(ValueError):
-        PulseSpec(tone=tone, t_start_s=0.0, duration_s=0.0)
 
 
 # ------------------------------------------------------- trigger patterns
@@ -205,36 +194,28 @@ def test_pattern_validation():
 def test_schedule_routes_bits_through_channel_map(default_chip):
     filters = default_chip.filters
     cmap = default_chip.channel_map
-    pulses = schedule_heaters(TriggerPattern.from_label("001"), filters, cmap,
-                              -135.0, 40e-6, 10e-6)
-    assert len(pulses) == 1
+    tones = schedule_heaters(TriggerPattern.from_label("001"), filters, cmap, -135.0)
     # last bit is channel 2; its filter under the shipped map is the 7.6 GHz one
-    assert pulses[0].tone.f_hz == filters[cmap[2]].f_center_hz
-    assert pulses[0].tone.p_dbm == -135.0
-    assert pulses[0].t_start_s == 40e-6
-    assert pulses[0].duration_s == 10e-6
+    assert tones == [ToneSpec(f_hz=filters[cmap[2]].f_center_hz, p_dbm=-135.0)]
 
 
 def test_schedule_all_on_uses_every_filter_once(default_chip):
     filters = default_chip.filters
-    pulses = schedule_heaters(TriggerPattern.from_label("111"), filters,
-                              default_chip.channel_map, -135.0, 40e-6, 10e-6)
-    assert sorted(p.tone.f_hz for p in pulses) == sorted(
-        f.f_center_hz for f in filters)
+    tones = schedule_heaters(TriggerPattern.from_label("111"), filters,
+                             default_chip.channel_map, -135.0)
+    assert sorted(t.f_hz for t in tones) == sorted(f.f_center_hz for f in filters)
 
 
 def test_schedule_all_off_is_empty(default_chip):
-    pulses = schedule_heaters(TriggerPattern.from_label("000"),
-                              default_chip.filters, default_chip.channel_map,
-                              -135.0, 40e-6, 10e-6)
-    assert pulses == []
+    tones = schedule_heaters(TriggerPattern.from_label("000"),
+                             default_chip.filters, default_chip.channel_map, -135.0)
+    assert tones == []
 
 
 def test_schedule_validation(default_chip):
     filters = default_chip.filters
     with pytest.raises(ValueError):
         schedule_heaters(TriggerPattern.from_label("01"), filters,
-                         default_chip.channel_map, -135.0, 40e-6, 10e-6)
+                         default_chip.channel_map, -135.0)
     with pytest.raises(ValueError):
-        schedule_heaters(TriggerPattern.from_label("111"), filters,
-                         (0, 0, 1), -135.0, 40e-6, 10e-6)
+        schedule_heaters(TriggerPattern.from_label("111"), filters, (0, 0, 1), -135.0)

@@ -1,5 +1,5 @@
 """The package's public surface: every exported name, field and method resolves and
-has a caller."""
+has a caller, and every defaulted parameter is passed by some call."""
 
 import ast
 import dataclasses
@@ -98,7 +98,7 @@ def test_every_public_name_has_a_caller(module):
 
 # dataclasses the CLI writes whole with dataclasses.asdict, each with the
 # cli function that does: every field of theirs reaches an output file
-_WRITTEN_WHOLE = {"ResponseMetric": "_run_dict"}
+_WRITTEN_WHOLE = {"ResponseMetric": "_run_dict", "LorentzianFit": "cmd_characterize"}
 
 # members no package code reads yet, each with the ROADMAP item that will
 # publish it; an entry that gains a reader fails the rule, so the list
@@ -160,6 +160,65 @@ def test_every_dataclass_member_has_a_reader():
     for name, function in _WRITTEN_WHOLE.items():
         assert "asdict" in _constructed_names(ast.unparse(functions[function])), name
     assert _members_without_reader() == sorted(_PENDING)
+
+
+def _defaulted_parameters():
+    """(callee, parameter, position) for every parameter with a default of a
+    function, method or dataclass constructor the package defines.  callee is
+    the name a call uses (the class's for a constructor); position is the
+    parameter's index among a call's arguments, self and cls not counted, or
+    None for a keyword-only one."""
+    found = []
+
+    def add(callee, fn, bound):
+        params = list(inspect.signature(fn).parameters.values())[bound:]
+        found.extend((callee, p.name, None if p.kind is p.KEYWORD_ONLY else i)
+                     for i, p in enumerate(params) if p.default is not p.empty)
+
+    for info in pkgutil.iter_modules(bolomux.__path__):
+        module = importlib.import_module(f"bolomux.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                add(name, obj, 0)
+            elif inspect.isclass(obj):
+                # a dataclass's generated __init__ sits in its own namespace too
+                for attr, value in vars(obj).items():
+                    if isinstance(value, (staticmethod, classmethod)):
+                        add(attr, value.__func__, isinstance(value, classmethod))
+                    elif inspect.isfunction(value):
+                        add(name if attr == "__init__" else attr, value, 1)
+    return found
+
+
+def _parameters_never_passed() -> list[str]:
+    # a default stays a parameter only if some call in the package or the
+    # benchmark passes it: by position, by keyword or through * or **.  Calls
+    # match by name; tests and README examples do not count
+    calls = {}
+    for path in [*_PACKAGE.glob("*.py"), *_BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, parameter, position):
+        if any(kw.arg in (parameter, None) for kw in call.keywords):
+            return True
+        if position is None:
+            return False
+        return (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or len(call.args) > position)
+
+    return sorted(f"{callee}({parameter})"
+                  for callee, parameter, position in _defaulted_parameters()
+                  if not any(passes(call, parameter, position)
+                             for call in calls.get(callee, [])))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    assert _parameters_never_passed() == []
 
 
 @pytest.mark.parametrize("module", _MODULES, ids=_IDS)

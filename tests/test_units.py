@@ -104,12 +104,6 @@ def test_in_place_noise_draw_matches_normal(sigma):
     assert np.array_equal(buf.reshape(-1).view(np.uint64), expected.view(np.uint64))
 
 
-def test_seed_child_composition():
-    via_child = Seed(5).child(1).child(2).generator().normal(size=32)
-    direct = derive_stream(Seed(5), 1, 2).normal(size=32)
-    assert np.array_equal(via_child, direct)
-
-
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "x"])
 def test_seed_rejects_bad_master(bad):
     with pytest.raises(ValueError):
