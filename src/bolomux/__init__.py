@@ -21,6 +21,7 @@ from .analysis import (
     snr_table,
 )
 from .config import (
+    PRESETS,
     ConfigError,
     ExperimentConfig,
     config_hash,
@@ -40,7 +41,6 @@ from .dsp import (
     response_metric,
 )
 from .experiments import (
-    PRESETS,
     CalibrationError,
     ChipConfig,
     FilterSweepResult,
@@ -48,7 +48,6 @@ from .experiments import (
     NonlinearOperationError,
     ProbeSweepResult,
     RunSettings,
-    apply_preset,
     calibrate_chip,
     characterize,
     power_sweep_matrix,
@@ -64,7 +63,6 @@ from .frontend import (
     schedule_heaters,
 )
 from .traceio import (
-    RunManifest,
     TraceFormatError,
     read_manifest,
     read_trace,

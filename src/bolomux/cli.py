@@ -1,12 +1,13 @@
 """Command line front end.
 
-Every run command loads the config (shipped defaults unless --config),
-applies --preset and --seed overrides, writes its outputs plus a
-checksummed manifest.json into --out, and prints a short summary.
+Every run command loads the config (shipped defaults unless --config)
+with --preset and --seed set in its document, writes its outputs plus a
+checksummed manifest.json of that document into --out, and prints a short
+summary.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
-(failed fit or calibration, a non-finite operating point, or a manifest
-integrity mismatch).
+(failed fit or calibration, a non-finite operating point, or a malformed
+or mismatched manifest).
 """
 import argparse
 import copy
@@ -24,11 +25,9 @@ from . import config as configmod
 from .analysis import FitError, capacity_estimate, snr_table
 from .device import SolverError
 from .experiments import (
-    PRESETS,
     CalibrationError,
     ChipConfig,
     RunSettings,
-    apply_preset,
     calibrate_chip,
     characterize,
     power_sweep_matrix,
@@ -75,7 +74,7 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="override the config's master seed")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default bolomux_<command>)")
-    common.add_argument("--preset", choices=PRESETS,
+    common.add_argument("--preset", choices=configmod.PRESETS,
                         help="sampling/averaging posture override")
     common.add_argument("--threads", type=_thread_count, default=1, metavar="N",
                         help="worker threads; results are identical for any value")
@@ -130,25 +129,16 @@ class _Context:
 
 
 def _load_context(args) -> _Context:
-    cfg = configmod.load_config(args.config)
-    chip, settings, seed = cfg.chip, cfg.settings, cfg.seed
-    doc = dict(cfg.doc)
-    if args.preset:
-        chip, settings = apply_preset(chip, settings, args.preset)
-    if args.seed is not None:
-        seed = Seed(args.seed)
-        doc["seed"] = args.seed
-    settings.validate_against(chip)
-    out_dir = args.out if args.out else f"bolomux_{args.command}"
-    return _Context(chip=chip, settings=settings, seed=seed, doc=doc,
-                    sweeps=cfg.sweeps, out_dir=out_dir, threads=args.threads,
-                    preset=args.preset)
+    cfg = configmod.load_config(args.config, preset=args.preset or "desk", seed=args.seed)
+    return _Context(chip=cfg.chip, settings=cfg.settings, seed=cfg.seed, doc=cfg.doc,
+                    sweeps=cfg.sweeps, out_dir=args.out or f"bolomux_{args.command}",
+                    threads=args.threads, preset=args.preset)
 
 
 def _finish(ctx: _Context, command: str) -> None:
     if ctx.preset:
         command += f" --preset {ctx.preset}"
-    write_manifest(ctx.out_dir, command, ctx.seed.master, ctx.doc, __version__)
+    write_manifest(ctx.out_dir, command, ctx.doc, __version__)
 
 
 def cmd_characterize(ctx: _Context, args) -> int:
@@ -307,10 +297,10 @@ def cmd_analyze(ctx: _Context, args) -> int:
     if manifest is None:
         return 2
     summary = {
-        "command": manifest.command,
-        "tool_version": manifest.tool_version,
-        "seed": manifest.seed,
-        "files_verified": len(manifest.files),
+        "command": manifest["command"],
+        "tool_version": manifest["tool_version"],
+        "seed": manifest["seed"],
+        "files_verified": len(manifest["files"]),
     }
     snr_path = os.path.join(results_dir, "snr_table.json")
     if os.path.isfile(snr_path):
@@ -336,11 +326,11 @@ def cmd_report(ctx: _Context, args) -> int:
     manifest = _verified_manifest(results_dir)
     if manifest is None:
         return 2
-    out_dir = ctx.out_dir if ctx.out_dir != "bolomux_report" else os.path.join(results_dir, "report")
+    out_dir = args.out or os.path.join(results_dir, "report")
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    traces = sorted(name for name, _ in manifest.files
+    traces = sorted(name for name in manifest["files"]
                     if name.endswith(".csv") and (name.startswith("trace_")
                                                   or name.startswith("pattern_")))
     if traces:
@@ -387,7 +377,9 @@ def cmd_report(ctx: _Context, args) -> int:
 
 
 def cmd_calibrate(ctx: _Context, args) -> int:
-    if ctx.preset not in (None, "desk"):  # only apply_preset knows a preset's scaling
+    # a preset scales the noise relative to the config, so a written preset-scale
+    # config would be scaled again when loaded under that preset
+    if ctx.preset not in (None, "desk"):
         raise ValueError(f"calibrate writes a desk-scale config; --preset {ctx.preset} is refused")
     chip, report = calibrate_chip(ctx.chip, settings=ctx.settings)
     doc = copy.deepcopy(ctx.doc)

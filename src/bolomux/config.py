@@ -3,7 +3,9 @@
 A config document has five top-level sections: seed, chip, run, sweeps and
 notes.  User files are deep-merged over the shipped defaults (dicts merge
 key by key, lists and scalars replace), checked against the packaged JSON
-schema, and only then turned into live objects.  The package checks the
+schema; a preset's posture and a seed override are then set in that same
+document, which is turned into live objects once.  The document is the
+run's configuration, and config_hash names it.  The package checks the
 schema itself: it implements the subset of JSON Schema keywords that the
 packaged schema uses and refuses a schema carrying any other.  A
 violation names the JSON pointer of the first offending field in document
@@ -21,8 +23,8 @@ from .experiments import ChipConfig, RunSettings
 from .frontend import FilterParams
 from .units import Seed
 
-__all__ = ["ConfigError", "ExperimentConfig", "config_hash", "load_config", "merge_config",
-           "validate_config"]
+__all__ = ["PRESETS", "ConfigError", "ExperimentConfig", "config_hash", "load_config",
+           "merge_config", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -128,8 +130,12 @@ def validate_config(doc: dict) -> None:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
-    """Dicts merge recursively; lists and scalars in override replace base."""
-    out = copy.deepcopy(base)
+    """Dicts merge recursively; lists and scalars in override replace base.
+
+    Neither input changes: the result copies what it takes from override and
+    shares the rest with base.
+    """
+    out = dict(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _deep_merge(out[key], value)
@@ -139,23 +145,36 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def merge_config(user_doc: dict) -> dict:
+    """user_doc merged over a fresh copy of the defaults and schema-checked;
+    the caller owns the result."""
     merged = _deep_merge(_default_config_dict(), user_doc)
     validate_config(merged)
     return merged
 
 
-def _load_config_dict(path) -> dict:
-    """Read a user JSON file and merge it over the defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user_doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user_doc, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
-    return merge_config(user_doc)
+PRESETS = ("desk", "paper", "fig3")
+
+
+def _apply_preset(doc: dict, name: str) -> None:
+    """Set a named measurement posture in the document, in place.
+
+    desk: the shipped defaults (1 GS/s, 100 averages, noise scaled down 10x
+    so the averaged noise per raw sample matches the paper posture's).
+    "paper": the full-scale posture, 6 GS/s and 10^4 averages at full
+    noise; the same noise per sample over 6x the bandwidth leaves its
+    in-band floor sqrt(6) lower, so it reads about sqrt(6) higher SNR.
+    "fig3": long-pulse single-trigger posture, 1 ms pulses and 2^14 averages.
+    """
+    if name == "paper":
+        doc["chip"]["sample_rate_hz"] = 6e9
+        doc["chip"]["noise_sigma_v"] *= 10.0
+        doc["run"]["n_avg"] = 10_000
+    elif name == "fig3":
+        doc["run"].update(window_s=2e-3, pulse_start_s=0.5e-3, pulse_duration_s=1e-3,
+                          n_avg=2 ** 14, baseline_window_s=[0.1e-3, 0.4e-3],
+                          signal_window_s=[1.4e-3, 1.5e-3])
+    elif name != "desk":
+        raise ConfigError(f"unknown preset {name!r}; expected desk, paper or fig3")
 
 
 def _build_chip(doc: dict) -> ChipConfig:
@@ -171,17 +190,20 @@ def _build_chip(doc: dict) -> ChipConfig:
         raise ConfigError(f"config error at /chip: {exc}") from exc
 
 
-def _build_settings(doc: dict) -> RunSettings:
-    """The run section as live settings; omitted optional keys take the defaults."""
+def _build_settings(doc: dict, chip: ChipConfig) -> RunSettings:
+    """The run section as live settings, checked against the chip's sample
+    rate; omitted optional keys take the defaults."""
     try:
-        return RunSettings(**doc["run"])
+        settings = RunSettings(**doc["run"])
+        settings.validate_against(chip)
     except ValueError as exc:
         raise ConfigError(f"config error at /run: {exc}") from exc
+    return settings
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration plus the canonical merged document."""
+    """Validated configuration plus the effective document it was built from."""
 
     chip: ChipConfig
     settings: RunSettings
@@ -193,19 +215,29 @@ class ExperimentConfig:
         return self.doc["sweeps"]
 
 
-def load_config(path=None) -> ExperimentConfig:
-    """Load path (or the shipped defaults when None) into live objects."""
-    if path is None:
-        doc = _default_config_dict()
-        validate_config(doc)
-    else:
-        doc = _load_config_dict(path)
-    return ExperimentConfig(
-        chip=_build_chip(doc),
-        settings=_build_settings(doc),
-        seed=Seed(doc["seed"]),
-        doc=doc,
-    )
+def load_config(path=None, preset: str = "desk", seed: int | None = None) -> ExperimentConfig:
+    """The JSON file at path (none: no overrides) merged over the shipped
+    defaults, with the named preset's posture and the seed override set in
+    that document, as live objects.  The document is the run's whole
+    configuration: what config_hash of `.doc` names is what ran."""
+    user_doc = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user_doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(user_doc, dict):
+            raise ConfigError(f"config {path} must contain a JSON object")
+    doc = merge_config(user_doc)
+    _apply_preset(doc, preset)
+    if seed is not None:
+        doc["seed"] = seed
+    chip = _build_chip(doc)
+    return ExperimentConfig(chip=chip, settings=_build_settings(doc, chip),
+                            seed=Seed(doc["seed"]), doc=doc)
 
 
 def config_hash(doc: dict) -> str:

@@ -39,8 +39,6 @@ __all__ = [
     "FilterSweepResult",
     "CalibrationError",
     "NonlinearOperationError",
-    "PRESETS",
-    "apply_preset",
     "characterize",
     "run_filter_sweep",
     "power_sweep_matrix",
@@ -182,38 +180,6 @@ class RunSettings:
         if self.baseline_window_s[1] > self.signal_window_s[0]:
             raise ValueError("baseline window must end before the signal window")
         return round(n), round(steps), round(n) // round(steps), round(dec)
-
-
-def apply_preset(chip: ChipConfig, settings: RunSettings, name: str):
-    """Return (chip, settings) adjusted to a named measurement posture.
-
-    desk: the shipped defaults (1 GS/s, 100 averages, noise scaled down 10x
-    so the averaged noise per raw sample matches the paper posture's).
-    "paper": the full-scale posture, 6 GS/s and 10^4 averages at full
-    noise; the same noise per sample over 6x the bandwidth leaves its
-    in-band floor sqrt(6) lower, so it reads about sqrt(6) higher SNR.
-    "fig3": long-pulse single-trigger posture, 1 ms pulses and 2^14 averages.
-    """
-    if name == "desk":
-        return chip, settings
-    if name == "paper":
-        chip2 = replace(chip, sample_rate_hz=6e9, noise_sigma_v=chip.noise_sigma_v * 10.0)
-        return chip2, replace(settings, n_avg=10_000)
-    if name == "fig3":
-        settings2 = replace(
-            settings,
-            window_s=2e-3,
-            pulse_start_s=0.5e-3,
-            pulse_duration_s=1e-3,
-            n_avg=2 ** 14,
-            baseline_window_s=(0.1e-3, 0.4e-3),
-            signal_window_s=(1.4e-3, 1.5e-3),
-        )
-        return chip, settings2
-    raise ValueError(f"unknown preset {name!r}; expected desk, paper or fig3")
-
-
-PRESETS = ("desk", "paper", "fig3")
 
 
 def _device_dbm(chip: ChipConfig, p_dbm: float) -> float:

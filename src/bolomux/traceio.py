@@ -13,15 +13,15 @@ body in the writer's form with one `np.loadtxt` call and parses any other
 body line by line.
 
 Each run directory gets a `manifest.json` naming the tool version, the
-seed, the sha256 of the canonical config and of every output file.  The
-manifest is the only place a timestamp appears.
+seed, the sha256 of the canonical config document the run used (after
+preset and seed overrides) and of every output file.  The manifest is the
+only place a timestamp appears.
 """
 import hashlib
 import io
 import json
 import math
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,14 +29,14 @@ import numpy as np
 from .config import config_hash
 from .dsp import IQTrace
 
-__all__ = ["RunManifest", "TraceFormatError", "read_manifest", "read_trace", "verify_manifest",
-           "write_manifest", "write_trace"]
+__all__ = ["TraceFormatError", "read_manifest", "read_trace", "verify_manifest", "write_manifest",
+           "write_trace"]
 
 MANIFEST_NAME = "manifest.json"
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace file; message carries the 1-based line number."""
+    """Malformed trace or manifest; a trace's message carries the 1-based line number."""
 
 
 def _cells(column) -> list[str]:
@@ -230,59 +230,33 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Integrity record for one run directory."""
-
-    tool_version: str
-    command: str
-    seed: int
-    config_sha256: str
-    created_utc: str
-    files: tuple[tuple[str, str], ...]  # (relative path, sha256)
-
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "seed": self.seed,
-            "config_sha256": self.config_sha256,
-            "created_utc": self.created_utc,
-            "files": {name: digest for name, digest in self.files},
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "RunManifest":
-        return RunManifest(
-            tool_version=doc["tool_version"],
-            command=doc["command"],
-            seed=doc["seed"],
-            config_sha256=doc["config_sha256"],
-            created_utc=doc["created_utc"],
-            files=tuple(sorted(doc["files"].items())),
-        )
+_MANIFEST_KEYS = ("tool_version", "command", "seed", "config_sha256", "created_utc", "files")
 
 
-def write_manifest(out_dir, command: str, seed: int, config_doc: dict,
-                   tool_version: str) -> RunManifest:
-    """Hash every file already in out_dir and drop manifest.json beside them."""
+def write_manifest(out_dir, command: str, config_doc: dict, tool_version: str) -> dict:
+    """Hash every file already in out_dir and drop manifest.json beside them.
+
+    The seed is the document's; config_sha256 is the hash of the document as
+    the run used it, after preset and seed overrides.
+    """
     names = sorted(
         name for name in os.listdir(out_dir)
         if name != MANIFEST_NAME and os.path.isfile(os.path.join(out_dir, name)))
-    files = tuple((name, _sha256_file(os.path.join(out_dir, name))) for name in names)
-    manifest = RunManifest(
-        tool_version=tool_version,
-        command=command,
-        seed=seed,
-        config_sha256=config_hash(config_doc),
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        files=files,
-    )
-    _write_json(os.path.join(out_dir, MANIFEST_NAME), manifest.to_dict())
+    manifest = {
+        "tool_version": tool_version,
+        "command": command,
+        "seed": config_doc["seed"],
+        "config_sha256": config_hash(config_doc),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "files": {name: _sha256_file(os.path.join(out_dir, name)) for name in names},
+    }
+    _write_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
     return manifest
 
 
-def read_manifest(out_dir) -> RunManifest:
+def read_manifest(out_dir) -> dict:
+    """The manifest.json object of out_dir; TraceFormatError unless it holds
+    every manifest key and maps plain file names to digest strings."""
     path = os.path.join(out_dir, MANIFEST_NAME)
     try:
         doc = _read_json(path)
@@ -290,14 +264,25 @@ def read_manifest(out_dir) -> RunManifest:
         raise TraceFormatError(f"missing manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"manifest {path} is not valid JSON: {exc}") from exc
-    return RunManifest.from_dict(doc)
+    if not isinstance(doc, dict):
+        raise TraceFormatError(f"manifest {path} is not a JSON object")
+    missing = next((key for key in _MANIFEST_KEYS if key not in doc), None)
+    if missing is not None:
+        raise TraceFormatError(f"manifest {path} lacks {missing!r}")
+    files = doc["files"]
+    if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
+        raise TraceFormatError(f"manifest {path}: 'files' must map file names to digests")
+    bad = next((name for name in files
+                if name in ("", ".", "..") or os.path.basename(name) != name), None)
+    if bad is not None:
+        raise TraceFormatError(f"manifest {path}: {bad!r} is not a file name in its directory")
+    return doc
 
 
 def verify_manifest(out_dir) -> list[str]:
     """Recompute checksums against manifest.json; return a list of problems."""
-    manifest = read_manifest(out_dir)
     problems = []
-    for name, expected in manifest.files:
+    for name, expected in sorted(read_manifest(out_dir)["files"].items()):
         path = os.path.join(out_dir, name)
         if not os.path.isfile(path):
             problems.append(f"missing file {name}")

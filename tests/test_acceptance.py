@@ -20,11 +20,8 @@ from bolomux.analysis import (
     fit_compression,
 )
 from bolomux.cli import main
-from bolomux.experiments import (
-    RunSettings,
-    apply_preset,
-    run_trigger,
-)
+from bolomux.config import load_config
+from bolomux.experiments import RunSettings, run_trigger
 from bolomux.frontend import TriggerPattern
 from bolomux.units import Seed, dbm_to_watts, tone_amplitude_volts, watts_to_dbm
 from test_device import state_at, thermal_step
@@ -192,10 +189,10 @@ def test_baseline_noise_scales_as_sqrt_of_averages(default_chip):
             for n_avg in (16, 1024)}
     assert rms_ratio(stds[16], stds[1024]) == pytest.approx(8.0, rel=0.20)
 
-    desk = apply_preset(default_chip, RunSettings(**windows), "desk")
-    paper = apply_preset(default_chip, RunSettings(**windows), "paper")
-    assert rms_ratio(baseline_stds(*desk), baseline_stds(*paper)) == pytest.approx(
-        math.sqrt(6.0), rel=0.20)
+    desk, paper = (load_config(preset=name) for name in ("desk", "paper"))
+    assert rms_ratio(baseline_stds(desk.chip, replace(desk.settings, **windows)),
+                     baseline_stds(paper.chip, replace(paper.settings, **windows))) == \
+        pytest.approx(math.sqrt(6.0), rel=0.20)
 
 
 def test_capacity_command_prints_channel_count(capsys):

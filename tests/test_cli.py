@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bolomux.cli import main
-from bolomux.config import _default_config_dict, _load_config_dict, load_config
+from bolomux.config import _default_config_dict, config_hash, load_config
 from bolomux.experiments import calibrate_chip
 from bolomux.traceio import read_manifest, read_trace, verify_manifest
 
@@ -128,8 +128,8 @@ def test_trigger_writes_traces_and_manifest(capsys, tmp_path, fast_config):
     assert all("snr" in m for m in metrics["metrics"])
     assert verify_manifest(out) == []
     manifest = read_manifest(out)
-    assert manifest.command == "trigger --pattern 001"
-    assert manifest.seed == 15
+    assert manifest["command"] == "trigger --pattern 001"
+    assert manifest["seed"] == 15
     assert "snr" in capsys.readouterr().out
 
 
@@ -154,8 +154,8 @@ def test_trigger_seed_flag_overrides_config(tmp_path, fast_config, capsys):
         fc = (c / f"trace_ch{ch}.csv").read_bytes()
         assert fa == fb
         assert fa != fc
-    assert read_manifest(a).seed == 7
-    assert read_manifest(c).seed == 8
+    assert read_manifest(a)["seed"] == 7
+    assert read_manifest(c)["seed"] == 8
 
 
 # ----------------------------------------------------------------- sweeps
@@ -275,7 +275,7 @@ def test_powersweep_writes_crosstalk(capsys, tmp_path):
 def test_calibrate_writes_tuned_config(capsys, tmp_path, fast_config):
     out = tmp_path / "cal"
     assert run_cli("calibrate", "--config", fast_config, "--out", str(out)) == 0
-    tuned = _load_config_dict(out / "calibrated_config.json")
+    tuned = load_config(out / "calibrated_config.json").doc
     report = json.loads((out / "calibration_report.json").read_text())
     assert len(report["channels"]) == 3
     for entry in report["channels"]:
@@ -335,7 +335,7 @@ def test_analyze_summarizes_multiplex(capsys, tmp_path, fast_config):
     assert run_cli("analyze", str(out)) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["command"] == "multiplex"
-    assert summary["files_verified"] == len(read_manifest(out).files)
+    assert summary["files_verified"] == len(read_manifest(out)["files"])
     assert summary["n_runs"] == 8
     assert set(summary["snr_by_pattern"]) == {format(v, "03b") for v in range(8)}
     assert "min_matched_snr" in summary
@@ -393,6 +393,26 @@ def test_report_renders_tables(capsys, tmp_path, fast_config):
         (mux / "snr_table.csv").read_bytes()
 
 
+def test_report_writes_to_an_explicit_out(capsys, tmp_path, fast_config, monkeypatch):
+    # an explicit --out wins even when it names the default directory
+    out = tmp_path / "trig"
+    run_cli("trigger", "--pattern", "111", "--config", fast_config, "--out", str(out))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("report", str(out), "--out", "bolomux_report") == 0
+    assert (tmp_path / "bolomux_report" / "report_magnitude.csv").exists()
+    assert not (out / "report").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+@pytest.mark.parametrize("doc", [{"command": "x"}, [1, 2]])
+def test_malformed_manifest_is_one_error_line(capsys, tmp_path, command, doc):
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert run_cli(command, str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and err.count("\n") == 1
+
+
 def test_report_refuses_corrupt_input(capsys, tmp_path, fast_config):
     out = tmp_path / "trig"
     run_cli("trigger", "--pattern", "100", "--config", fast_config,
@@ -414,11 +434,26 @@ def test_preset_flag_accepted(capsys, tmp_path, fast_config):
         flags = ("--preset", preset) if preset else ()
         assert run_cli("trigger", "--pattern", "000", "--config", fast_config,
                        "--out", str(out), *flags) == 0
-        commands[preset] = read_manifest(out).command
+        commands[preset] = read_manifest(out)["command"]
     capsys.readouterr()
     assert commands == {None: "trigger --pattern 000",
                         "desk": "trigger --pattern 000 --preset desk",
                         "paper": "trigger --pattern 000 --preset paper"}
+
+
+def test_preset_manifests_hash_the_effective_config(capsys, tmp_path):
+    # seed 15 is the shipped one, so the desk run's document is the shipped
+    # default document; each preset's edits show in its own hash
+    hashes = {}
+    for preset in ("desk", "paper", "fig3"):
+        out = tmp_path / preset
+        assert run_cli("trigger", "--pattern", "000", "--seed", "15", "--preset", preset,
+                       "--out", str(out)) == 0
+        hashes[preset] = read_manifest(out)["config_sha256"]
+        assert hashes[preset] == config_hash(load_config(preset=preset, seed=15).doc)
+    capsys.readouterr()
+    assert len(set(hashes.values())) == 3
+    assert hashes["desk"] == config_hash(_default_config_dict())
 
 
 def test_unknown_preset_rejected(capsys, fast_config, tmp_path):

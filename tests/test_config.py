@@ -19,7 +19,6 @@ from bolomux.config import (
     _build_settings,
     _deep_merge,
     _default_config_dict,
-    _load_config_dict,
     _load_packaged,
     _pointer,
     _validate,
@@ -140,7 +139,7 @@ def test_schema_valid_config_can_still_fail_at_runtime():
     doc["chip"]["bolometers"][2]["f_r0_hz"] = 600e6
     validate_config(doc)
     chip = _build_chip(doc)
-    settings = _build_settings(doc)
+    settings = _build_settings(doc, chip)
     with pytest.raises(ValueError, match="Nyquist"):
         run_trigger(chip, TriggerPattern.from_label("000"), settings, Seed(0))
 
@@ -169,7 +168,7 @@ def test_merge_config_overrides_defaults():
     assert doc["run"]["n_avg"] == 7
     # untouched siblings keep their defaults
     assert doc["run"]["window_s"] == _default_config_dict()["run"]["window_s"]
-    settings = _build_settings(doc)
+    settings = _build_settings(doc, _build_chip(doc))
     assert settings.n_avg == 7
 
 
@@ -183,14 +182,14 @@ def test_merge_config_validates_result():
 
 def test_load_config_dict_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="missing.json"):
-        _load_config_dict(tmp_path / "missing.json")
+        load_config(tmp_path / "missing.json")
 
 
 def test_load_config_dict_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
-        _load_config_dict(path)
+        load_config(path)
 
 
 def test_load_config_merges_user_file(tmp_path):

@@ -11,17 +11,16 @@ import pytest
 
 from bolomux import experiments
 from bolomux.analysis import _fit_exponential
+from bolomux.config import PRESETS, load_config
 from bolomux.device import _absorption, _gamma, solve_operating_point
 from bolomux.dsp import _baseline_std_per_volt
 from bolomux.experiments import (
-    PRESETS,
     _KIND_TRIGGER,
     _fan_out,
     CalibrationError,
     ChipConfig,
     NonlinearOperationError,
     RunSettings,
-    apply_preset,
     calibrate_chip,
     characterize,
     operating_tones,
@@ -102,19 +101,20 @@ def test_settings_validation(default_chip):
 
 def test_presets(default_chip, default_settings):
     assert PRESETS == ("desk", "paper", "fig3")
-    chip, settings = apply_preset(default_chip, default_settings, "desk")
-    assert chip == default_chip and settings == default_settings
-    chip, settings = apply_preset(default_chip, default_settings, "paper")
-    assert chip.sample_rate_hz == 6e9
-    assert chip.noise_sigma_v == pytest.approx(10 * default_chip.noise_sigma_v)
-    assert settings.n_avg == 10_000
-    chip, settings = apply_preset(default_chip, default_settings, "fig3")
+    cfg = load_config(preset="desk")
+    assert cfg.chip == default_chip and cfg.settings == default_settings
+    cfg = load_config(preset="paper")
+    assert cfg.chip.sample_rate_hz == 6e9
+    assert cfg.chip.noise_sigma_v == pytest.approx(10 * default_chip.noise_sigma_v)
+    assert cfg.settings.n_avg == 10_000
+    cfg = load_config(preset="fig3")
+    chip, settings = cfg.chip, cfg.settings
     assert settings.window_s == 2e-3
     assert settings.pulse_duration_s == 1e-3
     assert settings.n_avg == 2 ** 14
     settings.validate_against(chip)
     with pytest.raises(ValueError, match="preset"):
-        apply_preset(default_chip, default_settings, "bench")
+        load_config(preset="bench")
 
 
 def test_chip_validation(default_chip):
@@ -401,11 +401,11 @@ def assert_close_to(engine, oracle, rel=1e-9):
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])
 @pytest.mark.parametrize("label", ["000", "101", "111"])
-def test_spectral_engine_matches_composite_oracle(default_chip, default_settings, preset,
-                                                  label):
+def test_spectral_engine_matches_composite_oracle(preset, label):
     # noiseless and noisy at the same seed; the noisy-minus-noiseless IQ,
     # the noise alone, matches to the same tolerance of its own scale
-    chip, settings = apply_preset(default_chip, default_settings, preset)
+    cfg = load_config(preset=preset)
+    chip, settings = cfg.chip, cfg.settings
     pattern = TriggerPattern.from_label(label)
     heater_tones = schedule_heaters(pattern, chip.filters, chip.channel_map,
                                     settings.heater_power_dbm)
@@ -510,14 +510,13 @@ def thermal_batch(chip, settings, batch):
     ("flank", "27", {"thermal_dt_s": 5e-6}),
     ("fig3", "101", {}),
 ])
-def test_thermal_stage_matches_scalar_oracle(default_chip, default_settings, posture, batch,
-                                             change):
+def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
     # every (run, channel) trajectory of one batched pass equals the scalar
     # loop run on that trajectory alone, bit for bit
-    settings = replace(default_settings,
+    cfg = load_config(preset="fig3" if posture == "fig3" else "desk")
+    chip = cfg.chip
+    settings = replace(cfg.settings,
                        probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
-    chip, settings = apply_preset(default_chip, settings,
-                                  "fig3" if posture == "fig3" else "desk")
     heater_w = np.stack([experiments._heater_power_w(chip, tones, settings)
                          for tones in thermal_batch(chip, settings, batch)])
     operating = operating_tones(chip, settings)

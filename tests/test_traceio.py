@@ -8,10 +8,10 @@ import pytest
 
 from bolomux import traceio
 from bolomux.cli import main
+from bolomux.config import config_hash
 from bolomux.dsp import IQTrace
 from bolomux.traceio import (
     MANIFEST_NAME,
-    RunManifest,
     TraceFormatError,
     _cells,
     _sha256_file,
@@ -305,25 +305,25 @@ def make_results(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     out = make_results(tmp_path)
-    written = write_manifest(out, "trigger", 15, {"seed": 15}, "0.1.0")
+    written = write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
     back = read_manifest(out)
     assert back == written
-    assert back.command == "trigger"
-    assert back.seed == 15
-    assert back.tool_version == "0.1.0"
-    assert [name for name, _ in back.files] == ["a.csv", "b.json"]
-    assert all(len(digest) == 64 for _, digest in back.files)
+    assert back["command"] == "trigger"
+    assert back["seed"] == 15
+    assert back["tool_version"] == "0.1.0"
+    assert list(back["files"]) == ["a.csv", "b.json"]
+    assert all(len(digest) == 64 for digest in back["files"].values())
 
 
 def test_manifest_intact_directory_verifies_clean(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", 15, {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
     assert verify_manifest(out) == []
 
 
 def test_manifest_detects_tampering(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", 15, {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
     (out / "a.csv").write_text("0,2.0\n")
     problems = verify_manifest(out)
     assert len(problems) == 1
@@ -333,7 +333,7 @@ def test_manifest_detects_tampering(tmp_path):
 
 def test_manifest_detects_missing_file(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", 15, {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
     (out / "b.json").unlink()
     problems = verify_manifest(out)
     assert any("b.json" in p and "missing" in p for p in problems)
@@ -341,24 +341,53 @@ def test_manifest_detects_missing_file(tmp_path):
 
 def test_manifest_excludes_itself(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", 15, {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
     manifest = read_manifest(out)
-    assert MANIFEST_NAME not in [name for name, _ in manifest.files]
+    assert MANIFEST_NAME not in manifest["files"]
     # re-hashing with the manifest present must not change the file list
-    write_manifest(out, "trigger", 15, {"seed": 15}, "0.1.0")
-    assert [n for n, _ in read_manifest(out).files] == ["a.csv", "b.json"]
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    assert list(read_manifest(out)["files"]) == ["a.csv", "b.json"]
 
 
-def test_manifest_dict_round_trip():
-    manifest = RunManifest(
-        tool_version="0.1.0",
-        command="multiplex",
-        seed=7,
-        config_sha256="ab" * 32,
-        created_utc="2026-01-01T00:00:00+00:00",
-        files=(("x.csv", "cd" * 32),),
-    )
-    assert RunManifest.from_dict(manifest.to_dict()) == manifest
+_MANIFEST = {
+    "tool_version": "0.1.0",
+    "command": "multiplex",
+    "seed": 7,
+    "config_sha256": "ab" * 32,
+    "created_utc": "2026-01-01T00:00:00+00:00",
+    "files": {"x.csv": "cd" * 32},
+}
+
+
+def test_manifest_dict_round_trip(tmp_path):
+    # read_manifest returns the JSON object itself
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(_MANIFEST))
+    assert read_manifest(tmp_path) == _MANIFEST
+
+
+def test_manifest_seed_is_the_documents(tmp_path):
+    out = make_results(tmp_path)
+    doc = {"seed": 7, "run": {"n_avg": 2}}
+    written = write_manifest(out, "trigger", doc, "0.1.0")
+    assert written["seed"] == 7
+    assert written["config_sha256"] == config_hash(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "is not a JSON object"),
+    ("manifest", "is not a JSON object"),
+    *(({k: v for k, v in _MANIFEST.items() if k != key}, f"lacks {key!r}") for key in _MANIFEST),
+    ({**_MANIFEST, "files": ["x.csv"]}, "'files' must map file names to digests"),
+    ({**_MANIFEST, "files": {"x.csv": 5}}, "'files' must map file names to digests"),
+    *(({**_MANIFEST, "files": {name: "cd" * 32}}, "is not a file name in its directory")
+      for name in ("../x.csv", "/etc/passwd", "sub/x.csv", "", ".", "..")),
+])
+def test_malformed_manifest_is_a_format_error(tmp_path, doc, message):
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(doc))
+    with pytest.raises(TraceFormatError, match=message):
+        read_manifest(tmp_path)
+    with pytest.raises(TraceFormatError, match=message):
+        verify_manifest(tmp_path)
 
 
 def test_sha256_file_matches_known_digest(tmp_path):
