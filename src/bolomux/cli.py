@@ -1,9 +1,9 @@
 """Command line front end.
 
 Every run command loads the config (shipped defaults unless --config)
-with --preset and --seed set in its document, writes its outputs plus a
-checksummed manifest.json of that document into --out, and prints a short
-summary.
+with --preset and --seed set in its document, writes its outputs into
+--out plus a manifest.json naming that document and checksumming exactly
+the files the command wrote, and prints a short summary.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 (failed fit or calibration, a non-finite operating point, or a malformed
@@ -16,7 +16,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .analysis import FitError, capacity_estimate, snr_table
 from .device import SolverError
 from .experiments import (
     CalibrationError,
-    ChipConfig,
-    RunSettings,
     calibrate_chip,
     characterize,
     power_sweep_matrix,
@@ -47,7 +45,6 @@ from .traceio import (
     write_manifest,
     write_trace,
 )
-from .units import Seed
 
 
 class _UsageError(Exception):
@@ -116,52 +113,50 @@ def build_parser() -> _Parser:
     return parser
 
 
-@dataclass(frozen=True)
-class _Context:
-    chip: ChipConfig
-    settings: RunSettings
-    seed: Seed
-    doc: dict
-    sweeps: dict
-    out_dir: str
-    threads: int
-    preset: str | None
+def _out_dir(args) -> str:
+    """--out, else DIR/report for `report DIR`, else bolomux_<command>."""
+    if args.out:
+        return args.out
+    if args.command == "report":
+        return os.path.join(args.results_dir, "report")
+    return f"bolomux_{args.command}"
 
 
-def _load_context(args) -> _Context:
-    cfg = configmod.load_config(args.config, preset=args.preset or "desk", seed=args.seed)
-    return _Context(chip=cfg.chip, settings=cfg.settings, seed=cfg.seed, doc=cfg.doc,
-                    sweeps=cfg.sweeps, out_dir=args.out or f"bolomux_{args.command}",
-                    threads=args.threads, preset=args.preset)
+def _output(args, name: str) -> str:
+    """The path of output file `name`.  The output directory is made on first
+    use, so a command that fails before writing leaves none, and the name
+    joins args.written: the files this command wrote, which the manifest
+    hashes."""
+    out_dir = _out_dir(args)
+    os.makedirs(out_dir, exist_ok=True)
+    args.written.append(name)
+    return os.path.join(out_dir, name)
 
 
-def _finish(ctx: _Context, command: str) -> None:
-    if ctx.preset:
-        command += f" --preset {ctx.preset}"
-    write_manifest(ctx.out_dir, command, ctx.doc, __version__)
+def _finish(cfg: configmod.ExperimentConfig, args, command: str) -> None:
+    if args.preset:
+        command += f" --preset {args.preset}"
+    write_manifest(_out_dir(args), command, cfg.doc, __version__, args.written)
 
 
-def cmd_characterize(ctx: _Context, args) -> int:
-    sw = ctx.sweeps["characterize"]
-    sweep, fits = characterize(ctx.chip, sw["powers_dbm"],
-                               span_linewidths=sw["span_linewidths"], n_points=sw["n_points"],
-                               allow_nonlinear=ctx.settings.allow_nonlinear)
-    os.makedirs(ctx.out_dir, exist_ok=True)
+def cmd_characterize(cfg: configmod.ExperimentConfig, args) -> int:
+    sweep, fits = characterize(cfg.chip, **cfg.sweeps["characterize"],
+                               allow_nonlinear=cfg.settings.allow_nonlinear)
     n_p, n_f = len(sweep.powers_dbm), len(sweep.f_hz[0])
-    for ch in range(ctx.chip.n_channels):
-        _write_table(os.path.join(ctx.out_dir, f"characterize_ch{ch}.csv"),
+    for ch in range(cfg.chip.n_channels):
+        _write_table(_output(args, f"characterize_ch{ch}.csv"),
                      ("power_dbm", "f_probe_hz", "magnitude", "normalized"),
                      (np.repeat(sweep.powers_dbm, n_f), np.tile(sweep.f_hz[ch], n_p),
                       sweep.magnitude[ch].ravel(), sweep.normalized[ch].ravel()))
-    _write_json(os.path.join(ctx.out_dir, "characterize_fits.json"), {
+    _write_json(_output(args, "characterize_fits.json"), {
         "powers_dbm": list(sweep.powers_dbm),
         "channels": [
             {"channel": ch, "fits": [None if f is None else asdict(f) for f in fits[ch]]}
-            for ch in range(ctx.chip.n_channels)
+            for ch in range(cfg.chip.n_channels)
         ],
     })
-    _finish(ctx, "characterize")
-    for ch in range(ctx.chip.n_channels):
+    _finish(cfg, args, "characterize")
+    for ch in range(cfg.chip.n_channels):
         head = fits[ch][0]
         if head is None:
             print(f"channel {ch}: fit failed at {sweep.powers_dbm[0]} dBm")
@@ -171,8 +166,8 @@ def cmd_characterize(ctx: _Context, args) -> int:
     return 0
 
 
-def cmd_filterscan(ctx: _Context, args) -> int:
-    sw = ctx.sweeps["filterscan"]
+def cmd_filterscan(cfg: configmod.ExperimentConfig, args) -> int:
+    sw = cfg.sweeps["filterscan"]
     f_min, f_max = sw["f_min_hz"], sw["f_max_hz"]
     # refuse the bounds before np.linspace turns a bad one into a numpy warning;
     # the schema already holds n_points to an integer >= 5
@@ -180,56 +175,49 @@ def cmd_filterscan(ctx: _Context, args) -> int:
         raise ValueError("heater frequency grid must be finite and strictly increasing, "
                          f"got {f_min:g} to {f_max:g} Hz")
     grid = np.linspace(f_min, f_max, int(sw["n_points"]))
-    result = run_filter_sweep(ctx.chip, grid, heater_power_dbm=sw["heater_power_dbm"],
-                              settings=ctx.settings)
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    columns = ["f_heater_hz"] + [f"response_ch{ch}" for ch in range(ctx.chip.n_channels)]
-    _write_table(os.path.join(ctx.out_dir, "filterscan.csv"), columns,
-                 (result.f_heater_hz, *result.response))
+    result = run_filter_sweep(cfg.chip, grid, sw["heater_power_dbm"], cfg.settings)
+    columns = ["f_heater_hz"] + [f"response_ch{ch}" for ch in range(cfg.chip.n_channels)]
+    _write_table(_output(args, "filterscan.csv"), columns, (result.f_heater_hz, *result.response))
     peaks = result.peaks()
-    _write_json(os.path.join(ctx.out_dir, "filterscan_peaks.json"), {
+    _write_json(_output(args, "filterscan_peaks.json"), {
         "heater_power_dbm": result.heater_power_dbm,
         "peaks": [
             {"channel": ch, "f_peak_hz": pk, "fwhm_hz": wd}
             for ch, (pk, wd) in enumerate(peaks)
         ],
     })
-    _finish(ctx, "filterscan")
+    _finish(cfg, args, "filterscan")
     for ch, (pk, wd) in enumerate(peaks):
         print(f"channel {ch}: peak {pk / 1e9:.3f} GHz, width {wd / 1e6:.1f} MHz")
     return 0
 
 
-def cmd_powersweep(ctx: _Context, args) -> int:
-    sw = ctx.sweeps["powersweep"]
+def cmd_powersweep(cfg: configmod.ExperimentConfig, args) -> int:
+    sw = cfg.sweeps["powersweep"]
     p_min, p_max = sw["p_min_dbm"], sw["p_max_dbm"]
     # refuse the bounds before np.linspace turns a bad one into a numpy warning;
     # a finite span also rules out NaN, an infinite bound and an overflowing span
     if not math.isfinite(p_max - p_min):
         raise ValueError(f"sweep powers must span a finite range, got {p_min:g} to {p_max:g} dBm")
     powers = np.linspace(p_min, p_max, int(sw["n_points"]))
-    # compression fits need the flank posture, where small shifts map to
-    # response linearly
-    settings = replace(ctx.settings, probe_detuning_fraction=0.5)
-    responses, powers_w, p1db, xtalk = power_sweep_matrix(ctx.chip, powers, settings,
-                                                          threads=ctx.threads)
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    n = ctx.chip.n_channels
+    responses, powers_w, p1db, xtalk = power_sweep_matrix(cfg.chip, powers, cfg.settings,
+                                                          args.threads)
+    n = cfg.chip.n_channels
     bolo, filt, p = (axis.ravel() for axis in np.indices(responses.shape))
-    _write_table(os.path.join(ctx.out_dir, "powersweep.csv"),
+    _write_table(_output(args, "powersweep.csv"),
                  ("bolometer", "filter", "power_dbm", "power_w", "response"),
                  (bolo, filt, powers[p], powers_w[p], responses.ravel()))
-    _write_table(os.path.join(ctx.out_dir, "p1db_matrix.csv"),
+    _write_table(_output(args, "p1db_matrix.csv"),
                  ("bolometer", *(f"filter{j}" for j in range(n))),
                  (np.arange(n), *p1db.T))
-    _write_json(os.path.join(ctx.out_dir, "crosstalk.json"), {
+    _write_json(_output(args, "crosstalk.json"), {
         "p_1db_dbm": xtalk.p_1db_dbm.tolist(),
         "row_crosstalk_db": xtalk.crosstalk_db.tolist(),
         "column_crosstalk_db": xtalk.column_crosstalk_db.tolist(),
         "worst_db": xtalk.worst_db,
         "best_db": xtalk.best_db,
     })
-    _finish(ctx, "powersweep")
+    _finish(cfg, args, "powersweep")
     print(f"crosstalk worst {xtalk.worst_db:.1f} dB, best {xtalk.best_db:.1f} dB")
     return 0
 
@@ -247,36 +235,33 @@ def _run_dict(run):
     }
 
 
-def cmd_trigger(ctx: _Context, args) -> int:
+def cmd_trigger(cfg: configmod.ExperimentConfig, args) -> int:
     pattern = TriggerPattern.from_label(args.pattern)
-    run = run_trigger(ctx.chip, pattern, ctx.settings, ctx.seed)
-    os.makedirs(ctx.out_dir, exist_ok=True)
+    run = run_trigger(cfg.chip, pattern, cfg.settings, cfg.seed)
     for ch, iq in enumerate(run.iq):
-        write_trace(iq, os.path.join(ctx.out_dir, f"trace_ch{ch}.csv"))
-    _write_json(os.path.join(ctx.out_dir, "metrics.json"), _run_dict(run))
-    _finish(ctx, f"trigger --pattern {pattern.label}")
+        write_trace(iq, _output(args, f"trace_ch{ch}.csv"))
+    _write_json(_output(args, "metrics.json"), {"runs": [_run_dict(run)]})
+    _finish(cfg, args, f"trigger --pattern {pattern.label}")
     for ch, m in enumerate(run.metrics):
         print(f"channel {ch}: snr {m.snr:.2f}")
     return 0
 
 
-def cmd_multiplex(ctx: _Context, args) -> int:
-    runs = run_full_multiplex(ctx.chip, ctx.settings, ctx.seed, threads=ctx.threads)
-    os.makedirs(ctx.out_dir, exist_ok=True)
+def cmd_multiplex(cfg: configmod.ExperimentConfig, args) -> int:
+    runs = run_full_multiplex(cfg.chip, cfg.settings, cfg.seed, args.threads)
     for run in runs:
         for ch, iq in enumerate(run.iq):
-            write_trace(iq, os.path.join(ctx.out_dir, f"pattern_{run.pattern.label}_ch{ch}.csv"))
-    _write_json(os.path.join(ctx.out_dir, "metrics.json"),
-                {"runs": [_run_dict(run) for run in runs]})
-    names = [f"ch{ch}" for ch in range(ctx.chip.n_channels)]
+            write_trace(iq, _output(args, f"pattern_{run.pattern.label}_ch{ch}.csv"))
+    _write_json(_output(args, "metrics.json"), {"runs": [_run_dict(run) for run in runs]})
+    names = [f"ch{ch}" for ch in range(cfg.chip.n_channels)]
     table = snr_table({run.pattern.label: [m.snr for m in run.metrics] for run in runs},
                       names)
     records = table.records()
-    _write_json(os.path.join(ctx.out_dir, "snr_table.json"), {"records": records})
+    _write_json(_output(args, "snr_table.json"), {"records": records})
     header = ("channel", "pattern", "kind", "snr")
-    _write_table(os.path.join(ctx.out_dir, "snr_table.csv"), header,
+    _write_table(_output(args, "snr_table.csv"), header,
                  [[r[key] for r in records] for key in header])
-    _finish(ctx, "multiplex")
+    _finish(cfg, args, "multiplex")
     worst_matched = min(table.matched_snr)
     worst_leak = max(abs(s) for leaks in table.leakage_snr for s in leaks)
     print(f"matched snr >= {worst_matched:.2f}, max |leakage snr| {worst_leak:.2f}")
@@ -284,35 +269,35 @@ def cmd_multiplex(ctx: _Context, args) -> int:
 
 
 def _verified_manifest(results_dir):
-    """The directory's manifest, or None after printing each integrity problem."""
+    """The directory's manifest, or None after printing each integrity problem.
+    Readers take only the files it lists: a reused directory may hold another
+    command's."""
     problems = verify_manifest(results_dir)
     for problem in problems:
         print(f"integrity: {problem}", file=sys.stderr)
     return None if problems else read_manifest(results_dir)
 
 
-def cmd_analyze(ctx: _Context, args) -> int:
+def cmd_analyze(cfg: configmod.ExperimentConfig, args) -> int:
     results_dir = args.results_dir
     manifest = _verified_manifest(results_dir)
     if manifest is None:
         return 2
+    listed = manifest["files"]
     summary = {
         "command": manifest["command"],
         "tool_version": manifest["tool_version"],
         "seed": manifest["seed"],
-        "files_verified": len(manifest["files"]),
+        "files_verified": len(listed),
     }
-    snr_path = os.path.join(results_dir, "snr_table.json")
-    if os.path.isfile(snr_path):
-        records = _read_json(snr_path)["records"]
+    if "snr_table.json" in listed:
+        records = _read_json(os.path.join(results_dir, "snr_table.json"))["records"]
         matched = [r["snr"] for r in records if r["kind"] == "matched"]
         leaks = [abs(r["snr"]) for r in records if r["kind"] == "leakage"]
         summary["min_matched_snr"] = min(matched) if matched else None
         summary["max_abs_leakage_snr"] = max(leaks) if leaks else None
-    metrics_path = os.path.join(results_dir, "metrics.json")
-    if os.path.isfile(metrics_path):
-        doc = _read_json(metrics_path)
-        runs = doc["runs"] if "runs" in doc else [doc]
+    if "metrics.json" in listed:
+        runs = _read_json(os.path.join(results_dir, "metrics.json"))["runs"]
         summary["n_runs"] = len(runs)
         summary["snr_by_pattern"] = {
             r["pattern"]: [m["snr"] for m in r["metrics"]] for r in runs
@@ -321,68 +306,59 @@ def cmd_analyze(ctx: _Context, args) -> int:
     return 0
 
 
-def cmd_report(ctx: _Context, args) -> int:
+def cmd_report(cfg: configmod.ExperimentConfig, args) -> int:
     results_dir = args.results_dir
     manifest = _verified_manifest(results_dir)
     if manifest is None:
         return 2
-    out_dir = args.out or os.path.join(results_dir, "report")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    listed = manifest["files"]
 
-    traces = sorted(name for name in manifest["files"]
+    traces = sorted(name for name in listed
                     if name.endswith(".csv") and (name.startswith("trace_")
                                                   or name.startswith("pattern_")))
     if traces:
         series = [read_trace(os.path.join(results_dir, name)) for name in traces]
         n = min(len(tr) for tr in series)
-        path = os.path.join(out_dir, "report_magnitude.csv")
-        _write_table(path, ["time_s"] + [name[:-4] for name in traces],
+        _write_table(_output(args, "report_magnitude.csv"),
+                     ["time_s"] + [name[:-4] for name in traces],
                      [series[0].times()[:n]] + [tr.magnitude()[:n] for tr in series])
-        written.append(path)
 
-    fits_path = os.path.join(results_dir, "characterize_fits.json")
-    if os.path.isfile(fits_path):
-        doc = _read_json(fits_path)
+    if "characterize_fits.json" in listed:
+        doc = _read_json(os.path.join(results_dir, "characterize_fits.json"))
         fits = [{"channel": entry["channel"], "power_dbm": p_dbm, **fit}
                 for entry in doc["channels"]
                 for p_dbm, fit in zip(doc["powers_dbm"], entry["fits"]) if fit is not None]
         header = ("channel", "power_dbm", "f_r_hz", "fwhm_hz", "depth", "offset")
-        path = os.path.join(out_dir, "report_fits.csv")
-        _write_table(path, header, [[fit[key] for fit in fits] for key in header])
-        written.append(path)
+        _write_table(_output(args, "report_fits.csv"), header,
+                     [[fit[key] for fit in fits] for key in header])
 
-    peaks_path = os.path.join(results_dir, "filterscan_peaks.json")
-    if os.path.isfile(peaks_path):
-        peaks = _read_json(peaks_path)["peaks"]
-        path = os.path.join(out_dir, "report_peaks.csv")
+    if "filterscan_peaks.json" in listed:
+        peaks = _read_json(os.path.join(results_dir, "filterscan_peaks.json"))["peaks"]
         # a width cut off by the scan edge is null in the JSON and nan in the table
-        _write_table(path, ("channel", "f_peak_hz", "fwhm_hz"),
+        _write_table(_output(args, "report_peaks.csv"), ("channel", "f_peak_hz", "fwhm_hz"),
                      [[peak["channel"] for peak in peaks],
                       *(np.array([peak[key] for peak in peaks], dtype=float)
                         for key in ("f_peak_hz", "fwhm_hz"))])
-        written.append(path)
 
-    snr_path = os.path.join(results_dir, "snr_table.csv")
-    if os.path.isfile(snr_path):
-        path = os.path.join(out_dir, "report_snr.csv")
-        shutil.copyfile(snr_path, path)
-        written.append(path)
+    if "snr_table.csv" in listed:
+        shutil.copyfile(os.path.join(results_dir, "snr_table.csv"),
+                        _output(args, "report_snr.csv"))
 
-    for path in written:
-        print(f"wrote {path}")
-    if not written:
+    for name in args.written:
+        print(f"wrote {os.path.join(_out_dir(args), name)}")
+    if not args.written:
         print("nothing to report", file=sys.stderr)
     return 0
 
 
-def cmd_calibrate(ctx: _Context, args) -> int:
+def cmd_calibrate(cfg: configmod.ExperimentConfig, args) -> int:
     # a preset scales the noise relative to the config, so a written preset-scale
     # config would be scaled again when loaded under that preset
-    if ctx.preset not in (None, "desk"):
-        raise ValueError(f"calibrate writes a desk-scale config; --preset {ctx.preset} is refused")
-    chip, report = calibrate_chip(ctx.chip, settings=ctx.settings)
-    doc = copy.deepcopy(ctx.doc)
+    if args.preset not in (None, "desk"):
+        raise ValueError(
+            f"calibrate writes a desk-scale config; --preset {args.preset} is refused")
+    chip, report = calibrate_chip(cfg.chip, cfg.settings)
+    doc = copy.deepcopy(cfg.doc)
     for ch, entry in enumerate(report["channels"]):
         doc["chip"]["bolometers"][ch]["dfdt_hz_per_k"] = entry["dfdt_hz_per_k"]
     doc["chip"]["noise_sigma_v"] = report["noise"]["sigma_v"]
@@ -394,10 +370,9 @@ def cmd_calibrate(ctx: _Context, args) -> int:
         noise_sigma_v=f"calibrated: expected all-on SNRs {snrs} per channel at the predicted "
                       f"baseline floor")
     configmod.validate_config(doc)
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    _write_json(os.path.join(ctx.out_dir, "calibrated_config.json"), doc)
-    _write_json(os.path.join(ctx.out_dir, "calibration_report.json"), report)
-    _finish(ctx, "calibrate")
+    _write_json(_output(args, "calibrated_config.json"), doc)
+    _write_json(_output(args, "calibration_report.json"), report)
+    _finish(cfg, args, "calibrate")
     for entry in report["channels"]:
         print(f"channel {entry['channel']}: dfdt {entry['dfdt_hz_per_k']:.4g} Hz/K "
               f"(shift {entry['achieved_shift_hz'] / 1e3:.1f} kHz)")
@@ -406,8 +381,8 @@ def cmd_calibrate(ctx: _Context, args) -> int:
     return 0
 
 
-def cmd_capacity(ctx: _Context, args) -> int:
-    sw = ctx.sweeps["capacity"]
+def cmd_capacity(cfg: configmod.ExperimentConfig, args) -> int:
+    sw = cfg.sweeps["capacity"]
     f_min = args.fmin if args.fmin is not None else sw["f_min_hz"]
     f_max = args.fmax if args.fmax is not None else sw["f_max_hz"]
     spacing = args.spacing if args.spacing is not None else sw["spacing_hz"]
@@ -424,8 +399,10 @@ def main(argv=None) -> int:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
 
+    args.written = []
     try:
-        return args.handler(_load_context(args), args)
+        cfg = configmod.load_config(args.config, preset=args.preset or "desk", seed=args.seed)
+        return args.handler(cfg, args)
     except (SolverError, FitError, CalibrationError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

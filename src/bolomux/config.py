@@ -178,7 +178,8 @@ def _apply_preset(doc: dict, name: str) -> None:
 
 
 def _build_chip(doc: dict) -> ChipConfig:
-    """The chip section as live objects; omitted optional keys take the defaults."""
+    """The chip section as live objects; optional keys a bolometers[] or filters[]
+    entry omits take the model defaults."""
     chip = doc["chip"]
     try:
         return ChipConfig(**{
@@ -191,8 +192,7 @@ def _build_chip(doc: dict) -> ChipConfig:
 
 
 def _build_settings(doc: dict, chip: ChipConfig) -> RunSettings:
-    """The run section as live settings, checked against the chip's sample
-    rate; omitted optional keys take the defaults."""
+    """The run section as live settings, checked against the chip's sample rate."""
     try:
         settings = RunSettings(**doc["run"])
         settings.validate_against(chip)
@@ -215,8 +215,8 @@ class ExperimentConfig:
         return self.doc["sweeps"]
 
 
-def load_config(path=None, preset: str = "desk", seed: int | None = None) -> ExperimentConfig:
-    """The JSON file at path (none: no overrides) merged over the shipped
+def load_config(path, preset: str = "desk", seed: int | None = None) -> ExperimentConfig:
+    """The JSON file at path (None: no user file) merged over the shipped
     defaults, with the named preset's posture and the seed override set in
     that document, as live objects.  The document is the run's whole
     configuration: what config_hash of `.doc` names is what ran."""

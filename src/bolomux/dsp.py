@@ -94,22 +94,22 @@ def _twiddles(n: int, c: int, width: int) -> np.ndarray:
     return table
 
 
-def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, out=None) -> np.ndarray:
+def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
     """Bins starts[w] + j, j < width (mod n), of the DFT G of the real n-sample record x.ravel().
 
     With x viewed as (r, c), c = min(x.shape) (or 1 where the windows hold
     more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod r, m], A
     that view's FFT along axis 0, whose rows past r/2 are A[r - q] =
     conj(A[q]): one rfft holds them all, in the memory of out (complex,
-    C-contiguous, >= n elements) if given.  Window w's twiddle is
+    C-contiguous, >= n elements).  Window w's twiddle is
     exp(-2 pi i starts[w] m / n) times the shared table.  Returns a
     (windows, width) array.
     """
     n = x.size
     c = min(x.shape) if len(starts) * width * min(x.shape) <= n else 1
     rows = n // c
-    a = np.fft.rfft(x.reshape(rows, c), axis=0, out=None if out is None else
-                    out.reshape(-1)[:(rows // 2 + 1) * c].reshape(-1, c))
+    a = np.fft.rfft(x.reshape(rows, c), axis=0,
+                    out=out.reshape(-1)[:(rows // 2 + 1) * c].reshape(-1, c))
     q = (starts[:, None] + np.arange(width)) % rows
     mirrored = q > rows // 2
     picked = a[np.where(mirrored, rows - q, q)]

@@ -66,15 +66,16 @@ class ChipConfig:
     Bolometers are ordered by increasing probe resonance; trigger-pattern
     bits use the same order.  channel_map[i] is the index of the heater
     filter feeding bolometer i (a bijection).  noise_sigma_v is the
-    digitizer-referred white noise per raw sample.
+    digitizer-referred white noise per raw sample.  No field has a default:
+    config.load_config builds the shipped chip.
     """
 
     bolometers: tuple[BolometerParams, ...]
     filters: tuple[FilterParams, ...]
     channel_map: tuple[int, ...]
     noise_sigma_v: float
-    sample_rate_hz: float = 1e9
-    line_attenuation_db: float = 0.0
+    sample_rate_hz: float
+    line_attenuation_db: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bolometers", tuple(self.bolometers))
@@ -119,22 +120,23 @@ class RunSettings:
     the magnitude response to small leaked-heater shifts is quadratically
     suppressed (best channel isolation); 0.5 probes the flank, where the
     response is linear in the shift (used for compression and
-    time-constant runs).
+    time-constant runs).  No field has a default: config.load_config
+    builds the shipped settings.
     """
 
-    window_s: float = 100e-6
-    thermal_dt_s: float = 100e-9
-    pulse_start_s: float = 40e-6
-    pulse_duration_s: float = 10e-6
-    demod_bandwidth_hz: float = 1e6
-    output_rate_hz: float = 10e6
-    n_avg: int = 100
-    probe_power_dbm: float = -144.0
-    heater_power_dbm: float = -135.0
-    probe_detuning_fraction: float = 0.0
-    baseline_window_s: tuple[float, float] = (10e-6, 30e-6)
-    signal_window_s: tuple[float, float] = (47e-6, 52e-6)
-    allow_nonlinear: bool = False
+    window_s: float
+    thermal_dt_s: float
+    pulse_start_s: float
+    pulse_duration_s: float
+    demod_bandwidth_hz: float
+    output_rate_hz: float
+    n_avg: int
+    probe_power_dbm: float
+    heater_power_dbm: float
+    probe_detuning_fraction: float
+    baseline_window_s: tuple[float, float]
+    signal_window_s: tuple[float, float]
+    allow_nonlinear: bool
 
     def __post_init__(self) -> None:
         for name in ("window_s", "thermal_dt_s", "pulse_duration_s",
@@ -321,15 +323,15 @@ def _timedomain_runs(chip: ChipConfig, heater_tones, settings: RunSettings, oper
                                                           np.arange(steps)) % n)),
             np.exp(2j * np.pi / n * (np.outer(carrier_bins, np.arange(block)) % n)))
     workspace, record = np.empty((steps, block), dtype=complex), np.empty((steps, block))
+    quiet = TriggerPattern((False,) * chip.n_channels)
     for r, labels in enumerate(stream_labels):
         yield _timedomain_run(chip, settings, operating, plan, t_start[r], t_inf[r], workspace,
-                              record, seed, labels, patterns[r] if patterns else None)
+                              record, seed, labels, patterns[r] if patterns else quiet)
 
 
 def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, plan, t_start,
                     t_inf_of, workspace: np.ndarray, record: np.ndarray, seed: Seed,
-                    stream_labels: tuple[int, ...],
-                    pattern: TriggerPattern | None = None) -> MultiplexRun:
+                    stream_labels: tuple[int, ...], pattern: TriggerPattern) -> MultiplexRun:
     """One run's readout from its (channels, steps) trajectories and the batch's plan
     (carrier bins, band offsets, decimation, and per channel the within-step fade and
     the two carrier factors); overwrites the complex workspace and the real record."""
@@ -364,12 +366,11 @@ def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, plan, t_
         workspace *= block_carriers[ch]
         record += workspace.real
     # every band from one real transform of the record, held in the workspace
-    bands = _dft_bins(record, carrier_bins + offsets[0], offsets.size, out=workspace)
+    bands = _dft_bins(record, carrier_bins + offsets[0], offsets.size, workspace)
     iqs = tuple(_band_iq(bands[ch], offsets, n, decimation, tones[ch].f_hz, fs, 0.0)
                 for ch in range(chip.n_channels))
     return MultiplexRun(
-        pattern=pattern if pattern is not None else TriggerPattern((False,) * chip.n_channels),
-        probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
+        pattern=pattern, probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
         metrics=tuple(response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
                       for iq in iqs))
 
@@ -391,15 +392,14 @@ def _fan_out(fn, jobs, threads: int) -> list:
         return [f.result() for f in futures]
 
 
-def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings | None = None,
-                seed: Seed = Seed(0)) -> MultiplexRun:
+def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings,
+                seed: Seed) -> MultiplexRun:
     """Fire one heater on/off pattern and read out every probe channel.
 
     Heater pulses sit at the center of each triggered channel's filter.  The
     result's per-channel metrics carry the windowed SNR against the
     pre-pulse baseline.
     """
-    settings = settings if settings is not None else RunSettings()
     if len(pattern) != chip.n_channels:
         raise ValueError(
             f"pattern has {len(pattern)} bits for a {chip.n_channels}-channel chip")
@@ -415,15 +415,14 @@ def _trigger_runs(chip: ChipConfig, patterns, settings: RunSettings, operating,
                                  [(_KIND_TRIGGER, pat.value) for pat in patterns], patterns))
 
 
-def run_full_multiplex(chip: ChipConfig, settings: RunSettings | None = None,
-                       seed: Seed = Seed(0), threads: int = 1) -> list[MultiplexRun]:
+def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed,
+                       threads: int) -> list[MultiplexRun]:
     """Run every 2**n trigger pattern; results ordered by pattern label.
 
     Each worker runs one contiguous share of the patterns as a batch, and
     every pattern derives its noise stream from its own label, so the
     threaded and serial schedules produce bit-identical results.
     """
-    settings = settings if settings is not None else RunSettings()
     patterns = TriggerPattern.all_patterns(chip.n_channels)
     operating = operating_tones(chip, settings)
     k, n = min(threads, len(patterns)), len(patterns)
@@ -443,8 +442,7 @@ class ProbeSweepResult:
     multivalued: np.ndarray        # bool, same shape as magnitude
 
 
-def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz,
-                    allow_nonlinear: bool = False) -> ProbeSweepResult:
+def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -> ProbeSweepResult:
     """Sweep the probe over each resonance at each power.
 
     f_hz holds one probe frequency grid per channel, all of one length.
@@ -489,9 +487,8 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz,
     )
 
 
-def characterize(chip: ChipConfig, powers_dbm=(-160.0, -155.0, -150.0, -145.0, -140.0),
-                 span_linewidths: float = 6.0, n_points: int = 201,
-                 allow_nonlinear: bool = False):
+def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points: int,
+                 allow_nonlinear: bool):
     """Probe sweep plus a Lorentzian dip fit per channel and power.
 
     Each channel's grid holds n_points probe frequencies spanning
@@ -506,7 +503,7 @@ def characterize(chip: ChipConfig, powers_dbm=(-160.0, -155.0, -150.0, -145.0, -
     for par in chip.bolometers:
         half = 0.5 * span_linewidths * par.kappa_total_hz
         grids.append(np.linspace(par.f_r0_hz - half, par.f_r0_hz + half, n_points))
-    sweep = run_probe_sweep(chip, powers_dbm, grids, allow_nonlinear=allow_nonlinear)
+    sweep = run_probe_sweep(chip, powers_dbm, grids, allow_nonlinear)
     fits = []
     for ch in range(chip.n_channels):
         row_fits = []
@@ -551,8 +548,8 @@ class FilterSweepResult:
         return out
 
 
-def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -145.0,
-                     settings: RunSettings | None = None) -> FilterSweepResult:
+def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float,
+                     settings: RunSettings) -> FilterSweepResult:
     """Sweep a CW heater tone and record each channel's steady-state response.
 
     The response is |Gamma(with heater) - Gamma(without)| at the channel's
@@ -560,7 +557,6 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float = -1
     the peak sits at the channel's own filter center.  Cells with no finite
     steady state are NaN.
     """
-    settings = settings if settings is not None else RunSettings()
     f_grid = np.asarray(f_heater_hz, dtype=float)
     if f_grid.ndim != 1 or f_grid.size < 3:
         raise ValueError("heater frequency grid must be 1-d with >= 3 points")
@@ -602,8 +598,7 @@ def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
     return responses
 
 
-def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | None = None,
-                       threads: int = 1):
+def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, threads: int):
     """Heater power sweeps for every (bolometer, filter) pair.
 
     Returns (responses, powers_w, p_1db_dbm, crosstalk).  responses[i, j, p]
@@ -613,11 +608,11 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings | Non
     fitted; p_1db_dbm[i, j] is the fitted 1 dB compression point of path
     (i, j).  Each (filter, power) is one noiseless run read on every
     bolometer, so the result does not depend on any seed; filters fan out
-    over `threads`.  Defaults to the flank posture (detuning fraction 0.5),
-    where the response is linear in small resonance shifts, which the
-    compression fit relies on.
+    over `threads`.  Whatever settings' detuning fraction, the runs probe
+    the flank (0.5), where the response is linear in small resonance
+    shifts, which the compression fit relies on.
     """
-    settings = settings if settings is not None else RunSettings(probe_detuning_fraction=0.5)
+    settings = replace(settings, probe_detuning_fraction=0.5)
     powers = [float(p) for p in powers_dbm]
     if sorted(powers) != powers:
         raise ValueError("powers must be sorted ascending")
@@ -640,7 +635,7 @@ _CAL_SHIFT_TOLERANCE = 0.05
 _CAL_DFDT_BOUNDS_HZ_PER_K = (1e3, 1e15)
 
 
-def calibrate_chip(chip: ChipConfig, settings: RunSettings | None = None):
+def calibrate_chip(chip: ChipConfig, settings: RunSettings):
     """Fix dfdt per channel and the noise level to meet two fixed targets.
 
     A matched heater tone at -135 dBm (source power) shifts each resonance
@@ -657,7 +652,6 @@ def calibrate_chip(chip: ChipConfig, settings: RunSettings | None = None):
     CalibrationError when the shift target is outside the dfdt bounds or the
     weakest response is not positive.
     """
-    settings = settings if settings is not None else RunSettings()
     n, _, _, decimation = settings.validate_against(chip)
     report: dict = {"channels": [], "noise": {}}
     p_w = dbm_to_watts(_device_dbm(chip, settings.probe_power_dbm))
@@ -699,7 +693,8 @@ def calibrate_chip(chip: ChipConfig, settings: RunSettings | None = None):
             "target_shift_hz": target_shift,
         })
     quiet = replace(chip, bolometers=tuple(bolos), noise_sigma_v=0.0)
-    run = run_trigger(quiet, TriggerPattern((True,) * chip.n_channels), settings)
+    # the quiet chip draws no noise, so no stream is derived
+    run = run_trigger(quiet, TriggerPattern((True,) * chip.n_channels), settings, Seed(0))
     responses = [m.response for m in run.metrics]
     if not min(responses) > 0.0:
         raise CalibrationError(f"weakest all-on response {min(responses):.3g} V is not positive")

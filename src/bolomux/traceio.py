@@ -233,15 +233,15 @@ def _sha256_file(path) -> str:
 _MANIFEST_KEYS = ("tool_version", "command", "seed", "config_sha256", "created_utc", "files")
 
 
-def write_manifest(out_dir, command: str, config_doc: dict, tool_version: str) -> dict:
-    """Hash every file already in out_dir and drop manifest.json beside them.
+def write_manifest(out_dir, command: str, config_doc: dict, tool_version: str,
+                   files) -> dict:
+    """Hash the named files of out_dir, the ones the run wrote, and drop
+    manifest.json beside them; any other file in out_dir goes unlisted.
 
     The seed is the document's; config_sha256 is the hash of the document as
     the run used it, after preset and seed overrides.
     """
-    names = sorted(
-        name for name in os.listdir(out_dir)
-        if name != MANIFEST_NAME and os.path.isfile(os.path.join(out_dir, name)))
+    names = sorted(files)
     manifest = {
         "tool_version": tool_version,
         "command": command,

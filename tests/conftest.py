@@ -12,7 +12,7 @@ from bolomux.units import Seed
 
 @pytest.fixture(scope="session")
 def default_config():
-    return load_config()
+    return load_config(None)
 
 
 @pytest.fixture(scope="session")

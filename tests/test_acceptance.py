@@ -7,8 +7,9 @@ numbers here are reproducible bit for bit.
 
 import json
 import math
+import pathlib
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bolomux.analysis import (
 )
 from bolomux.cli import main
 from bolomux.config import load_config
-from bolomux.experiments import RunSettings, run_trigger
+from bolomux.experiments import run_trigger
 from bolomux.frontend import TriggerPattern
 from bolomux.units import Seed, dbm_to_watts, tone_amplitude_volts, watts_to_dbm
 from test_device import state_at, thermal_step
@@ -55,6 +56,21 @@ def test_characterize_recovers_frequencies_and_linewidths(characterize_dir,
         assert head is not None
         assert abs(head["f_r_hz"] - par.f_r0_hz) < 0.01e6
         assert head["fwhm_hz"] == pytest.approx(par.kappa_total_hz, rel=0.05)
+
+
+def test_readme_python_example_characterizes_as_the_cli_does(characterize_dir, capsys):
+    # the README's Python API example, run as written, fits what
+    # `bolomux characterize` writes on the shipped config
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(example, scope)
+    capsys.readouterr()
+    written = _load_json(characterize_dir / "characterize_fits.json")
+    assert list(scope["sweep"].powers_dbm) == written["powers_dbm"]
+    assert [[None if fit is None else asdict(fit) for fit in row] for row in scope["fits"]] == \
+        [entry["fits"] for entry in written["channels"]]
 
 
 def test_dip_frequency_never_rises_with_probe_power(characterize_dir):
@@ -150,14 +166,14 @@ def test_multiplex_separates_matched_from_unmatched(tmp_path, default_chip, defa
     assert abs(np.log(spread)) <= 3.0 / np.sqrt(n - 1)
 
 
-def test_pulse_decay_matches_configured_time_constants(default_chip):
+def test_pulse_decay_matches_configured_time_constants(default_chip, default_settings):
     # flank posture, weak matched heater, noise off: the post-pulse decay
     # of each channel magnitude is the bolometer's thermal relaxation
     t0 = time.monotonic()
     assert sorted(b.tau_th_s for b in default_chip.bolometers) == [4e-6, 8e-6, 13e-6]
     chip = replace(default_chip, noise_sigma_v=0.0)
-    settings = RunSettings(probe_detuning_fraction=0.5, heater_power_dbm=-150.0,
-                           n_avg=1)
+    settings = replace(default_settings, probe_detuning_fraction=0.5,
+                       heater_power_dbm=-150.0, n_avg=1)
     t_end = settings.pulse_start_s + settings.pulse_duration_s
     for ch in range(3):
         label = "".join("1" if k == ch else "0" for k in range(3))
@@ -170,7 +186,7 @@ def test_pulse_decay_matches_configured_time_constants(default_chip):
     assert time.monotonic() - t0 < 30.0
 
 
-def test_baseline_noise_scales_as_sqrt_of_averages(default_chip):
+def test_baseline_noise_scales_as_sqrt_of_averages(default_chip, default_settings):
     # quiet pattern, long noise-only baseline window: 64x more averages
     # shrink the baseline deviation by 8; the paper preset keeps the desk
     # noise per sample but spreads it over 6x the bandwidth, so its in-band
@@ -185,11 +201,11 @@ def test_baseline_noise_scales_as_sqrt_of_averages(default_chip):
     def rms_ratio(a, b):
         return math.sqrt(float(np.mean(a ** 2) / np.mean(b ** 2)))
 
-    stds = {n_avg: baseline_stds(default_chip, RunSettings(n_avg=n_avg, **windows))
+    stds = {n_avg: baseline_stds(default_chip, replace(default_settings, n_avg=n_avg, **windows))
             for n_avg in (16, 1024)}
     assert rms_ratio(stds[16], stds[1024]) == pytest.approx(8.0, rel=0.20)
 
-    desk, paper = (load_config(preset=name) for name in ("desk", "paper"))
+    desk, paper = (load_config(None, preset=name) for name in ("desk", "paper"))
     assert rms_ratio(baseline_stds(desk.chip, replace(desk.settings, **windows)),
                      baseline_stds(paper.chip, replace(paper.settings, **windows))) == \
         pytest.approx(math.sqrt(6.0), rel=0.20)

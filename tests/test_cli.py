@@ -122,7 +122,10 @@ def test_trigger_writes_traces_and_manifest(capsys, tmp_path, fast_config):
     for ch in range(3):
         trace = read_trace(out / f"trace_ch{ch}.csv")
         assert len(trace) == 1000
-    metrics = json.loads((out / "metrics.json").read_text())
+    # one run, in the shape multiplex writes its eight in
+    runs = json.loads((out / "metrics.json").read_text())["runs"]
+    assert len(runs) == 1
+    metrics = runs[0]
     assert metrics["pattern"] == "001"
     assert len(metrics["metrics"]) == 3
     assert all("snr" in m for m in metrics["metrics"])
@@ -341,6 +344,28 @@ def test_analyze_summarizes_multiplex(capsys, tmp_path, fast_config):
     assert "min_matched_snr" in summary
 
 
+def test_reused_out_directory_certifies_only_the_last_run(capsys, tmp_path, fast_config):
+    # a trigger run into a multiplex directory: its manifest lists only its
+    # own files, and analyze and report read nothing of the stale multiplex
+    out = tmp_path / "d"
+    assert run_cli("multiplex", "--config", fast_config, "--out", str(out)) == 0
+    assert run_cli("trigger", "--pattern", "101", "--config", fast_config,
+                   "--out", str(out)) == 0
+    assert (out / "snr_table.json").exists()
+    assert sorted(read_manifest(out)["files"]) == [
+        "metrics.json", "trace_ch0.csv", "trace_ch1.csv", "trace_ch2.csv"]
+    capsys.readouterr()
+    assert run_cli("analyze", str(out)) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["command"] == "trigger --pattern 101"
+    assert summary["files_verified"] == 4 and summary["n_runs"] == 1
+    assert "min_matched_snr" not in summary and "max_abs_leakage_snr" not in summary
+    assert run_cli("report", str(out)) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out / "report")) == ["report_magnitude.csv"]
+    check_magnitude_table(out, [f"trace_ch{ch}" for ch in range(3)])
+
+
 def test_analyze_flags_tampering(capsys, tmp_path, fast_config):
     out = tmp_path / "mux"
     run_cli("trigger", "--pattern", "000", "--config", fast_config,
@@ -450,7 +475,7 @@ def test_preset_manifests_hash_the_effective_config(capsys, tmp_path):
         assert run_cli("trigger", "--pattern", "000", "--seed", "15", "--preset", preset,
                        "--out", str(out)) == 0
         hashes[preset] = read_manifest(out)["config_sha256"]
-        assert hashes[preset] == config_hash(load_config(preset=preset, seed=15).doc)
+        assert hashes[preset] == config_hash(load_config(None, preset=preset, seed=15).doc)
     capsys.readouterr()
     assert len(set(hashes.values())) == 3
     assert hashes["desk"] == config_hash(_default_config_dict())

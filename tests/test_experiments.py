@@ -20,7 +20,6 @@ from bolomux.experiments import (
     CalibrationError,
     ChipConfig,
     NonlinearOperationError,
-    RunSettings,
     calibrate_chip,
     characterize,
     operating_tones,
@@ -46,6 +45,10 @@ def predicted_floor(chip, settings):
     return chip.noise_sigma_v / math.sqrt(settings.n_avg) * per_volt
 
 
+# the shipped settings at the flank posture, as power sweeps run them
+FLANK = replace(load_config(None).settings, probe_detuning_fraction=0.5)
+
+
 @pytest.fixture(scope="module")
 def noiseless_chip(default_chip):
     return replace(default_chip, noise_sigma_v=0.0)
@@ -54,7 +57,7 @@ def noiseless_chip(default_chip):
 @pytest.fixture(scope="module")
 def mux15(default_chip, default_settings):
     """Full pattern set on the shipped chip at the shipped seed."""
-    return run_full_multiplex(default_chip, default_settings, Seed(15))
+    return run_full_multiplex(default_chip, default_settings, Seed(15), 1)
 
 
 @pytest.fixture(scope="module")
@@ -69,52 +72,52 @@ def noiseless_runs(noiseless_chip, default_settings):
 # ---------------------------------------------------------------- settings
 
 
-def test_settings_defaults_skip_settling():
+def test_settings_defaults_skip_settling(default_settings):
     # metrics never look at the first 10 us of the record
-    s = RunSettings()
+    s = default_settings
     assert s.baseline_window_s[0] >= 10e-6
     assert s.signal_window_s[0] > s.baseline_window_s[1]
 
 
-def test_settings_validation(default_chip):
+def test_settings_validation(default_chip, default_settings):
+    ok = default_settings
     with pytest.raises(ValueError):
-        RunSettings(n_avg=0)
+        replace(ok, n_avg=0)
     with pytest.raises(ValueError):
-        RunSettings(window_s=-1.0)
+        replace(ok, window_s=-1.0)
     with pytest.raises(ValueError):
-        RunSettings(pulse_start_s=-1e-6)
+        replace(ok, pulse_start_s=-1e-6)
     with pytest.raises(ValueError):
-        RunSettings(pulse_duration_s=0.0)
-    ok = RunSettings()
+        replace(ok, pulse_duration_s=0.0)
     ok.validate_against(default_chip)
     with pytest.raises(ValueError, match="thermal"):
-        RunSettings(thermal_dt_s=150.4e-9).validate_against(default_chip)
+        replace(ok, thermal_dt_s=150.4e-9).validate_against(default_chip)
     with pytest.raises(ValueError, match="divide"):
-        RunSettings(output_rate_hz=3e8).validate_against(default_chip)
+        replace(ok, output_rate_hz=3e8).validate_against(default_chip)
     with pytest.raises(ValueError, match="pulse"):
-        RunSettings(pulse_start_s=95e-6).validate_against(default_chip)
+        replace(ok, pulse_start_s=95e-6).validate_against(default_chip)
     with pytest.raises(ValueError, match="baseline window must end"):
-        RunSettings(baseline_window_s=(10e-6, 60e-6)).validate_against(default_chip)
+        replace(ok, baseline_window_s=(10e-6, 60e-6)).validate_against(default_chip)
     with pytest.raises(ValueError, match="inside"):
-        RunSettings(signal_window_s=(90e-6, 120e-6)).validate_against(default_chip)
+        replace(ok, signal_window_s=(90e-6, 120e-6)).validate_against(default_chip)
 
 
 def test_presets(default_chip, default_settings):
     assert PRESETS == ("desk", "paper", "fig3")
-    cfg = load_config(preset="desk")
+    cfg = load_config(None, preset="desk")
     assert cfg.chip == default_chip and cfg.settings == default_settings
-    cfg = load_config(preset="paper")
+    cfg = load_config(None, preset="paper")
     assert cfg.chip.sample_rate_hz == 6e9
     assert cfg.chip.noise_sigma_v == pytest.approx(10 * default_chip.noise_sigma_v)
     assert cfg.settings.n_avg == 10_000
-    cfg = load_config(preset="fig3")
+    cfg = load_config(None, preset="fig3")
     chip, settings = cfg.chip, cfg.settings
     assert settings.window_s == 2e-3
     assert settings.pulse_duration_s == 1e-3
     assert settings.n_avg == 2 ** 14
     settings.validate_against(chip)
     with pytest.raises(ValueError, match="preset"):
-        load_config(preset="bench")
+        load_config(None, preset="bench")
 
 
 def test_chip_validation(default_chip):
@@ -130,6 +133,8 @@ def test_chip_validation(default_chip):
             filters=default_chip.filters[:2],
             channel_map=(1, 0, 2),
             noise_sigma_v=0.0,
+            sample_rate_hz=default_chip.sample_rate_hz,
+            line_attenuation_db=default_chip.line_attenuation_db,
         )
 
 
@@ -263,12 +268,12 @@ def test_baseline_std_matches_predicted_floor(default_chip, default_settings, sn
     assert np.all(np.abs(rms - floor) <= 3.0 * se)
 
 
-def test_multiplex_threaded_schedule_is_bit_identical(default_chip):
+def test_multiplex_threaded_schedule_is_bit_identical(default_chip, default_settings):
     # 3 workers split the 8 patterns unevenly (2, 3, 3), 4 evenly
-    settings = RunSettings(n_avg=10)
-    serial = run_full_multiplex(default_chip, settings, Seed(15), threads=1)
+    settings = replace(default_settings, n_avg=10)
+    serial = run_full_multiplex(default_chip, settings, Seed(15), 1)
     for threads in (3, 4):
-        threaded = run_full_multiplex(default_chip, settings, Seed(15), threads=threads)
+        threaded = run_full_multiplex(default_chip, settings, Seed(15), threads)
         assert [run.pattern for run in threaded] == [run.pattern for run in serial]
         for a, b in zip(serial, threaded):
             assert a.metrics == b.metrics
@@ -288,14 +293,15 @@ def averaged_noise_oracle(n, sigma_v, n_avg, seed, labels):
     return total / n_avg
 
 
-def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_chip):
+def test_averaged_noise_matches_per_realization_oracle(default_chip, noiseless_chip,
+                                                       default_settings):
     # short, low-average posture over 64 seeds: the per-sample variance of
     # the engine's noise IQ (noisy minus noiseless), of the mixer-demodulated
     # per-realization average, and the analytic (2h+1) sigma^2 / (n n_avg)
     # for 2h+1 in-band bins all agree within 3 standard errors
-    settings = RunSettings(window_s=20e-6, pulse_start_s=5e-6, pulse_duration_s=5e-6,
-                           baseline_window_s=(1e-6, 4e-6), signal_window_s=(11e-6, 12e-6),
-                           n_avg=4)
+    settings = replace(default_settings, window_s=20e-6, pulse_start_s=5e-6,
+                       pulse_duration_s=5e-6, baseline_window_s=(1e-6, 4e-6),
+                       signal_window_s=(11e-6, 12e-6), n_avg=4)
     fs, sigma = default_chip.sample_rate_hz, default_chip.noise_sigma_v
     n = round(settings.window_s * fs)
     decimation = round(fs / settings.output_rate_hz)
@@ -404,7 +410,7 @@ def assert_close_to(engine, oracle, rel=1e-9):
 def test_spectral_engine_matches_composite_oracle(preset, label):
     # noiseless and noisy at the same seed; the noisy-minus-noiseless IQ,
     # the noise alone, matches to the same tolerance of its own scale
-    cfg = load_config(preset=preset)
+    cfg = load_config(None, preset=preset)
     chip, settings = cfg.chip, cfg.settings
     pattern = TriggerPattern.from_label(label)
     heater_tones = schedule_heaters(pattern, chip.filters, chip.channel_map,
@@ -422,7 +428,7 @@ def test_spectral_engine_matches_composite_oracle(preset, label):
 
 def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(default_chip):
     # deep in compression on bolometer 0's matched path, read on every probe
-    settings = RunSettings(probe_detuning_fraction=0.5)
+    settings = FLANK
     quiet = replace(default_chip, noise_sigma_v=0.0)
     tone = ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0)
     operating = operating_tones(quiet, settings)
@@ -513,7 +519,7 @@ def thermal_batch(chip, settings, batch):
 def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
     # every (run, channel) trajectory of one batched pass equals the scalar
     # loop run on that trajectory alone, bit for bit
-    cfg = load_config(preset="fig3" if posture == "fig3" else "desk")
+    cfg = load_config(None, preset="fig3" if posture == "fig3" else "desk")
     chip = cfg.chip
     settings = replace(cfg.settings,
                        probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
@@ -580,7 +586,8 @@ def test_multiplex_unheated_channels_silent_without_noise(noiseless_runs):
 
 
 def test_probe_sweep_shapes_and_normalization(default_chip):
-    sweep, _ = characterize(default_chip, [-160.0, -144.0], n_points=51)
+    sweep, _ = characterize(default_chip, [-160.0, -144.0], span_linewidths=6.0, n_points=51,
+                            allow_nonlinear=False)
     assert sweep.magnitude.shape == (3, 2, 51)
     assert not np.isnan(sweep.magnitude).any()
     for ch in range(3):
@@ -597,23 +604,25 @@ def test_probe_sweep_shapes_and_normalization(default_chip):
 def test_probe_sweep_validation(default_chip):
     grids = [par.f_r0_hz + np.linspace(-1e6, 1e6, 11) for par in default_chip.bolometers]
     with pytest.raises(ValueError):
-        run_probe_sweep(default_chip, [], grids)
+        run_probe_sweep(default_chip, [], grids, False)
     with pytest.raises(NonlinearOperationError):
-        run_probe_sweep(default_chip, [-120.0], grids)
+        run_probe_sweep(default_chip, [-120.0], grids, False)
     with pytest.raises(ValueError, match="per channel"):
-        run_probe_sweep(default_chip, [-144.0], [np.linspace(1e8, 2e8, 11)])
+        run_probe_sweep(default_chip, [-144.0], [np.linspace(1e8, 2e8, 11)], False)
     with pytest.raises(ValueError, match="equal length"):
-        run_probe_sweep(default_chip, [-144.0], [*grids[:2], grids[2][:5]])
+        run_probe_sweep(default_chip, [-144.0], [*grids[:2], grids[2][:5]], False)
 
 
 @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf, 0.0, -2.0])
 def test_probe_sweep_rejects_bad_span(default_chip, span):
     with pytest.raises(ValueError, match="span_linewidths must be finite and > 0"):
-        characterize(default_chip, [-160.0], span_linewidths=span, n_points=11)
+        characterize(default_chip, [-160.0], span_linewidths=span, n_points=11,
+                     allow_nonlinear=False)
 
 
-def test_characterize_recovers_chip_parameters(default_chip):
-    sweep, fits = characterize(default_chip)
+def test_characterize_recovers_chip_parameters(default_chip, default_config):
+    sweep, fits = characterize(default_chip, **default_config.sweeps["characterize"],
+                               allow_nonlinear=False)
     for ch, par in enumerate(default_chip.bolometers):
         fit = fits[ch][0]  # lowest power row is the headline estimate
         assert fit is not None
@@ -623,7 +632,8 @@ def test_characterize_recovers_chip_parameters(default_chip):
 
 def test_characterize_dip_depth_shrinks_with_power(default_chip):
     powers = (-160.0, -150.0, -144.0, -137.0, -130.0)
-    _, fits = characterize(default_chip, powers_dbm=powers)
+    _, fits = characterize(default_chip, powers_dbm=powers, span_linewidths=6.0, n_points=201,
+                           allow_nonlinear=False)
     for ch in range(3):
         depths = [f.depth for f in fits[ch]]
         assert all(f is not None for f in fits[ch])
@@ -656,7 +666,7 @@ def test_probe_sweep_matches_per_cell_loop(tiny_kappa_chip):
              for par in chip.bolometers]
     grids[1] = chip.bolometers[1].f_r0_hz + np.array([-1e3, -1.0, 0.0, 1.0, 1e3, 1e6, 1e10])
     powers = (-150.0, -144.0)
-    sweep = run_probe_sweep(chip, powers, grids)
+    sweep = run_probe_sweep(chip, powers, grids, False)
     mag = np.full(sweep.magnitude.shape, np.nan)
     multi = np.zeros(mag.shape, dtype=bool)
     bad = []
@@ -707,9 +717,9 @@ def test_filter_sweep_lists_non_finite_cells(tiny_kappa_chip, default_settings):
 # ----------------------------------------------------------- filter sweep
 
 
-def test_filter_sweep_finds_every_filter(default_chip):
+def test_filter_sweep_finds_every_filter(default_chip, default_settings):
     grid = np.linspace(4.0e9, 8.0e9, 401)
-    sweep = run_filter_sweep(default_chip, grid, heater_power_dbm=-145.0)
+    sweep = run_filter_sweep(default_chip, grid, -145.0, default_settings)
     assert sweep.response.shape == (3, 401)
     assert not np.isnan(sweep.response).any()
     pitch = grid[1] - grid[0]
@@ -722,9 +732,9 @@ def test_filter_sweep_finds_every_filter(default_chip):
         assert width == pytest.approx(fwhm, rel=0.10)
 
 
-def test_filter_sweep_response_is_positive_and_selective(default_chip):
+def test_filter_sweep_response_is_positive_and_selective(default_chip, default_settings):
     grid = np.linspace(4.0e9, 8.0e9, 201)
-    sweep = run_filter_sweep(default_chip, grid, heater_power_dbm=-145.0)
+    sweep = run_filter_sweep(default_chip, grid, -145.0, default_settings)
     assert np.all(sweep.response >= 0.0)
     for ch in range(3):
         y = sweep.response[ch]
@@ -734,9 +744,9 @@ def test_filter_sweep_response_is_positive_and_selective(default_chip):
         assert on_peak > 5 * np.max(far)
 
 
-def test_filter_sweep_rejects_short_grid(default_chip):
+def test_filter_sweep_rejects_short_grid(default_chip, default_settings):
     with pytest.raises(ValueError):
-        run_filter_sweep(default_chip, [4.4e9, 5.8e9])
+        run_filter_sweep(default_chip, [4.4e9, 5.8e9], -145.0, default_settings)
 
 
 @pytest.mark.parametrize("grid", [
@@ -746,16 +756,13 @@ def test_filter_sweep_rejects_short_grid(default_chip):
     [4.0e9, 6.0e9, math.inf],
     [4.0e9, 4.4e9, 4.2e9, 5.0e9],              # not monotonic
 ])
-def test_filter_sweep_rejects_unordered_or_non_finite_grid(default_chip, grid):
+def test_filter_sweep_rejects_unordered_or_non_finite_grid(default_chip, default_settings, grid):
     with pytest.raises(ValueError, match="finite and strictly increasing") as info:
-        run_filter_sweep(default_chip, grid)
+        run_filter_sweep(default_chip, grid, -145.0, default_settings)
     assert "\n" not in str(info.value) and len(str(info.value)) < 120
 
 
 # ----------------------------------------------------------- power sweeps
-
-
-FLANK = RunSettings(probe_detuning_fraction=0.5)
 
 
 def device_watts(chip, powers_dbm):
@@ -783,7 +790,7 @@ def test_power_sweep_concave_in_linear_watts(default_chip):
 def test_power_sweep_fit_yields_compression_point(default_chip, default_config):
     ps = default_config.sweeps["powersweep"]
     powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
-    _, _, p1db, _ = power_sweep_matrix(default_chip, powers)
+    _, _, p1db, _ = power_sweep_matrix(default_chip, powers, default_config.settings, 1)
     matched = p1db[1, default_chip.channel_map[1]]
     assert powers[0] < matched < powers[-1]
 
@@ -802,9 +809,9 @@ def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
         assert ratio_db == pytest.approx(floor_db, abs=1.0)
 
 
-def test_power_sweep_validation(default_chip):
+def test_power_sweep_validation(default_chip, default_settings):
     with pytest.raises(ValueError, match="sorted"):
-        power_sweep_matrix(default_chip, [-150.0, -160.0])
+        power_sweep_matrix(default_chip, [-150.0, -160.0], default_settings, 1)
 
 
 SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
@@ -812,11 +819,10 @@ SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
 
 @pytest.fixture(scope="module")
 def short_matrix(default_chip):
-    settings = RunSettings(probe_detuning_fraction=0.5)
-    return settings, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, settings)
+    return FLANK, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, FLANK, 1)
 
 
-def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
+def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch):
     # one thermal pass per filter, stepping all its powers together; one
     # per-run readout per (filter, power), read on every bolometer; one
     # operating-tone solve per filter; the runs are noiseless, so none
@@ -847,9 +853,9 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, monkeypatch):
     monkeypatch.setattr(experiments, "_thermal_stage", counted_thermal)
     monkeypatch.setattr(experiments, "operating_tones", counted_tones)
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
-    power_sweep_matrix(default_chip, SHORT_POWERS_DBM)
+    power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings, 1)
     assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
-    steps = round(RunSettings().window_s / RunSettings().thermal_dt_s)
+    steps = round(default_settings.window_s / default_settings.thermal_dt_s)
     assert passes == [(len(SHORT_POWERS_DBM), default_chip.n_channels, steps)] * len(
         default_chip.filters)
     assert len(tone_calls) == len(default_chip.filters)
@@ -861,7 +867,7 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     # and one real record, whose transform is written into the workspace,
     # so the path's traced peak stays within 2.5 complex such matrices (one
     # is 1.53 MiB on the shipped posture)
-    settings = RunSettings(probe_detuning_fraction=0.5)
+    settings = FLANK
     n = round(settings.window_s * default_chip.sample_rate_hz)
     matrix_bytes = np.dtype(complex).itemsize * n
     f_heater = default_chip.filters[0].f_center_hz
@@ -876,7 +882,7 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     assert peak <= 2.5 * matrix_bytes
 
 
-def test_multiplex_derives_one_stream_per_pattern(default_chip, monkeypatch):
+def test_multiplex_derives_one_stream_per_pattern(default_chip, default_settings, monkeypatch):
     streams = []
     derive = experiments.derive_stream
 
@@ -885,9 +891,10 @@ def test_multiplex_derives_one_stream_per_pattern(default_chip, monkeypatch):
         return derive(*args)
 
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
-    settings = RunSettings(window_s=20e-6, pulse_start_s=5e-6, pulse_duration_s=5e-6,
-                           baseline_window_s=(1e-6, 4e-6), signal_window_s=(11e-6, 12e-6))
-    run_full_multiplex(default_chip, settings, Seed(3))
+    settings = replace(default_settings, window_s=20e-6, pulse_start_s=5e-6,
+                       pulse_duration_s=5e-6, baseline_window_s=(1e-6, 4e-6),
+                       signal_window_s=(11e-6, 12e-6))
+    run_full_multiplex(default_chip, settings, Seed(3), 1)
     assert streams == [(_KIND_TRIGGER, v) for v in range(2 ** default_chip.n_channels)]
 
 
@@ -909,7 +916,7 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
 def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
     settings, (serial, powers_w, p1db, xtalk) = short_matrix
     threaded, powers_w_t, p1db_t, xtalk_t = power_sweep_matrix(default_chip, SHORT_POWERS_DBM,
-                                                               settings, threads=3)
+                                                               settings, 3)
     assert np.array_equal(threaded, serial)
     assert np.array_equal(powers_w_t, powers_w)
     assert np.array_equal(p1db_t, p1db)
@@ -922,8 +929,7 @@ def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
 def test_pulse_decay_recovers_time_constants(noiseless_chip):
     # flank posture, weak matched heater: the post-pulse magnitude relaxes
     # with the channel's thermal time constant
-    settings = RunSettings(probe_detuning_fraction=0.5, heater_power_dbm=-150.0,
-                           n_avg=1)
+    settings = replace(FLANK, heater_power_dbm=-150.0, n_avg=1)
     t_end = settings.pulse_start_s + settings.pulse_duration_s
     for ch in range(3):
         label = "".join("1" if k == ch else "0" for k in range(3))
@@ -996,7 +1002,7 @@ def test_calibration_closed_loop(default_chip, default_settings, monkeypatch):
         return trigger(chip, pattern, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_trigger", counted)
-    cal_chip, report = calibrate_chip(warped)
+    cal_chip, report = calibrate_chip(warped, default_settings)
     assert runs == [(0.0, "111")]
     for entry in report["channels"]:
         err = abs(entry["achieved_shift_hz"] - entry["target_shift_hz"])
@@ -1006,20 +1012,21 @@ def test_calibration_closed_loop(default_chip, default_settings, monkeypatch):
     assert noise["target_snr"] == experiments._CAL_SNR
     # the weakest expected SNR of the tuned chip, outside the calibration loop
     quiet = run_trigger(replace(cal_chip, noise_sigma_v=0.0), TriggerPattern.from_label("111"),
-                        RunSettings())
-    floor = predicted_floor(cal_chip, RunSettings())
+                        default_settings, Seed(0))
+    floor = predicted_floor(cal_chip, default_settings)
     expected = [m.response / floor for m in quiet.metrics]
     assert min(expected) == pytest.approx(experiments._CAL_SNR, rel=1e-12)
     assert noise["expected_snr"] == pytest.approx(expected, rel=1e-12)
     # at four times the noise, the same chip comes back
-    again, _ = calibrate_chip(replace(warped, noise_sigma_v=4.0 * warped.noise_sigma_v))
+    again, _ = calibrate_chip(replace(warped, noise_sigma_v=4.0 * warped.noise_sigma_v),
+                              default_settings)
     assert again == cal_chip
 
 
 def test_calibration_shift_is_read_at_the_run_tone(default_chip, default_settings):
     # calibration places the probe where the runs do: each reported shift is
     # the one a matched heater causes at the calibrated chip's probe tone
-    cal_chip, report = calibrate_chip(default_chip, settings=default_settings)
+    cal_chip, report = calibrate_chip(default_chip, default_settings)
     tones, ops = operating_tones(cal_chip, default_settings)
     for ch, par in enumerate(cal_chip.bolometers):
         filt = cal_chip.matched_filter(ch)
@@ -1031,16 +1038,16 @@ def test_calibration_shift_is_read_at_the_run_tone(default_chip, default_setting
             ops[ch].f_r_star_hz - heated.f_r_star_hz
 
 
-def test_calibration_rejects_unreachable_shift(default_chip):
+def test_calibration_rejects_unreachable_shift(default_chip, default_settings):
     # 200 dB of line loss leaves the matched heater too weak to shift any
     # resonance by half a linewidth within the dfdt bounds
     with pytest.raises(CalibrationError, match="not reachable"):
-        calibrate_chip(replace(default_chip, line_attenuation_db=200.0))
+        calibrate_chip(replace(default_chip, line_attenuation_db=200.0), default_settings)
 
 
-def test_calibration_rejects_non_positive_response(default_chip):
+def test_calibration_rejects_non_positive_response(default_chip, default_settings):
     # probing below the resonance, heating pulls the dip onto the probe and
     # |IQ| falls: no noise level gives a positive SNR target
-    below = RunSettings(probe_detuning_fraction=-0.5)
+    below = replace(default_settings, probe_detuning_fraction=-0.5)
     with pytest.raises(CalibrationError, match="not positive"):
-        calibrate_chip(default_chip, settings=below)
+        calibrate_chip(default_chip, below)

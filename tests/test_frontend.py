@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolomux.experiments import RunSettings, _heater_power_w
+from bolomux.config import load_config
+from bolomux.experiments import _heater_power_w
 from bolomux.frontend import (
     FilterParams,
     ToneSpec,
@@ -34,7 +35,7 @@ def three_filter_chip(default_chip, floor_db: float = -15.0):
 
 
 # a 100 x 1 us thermal grid whose heater window is on for steps 40..49
-STEP_GRID = RunSettings(thermal_dt_s=1e-6)
+STEP_GRID = replace(load_config(None).settings, thermal_dt_s=1e-6)
 
 
 # -------------------------------------------------------------- filter shape

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name, field and method resolves and
-has a caller, and every defaulted parameter is passed by some call."""
+has a caller, and every defaulted parameter is passed by some call and left out by
+another."""
 
 import ast
 import dataclasses
@@ -192,16 +193,23 @@ def _defaulted_parameters():
     return found
 
 
-def _parameters_never_passed() -> list[str]:
-    # a default stays a parameter only if some call in the package or the
-    # benchmark passes it: by position, by keyword or through * or **.  Calls
-    # match by name; tests and README examples do not count
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package and the benchmark, by the name it calls;
+    tests and README examples do not count."""
     calls = {}
     for path in [*_PACKAGE.glob("*.py"), *_BENCH.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _parameters_never_passed() -> list[str]:
+    # a default stays a parameter only if some call in the package or the
+    # benchmark passes it: by position, by keyword or through * or **.  Calls
+    # match by name
+    calls = _calls_by_name()
 
     def passes(call, parameter, position):
         if any(kw.arg in (parameter, None) for kw in call.keywords):
@@ -219,6 +227,31 @@ def _parameters_never_passed() -> list[str]:
 
 def test_every_defaulted_parameter_has_a_caller():
     assert _parameters_never_passed() == []
+
+
+def _parameters_never_omitted() -> list[str]:
+    # a parameter keeps its default only if some call in the package or the
+    # benchmark leaves it out; one every caller passes copies a value the
+    # callers already hold, such as the shipped config's.  Calls match by
+    # name, and a call through ** counts as omitting, a call through * as not
+    calls = _calls_by_name()
+
+    def omits(call, parameter, position):
+        if any(kw.arg is None for kw in call.keywords):
+            return True
+        if any(kw.arg == parameter for kw in call.keywords):
+            return False
+        return position is None or (not any(isinstance(arg, ast.Starred) for arg in call.args)
+                                    and len(call.args) <= position)
+
+    return sorted(f"{callee}({parameter})"
+                  for callee, parameter, position in _defaulted_parameters()
+                  if not any(omits(call, parameter, position)
+                             for call in calls.get(callee, [])))
+
+
+def test_every_default_is_omitted_by_some_caller():
+    assert _parameters_never_omitted() == []
 
 
 @pytest.mark.parametrize("module", _MODULES, ids=_IDS)

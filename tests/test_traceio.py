@@ -295,6 +295,10 @@ def test_array_cells_follow_the_per_cell_rule(name):
 # ---------------------------------------------------------------- manifest
 
 
+# the files make_results writes, which a run names to write_manifest
+RESULTS = ["b.json", "a.csv"]
+
+
 def make_results(tmp_path):
     out = tmp_path / "results"
     out.mkdir()
@@ -305,7 +309,7 @@ def make_results(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     out = make_results(tmp_path)
-    written = write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    written = write_manifest(out, "trigger", {"seed": 15}, "0.1.0", RESULTS)
     back = read_manifest(out)
     assert back == written
     assert back["command"] == "trigger"
@@ -317,13 +321,13 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_intact_directory_verifies_clean(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0", RESULTS)
     assert verify_manifest(out) == []
 
 
 def test_manifest_detects_tampering(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0", RESULTS)
     (out / "a.csv").write_text("0,2.0\n")
     problems = verify_manifest(out)
     assert len(problems) == 1
@@ -333,7 +337,7 @@ def test_manifest_detects_tampering(tmp_path):
 
 def test_manifest_detects_missing_file(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0", RESULTS)
     (out / "b.json").unlink()
     problems = verify_manifest(out)
     assert any("b.json" in p and "missing" in p for p in problems)
@@ -341,12 +345,24 @@ def test_manifest_detects_missing_file(tmp_path):
 
 def test_manifest_excludes_itself(tmp_path):
     out = make_results(tmp_path)
-    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0", RESULTS)
     manifest = read_manifest(out)
     assert MANIFEST_NAME not in manifest["files"]
     # re-hashing with the manifest present must not change the file list
-    write_manifest(out, "trigger", {"seed": 15}, "0.1.0")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0", RESULTS)
     assert list(read_manifest(out)["files"]) == ["a.csv", "b.json"]
+
+
+def test_manifest_lists_only_the_named_files(tmp_path):
+    # a file the run did not write, such as an earlier run's in a reused
+    # directory, is neither hashed nor verified
+    out = make_results(tmp_path)
+    (out / "stale.csv").write_text("0,3.0\n")
+    write_manifest(out, "trigger", {"seed": 15}, "0.1.0", ["a.csv"])
+    assert list(read_manifest(out)["files"]) == ["a.csv"]
+    (out / "stale.csv").write_text("0,4.0\n")
+    (out / "b.json").unlink()
+    assert verify_manifest(out) == []
 
 
 _MANIFEST = {
@@ -368,7 +384,7 @@ def test_manifest_dict_round_trip(tmp_path):
 def test_manifest_seed_is_the_documents(tmp_path):
     out = make_results(tmp_path)
     doc = {"seed": 7, "run": {"n_avg": 2}}
-    written = write_manifest(out, "trigger", doc, "0.1.0")
+    written = write_manifest(out, "trigger", doc, "0.1.0", RESULTS)
     assert written["seed"] == 7
     assert written["config_sha256"] == config_hash(doc)
 
