@@ -4,8 +4,8 @@ A chip of resonant microwave bolometers shares one probe line; each
 bolometer's heater sits behind a dedicated bandpass filter, so tone
 frequency selects the channel.  The package models the full loop: filter
 bank, electrothermal operating point, time-domain thermal stepping, the
-probe line's composite record with averaged digitizer noise,
-down-conversion from one pruned transform per record, and the fits and
+probe line's composite record with averaged digitizer noise, read band by
+band from each probe's per-step expansion of its reflection, and the fits and
 tables the bench produces (resonance characterization, compression
 points, crosstalk, per-pattern SNR).
 """

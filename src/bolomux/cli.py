@@ -3,7 +3,8 @@
 Every run command loads the config (shipped defaults unless --config)
 with --preset and --seed set in its document, writes its outputs into
 --out plus a manifest.json naming that document and checksumming exactly
-the files the command wrote, and prints a short summary.
+the files the command wrote, and prints a short summary.  analyze and
+report read such a directory through its manifest and load no config.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 (failed fit or calibration, a non-finite operating point, or a malformed
@@ -63,32 +64,43 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="JSON config merged over the shipped defaults")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="override the config's master seed")
-    common.add_argument("--out", metavar="DIR",
-                        help="output directory (default bolomux_<command>)")
-    common.add_argument("--preset", choices=configmod.PRESETS,
-                        help="sampling/averaging posture override")
-    common.add_argument("--threads", type=_thread_count, default=1, metavar="N",
-                        help="worker threads; results are identical for any value")
-    return common
+def _run_flags() -> argparse.ArgumentParser:
+    flags = _Parser(add_help=False)
+    flags.add_argument("--config", metavar="FILE",
+                       help="JSON config merged over the shipped defaults")
+    flags.add_argument("--seed", type=int, metavar="N",
+                       help="override the config's master seed")
+    flags.add_argument("--preset", choices=configmod.PRESETS,
+                       help="sampling/averaging posture override")
+    flags.add_argument("--threads", type=_thread_count, default=1, metavar="N",
+                       help="worker threads; results are identical for any value")
+    return flags
 
 
 def build_parser() -> _Parser:
-    common = _common_flags()
+    run_flags = _run_flags()
     parser = _Parser(prog="bolomux",
                      description="frequency-multiplexed bolometer readout bench")
     parser.add_argument("--version", action="version", version=f"bolomux {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    def command(name, handler, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(handler=handler)
+    def command(name, handler, summary, writes_files=True):
+        """A subcommand that loads the config; one that writes files takes --out."""
+        p = sub.add_parser(name, parents=[run_flags], help=summary)
+        p.set_defaults(handler=handler, loads_config=True)
+        if writes_files:
+            p.add_argument("--out", metavar="DIR",
+                           help=f"output directory (default bolomux_{name})")
+        return p
+
+    def reader(name, handler, summary):
+        """A subcommand that reads a results directory and loads no config: the
+        directory's manifest records the config that made it."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, loads_config=False)
+        p.add_argument("results_dir")
+        p.add_argument("--config", metavar="FILE", help="accepted and ignored")
         return p
 
     command("characterize", cmd_characterize,
@@ -100,13 +112,13 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", required=True, metavar="BITS",
                    help="heater bits, e.g. 101")
     command("multiplex", cmd_multiplex, "run every heater pattern and build the SNR table")
-    p = command("analyze", cmd_analyze, "verify a results directory and summarize it")
-    p.add_argument("results_dir")
-    p = command("report", cmd_report, "emit plot-ready tables from a results directory")
-    p.add_argument("results_dir")
+    reader("analyze", cmd_analyze, "verify a results directory and summarize it")
+    p = reader("report", cmd_report, "emit plot-ready tables from a results directory")
+    p.add_argument("--out", metavar="DIR", help="output directory (default RESULTS_DIR/report)")
     command("calibrate", cmd_calibrate,
             "retune responsivity and noise to the shipped targets")
-    p = command("capacity", cmd_capacity, "channel count fitting in a readout band")
+    p = command("capacity", cmd_capacity, "channel count fitting in a readout band",
+                writes_files=False)
     p.add_argument("--fmin", type=float, metavar="HZ")
     p.add_argument("--fmax", type=float, metavar="HZ")
     p.add_argument("--spacing", type=float, metavar="HZ")
@@ -114,7 +126,8 @@ def build_parser() -> _Parser:
 
 
 def _out_dir(args) -> str:
-    """--out, else DIR/report for `report DIR`, else bolomux_<command>."""
+    """--out, else DIR/report for `report DIR`, else bolomux_<command>; the
+    subcommands' --out help states the same defaults."""
     if args.out:
         return args.out
     if args.command == "report":
@@ -278,7 +291,7 @@ def _verified_manifest(results_dir):
     return None if problems else read_manifest(results_dir)
 
 
-def cmd_analyze(cfg: configmod.ExperimentConfig, args) -> int:
+def cmd_analyze(args) -> int:
     results_dir = args.results_dir
     manifest = _verified_manifest(results_dir)
     if manifest is None:
@@ -306,7 +319,7 @@ def cmd_analyze(cfg: configmod.ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_report(cfg: configmod.ExperimentConfig, args) -> int:
+def cmd_report(args) -> int:
     results_dir = args.results_dir
     manifest = _verified_manifest(results_dir)
     if manifest is None:
@@ -401,6 +414,8 @@ def main(argv=None) -> int:
 
     args.written = []
     try:
+        if not args.loads_config:
+            return args.handler(args)
         cfg = configmod.load_config(args.config, preset=args.preset or "desk", seed=args.seed)
         return args.handler(cfg, args)
     except (SolverError, FitError, CalibrationError, TraceFormatError) as exc:

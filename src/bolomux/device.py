@@ -75,18 +75,13 @@ class BolometerParams:
         return self.kappa_ext_hz + self.kappa_int_hz
 
 
-def _gamma(detuning_hz, kappa_ext_hz: float, kappa_int_hz: float, out=None):
+def _gamma(detuning_hz, kappa_ext_hz, kappa_int_hz):
     """Complex reflection at detuning f - f_r; floats or arrays alike.
 
     Gamma = 1 - kappa_ext / (i (f - f_r) + (kappa_ext + kappa_int)/2), all
-    rates in Hz; |Gamma| <= 1 for any passive device (kappa_int >= 0).  Given
-    out, a complex array whose imaginary part out.imag is detuning_hz, Gamma
-    is computed in place there, bit for bit the same, and returned.
+    rates in Hz; |Gamma| <= 1 for any passive device (kappa_int >= 0).
     """
-    if out is None:
-        return 1.0 - kappa_ext_hz / (0.5 * (kappa_ext_hz + kappa_int_hz) + 1j * detuning_hz)
-    out.real = 0.5 * (kappa_ext_hz + kappa_int_hz)
-    return np.subtract(1.0, np.divide(kappa_ext_hz, out, out=out), out=out)
+    return 1.0 - kappa_ext_hz / (0.5 * (kappa_ext_hz + kappa_int_hz) + 1j * detuning_hz)
 
 
 def _absorption(kappa_ext_hz, kappa_int_hz):

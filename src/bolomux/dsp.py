@@ -7,8 +7,10 @@ spacing keeps edge bins against rounding of the edge), and `_band_iq`, the
 one band slice, folds those bins onto the output rate and inverse
 transforms them.  `_dft_bins`, a DFT of a real record pruned to a few
 windows of bins, reads every channel's band from one real transform of the
-engine's (steps, block) composite record.  For a carrier on the record's
-DFT grid the chain equals a full-record mixer.
+engine's (steps, block) noise record.  `_zoom_dft` gives a few bins of the
+DFT of a short sequence zero-padded to any length; the engine's readout
+plans and sums its tones with it.  For a carrier on the record's DFT grid
+the chain equals a full-record mixer.
 """
 
 from __future__ import annotations
@@ -94,22 +96,20 @@ def _twiddles(n: int, c: int, width: int) -> np.ndarray:
     return table
 
 
-def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """Bins starts[w] + j, j < width (mod n), of the DFT G of the real n-sample record x.ravel().
 
     With x viewed as (r, c), c = min(x.shape) (or 1 where the windows hold
     more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod r, m], A
     that view's FFT along axis 0, whose rows past r/2 are A[r - q] =
-    conj(A[q]): one rfft holds them all, in the memory of out (complex,
-    C-contiguous, >= n elements).  Window w's twiddle is
+    conj(A[q]): one rfft holds them all.  Window w's twiddle is
     exp(-2 pi i starts[w] m / n) times the shared table.  Returns a
     (windows, width) array.
     """
     n = x.size
     c = min(x.shape) if len(starts) * width * min(x.shape) <= n else 1
     rows = n // c
-    a = np.fft.rfft(x.reshape(rows, c), axis=0,
-                    out=out.reshape(-1)[:(rows // 2 + 1) * c].reshape(-1, c))
+    a = np.fft.rfft(x.reshape(rows, c), axis=0)
     q = (starts[:, None] + np.arange(width)) % rows
     mirrored = q > rows // 2
     picked = a[np.where(mirrored, rows - q, q)]
@@ -117,6 +117,40 @@ def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int, out: np.ndarray) ->
     picked *= _twiddles(n, c, width)
     start_twiddles = np.exp(-2j * np.pi / n * (np.outer(starts % n, np.arange(c)) % n))
     return np.einsum("wjm,wm->wj", picked, start_twiddles)
+
+
+def _chirp(n: int, k: np.ndarray) -> np.ndarray:
+    """exp(-i pi k^2 / n), the phase reduced mod 2 pi in integers, so exact at any n."""
+    return np.exp(-1j * np.pi / n * (k * k % (2 * n)))
+
+
+@functools.lru_cache(maxsize=8)
+def _zoom_kernel(n: int, m: int, width: int) -> tuple[int, np.ndarray]:
+    """_zoom_dft's transform length and the transform of its chirp filter."""
+    size = 1 << (m + width - 2).bit_length()
+    lags = np.arange(size)
+    lags[width:] -= size        # lags -(size - width) .. -1 cover -(m - 1) .. -1
+    kernel = np.fft.fft(np.conj(_chirp(n, lags)))
+    kernel.flags.writeable = False   # one cached array serves every caller
+    return size, kernel
+
+
+def _zoom_dft(y: np.ndarray, n: int, width: int) -> np.ndarray:
+    """sum_m y[..., m] exp(-2 pi i j m / n) for j < width, for any n.
+
+    Bins 0..width-1 of the n-point DFT of y zero-padded, by Bluestein's
+    chirp-z transform: j m = (j^2 + m^2 - (j - m)^2) / 2 makes the sum one
+    convolution with a chirp, done by FFTs of a power-of-two length >=
+    y.shape[-1] + width - 1.  Costs no table of y.shape[-1] x width.
+    """
+    m = y.shape[-1]
+    size, kernel = _zoom_kernel(n, m, width)
+    spectrum = np.zeros((*y.shape[:-1], size), dtype=complex)
+    np.multiply(y, _chirp(n, np.arange(m)), out=spectrum[..., :m])
+    np.fft.fft(spectrum, axis=-1, out=spectrum)
+    spectrum *= kernel
+    np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    return spectrum[..., :width] * _chirp(n, np.arange(width))
 
 
 def _band_iq(band: np.ndarray, offsets: np.ndarray, n: int, decimation: int,

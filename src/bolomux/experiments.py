@@ -3,16 +3,18 @@
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
 with no finite steady state comes out NaN.  Time-domain runs come in
-batches, their bands, fades and carriers planned once: one thermal pass
-steps every (run, channel) together, then each run builds the record that
-one probe line and digitizer carry, every channel's tone Re(a Gamma(t)
+batches: one thermal pass steps every (run, channel) together, and one
+readout plan (readout._readout_plan) serves every run.  Each run's record is
+what one probe line and digitizer carry, every channel's tone Re(a Gamma(t)
 carrier) plus the mean of n_avg noise records (one white record of std
-sigma/sqrt(n_avg)), in one real (steps, block) array per batch.  One pruned
-real transform of that record reads every channel's demod band, which is
-sliced to baseband IQ and reduced to response metrics.  Every random draw
-comes from a stream derived from (master seed, experiment kind, pattern),
-and no number depends on the batching, so any execution order is
-bit-identical.
+sigma/sqrt(n_avg)).  Its demod bands are read without any array at the
+digitizer rate: the tones' bins come from each probe's per-thermal-step
+expansion of Gamma (readout._readout), and on a noisy chip the white record
+is drawn into one real (steps, block) array per batch and its bins, from
+one pruned real transform, are added.  Each band is sliced to baseband IQ
+and reduced to response metrics.  Every random draw comes from a stream
+derived from (master seed, experiment kind, pattern), and no number depends
+on the batching, so any execution order is bit-identical.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .device import (BolometerParams, OperatingPoint, _absorption, _gamma, _steady_state,
+from .device import (BolometerParams, OperatingPoint, _absorption, _steady_state,
                      solve_operating_point)
-from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _demod_band,
-                  _dft_bins, response_metric)
+from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _dft_bins,
+                  response_metric)
 from .frontend import (FilterParams, ToneSpec, TriggerPattern, filter_transmission,
                        schedule_heaters)
-from .units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts
+from .readout import _readout, _readout_plan, _ReadoutPlan
+from .units import Seed, dbm_to_watts, derive_stream
 
 __all__ = [
     "ChipConfig",
@@ -294,81 +297,47 @@ def _thermal_stage(chip: ChipConfig, operating, heater_w: np.ndarray, dt: float)
             stop = end if t_next.tobytes() == t_e.tobytes() else s + 1
             t_start[s:stop], t_inf_of[s:stop] = t_e, t_inf
             t_e, s = t_next, stop
-    return t_start.T.reshape(runs, n_ch, steps), t_inf_of.T.reshape(runs, n_ch, steps)
+    return (np.ascontiguousarray(t_start.T).reshape(runs, n_ch, steps),
+            np.ascontiguousarray(t_inf_of.T).reshape(runs, n_ch, steps))
 
 
 def _timedomain_runs(chip: ChipConfig, heater_tones, settings: RunSettings, operating,
                      seed: Seed, stream_labels, patterns=None):
     """The engine: one MultiplexRun per list of heater tones, each on for the
-    settings' heater window, from one thermal pass, one readout plan and one pair of
-    buffers.  operating is operating_tones(chip, settings); run r draws its noise from
-    (seed, *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
-    n, steps, block, decimation = settings.validate_against(chip)
-    fs, (tones, _) = chip.sample_rate_hz, operating
+    settings' heater window, from one thermal pass, one readout plan and, when the
+    chip is noisy, one noise record.  operating is operating_tones(chip, settings);
+    run r draws its noise from (seed, *stream_labels[r]) and carries patterns[r]
+    (default: no bit set)."""
+    _, steps, block, _ = settings.validate_against(chip)
     heater_w = np.array([_heater_power_w(chip, run_tones, settings)
                          for run_tones in heater_tones]).reshape(-1, chip.n_channels, steps)
     t_start, t_inf = _thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
-    # every channel's demod band as DFT bins k_c + offsets of the record
-    # (the offsets do not depend on the carrier)
-    planned = [_demod_band(n, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)
-               for tone in tones]
-    carrier_bins = np.array([k_c for k_c, _ in planned])
-    # channel ch's carrier a exp(2 pi i k_ch (s block + m) / n) at sample
-    # s block + m is a steps factor (a folded in) times a block factor, each
-    # phase an integer reduced mod n, so exact at any record length
-    amplitude = np.array([[tone_amplitude_volts(tone.p_dbm)] for tone in tones])
-    tau = np.array([[p.tau_th_s] for p in chip.bolometers])
-    plan = (carrier_bins, planned[0][1], decimation, np.exp(-np.arange(block) / (fs * tau)),
-            amplitude * np.exp(2j * np.pi / n * (np.outer(carrier_bins * block,
-                                                          np.arange(steps)) % n)),
-            np.exp(2j * np.pi / n * (np.outer(carrier_bins, np.arange(block)) % n)))
-    workspace, record = np.empty((steps, block), dtype=complex), np.empty((steps, block))
+    plan = _readout_plan(chip, settings, operating[0])
+    record = np.empty((steps, block)) if chip.noise_sigma_v > 0.0 else None
     quiet = TriggerPattern((False,) * chip.n_channels)
     for r, labels in enumerate(stream_labels):
-        yield _timedomain_run(chip, settings, operating, plan, t_start[r], t_inf[r], workspace,
-                              record, seed, labels, patterns[r] if patterns else quiet)
+        yield _timedomain_run(chip, settings, operating, plan, t_start[r], t_inf[r], record,
+                              seed, labels, patterns[r] if patterns else quiet)
 
 
-def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, plan, t_start,
-                    t_inf_of, workspace: np.ndarray, record: np.ndarray, seed: Seed,
-                    stream_labels: tuple[int, ...], pattern: TriggerPattern) -> MultiplexRun:
-    """One run's readout from its (channels, steps) trajectories and the batch's plan
-    (carrier bins, band offsets, decimation, and per channel the within-step fade and
-    the two carrier factors); overwrites the complex workspace and the real record."""
-    fs, n, (steps, block) = chip.sample_rate_hz, record.size, record.shape
-    carrier_bins, offsets, decimation, fades, steps_carriers, block_carriers = plan
-    tones, ops = operating
-    # the digitized record: the mean of n_avg noise records, one white record
-    # of std sigma/sqrt(n_avg) drawn in place, plus every channel's tone
-    sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
-    if sigma > 0.0:
+def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, plan: _ReadoutPlan,
+                    t_start, t_inf_of, record, seed: Seed, stream_labels: tuple[int, ...],
+                    pattern: TriggerPattern) -> MultiplexRun:
+    """One run from its (channels, steps) trajectories and the batch's plan.
+
+    The digitized record is every channel's tone plus the mean of n_avg noise
+    records, one white record of std sigma/sqrt(n_avg).  _readout gives the
+    tones' band bins; on a noisy chip the white record is drawn into record
+    (a real (steps, block) array, overwritten) and its bins are added.
+    """
+    fs, tones, ops = chip.sample_rate_hz, *operating
+    bands = _readout(plan, t_start, t_inf_of)
+    if record is not None:
         derive_stream(seed, *stream_labels).standard_normal(out=record)
-        record *= sigma
-    else:
-        record.fill(0.0)
-    for ch, par in enumerate(chip.bolometers):
-        tone, ke, ki, dfdt = tones[ch], par.kappa_ext_hz, par.kappa_int_hz, par.dfdt_hz_per_k
-        # the reflection is sampled per digitizer sample on the exact
-        # within-step exponential, not held constant over a step, so the
-        # readout has no zero-order-hold rolloff tied to thermal_dt_s; rows
-        # before the first moving step (t_start != t_inf) are one value each
-        det_inf = tone.f_hz - (par.f_r0_hz - dfdt * (t_inf_of[ch] - par.t_bath_k))
-        first = next(iter(np.flatnonzero(t_start[ch] != t_inf_of[ch])), steps)
-        steps_carrier = steps_carriers[ch, :, None]
-        workspace[:first] = _gamma(det_inf[:first, None], ke, ki) * steps_carrier[:first]
-        det = workspace[first:].imag
-        np.multiply((dfdt * (t_start[ch, first:] - t_inf_of[ch, first:]))[:, None], fades[ch],
-                    out=det)
-        np.add(det, det_inf[first:, None], out=det)
-        _gamma(det, ke, ki, out=workspace[first:])
-        workspace[first:] *= steps_carrier[first:]
-        # the reflected tone Re(a Gamma(t) exp(2 pi i k_ch i / n))
-        workspace *= block_carriers[ch]
-        record += workspace.real
-    # every band from one real transform of the record, held in the workspace
-    bands = _dft_bins(record, carrier_bins + offsets[0], offsets.size, workspace)
-    iqs = tuple(_band_iq(bands[ch], offsets, n, decimation, tones[ch].f_hz, fs, 0.0)
-                for ch in range(chip.n_channels))
+        bands += (chip.noise_sigma_v / math.sqrt(settings.n_avg)) * _dft_bins(
+            record, plan.carrier_bins + plan.offsets[0], plan.offsets.size)
+    iqs = tuple(_band_iq(bands[ch], plan.offsets, plan.n, plan.decimation, tones[ch].f_hz, fs,
+                         0.0) for ch in range(chip.n_channels))
     return MultiplexRun(
         pattern=pattern, probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
         metrics=tuple(response_metric(iq, settings.baseline_window_s, settings.signal_window_s)

@@ -379,6 +379,37 @@ def test_analyze_flags_tampering(capsys, tmp_path, fast_config):
     assert "trace_ch1.csv" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_readers_load_no_config(capsys, tmp_path, fast_config, command):
+    # a clean directory is read from its manifest alone; --config is still
+    # accepted, and a file that does not exist is not opened
+    out = tmp_path / "trig"
+    assert run_cli("trigger", "--pattern", "101", "--config", fast_config,
+                   "--out", str(out)) == 0
+    assert run_cli(command, str(out), "--config", str(tmp_path / "nonexistent.json")) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, default", [
+    ("report", "RESULTS_DIR/report"),
+    ("powersweep", "bolomux_powersweep"),
+    ("trigger", "bolomux_trigger"),
+])
+def test_out_help_states_the_real_default(capsys, command, default):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--help")
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--out DIR output directory (default {default})" in help_text
+
+
+@pytest.mark.parametrize("command", ["analyze", "capacity"])
+def test_commands_that_write_no_files_take_no_out(capsys, tmp_path, command):
+    assert run_cli(command, *([str(tmp_path)] if command == "analyze" else []),
+                   "--out", str(tmp_path / "x")) == 1
+    assert "--out" in capsys.readouterr().err
+
+
 def test_analyze_missing_directory(capsys, tmp_path):
     assert run_cli("analyze", str(tmp_path / "nowhere")) == 2
     capsys.readouterr()

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolomux import experiments
+from bolomux import experiments, readout
 from bolomux.analysis import _fit_exponential
 from bolomux.config import PRESETS, load_config
 from bolomux.device import _absorption, _gamma, solve_operating_point
@@ -371,8 +371,9 @@ def composite_engine_oracle(chip, heater_tones, settings, operating, seed, label
     noise record of std sigma/sqrt(n_avg) from the stream (seed, *labels)
     into one composite record and mixes that record down once per channel
     with a record-length mixer (mixer_demodulate), where the engine reads
-    every band from one pruned real transform.  Returns the IQ samples, one
-    row per channel.
+    the tones' bands from each probe's per-step expansion and the noise's
+    from one pruned real transform.  Returns the IQ samples, one row per
+    channel.
     """
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
@@ -437,6 +438,39 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
                     composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
 
 
+def record_dense_steps(monkeypatch):
+    """Wrap the readout's expansion; returns the list its step masks are appended to."""
+    masks = []
+    expanded = readout._expanded_bins
+
+    def recorded(*args):
+        bands, dense = expanded(*args)
+        masks.append(dense)
+        return bands, dense
+
+    monkeypatch.setattr(readout, "_expanded_bins", recorded)
+    return masks
+
+
+@pytest.mark.parametrize("preset", ["paper", "fig3"])
+def test_band_readout_matches_composite_oracle_on_expanded_and_dense_steps(preset,
+                                                                          monkeypatch):
+    # the flank power-sweep run deep in compression at the other postures: the
+    # pulse edges' steps are summed sample by sample, all others expanded,
+    # and together they meet the oracle
+    cfg = load_config(None, preset=preset)
+    settings = replace(cfg.settings, probe_detuning_fraction=0.5)
+    quiet = replace(cfg.chip, noise_sigma_v=0.0)
+    tone = ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0)
+    operating = operating_tones(quiet, settings)
+    masks = record_dense_steps(monkeypatch)
+    run, = experiments._timedomain_runs(quiet, [[tone]], settings, operating, Seed(0), [()])
+    dense, = masks
+    assert dense.any() and not dense.all()
+    assert_close_to(np.array([iq.samples for iq in run.iq]),
+                    composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
+
+
 @pytest.mark.parametrize("change", [
     {"thermal_dt_s": 5e-6},           # 20 steps of 5000 samples: the pruned DFT's c = steps
     {"demod_bandwidth_hz": 40e6},     # bands too wide to prune: c = 1, one full transform
@@ -461,10 +495,12 @@ def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
 @pytest.mark.parametrize("noisy", [False, True])
 def test_engine_takes_no_record_length_transform(default_chip, default_settings, monkeypatch,
                                                  noisy):
-    # the channels and the noise add into one real (steps, block) record per
-    # run, transformed once along its steps axis; a record-length transform,
-    # a per-channel or separate noise transform, or a repeated transform of
-    # the same record would show up here
+    # a run's tones are read from one FFT along the steps axis of its
+    # (channels, K+1, steps) expansion coefficients, so a noiseless run takes
+    # no transform of a (steps, block) array; a noisy run adds exactly one
+    # real transform of its (steps, block) noise record along the steps axis.
+    # A record-length transform, a per-channel or repeated transform, or a
+    # transform of a digitizer-rate signal array would show up here
     n = round(default_settings.window_s * default_chip.sample_rate_hz)
     steps = round(default_settings.window_s / default_settings.thermal_dt_s)
     calls = []
@@ -480,13 +516,19 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
     patterns = [TriggerPattern.from_label(label) for label in ("101", "110")]
     experiments._trigger_runs(chip, patterns, default_settings,
                               operating_tones(chip, default_settings), Seed(3))
-    assert [c for c in calls if c[1][-1] == n] == []
-    along_steps = [c for c in calls if c == ("rfft", (steps, n // steps), 0)]
-    assert len(along_steps) == len(patterns)
-    assert [c for c in calls if c[0] == "fft"] == []
-    # the rest are the band slices' short inverse transforms, one per channel
-    assert sorted(c[0] for c in calls if c not in along_steps) == (
-        ["ifft"] * chip.n_channels * len(patterns))
+    assert [c for c in calls if np.prod(c[1]) >= n and c[1] != (steps, n // steps)] == []
+    noise = [c for c in calls if c[1] == (steps, n // steps)]
+    assert noise == [("rfft", (steps, n // steps), 0)] * (len(patterns) if noisy else 0)
+    expansion = (chip.n_channels, readout._EXPANSION_ORDER + 1, steps)
+    tones = [c for c in calls if c == ("fft", expansion, -1)]
+    assert len(tones) == len(patterns)
+    # the rest are the band slices' inverse transforms, one per channel and
+    # run, and the readout's short chirp-z transforms (the batch's plan, and
+    # the steps past the expansion bound); none holds half a record
+    rest = [c for c in calls if c not in noise + tones]
+    decimation = round(default_chip.sample_rate_hz / default_settings.output_rate_hz)
+    assert rest.count(("ifft", (n // decimation,), -1)) == chip.n_channels * len(patterns)
+    assert all(np.prod(c[1]) < n // 2 for c in rest)
 
 
 # ------------------------------------------------------ batched thermal stage
@@ -787,12 +829,49 @@ def test_power_sweep_concave_in_linear_watts(default_chip):
     assert np.all(second <= 1e-12 * max(responses))
 
 
-def test_power_sweep_fit_yields_compression_point(default_chip, default_config):
+@pytest.fixture(scope="module")
+def shipped_matrix(default_chip, default_config):
+    """(powers, power_sweep_matrix result, every run's dense-step mask) of the
+    shipped powersweep."""
     ps = default_config.sweeps["powersweep"]
     powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
-    _, _, p1db, _ = power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        masks = record_dense_steps(monkeypatch)
+        result = power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+    return powers, result, masks
+
+
+def test_power_sweep_fit_yields_compression_point(default_chip, shipped_matrix):
+    powers, (_, _, p1db, _), _ = shipped_matrix
     matched = p1db[1, default_chip.channel_map[1]]
     assert powers[0] < matched < powers[-1]
+
+
+# the shipped powersweep's 1 dB points and crosstalk extremes as the benchmark
+# records them (noiseless, so the same for every seed), and its tolerance
+SHIPPED_P1DB_DBM = [
+    [-121.00648370891864, -142.52095180237202, -123.1689100501485],
+    [-143.70649836621325, -131.61711604062145, -131.60603380648132],
+    [-122.58658752043546, -118.00057136549887, -144.8443689911021],
+]
+SHIPPED_WORST_DB, SHIPPED_BEST_DB = -12.0893823255918, -26.84379762560323
+P1DB_TOLERANCE_DB = 1e-3
+
+
+def test_power_sweep_matrix_matches_the_recorded_reference(shipped_matrix):
+    _, (_, _, p1db, xtalk), _ = shipped_matrix
+    assert np.max(np.abs(p1db - SHIPPED_P1DB_DBM)) <= P1DB_TOLERANCE_DB
+    assert abs(xtalk.worst_db - SHIPPED_WORST_DB) <= P1DB_TOLERANCE_DB
+    assert abs(xtalk.best_db - SHIPPED_BEST_DB) <= P1DB_TOLERANCE_DB
+
+
+def test_power_sweep_sums_few_steps_sample_by_sample(default_chip, shipped_matrix):
+    # 659 of the 243,000 (run, channel, step) rows of the shipped sweep pass
+    # the expansion bound; a bound that slipped toward all-dense shows here
+    powers, _, masks = shipped_matrix
+    assert len(masks) == len(default_chip.filters) * len(powers)
+    dense = sum(int(mask.sum()) for mask in masks)
+    assert 0 < dense <= 0.01 * sum(mask.size for mask in masks)
 
 
 def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
@@ -863,10 +942,11 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
 
 
 def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
-    # the runs of a path share one complex (steps x block) Gamma workspace
-    # and one real record, whose transform is written into the workspace,
-    # so the path's traced peak stays within 2.5 complex such matrices (one
-    # is 1.53 MiB on the shipped posture)
+    # a noiseless path holds no array at the digitizer rate: its traced peak
+    # (the thermal pass, the readout plan and one run's readout, at -90 dBm
+    # with 27 steps summed sample by sample) is 1.54 complex (steps x block)
+    # matrices (one is 1.53 MiB on the shipped posture), and a real or
+    # complex (steps x block) array on top would pass 1.75
     settings = FLANK
     n = round(settings.window_s * default_chip.sample_rate_hz)
     matrix_bytes = np.dtype(complex).itemsize * n
@@ -879,7 +959,7 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * matrix_bytes
+    assert peak <= 1.75 * matrix_bytes
 
 
 def test_multiplex_derives_one_stream_per_pattern(default_chip, default_settings, monkeypatch):
