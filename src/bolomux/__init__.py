@@ -22,8 +22,10 @@ from .analysis import (
 )
 from .config import (
     PRESETS,
+    ChipConfig,
     ConfigError,
     ExperimentConfig,
+    RunSettings,
     config_hash,
     load_config,
     merge_config,
@@ -42,12 +44,10 @@ from .dsp import (
 )
 from .experiments import (
     CalibrationError,
-    ChipConfig,
     FilterSweepResult,
     MultiplexRun,
     NonlinearOperationError,
     ProbeSweepResult,
-    RunSettings,
     calibrate_chip,
     characterize,
     power_sweep_matrix,

@@ -5,6 +5,7 @@ with --preset and --seed set in its document, writes its outputs into
 --out plus a manifest.json naming that document and checksumming exactly
 the files the command wrote, and prints a short summary.  analyze and
 report read such a directory through its manifest and load no config.
+capacity takes only --config and its band flags, and writes no file.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 (failed fit or calibration, a non-finite operating point, or a malformed
@@ -64,34 +65,28 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _run_flags() -> argparse.ArgumentParser:
-    flags = _Parser(add_help=False)
-    flags.add_argument("--config", metavar="FILE",
-                       help="JSON config merged over the shipped defaults")
-    flags.add_argument("--seed", type=int, metavar="N",
-                       help="override the config's master seed")
-    flags.add_argument("--preset", choices=configmod.PRESETS,
-                       help="sampling/averaging posture override")
-    flags.add_argument("--threads", type=_thread_count, default=1, metavar="N",
-                       help="worker threads; results are identical for any value")
-    return flags
-
-
 def build_parser() -> _Parser:
-    run_flags = _run_flags()
+    config_flag = _Parser(add_help=False)
+    config_flag.add_argument("--config", metavar="FILE",
+                             help="JSON config merged over the shipped defaults")
+    run_flags = _Parser(add_help=False, parents=[config_flag])
+    run_flags.add_argument("--seed", type=int, metavar="N",
+                           help="override the config's master seed")
+    run_flags.add_argument("--preset", choices=configmod.PRESETS,
+                           help="sampling/averaging posture override")
+    run_flags.add_argument("--threads", type=_thread_count, default=1, metavar="N",
+                           help="worker threads; results are identical for any value")
     parser = _Parser(prog="bolomux",
                      description="frequency-multiplexed bolometer readout bench")
     parser.add_argument("--version", action="version", version=f"bolomux {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    def command(name, handler, summary, writes_files=True):
-        """A subcommand that loads the config; one that writes files takes --out."""
+    def command(name, handler, summary):
+        """A subcommand that loads the config and writes its files into --out."""
         p = sub.add_parser(name, parents=[run_flags], help=summary)
         p.set_defaults(handler=handler, loads_config=True)
-        if writes_files:
-            p.add_argument("--out", metavar="DIR",
-                           help=f"output directory (default bolomux_{name})")
+        p.add_argument("--out", metavar="DIR", help=f"output directory (default bolomux_{name})")
         return p
 
     def reader(name, handler, summary):
@@ -117,11 +112,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", metavar="DIR", help="output directory (default RESULTS_DIR/report)")
     command("calibrate", cmd_calibrate,
             "retune responsivity and noise to the shipped targets")
-    p = command("capacity", cmd_capacity, "channel count fitting in a readout band",
-                writes_files=False)
-    p.add_argument("--fmin", type=float, metavar="HZ")
-    p.add_argument("--fmax", type=float, metavar="HZ")
-    p.add_argument("--spacing", type=float, metavar="HZ")
+    # capacity reads only the config's capacity sweep, and its handler loads it
+    p = sub.add_parser("capacity", parents=[config_flag],
+                       help="channel count fitting in a readout band")
+    p.set_defaults(handler=cmd_capacity, loads_config=False)
+    p.add_argument("--fmin", type=float, metavar="HZ", help="band low edge")
+    p.add_argument("--fmax", type=float, metavar="HZ", help="band high edge")
+    p.add_argument("--spacing", type=float, metavar="HZ", help="channel spacing")
     return parser
 
 
@@ -394,8 +391,8 @@ def cmd_calibrate(cfg: configmod.ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_capacity(cfg: configmod.ExperimentConfig, args) -> int:
-    sw = cfg.sweeps["capacity"]
+def cmd_capacity(args) -> int:
+    sw = configmod.load_config(args.config).sweeps["capacity"]
     f_min = args.fmin if args.fmin is not None else sw["f_min_hz"]
     f_max = args.fmax if args.fmax is not None else sw["f_max_hz"]
     spacing = args.spacing if args.spacing is not None else sw["spacing_hz"]

@@ -4,27 +4,27 @@ A config document has five top-level sections: seed, chip, run, sweeps and
 notes.  User files are deep-merged over the shipped defaults (dicts merge
 key by key, lists and scalars replace), checked against the packaged JSON
 schema; a preset's posture and a seed override are then set in that same
-document, which is turned into live objects once.  The document is the
-run's configuration, and config_hash names it.  The package checks the
-schema itself: it implements the subset of JSON Schema keywords that the
-packaged schema uses and refuses a schema carrying any other.  A
-violation names the JSON pointer of the first offending field in document
-order.
+document, which is turned once into a ChipConfig, RunSettings and Seed.
+The document is the run's configuration, and config_hash names it.  The
+package checks the schema itself: it implements the subset of JSON Schema
+keywords that the packaged schema uses and refuses a schema carrying any
+other.  A violation names the JSON pointer of the first offending field in
+document order.
 """
 import copy
 import hashlib
 import json
+import math
 import operator
 from dataclasses import dataclass
 from importlib import resources
 
 from .device import BolometerParams
-from .experiments import ChipConfig, RunSettings
 from .frontend import FilterParams
 from .units import Seed
 
-__all__ = ["PRESETS", "ConfigError", "ExperimentConfig", "config_hash", "load_config",
-           "merge_config", "validate_config"]
+__all__ = ["PRESETS", "ChipConfig", "ConfigError", "ExperimentConfig", "RunSettings",
+           "config_hash", "load_config", "merge_config", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -175,6 +175,131 @@ def _apply_preset(doc: dict, name: str) -> None:
                           signal_window_s=[1.4e-3, 1.5e-3])
     elif name != "desk":
         raise ConfigError(f"unknown preset {name!r}; expected desk, paper or fig3")
+
+
+@dataclass(frozen=True)
+class ChipConfig:
+    """Static description of one readout chip.
+
+    Bolometers are ordered by increasing probe resonance; trigger-pattern
+    bits use the same order.  channel_map[i] is the index of the heater
+    filter feeding bolometer i (a bijection).  noise_sigma_v is the
+    digitizer-referred white noise per raw sample.  No field has a default:
+    load_config builds the shipped chip.
+    """
+
+    bolometers: tuple[BolometerParams, ...]
+    filters: tuple[FilterParams, ...]
+    channel_map: tuple[int, ...]
+    noise_sigma_v: float
+    sample_rate_hz: float
+    line_attenuation_db: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bolometers", tuple(self.bolometers))
+        object.__setattr__(self, "filters", tuple(self.filters))
+        object.__setattr__(self, "channel_map", tuple(int(m) for m in self.channel_map))
+        n = len(self.bolometers)
+        if n == 0:
+            raise ValueError("chip needs at least one bolometer")
+        if len(self.filters) != n or len(self.channel_map) != n:
+            raise ValueError(
+                f"bolometers ({n}), filters ({len(self.filters)}) and channel_map "
+                f"({len(self.channel_map)}) must have equal length")
+        if sorted(self.channel_map) != list(range(n)):
+            raise ValueError(f"channel_map {self.channel_map} is not a bijection")
+        probes = [b.f_r0_hz for b in self.bolometers]
+        if probes != sorted(probes):
+            raise ValueError("bolometers must be ordered by increasing probe resonance")
+        if not math.isfinite(self.noise_sigma_v) or self.noise_sigma_v < 0.0:
+            raise ValueError(f"noise sigma must be finite and >= 0 V, got {self.noise_sigma_v}")
+        if not math.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
+            raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate_hz}")
+        if not math.isfinite(self.line_attenuation_db) or self.line_attenuation_db < 0.0:
+            raise ValueError(
+                f"line attenuation must be finite and >= 0 dB, got {self.line_attenuation_db}")
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.bolometers)
+
+    def matched_filter(self, channel: int) -> FilterParams:
+        return self.filters[self.channel_map[channel]]
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Timing, drive and reduction parameters of one time-domain run.
+
+    Every heater tone of a run is on for the one window pulse_start_s,
+    pulse_duration_s.
+    probe_detuning_fraction places the probe tone this many total linewidths
+    above the power-shifted resonance.  0.0 probes the dip minimum, where
+    the magnitude response to small leaked-heater shifts is quadratically
+    suppressed (best channel isolation); 0.5 probes the flank, where the
+    response is linear in the shift (used for compression and
+    time-constant runs).  No field has a default: load_config builds the
+    shipped settings.
+    """
+
+    window_s: float
+    thermal_dt_s: float
+    pulse_start_s: float
+    pulse_duration_s: float
+    demod_bandwidth_hz: float
+    output_rate_hz: float
+    n_avg: int
+    probe_power_dbm: float
+    heater_power_dbm: float
+    probe_detuning_fraction: float
+    baseline_window_s: tuple[float, float]
+    signal_window_s: tuple[float, float]
+    allow_nonlinear: bool
+
+    def __post_init__(self) -> None:
+        for name in ("window_s", "thermal_dt_s", "pulse_duration_s",
+                     "demod_bandwidth_hz", "output_rate_hz"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        if not math.isfinite(self.pulse_start_s) or self.pulse_start_s < 0.0:
+            raise ValueError(f"pulse_start_s must be finite and >= 0, got {self.pulse_start_s}")
+        if not isinstance(self.n_avg, int) or self.n_avg < 1:
+            raise ValueError(f"n_avg must be a positive integer, got {self.n_avg!r}")
+        object.__setattr__(self, "baseline_window_s", tuple(self.baseline_window_s))
+        object.__setattr__(self, "signal_window_s", tuple(self.signal_window_s))
+
+    def validate_against(self, chip: ChipConfig) -> tuple[int, int, int, int]:
+        """Timing commensurability and window checks; raises ValueError.
+
+        Returns the record's geometry at the chip's sample rate: (samples,
+        thermal steps, samples per step, decimation to the output rate).
+        """
+        fs = chip.sample_rate_hz
+        n = self.window_s * fs
+        if abs(n - round(n)) > 1e-6 or round(n) < 1:
+            raise ValueError(f"window {self.window_s} s is not an integer number of samples "
+                             f"at {fs} S/s")
+        block = self.thermal_dt_s * fs
+        if abs(block - round(block)) > 1e-6 or round(block) < 1:
+            raise ValueError(f"thermal dt {self.thermal_dt_s} s is not an integer number of "
+                             f"samples at {fs} S/s")
+        steps = self.window_s / self.thermal_dt_s
+        if abs(steps - round(steps)) > 1e-6:
+            raise ValueError("window must be an integer number of thermal steps")
+        dec = fs / self.output_rate_hz
+        if abs(dec - round(dec)) > 1e-6 or round(dec) < 1:
+            raise ValueError(f"output rate {self.output_rate_hz} must divide the sample rate")
+        if round(n) % round(dec) != 0:
+            raise ValueError("decimation must divide the trace length")
+        if self.pulse_start_s + self.pulse_duration_s > self.window_s:
+            raise ValueError("heater pulse must end inside the window")
+        for w in (self.baseline_window_s, self.signal_window_s):
+            if not 0.0 <= w[0] < w[1] <= self.window_s:
+                raise ValueError(f"window {w} must lie inside the record")
+        if self.baseline_window_s[1] > self.signal_window_s[0]:
+            raise ValueError("baseline window must end before the signal window")
+        return round(n), round(steps), round(n) // round(steps), round(dec)
 
 
 def _build_chip(doc: dict) -> ChipConfig:

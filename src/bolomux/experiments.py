@@ -3,18 +3,15 @@
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
 with no finite steady state comes out NaN.  Time-domain runs come in
-batches: one thermal pass steps every (run, channel) together, and one
-readout plan (readout._readout_plan) serves every run.  Each run's record is
-what one probe line and digitizer carry, every channel's tone Re(a Gamma(t)
-carrier) plus the mean of n_avg noise records (one white record of std
-sigma/sqrt(n_avg)).  Its demod bands are read without any array at the
-digitizer rate: the tones' bins come from each probe's per-thermal-step
-expansion of Gamma (readout._readout), and on a noisy chip the white record
-is drawn into one real (steps, block) array per batch and its bins, from
-one pruned real transform, are added.  Each band is sliced to baseband IQ
-and reduced to response metrics.  Every random draw comes from a stream
-derived from (master seed, experiment kind, pattern), and no number depends
-on the batching, so any execution order is bit-identical.
+batches on one engine plan (engine._engine_plan), built once per
+experiment: one thermal pass (engine._thermal_stage) steps every (run,
+channel) of a batch together, and each run's band bins come from
+engine._readout, which reads every channel's tone and, on a noisy chip,
+the averaged digitizer noise without any array at the digitizer rate.
+Each band is sliced to baseband IQ and reduced to response metrics.  Every
+random draw comes from a stream derived from (master seed, experiment
+kind, pattern), and no number depends on the batching, so any execution
+order is bit-identical.
 """
 
 from __future__ import annotations
@@ -25,18 +22,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .device import (BolometerParams, OperatingPoint, _absorption, _steady_state,
-                     solve_operating_point)
-from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _dft_bins,
+from .config import ChipConfig, RunSettings
+from .device import BolometerParams, OperatingPoint, _steady_state, solve_operating_point
+from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt,
                   response_metric)
-from .frontend import (FilterParams, ToneSpec, TriggerPattern, filter_transmission,
-                       schedule_heaters)
-from .readout import _readout, _readout_plan, _ReadoutPlan
+from .engine import _engine_plan, _EnginePlan, _readout, _thermal_stage
+from .frontend import ToneSpec, TriggerPattern, filter_transmission, schedule_heaters
 from .units import Seed, dbm_to_watts, derive_stream
 
 __all__ = [
-    "ChipConfig",
-    "RunSettings",
     "MultiplexRun",
     "ProbeSweepResult",
     "FilterSweepResult",
@@ -60,131 +54,6 @@ class NonlinearOperationError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Calibration target unreachable within the parameter bounds."""
-
-
-@dataclass(frozen=True)
-class ChipConfig:
-    """Static description of one readout chip.
-
-    Bolometers are ordered by increasing probe resonance; trigger-pattern
-    bits use the same order.  channel_map[i] is the index of the heater
-    filter feeding bolometer i (a bijection).  noise_sigma_v is the
-    digitizer-referred white noise per raw sample.  No field has a default:
-    config.load_config builds the shipped chip.
-    """
-
-    bolometers: tuple[BolometerParams, ...]
-    filters: tuple[FilterParams, ...]
-    channel_map: tuple[int, ...]
-    noise_sigma_v: float
-    sample_rate_hz: float
-    line_attenuation_db: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bolometers", tuple(self.bolometers))
-        object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "channel_map", tuple(int(m) for m in self.channel_map))
-        n = len(self.bolometers)
-        if n == 0:
-            raise ValueError("chip needs at least one bolometer")
-        if len(self.filters) != n or len(self.channel_map) != n:
-            raise ValueError(
-                f"bolometers ({n}), filters ({len(self.filters)}) and channel_map "
-                f"({len(self.channel_map)}) must have equal length")
-        if sorted(self.channel_map) != list(range(n)):
-            raise ValueError(f"channel_map {self.channel_map} is not a bijection")
-        probes = [b.f_r0_hz for b in self.bolometers]
-        if probes != sorted(probes):
-            raise ValueError("bolometers must be ordered by increasing probe resonance")
-        if not math.isfinite(self.noise_sigma_v) or self.noise_sigma_v < 0.0:
-            raise ValueError(f"noise sigma must be finite and >= 0 V, got {self.noise_sigma_v}")
-        if not math.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
-            raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate_hz}")
-        if not math.isfinite(self.line_attenuation_db) or self.line_attenuation_db < 0.0:
-            raise ValueError(
-                f"line attenuation must be finite and >= 0 dB, got {self.line_attenuation_db}")
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.bolometers)
-
-    def matched_filter(self, channel: int) -> FilterParams:
-        return self.filters[self.channel_map[channel]]
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Timing, drive and reduction parameters of one time-domain run.
-
-    Every heater tone of a run is on for the one window pulse_start_s,
-    pulse_duration_s.
-    probe_detuning_fraction places the probe tone this many total linewidths
-    above the power-shifted resonance.  0.0 probes the dip minimum, where
-    the magnitude response to small leaked-heater shifts is quadratically
-    suppressed (best channel isolation); 0.5 probes the flank, where the
-    response is linear in the shift (used for compression and
-    time-constant runs).  No field has a default: config.load_config
-    builds the shipped settings.
-    """
-
-    window_s: float
-    thermal_dt_s: float
-    pulse_start_s: float
-    pulse_duration_s: float
-    demod_bandwidth_hz: float
-    output_rate_hz: float
-    n_avg: int
-    probe_power_dbm: float
-    heater_power_dbm: float
-    probe_detuning_fraction: float
-    baseline_window_s: tuple[float, float]
-    signal_window_s: tuple[float, float]
-    allow_nonlinear: bool
-
-    def __post_init__(self) -> None:
-        for name in ("window_s", "thermal_dt_s", "pulse_duration_s",
-                     "demod_bandwidth_hz", "output_rate_hz"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if not math.isfinite(self.pulse_start_s) or self.pulse_start_s < 0.0:
-            raise ValueError(f"pulse_start_s must be finite and >= 0, got {self.pulse_start_s}")
-        if not isinstance(self.n_avg, int) or self.n_avg < 1:
-            raise ValueError(f"n_avg must be a positive integer, got {self.n_avg!r}")
-        object.__setattr__(self, "baseline_window_s", tuple(self.baseline_window_s))
-        object.__setattr__(self, "signal_window_s", tuple(self.signal_window_s))
-
-    def validate_against(self, chip: ChipConfig) -> tuple[int, int, int, int]:
-        """Timing commensurability and window checks; raises ValueError.
-
-        Returns the record's geometry at the chip's sample rate: (samples,
-        thermal steps, samples per step, decimation to the output rate).
-        """
-        fs = chip.sample_rate_hz
-        n = self.window_s * fs
-        if abs(n - round(n)) > 1e-6 or round(n) < 1:
-            raise ValueError(f"window {self.window_s} s is not an integer number of samples "
-                             f"at {fs} S/s")
-        block = self.thermal_dt_s * fs
-        if abs(block - round(block)) > 1e-6 or round(block) < 1:
-            raise ValueError(f"thermal dt {self.thermal_dt_s} s is not an integer number of "
-                             f"samples at {fs} S/s")
-        steps = self.window_s / self.thermal_dt_s
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError("window must be an integer number of thermal steps")
-        dec = fs / self.output_rate_hz
-        if abs(dec - round(dec)) > 1e-6 or round(dec) < 1:
-            raise ValueError(f"output rate {self.output_rate_hz} must divide the sample rate")
-        if round(n) % round(dec) != 0:
-            raise ValueError("decimation must divide the trace length")
-        if self.pulse_start_s + self.pulse_duration_s > self.window_s:
-            raise ValueError("heater pulse must end inside the window")
-        for w in (self.baseline_window_s, self.signal_window_s):
-            if not 0.0 <= w[0] < w[1] <= self.window_s:
-                raise ValueError(f"window {w} must lie inside the record")
-        if self.baseline_window_s[1] > self.signal_window_s[0]:
-            raise ValueError("baseline window must end before the signal window")
-        return round(n), round(steps), round(n) // round(steps), round(dec)
 
 
 def _device_dbm(chip: ChipConfig, p_dbm: float) -> float:
@@ -247,97 +116,41 @@ class MultiplexRun:
     n_avg: int
 
 
-def _heater_power_w(chip: ChipConfig, tones, settings: RunSettings) -> np.ndarray:
-    """Heater power delivered into each channel's absorber, per thermal step.
-
-    Each heater tone reaches channel ch through that channel's matched
-    filter and is on for the run's heater window, the half-open step window
-    [on:off).  Edge steps are integers: s*dt rounds below the start time for
-    typical microsecond edges, which would delay every edge by one step and
-    make the stepping first order in dt.  Tones add in power (incoherently).
-    """
-    _, steps, _, _ = settings.validate_against(chip)
-    dt, start = settings.thermal_dt_s, settings.pulse_start_s
-    on, off = round(start / dt), round((start + settings.pulse_duration_s) / dt)
-    heater_w = np.zeros((chip.n_channels, steps))
+def _heater_power_w(chip: ChipConfig, plan: _EnginePlan, tones) -> np.ndarray:
+    """Heater power into each channel's absorber per thermal step: each tone passes the
+    channel's matched filter, is on for the plan's pulse, and adds in power."""
+    heater_w = np.zeros((chip.n_channels, plan.steps))
     for tone in tones:
         for ch in range(chip.n_channels):
-            heater_w[ch, on:off] += _delivered_w(chip, ch, tone.f_hz, tone.p_dbm)
+            heater_w[ch, plan.pulse] += _delivered_w(chip, ch, tone.f_hz, tone.p_dbm)
     return heater_w
 
 
-def _thermal_stage(chip: ChipConfig, operating, heater_w: np.ndarray, dt: float):
-    """(t_start, t_inf) per (run, channel, step) for a (runs, channels, steps) heater power.
-
-    All trajectories step together, each step an exact exponential relaxation
-    from t_start toward t_inf = t_bath + p_abs/g_th, p_abs re-evaluated at a
-    predicted half-step temperature (second order in dt).  A step depends
-    only on the state and the heater, so once one maps the whole state onto
-    itself bit for bit, it is repeated up to the next heater change.
-    """
-    tones, ops = operating
-    runs, n_ch, steps = heater_w.shape
-    f_p, p_probe, f_r0, dfdt, ke, ki, t_bath, g_th, decay, decay_half, t_e = np.tile(np.array([
-        (tone.f_hz, dbm_to_watts(tone.p_dbm), p.f_r0_hz, p.dfdt_hz_per_k, p.kappa_ext_hz,
-         p.kappa_int_hz, p.t_bath_k, p.g_th_w_per_k, math.exp(-dt / p.tau_th_s),
-         math.exp(-0.5 * dt / p.tau_th_s), op.t_star_k)
-        for tone, p, op in zip(tones, chip.bolometers, ops)]).T, runs)
-    absorbed = _absorption(ke, ki)
-    heater = np.ascontiguousarray(heater_w.reshape(runs * n_ch, steps).T)
-    t_start, t_inf_of, s = np.empty_like(heater), np.empty_like(heater), 0
-    for end in [*(np.flatnonzero((heater[1:] != heater[:-1]).any(axis=1)) + 1).tolist(), steps]:
-        while s < end:
-            heat, rise = heater[s], t_e - t_bath
-            detuning = f_p - (f_r0 - dfdt * rise)
-            rise_inf = (p_probe * absorbed(detuning) + heat) / g_th
-            t_mid = t_bath + rise_inf + (rise - rise_inf) * decay_half
-            detuning = f_p - (f_r0 - dfdt * (t_mid - t_bath))
-            t_inf = t_bath + (p_probe * absorbed(detuning) + heat) / g_th
-            t_next = t_inf + (t_e - t_inf) * decay
-            stop = end if t_next.tobytes() == t_e.tobytes() else s + 1
-            t_start[s:stop], t_inf_of[s:stop] = t_e, t_inf
-            t_e, s = t_next, stop
-    return (np.ascontiguousarray(t_start.T).reshape(runs, n_ch, steps),
-            np.ascontiguousarray(t_inf_of.T).reshape(runs, n_ch, steps))
-
-
-def _timedomain_runs(chip: ChipConfig, heater_tones, settings: RunSettings, operating,
-                     seed: Seed, stream_labels, patterns=None):
-    """The engine: one MultiplexRun per list of heater tones, each on for the
-    settings' heater window, from one thermal pass, one readout plan and, when the
-    chip is noisy, one noise record.  operating is operating_tones(chip, settings);
-    run r draws its noise from (seed, *stream_labels[r]) and carries patterns[r]
-    (default: no bit set)."""
-    _, steps, block, _ = settings.validate_against(chip)
-    heater_w = np.array([_heater_power_w(chip, run_tones, settings)
-                         for run_tones in heater_tones]).reshape(-1, chip.n_channels, steps)
-    t_start, t_inf = _thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
-    plan = _readout_plan(chip, settings, operating[0])
-    record = np.empty((steps, block)) if chip.noise_sigma_v > 0.0 else None
+def _timedomain_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, settings: RunSettings,
+                     operating, seed: Seed, stream_labels, patterns=None):
+    """One MultiplexRun per list of heater tones, from one thermal pass on the plan
+    and, on a noisy chip, one reused noise record; run r draws its noise from
+    (seed, *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
+    heater_w = np.array([_heater_power_w(chip, plan, run_tones)
+                         for run_tones in heater_tones]).reshape(-1, chip.n_channels, plan.steps)
+    t_start, t_inf = _thermal_stage(plan, heater_w)
+    record = np.empty((plan.steps, plan.block)) if plan.noise_scale > 0.0 else None
     quiet = TriggerPattern((False,) * chip.n_channels)
     for r, labels in enumerate(stream_labels):
-        yield _timedomain_run(chip, settings, operating, plan, t_start[r], t_inf[r], record,
-                              seed, labels, patterns[r] if patterns else quiet)
+        yield _timedomain_run(plan, settings, operating, t_start[r], t_inf[r], record, seed,
+                              labels, patterns[r] if patterns else quiet)
 
 
-def _timedomain_run(chip: ChipConfig, settings: RunSettings, operating, plan: _ReadoutPlan,
-                    t_start, t_inf_of, record, seed: Seed, stream_labels: tuple[int, ...],
+def _timedomain_run(plan: _EnginePlan, settings: RunSettings, operating, t_start, t_inf_of,
+                    record, seed: Seed, stream_labels: tuple[int, ...],
                     pattern: TriggerPattern) -> MultiplexRun:
-    """One run from its (channels, steps) trajectories and the batch's plan.
-
-    The digitized record is every channel's tone plus the mean of n_avg noise
-    records, one white record of std sigma/sqrt(n_avg).  _readout gives the
-    tones' band bins; on a noisy chip the white record is drawn into record
-    (a real (steps, block) array, overwritten) and its bins are added.
-    """
-    fs, tones, ops = chip.sample_rate_hz, *operating
-    bands = _readout(plan, t_start, t_inf_of)
-    if record is not None:
-        derive_stream(seed, *stream_labels).standard_normal(out=record)
-        bands += (chip.noise_sigma_v / math.sqrt(settings.n_avg)) * _dft_bins(
-            record, plan.carrier_bins + plan.offsets[0], plan.offsets.size)
-    iqs = tuple(_band_iq(bands[ch], plan.offsets, plan.n, plan.decimation, tones[ch].f_hz, fs,
-                         0.0) for ch in range(chip.n_channels))
+    """One run from its (channels, steps) trajectories: _readout's band bins, noisy
+    when there is a record to draw into, sliced to IQ and reduced to metrics."""
+    tones, ops = operating
+    rng = derive_stream(seed, *stream_labels) if record is not None else None
+    bands = _readout(plan, t_start, t_inf_of, rng, record)
+    iqs = tuple(_band_iq(bands[ch], plan.offsets, plan.n, plan.decimation, tone.f_hz,
+                         plan.sample_rate_hz, 0.0) for ch, tone in enumerate(tones))
     return MultiplexRun(
         pattern=pattern, probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
         metrics=tuple(response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
@@ -372,15 +185,17 @@ def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings
     if len(pattern) != chip.n_channels:
         raise ValueError(
             f"pattern has {len(pattern)} bits for a {chip.n_channels}-channel chip")
-    return _trigger_runs(chip, [pattern], settings, operating_tones(chip, settings), seed)[0]
+    operating = operating_tones(chip, settings)
+    return _trigger_runs(chip, _engine_plan(chip, settings, operating), [pattern], settings,
+                         operating, seed)[0]
 
 
-def _trigger_runs(chip: ChipConfig, patterns, settings: RunSettings, operating,
-                  seed: Seed) -> list[MultiplexRun]:
+def _trigger_runs(chip: ChipConfig, plan: _EnginePlan, patterns, settings: RunSettings,
+                  operating, seed: Seed) -> list[MultiplexRun]:
     """run_trigger for each pattern, as one batch of the engine."""
     heater_tones = [schedule_heaters(pat, chip.filters, chip.channel_map,
                                      settings.heater_power_dbm) for pat in patterns]
-    return list(_timedomain_runs(chip, heater_tones, settings, operating, seed,
+    return list(_timedomain_runs(chip, plan, heater_tones, settings, operating, seed,
                                  [(_KIND_TRIGGER, pat.value) for pat in patterns], patterns))
 
 
@@ -394,9 +209,10 @@ def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed,
     """
     patterns = TriggerPattern.all_patterns(chip.n_channels)
     operating = operating_tones(chip, settings)
+    plan = _engine_plan(chip, settings, operating)
     k, n = min(threads, len(patterns)), len(patterns)
-    batches = _fan_out(_trigger_runs, [(chip, patterns[i * n // k:(i + 1) * n // k], settings,
-                                        operating, seed) for i in range(k)], threads)
+    batches = _fan_out(_trigger_runs, [(chip, plan, patterns[i * n // k:(i + 1) * n // k],
+                                        settings, operating, seed) for i in range(k)], threads)
     return [run for batch in batches for run in batch]
 
 
@@ -547,20 +363,15 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float,
     )
 
 
-def _power_sweep_paths(chip: ChipConfig, f_heater_hz: float, powers_dbm,
-                       settings: RunSettings) -> np.ndarray:
-    """One heater frequency swept in power, read on every probe at once.
-
-    Each power is one single-pulse run on the quiet chip; every bolometer's
-    windowed response comes from that same run.  Returns an (n_bolometers,
-    n_powers) array.
-    """
-    quiet = replace(chip, noise_sigma_v=0.0)
-    operating = operating_tones(quiet, settings)
+def _power_sweep_paths(quiet: ChipConfig, plan: _EnginePlan, f_heater_hz: float, powers_dbm,
+                       settings: RunSettings, operating) -> np.ndarray:
+    """One heater frequency swept in power, read on every probe at once: each power is
+    one single-pulse run on the quiet chip (noise_sigma_v 0) and its plan, and every
+    bolometer's windowed response comes from it.  Returns (n_bolometers, n_powers)."""
     heater_tones = [[ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm)] for p_dbm in powers_dbm]
-    responses = np.empty((chip.n_channels, len(powers_dbm)))
+    responses = np.empty((quiet.n_channels, len(powers_dbm)))
     # the quiet chip draws no noise, so no stream is derived
-    runs = _timedomain_runs(quiet, heater_tones, settings, operating, Seed(0),
+    runs = _timedomain_runs(quiet, plan, heater_tones, settings, operating, Seed(0),
                             [()] * len(heater_tones))
     for p, run in enumerate(runs):
         responses[:, p] = [m.response for m in run.metrics]
@@ -576,8 +387,9 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, thre
     the device plane (after line attenuation), against which every path is
     fitted; p_1db_dbm[i, j] is the fitted 1 dB compression point of path
     (i, j).  Each (filter, power) is one noiseless run read on every
-    bolometer, so the result does not depend on any seed; filters fan out
-    over `threads`.  Whatever settings' detuning fraction, the runs probe
+    bolometer, so the result does not depend on any seed; one operating
+    point and engine plan serve every run, and filters fan out over
+    `threads`.  Whatever settings' detuning fraction, the runs probe
     the flank (0.5), where the response is linear in small resonance
     shifts, which the compression fit relies on.
     """
@@ -585,9 +397,12 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, thre
     powers = [float(p) for p in powers_dbm]
     if sorted(powers) != powers:
         raise ValueError("powers must be sorted ascending")
+    quiet = replace(chip, noise_sigma_v=0.0)
+    operating = operating_tones(quiet, settings)
+    plan = _engine_plan(quiet, settings, operating)
     by_filter = _fan_out(_power_sweep_paths,
-                         [(chip, filt.f_center_hz, powers, settings) for filt in chip.filters],
-                         threads)
+                         [(quiet, plan, filt.f_center_hz, powers, settings, operating)
+                          for filt in chip.filters], threads)
     responses = np.stack(by_filter, axis=1)
     powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
     n = chip.n_channels

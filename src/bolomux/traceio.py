@@ -8,9 +8,8 @@ float written as `null`.
 
 Trace format: `#`-prefixed header lines (`# key=value`, with `kind=iq`
 and a `carrier_hz`), then one complex baseband sample per `index,re,im`
-row.  Write -> read -> write is byte-identical.  The reader converts a
-body in the writer's form with one `np.loadtxt` call and parses any other
-body line by line.
+row.  Write -> read -> write is byte-identical.  The reader converts the
+body in one `np.loadtxt` call and refuses a body that call refuses.
 
 Each run directory gets a `manifest.json` naming the tool version, the
 seed, the sha256 of the canonical config document the run used (after
@@ -36,7 +35,8 @@ MANIFEST_NAME = "manifest.json"
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace or manifest; a trace's message carries the 1-based line number."""
+    """Malformed trace or manifest; a trace's message names the line its error
+    is counted from."""
 
 
 def _cells(column) -> list[str]:
@@ -119,78 +119,64 @@ def write_trace(trace: IQTrace, path) -> None:
     ], (np.arange(samples.size), samples.real, samples.imag))
 
 
-def _parse_float(text: str, lineno: int, what: str) -> float:
+def _header_float(headers: dict, key: str) -> float:
     try:
-        return float(text)
+        return float(headers[key])
     except ValueError:
-        raise TraceFormatError(f"line {lineno}: bad {what} {text!r}") from None
+        raise TraceFormatError(f"line 1: bad {key} {headers[key]!r}") from None
 
 
 # one body row as the writer puts it: an integer index, then re and im
 _ROW = np.dtype([("index", np.int64), ("iq", np.float64, (2,))])
 
 
-def _bulk_iq(body: str):
-    """The (n, 2) re/im array of a body in the writer's own form, else None.
+def _bulk_iq(body: str, first_line: int) -> np.ndarray:
+    """The (n, 2) re/im array of a trace body starting on line first_line.
 
-    One `np.loadtxt` call converts the body.  Every cell it accepts, `int`
-    and `float` accept with the same value, so a body it converts with the
-    index column 0..n-1 reads as the per-line pass would read it.
+    One `np.loadtxt` call converts the body's `index,re,im` rows, skipping
+    blank lines, and the indices must run 0..n-1.  A body it refuses raises
+    TraceFormatError carrying numpy's message, whose row counts the body's
+    non-blank rows: from 0 for a bad cell, from 1 for a wrong cell count.
     """
-    if not body:
-        return None
+    where = f"trace body from line {first_line}"
+    if not body.strip():
+        raise TraceFormatError(f"{where}: trace has no samples")
     try:
         rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    if not np.array_equal(rows["index"], np.arange(rows.size)):
-        return None
+    except ValueError as exc:
+        raise TraceFormatError(f"{where}: {exc}") from None
+    bad = np.flatnonzero(rows["index"] != np.arange(rows.size))
+    if bad.size:
+        raise TraceFormatError(f"{where}: sample index {rows['index'][bad[0]]} out of order "
+                               f"at row {bad[0]}")
     return np.ascontiguousarray(rows["iq"])
 
 
-def _scan_lines(lines):
-    """Headers and (line number, cells) rows of a trace's lines, in file order."""
+def _scan_headers(lines) -> dict:
+    """The `# key=value` headers of a trace's header lines."""
     headers = {}
-    rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
-        if line.startswith("#"):
-            if rows:
-                raise TraceFormatError(f"line {lineno}: header after data rows")
-            body = line[1:].strip()
-            key, sep, value = body.partition("=")
-            if not sep or not key.strip():
-                raise TraceFormatError(f"line {lineno}: malformed header {line!r}")
-            headers[key.strip()] = value.strip()
-            continue
-        parts = line.split(",")
-        idx_text = parts[0]
-        try:
-            idx = int(idx_text)
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: bad sample index {idx_text!r}") from None
-        if idx != len(rows):
-            raise TraceFormatError(f"line {lineno}: sample index {idx} out of order")
-        rows.append((lineno, parts[1:]))
-    return headers, rows
+        key, sep, value = line[1:].strip().partition("=")
+        if not sep or not key.strip():
+            raise TraceFormatError(f"line {lineno}: malformed header {line!r}")
+        headers[key.strip()] = value.strip()
+    return headers
 
 
 def read_trace(path) -> IQTrace:
     """Read a trace CSV back into an IQTrace.
 
-    The file is read once.  A body in the writer's own form is converted in
-    one call; any other body takes the per-line pass, which accepts every
-    further form `int` and `float` read and names the first bad line.
+    The file is read once: its leading header and blank lines are scanned,
+    and the body after them is converted in one call (_bulk_iq).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     head_end = 0  # past the leading header and blank lines
     while text.startswith(("#", "\n"), head_end):
         head_end = text.find("\n", head_end) + 1 or len(text)
-    values = _bulk_iq(text[head_end:])
-    headers, rows = _scan_lines(text[:head_end].split("\n") if values is not None
-                                else text.split("\n"))
+    headers = _scan_headers(text[:head_end].split("\n"))
 
     for key in ("sample_rate_hz", "t0_s", "kind"):
         if key not in headers:
@@ -198,25 +184,11 @@ def read_trace(path) -> IQTrace:
     kind = headers["kind"]
     if kind != "iq":
         raise TraceFormatError(f"line 1: unknown kind {kind!r}")
-    sample_rate = _parse_float(headers["sample_rate_hz"], 1, "sample_rate_hz")
-    t0 = _parse_float(headers["t0_s"], 1, "t0_s")
-    if values is None and not rows:
-        raise TraceFormatError("line 1: trace has no samples")
-
+    sample_rate, t0 = _header_float(headers, "sample_rate_hz"), _header_float(headers, "t0_s")
     if "carrier_hz" not in headers:
         raise TraceFormatError("line 1: iq trace missing header '# carrier_hz='")
-    carrier = _parse_float(headers["carrier_hz"], 1, "carrier_hz")
-    if values is None:
-        try:
-            values = np.array([cells for _, cells in rows], dtype=float)
-        except ValueError:
-            values = None
-        if values is None or values.shape != (len(rows), 2):
-            for lineno, cells in rows:  # name the first bad row
-                if len(cells) != 2:
-                    raise TraceFormatError(f"line {lineno}: expected index,re,im row")
-                _parse_float(cells[0], lineno, "re")
-                _parse_float(cells[1], lineno, "im")
+    carrier = _header_float(headers, "carrier_hz")
+    values = _bulk_iq(text[head_end:], text.count("\n", 0, head_end) + 1)
     # a view of the (re, im) pairs keeps -0.0 and infinite parts as written
     return IQTrace(carrier_hz=carrier, sample_rate_hz=sample_rate, t0_s=t0,
                    samples=values.view(complex).ravel())

@@ -39,6 +39,14 @@ def test_capacity_uses_config_sweep_defaults(capsys):
     assert capsys.readouterr().out == "180\n"
 
 
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "3"], ["--preset", "paper"]],
+                         ids=["threads", "seed", "preset"])
+def test_capacity_refuses_flags_it_would_ignore(capsys, flag):
+    # capacity reads only the config's capacity sweep and its own band flags
+    assert run_cli("capacity", *flag) == 1
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_capacity_rejects_inverted_band(capsys):
     assert run_cli("capacity", "--fmin", "1e9", "--fmax", "1e8",
                    "--spacing", "5e6") == 1

@@ -13,8 +13,10 @@ from dataclasses import fields
 import pytest
 
 from bolomux.config import (
+    ChipConfig,
     ConfigError,
     ExperimentConfig,
+    RunSettings,
     _build_chip,
     _build_settings,
     _deep_merge,
@@ -28,7 +30,7 @@ from bolomux.config import (
     validate_config,
 )
 from bolomux.device import BolometerParams
-from bolomux.experiments import ChipConfig, RunSettings, run_trigger
+from bolomux.experiments import run_trigger
 from bolomux.frontend import FilterParams, TriggerPattern
 from bolomux.units import Seed
 

@@ -9,16 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolomux import experiments, readout
+from bolomux import engine, experiments
 from bolomux.analysis import _fit_exponential
-from bolomux.config import PRESETS, load_config
+from bolomux.config import PRESETS, ChipConfig, load_config
 from bolomux.device import _absorption, _gamma, solve_operating_point
-from bolomux.dsp import _baseline_std_per_volt
+from bolomux.dsp import _band_iq, _baseline_std_per_volt
 from bolomux.experiments import (
     _KIND_TRIGGER,
     _fan_out,
     CalibrationError,
-    ChipConfig,
     NonlinearOperationError,
     calibrate_chip,
     characterize,
@@ -365,7 +364,8 @@ def scalar_thermal_oracle(chip, operating, heater_w, dt):
 def composite_engine_oracle(chip, heater_tones, settings, operating, seed, labels):
     """The mixer-per-channel readout, kept as the engine's oracle.
 
-    Steps each channel's thermal state (scalar_thermal_oracle), builds its
+    Steps each channel's thermal state (scalar_thermal_oracle) under the
+    heater tones, each on for the settings' heater window, builds its
     reflected tone Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's
     time axis from a record-length carrier, adds the tones and the averaged
     noise record of std sigma/sqrt(n_avg) from the stream (seed, *labels)
@@ -378,9 +378,12 @@ def composite_engine_oracle(chip, heater_tones, settings, operating, seed, label
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
     steps = round(settings.window_s / settings.thermal_dt_s)
-    dt = settings.thermal_dt_s
+    dt, start = settings.thermal_dt_s, settings.pulse_start_s
     tones, ops = operating
-    heater_w = experiments._heater_power_w(chip, heater_tones, settings)
+    heater_w = np.zeros((chip.n_channels, steps))
+    heater_w[:, round(start / dt):round((start + settings.pulse_duration_s) / dt)] = [
+        [sum(experiments._delivered_w(chip, ch, tone.f_hz, tone.p_dbm) for tone in heater_tones)]
+        for ch in range(chip.n_channels)]
     t_starts, t_infs = scalar_thermal_oracle(chip, operating, heater_w, dt)
     t = np.arange(n) / fs
     composite = np.zeros(n)
@@ -402,6 +405,23 @@ def composite_engine_oracle(chip, heater_tones, settings, operating, seed, label
                                       decimation) for tone in tones])
 
 
+def seam_iq(chip, heater_tones, settings, operating, seed, labels):
+    """One run through the engine's seam: its plan, its thermal pass and its
+    readout (with the noise of the stream (seed, *labels) on a noisy chip),
+    each band sliced to IQ as the pipeline slices it.  Returns the IQ
+    samples, one row per channel."""
+    plan = engine._engine_plan(chip, settings, operating)
+    heater_w = experiments._heater_power_w(chip, plan, heater_tones)[None]
+    t_start, t_inf = engine._thermal_stage(plan, heater_w)
+    noisy = plan.noise_scale > 0.0
+    bands = engine._readout(plan, t_start[0], t_inf[0],
+                            derive_stream(seed, *labels) if noisy else None,
+                            np.empty((plan.steps, plan.block)) if noisy else None)
+    return np.array([_band_iq(bands[ch], plan.offsets, plan.n, plan.decimation, tone.f_hz,
+                              plan.sample_rate_hz, 0.0).samples
+                     for ch, tone in enumerate(operating[0])])
+
+
 def assert_close_to(engine, oracle, rel=1e-9):
     assert np.max(np.abs(engine - oracle)) <= rel * np.max(np.abs(oracle))
 
@@ -410,21 +430,24 @@ def assert_close_to(engine, oracle, rel=1e-9):
 @pytest.mark.parametrize("label", ["000", "101", "111"])
 def test_spectral_engine_matches_composite_oracle(preset, label):
     # noiseless and noisy at the same seed; the noisy-minus-noiseless IQ,
-    # the noise alone, matches to the same tolerance of its own scale
+    # the noise alone, matches to the same tolerance of its own scale, and
+    # run_trigger returns the seam's IQ bit for bit
     cfg = load_config(None, preset=preset)
     chip, settings = cfg.chip, cfg.settings
     pattern = TriggerPattern.from_label(label)
     heater_tones = schedule_heaters(pattern, chip.filters, chip.channel_map,
                                     settings.heater_power_dbm)
-    engine, oracle = [], []
+    seam, oracle = [], []
     for c in (replace(chip, noise_sigma_v=0.0), chip):
+        operating = operating_tones(c, settings)
+        labels = (_KIND_TRIGGER, pattern.value)
+        seam.append(seam_iq(c, heater_tones, settings, operating, Seed(7), labels))
+        oracle.append(composite_engine_oracle(c, heater_tones, settings, operating, Seed(7),
+                                              labels))
+        assert_close_to(seam[-1], oracle[-1])
         run = run_trigger(c, pattern, settings, Seed(7))
-        engine.append(np.array([iq.samples for iq in run.iq]))
-        oracle.append(composite_engine_oracle(c, heater_tones, settings,
-                                              operating_tones(c, settings), Seed(7),
-                                              (_KIND_TRIGGER, pattern.value)))
-        assert_close_to(engine[-1], oracle[-1])
-    assert_close_to(engine[1] - engine[0], oracle[1] - oracle[0])
+        assert np.array_equal(np.array([iq.samples for iq in run.iq]), seam[-1])
+    assert_close_to(seam[1] - seam[0], oracle[1] - oracle[0])
 
 
 def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(default_chip):
@@ -433,22 +456,21 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
     quiet = replace(default_chip, noise_sigma_v=0.0)
     tone = ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0)
     operating = operating_tones(quiet, settings)
-    run, = experiments._timedomain_runs(quiet, [[tone]], settings, operating, Seed(0), [()])
-    assert_close_to(np.array([iq.samples for iq in run.iq]),
+    assert_close_to(seam_iq(quiet, [tone], settings, operating, Seed(0), ()),
                     composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
 
 
 def record_dense_steps(monkeypatch):
     """Wrap the readout's expansion; returns the list its step masks are appended to."""
     masks = []
-    expanded = readout._expanded_bins
+    expanded = engine._expanded_bins
 
     def recorded(*args):
         bands, dense = expanded(*args)
         masks.append(dense)
         return bands, dense
 
-    monkeypatch.setattr(readout, "_expanded_bins", recorded)
+    monkeypatch.setattr(engine, "_expanded_bins", recorded)
     return masks
 
 
@@ -464,11 +486,10 @@ def test_band_readout_matches_composite_oracle_on_expanded_and_dense_steps(prese
     tone = ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0)
     operating = operating_tones(quiet, settings)
     masks = record_dense_steps(monkeypatch)
-    run, = experiments._timedomain_runs(quiet, [[tone]], settings, operating, Seed(0), [()])
+    seam = seam_iq(quiet, [tone], settings, operating, Seed(0), ())
     dense, = masks
     assert dense.any() and not dense.all()
-    assert_close_to(np.array([iq.samples for iq in run.iq]),
-                    composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
+    assert_close_to(seam, composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
 
 
 @pytest.mark.parametrize("change", [
@@ -481,15 +502,14 @@ def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
     pattern = TriggerPattern.from_label("101")
     heater_tones = schedule_heaters(pattern, default_chip.filters, default_chip.channel_map,
                                     settings.heater_power_dbm)
-    engine, oracle = [], []
+    seam, oracle = [], []
     for c in (replace(default_chip, noise_sigma_v=0.0), default_chip):
-        run = run_trigger(c, pattern, settings, Seed(7))
-        engine.append(np.array([iq.samples for iq in run.iq]))
-        oracle.append(composite_engine_oracle(c, heater_tones, settings,
-                                              operating_tones(c, settings), Seed(7),
-                                              (_KIND_TRIGGER, pattern.value)))
-        assert_close_to(engine[-1], oracle[-1])
-    assert_close_to(engine[1] - engine[0], oracle[1] - oracle[0])
+        args = (c, heater_tones, settings, operating_tones(c, settings), Seed(7),
+                (_KIND_TRIGGER, pattern.value))
+        seam.append(seam_iq(*args))
+        oracle.append(composite_engine_oracle(*args))
+        assert_close_to(seam[-1], oracle[-1])
+    assert_close_to(seam[1] - seam[0], oracle[1] - oracle[0])
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -514,12 +534,13 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
         monkeypatch.setattr(np.fft, name, counted)
     chip = default_chip if noisy else replace(default_chip, noise_sigma_v=0.0)
     patterns = [TriggerPattern.from_label(label) for label in ("101", "110")]
-    experiments._trigger_runs(chip, patterns, default_settings,
-                              operating_tones(chip, default_settings), Seed(3))
+    operating = operating_tones(chip, default_settings)
+    experiments._trigger_runs(chip, engine._engine_plan(chip, default_settings, operating),
+                              patterns, default_settings, operating, Seed(3))
     assert [c for c in calls if np.prod(c[1]) >= n and c[1] != (steps, n // steps)] == []
     noise = [c for c in calls if c[1] == (steps, n // steps)]
     assert noise == [("rfft", (steps, n // steps), 0)] * (len(patterns) if noisy else 0)
-    expansion = (chip.n_channels, readout._EXPANSION_ORDER + 1, steps)
+    expansion = (chip.n_channels, engine._EXPANSION_ORDER + 1, steps)
     tones = [c for c in calls if c == ("fft", expansion, -1)]
     assert len(tones) == len(patterns)
     # the rest are the band slices' inverse transforms, one per channel and
@@ -565,10 +586,11 @@ def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
     chip = cfg.chip
     settings = replace(cfg.settings,
                        probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
-    heater_w = np.stack([experiments._heater_power_w(chip, tones, settings)
-                         for tones in thermal_batch(chip, settings, batch)])
     operating = operating_tones(chip, settings)
-    t_start, t_inf = experiments._thermal_stage(chip, operating, heater_w, settings.thermal_dt_s)
+    plan = engine._engine_plan(chip, settings, operating)
+    heater_w = np.stack([experiments._heater_power_w(chip, plan, tones)
+                         for tones in thermal_batch(chip, settings, batch)])
+    t_start, t_inf = engine._thermal_stage(plan, heater_w)
     assert t_start.shape == t_inf.shape == heater_w.shape
     for r in range(heater_w.shape[0]):
         oracle_start, oracle_inf = scalar_thermal_oracle(chip, operating, heater_w[r],
@@ -811,10 +833,19 @@ def device_watts(chip, powers_dbm):
     return np.array([dbm_to_watts(p - chip.line_attenuation_db) for p in powers_dbm])
 
 
+def sweep_paths(chip, f_heater_hz, powers_dbm, settings):
+    """_power_sweep_paths on chip's quiet copy, with that copy's operating
+    tones and engine plan."""
+    quiet = replace(chip, noise_sigma_v=0.0)
+    operating = operating_tones(quiet, settings)
+    return experiments._power_sweep_paths(quiet, engine._engine_plan(quiet, settings, operating),
+                                          f_heater_hz, powers_dbm, settings, operating)
+
+
 def test_power_sweep_linear_at_low_power(default_chip):
     f_heat = default_chip.matched_filter(0).f_center_hz
     powers = [-160.0, -157.5, -155.0, -152.5, -150.0]
-    responses = experiments._power_sweep_paths(default_chip, f_heat, powers, FLANK)[0]
+    responses = sweep_paths(default_chip, f_heat, powers, FLANK)[0]
     gains = responses / device_watts(default_chip, powers)
     spread = (max(gains) - min(gains)) / np.mean(gains)
     assert spread < 0.02
@@ -824,7 +855,7 @@ def test_power_sweep_concave_in_linear_watts(default_chip):
     f_heat = default_chip.matched_filter(0).f_center_hz
     watts = np.linspace(1e-17, 4e-16, 10)
     powers = [watts_to_dbm(w) for w in watts]
-    responses = experiments._power_sweep_paths(default_chip, f_heat, powers, FLANK)[0]
+    responses = sweep_paths(default_chip, f_heat, powers, FLANK)[0]
     second = np.diff(responses, n=2)
     assert np.all(second <= 1e-12 * max(responses))
 
@@ -881,8 +912,8 @@ def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
     wrong_f = 5.8e9
     floor_db = default_chip.matched_filter(1).floor_db_at(wrong_f)
     powers = [-152.0, -150.0]
-    matched = experiments._power_sweep_paths(default_chip, matched_f, powers, FLANK)[1]
-    leaked = experiments._power_sweep_paths(default_chip, wrong_f, powers, FLANK)[1]
+    matched = sweep_paths(default_chip, matched_f, powers, FLANK)[1]
+    leaked = sweep_paths(default_chip, wrong_f, powers, FLANK)[1]
     for r_m, r_l in zip(matched, leaked):
         ratio_db = 10 * np.log10(r_l / r_m)
         assert ratio_db == pytest.approx(floor_db, abs=1.0)
@@ -904,21 +935,26 @@ def short_matrix(default_chip):
 def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch):
     # one thermal pass per filter, stepping all its powers together; one
     # per-run readout per (filter, power), read on every bolometer; one
-    # operating-tone solve per filter; the runs are noiseless, so none
-    # derives a noise stream
-    calls, passes, tone_calls, streams = [], [], [], []
-    engine = experiments._timedomain_run
+    # operating-tone solve and one engine plan for the whole matrix; the
+    # runs are noiseless, so none derives a noise stream
+    calls, passes, plans, tone_calls, streams = [], [], [], [], []
+    run = experiments._timedomain_run
     thermal = experiments._thermal_stage
+    plan_of = experiments._engine_plan
     tones = experiments.operating_tones
     derive = experiments.derive_stream
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return engine(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    def counted_thermal(chip, operating, heater_w, dt):
+    def counted_thermal(plan, heater_w):
         passes.append(heater_w.shape)
-        return thermal(chip, operating, heater_w, dt)
+        return thermal(plan, heater_w)
+
+    def counted_plan(*args):
+        plans.append(args)
+        return plan_of(*args)
 
     def counted_tones(*args):
         tone_calls.append(args)
@@ -930,6 +966,7 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
 
     monkeypatch.setattr(experiments, "_timedomain_run", counted)
     monkeypatch.setattr(experiments, "_thermal_stage", counted_thermal)
+    monkeypatch.setattr(experiments, "_engine_plan", counted_plan)
     monkeypatch.setattr(experiments, "operating_tones", counted_tones)
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
     power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings, 1)
@@ -937,13 +974,13 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
     steps = round(default_settings.window_s / default_settings.thermal_dt_s)
     assert passes == [(len(SHORT_POWERS_DBM), default_chip.n_channels, steps)] * len(
         default_chip.filters)
-    assert len(tone_calls) == len(default_chip.filters)
+    assert len(plans) == len(tone_calls) == 1
     assert streams == []
 
 
 def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     # a noiseless path holds no array at the digitizer rate: its traced peak
-    # (the thermal pass, the readout plan and one run's readout, at -90 dBm
+    # (the engine plan, the thermal pass and one run's readout, at -90 dBm
     # with 27 steps summed sample by sample) is 1.54 complex (steps x block)
     # matrices (one is 1.53 MiB on the shipped posture), and a real or
     # complex (steps x block) array on top would pass 1.75
@@ -952,10 +989,10 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     matrix_bytes = np.dtype(complex).itemsize * n
     f_heater = default_chip.filters[0].f_center_hz
     # once untraced, so cached twiddle tables are not counted
-    experiments._power_sweep_paths(default_chip, f_heater, SHORT_POWERS_DBM, settings)
+    sweep_paths(default_chip, f_heater, SHORT_POWERS_DBM, settings)
     tracemalloc.start()
     try:
-        experiments._power_sweep_paths(default_chip, f_heater, SHORT_POWERS_DBM, settings)
+        sweep_paths(default_chip, f_heater, SHORT_POWERS_DBM, settings)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -984,11 +1021,13 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
     settings, (responses, powers_w, _, _) = short_matrix
     assert np.array_equal(powers_w, device_watts(default_chip, SHORT_POWERS_DBM))
     quiet = replace(default_chip, noise_sigma_v=0.0)
+    operating = operating_tones(quiet, settings)
+    plan = engine._engine_plan(quiet, settings, operating)
     for j, filt in enumerate(default_chip.filters):
         for p, p_dbm in enumerate(SHORT_POWERS_DBM):
             tone = ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm)
-            run, = experiments._timedomain_runs(quiet, [[tone]], settings,
-                                                operating_tones(quiet, settings), Seed(0), [()])
+            run, = experiments._timedomain_runs(quiet, plan, [[tone]], settings, operating,
+                                                Seed(0), [()])
             for i in range(default_chip.n_channels):
                 assert responses[i, j, p] == run.metrics[i].response
 

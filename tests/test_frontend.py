@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bolomux.config import load_config
-from bolomux.experiments import _heater_power_w
+from bolomux.engine import _engine_plan
+from bolomux.experiments import _heater_power_w, operating_tones
 from bolomux.frontend import (
     FilterParams,
     ToneSpec,
@@ -36,6 +37,12 @@ def three_filter_chip(default_chip, floor_db: float = -15.0):
 
 # a 100 x 1 us thermal grid whose heater window is on for steps 40..49
 STEP_GRID = replace(load_config(None).settings, thermal_dt_s=1e-6)
+
+
+def heater_power_w(chip, tones):
+    """_heater_power_w on STEP_GRID, through chip's engine plan."""
+    plan = _engine_plan(chip, STEP_GRID, operating_tones(chip, STEP_GRID))
+    return _heater_power_w(chip, plan, tones)
 
 
 # -------------------------------------------------------------- filter shape
@@ -119,14 +126,14 @@ def test_heater_power_default_chip_selectivity(default_chip):
 def test_heater_power_matched_channel(default_chip):
     # the tone at filters[1]'s center reaches channel 0 through channel_map
     chip = three_filter_chip(default_chip)
-    heater_w = _heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)], STEP_GRID)
+    heater_w = heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)])
     assert heater_w[0, 40] == pytest.approx(dbm_to_watts(-135.0), rel=1e-12)
     assert heater_w[0, 40] == pytest.approx(3.1623e-17, rel=1e-4)
 
 
 def test_heater_power_mismatched_channel_hits_floor(default_chip):
     chip = three_filter_chip(default_chip, floor_db=-12.0)
-    heater_w = _heater_power_w(chip, [ToneSpec(f_hz=4.4e9, p_dbm=-135.0)], STEP_GRID)
+    heater_w = heater_power_w(chip, [ToneSpec(f_hz=4.4e9, p_dbm=-135.0)])
     assert heater_w[0, 40] == pytest.approx(dbm_to_watts(-135.0) * 10 ** -1.2, rel=1e-9)
 
 
@@ -134,9 +141,9 @@ def test_heater_power_sums_incoherently(default_chip):
     chip = three_filter_chip(default_chip, floor_db=-12.0)
     matched = ToneSpec(f_hz=5.8e9, p_dbm=-140.0)
     leak = ToneSpec(f_hz=8.0e9, p_dbm=-130.0)
-    both = _heater_power_w(chip, [matched, leak], STEP_GRID)
-    solo = (_heater_power_w(chip, [matched], STEP_GRID)
-            + _heater_power_w(chip, [leak], STEP_GRID))
+    both = heater_power_w(chip, [matched, leak])
+    solo = (heater_power_w(chip, [matched])
+            + heater_power_w(chip, [leak]))
     np.testing.assert_allclose(both, solo, rtol=1e-12, atol=0.0)
 
 
@@ -146,7 +153,7 @@ def test_heater_power_sums_incoherently(default_chip):
 def test_pulse_window_is_half_open(default_chip):
     # 40 us + 10 us at 1 us steps: on for steps 40..49, off at 39 and 50
     chip = three_filter_chip(default_chip)
-    heater_w = _heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)], STEP_GRID)
+    heater_w = heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)])
     assert heater_w[0, 39] == 0.0
     assert heater_w[0, 40] > 0.0
     assert heater_w[0, 49] > 0.0

@@ -266,6 +266,42 @@ def test_all_lists_what_the_package_re_exports(module):
     assert sorted(module.__all__) == sorted(exported)
 
 
+def _imported_modules(name: str) -> set[str]:
+    """The bolomux modules that module `name` imports anywhere in its source,
+    under `if TYPE_CHECKING:` and inside functions included."""
+    found = set()
+    for node in ast.walk(ast.parse((_PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bolomux."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("bolomux.")}
+    return {module for module in found if (_PACKAGE / f"{module}.py").is_file()}
+
+
+def _reachable_modules(name: str) -> set[str]:
+    """Every bolomux module that importing `name` can load, by its source."""
+    seen, todo = set(), [name]
+    while todo:
+        for module in _imported_modules(todo.pop()) - seen:
+            seen.add(module)
+            todo.append(module)
+    return seen
+
+
+@pytest.mark.parametrize("module, below", [
+    ("config", {"experiments", "engine"}),
+    ("traceio", {"experiments", "engine"}),
+    ("engine", {"experiments"}),
+], ids=["config", "traceio", "engine"])
+def test_imports_point_down_the_engine_seam(module, below):
+    # the chip and run types live in config, so loading a config or a trace
+    # never loads the engine, and the engine never loads its drivers
+    assert _reachable_modules(module) & below == set()
+
+
 # targets bench/tracer.py still hooks although the package deleted them; the
 # benchmark refresh (ROADMAP item 1) drops or re-points these hooks
 _STALE_HOOKS = {"experiments.PairwiseAccumulator", "experiments.demodulate",
