@@ -422,8 +422,8 @@ def seam_iq(chip, heater_tones, settings, operating, seed, labels):
                      for ch, tone in enumerate(operating[0])])
 
 
-def assert_close_to(engine, oracle, rel=1e-9):
-    assert np.max(np.abs(engine - oracle)) <= rel * np.max(np.abs(oracle))
+def assert_close_to(got, oracle, rel=1e-9):
+    assert np.max(np.abs(got - oracle)) <= rel * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])
