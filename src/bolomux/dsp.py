@@ -141,27 +141,30 @@ def _zoom_dft(y: np.ndarray, n: int, width: int) -> np.ndarray:
     Bins 0..width-1 of the n-point DFT of y zero-padded, by Bluestein's
     chirp-z transform: j m = (j^2 + m^2 - (j - m)^2) / 2 makes the sum one
     convolution with a chirp, done by FFTs of a power-of-two length >=
-    y.shape[-1] + width - 1.  Costs no table of y.shape[-1] x width.
+    y.shape[-1] + width - 1 on 24 rows at a time, so no table of y.shape[-1] x
+    width and no zero-padded copy of all of y.
     """
     m = y.shape[-1]
     size, kernel = _zoom_kernel(n, m, width)
-    spectrum = np.zeros((*y.shape[:-1], size), dtype=complex)
-    np.multiply(y, _chirp(n, np.arange(m)), out=spectrum[..., :m])
-    np.fft.fft(spectrum, axis=-1, out=spectrum)
-    spectrum *= kernel
-    np.fft.ifft(spectrum, axis=-1, out=spectrum)
-    return spectrum[..., :width] * _chirp(n, np.arange(width))
+    rows, head, tail = y.reshape(-1, m), _chirp(n, np.arange(m)), _chirp(n, np.arange(width))
+    out = np.empty((len(rows), width), dtype=complex)
+    for lo in range(0, len(rows), 24):
+        spectrum = np.zeros((min(24, len(rows) - lo), size), dtype=complex)
+        np.multiply(rows[lo:lo + 24], head, out=spectrum[:, :m])
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        spectrum *= kernel
+        np.fft.ifft(spectrum, axis=-1, out=spectrum)
+        np.multiply(spectrum[:, :width], tail, out=out[lo:lo + 24])
+    return out.reshape(*y.shape[:-1], width)
 
 
-def _band_iq(band: np.ndarray, offsets: np.ndarray, n: int, decimation: int,
-             f_carrier_hz: float, sample_rate_hz: float, t0_s: float) -> IQTrace:
-    """The band slice: DFT bins carrier + offsets of an n-sample record, referred to
-    its start, folded onto the n/decimation output bins (a band wider than the
-    output rate aliases as decimation would) and inverse transformed to IQ."""
-    folded = np.zeros(n // decimation, dtype=complex)
-    np.add.at(folded, offsets % folded.size, band)
-    return IQTrace(f_carrier_hz, sample_rate_hz / decimation, t0_s,
-                   np.fft.ifft(folded) / decimation)
+def _band_iq(bands: np.ndarray, offsets: np.ndarray, n: int, decimation: int) -> np.ndarray:
+    """The band slice: rows of DFT bins carrier + offsets of an n-sample record,
+    referred to its start, folded onto the n/decimation output bins (a band wider
+    than the output rate aliases as decimation would) and inverse transformed to IQ."""
+    folded = np.zeros((*bands.shape[:-1], n // decimation), dtype=complex)
+    np.add.at(folded, (..., offsets % folded.shape[-1]), bands)
+    return np.fft.ifft(folded, axis=-1) / decimation
 
 
 def _baseline_std_per_volt(n: int, sample_rate_hz: float, lp_bandwidth_hz: float,

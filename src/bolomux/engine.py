@@ -1,15 +1,13 @@
 """The time-domain engine: one plan, read by the thermal pass and the readout.
 
-`_engine_plan` holds what every run on a chip shares, and no worker writes
-to it.  `_thermal_stage` steps every (run, channel) together; `_readout`
-reads one run's demod band bins: its tones Re(a Gamma(t) exp(2 pi i k_ch i
-/ n)), Gamma on the exact within-step relaxation at every digitizer sample,
-plus on a noisy chip the averaged noise, without any array at the digitizer
-rate for the tones.  Within a step Gamma is a short power series in the
-sample's fade, so a window bin is a sum over K+1 length-`steps` FFTs times
-a planned table; the few steps where the series converges too slowly are
-summed sample by sample.  Every tone feeds every window, through its own
-spectrum and through its Re() image.
+`_engine_plan` holds what every run on a chip shares; no worker writes to
+it.  `_thermal_stage` steps a batch's every (run, channel) together, one
+row per loop iteration; `_readout` reads one run's demod band bins: its
+tones Re(a Gamma(t) exp(2 pi i k_ch i / n)), Gamma on the exact
+within-step relaxation at every digitizer sample, from a short power
+series in each step (_expanded_bins) or, where that converges too slowly,
+sample by sample, and on a noisy chip the averaged noise, with no
+digitizer-rate array for the tones.
 """
 
 from __future__ import annotations
@@ -120,31 +118,33 @@ def _engine_plan(chip: ChipConfig, settings: RunSettings, operating) -> _EngineP
 
 
 def _thermal_stage(plan: _EnginePlan, heater_w: np.ndarray):
-    """(t_start, t_inf) per (run, channel, step) for a (runs, channels, steps) heater power.
-
-    All trajectories step together, each step an exact exponential relaxation
-    from t_start toward t_inf = t_bath + p_abs/g_th, p_abs re-evaluated at a
-    predicted half-step temperature (second order in dt).  A step depends
-    only on the state and the heater, so once one maps the whole state onto
-    itself bit for bit, it is repeated up to the next heater change.
+    """Every (run, channel) trajectory under a (runs, channels) heater power on
+    for the plan's pulse, stepped together: each step relaxes exactly from
+    t_start toward t_inf = t_bath + p_abs/g_th, p_abs taken at a predicted
+    half-step temperature (second order in dt).  Once a step maps the whole
+    state onto itself bit for bit, it is repeated up to the next pulse edge.
+    Returns t_start and t_inf, (runs, channels, iterations) views of one
+    step-major row per loop iteration, and each step's row, (steps,).
     """
-    runs, n_ch, steps = heater_w.shape
+    runs, n_ch = heater_w.shape
     c = plan.channels._make(np.tile(column[:, 0], runs) for column in plan.channels)
     absorbed, t_bath, t_e = _absorption(c.kappa_ext, c.kappa_int), c.t_bath, c.t_star
-    heater = heater_w.reshape(runs * n_ch, steps)
-    t_start, t_inf_of, s = np.empty_like(heater), np.empty_like(heater), 0
-    for end in [*(np.flatnonzero((heater[:, 1:] != heater[:, :-1]).any(axis=0)) + 1).tolist(),
-                steps]:
+    rows, index, i, s = np.empty((16, 2, runs * n_ch)), np.empty(plan.steps, dtype=np.intp), 0, 0
+    for end, heat in ((plan.pulse.start, 0.0), (plan.pulse.stop, heater_w.ravel()),
+                      (plan.steps, 0.0)):
         while s < end:
-            heat, rise = heater[:, s], t_e - t_bath
+            rise = t_e - t_bath
             rise_inf = (c.p_probe * absorbed(c.detuning(rise)) + heat) / c.g_th
             t_mid = t_bath + rise_inf + (rise - rise_inf) * c.decay_half
             t_inf = t_bath + (c.p_probe * absorbed(c.detuning(t_mid - t_bath)) + heat) / c.g_th
             t_next = t_inf + (t_e - t_inf) * c.decay
             stop = end if t_next.tobytes() == t_e.tobytes() else s + 1
-            t_start[:, s:stop], t_inf_of[:, s:stop] = t_e[:, None], t_inf[:, None]
-            t_e, s = t_next, stop
-    return t_start.reshape(runs, n_ch, steps), t_inf_of.reshape(runs, n_ch, steps)
+            if i == len(rows):      # realloc'd in place: no view of it exists yet
+                rows.resize((i + i // 4, *rows.shape[1:]), refcheck=False)
+            rows[i, 0], rows[i, 1], index[s:stop] = t_e, t_inf, i
+            t_e, s, i = t_next, stop, i + 1
+    rows.resize((i, *rows.shape[1:]), refcheck=False)
+    return (*rows.reshape(i, 2, runs, n_ch).transpose(1, 2, 3, 0), index)
 
 
 def _expanded_bins(plan: _EnginePlan, det_inf: np.ndarray, drive: np.ndarray):
@@ -171,6 +171,7 @@ def _expanded_bins(plan: _EnginePlan, det_inf: np.ndarray, drive: np.ndarray):
     np.subtract(1.0, scale, out=coeffs[:, 0])
     coeffs.transpose(0, 2, 1)[dense] = 0.0
     picked = np.take(np.fft.fft(coeffs, axis=-1, out=coeffs), plan.picks)
+    del coeffs, scale       # freed before the contraction's buffer
     np.conjugate(picked[:, 1], out=picked[:, 1])
     return np.einsum("ctwkj,ctwkj->wj", plan.table, picked), dense
 
@@ -196,15 +197,12 @@ def _dense_bins(plan: _EnginePlan, det_inf: np.ndarray, drive: np.ndarray,
 
 def _readout(plan: _EnginePlan, t_start: np.ndarray, t_inf_of: np.ndarray, rng,
              record) -> np.ndarray:
-    """The record's DFT over every channel's band window, a (windows, width)
-    array, from one run's (channels, steps) trajectories.
-
-    The tones' bins come from Gamma's per-step expansion (_expanded_bins)
-    plus the steps it leaves out, summed sample by sample (_dense_bins).  On
-    a noisy chip the mean of n_avg noise records, one white record of std
-    noise_scale, is drawn from rng into record (the batch's (steps, block)
-    array, overwritten) and its bins, from one pruned real transform, are
-    added; on a quiet chip rng and record are None.
+    """The record's DFT over every channel's band window, (windows, width), from
+    one run's (channels, steps) trajectories: Gamma's per-step expansion
+    (_expanded_bins), the steps it leaves out (_dense_bins) and on a noisy
+    chip the mean of n_avg noise records, one white record of std noise_scale
+    drawn from rng into record (the batch's (steps, block) array) and read by
+    one pruned real transform; on a quiet chip rng and record are None.
     """
     c = plan.channels
     det_inf, drive = c.detuning(t_inf_of - c.t_bath), c.dfdt * (t_start - t_inf_of)

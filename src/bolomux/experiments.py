@@ -3,15 +3,13 @@
 Steady-state sweeps (probe characterization, heater filter scans) run on the
 device's steady-state array kernel alone, one call per sweep row; a cell
 with no finite steady state comes out NaN.  Time-domain runs come in
-batches on one engine plan (engine._engine_plan), built once per
-experiment: one thermal pass (engine._thermal_stage) steps every (run,
-channel) of a batch together, and each run's band bins come from
-engine._readout, which reads every channel's tone and, on a noisy chip,
-the averaged digitizer noise without any array at the digitizer rate.
-Each band is sliced to baseband IQ and reduced to response metrics.  Every
-random draw comes from a stream derived from (master seed, experiment
-kind, pattern), and no number depends on the batching, so any execution
-order is bit-identical.
+batches (a worker's contiguous share of the runs) on one engine plan: one
+thermal pass steps a batch's every (run, channel) together
+(engine._thermal_stage), and each run's band bins (engine._readout) are
+sliced to IQ and reduced to response metrics.  Every random draw comes
+from a stream derived from (master seed, experiment kind, pattern), and
+no number depends on the batching, so any execution order is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -116,29 +114,27 @@ class MultiplexRun:
     n_avg: int
 
 
-def _heater_power_w(chip: ChipConfig, plan: _EnginePlan, tones) -> np.ndarray:
-    """Heater power into each channel's absorber per thermal step: each tone passes the
-    channel's matched filter, is on for the plan's pulse, and adds in power."""
-    heater_w = np.zeros((chip.n_channels, plan.steps))
-    for tone in tones:
-        for ch in range(chip.n_channels):
-            heater_w[ch, plan.pulse] += _delivered_w(chip, ch, tone.f_hz, tone.p_dbm)
-    return heater_w
+def _heater_power_w(chip: ChipConfig, tones) -> np.ndarray:
+    """Heater power into each channel's absorber while the pulse is on: each tone
+    passes the channel's matched filter, and the tones add in power."""
+    return np.array([sum(_delivered_w(chip, ch, tone.f_hz, tone.p_dbm) for tone in tones)
+                     for ch in range(chip.n_channels)], dtype=float)
 
 
 def _timedomain_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, settings: RunSettings,
                      operating, seed: Seed, stream_labels, patterns=None):
     """One MultiplexRun per list of heater tones, from one thermal pass on the plan
-    and, on a noisy chip, one reused noise record; run r draws its noise from
-    (seed, *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
-    heater_w = np.array([_heater_power_w(chip, plan, run_tones)
-                         for run_tones in heater_tones]).reshape(-1, chip.n_channels, plan.steps)
-    t_start, t_inf = _thermal_stage(plan, heater_w)
+    and, on a noisy chip, one reused noise record; a run's rows are expanded to
+    every step just before its readout.  Run r draws its noise from (seed,
+    *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
+    t_start, t_inf, index = _thermal_stage(plan, np.array([_heater_power_w(chip, tones)
+                                                           for tones in heater_tones]))
     record = np.empty((plan.steps, plan.block)) if plan.noise_scale > 0.0 else None
     quiet = TriggerPattern((False,) * chip.n_channels)
     for r, labels in enumerate(stream_labels):
-        yield _timedomain_run(plan, settings, operating, t_start[r], t_inf[r], record, seed,
-                              labels, patterns[r] if patterns else quiet)
+        yield _timedomain_run(plan, settings, operating, t_start[r].take(index, axis=1),
+                              t_inf[r].take(index, axis=1), record, seed, labels,
+                              patterns[r] if patterns else quiet)
 
 
 def _timedomain_run(plan: _EnginePlan, settings: RunSettings, operating, t_start, t_inf_of,
@@ -148,9 +144,10 @@ def _timedomain_run(plan: _EnginePlan, settings: RunSettings, operating, t_start
     when there is a record to draw into, sliced to IQ and reduced to metrics."""
     tones, ops = operating
     rng = derive_stream(seed, *stream_labels) if record is not None else None
-    bands = _readout(plan, t_start, t_inf_of, rng, record)
-    iqs = tuple(_band_iq(bands[ch], plan.offsets, plan.n, plan.decimation, tone.f_hz,
-                         plan.sample_rate_hz, 0.0) for ch, tone in enumerate(tones))
+    samples = _band_iq(_readout(plan, t_start, t_inf_of, rng, record), plan.offsets, plan.n,
+                       plan.decimation)
+    iqs = tuple(IQTrace(tone.f_hz, plan.sample_rate_hz / plan.decimation, 0.0, row)
+                for tone, row in zip(tones, samples))
     return MultiplexRun(
         pattern=pattern, probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
         metrics=tuple(response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
@@ -172,6 +169,12 @@ def _fan_out(fn, jobs, threads: int) -> list:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
+
+
+def _shares(items: list, threads: int) -> list:
+    """min(threads, len(items)) contiguous near-equal shares of items."""
+    k, n = min(threads, len(items)), len(items)
+    return [items[i * n // k:(i + 1) * n // k] for i in range(k)]
 
 
 def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings,
@@ -210,9 +213,8 @@ def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed,
     patterns = TriggerPattern.all_patterns(chip.n_channels)
     operating = operating_tones(chip, settings)
     plan = _engine_plan(chip, settings, operating)
-    k, n = min(threads, len(patterns)), len(patterns)
-    batches = _fan_out(_trigger_runs, [(chip, plan, patterns[i * n // k:(i + 1) * n // k],
-                                        settings, operating, seed) for i in range(k)], threads)
+    batches = _fan_out(_trigger_runs, [(chip, plan, share, settings, operating, seed)
+                                       for share in _shares(patterns, threads)], threads)
     return [run for batch in batches for run in batch]
 
 
@@ -363,19 +365,15 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float,
     )
 
 
-def _power_sweep_paths(quiet: ChipConfig, plan: _EnginePlan, f_heater_hz: float, powers_dbm,
+def _power_sweep_paths(quiet: ChipConfig, plan: _EnginePlan, heater_tones,
                        settings: RunSettings, operating) -> np.ndarray:
-    """One heater frequency swept in power, read on every probe at once: each power is
-    one single-pulse run on the quiet chip (noise_sigma_v 0) and its plan, and every
-    bolometer's windowed response comes from it.  Returns (n_bolometers, n_powers)."""
-    heater_tones = [[ToneSpec(f_hz=f_heater_hz, p_dbm=p_dbm)] for p_dbm in powers_dbm]
-    responses = np.empty((quiet.n_channels, len(powers_dbm)))
+    """One batch of power-sweep runs, each a single pulse of its heater tones on the
+    quiet chip (noise_sigma_v 0), read on every bolometer: (runs, n_bolometers)
+    windowed responses."""
     # the quiet chip draws no noise, so no stream is derived
-    runs = _timedomain_runs(quiet, plan, heater_tones, settings, operating, Seed(0),
-                            [()] * len(heater_tones))
-    for p, run in enumerate(runs):
-        responses[:, p] = [m.response for m in run.metrics]
-    return responses
+    return np.array([[m.response for m in run.metrics]
+                     for run in _timedomain_runs(quiet, plan, heater_tones, settings, operating,
+                                                 Seed(0), [()] * len(heater_tones))])
 
 
 def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, threads: int):
@@ -388,24 +386,24 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, thre
     fitted; p_1db_dbm[i, j] is the fitted 1 dB compression point of path
     (i, j).  Each (filter, power) is one noiseless run read on every
     bolometer, so the result does not depend on any seed; one operating
-    point and engine plan serve every run, and filters fan out over
-    `threads`.  Whatever settings' detuning fraction, the runs probe
-    the flank (0.5), where the response is linear in small resonance
-    shifts, which the compression fit relies on.
+    point and engine plan serve every run, and the runs fan out over
+    `threads` in contiguous shares, one batch each.  Whatever settings'
+    detuning fraction, the runs probe the flank (0.5), where the response
+    is linear in small resonance shifts, as the compression fit needs.
     """
     settings = replace(settings, probe_detuning_fraction=0.5)
     powers = [float(p) for p in powers_dbm]
-    if sorted(powers) != powers:
-        raise ValueError("powers must be sorted ascending")
+    if not powers or sorted(powers) != powers:
+        raise ValueError("powers must be non-empty and sorted ascending")
     quiet = replace(chip, noise_sigma_v=0.0)
     operating = operating_tones(quiet, settings)
     plan = _engine_plan(quiet, settings, operating)
-    by_filter = _fan_out(_power_sweep_paths,
-                         [(quiet, plan, filt.f_center_hz, powers, settings, operating)
-                          for filt in chip.filters], threads)
-    responses = np.stack(by_filter, axis=1)
-    powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
+    runs = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)] for filt in chip.filters for p in powers]
+    shares = _fan_out(_power_sweep_paths, [(quiet, plan, share, settings, operating)
+                                           for share in _shares(runs, threads)], threads)
     n = chip.n_channels
+    responses = np.concatenate(shares).T.reshape(n, len(chip.filters), len(powers))
+    powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
     p1db = np.array([[analysis.fit_compression(powers_w, responses[i, j]) for j in range(n)]
                      for i in range(n)])
     return responses, powers_w, p1db, analysis.crosstalk_matrix(p1db, chip.channel_map)

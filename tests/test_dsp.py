@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band, _dft_bins,
-                         response_metric)
+                         _zoom_dft, response_metric)
 from bolomux.units import Seed, derive_stream, tone_amplitude_volts
 
 
@@ -43,7 +43,7 @@ def band_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=
     k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
     band = (_dft_bins(record[:, None], np.array([k_c + offsets[0]]), offsets.size)[0]
             * np.exp(-2j * np.pi * f_carrier_hz * t0_s))
-    return _band_iq(band, offsets, n, decimation, f_carrier_hz, fs, t0_s)
+    return IQTrace(f_carrier_hz, fs / decimation, t0_s, _band_iq(band, offsets, n, decimation))
 
 
 def mixer_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=0.0):
@@ -184,6 +184,32 @@ def test_dft_bins_matches_full_fft(monkeypatch, shape, width, view, dtype):
     expected = np.fft.fft(x.ravel())[(starts[:, None] + np.arange(width)) % n]
     assert bins.shape == (starts.size, width)
     assert np.max(np.abs(bins - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_zoom_dft_matches_direct_sum_in_row_batches():
+    # 35 rows, more than one batch of 24: every row's bins match the direct
+    # sum of the zero-padded DFT, and each row comes out bit for bit as alone
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((5, 7, 37)) + 1j * rng.standard_normal((5, 7, 37))
+    n, width = 1001, 11
+    got = _zoom_dft(y, n, width)
+    direct = y @ np.exp(-2j * np.pi / n * (np.outer(np.arange(37), np.arange(width)) % n))
+    assert got.shape == (5, 7, width)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+    alone = np.array([_zoom_dft(row, n, width) for row in y.reshape(-1, 37)])
+    assert np.array_equal(got.reshape(-1, width), alone)
+
+
+def test_band_iq_slices_rows_as_alone():
+    # a run's channel bands are folded and inverse transformed together; each
+    # row comes out bit for bit as its own slice, with the band wider than the
+    # output rate (61 bins onto 40), so folding adds
+    rng = np.random.default_rng(6)
+    offsets = np.arange(-30, 31)
+    bands = rng.standard_normal((3, 61)) + 1j * rng.standard_normal((3, 61))
+    got = _band_iq(bands, offsets, 4000, 100)
+    assert got.shape == (3, 40)
+    assert np.array_equal(got, [_band_iq(band, offsets, 4000, 100) for band in bands])
 
 
 # ------------------------------------------------------- predicted floor

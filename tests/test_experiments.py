@@ -405,21 +405,25 @@ def composite_engine_oracle(chip, heater_tones, settings, operating, seed, label
                                       decimation) for tone in tones])
 
 
+def expand(rows, index):
+    """A thermal pass's (runs, channels, iterations) rows expanded to every
+    step, (runs, channels, steps), as the pipeline expands one run's."""
+    return rows.take(index, axis=-1)
+
+
 def seam_iq(chip, heater_tones, settings, operating, seed, labels):
-    """One run through the engine's seam: its plan, its thermal pass and its
-    readout (with the noise of the stream (seed, *labels) on a noisy chip),
-    each band sliced to IQ as the pipeline slices it.  Returns the IQ
-    samples, one row per channel."""
+    """One run through the engine's seam: its plan, its thermal pass, its
+    trajectories expanded to every step and its readout (with the noise of
+    the stream (seed, *labels) on a noisy chip), the bands sliced to IQ as
+    the pipeline slices them.  Returns the IQ samples, one row per channel."""
     plan = engine._engine_plan(chip, settings, operating)
-    heater_w = experiments._heater_power_w(chip, plan, heater_tones)[None]
-    t_start, t_inf = engine._thermal_stage(plan, heater_w)
+    t_start, t_inf, index = engine._thermal_stage(
+        plan, experiments._heater_power_w(chip, heater_tones)[None])
     noisy = plan.noise_scale > 0.0
-    bands = engine._readout(plan, t_start[0], t_inf[0],
+    bands = engine._readout(plan, expand(t_start, index)[0], expand(t_inf, index)[0],
                             derive_stream(seed, *labels) if noisy else None,
                             np.empty((plan.steps, plan.block)) if noisy else None)
-    return np.array([_band_iq(bands[ch], plan.offsets, plan.n, plan.decimation, tone.f_hz,
-                              plan.sample_rate_hz, 0.0).samples
-                     for ch, tone in enumerate(operating[0])])
+    return _band_iq(bands, plan.offsets, plan.n, plan.decimation)
 
 
 def assert_close_to(got, oracle, rel=1e-9):
@@ -543,12 +547,12 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
     expansion = (chip.n_channels, engine._EXPANSION_ORDER + 1, steps)
     tones = [c for c in calls if c == ("fft", expansion, -1)]
     assert len(tones) == len(patterns)
-    # the rest are the band slices' inverse transforms, one per channel and
-    # run, and the readout's short chirp-z transforms (the batch's plan, and
-    # the steps past the expansion bound); none holds half a record
+    # the rest are the band slices' inverse transforms, one of every channel's
+    # band per run, and the readout's short chirp-z transforms (the batch's
+    # plan, and the steps past the expansion bound); none holds half a record
     rest = [c for c in calls if c not in noise + tones]
     decimation = round(default_chip.sample_rate_hz / default_settings.output_rate_hz)
-    assert rest.count(("ifft", (n // decimation,), -1)) == chip.n_channels * len(patterns)
+    assert rest.count(("ifft", (chip.n_channels, n // decimation), -1)) == len(patterns)
     assert all(np.prod(c[1]) < n // 2 for c in rest)
 
 
@@ -588,12 +592,16 @@ def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
                        probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
     operating = operating_tones(chip, settings)
     plan = engine._engine_plan(chip, settings, operating)
-    heater_w = np.stack([experiments._heater_power_w(chip, plan, tones)
+    heater_w = np.stack([experiments._heater_power_w(chip, tones)
                          for tones in thermal_batch(chip, settings, batch)])
-    t_start, t_inf = engine._thermal_stage(plan, heater_w)
-    assert t_start.shape == t_inf.shape == heater_w.shape
+    t_start, t_inf, index = engine._thermal_stage(plan, heater_w)
+    t_start, t_inf = expand(t_start, index), expand(t_inf, index)
+    assert t_start.shape == t_inf.shape == (*heater_w.shape, plan.steps)
     for r in range(heater_w.shape[0]):
-        oracle_start, oracle_inf = scalar_thermal_oracle(chip, operating, heater_w[r],
+        # the oracle steps a per-step heater: the amplitude, on for the plan's pulse
+        per_step = np.zeros((chip.n_channels, plan.steps))
+        per_step[:, plan.pulse] = heater_w[r][:, None]
+        oracle_start, oracle_inf = scalar_thermal_oracle(chip, operating, per_step,
                                                          settings.thermal_dt_s)
         assert np.array_equal(t_start[r], oracle_start)
         assert np.array_equal(t_inf[r], oracle_inf)
@@ -606,6 +614,33 @@ def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
         off = round((settings.pulse_start_s + settings.pulse_duration_s) / settings.thermal_dt_s)
         settled = np.all(t_start[..., on + 1:off] == t_start[..., on:off - 1], axis=(0, 1))
         assert settled.any() and not settled[0]
+
+
+@pytest.mark.parametrize("preset, labels", [
+    ("desk", [format(v, "03b") for v in range(8)]),
+    ("fig3", ["111"]),
+])
+def test_thermal_stage_stores_one_row_per_iteration(preset, labels):
+    # a row per loop iteration, not per step: on desk the batch of all eight
+    # patterns takes 1 pre-pulse fixed point, 100 pulse steps and 500
+    # relaxation steps; the fig3 trigger's settled stretches leave most of
+    # its 20,000 steps without a row.  Every step maps to a row, in order,
+    # and every row is some step's
+    cfg = load_config(None, preset=preset)
+    chip, settings = cfg.chip, cfg.settings
+    plan = engine._engine_plan(chip, settings, operating_tones(chip, settings))
+    heater_w = np.stack([experiments._heater_power_w(chip, schedule_heaters(
+        TriggerPattern.from_label(label), chip.filters, chip.channel_map,
+        settings.heater_power_dbm)) for label in labels])
+    t_start, t_inf, index = engine._thermal_stage(plan, heater_w)
+    rows = t_start.shape[-1]
+    assert t_start.shape == t_inf.shape == (len(labels), chip.n_channels, rows)
+    assert index.shape == (plan.steps,) and index[0] == 0 and index[-1] == rows - 1
+    assert np.all(np.isin(np.diff(index), (0, 1)))
+    if preset == "desk":
+        assert rows == 601
+    else:
+        assert rows < 0.35 * plan.steps
 
 
 def test_fan_out_keeps_job_order():
@@ -835,11 +870,13 @@ def device_watts(chip, powers_dbm):
 
 def sweep_paths(chip, f_heater_hz, powers_dbm, settings):
     """_power_sweep_paths on chip's quiet copy, with that copy's operating
-    tones and engine plan."""
+    tones and engine plan, over one share: one heater frequency's powers.
+    Returns (n_bolometers, n_powers)."""
     quiet = replace(chip, noise_sigma_v=0.0)
     operating = operating_tones(quiet, settings)
+    runs = [[ToneSpec(f_hz=f_heater_hz, p_dbm=p)] for p in powers_dbm]
     return experiments._power_sweep_paths(quiet, engine._engine_plan(quiet, settings, operating),
-                                          f_heater_hz, powers_dbm, settings, operating)
+                                          runs, settings, operating).T
 
 
 def test_power_sweep_linear_at_low_power(default_chip):
@@ -922,6 +959,8 @@ def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
 def test_power_sweep_validation(default_chip, default_settings):
     with pytest.raises(ValueError, match="sorted"):
         power_sweep_matrix(default_chip, [-150.0, -160.0], default_settings, 1)
+    with pytest.raises(ValueError, match="non-empty"):
+        power_sweep_matrix(default_chip, [], default_settings, 1)
 
 
 SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
@@ -933,10 +972,10 @@ def short_matrix(default_chip):
 
 
 def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch):
-    # one thermal pass per filter, stepping all its powers together; one
-    # per-run readout per (filter, power), read on every bolometer; one
-    # operating-tone solve and one engine plan for the whole matrix; the
-    # runs are noiseless, so none derives a noise stream
+    # one thermal pass per worker share (at one thread, every (filter,
+    # power) run in one pass); one per-run readout per (filter, power), read
+    # on every bolometer; one operating-tone solve and one engine plan for
+    # the whole matrix; the runs are noiseless, so none derives a noise stream
     calls, passes, plans, tone_calls, streams = [], [], [], [], []
     run = experiments._timedomain_run
     thermal = experiments._thermal_stage
@@ -971,9 +1010,8 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
     power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings, 1)
     assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
-    steps = round(default_settings.window_s / default_settings.thermal_dt_s)
-    assert passes == [(len(SHORT_POWERS_DBM), default_chip.n_channels, steps)] * len(
-        default_chip.filters)
+    assert passes == [(len(default_chip.filters) * len(SHORT_POWERS_DBM),
+                       default_chip.n_channels)]
     assert len(plans) == len(tone_calls) == 1
     assert streams == []
 
@@ -981,9 +1019,9 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
 def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     # a noiseless path holds no array at the digitizer rate: its traced peak
     # (the engine plan, the thermal pass and one run's readout, at -90 dBm
-    # with 27 steps summed sample by sample) is 1.54 complex (steps x block)
-    # matrices (one is 1.53 MiB on the shipped posture), and a real or
-    # complex (steps x block) array on top would pass 1.75
+    # with 27 steps summed sample by sample) is 0.99 complex (steps x block)
+    # matrices (one is 1.53 MiB on the shipped posture), and a complex
+    # (steps x block) array on top would pass 1.75
     settings = FLANK
     n = round(settings.window_s * default_chip.sample_rate_hz)
     matrix_bytes = np.dtype(complex).itemsize * n
@@ -997,6 +1035,27 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * matrix_bytes
+
+
+def test_power_sweep_matrix_peak_memory(default_chip, default_config):
+    # the shipped 27-power sweep, every run in one pass at one thread: its
+    # traced peak (the plan, the pass's rows for all 81 runs and one run's
+    # readout) is 2.35 complex (steps x block) matrices.  The bound is the
+    # peak of the sweep that made one pass per filter, 2.498-2.503 matrices
+    # (4.0 MB) over three traced calls
+    ps = default_config.sweeps["powersweep"]
+    powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
+    n = round(default_config.settings.window_s * default_chip.sample_rate_hz)
+    matrix_bytes = np.dtype(complex).itemsize * n
+    # once untraced, so cached twiddle tables are not counted
+    power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+    tracemalloc.start()
+    try:
+        power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * matrix_bytes
 
 
 def test_multiplex_derives_one_stream_per_pattern(default_chip, default_settings, monkeypatch):
@@ -1033,13 +1092,17 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
 
 
 def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
+    # the 18 runs split into contiguous shares of 9, 6, 4-5 and 3-4 runs,
+    # most straddling a filter boundary; a share's composition only decides
+    # when a jump happens
     settings, (serial, powers_w, p1db, xtalk) = short_matrix
-    threaded, powers_w_t, p1db_t, xtalk_t = power_sweep_matrix(default_chip, SHORT_POWERS_DBM,
-                                                               settings, 3)
-    assert np.array_equal(threaded, serial)
-    assert np.array_equal(powers_w_t, powers_w)
-    assert np.array_equal(p1db_t, p1db)
-    assert xtalk_t.worst_db == xtalk.worst_db and xtalk_t.best_db == xtalk.best_db
+    for threads in (2, 3, 4, 5):
+        threaded, powers_w_t, p1db_t, xtalk_t = power_sweep_matrix(
+            default_chip, SHORT_POWERS_DBM, settings, threads)
+        assert np.array_equal(threaded, serial)
+        assert np.array_equal(powers_w_t, powers_w)
+        assert np.array_equal(p1db_t, p1db)
+        assert xtalk_t.worst_db == xtalk.worst_db and xtalk_t.best_db == xtalk.best_db
 
 
 # ------------------------------------------------------- pulse time constant

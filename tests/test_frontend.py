@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bolomux.config import load_config
-from bolomux.engine import _engine_plan
+from bolomux.engine import _engine_plan, _thermal_stage
 from bolomux.experiments import _heater_power_w, operating_tones
 from bolomux.frontend import (
     FilterParams,
@@ -40,9 +40,12 @@ STEP_GRID = replace(load_config(None).settings, thermal_dt_s=1e-6)
 
 
 def heater_power_w(chip, tones):
-    """_heater_power_w on STEP_GRID, through chip's engine plan."""
+    """_heater_power_w's amplitude per STEP_GRID step, on for the pulse of
+    chip's engine plan: a (channels, steps) array."""
     plan = _engine_plan(chip, STEP_GRID, operating_tones(chip, STEP_GRID))
-    return _heater_power_w(chip, plan, tones)
+    heater_w = np.zeros((chip.n_channels, plan.steps))
+    heater_w[:, plan.pulse] = _heater_power_w(chip, tones)[:, None]
+    return heater_w
 
 
 # -------------------------------------------------------------- filter shape
@@ -151,14 +154,24 @@ def test_heater_power_sums_incoherently(default_chip):
 
 
 def test_pulse_window_is_half_open(default_chip):
-    # 40 us + 10 us at 1 us steps: on for steps 40..49, off at 39 and 50
+    # 40 us + 10 us at 1 us steps: on for steps 40..49, off at 39 and 50, in
+    # the plan and in the thermal pass, whose t_inf jumps by the heater's
+    # share at step 40 and falls back at step 50
     chip = three_filter_chip(default_chip)
+    plan = _engine_plan(chip, STEP_GRID, operating_tones(chip, STEP_GRID))
+    assert plan.pulse == slice(40, 50)
     heater_w = heater_power_w(chip, [ToneSpec(f_hz=5.8e9, p_dbm=-135.0)])
     assert heater_w[0, 39] == 0.0
     assert heater_w[0, 40] > 0.0
     assert heater_w[0, 49] > 0.0
     assert heater_w[0, 50] == 0.0
     assert np.count_nonzero(heater_w[0]) == 10
+    _, t_inf, index = _thermal_stage(plan, heater_w[None, :, 40])
+    t_inf = t_inf[0, 0, index]
+    jump = heater_w[0, 40] / chip.bolometers[0].g_th_w_per_k
+    assert np.all(t_inf[:40] == t_inf[0])
+    assert np.all(t_inf[40:50] - t_inf[0] > 0.5 * jump)
+    assert np.all(np.abs(t_inf[50:] - t_inf[0]) < 0.5 * jump)
 
 
 # ------------------------------------------------------- trigger patterns
