@@ -10,7 +10,9 @@ windows of bins, reads every channel's band from one real transform of the
 engine's (steps, block) noise record.  `_zoom_dft` gives a few bins of the
 DFT of a short sequence zero-padded to any length; the engine's readout
 plans and sums its tones with it.  For a carrier on the record's DFT grid
-the chain equals a full-record mixer.
+the chain equals a full-record mixer.  `_window_means` holds the one copy
+of the response windows' arithmetic: `response_metric` reduces one trace
+with it, and a power sweep all of a run's channels at once.
 """
 
 from __future__ import annotations
@@ -221,16 +223,23 @@ def _window_slice(trace_t0: float, rate_hz: float, n: int, window_s) -> slice:
     return slice(i0, i1)
 
 
-def response_metric(iq: IQTrace, baseline_window_s, signal_window_s) -> ResponseMetric:
-    """Compare |IQ| in a signal window against a pre-pulse baseline window."""
+def _window_means(mag: np.ndarray, t0_s: float, rate_hz: float, baseline_window_s,
+                  signal_window_s):
+    """mag's baseline window, and its mean and the signal window's mean, along the
+    last axis: a run's every channel in one reduction each."""
     if float(baseline_window_s[1]) > float(signal_window_s[0]):
         raise ValueError("baseline window must end before the signal window starts")
-    mag = iq.magnitude()
-    base = mag[_window_slice(iq.t0_s, iq.sample_rate_hz, mag.size, baseline_window_s)]
-    sig = mag[_window_slice(iq.t0_s, iq.sample_rate_hz, mag.size, signal_window_s)]
-    baseline_mean = float(np.mean(base))
+    base = mag[..., _window_slice(t0_s, rate_hz, mag.shape[-1], baseline_window_s)]
+    sig = mag[..., _window_slice(t0_s, rate_hz, mag.shape[-1], signal_window_s)]
+    return base, np.mean(base, axis=-1), np.mean(sig, axis=-1)
+
+
+def response_metric(iq: IQTrace, baseline_window_s, signal_window_s) -> ResponseMetric:
+    """Compare |IQ| in a signal window against a pre-pulse baseline window."""
+    base, baseline_mean, signal_mean = _window_means(iq.magnitude(), iq.t0_s, iq.sample_rate_hz,
+                                                     baseline_window_s, signal_window_s)
     baseline_std = float(np.std(base))
-    signal_mean = float(np.mean(sig))
+    baseline_mean, signal_mean = float(baseline_mean), float(signal_mean)
     if baseline_std == 0.0:
         return ResponseMetric(signal_mean, baseline_mean, 0.0, 0.0, True)
     snr = (signal_mean - baseline_mean) / baseline_std

@@ -1,15 +1,13 @@
 """Experiment drivers tying device, frontend and signal chain together.
 
-Steady-state sweeps (probe characterization, heater filter scans) run on the
-device's steady-state array kernel alone, one call per sweep row; a cell
-with no finite steady state comes out NaN.  Time-domain runs come in
-batches (a worker's contiguous share of the runs) on one engine plan: one
-thermal pass steps a batch's every (run, channel) together
-(engine._thermal_stage), and each run's band bins (engine._readout) are
-sliced to IQ and reduced to response metrics.  Every random draw comes
-from a stream derived from (master seed, experiment kind, pattern), and
-no number depends on the batching, so any execution order is
-bit-identical.
+Steady-state sweeps (probe and heater filter scans) run on the device's
+array kernel alone, one call per sweep row; a cell with no finite steady
+state comes out NaN.  Time-domain runs come in batches on one engine plan:
+one thermal pass steps a batch's every (run, channel), and _timedomain_run
+turns each run into (channels, M) IQ, which a trigger run reduces per
+channel (response_metric), a power sweep at once.  Every random draw comes
+from a stream derived from (master seed, kind, pattern), and no number
+depends on the batching.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 from . import analysis
 from .config import ChipConfig, RunSettings
 from .device import BolometerParams, OperatingPoint, _steady_state, solve_operating_point
-from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt,
+from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _window_means,
                   response_metric)
 from .engine import _engine_plan, _EnginePlan, _readout, _thermal_stage
 from .frontend import ToneSpec, TriggerPattern, filter_transmission, schedule_heaters
@@ -114,44 +112,47 @@ class MultiplexRun:
     n_avg: int
 
 
-def _heater_power_w(chip: ChipConfig, tones) -> np.ndarray:
-    """Heater power into each channel's absorber while the pulse is on: each tone
-    passes the channel's matched filter, and the tones add in power."""
-    return np.array([sum(_delivered_w(chip, ch, tone.f_hz, tone.p_dbm) for tone in tones)
-                     for ch in range(chip.n_channels)], dtype=float)
+def _heater_power_w(chip: ChipConfig, heater_tones) -> np.ndarray:
+    """(runs, channels) heater power into each absorber during the pulse:
+    each tone passes the channel's matched filter, and a run's tones (padded with
+    0 W ones) add in order, bit for bit a tone-by-tone sum."""
+    width = max([*map(len, heater_tones), 1])
+    f, w = np.array([[(t.f_hz, dbm_to_watts(_device_dbm(chip, t.p_dbm))) for t in tones]
+                     + [(1.0, 0.0)] * (width - len(tones)) for tones in heater_tones]).T
+    return np.stack([np.cumsum(w * filter_transmission(chip.matched_filter(ch), f), axis=0)[-1]
+                     for ch in range(chip.n_channels)], axis=1)
+
+
+def _iq_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, seed: Seed, stream_labels):
+    """_timedomain_run per list of heater tones after one thermal pass; on a noisy
+    chip, all share one noise record."""
+    t_start, t_inf, index = _thermal_stage(plan, _heater_power_w(chip, heater_tones))
+    record = np.empty((plan.steps, plan.block)) if plan.noise_scale > 0.0 else None
+    for r, labels in enumerate(stream_labels):
+        yield _timedomain_run(plan, t_start[r].take(index, axis=1), t_inf[r].take(index, axis=1),
+                              record, seed, labels)
+
+
+def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, record, seed: Seed,
+                    stream_labels: tuple[int, ...]) -> np.ndarray:
+    """One run's (channels, M) IQ: the band-sliced _readout of its trajectories, with
+    noise from the stream (seed, *stream_labels) given a record to draw into."""
+    rng = derive_stream(seed, *stream_labels) if record is not None else None
+    return _band_iq(_readout(plan, t_start, t_inf_of, rng, record), plan.offsets, plan.n,
+                    plan.decimation)
 
 
 def _timedomain_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, settings: RunSettings,
-                     operating, seed: Seed, stream_labels, patterns=None):
-    """One MultiplexRun per list of heater tones, from one thermal pass on the plan
-    and, on a noisy chip, one reused noise record; a run's rows are expanded to
-    every step just before its readout.  Run r draws its noise from (seed,
-    *stream_labels[r]) and carries patterns[r] (default: no bit set)."""
-    t_start, t_inf, index = _thermal_stage(plan, np.array([_heater_power_w(chip, tones)
-                                                           for tones in heater_tones]))
-    record = np.empty((plan.steps, plan.block)) if plan.noise_scale > 0.0 else None
+                     operating, seed: Seed, stream_labels):
+    """_iq_runs as MultiplexRuns, no pattern bit set: per channel an IQTrace and
+    its response_metric."""
+    (tones, ops), rate = operating, plan.sample_rate_hz / plan.decimation
     quiet = TriggerPattern((False,) * chip.n_channels)
-    for r, labels in enumerate(stream_labels):
-        yield _timedomain_run(plan, settings, operating, t_start[r].take(index, axis=1),
-                              t_inf[r].take(index, axis=1), record, seed, labels,
-                              patterns[r] if patterns else quiet)
-
-
-def _timedomain_run(plan: _EnginePlan, settings: RunSettings, operating, t_start, t_inf_of,
-                    record, seed: Seed, stream_labels: tuple[int, ...],
-                    pattern: TriggerPattern) -> MultiplexRun:
-    """One run from its (channels, steps) trajectories: _readout's band bins, noisy
-    when there is a record to draw into, sliced to IQ and reduced to metrics."""
-    tones, ops = operating
-    rng = derive_stream(seed, *stream_labels) if record is not None else None
-    samples = _band_iq(_readout(plan, t_start, t_inf_of, rng, record), plan.offsets, plan.n,
-                       plan.decimation)
-    iqs = tuple(IQTrace(tone.f_hz, plan.sample_rate_hz / plan.decimation, 0.0, row)
-                for tone, row in zip(tones, samples))
-    return MultiplexRun(
-        pattern=pattern, probe_tones=tones, operating_points=ops, iq=iqs, n_avg=settings.n_avg,
-        metrics=tuple(response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
-                      for iq in iqs))
+    for samples in _iq_runs(chip, plan, heater_tones, seed, stream_labels):
+        iqs = tuple(IQTrace(tone.f_hz, rate, 0.0, row) for tone, row in zip(tones, samples))
+        yield MultiplexRun(quiet, tones, ops, iqs, tuple(
+            response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
+            for iq in iqs), settings.n_avg)
 
 
 def _fan_out(fn, jobs, threads: int) -> list:
@@ -198,8 +199,9 @@ def _trigger_runs(chip: ChipConfig, plan: _EnginePlan, patterns, settings: RunSe
     """run_trigger for each pattern, as one batch of the engine."""
     heater_tones = [schedule_heaters(pat, chip.filters, chip.channel_map,
                                      settings.heater_power_dbm) for pat in patterns]
-    return list(_timedomain_runs(chip, plan, heater_tones, settings, operating, seed,
-                                 [(_KIND_TRIGGER, pat.value) for pat in patterns], patterns))
+    runs = _timedomain_runs(chip, plan, heater_tones, settings, operating, seed,
+                            [(_KIND_TRIGGER, pat.value) for pat in patterns])
+    return [replace(run, pattern=pat) for pat, run in zip(patterns, runs)]
 
 
 def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed,
@@ -265,13 +267,8 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -
                 continue
             lo, hi = float(np.min(finite)), float(np.max(finite))
             norm[ch, pi] = (row - lo) / (hi - lo) if hi > lo else 0.0
-    return ProbeSweepResult(
-        f_hz=tuple(grids),
-        powers_dbm=tuple(powers),
-        magnitude=mag,
-        normalized=norm,
-        multivalued=multi,
-    )
+    return ProbeSweepResult(f_hz=tuple(grids), powers_dbm=tuple(powers), magnitude=mag,
+                            normalized=norm, multivalued=multi)
 
 
 def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points: int,
@@ -358,22 +355,19 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float,
         _, _, gamma, _, _ = _steady_state(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
                                           extra)
         resp[ch] = np.abs(gamma - ops[ch].gamma)
-    return FilterSweepResult(
-        f_heater_hz=f_grid,
-        response=resp,
-        heater_power_dbm=heater_power_dbm,
-    )
+    return FilterSweepResult(f_heater_hz=f_grid, response=resp, heater_power_dbm=heater_power_dbm)
 
 
 def _power_sweep_paths(quiet: ChipConfig, plan: _EnginePlan, heater_tones,
-                       settings: RunSettings, operating) -> np.ndarray:
-    """One batch of power-sweep runs, each a single pulse of its heater tones on the
-    quiet chip (noise_sigma_v 0), read on every bolometer: (runs, n_bolometers)
-    windowed responses."""
+                       settings: RunSettings) -> np.ndarray:
+    """One batch of power-sweep runs on the quiet chip (noise_sigma_v 0): (runs,
+    n_bolometers) responses, two window means per run over all channels."""
+    rate = plan.sample_rate_hz / plan.decimation
     # the quiet chip draws no noise, so no stream is derived
-    return np.array([[m.response for m in run.metrics]
-                     for run in _timedomain_runs(quiet, plan, heater_tones, settings, operating,
-                                                 Seed(0), [()] * len(heater_tones))])
+    means = (_window_means(np.abs(iq), 0.0, rate, settings.baseline_window_s,
+                           settings.signal_window_s)
+             for iq in _iq_runs(quiet, plan, heater_tones, Seed(0), [()] * len(heater_tones)))
+    return np.array([signal - baseline for _, baseline, signal in means])
 
 
 def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, threads: int):
@@ -399,7 +393,7 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, thre
     operating = operating_tones(quiet, settings)
     plan = _engine_plan(quiet, settings, operating)
     runs = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)] for filt in chip.filters for p in powers]
-    shares = _fan_out(_power_sweep_paths, [(quiet, plan, share, settings, operating)
+    shares = _fan_out(_power_sweep_paths, [(quiet, plan, share, settings)
                                            for share in _shares(runs, threads)], threads)
     n = chip.n_channels
     responses = np.concatenate(shares).T.reshape(n, len(chip.filters), len(powers))
@@ -435,7 +429,7 @@ def calibrate_chip(chip: ChipConfig, settings: RunSettings):
     weakest response is not positive.
     """
     n, _, _, decimation = settings.validate_against(chip)
-    report: dict = {"channels": [], "noise": {}}
+    report: dict = {"channels": []}
     p_w = dbm_to_watts(_device_dbm(chip, settings.probe_power_dbm))
 
     bolos = []

@@ -418,7 +418,7 @@ def seam_iq(chip, heater_tones, settings, operating, seed, labels):
     the pipeline slices them.  Returns the IQ samples, one row per channel."""
     plan = engine._engine_plan(chip, settings, operating)
     t_start, t_inf, index = engine._thermal_stage(
-        plan, experiments._heater_power_w(chip, heater_tones)[None])
+        plan, experiments._heater_power_w(chip, [heater_tones]))
     noisy = plan.noise_scale > 0.0
     bands = engine._readout(plan, expand(t_start, index)[0], expand(t_inf, index)[0],
                             derive_stream(seed, *labels) if noisy else None,
@@ -592,8 +592,7 @@ def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
                        probe_detuning_fraction=0.5 if posture == "flank" else 0.0, **change)
     operating = operating_tones(chip, settings)
     plan = engine._engine_plan(chip, settings, operating)
-    heater_w = np.stack([experiments._heater_power_w(chip, tones)
-                         for tones in thermal_batch(chip, settings, batch)])
+    heater_w = experiments._heater_power_w(chip, thermal_batch(chip, settings, batch))
     t_start, t_inf, index = engine._thermal_stage(plan, heater_w)
     t_start, t_inf = expand(t_start, index), expand(t_inf, index)
     assert t_start.shape == t_inf.shape == (*heater_w.shape, plan.steps)
@@ -629,9 +628,9 @@ def test_thermal_stage_stores_one_row_per_iteration(preset, labels):
     cfg = load_config(None, preset=preset)
     chip, settings = cfg.chip, cfg.settings
     plan = engine._engine_plan(chip, settings, operating_tones(chip, settings))
-    heater_w = np.stack([experiments._heater_power_w(chip, schedule_heaters(
+    heater_w = experiments._heater_power_w(chip, [schedule_heaters(
         TriggerPattern.from_label(label), chip.filters, chip.channel_map,
-        settings.heater_power_dbm)) for label in labels])
+        settings.heater_power_dbm) for label in labels])
     t_start, t_inf, index = engine._thermal_stage(plan, heater_w)
     rows = t_start.shape[-1]
     assert t_start.shape == t_inf.shape == (len(labels), chip.n_channels, rows)
@@ -641,6 +640,33 @@ def test_thermal_stage_stores_one_row_per_iteration(preset, labels):
         assert rows == 601
     else:
         assert rows < 0.35 * plan.steps
+
+
+def per_tone_heater_w(chip, heater_tones):
+    """The batch's heater powers tone by tone: each run's tones' _delivered_w on
+    each channel, added in order by Python's sum, (runs, channels)."""
+    return np.array([[sum(experiments._delivered_w(chip, ch, tone.f_hz, tone.p_dbm)
+                          for tone in tones) for ch in range(chip.n_channels)]
+                     for tones in heater_tones], dtype=float)
+
+
+def test_heater_power_matches_per_tone_sum(default_chip, default_config):
+    # the batch pads each run with silent tones and adds each channel's column
+    # in tone order, so every power keeps its bits: the 8 trigger patterns
+    # (0 to 3 tones), the 81 runs of the shipped sweep (1 tone each), and both
+    # in one batch, where the sweep's runs are padded to 3 tones
+    chip, settings = default_chip, default_config.settings
+    patterns = [schedule_heaters(TriggerPattern.from_label(format(v, "03b")), chip.filters,
+                                 chip.channel_map, settings.heater_power_dbm) for v in range(8)]
+    ps = default_config.sweeps["powersweep"]
+    powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"])).tolist()
+    sweep = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)] for filt in chip.filters for p in powers]
+    assert len(sweep) == 81
+    for batch in (patterns, sweep, patterns + sweep):
+        got = experiments._heater_power_w(chip, batch)
+        assert got.shape == (len(batch), chip.n_channels)
+        assert got.tobytes() == per_tone_heater_w(chip, batch).tobytes()
+    assert not experiments._heater_power_w(chip, patterns[:1]).any()
 
 
 def test_fan_out_keeps_job_order():
@@ -876,7 +902,7 @@ def sweep_paths(chip, f_heater_hz, powers_dbm, settings):
     operating = operating_tones(quiet, settings)
     runs = [[ToneSpec(f_hz=f_heater_hz, p_dbm=p)] for p in powers_dbm]
     return experiments._power_sweep_paths(quiet, engine._engine_plan(quiet, settings, operating),
-                                          runs, settings, operating).T
+                                          runs, settings).T
 
 
 def test_power_sweep_linear_at_low_power(default_chip):
@@ -1020,8 +1046,8 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     # a noiseless path holds no array at the digitizer rate: its traced peak
     # (the engine plan, the thermal pass and one run's readout, at -90 dBm
     # with 27 steps summed sample by sample) is 0.99 complex (steps x block)
-    # matrices (one is 1.53 MiB on the shipped posture), and a complex
-    # (steps x block) array on top would pass 1.75
+    # matrices (one is 1.53 MiB on the shipped posture), and a real float64
+    # (steps x block) array on top (half a matrix) would pass 1.25
     settings = FLANK
     n = round(settings.window_s * default_chip.sample_rate_hz)
     matrix_bytes = np.dtype(complex).itemsize * n
@@ -1034,7 +1060,7 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * matrix_bytes
+    assert peak <= 1.25 * matrix_bytes
 
 
 def test_power_sweep_matrix_peak_memory(default_chip, default_config):

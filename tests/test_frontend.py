@@ -44,7 +44,7 @@ def heater_power_w(chip, tones):
     chip's engine plan: a (channels, steps) array."""
     plan = _engine_plan(chip, STEP_GRID, operating_tones(chip, STEP_GRID))
     heater_w = np.zeros((chip.n_channels, plan.steps))
-    heater_w[:, plan.pulse] = _heater_power_w(chip, tones)[:, None]
+    heater_w[:, plan.pulse] = _heater_power_w(chip, [tones])[0][:, None]
     return heater_w
 
 
