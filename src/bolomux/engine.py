@@ -4,7 +4,7 @@
 it.  `_thermal_stage` steps a batch's every (run, channel) together, one
 row per loop iteration; `_readout` reads one run's demod band bins: its
 tones Re(a Gamma(t) exp(2 pi i k_ch i / n)), Gamma on the exact
-within-step relaxation at every digitizer sample, from a short power
+within-step relaxation at every digitizer sample, from a short Chebyshev
 series in each step (_expanded_bins) or, where that converges too slowly,
 sample by sample, and on a noisy chip the averaged noise, with no
 digitizer-rate array for the tones.
@@ -26,12 +26,12 @@ if TYPE_CHECKING:
 
 __all__: list[str] = []
 
-# Gamma's expansion within one thermal step (see _readout): its order K, and
-# the bound on a step's ratio rho = |D| max_m |x^m - x0| / |z| past which the
-# step is summed sample by sample.  An expanded step's truncation error is at
-# most rho^(K+1) / (1 - rho) <= 0.05^9 / 0.95, about 2e-12 of |kappa_ext / z|.
+# Gamma's Chebyshev expansion within one thermal step (see _expanded_bins): its
+# order K, and the bound on its coefficients' ratio |beta| past which a step is
+# summed sample by sample.  An expanded step's truncation error is at most 2
+# |beta|^(K+1) / (1 - |beta|) <= 2 * 0.045^9 / 0.955, 1.6e-12 of |kappa_ext / g|.
 _EXPANSION_ORDER = 8
-_EXPANSION_BOUND = 0.05
+_EXPANSION_BOUND = 0.045
 
 
 class _Channels(NamedTuple):
@@ -69,7 +69,7 @@ class _EnginePlan(NamedTuple):
     offsets: np.ndarray         # band offsets around a carrier, shared by every channel
     fade: np.ndarray            # (ch, block) x^m, the within-step relaxation
     x0: np.ndarray              # (ch, 1) expansion point, the middle of x^m's range
-    spread: np.ndarray          # (ch, 1) max_m |x^m - x0|
+    spread: np.ndarray          # (ch, 1) half x^m's range, max_m |x^m - x0|
     starts: np.ndarray          # (ch, 2, windows) first spectrum bin read per tone, term, window
     rotations: np.ndarray       # (ch, 2, windows, block) a/2 exp(-2 pi i starts m / n)
     table: np.ndarray           # (ch, 2, windows, K+1, width) the expansion's bin weights
@@ -94,7 +94,7 @@ def _engine_plan(chip: ChipConfig, settings: RunSettings, operating) -> _EngineP
     carrier_bins, offsets = np.array([k_c for k_c, _ in planned]), planned[0][1]
     width = offsets.size
     fade = np.exp(-np.arange(block) / (fs * np.array([[p.tau_th_s] for p in chip.bolometers])))
-    x0 = 0.5 * (fade[:, :1] + fade[:, -1:])
+    x0, spread = 0.5 * (fade[:, :1] + fade[:, -1:]), 0.5 * (fade[:, :1] - fade[:, -1:])
     # window w holds bins k_w + offsets of the record; tone ch's Re(a Gamma
     # carrier) puts there a/2 times Gamma's spectrum at k_w - k_ch + offsets
     # (term 0) plus conj(Gamma)'s at k_w + k_ch + offsets (term 1, its image);
@@ -104,17 +104,19 @@ def _engine_plan(chip: ChipConfig, settings: RunSettings, operating) -> _EngineP
     half_amplitude = np.array([0.5 * tone_amplitude_volts(tone.p_dbm) for tone in tones])
     rotations = (half_amplitude[:, None, None, None]
                  * np.exp(-2j * np.pi / n * ((starts[..., None] % n) * np.arange(block) % n)))
-    # table[..., k, j] = a/2 sum_m (x^m - x0)^k exp(-2 pi i (starts + j) m / n)
-    powers = (fade - x0)[:, None, :] ** np.arange(order + 1)[:, None]
-    table = _zoom_dft(powers[:, None, None] * rotations[:, :, :, None, :], n, width)
+    # table[..., k, j] = a/2 sum_m T_k(u_m) exp(-2 pi i (starts + j) m / n), u_m in [-1, 1]
+    basis = np.ones((n_ch, order + 1, block))
+    u = basis[:, 1] = np.divide(fade - x0, spread, out=np.zeros_like(fade), where=spread > 0.0)
+    for k in range(2, order + 1):
+        basis[:, k] = 2.0 * u * basis[:, k - 1] - basis[:, k - 2]
+    table = _zoom_dft(basis[:, None, None] * rotations[:, :, :, None, :], n, width)
     # term 1 reads conj(Gamma)'s spectrum at q: the conjugate of Gamma's at -q
     q = (starts[..., None] + np.arange(width)) * np.array([1, -1])[:, None, None]
     picks = ((np.arange(n_ch)[:, None, None, None, None] * (order + 1)
               + np.arange(order + 1)[:, None]) * steps + (q % steps)[:, :, :, None, :])
     return _EnginePlan(n, steps, block, decimation, fs, pulse,
                        chip.noise_sigma_v / math.sqrt(settings.n_avg), channels, carrier_bins,
-                       offsets, fade, x0, np.max(np.abs(fade - x0), axis=1, keepdims=True),
-                       starts, rotations, table, picks)
+                       offsets, fade, x0, spread, starts, rotations, table, picks)
 
 
 def _thermal_stage(plan: _EnginePlan, heater_w: np.ndarray):
@@ -150,28 +152,29 @@ def _thermal_stage(plan: _EnginePlan, heater_w: np.ndarray):
 def _expanded_bins(plan: _EnginePlan, det_inf: np.ndarray, drive: np.ndarray):
     """The window bins of every step Gamma's expansion covers, and the steps it does not.
 
-    Within step s the detuning is det_inf[s] + drive[s] x^m, so with z =
-    kappa/2 + i (det_inf + drive x0), Gamma = sum_k C[k] (x^m - x0)^k, where
-    C[0] = 1 - kappa_ext/z and C[k] = -(kappa_ext/z) (-i drive/z)^k.  The
-    steps whose ratio passes _EXPANSION_BOUND are left out (their C zeroed).
-    A spectrum bin q of the expansion is sum_k FFT_steps(C[k])[q mod steps]
-    times the plan's table.  Returns the (windows, width) bins and the
-    (ch, steps) mask of the steps left out.
+    Within step s, with z = kappa/2 + i (det_inf + drive x0), c = drive spread and
+    u = (x^m - x0) / spread, Gamma = 1 - kappa_ext / (z + i c u) = sum_k C[k] T_k(u),
+    where g = sqrt(z^2 + c^2) (principal branch), beta = -i c / (z + g) (|beta| <=
+    1), C[0] = 1 - kappa_ext/g and C[k] = -2 (kappa_ext/g) beta^k.  The steps whose
+    |beta| passes _EXPANSION_BOUND are left out (their C zeroed).  A spectrum bin q
+    is sum_k FFT_steps(C[k])[q mod steps] times the plan's table.  Returns the
+    (windows, width) bins and the (ch, steps) mask of the steps left out.
     """
-    ke, ki = plan.channels.kappa_ext, plan.channels.kappa_int
-    n_ch, steps = det_inf.shape
-    z = 0.5 * (ke + ki) + 1j * (det_inf + drive * plan.x0)
-    dense = np.abs(drive) * plan.spread > _EXPANSION_BOUND * np.abs(z)
+    (n_ch, steps), ke, ki = det_inf.shape, plan.channels.kappa_ext, plan.channels.kappa_int
     coeffs = np.empty((n_ch, _EXPANSION_ORDER + 1, steps), dtype=complex)
-    scale = np.divide(ke, z, out=coeffs[:, 0])
-    ratio = -1j * drive / z
-    np.multiply(scale, -ratio, out=coeffs[:, 1])
+    z, c = 0.5 * (ke + ki) + 1j * (det_inf + drive * plan.x0), plan.spread * drive
+    g = np.sqrt(z * z + c * c)
+    beta = -1j * c / (z + g)
+    dense = np.abs(beta) > _EXPANSION_BOUND
+    scale = np.divide(ke, g, out=coeffs[:, 0])
+    np.multiply(scale, -2.0 * beta, out=coeffs[:, 1])
     for k in range(2, _EXPANSION_ORDER + 1):
-        np.multiply(coeffs[:, k - 1], ratio, out=coeffs[:, k])
+        np.multiply(coeffs[:, k - 1], beta, out=coeffs[:, k])
     np.subtract(1.0, scale, out=coeffs[:, 0])
     coeffs.transpose(0, 2, 1)[dense] = 0.0
+    del z, c, g, beta, scale        # made after coeffs, so the picked spectra reuse them
     picked = np.take(np.fft.fft(coeffs, axis=-1, out=coeffs), plan.picks)
-    del coeffs, scale       # freed before the contraction's buffer
+    del coeffs                      # freed before the contraction's buffer
     np.conjugate(picked[:, 1], out=picked[:, 1])
     return np.einsum("ctwkj,ctwkj->wj", plan.table, picked), dense
 

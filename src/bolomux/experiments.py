@@ -142,19 +142,6 @@ def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, record, seed: Seed,
                     plan.decimation)
 
 
-def _timedomain_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, settings: RunSettings,
-                     operating, seed: Seed, stream_labels):
-    """_iq_runs as MultiplexRuns, no pattern bit set: per channel an IQTrace and
-    its response_metric."""
-    (tones, ops), rate = operating, plan.sample_rate_hz / plan.decimation
-    quiet = TriggerPattern((False,) * chip.n_channels)
-    for samples in _iq_runs(chip, plan, heater_tones, seed, stream_labels):
-        iqs = tuple(IQTrace(tone.f_hz, rate, 0.0, row) for tone, row in zip(tones, samples))
-        yield MultiplexRun(quiet, tones, ops, iqs, tuple(
-            response_metric(iq, settings.baseline_window_s, settings.signal_window_s)
-            for iq in iqs), settings.n_avg)
-
-
 def _fan_out(fn, jobs, threads: int) -> list:
     """[fn(*job) for job in jobs], run on up to `threads` worker threads.
 
@@ -197,11 +184,15 @@ def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings
 def _trigger_runs(chip: ChipConfig, plan: _EnginePlan, patterns, settings: RunSettings,
                   operating, seed: Seed) -> list[MultiplexRun]:
     """run_trigger for each pattern, as one batch of the engine."""
+    (tones, ops), rate = operating, plan.sample_rate_hz / plan.decimation
     heater_tones = [schedule_heaters(pat, chip.filters, chip.channel_map,
                                      settings.heater_power_dbm) for pat in patterns]
-    runs = _timedomain_runs(chip, plan, heater_tones, settings, operating, seed,
-                            [(_KIND_TRIGGER, pat.value) for pat in patterns])
-    return [replace(run, pattern=pat) for pat, run in zip(patterns, runs)]
+    traces = [tuple(IQTrace(tone.f_hz, rate, 0.0, row) for tone, row in zip(tones, samples))
+              for samples in _iq_runs(chip, plan, heater_tones, seed,
+                                      [(_KIND_TRIGGER, pat.value) for pat in patterns])]
+    return [MultiplexRun(pat, tones, ops, iqs, tuple(
+        response_metric(iq, settings.baseline_window_s, settings.signal_window_s) for iq in iqs),
+        settings.n_avg) for pat, iqs in zip(patterns, traces)]
 
 
 def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed,

@@ -10,6 +10,7 @@ from bolomux.analysis import (
     _P_1DB_FACTOR,
     FitError,
     _fit_exponential,
+    _median,
     capacity_estimate,
     crosstalk_matrix,
     fit_compression,
@@ -224,6 +225,16 @@ def test_compression_noisy_p1db_stability():
         noisy = clean * (1.0 + rng.normal(0.0, 0.01, p.size))
         assert fit_compression(p, noisy) == pytest.approx(watts_to_dbm(_P_1DB_FACTOR * p_sat),
                                                           abs=0.3)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 27, 28])
+def test_compression_small_signal_median_is_numpy_median(size):
+    # the small-signal gain's median equals np.median bit for bit, on odd and
+    # even counts, spread values and ties, without the numpy.ma import
+    rng = np.random.default_rng(size)
+    for values in [rng.lognormal(0.0, 3.0, size) for _ in range(20)] + [
+            rng.integers(0, 3, size).astype(float) * 1e12 for _ in range(5)]:
+        assert _median(values) == float(np.median(values))
 
 
 # -------------------------------------------------------------- crosstalk

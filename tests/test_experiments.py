@@ -2,6 +2,10 @@
 sweeps, and calibration."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -13,7 +17,7 @@ from bolomux import engine, experiments
 from bolomux.analysis import _fit_exponential
 from bolomux.config import PRESETS, ChipConfig, load_config
 from bolomux.device import _absorption, _gamma, solve_operating_point
-from bolomux.dsp import _band_iq, _baseline_std_per_volt
+from bolomux.dsp import IQTrace, _band_iq, _baseline_std_per_volt, response_metric
 from bolomux.experiments import (
     _KIND_TRIGGER,
     _fan_out,
@@ -462,6 +466,53 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
     operating = operating_tones(quiet, settings)
     assert_close_to(seam_iq(quiet, [tone], settings, operating, Seed(0), ()),
                     composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_chebyshev_expansion_matches_gamma_at_every_sample(preset, monkeypatch):
+    # random steps of the posture's plan with the coefficient ratio |beta|
+    # from 0 (no drive) past the expansion bound: each expanded step's series
+    # sum_k C[k] T_k(u_m) meets Gamma at every sample to 2 |beta|^9 / (1 -
+    # |beta|) of |kappa_ext / (z r)| plus rounding, and every step past the
+    # bound is left out, its coefficients zeroed
+    cfg = load_config(None, preset=preset)
+    quiet = replace(cfg.chip, noise_sigma_v=0.0)
+    plan = engine._engine_plan(quiet, cfg.settings, operating_tones(quiet, cfg.settings))
+    c = plan.channels
+    rng = np.random.default_rng(5)
+    shape = (quiet.n_channels, plan.steps)
+    kappa = c.kappa_ext + c.kappa_int
+    z = 0.5 * kappa + 1j * kappa * rng.uniform(-3.0, 3.0, shape)
+    ratio = rng.uniform(0.0, 0.0905, shape)
+    ratio[:, :3] = [0.0, 0.0897, 0.0903]      # w = 0, and either side of the bound
+    drive = rng.choice([-1.0, 1.0], shape) * ratio * np.abs(z) / plan.spread
+    w = 1j * drive * plan.spread / z
+    r = np.sqrt(1.0 - w * w)
+    beta = np.abs(-w / (1.0 + r))
+    assert beta[:, 0].max() == 0.0 and beta[:, 1].max() < engine._EXPANSION_BOUND
+    assert beta[:, 2].min() > engine._EXPANSION_BOUND
+    coefficients = []
+    fft = np.fft.fft
+
+    def captured(a, *args, **kwargs):
+        coefficients.append(a.copy())
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", captured)
+    _, dense = engine._expanded_bins(plan, z.imag - drive * plan.x0, drive)
+    monkeypatch.undo()
+    assert np.array_equal(dense, beta > engine._EXPANSION_BOUND)
+    coeffs = coefficients[0]
+    assert not coeffs.transpose(0, 2, 1)[dense].any()
+    u = (plan.fade - plan.x0) / plan.spread
+    for ch in range(quiet.n_channels):
+        keep = ~dense[ch]
+        series = np.polynomial.chebyshev.chebval(u[ch], coeffs[ch][:, keep])
+        detuning = z.imag[ch, keep, None] + drive[ch, keep, None] * (plan.fade[ch] - plan.x0[ch])
+        gamma = _gamma(detuning, c.kappa_ext[ch], c.kappa_int[ch])
+        bound = (2.0 * beta[ch, keep] ** 9 / (1.0 - beta[ch, keep])
+                 * np.abs(c.kappa_ext[ch] / (z[ch, keep] * r[ch, keep])))
+        assert np.all(np.max(np.abs(series - gamma), axis=1) <= bound + 1e-14)
 
 
 def record_dense_steps(monkeypatch):
@@ -960,12 +1011,14 @@ def test_power_sweep_matrix_matches_the_recorded_reference(shipped_matrix):
 
 
 def test_power_sweep_sums_few_steps_sample_by_sample(default_chip, shipped_matrix):
-    # 659 of the 243,000 (run, channel, step) rows of the shipped sweep pass
-    # the expansion bound; a bound that slipped toward all-dense shows here
+    # 325 of the 243,000 (run, channel, step) rows of the shipped sweep pass
+    # the expansion bound on the Chebyshev ratio |beta| (659 passed the power
+    # series' bound on rho, about 2 |beta|); a bound that slipped toward
+    # all-dense, or a series that converged more slowly, shows here
     powers, _, masks = shipped_matrix
     assert len(masks) == len(default_chip.filters) * len(powers)
-    dense = sum(int(mask.sum()) for mask in masks)
-    assert 0 < dense <= 0.01 * sum(mask.size for mask in masks)
+    assert sum(mask.size for mask in masks) == 243_000
+    assert 0 < sum(int(mask.sum()) for mask in masks) <= 330
 
 
 def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
@@ -1045,7 +1098,7 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
 def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
     # a noiseless path holds no array at the digitizer rate: its traced peak
     # (the engine plan, the thermal pass and one run's readout, at -90 dBm
-    # with 27 steps summed sample by sample) is 0.99 complex (steps x block)
+    # with 15 steps summed sample by sample) is 0.96 complex (steps x block)
     # matrices (one is 1.53 MiB on the shipped posture), and a real float64
     # (steps x block) array on top (half a matrix) would pass 1.25
     settings = FLANK
@@ -1066,7 +1119,7 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
 def test_power_sweep_matrix_peak_memory(default_chip, default_config):
     # the shipped 27-power sweep, every run in one pass at one thread: its
     # traced peak (the plan, the pass's rows for all 81 runs and one run's
-    # readout) is 2.35 complex (steps x block) matrices.  The bound is the
+    # readout) is 2.33 complex (steps x block) matrices.  The bound is the
     # peak of the sweep that made one pass per filter, 2.498-2.503 matrices
     # (4.0 MB) over three traced calls
     ps = default_config.sweeps["powersweep"]
@@ -1100,6 +1153,17 @@ def test_multiplex_derives_one_stream_per_pattern(default_chip, default_settings
     assert streams == [(_KIND_TRIGGER, v) for v in range(2 ** default_chip.n_channels)]
 
 
+def direct_responses(chip, tone, settings, operating):
+    """Every bolometer's response_metric response in one direct noiseless
+    single-pulse run under the heater tone: the seam's IQ of the run alone,
+    each channel's row as an IQTrace at the output rate."""
+    rate = chip.sample_rate_hz / round(chip.sample_rate_hz / settings.output_rate_hz)
+    iq = seam_iq(chip, [tone], settings, operating, Seed(0), ())
+    return [response_metric(IQTrace(probe.f_hz, rate, 0.0, row), settings.baseline_window_s,
+                            settings.signal_window_s).response
+            for probe, row in zip(operating[0], iq)]
+
+
 def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
     # oracle: responses[i, j, p] is bolometer i's response in a direct
     # noiseless single-pulse run at filter j's center and power p
@@ -1107,14 +1171,25 @@ def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
     assert np.array_equal(powers_w, device_watts(default_chip, SHORT_POWERS_DBM))
     quiet = replace(default_chip, noise_sigma_v=0.0)
     operating = operating_tones(quiet, settings)
-    plan = engine._engine_plan(quiet, settings, operating)
     for j, filt in enumerate(default_chip.filters):
         for p, p_dbm in enumerate(SHORT_POWERS_DBM):
-            tone = ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm)
-            run, = experiments._timedomain_runs(quiet, plan, [[tone]], settings, operating,
-                                                Seed(0), [()])
-            for i in range(default_chip.n_channels):
-                assert responses[i, j, p] == run.metrics[i].response
+            direct = direct_responses(quiet, ToneSpec(f_hz=filt.f_center_hz, p_dbm=p_dbm),
+                                      settings, operating)
+            assert responses[:, j, p].tolist() == direct
+
+
+def test_power_sweep_matrix_loads_no_masked_arrays():
+    # np.median imports numpy.ma, 11-19 ms per process; the compression
+    # fits take their median without it
+    code = ("import sys, numpy as np; from bolomux.config import load_config; "
+            "from bolomux.experiments import power_sweep_matrix; cfg = load_config(None); "
+            "ps = cfg.sweeps['powersweep']; power_sweep_matrix(cfg.chip, np.linspace("
+            "ps['p_min_dbm'], ps['p_max_dbm'], int(ps['n_points'])), cfg.settings, 1); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
@@ -1156,19 +1231,23 @@ def test_pulse_decay_recovers_time_constants(noiseless_chip):
 
 def test_halving_thermal_step_leaves_metrics_unchanged(noiseless_chip,
                                                        default_settings):
-    # the exponential relaxation update is exact per step, so refining the
-    # step grid must not move any reported number by more than 0.1%
+    # the stepping is second order in dt: halving the shipped 100 ns step moves
+    # each reported number by at most 1.15e-7 (response), 1.2e-12
+    # (baseline_mean), 1.24e-6 (baseline_std, the noiseless pulse's ringing)
+    # and 2.2e-9 (signal_mean), relative; each bound is twice that
+    bounds = {"response": 2.5e-7, "baseline_mean": 2.5e-12, "baseline_std": 2.5e-6,
+              "signal_mean": 4.5e-9}
     coarse_settings = replace(default_settings, n_avg=1, thermal_dt_s=100e-9)
     fine_settings = replace(default_settings, n_avg=1, thermal_dt_s=50e-9)
     pattern = TriggerPattern.from_label("111")
     coarse = run_trigger(noiseless_chip, pattern, coarse_settings, Seed(0))
     fine = run_trigger(noiseless_chip, pattern, fine_settings, Seed(0))
     for m_c, m_f in zip(coarse.metrics, fine.metrics):
-        for name in ("response", "baseline_mean", "baseline_std", "signal_mean"):
+        for name, bound in bounds.items():
             a = getattr(m_c, name)
             b = getattr(m_f, name)
             scale = max(abs(a), abs(b), 1e-30)
-            assert abs(a - b) / scale < 1e-3
+            assert abs(a - b) / scale < bound
 
 
 def test_probe_comb_does_not_disturb_neighbors(noiseless_chip, default_settings):
