@@ -5,14 +5,14 @@ chain reproducible to the bit.  A down-conversion keeps the inclusive bin
 range carrier +- bandwidth/2 from `_band_offsets` (a guard of 1e-6 of a bin
 spacing keeps edge bins against rounding of the edge), and `_band_iq`, the
 one band slice, folds those bins onto the output rate and inverse
-transforms them.  `_dft_bins`, a DFT of a real record pruned to a few
-windows of bins, reads every channel's band from one real transform of the
-engine's (steps, block) noise record.  `_zoom_dft` gives a few bins of the
-DFT of a short sequence zero-padded to any length; the engine's readout
-plans and sums its tones with it.  For a carrier on the record's DFT grid
-the chain equals a full-record mixer.  `_window_means` holds the one copy
-of the response windows' arithmetic: `response_metric` reduces one trace
-with it, and a power sweep all of a run's channels at once.
+transforms them.  `_white_bins` draws the band bins of a white record's DFT
+directly, so the engine's averaged noise needs no record.  `_zoom_dft`
+gives a few bins of the DFT of a short sequence zero-padded to any length;
+the engine's readout plans and sums its tones with it.  For a carrier on
+the record's DFT grid the chain equals a full-record mixer.
+`_window_means` holds the one copy of the response windows' arithmetic:
+`response_metric` reduces one trace with it, and a power sweep all of a
+run's channels at once.
 """
 
 from __future__ import annotations
@@ -90,35 +90,23 @@ def _demod_band(n: int, sample_rate_hz: float, f_carrier_hz: float, lp_bandwidth
     return k_c, _band_offsets(n, bin_hz, lp_bandwidth_hz)
 
 
-@functools.lru_cache(maxsize=8)
-def _twiddles(n: int, c: int, width: int) -> np.ndarray:
-    """exp(-2 pi i j m / n) for j < width, m < c, shared by every window of _dft_bins."""
-    table = np.exp(-2j * np.pi / n * (np.outer(np.arange(width), np.arange(c)) % n))
-    table.flags.writeable = False   # one cached array serves every caller
-    return table
+def _white_bins(rng, bins: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """The bins (any integers, read mod n) of the DFT of an n-sample white record of
+    std sigma, drawn in the band, exact in distribution.
 
-
-def _dft_bins(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """Bins starts[w] + j, j < width (mod n), of the DFT G of the real n-sample record x.ravel().
-
-    With x viewed as (r, c), c = min(x.shape) (or 1 where the windows hold
-    more than n/c bins), G[k] = sum_m exp(-2 pi i k m / n) A[k mod r, m], A
-    that view's FFT along axis 0, whose rows past r/2 are A[r - q] =
-    conj(A[q]): one rfft holds them all.  Window w's twiddle is
-    exp(-2 pi i starts[w] m / n) times the shared table.  Returns a
-    (windows, width) array.
+    Bins q and n - q are conjugates, and the distinct folded bins min(q, n - q)
+    independent: complex normals with E|X|**2 = n sigma**2, real at 0 and n/2.
+    One (2, distinct) draw from rng, in sorted folded-bin order, serves them all,
+    so windows that share a bin share its value.
     """
-    n = x.size
-    c = min(x.shape) if len(starts) * width * min(x.shape) <= n else 1
-    rows = n // c
-    a = np.fft.rfft(x.reshape(rows, c), axis=0)
-    q = (starts[:, None] + np.arange(width)) % rows
-    mirrored = q > rows // 2
-    picked = a[np.where(mirrored, rows - q, q)]
-    np.conjugate(picked, out=picked, where=mirrored[..., None])
-    picked *= _twiddles(n, c, width)
-    start_twiddles = np.exp(-2j * np.pi / n * (np.outer(starts % n, np.arange(c)) % n))
-    return np.einsum("wjm,wm->wj", picked, start_twiddles)
+    q = bins % n
+    folded, index = np.unique(np.minimum(q, n - q), return_inverse=True)
+    draw = rng.standard_normal((2, folded.size)) * (sigma * math.sqrt(0.5 * n))
+    edge = (folded == 0) | (2 * folded == n)
+    draw[0, edge] *= math.sqrt(2.0)
+    draw[1, edge] = 0.0
+    values = (draw[0] + 1j * draw[1])[index.reshape(q.shape)]
+    return np.where(2 * q > n, values.conj(), values)
 
 
 def _chirp(n: int, k: np.ndarray) -> np.ndarray:

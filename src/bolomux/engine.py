@@ -6,8 +6,8 @@ row per loop iteration; `_readout` reads one run's demod band bins: its
 tones Re(a Gamma(t) exp(2 pi i k_ch i / n)), Gamma on the exact
 within-step relaxation at every digitizer sample, from a short Chebyshev
 series in each step (_expanded_bins) or, where that converges too slowly,
-sample by sample, and on a noisy chip the averaged noise, with no
-digitizer-rate array for the tones.
+sample by sample, and on a noisy chip the averaged noise, drawn in the
+band: no digitizer-rate array for the tones or for the noise.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .device import _absorption, _gamma
-from .dsp import _demod_band, _dft_bins, _zoom_dft
+from .dsp import _demod_band, _white_bins, _zoom_dft
 from .units import dbm_to_watts, tone_amplitude_volts
 
 if TYPE_CHECKING:
@@ -198,14 +198,13 @@ def _dense_bins(plan: _EnginePlan, det_inf: np.ndarray, drive: np.ndarray,
         np.exp(-2j * np.pi / steps * (np.outer(s, np.arange(width)) % steps)))
 
 
-def _readout(plan: _EnginePlan, t_start: np.ndarray, t_inf_of: np.ndarray, rng,
-             record) -> np.ndarray:
+def _readout(plan: _EnginePlan, t_start: np.ndarray, t_inf_of: np.ndarray, rng) -> np.ndarray:
     """The record's DFT over every channel's band window, (windows, width), from
     one run's (channels, steps) trajectories: Gamma's per-step expansion
     (_expanded_bins), the steps it leaves out (_dense_bins) and on a noisy
-    chip the mean of n_avg noise records, one white record of std noise_scale
-    drawn from rng into record (the batch's (steps, block) array) and read by
-    one pruned real transform; on a quiet chip rng and record are None.
+    chip the mean of n_avg noise records, a white record of std noise_scale
+    whose window bins are drawn from rng in the band (_white_bins); on a
+    quiet chip rng is None.
     """
     c = plan.channels
     det_inf, drive = c.detuning(t_inf_of - c.t_bath), c.dfdt * (t_start - t_inf_of)
@@ -213,7 +212,6 @@ def _readout(plan: _EnginePlan, t_start: np.ndarray, t_inf_of: np.ndarray, rng,
     if dense.any():
         bands += _dense_bins(plan, det_inf, drive, dense)
     if rng is not None:
-        rng.standard_normal(out=record)
-        bands += plan.noise_scale * _dft_bins(record, plan.carrier_bins + plan.offsets[0],
-                                              plan.offsets.size)
+        bands += _white_bins(rng, plan.carrier_bins[:, None] + plan.offsets, plan.n,
+                             plan.noise_scale)
     return bands

@@ -124,21 +124,19 @@ def _heater_power_w(chip: ChipConfig, heater_tones) -> np.ndarray:
 
 
 def _iq_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, seed: Seed, stream_labels):
-    """_timedomain_run per list of heater tones after one thermal pass; on a noisy
-    chip, all share one noise record."""
+    """_timedomain_run per list of heater tones after one thermal pass."""
     t_start, t_inf, index = _thermal_stage(plan, _heater_power_w(chip, heater_tones))
-    record = np.empty((plan.steps, plan.block)) if plan.noise_scale > 0.0 else None
     for r, labels in enumerate(stream_labels):
         yield _timedomain_run(plan, t_start[r].take(index, axis=1), t_inf[r].take(index, axis=1),
-                              record, seed, labels)
+                              seed, labels)
 
 
-def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, record, seed: Seed,
+def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, seed: Seed,
                     stream_labels: tuple[int, ...]) -> np.ndarray:
     """One run's (channels, M) IQ: the band-sliced _readout of its trajectories, with
-    noise from the stream (seed, *stream_labels) given a record to draw into."""
-    rng = derive_stream(seed, *stream_labels) if record is not None else None
-    return _band_iq(_readout(plan, t_start, t_inf_of, rng, record), plan.offsets, plan.n,
+    noise on a noisy chip from the stream (seed, *stream_labels)."""
+    rng = derive_stream(seed, *stream_labels) if plan.noise_scale > 0.0 else None
+    return _band_iq(_readout(plan, t_start, t_inf_of, rng), plan.offsets, plan.n,
                     plan.decimation)
 
 

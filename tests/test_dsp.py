@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band, _dft_bins,
+from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band, _white_bins,
                          _zoom_dft, response_metric)
 from bolomux.units import Seed, derive_stream, tone_amplitude_volts
 
@@ -34,15 +34,14 @@ def with_noise(record, sigma_v, gen):
 def band_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=0.0):
     """Down-convert a real record sampled from t0_s through the engine's chain.
 
-    _demod_band plans the carrier bin and band, _dft_bins reads the band's
-    bins of the record's DFT, which are rotated by exp(-i w_c t0) to refer
-    them to the record's start, and _band_iq slices them to IQ.  A pure tone
-    a*cos(2 pi f_c t) demodulates to a/2.
+    _demod_band plans the carrier bin and band, whose bins of the record's
+    DFT are rotated by exp(-i w_c t0) to refer them to the record's start,
+    and _band_iq slices them to IQ.  A pure tone a*cos(2 pi f_c t)
+    demodulates to a/2.
     """
     n = record.size
     k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
-    band = (_dft_bins(record[:, None], np.array([k_c + offsets[0]]), offsets.size)[0]
-            * np.exp(-2j * np.pi * f_carrier_hz * t0_s))
+    band = np.fft.fft(record)[(k_c + offsets) % n] * np.exp(-2j * np.pi * f_carrier_hz * t0_s)
     return IQTrace(f_carrier_hz, fs / decimation, t0_s, _band_iq(band, offsets, n, decimation))
 
 
@@ -146,44 +145,53 @@ def test_demod_validation():
         _demod_band(n, fs, 10e6, 2e6, 100.0)  # float decimation
 
 
-# ---------------------------------------------------------- pruned DFT
+# ------------------------------------------------------ noise in the band
 
 
-@pytest.mark.parametrize("shape, width, view", [
-    ((1000, 100), 101, (1000, 100)),
-    ((100, 1000), 101, (1000, 100)),    # fewer rows than columns: rows become c
-    ((997, 3), 40, (997, 3)),           # prime row count: no Nyquist row
-    ((50, 40), 60, (2000, 1)),          # windows hold more than n / c bins: c = 1
-])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_dft_bins_matches_full_fft(monkeypatch, shape, width, view, dtype):
-    # a real record, held in a float array or, strided, as the real part of
-    # a complex one
-    x = np.zeros(shape, dtype=dtype).real
-    x[:] = stream(21, shape[0], width).normal(size=shape)
-    n, rows = x.size, view[0]
-    # negative starts, starts at and past n, a repeated start, and a window
-    # across the middle row: rows past rows // 2 are read as the conjugates
-    # of their mirror rows, and at an even row count the Nyquist row is read
-    starts = np.array([-7, 3, n, 2 * n + 11, 3, -n - 1, rows // 2 - width // 2])
-    q = (starts[:, None] + np.arange(width)) % rows
-    assert (q > rows // 2).any() and (q <= rows // 2).any()
-    assert rows % 2 == 1 or (q == rows // 2).any()
-    calls = []
-    for name in ("fft", "rfft"):
-        original = getattr(np.fft, name)
+class BasisDraw:
+    """A generator stub whose standard_normal(shape) is the unit vector e_i of
+    that shape, i its flat index: the helper's linear map, column by column."""
 
-        def recorded(a, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(a), kwargs.get("axis", -1)))
-            return _original(a, *args, **kwargs)
+    def __init__(self, i):
+        self.i, self.shapes = i, []
 
-        monkeypatch.setattr(np.fft, name, recorded)
-    bins = _dft_bins(x, starts, width)
-    monkeypatch.undo()
-    assert calls == [("rfft", view, 0)]
-    expected = np.fft.fft(x.ravel())[(starts[:, None] + np.arange(width)) % n]
-    assert bins.shape == (starts.size, width)
-    assert np.max(np.abs(bins - expected)) <= 1e-12 * np.max(np.abs(expected))
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        z = np.zeros(shape)
+        z.flat[self.i] = 1.0
+        return z
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_white_bins_is_exact_in_distribution(n):
+    # oracle: a white record x of std sigma has DFT bins F x, F the full
+    # DFT's rows at the bins, so the stacked (Re, Im) bins have covariance
+    # sigma^2 [Re F; Im F][Re F; Im F]^T.  The helper is linear in its
+    # normals, so its covariance is the Gram matrix of its basis responses.
+    # Bins are negative, at and past n, a repeated start, and windows across
+    # DC and across n/2 (odd n has no real Nyquist bin)
+    width, sigma = 9, 0.37
+    starts = np.array([-7, 3, n, 2 * n + 11, 3, -n - 1, n // 2 - 4])
+    bins = starts[:, None] + np.arange(width)
+    probe = BasisDraw(0)
+    _white_bins(probe, bins, n, sigma)
+    (shape,) = probe.shapes
+    columns = []
+    for i in range(math.prod(shape)):
+        out = _white_bins(BasisDraw(i), bins, n, sigma).ravel()
+        columns.append(np.concatenate([out.real, out.imag]))
+    got = np.array(columns).T
+    f = np.exp(-2j * np.pi / n * (np.outer(bins.ravel() % n, np.arange(n)) % n))
+    stacked = np.concatenate([f.real, f.imag])
+    expected = sigma ** 2 * stacked @ stacked.T
+    assert np.max(np.abs(got @ got.T - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # one draw: windows sharing a bin (mod n) share its value bit for bit,
+    # and bin n - q is bin q's exact conjugate
+    draw = _white_bins(stream(21, n), bins, n, sigma)
+    assert np.array_equal(draw[1], draw[4])                 # bins 3..11, twice
+    assert np.array_equal(draw[0, 7:], draw[2, :2])         # bins 0, 1 and n, n + 1
+    assert np.array_equal(draw[1, :6], draw[2, 3:])         # bins 3..8 and n + 3..n + 8
+    assert np.array_equal(draw[0, :7], np.conj(draw[2, 7:0:-1]))   # n - 7..n - 1 and 7..1
 
 
 def test_zoom_dft_matches_direct_sum_in_row_batches():

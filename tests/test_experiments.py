@@ -17,7 +17,8 @@ from bolomux import engine, experiments
 from bolomux.analysis import _fit_exponential
 from bolomux.config import PRESETS, ChipConfig, load_config
 from bolomux.device import _absorption, _gamma, solve_operating_point
-from bolomux.dsp import IQTrace, _band_iq, _baseline_std_per_volt, response_metric
+from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band, _white_bins,
+                         response_metric)
 from bolomux.experiments import (
     _KIND_TRIGGER,
     _fan_out,
@@ -365,20 +366,19 @@ def scalar_thermal_oracle(chip, operating, heater_w, dt):
     return t_start, t_inf_of
 
 
-def composite_engine_oracle(chip, heater_tones, settings, operating, seed, labels):
-    """The mixer-per-channel readout, kept as the engine's oracle.
+def composite_engine_oracle(chip, heater_tones, settings, operating):
+    """The mixer-per-channel readout of a noiseless chip, kept as the engine's oracle.
 
     Steps each channel's thermal state (scalar_thermal_oracle) under the
     heater tones, each on for the settings' heater window, builds its
     reflected tone Re(a Gamma(t) exp(i (2 pi f t + phase))) on the record's
-    time axis from a record-length carrier, adds the tones and the averaged
-    noise record of std sigma/sqrt(n_avg) from the stream (seed, *labels)
-    into one composite record and mixes that record down once per channel
-    with a record-length mixer (mixer_demodulate), where the engine reads
-    the tones' bands from each probe's per-step expansion and the noise's
-    from one pruned real transform.  Returns the IQ samples, one row per
-    channel.
+    time axis from a record-length carrier, adds the tones into one
+    composite record and mixes that record down once per channel with a
+    record-length mixer (mixer_demodulate), where the engine reads the
+    tones' bands from each probe's per-step expansion.  Returns the IQ
+    samples, one row per channel.
     """
+    assert chip.noise_sigma_v == 0.0
     fs = chip.sample_rate_hz
     n = round(settings.window_s * fs)
     steps = round(settings.window_s / settings.thermal_dt_s)
@@ -401,12 +401,23 @@ def composite_engine_oracle(chip, heater_tones, settings, operating, seed, label
         gam = _gamma(tone.f_hz - (par.f_r0_hz - dfdt * (t_samples - t_bath)), ke, ki)
         carrier = np.exp(1j * 2.0 * np.pi * tone.f_hz * t)
         composite += np.real(gam * (tone_amplitude_volts(tone.p_dbm) * carrier))
-    sigma = chip.noise_sigma_v / math.sqrt(settings.n_avg)
-    if sigma > 0.0:
-        composite += derive_stream(seed, *labels).normal(0.0, sigma, n)
     decimation = round(fs / settings.output_rate_hz)
     return np.array([mixer_demodulate(composite, fs, tone.f_hz, settings.demod_bandwidth_hz,
                                       decimation) for tone in tones])
+
+
+def band_noise_iq(chip, settings, operating, seed, labels):
+    """The averaged noise's IQ, one row per channel: every probe's band bins of
+    a white record of std sigma/sqrt(n_avg) drawn in the band (_white_bins)
+    from the stream (seed, *labels), sliced as the pipeline slices them."""
+    fs = chip.sample_rate_hz
+    n, decimation = round(settings.window_s * fs), round(fs / settings.output_rate_hz)
+    planned = [_demod_band(n, fs, tone.f_hz, settings.demod_bandwidth_hz, decimation)
+               for tone in operating[0]]
+    bins = np.array([k_c + offsets for k_c, offsets in planned])
+    bands = _white_bins(derive_stream(seed, *labels), bins, n,
+                        chip.noise_sigma_v / math.sqrt(settings.n_avg))
+    return _band_iq(bands, planned[0][1], n, decimation)
 
 
 def expand(rows, index):
@@ -423,10 +434,8 @@ def seam_iq(chip, heater_tones, settings, operating, seed, labels):
     plan = engine._engine_plan(chip, settings, operating)
     t_start, t_inf, index = engine._thermal_stage(
         plan, experiments._heater_power_w(chip, [heater_tones]))
-    noisy = plan.noise_scale > 0.0
     bands = engine._readout(plan, expand(t_start, index)[0], expand(t_inf, index)[0],
-                            derive_stream(seed, *labels) if noisy else None,
-                            np.empty((plan.steps, plan.block)) if noisy else None)
+                            derive_stream(seed, *labels) if plan.noise_scale > 0.0 else None)
     return _band_iq(bands, plan.offsets, plan.n, plan.decimation)
 
 
@@ -437,25 +446,23 @@ def assert_close_to(got, oracle, rel=1e-9):
 @pytest.mark.parametrize("preset", ["desk", "paper"])
 @pytest.mark.parametrize("label", ["000", "101", "111"])
 def test_spectral_engine_matches_composite_oracle(preset, label):
-    # noiseless and noisy at the same seed; the noisy-minus-noiseless IQ,
-    # the noise alone, matches to the same tolerance of its own scale, and
+    # noiseless and noisy at the same seed: the noiseless IQ matches the
+    # oracle, the noisy-minus-noiseless IQ, the noise alone, matches the band
+    # draw from the run's stream to the same tolerance of its own scale, and
     # run_trigger returns the seam's IQ bit for bit
     cfg = load_config(None, preset=preset)
     chip, settings = cfg.chip, cfg.settings
     pattern = TriggerPattern.from_label(label)
     heater_tones = schedule_heaters(pattern, chip.filters, chip.channel_map,
                                     settings.heater_power_dbm)
-    seam, oracle = [], []
-    for c in (replace(chip, noise_sigma_v=0.0), chip):
-        operating = operating_tones(c, settings)
-        labels = (_KIND_TRIGGER, pattern.value)
-        seam.append(seam_iq(c, heater_tones, settings, operating, Seed(7), labels))
-        oracle.append(composite_engine_oracle(c, heater_tones, settings, operating, Seed(7),
-                                              labels))
-        assert_close_to(seam[-1], oracle[-1])
+    quiet, labels = replace(chip, noise_sigma_v=0.0), (_KIND_TRIGGER, pattern.value)
+    operating = operating_tones(chip, settings)
+    seam = [seam_iq(c, heater_tones, settings, operating, Seed(7), labels) for c in (quiet, chip)]
+    assert_close_to(seam[0], composite_engine_oracle(quiet, heater_tones, settings, operating))
+    assert_close_to(seam[1] - seam[0], band_noise_iq(chip, settings, operating, Seed(7), labels))
+    for c, iq in zip((quiet, chip), seam):
         run = run_trigger(c, pattern, settings, Seed(7))
-        assert np.array_equal(np.array([iq.samples for iq in run.iq]), seam[-1])
-    assert_close_to(seam[1] - seam[0], oracle[1] - oracle[0])
+        assert np.array_equal(np.array([trace.samples for trace in run.iq]), iq)
 
 
 def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(default_chip):
@@ -465,7 +472,7 @@ def test_spectral_engine_matches_composite_oracle_on_a_flank_power_sweep_run(def
     tone = ToneSpec(f_hz=quiet.matched_filter(0).f_center_hz, p_dbm=-90.0)
     operating = operating_tones(quiet, settings)
     assert_close_to(seam_iq(quiet, [tone], settings, operating, Seed(0), ()),
-                    composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
+                    composite_engine_oracle(quiet, [tone], settings, operating))
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])
@@ -544,12 +551,12 @@ def test_band_readout_matches_composite_oracle_on_expanded_and_dense_steps(prese
     seam = seam_iq(quiet, [tone], settings, operating, Seed(0), ())
     dense, = masks
     assert dense.any() and not dense.all()
-    assert_close_to(seam, composite_engine_oracle(quiet, [tone], settings, operating, Seed(0), ()))
+    assert_close_to(seam, composite_engine_oracle(quiet, [tone], settings, operating))
 
 
 @pytest.mark.parametrize("change", [
-    {"thermal_dt_s": 5e-6},           # 20 steps of 5000 samples: the pruned DFT's c = steps
-    {"demod_bandwidth_hz": 40e6},     # bands too wide to prune: c = 1, one full transform
+    {"thermal_dt_s": 5e-6},           # 20 steps of 5000 samples
+    {"demod_bandwidth_hz": 40e6},     # neighbouring channels' bands overlap, sharing bins
 ])
 def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
                                                                   default_settings, change):
@@ -557,25 +564,24 @@ def test_spectral_engine_matches_composite_oracle_at_other_shapes(default_chip,
     pattern = TriggerPattern.from_label("101")
     heater_tones = schedule_heaters(pattern, default_chip.filters, default_chip.channel_map,
                                     settings.heater_power_dbm)
-    seam, oracle = [], []
-    for c in (replace(default_chip, noise_sigma_v=0.0), default_chip):
-        args = (c, heater_tones, settings, operating_tones(c, settings), Seed(7),
-                (_KIND_TRIGGER, pattern.value))
-        seam.append(seam_iq(*args))
-        oracle.append(composite_engine_oracle(*args))
-        assert_close_to(seam[-1], oracle[-1])
-    assert_close_to(seam[1] - seam[0], oracle[1] - oracle[0])
+    quiet, labels = replace(default_chip, noise_sigma_v=0.0), (_KIND_TRIGGER, pattern.value)
+    operating = operating_tones(default_chip, settings)
+    seam = [seam_iq(c, heater_tones, settings, operating, Seed(7), labels)
+            for c in (quiet, default_chip)]
+    assert_close_to(seam[0], composite_engine_oracle(quiet, heater_tones, settings, operating))
+    assert_close_to(seam[1] - seam[0],
+                    band_noise_iq(default_chip, settings, operating, Seed(7), labels))
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_engine_takes_no_record_length_transform(default_chip, default_settings, monkeypatch,
                                                  noisy):
     # a run's tones are read from one FFT along the steps axis of its
-    # (channels, K+1, steps) expansion coefficients, so a noiseless run takes
-    # no transform of a (steps, block) array; a noisy run adds exactly one
-    # real transform of its (steps, block) noise record along the steps axis.
-    # A record-length transform, a per-channel or repeated transform, or a
-    # transform of a digitizer-rate signal array would show up here
+    # (channels, K+1, steps) expansion coefficients, and its noise is drawn
+    # in the band, so neither a noiseless nor a noisy run takes a transform
+    # of a (steps, block) array.  A record-length transform, a per-channel
+    # or repeated transform, or a transform of a digitizer-rate signal or
+    # noise array would show up here
     n = round(default_settings.window_s * default_chip.sample_rate_hz)
     steps = round(default_settings.window_s / default_settings.thermal_dt_s)
     calls = []
@@ -592,16 +598,14 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
     operating = operating_tones(chip, default_settings)
     experiments._trigger_runs(chip, engine._engine_plan(chip, default_settings, operating),
                               patterns, default_settings, operating, Seed(3))
-    assert [c for c in calls if np.prod(c[1]) >= n and c[1] != (steps, n // steps)] == []
-    noise = [c for c in calls if c[1] == (steps, n // steps)]
-    assert noise == [("rfft", (steps, n // steps), 0)] * (len(patterns) if noisy else 0)
+    assert [c for c in calls if np.prod(c[1]) >= n] == []
     expansion = (chip.n_channels, engine._EXPANSION_ORDER + 1, steps)
     tones = [c for c in calls if c == ("fft", expansion, -1)]
     assert len(tones) == len(patterns)
     # the rest are the band slices' inverse transforms, one of every channel's
     # band per run, and the readout's short chirp-z transforms (the batch's
     # plan, and the steps past the expansion bound); none holds half a record
-    rest = [c for c in calls if c not in noise + tones]
+    rest = [c for c in calls if c not in tones]
     decimation = round(default_chip.sample_rate_hz / default_settings.output_rate_hz)
     assert rest.count(("ifft", (chip.n_channels, n // decimation), -1)) == len(patterns)
     assert all(np.prod(c[1]) < n // 2 for c in rest)
@@ -1135,6 +1139,29 @@ def test_power_sweep_matrix_peak_memory(default_chip, default_config):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * matrix_bytes
+
+
+def test_noisy_batch_holds_no_noise_record(default_chip, default_settings):
+    # the eight desk patterns as one batch: the noisy batch draws each run's
+    # noise in the band, so its traced peak stays within 0.1 real (steps x
+    # block) record (800 kB on the shipped posture) of the quiet batch's; a
+    # drawn record and its transform would put it 1.7 records above
+    n = round(default_settings.window_s * default_chip.sample_rate_hz)
+    record_bytes = np.dtype(float).itemsize * n
+    patterns = TriggerPattern.all_patterns(default_chip.n_channels)
+    peaks = []
+    for chip in (replace(default_chip, noise_sigma_v=0.0), default_chip):
+        operating = operating_tones(chip, default_settings)
+        plan = engine._engine_plan(chip, default_settings, operating)
+        # once untraced, so cached transform kernels are not counted
+        experiments._trigger_runs(chip, plan, patterns, default_settings, operating, Seed(3))
+        tracemalloc.start()
+        try:
+            experiments._trigger_runs(chip, plan, patterns, default_settings, operating, Seed(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 0.1 * record_bytes
 
 
 def test_multiplex_derives_one_stream_per_pattern(default_chip, default_settings, monkeypatch):

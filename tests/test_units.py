@@ -92,18 +92,6 @@ def test_stream_order_free():
     assert np.array_equal(first, again)
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.37, 2.5e-7])
-def test_in_place_noise_draw_matches_normal(sigma):
-    # the engine draws its noise record in place into a (steps, block)
-    # buffer, standard_normal(out=) then *= sigma: the same numbers, bit for
-    # bit and in the same order, as normal(0, sigma, n) from the same stream
-    buf = np.empty((400, 25))
-    derive_stream(Seed(7), 1, 5).standard_normal(out=buf)
-    buf *= sigma
-    expected = derive_stream(Seed(7), 1, 5).normal(0.0, sigma, buf.size)
-    assert np.array_equal(buf.reshape(-1).view(np.uint64), expected.view(np.uint64))
-
-
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "x"])
 def test_seed_rejects_bad_master(bad):
     with pytest.raises(ValueError):
