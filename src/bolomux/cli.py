@@ -8,8 +8,8 @@ report read such a directory through its manifest and load no config.
 capacity takes only --config and its band flags, and writes no file.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
-(failed fit or calibration, a non-finite operating point, or a malformed
-or mismatched manifest).
+(failed fit or calibration, a non-finite operating point, a malformed
+or mismatched manifest, or a malformed trace).
 """
 import argparse
 import copy
@@ -58,13 +58,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _thread_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> _Parser:
     config_flag = _Parser(add_help=False)
     config_flag.add_argument("--config", metavar="FILE",
@@ -74,8 +67,7 @@ def build_parser() -> _Parser:
                            help="override the config's master seed")
     run_flags.add_argument("--preset", choices=configmod.PRESETS,
                            help="sampling/averaging posture override")
-    run_flags.add_argument("--threads", type=_thread_count, default=1, metavar="N",
-                           help="worker threads; results are identical for any value")
+    run_flags.add_argument("--threads", metavar="N", help="accepted and ignored")
     parser = _Parser(prog="bolomux",
                      description="frequency-multiplexed bolometer readout bench")
     parser.add_argument("--version", action="version", version=f"bolomux {__version__}")
@@ -210,8 +202,7 @@ def cmd_powersweep(cfg: configmod.ExperimentConfig, args) -> int:
     if not math.isfinite(p_max - p_min):
         raise ValueError(f"sweep powers must span a finite range, got {p_min:g} to {p_max:g} dBm")
     powers = np.linspace(p_min, p_max, int(sw["n_points"]))
-    responses, powers_w, p1db, xtalk = power_sweep_matrix(cfg.chip, powers, cfg.settings,
-                                                          args.threads)
+    responses, powers_w, p1db, xtalk = power_sweep_matrix(cfg.chip, powers, cfg.settings)
     n = cfg.chip.n_channels
     bolo, filt, p = (axis.ravel() for axis in np.indices(responses.shape))
     _write_table(_output(args, "powersweep.csv"),
@@ -258,7 +249,7 @@ def cmd_trigger(cfg: configmod.ExperimentConfig, args) -> int:
 
 
 def cmd_multiplex(cfg: configmod.ExperimentConfig, args) -> int:
-    runs = run_full_multiplex(cfg.chip, cfg.settings, cfg.seed, args.threads)
+    runs = run_full_multiplex(cfg.chip, cfg.settings, cfg.seed)
     for run in runs:
         for ch, iq in enumerate(run.iq):
             write_trace(iq, _output(args, f"pattern_{run.pattern.label}_ch{ch}.csv"))

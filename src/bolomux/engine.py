@@ -1,7 +1,7 @@
 """The time-domain engine: one plan, read by the thermal pass and the readout.
 
-`_engine_plan` holds what every run on a chip shares; no worker writes to
-it.  `_thermal_stage` steps a batch's every (run, channel) together, one
+`_engine_plan` holds what every run on a chip shares, and is read-only once
+built.  `_thermal_stage` steps a batch's every (run, channel) together, one
 row per loop iteration; `_readout` reads one run's demod band bins: its
 tones Re(a Gamma(t) exp(2 pi i k_ch i / n)), Gamma on the exact
 within-step relaxation at every digitizer sample, from a short Chebyshev

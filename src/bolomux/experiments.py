@@ -140,29 +140,6 @@ def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, seed: Seed,
                     plan.decimation)
 
 
-def _fan_out(fn, jobs, threads: int) -> list:
-    """[fn(*job) for job in jobs], run on up to `threads` worker threads.
-
-    Results keep job order whatever the completion order; every future is
-    read, so a job's exception reaches the caller.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return [fn(*job) for job in jobs]
-    # imported here: a one-thread run never needs the pool or the logging it loads
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
-
-
-def _shares(items: list, threads: int) -> list:
-    """min(threads, len(items)) contiguous near-equal shares of items."""
-    k, n = min(threads, len(items)), len(items)
-    return [items[i * n // k:(i + 1) * n // k] for i in range(k)]
-
-
 def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings,
                 seed: Seed) -> MultiplexRun:
     """Fire one heater on/off pattern and read out every probe channel.
@@ -193,20 +170,16 @@ def _trigger_runs(chip: ChipConfig, plan: _EnginePlan, patterns, settings: RunSe
         settings.n_avg) for pat, iqs in zip(patterns, traces)]
 
 
-def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed,
-                       threads: int) -> list[MultiplexRun]:
-    """Run every 2**n trigger pattern; results ordered by pattern label.
+def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed) -> list[MultiplexRun]:
+    """Run every 2**n trigger pattern as one batch; results ordered by pattern label.
 
-    Each worker runs one contiguous share of the patterns as a batch, and
-    every pattern derives its noise stream from its own label, so the
-    threaded and serial schedules produce bit-identical results.
+    Every pattern derives its noise stream from its own label, so each run
+    is bit-identical to the same pattern's run_trigger.
     """
     patterns = TriggerPattern.all_patterns(chip.n_channels)
     operating = operating_tones(chip, settings)
-    plan = _engine_plan(chip, settings, operating)
-    batches = _fan_out(_trigger_runs, [(chip, plan, share, settings, operating, seed)
-                                       for share in _shares(patterns, threads)], threads)
-    return [run for batch in batches for run in batch]
+    return _trigger_runs(chip, _engine_plan(chip, settings, operating), patterns, settings,
+                         operating, seed)
 
 
 @dataclass(frozen=True)
@@ -359,7 +332,7 @@ def _power_sweep_paths(quiet: ChipConfig, plan: _EnginePlan, heater_tones,
     return np.array([signal - baseline for _, baseline, signal in means])
 
 
-def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, threads: int):
+def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings):
     """Heater power sweeps for every (bolometer, filter) pair.
 
     Returns (responses, powers_w, p_1db_dbm, crosstalk).  responses[i, j, p]
@@ -369,10 +342,10 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, thre
     fitted; p_1db_dbm[i, j] is the fitted 1 dB compression point of path
     (i, j).  Each (filter, power) is one noiseless run read on every
     bolometer, so the result does not depend on any seed; one operating
-    point and engine plan serve every run, and the runs fan out over
-    `threads` in contiguous shares, one batch each.  Whatever settings'
-    detuning fraction, the runs probe the flank (0.5), where the response
-    is linear in small resonance shifts, as the compression fit needs.
+    point and engine plan serve every run, and the runs are one batch.
+    Whatever settings' detuning fraction, the runs probe the flank (0.5),
+    where the response is linear in small resonance shifts, as the
+    compression fit needs.
     """
     settings = replace(settings, probe_detuning_fraction=0.5)
     powers = [float(p) for p in powers_dbm]
@@ -382,10 +355,9 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings, thre
     operating = operating_tones(quiet, settings)
     plan = _engine_plan(quiet, settings, operating)
     runs = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)] for filt in chip.filters for p in powers]
-    shares = _fan_out(_power_sweep_paths, [(quiet, plan, share, settings)
-                                           for share in _shares(runs, threads)], threads)
     n = chip.n_channels
-    responses = np.concatenate(shares).T.reshape(n, len(chip.filters), len(powers))
+    paths = _power_sweep_paths(quiet, plan, runs, settings)
+    responses = paths.T.reshape(n, len(chip.filters), len(powers))
     powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
     p1db = np.array([[analysis.fit_compression(powers_w, responses[i, j]) for j in range(n)]
                      for i in range(n)])

@@ -119,11 +119,15 @@ def write_trace(trace: IQTrace, path) -> None:
     ], (np.arange(samples.size), samples.real, samples.imag))
 
 
-def _header_float(headers: dict, key: str) -> float:
+def _header_float(headers: dict, key: str, positive: bool = False) -> float:
+    """A finite float header, and > 0 if positive; anything else is a TraceFormatError."""
     try:
-        return float(headers[key])
+        value = float(headers[key])
     except ValueError:
-        raise TraceFormatError(f"line 1: bad {key} {headers[key]!r}") from None
+        value = math.nan
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        raise TraceFormatError(f"line 1: bad {key} {headers[key]!r}")
+    return value
 
 
 # one body row as the writer puts it: an integer index, then re and im
@@ -184,7 +188,8 @@ def read_trace(path) -> IQTrace:
     kind = headers["kind"]
     if kind != "iq":
         raise TraceFormatError(f"line 1: unknown kind {kind!r}")
-    sample_rate, t0 = _header_float(headers, "sample_rate_hz"), _header_float(headers, "t0_s")
+    sample_rate = _header_float(headers, "sample_rate_hz", positive=True)
+    t0 = _header_float(headers, "t0_s")
     if "carrier_hz" not in headers:
         raise TraceFormatError("line 1: iq trace missing header '# carrier_hz='")
     carrier = _header_float(headers, "carrier_hz")

@@ -218,27 +218,6 @@ def test_capacity_command_prints_channel_count(capsys):
     assert capsys.readouterr().out == "180\n"
 
 
-def test_thread_count_does_not_change_outputs(tmp_path):
-    # same config and seed, serial versus four workers: every numerical
-    # output file is byte-identical (the manifest differs by timestamp only)
-    dirs = {}
-    for threads in (1, 4):
-        out = tmp_path / f"threads_{threads}"
-        assert main(["multiplex", "--out", str(out), "--seed", "15",
-                     "--threads", str(threads)]) == 0
-        dirs[threads] = out
-    names = sorted(p.name for p in dirs[1].iterdir())
-    assert names == sorted(p.name for p in dirs[4].iterdir())
-    compared = 0
-    for name in names:
-        if name == "manifest.json":
-            continue
-        assert (dirs[1] / name).read_bytes() == (dirs[4] / name).read_bytes(), (
-            f"{name} differs between serial and threaded runs")
-        compared += 1
-    assert compared >= 26  # 24 traces, metrics, snr table json + csv
-
-
 def test_dsp_invariant_suite(default_chip):
     t0 = time.monotonic()
     fs = 1e9

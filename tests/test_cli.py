@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output files, and the
 analyze/report pipeline."""
 
+import hashlib
 import json
 import os
 
@@ -66,11 +67,23 @@ def test_trigger_requires_pattern(capsys):
     assert "pattern" in capsys.readouterr().err
 
 
-def test_threads_below_one_rejected_before_running(capsys, tmp_path):
-    out = tmp_path / "ps"
-    assert run_cli("powersweep", "--threads", "0", "--out", str(out)) == 1
-    assert "--threads" in capsys.readouterr().err
-    assert not out.exists()
+def test_threads_flag_is_accepted_and_ignored(capsys, tmp_path, fast_config):
+    # every run is one batch: --threads 4 writes the files a run without it
+    # writes, and the manifests differ only in created_utc
+    dirs = [tmp_path / "plain", tmp_path / "threads"]
+    assert run_cli("multiplex", "--config", fast_config, "--out", str(dirs[0])) == 0
+    assert run_cli("multiplex", "--config", fast_config, "--threads", "4",
+                   "--out", str(dirs[1])) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    assert len(names) == 28  # 24 traces, metrics, snr table json and csv, manifest
+    for name in names:
+        if name != "manifest.json":
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    plain, threads = ({k: v for k, v in read_manifest(d).items() if k != "created_utc"}
+                      for d in dirs)
+    assert plain == threads
 
 
 def test_missing_config_file(capsys, tmp_path):
@@ -485,6 +498,25 @@ def test_report_refuses_corrupt_input(capsys, tmp_path, fast_config):
     (out / "metrics.json").unlink()
     assert run_cli("report", str(out)) == 2
     assert "integrity" in capsys.readouterr().err
+
+
+def test_report_refuses_a_checksummed_trace_with_a_bad_header(capsys, tmp_path, fast_config):
+    # the manifest vouches for the file, but a zero sample rate is still a
+    # malformed trace: a runtime failure (2), not a bad argument (1)
+    out = tmp_path / "trig"
+    assert run_cli("trigger", "--pattern", "100", "--config", fast_config,
+                   "--out", str(out)) == 0
+    target = out / "trace_ch0.csv"
+    text = target.read_text()
+    rate = text.split("\n", 1)[0]
+    target.write_text(text.replace(rate, "# sample_rate_hz=0.0", 1))
+    manifest = read_manifest(out)
+    manifest["files"]["trace_ch0.csv"] = hashlib.sha256(target.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert verify_manifest(out) == []
+    capsys.readouterr()
+    assert run_cli("report", str(out)) == 2
+    assert "line 1: bad sample_rate_hz '0.0'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- presets

@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +20,6 @@ from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band,
                          response_metric)
 from bolomux.experiments import (
     _KIND_TRIGGER,
-    _fan_out,
     CalibrationError,
     NonlinearOperationError,
     calibrate_chip,
@@ -61,7 +59,7 @@ def noiseless_chip(default_chip):
 @pytest.fixture(scope="module")
 def mux15(default_chip, default_settings):
     """Full pattern set on the shipped chip at the shipped seed."""
-    return run_full_multiplex(default_chip, default_settings, Seed(15), 1)
+    return run_full_multiplex(default_chip, default_settings, Seed(15))
 
 
 @pytest.fixture(scope="module")
@@ -272,17 +270,18 @@ def test_baseline_std_matches_predicted_floor(default_chip, default_settings, sn
     assert np.all(np.abs(rms - floor) <= 3.0 * se)
 
 
-def test_multiplex_threaded_schedule_is_bit_identical(default_chip, default_settings):
-    # 3 workers split the 8 patterns unevenly (2, 3, 3), 4 evenly
+def test_multiplex_runs_do_not_depend_on_the_batch(default_chip, default_settings):
+    # the 8 patterns as one batch, or each alone through run_trigger: every
+    # pattern draws its noise from its own label's stream, so each entry is
+    # the lone run bit for bit
     settings = replace(default_settings, n_avg=10)
-    serial = run_full_multiplex(default_chip, settings, Seed(15), 1)
-    for threads in (3, 4):
-        threaded = run_full_multiplex(default_chip, settings, Seed(15), threads)
-        assert [run.pattern for run in threaded] == [run.pattern for run in serial]
-        for a, b in zip(serial, threaded):
-            assert a.metrics == b.metrics
-            for x, y in zip(a.iq, b.iq):
-                assert np.array_equal(x.samples, y.samples)
+    batch = run_full_multiplex(default_chip, settings, Seed(15))
+    assert [run.pattern for run in batch] == TriggerPattern.all_patterns(default_chip.n_channels)
+    for run in batch:
+        alone = run_trigger(default_chip, run.pattern, settings, Seed(15))
+        assert alone.metrics == run.metrics
+        for x, y in zip(alone.iq, run.iq):
+            assert x.samples.tobytes() == y.samples.tobytes()
 
 
 def averaged_noise_oracle(n, sigma_v, n_avg, seed, labels):
@@ -724,19 +723,6 @@ def test_heater_power_matches_per_tone_sum(default_chip, default_config):
     assert not experiments._heater_power_w(chip, patterns[:1]).any()
 
 
-def test_fan_out_keeps_job_order():
-    # later jobs finish first; results still come back in job order
-    def job(i):
-        time.sleep(0.002 * (8 - i))
-        return i * i
-
-    jobs = [(i,) for i in range(8)]
-    assert _fan_out(job, jobs, 4) == [i * i for i in range(8)]
-    assert _fan_out(job, jobs, 1) == [i * i for i in range(8)]
-    with pytest.raises(ValueError, match="threads"):
-        _fan_out(job, jobs, 0)
-
-
 def test_multiplex_matched_response_consistency(noiseless_runs):
     # a channel's pulse response barely depends on which other heaters fire
     # alongside it: every matched response within 10% of that channel's mean
@@ -986,7 +972,7 @@ def shipped_matrix(default_chip, default_config):
     powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
     with pytest.MonkeyPatch.context() as monkeypatch:
         masks = record_dense_steps(monkeypatch)
-        result = power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+        result = power_sweep_matrix(default_chip, powers, default_config.settings)
     return powers, result, masks
 
 
@@ -1041,9 +1027,9 @@ def test_power_sweep_mismatched_path_attenuated_by_floor(default_chip):
 
 def test_power_sweep_validation(default_chip, default_settings):
     with pytest.raises(ValueError, match="sorted"):
-        power_sweep_matrix(default_chip, [-150.0, -160.0], default_settings, 1)
+        power_sweep_matrix(default_chip, [-150.0, -160.0], default_settings)
     with pytest.raises(ValueError, match="non-empty"):
-        power_sweep_matrix(default_chip, [], default_settings, 1)
+        power_sweep_matrix(default_chip, [], default_settings)
 
 
 SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
@@ -1051,7 +1037,7 @@ SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
 
 @pytest.fixture(scope="module")
 def short_matrix(default_chip):
-    return FLANK, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, FLANK, 1)
+    return FLANK, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, FLANK)
 
 
 def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch):
@@ -1091,7 +1077,7 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
     monkeypatch.setattr(experiments, "_engine_plan", counted_plan)
     monkeypatch.setattr(experiments, "operating_tones", counted_tones)
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
-    power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings, 1)
+    power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings)
     assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
     assert passes == [(len(default_chip.filters) * len(SHORT_POWERS_DBM),
                        default_chip.n_channels)]
@@ -1131,10 +1117,10 @@ def test_power_sweep_matrix_peak_memory(default_chip, default_config):
     n = round(default_config.settings.window_s * default_chip.sample_rate_hz)
     matrix_bytes = np.dtype(complex).itemsize * n
     # once untraced, so cached twiddle tables are not counted
-    power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+    power_sweep_matrix(default_chip, powers, default_config.settings)
     tracemalloc.start()
     try:
-        power_sweep_matrix(default_chip, powers, default_config.settings, 1)
+        power_sweep_matrix(default_chip, powers, default_config.settings)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1176,7 +1162,7 @@ def test_multiplex_derives_one_stream_per_pattern(default_chip, default_settings
     settings = replace(default_settings, window_s=20e-6, pulse_start_s=5e-6,
                        pulse_duration_s=5e-6, baseline_window_s=(1e-6, 4e-6),
                        signal_window_s=(11e-6, 12e-6))
-    run_full_multiplex(default_chip, settings, Seed(3), 1)
+    run_full_multiplex(default_chip, settings, Seed(3))
     assert streams == [(_KIND_TRIGGER, v) for v in range(2 ** default_chip.n_channels)]
 
 
@@ -1211,7 +1197,7 @@ def test_power_sweep_matrix_loads_no_masked_arrays():
     code = ("import sys, numpy as np; from bolomux.config import load_config; "
             "from bolomux.experiments import power_sweep_matrix; cfg = load_config(None); "
             "ps = cfg.sweeps['powersweep']; power_sweep_matrix(cfg.chip, np.linspace("
-            "ps['p_min_dbm'], ps['p_max_dbm'], int(ps['n_points'])), cfg.settings, 1); "
+            "ps['p_min_dbm'], ps['p_max_dbm'], int(ps['n_points'])), cfg.settings); "
             "print('numpy.ma' in sys.modules)")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1219,18 +1205,23 @@ def test_power_sweep_matrix_loads_no_masked_arrays():
     assert out.stdout.strip() == "False"
 
 
-def test_power_sweep_matrix_thread_invariant(default_chip, short_matrix):
-    # the 18 runs split into contiguous shares of 9, 6, 4-5 and 3-4 runs,
-    # most straddling a filter boundary; a share's composition only decides
-    # when a jump happens
-    settings, (serial, powers_w, p1db, xtalk) = short_matrix
-    for threads in (2, 3, 4, 5):
-        threaded, powers_w_t, p1db_t, xtalk_t = power_sweep_matrix(
-            default_chip, SHORT_POWERS_DBM, settings, threads)
-        assert np.array_equal(threaded, serial)
-        assert np.array_equal(powers_w_t, powers_w)
-        assert np.array_equal(p1db_t, p1db)
-        assert xtalk_t.worst_db == xtalk.worst_db and xtalk_t.best_db == xtalk.best_db
+def test_power_sweep_paths_do_not_depend_on_the_batch(default_chip, short_matrix):
+    # the short sweep's 18 (filter, power) runs as one batch, which is what
+    # power_sweep_matrix runs, or cut into 2 to 5 contiguous batches of 9, 6,
+    # 4-5 and 3-4 runs, most cutting across a filter boundary: a batch's
+    # composition decides where the thermal pass fast-forwards, and moves no
+    # number
+    settings, (responses, *_) = short_matrix
+    quiet = replace(default_chip, noise_sigma_v=0.0)
+    plan = engine._engine_plan(quiet, settings, operating_tones(quiet, settings))
+    runs = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)]
+            for filt in default_chip.filters for p in SHORT_POWERS_DBM]
+    whole = experiments._power_sweep_paths(quiet, plan, runs, settings)
+    assert whole.T.reshape(responses.shape).tobytes() == responses.tobytes()
+    for k in (2, 3, 4, 5):
+        cuts = [runs[i * len(runs) // k:(i + 1) * len(runs) // k] for i in range(k)]
+        parts = [experiments._power_sweep_paths(quiet, plan, cut, settings) for cut in cuts]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 # ------------------------------------------------------- pulse time constant

@@ -150,6 +150,21 @@ def test_read_rejects_missing_header(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sample_rate_hz", "0.0"), ("sample_rate_hz", "-1e6"), ("sample_rate_hz", "inf"),
+    ("t0_s", "nan"), ("t0_s", "-inf"), ("carrier_hz", "nan"), ("carrier_hz", "oops"),
+])
+def test_read_rejects_unusable_header_value(tmp_path, key, value):
+    # a rate, start time or carrier that no trace can carry is a format error
+    # on line 1, not IQTrace's ValueError or NaN sample times
+    headers = {"sample_rate_hz": "1e6", "t0_s": "0.0", "kind": "iq", "carrier_hz": "1e5",
+               key: value}
+    path = tmp_path / "t.csv"
+    path.write_text("".join(f"# {k}={v}\n" for k, v in headers.items()) + "0,1.0,0.0\n")
+    with pytest.raises(TraceFormatError, match=f"^line 1: bad {key} '{value}'$"):
+        read_trace(path)
+
+
 def test_read_rejects_bad_kind(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# sample_rate_hz=1e6\n# t0_s=0.0\n# kind=polar\n0,1.0\n")
