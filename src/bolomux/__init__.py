@@ -13,7 +13,6 @@ from .analysis import (
     CrosstalkMatrix,
     FitError,
     LorentzianFit,
-    SnrTable,
     capacity_estimate,
     crosstalk_matrix,
     fit_compression,

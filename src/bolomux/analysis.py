@@ -22,7 +22,6 @@ __all__ = [
     "FitError",
     "LorentzianFit",
     "CrosstalkMatrix",
-    "SnrTable",
     "fit_lorentzian",
     "fit_compression",
     "crosstalk_matrix",
@@ -352,12 +351,12 @@ class CrosstalkMatrix:
     i, filter j), NaN on the matched diagonal cell of each row.  Values are
     negative: a mismatched path needs that much more power for the same
     compression.  column_crosstalk_db references each column to the
-    bolometer that owns that filter.
+    bolometer that owns that filter.  The P1dB table itself is not kept:
+    the caller that built it holds it.
     """
 
     crosstalk_db: np.ndarray
     column_crosstalk_db: np.ndarray
-    p_1db_dbm: np.ndarray
 
     def offdiagonal(self) -> np.ndarray:
         vals = self.crosstalk_db[~np.isnan(self.crosstalk_db)]
@@ -400,45 +399,20 @@ def crosstalk_matrix(p_1db_dbm, channel_map) -> CrosstalkMatrix:
                 row[i, j] = table[i, matched] - table[i, j]
             if i != owners[j]:
                 col[i, j] = table[owners[j], j] - table[i, j]
-    return CrosstalkMatrix(
-        crosstalk_db=row,
-        column_crosstalk_db=col,
-        p_1db_dbm=table,
-    )
+    return CrosstalkMatrix(crosstalk_db=row, column_crosstalk_db=col)
 
 
-@dataclass(frozen=True)
-class SnrTable:
-    """Per-channel matched SNR and leakage SNRs for every heater-off pattern.
-
-    For channel i, leakage entries cover all patterns with bit i unset, in
-    ascending pattern-label order (all-off first, both-others-on last); the
-    matched entry is the pattern with only bit i set.
-    """
-
-    channel_names: tuple[str, ...]
-    matched_pattern: tuple[str, ...]
-    matched_snr: tuple[float, ...]
-    leakage_patterns: tuple[tuple[str, ...], ...]
-    leakage_snr: tuple[tuple[float, ...], ...]
-
-    def records(self) -> list[dict]:
-        """Tidy rows: one record per (channel, pattern) cell of the table."""
-        out = []
-        for ch, name in enumerate(self.channel_names):
-            for pat, snr in zip(self.leakage_patterns[ch], self.leakage_snr[ch]):
-                out.append({"channel": name, "kind": "leakage", "pattern": pat, "snr": snr})
-            out.append({"channel": name, "kind": "matched",
-                        "pattern": self.matched_pattern[ch], "snr": self.matched_snr[ch]})
-        return out
-
-
-def snr_table(snr_by_pattern: dict, channel_names) -> SnrTable:
+def snr_table(snr_by_pattern: dict, channel_names) -> list[dict]:
     """Assemble the multiplexing SNR table from per-pattern SNR lists.
 
     snr_by_pattern maps a pattern label (e.g. "011") to the per-channel SNR
     list of that run.  All 2**n patterns must be present; missing ones raise
     ValueError naming the first absent label.
+
+    Returns tidy records {"channel", "kind", "pattern", "snr"}, channel by
+    channel: first one "leakage" record per pattern with the channel's bit
+    unset, in ascending label order (all-off first), then the "matched"
+    record of the pattern with only that bit set.
     """
     channel_names = tuple(str(c) for c in channel_names)
     n = len(channel_names)
@@ -451,24 +425,13 @@ def snr_table(snr_by_pattern: dict, channel_names) -> SnrTable:
         if len(snr_by_pattern[label]) != n:
             raise ValueError(f"pattern {label}: expected {n} SNR values")
 
-    matched_pattern = []
-    matched_snr = []
-    leak_patterns: list[tuple[str, ...]] = []
-    leak_snr = []
-    for ch in range(n):
+    records = []
+    for ch, name in enumerate(channel_names):
         only = "".join("1" if k == ch else "0" for k in range(n))
-        matched_pattern.append(only)
-        matched_snr.append(float(snr_by_pattern[only][ch]))
-        offs = [lab for lab in labels if lab[ch] == "0"]
-        leak_patterns.append(tuple(offs))
-        leak_snr.append(tuple(float(snr_by_pattern[lab][ch]) for lab in offs))
-    return SnrTable(
-        channel_names=channel_names,
-        matched_pattern=tuple(matched_pattern),
-        matched_snr=tuple(matched_snr),
-        leakage_patterns=tuple(leak_patterns),
-        leakage_snr=tuple(leak_snr),
-    )
+        cells = [("leakage", lab) for lab in labels if lab[ch] == "0"] + [("matched", only)]
+        records += [{"channel": name, "kind": kind, "pattern": lab,
+                     "snr": float(snr_by_pattern[lab][ch])} for kind, lab in cells]
+    return records
 
 
 def capacity_estimate(f_min_hz: float, f_max_hz: float, spacing_hz: float) -> int:

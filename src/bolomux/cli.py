@@ -9,7 +9,8 @@ capacity takes only --config and its band flags, and writes no file.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 (failed fit or calibration, a non-finite operating point, a malformed
-or mismatched manifest, or a malformed trace).
+or mismatched manifest, a malformed trace, or an output that cannot be
+written).
 """
 import argparse
 import copy
@@ -212,7 +213,7 @@ def cmd_powersweep(cfg: configmod.ExperimentConfig, args) -> int:
                  ("bolometer", *(f"filter{j}" for j in range(n))),
                  (np.arange(n), *p1db.T))
     _write_json(_output(args, "crosstalk.json"), {
-        "p_1db_dbm": xtalk.p_1db_dbm.tolist(),
+        "p_1db_dbm": p1db.tolist(),
         "row_crosstalk_db": xtalk.crosstalk_db.tolist(),
         "column_crosstalk_db": xtalk.column_crosstalk_db.tolist(),
         "worst_db": xtalk.worst_db,
@@ -255,18 +256,23 @@ def cmd_multiplex(cfg: configmod.ExperimentConfig, args) -> int:
             write_trace(iq, _output(args, f"pattern_{run.pattern.label}_ch{ch}.csv"))
     _write_json(_output(args, "metrics.json"), {"runs": [_run_dict(run) for run in runs]})
     names = [f"ch{ch}" for ch in range(cfg.chip.n_channels)]
-    table = snr_table({run.pattern.label: [m.snr for m in run.metrics] for run in runs},
-                      names)
-    records = table.records()
+    records = snr_table({run.pattern.label: [m.snr for m in run.metrics] for run in runs},
+                        names)
     _write_json(_output(args, "snr_table.json"), {"records": records})
     header = ("channel", "pattern", "kind", "snr")
     _write_table(_output(args, "snr_table.csv"), header,
                  [[r[key] for r in records] for key in header])
     _finish(cfg, args, "multiplex")
-    worst_matched = min(table.matched_snr)
-    worst_leak = max(abs(s) for leaks in table.leakage_snr for s in leaks)
+    worst_matched, worst_leak = _snr_summary(records)
     print(f"matched snr >= {worst_matched:.2f}, max |leakage snr| {worst_leak:.2f}")
     return 0
+
+
+def _snr_summary(records):
+    """(min matched SNR, max |leakage SNR|) of SNR table records, None where
+    the table has no record of that kind."""
+    return (min((r["snr"] for r in records if r["kind"] == "matched"), default=None),
+            max((abs(r["snr"]) for r in records if r["kind"] == "leakage"), default=None))
 
 
 def _verified_manifest(results_dir):
@@ -293,10 +299,7 @@ def cmd_analyze(args) -> int:
     }
     if "snr_table.json" in listed:
         records = _read_json(os.path.join(results_dir, "snr_table.json"))["records"]
-        matched = [r["snr"] for r in records if r["kind"] == "matched"]
-        leaks = [abs(r["snr"]) for r in records if r["kind"] == "leakage"]
-        summary["min_matched_snr"] = min(matched) if matched else None
-        summary["max_abs_leakage_snr"] = max(leaks) if leaks else None
+        summary["min_matched_snr"], summary["max_abs_leakage_snr"] = _snr_summary(records)
     if "metrics.json" in listed:
         runs = _read_json(os.path.join(results_dir, "metrics.json"))["runs"]
         summary["n_runs"] = len(runs)
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
             return args.handler(args)
         cfg = configmod.load_config(args.config, preset=args.preset or "desk", seed=args.seed)
         return args.handler(cfg, args)
-    except (SolverError, FitError, CalibrationError, TraceFormatError) as exc:
+    except (SolverError, FitError, CalibrationError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (configmod.ConfigError, ValueError) as exc:

@@ -320,25 +320,28 @@ def synthetic_patterns():
 
 
 def test_snr_table_structure():
-    table = snr_table(synthetic_patterns(), ["157 MHz", "179 MHz", "194 MHz"])
-    assert len(table.channel_names) == 3
-    assert table.matched_pattern == ("100", "010", "001")
-    assert table.matched_snr == (10.0, 11.0, 12.0)
-    for ch in range(3):
-        pats = table.leakage_patterns[ch]
-        assert len(pats) == 4
+    records = snr_table(synthetic_patterns(), ["157 MHz", "179 MHz", "194 MHz"])
+    assert isinstance(records, list)
+    assert len(records) == 3 * 5  # 4 leakage + 1 matched per channel
+    for ch, name in enumerate(["157 MHz", "179 MHz", "194 MHz"]):
+        # each channel's leakage records, then its matched record
+        rows = records[5 * ch:5 * ch + 5]
+        assert all(r["channel"] == name for r in rows)
+        assert [r["kind"] for r in rows] == ["leakage"] * 4 + ["matched"]
+        assert rows[-1]["pattern"] == ("100", "010", "001")[ch]
+        assert rows[-1]["snr"] == 10.0 + ch
+        pats = [r["pattern"] for r in rows[:-1]]
         assert all(p[ch] == "0" for p in pats)
-        assert list(pats) == sorted(pats)
-    # all-off pattern appears first in every leakage list
-    assert all(p[0] == "000" for p in table.leakage_patterns)
+        assert pats == sorted(pats)
+        # all-off pattern appears first in every leakage list
+        assert pats[0] == "000"
 
 
 def test_snr_table_records_are_tidy():
-    table = snr_table(synthetic_patterns(), ["a", "b", "c"])
-    recs = table.records()
-    assert len(recs) == 3 * 5  # 4 leakage + 1 matched per channel
-    assert {r["kind"] for r in recs} == {"leakage", "matched"}
-    assert all(set(r) == {"channel", "kind", "pattern", "snr"} for r in recs)
+    records = snr_table(synthetic_patterns(), ["a", "b", "c"])
+    assert len(records) == 3 * 5  # 4 leakage + 1 matched per channel
+    assert {r["kind"] for r in records} == {"leakage", "matched"}
+    assert all(list(r) == ["channel", "kind", "pattern", "snr"] for r in records)
 
 
 def test_snr_table_missing_pattern():

@@ -289,6 +289,9 @@ def test_powersweep_writes_crosstalk(capsys, tmp_path):
     cmap = (1, 0, 2)
     for i in range(3):
         assert rows[i][cmap[i]] is None
+    # the P1dB table in the JSON is the one in the CSV, value for value
+    lines = (out / "p1db_matrix.csv").read_text().splitlines()[1:]
+    assert xt["p_1db_dbm"] == [[float(cell) for cell in line.split(",")[1:]] for line in lines]
     assert verify_manifest(out) == []
     capsys.readouterr()
 
@@ -365,6 +368,16 @@ def test_analyze_summarizes_multiplex(capsys, tmp_path, fast_config):
     assert "min_matched_snr" in summary
 
 
+def test_multiplex_summary_line_agrees_with_analyze(capsys, tmp_path, fast_config):
+    out = tmp_path / "mux"
+    assert run_cli("multiplex", "--config", fast_config, "--out", str(out)) == 0
+    line = capsys.readouterr().out.strip()
+    assert run_cli("analyze", str(out)) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert line == (f"matched snr >= {summary['min_matched_snr']:.2f}, "
+                    f"max |leakage snr| {summary['max_abs_leakage_snr']:.2f}")
+
+
 def test_reused_out_directory_certifies_only_the_last_run(capsys, tmp_path, fast_config):
     # a trigger run into a multiplex directory: its manifest lists only its
     # own files, and analyze and report read nothing of the stale multiplex
@@ -429,6 +442,29 @@ def test_commands_that_write_no_files_take_no_out(capsys, tmp_path, command):
     assert run_cli(command, *([str(tmp_path)] if command == "analyze" else []),
                    "--out", str(tmp_path / "x")) == 1
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["trigger", "--pattern", "000"], ["characterize"], ["filterscan"], ["powersweep"],
+    ["multiplex"], ["calibrate"], ["report"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_a_runtime_failure(capsys, tmp_path, fast_config, command):
+    # an --out naming an existing file is one error line and exit 2, not a
+    # traceback, and the file is left as it was
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    if command == ["report"]:
+        results = tmp_path / "trig"
+        assert run_cli("trigger", "--pattern", "000", "--config", fast_config,
+                       "--out", str(results)) == 0
+        command = ["report", str(results)]
+    else:
+        command = [*command, "--config", fast_config]
+    capsys.readouterr()
+    assert run_cli(*command, "--out", str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_text() == "not a directory\n"
 
 
 def test_analyze_missing_directory(capsys, tmp_path):
