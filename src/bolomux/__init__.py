@@ -15,8 +15,8 @@ from .analysis import (
     LorentzianFit,
     capacity_estimate,
     crosstalk_matrix,
-    fit_compression,
-    fit_lorentzian,
+    fit_compressions,
+    fit_lorentzians,
     snr_table,
 )
 from .config import (

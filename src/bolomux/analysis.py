@@ -2,11 +2,11 @@
 
 The least-squares core is a damped Gauss-Newton iteration with a
 Levenberg-style lambda schedule (start 1e-3, x10 on a rejected step, /10 on
-an accepted one) and analytic Jacobians; 1-sigma parameter uncertainties
-come from the scaled inverse normal matrix at the optimum.  Each public fit
-front-end rescales its problem to O(1) internally so the normal equations
-stay well conditioned across the twelve decades separating watts from
-megahertz.
+an accepted one) and analytic Jacobians, run on a stack of equal-length
+problems at once; 1-sigma parameter uncertainties come from the scaled
+inverse normal matrix at the optimum.  Each fit front-end takes many traces
+and rescales each problem to O(1) so the normal equations stay well
+conditioned across the twelve decades separating watts from megahertz.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ __all__ = [
     "FitError",
     "LorentzianFit",
     "CrosstalkMatrix",
-    "fit_lorentzian",
-    "fit_compression",
+    "fit_lorentzians",
+    "fit_compressions",
     "crosstalk_matrix",
     "snr_table",
     "capacity_estimate",
@@ -40,65 +40,91 @@ _REL_STEP_TOL = 1e-8
 _MAX_ITER = 200
 
 
-def _lm_least_squares(model, jacobian, x, y, p0):
-    """Minimize ||y - model(x, p)||^2; returns (p, perr, residual_norm).
+def _sum_squares(resid):
+    """Row sums of squares of a (B, N) stack: per row, the BLAS dot `r @ r` makes."""
+    return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
 
-    model(x, p) -> values, jacobian(x, p) -> (N, P) array of d model/d p_j.
-    Raises FitError on non-convergence within the iteration budget.
-    """
-    p = np.asarray(p0, dtype=float)
-    resid = y - model(x, p)
-    cost = float(resid @ resid)
-    if not math.isfinite(cost):
-        raise FitError("initial guess produces non-finite residuals")
-    lam = _LAMBDA0
-    converged = False
-    for _ in range(_MAX_ITER):
-        jac = jacobian(x, p)
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        damp = np.diag(jtj).copy()
-        damp[damp <= 0.0] = 1.0
-        stepped = False
-        while lam <= _LAMBDA_MAX:
-            try:
-                dp = np.linalg.solve(jtj + lam * np.diag(damp), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = p + dp
-            resid_try = y - model(x, p_try)
-            cost_try = float(resid_try @ resid_try)
-            if math.isfinite(cost_try) and cost_try <= cost:
-                # callers scale parameters to O(1); the 1e-3 floor keeps the
-                # step test meaningful for parameters that are genuinely zero
-                rel = float(np.max(np.abs(dp) / np.maximum(np.abs(p_try), 1e-3)))
-                p, resid, cost = p_try, resid_try, cost_try
-                lam = max(lam / 10.0, 1e-15)
-                stepped = True
-                if rel < _REL_STEP_TOL:
-                    converged = True
-                break
-            lam *= 10.0
-        if not stepped:
-            # no downhill step exists at any damping: gradient is zero to
-            # machine precision, accept the current point
-            converged = True
-        if converged:
-            break
-    if not converged:
-        raise FitError(f"no convergence after {_MAX_ITER} iterations (cost {cost:.3e})")
 
-    jac = jacobian(x, p)
-    jtj = jac.T @ jac
-    dof = max(len(np.asarray(y)) - p.size, 1)
-    s2 = cost / dof
+def _per_row(op, rescue, *stacks):
+    """op over stacks of matrices; if numpy finds one singular, op row by row,
+    with rescue(*row) for each row it refuses."""
     try:
-        cov = s2 * np.linalg.inv(jtj)
+        return op(*stacks)
     except np.linalg.LinAlgError:
-        cov = s2 * np.linalg.pinv(jtj)
-    perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return p, perr, math.sqrt(cost)
+        if stacks[0].ndim == 2:
+            return rescue(*stacks)
+        return np.array([_per_row(op, rescue, *row) for row in zip(*stacks)])
+
+
+def _lm_least_squares(model, x, y, p0):
+    """Minimize ||y[b] - model(x, p, False)[b]||^2 for each row b of a stack.
+
+    x, y are (B, N) and p0 (B, P); model(x, p, jac) gives the (B, N) values,
+    or the (B, N, P) Jacobian, of any rows.  Each row runs the one-problem
+    iteration step for step, through the BLAS and LAPACK calls one problem
+    makes alone, so no row's result depends on the others.  Returns per row
+    (p, perr, residual_norm), or its FitError.
+    """
+    p = np.array(p0, dtype=float)
+    resid = y - model(x, p, False)
+    cost = _sum_squares(resid)
+    lam = np.full(len(p), _LAMBDA0)
+    going = np.isfinite(cost)
+    out = [None if ok else FitError("initial guess produces non-finite residuals")
+           for ok in going]
+    # each pass makes one try on every row going.  A row starts an iteration
+    # (Jacobian, then tries at rising lambda until its cost falls) first and
+    # after each unconverged accepted step; out of budget, it stops still fresh
+    fresh, iters = going.copy(), np.zeros(len(p), dtype=int)
+    jtj = np.empty(p.shape + p.shape[1:])
+    grad, damping, diag = np.empty(p.shape), np.zeros_like(jtj), np.arange(p.shape[1])
+    while True:
+        going &= ~fresh | (iters < _MAX_ITER)
+        new = np.flatnonzero(fresh & going)
+        if new.size:
+            jac = model(x[new], p[new], True)
+            jac_t = jac.transpose(0, 2, 1)
+            jtj[new], grad[new] = jac_t @ jac, (jac_t @ resid[new, :, None])[..., 0]
+            damp = np.diagonal(jtj[new], axis1=1, axis2=2).copy()
+            damp[damp <= 0.0] = 1.0
+            damping[new[:, None], diag, diag] = damp
+            iters[new] += 1
+            fresh[new] = False
+        r = np.flatnonzero(going)
+        if r.size == 0:
+            break
+        # a singular row's step is NaN, so its cost is rejected below
+        dp = _per_row(lambda a, g: np.linalg.solve(a, g[..., None])[..., 0],
+                      lambda a, g: np.full(g.shape, np.nan),
+                      jtj[r] + lam[r, None, None] * damping[r], grad[r])
+        p_try = p[r] + dp
+        resid_try = y[r] - model(x[r], p_try, False)
+        cost_try = _sum_squares(resid_try)
+        ok = np.isfinite(cost_try) & (cost_try <= cost[r])
+        acc = r[ok]
+        # callers scale parameters to O(1); the 1e-3 floor keeps the
+        # step test meaningful for parameters that are genuinely zero
+        rel = np.max(np.abs(dp[ok]) / np.maximum(np.abs(p_try[ok]), 1e-3), axis=1)
+        p[acc], resid[acc], cost[acc] = p_try[ok], resid_try[ok], cost_try[ok]
+        lam[acc] = np.maximum(lam[acc] / 10.0, 1e-15)
+        lam[r[~ok]] *= 10.0
+        fresh[acc] = rel >= _REL_STEP_TOL
+        # a row with no downhill step at any damping has a gradient of zero
+        # to machine precision: it accepts its current point
+        going[r] = fresh[r] | (~ok & (lam[r] <= _LAMBDA_MAX))
+    for b in np.flatnonzero(fresh):
+        out[b] = FitError(f"no convergence after {_MAX_ITER} iterations "
+                          f"(cost {float(cost[b]):.3e})")
+
+    rows = np.flatnonzero([sol is None for sol in out])
+    jac = model(x[rows], p[rows], True)
+    jac_t = jac.transpose(0, 2, 1)
+    s2 = cost[rows] / max(y.shape[1] - p.shape[1], 1)
+    cov = s2[:, None, None] * _per_row(np.linalg.inv, np.linalg.pinv, jac_t @ jac)
+    perr = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
+    for b, err in zip(rows, perr):
+        out[b] = (p[b], err, math.sqrt(cost[b]))
+    return out
 
 
 def _check_xy(x, y, min_points: int, what: str):
@@ -136,14 +162,49 @@ class LorentzianFit:
     fwhm_err_hz: float
 
 
-def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
-    """Fit a Lorentzian dip to a swept-frequency magnitude trace.
+def _caught(fn, *args):
+    """fn(*args), or the FitError or ValueError it raised."""
+    try:
+        return fn(*args)
+    except (FitError, ValueError) as exc:
+        return exc
 
-    Initial guesses: dip position from the minimum sample, depth against a
-    baseline taken from the upper quartile, width from the second moment of
-    the baseline-subtracted dip.  Flat data and statistically insignificant
-    dips (depth < 3 sigma) are rejected with FitError.
-    """
+
+def _fit_traces(problem, model, traces) -> list:
+    """Fit each (x, y) of traces as if alone, those of one length in one solve:
+    problem(x, y) -> (xs, ys, p0, finish) scales a trace, finish(p, perr,
+    residual_norm) reads its solution.  Returns per trace its result or error."""
+    out = [_caught(problem, x, y) for x, y in traces]
+    lengths = {i: len(posed[0]) for i, posed in enumerate(out) if not isinstance(posed, Exception)}
+    for length in set(lengths.values()):
+        rows = [i for i, n in lengths.items() if n == length]
+        xs, ys, p0, finish = zip(*(out[i] for i in rows))
+        solved = _lm_least_squares(model, np.array(xs), np.array(ys), np.array(p0))
+        for i, sol, read in zip(rows, solved, finish):
+            out[i] = sol if isinstance(sol, FitError) else _caught(read, *sol)
+    return out
+
+
+def _one(results):
+    """The result of a one-trace fit; raises the error it holds instead."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _lorentzian(x, p, jac):
+    df, wid, dep, off = p.T[:, :, None]
+    u = 2.0 * (x - df) / wid
+    if not jac:
+        return off - dep / (1.0 + u * u)
+    l = 1.0 / (1.0 + u * u)
+    l2 = l * l
+    return np.stack([-4.0 * dep * u * l2 / wid, -2.0 * dep * u * u * l2 / wid, -l,
+                     np.ones_like(x)], axis=-1)
+
+
+def _lorentzian_problem(f_hz, magnitude):
     f, y = _check_xy(f_hz, magnitude, 5, "lorentzian fit")
     if _flat(y):
         raise FitError("no dip: data are flat, depth indistinguishable from zero")
@@ -158,10 +219,7 @@ def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
         raise FitError("no dip: minimum not below the baseline")
     w = np.clip(offset0 - y, 0.0, None)
     wsum = float(np.sum(w))
-    if wsum > 0.0:
-        fwhm0 = 2.0 * math.sqrt(float(np.sum(w * (f - f_r0) ** 2)) / wsum)
-    else:
-        fwhm0 = 0.0
+    fwhm0 = 2.0 * math.sqrt(float(np.sum(w * (f - f_r0) ** 2)) / wsum) if wsum > 0.0 else 0.0
     span = float(f[-1] - f[0])
     if not math.isfinite(fwhm0) or fwhm0 <= 0.0:
         fwhm0 = span / 4.0
@@ -170,39 +228,36 @@ def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
     # in units of yscale, so all four parameters are O(1)
     fscale = max(fwhm0, span / 100.0)
     yscale = float(np.max(np.abs(y)))
-    xs = (f - f_r0) / fscale
-    ys = y / yscale
 
-    def model(x, p):
+    def finish(p, perr, _):
         df, wid, dep, off = p
-        u = 2.0 * (x - df) / wid
-        return off - dep / (1.0 + u * u)
+        wid, dep = abs(wid), float(dep)
+        if dep <= 0.0 or dep < 3.0 * perr[2]:
+            raise FitError("depth indistinguishable from zero")
+        return LorentzianFit(f_r_hz=f_r0 + df * fscale, fwhm_hz=wid * fscale,
+                             depth=dep * yscale, offset=float(off) * yscale,
+                             f_r_err_hz=float(perr[0]) * fscale,
+                             fwhm_err_hz=float(perr[1]) * fscale)
 
-    def jac(x, p):
-        df, wid, dep, off = p
-        u = 2.0 * (x - df) / wid
-        l = 1.0 / (1.0 + u * u)
-        l2 = l * l
-        d_df = -4.0 * dep * u * l2 / wid
-        d_wid = -2.0 * dep * u * u * l2 / wid
-        d_dep = -l
-        d_off = np.ones_like(x)
-        return np.column_stack([d_df, d_wid, d_dep, d_off])
+    p0 = [0.0, fwhm0 / fscale, depth0 / yscale, offset0 / yscale]
+    return (f - f_r0) / fscale, y / yscale, p0, finish
 
-    p0 = np.array([0.0, fwhm0 / fscale, depth0 / yscale, offset0 / yscale])
-    p, perr, _ = _lm_least_squares(model, jac, xs, ys, p0)
-    df, wid, dep, off = p
-    wid, dep = abs(wid), float(dep)
-    if dep <= 0.0 or dep < 3.0 * perr[2]:
-        raise FitError("depth indistinguishable from zero")
-    return LorentzianFit(
-        f_r_hz=f_r0 + df * fscale,
-        fwhm_hz=wid * fscale,
-        depth=dep * yscale,
-        offset=float(off) * yscale,
-        f_r_err_hz=float(perr[0]) * fscale,
-        fwhm_err_hz=float(perr[1]) * fscale,
-    )
+
+def fit_lorentzians(traces) -> list:
+    """Fit a Lorentzian dip to each (f_hz, magnitude) swept-frequency trace;
+    per trace its LorentzianFit, or the FitError or ValueError it raised.
+
+    Initial guesses: dip position from the minimum sample, depth against a
+    baseline taken from the upper quartile, width from the second moment of
+    the baseline-subtracted dip.  Flat data and statistically insignificant
+    dips (depth < 3 sigma) are rejected with FitError.
+    """
+    return _fit_traces(_lorentzian_problem, _lorentzian, traces)
+
+
+def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
+    """fit_lorentzians of one trace; raises its FitError or ValueError."""
+    return _one(fit_lorentzians([(f_hz, magnitude)]))
 
 
 @dataclass(frozen=True)
@@ -218,24 +273,25 @@ class _ExponentialFit:
     residual_norm: float
 
 
-def _fit_exponential(t_s, values) -> _ExponentialFit:
-    """Fit a single exponential relaxation toward a constant offset.
+def _exponential(x, p, jac):
+    tau, amp, off = p.T[:, :, None]
+    e = np.exp(-x / tau)
+    if not jac:
+        return off + amp * e
+    return np.stack([amp * e * x / tau ** 2, e, np.ones_like(x)], axis=-1)
 
-    The offset guess is the tail mean; amplitude and tau come from a
-    log-linear regression of the baseline-subtracted data.  Constant input
-    (or input with no resolvable decay) raises FitError.
-    """
+
+def _exponential_problem(t_s, values):
     t, y = _check_xy(t_s, values, 4, "exponential fit")
     if _flat(y):
         raise FitError("no decay: data are constant")
     order = np.argsort(t)
     t, y = t[order], y[order]
 
-    n_tail = max(2, y.size // 10)
-    offset0 = float(np.mean(y[-n_tail:]))
+    n_end = max(2, y.size // 10)
+    offset0 = float(np.mean(y[-n_end:]))
     resid0 = y - offset0
-    n_head = max(2, y.size // 10)
-    head = float(np.mean(resid0[:n_head]))
+    head = float(np.mean(resid0[:n_end]))
     if abs(head) <= 1e-12 * max(float(np.max(np.abs(y))), 1e-300):
         raise FitError("no decay: start and tail levels coincide")
     sign = 1.0 if head > 0 else -1.0
@@ -253,51 +309,45 @@ def _fit_exponential(t_s, values) -> _ExponentialFit:
     if tscale <= 0.0:
         raise ValueError("exponential fit: time axis has zero span")
     yscale = float(np.max(np.abs(y)))
-    ts = (t - t[0]) / tscale
-    ys = y / yscale
+
+    def finish(p, perr, rnorm):
+        tau, amp, off = p
+        if tau <= 0.0:
+            raise FitError("fitted time constant is not positive")
+        tau_s = tau * tscale
+        return _ExponentialFit(
+            tau_s=tau_s, amplitude=float(amp * yscale * math.exp(t[0] / tau_s)),
+            offset=float(off) * yscale, tau_err_s=float(perr[0]) * tscale,
+            amplitude_err=float(perr[1]) * yscale, offset_err=float(perr[2]) * yscale,
+            residual_norm=rnorm * yscale)
+
     # amplitude referenced to t[0] in the scaled frame
-    amp0_s = amp0 * math.exp(-t[0] / tau0) / yscale
-    tau0_s = tau0 / tscale
+    p0 = [tau0 / tscale, amp0 * math.exp(-t[0] / tau0) / yscale, offset0 / yscale]
+    return (t - t[0]) / tscale, y / yscale, p0, finish
 
-    def model(x, p):
-        tau, amp, off = p
-        return off + amp * np.exp(-x / tau)
 
-    def jac(x, p):
-        tau, amp, off = p
-        e = np.exp(-x / tau)
-        return np.column_stack([amp * e * x / tau ** 2, e, np.ones_like(x)])
+def _fit_exponential(t_s, values) -> _ExponentialFit:
+    """Fit a single exponential relaxation toward a constant offset.
 
-    p0 = np.array([tau0_s, amp0_s, offset0 / yscale])
-    p, perr, rnorm = _lm_least_squares(model, jac, ts, ys, p0)
-    tau, amp, off = p
-    if tau <= 0.0:
-        raise FitError("fitted time constant is not positive")
-    tau_s = tau * tscale
-    return _ExponentialFit(
-        tau_s=tau_s,
-        amplitude=float(amp * yscale * math.exp(t[0] / tau_s)),
-        offset=float(off) * yscale,
-        tau_err_s=float(perr[0]) * tscale,
-        amplitude_err=float(perr[1]) * yscale,
-        offset_err=float(perr[2]) * yscale,
-        residual_norm=rnorm * yscale,
-    )
+    The offset guess is the tail mean; amplitude and tau come from a
+    log-linear regression of the baseline-subtracted data.  Constant input
+    (or input with no resolvable decay) raises FitError.
+    """
+    return _one(_fit_traces(_exponential_problem, _exponential, [(t_s, values)]))
 
 
 _P_1DB_FACTOR = 10.0 ** (1.0 / 20.0) - 1.0  # P_1dB = factor * p_sat for the hyperbolic model
 
 
-def fit_compression(p_w, response) -> float:
-    """Fit the gain compression r(P) = A P / (1 + P/p_sat); return the 1 dB point in dBm.
+def _compression(x, q, jac):
+    a, ps = q.T[:, :, None]
+    den = 1.0 + x / ps
+    if not jac:
+        return a * x / den
+    return np.stack([x / den, a * x * x / (ps * ps * den * den)], axis=-1)
 
-    The 1 dB point is the input power where the response has dropped 1 dB
-    below the small-signal line: (10**(1/20) - 1) * p_sat.  Needs at least
-    6 points with strictly positive powers; the sweep should reach into
-    compression.  If the fitted p_sat lands far above the largest measured
-    power the data were effectively linear and the fit is rejected with
-    advice to widen the power range.
-    """
+
+def _compression_problem(p_w, response):
     p, r = _check_xy(p_w, response, 6, "compression fit")
     if np.any(p <= 0.0):
         raise ValueError("compression fit: powers must be > 0 W")
@@ -316,31 +366,40 @@ def fit_compression(p_w, response) -> float:
     # half-gain crossing as the p_sat guess; fall back to the top of the range
     below = np.nonzero(gain <= 0.5 * a0)[0]
     ps0 = float(p[below[0]]) if below.size else float(p[-1])
-
     pref = float(p[-1])
     rref = float(np.max(r))
-    xs = p / pref
-    rs = r / rref
 
-    def model(x, q):
-        a, ps = q
-        return a * x / (1.0 + x / ps)
+    def finish(q, *_):
+        a_s, ps_s = q
+        if a_s <= 0.0 or ps_s <= 0.0:
+            raise FitError("fit collapsed to a non-physical gain or saturation power")
+        p_sat = ps_s * pref
+        if p_sat > 50.0 * p[-1]:
+            raise FitError(
+                "p_sat is unconstrained by the data (responses look linear); "
+                "extend the power sweep further into saturation")
+        return watts_to_dbm(_P_1DB_FACTOR * p_sat)
 
-    def jac(x, q):
-        a, ps = q
-        den = 1.0 + x / ps
-        return np.column_stack([x / den, a * x * x / (ps * ps * den * den)])
+    return p / pref, r / rref, [a0 * pref / rref, ps0 / pref], finish
 
-    q0 = np.array([a0 * pref / rref, ps0 / pref])
-    (a_s, ps_s), _, _ = _lm_least_squares(model, jac, xs, rs, q0)
-    if a_s <= 0.0 or ps_s <= 0.0:
-        raise FitError("fit collapsed to a non-physical gain or saturation power")
-    p_sat = ps_s * pref
-    if p_sat > 50.0 * p[-1]:
-        raise FitError(
-            "p_sat is unconstrained by the data (responses look linear); "
-            "extend the power sweep further into saturation")
-    return watts_to_dbm(_P_1DB_FACTOR * p_sat)
+
+def fit_compressions(traces) -> list:
+    """Fit r(P) = A P / (1 + P/p_sat) to each (p_w, response) trace; per trace
+    its 1 dB point in dBm, or the FitError or ValueError it raised.
+
+    The 1 dB point is the input power where the response has dropped 1 dB
+    below the small-signal line: (10**(1/20) - 1) * p_sat.  Needs at least
+    6 points with strictly positive powers; the sweep should reach into
+    compression.  If the fitted p_sat lands far above the largest measured
+    power the data were effectively linear and the fit is rejected with
+    advice to widen the power range.
+    """
+    return _fit_traces(_compression_problem, _compression, traces)
+
+
+def fit_compression(p_w, response) -> float:
+    """fit_compressions of one trace; raises its FitError or ValueError."""
+    return _one(fit_compressions([(p_w, response)]))
 
 
 @dataclass(frozen=True)
@@ -389,16 +448,11 @@ def crosstalk_matrix(p_1db_dbm, channel_map) -> CrosstalkMatrix:
     if not np.all(np.isfinite(table)):
         raise ValueError("P1dB table must be finite")
 
-    row = np.full((n, n), np.nan)
-    col = np.full((n, n), np.nan)
-    owners = {filt: bolo for bolo, filt in enumerate(channel_map)}
-    for i in range(n):
-        matched = channel_map[i]
-        for j in range(n):
-            if j != matched:
-                row[i, j] = table[i, matched] - table[i, j]
-            if i != owners[j]:
-                col[i, j] = table[owners[j], j] - table[i, j]
+    cells, owners = np.arange(n), np.argsort(channel_map)  # owners[j] has filter j
+    row = table[cells, channel_map][:, None] - table
+    row[cells, channel_map] = np.nan
+    col = table[owners, cells] - table
+    col[owners, cells] = np.nan
     return CrosstalkMatrix(crosstalk_db=row, column_crosstalk_db=col)
 
 

@@ -3,7 +3,8 @@
 Every run command loads the config (shipped defaults unless --config)
 with --preset and --seed set in its document, writes its outputs into
 --out plus a manifest.json naming that document and checksumming exactly
-the files the command wrote, and prints a short summary.  analyze and
+the files the command wrote, and prints a short summary; --out is made
+before the model runs and removed if no file was written.  analyze and
 report read such a directory through its manifest and load no config.
 capacity takes only --config and its band flags, and writes no file.
 
@@ -13,10 +14,12 @@ or mismatched manifest, a malformed trace, or an output that cannot be
 written).
 """
 import argparse
+import contextlib
 import copy
 import json
 import math
 import os
+import pathlib
 import shutil
 import sys
 from dataclasses import asdict
@@ -126,10 +129,9 @@ def _out_dir(args) -> str:
 
 
 def _output(args, name: str) -> str:
-    """The path of output file `name`.  The output directory is made on first
-    use, so a command that fails before writing leaves none, and the name
-    joins args.written: the files this command wrote, which the manifest
-    hashes."""
+    """The path of output file `name`, whose name joins args.written: the
+    files this command wrote, which the manifest hashes.  report makes its
+    output directory here, on first use."""
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     args.written.append(name)
@@ -403,11 +405,14 @@ def main(argv=None) -> int:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
 
-    args.written = []
+    args.written, made = [], []
     try:
         if not args.loads_config:
             return args.handler(args)
         cfg = configmod.load_config(args.config, preset=args.preset or "desk", seed=args.seed)
+        out_dir = pathlib.Path(_out_dir(args)).absolute()
+        made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails here
         return args.handler(cfg, args)
     except (SolverError, FitError, CalibrationError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -415,6 +420,11 @@ def main(argv=None) -> int:
     except (configmod.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if not args.written:  # a failed command leaves no directory it made
+            for path in made:  # deepest first
+                with contextlib.suppress(OSError):
+                    path.rmdir()
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ the absorption: the electrothermal feedback loop whose steady state
 `_gamma` and `_absorption` are the one copy of the reflection and
 absorption arithmetic; the solver and the time-domain engine both use them.
 `_steady_state` is the one steady-state kernel: it solves a whole array of
-probe frequencies and extra loads per call, which is how the probe and
-heater sweeps use it, and :func:`solve_operating_point` is its 0-d case.
+probe frequencies, powers and extra loads per call, which is how the probe
+and heater sweeps use it, and :func:`solve_operating_point` is its 0-d case.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _lowest_cubic_root(a, b):
     return v, (3.0 * v + 4.0 * a) * v + 1.0 + a * a, three
 
 
-def _steady_state(params: BolometerParams, f_p_hz, p_probe_w: float, extra_power_w=0.0):
-    """Coolest electrothermal steady state, elementwise over f_p_hz and extra_power_w.
+def _steady_state(params: BolometerParams, f_p_hz, p_probe_w, extra_power_w=0.0):
+    """Coolest electrothermal steady state, elementwise over all three inputs.
 
     The detuning Delta = Delta0 + dfdt x is linear in x = T - t_bath, so
     the balance g_th x = p_probe kappa_ext kappa_int / (Delta^2 +
@@ -160,16 +160,16 @@ def _steady_state(params: BolometerParams, f_p_hz, p_probe_w: float, extra_power
     steady state a probe switched on at the bath settles into.  dfdt == 0
     makes the balance linear.
 
-    The two inputs broadcast.  Returns arrays (t_e, f_r, gamma, stable,
-    multivalued), gamma being the reflection at f_p in that state; a cell
-    whose temperature is not finite is NaN in t_e, f_r and gamma and False
-    in both flags.
+    The inputs broadcast, each cell's root and Newton stop its own, so a
+    (powers, 1) x (freqs) grid in one call is one call per power, bit for
+    bit.  Returns arrays (t_e, f_r, gamma, stable, multivalued), gamma being
+    the reflection at f_p in that state; a cell whose temperature is not
+    finite is NaN in t_e, f_r and gamma and False in both flags.
     """
-    if not math.isfinite(p_probe_w) or p_probe_w < 0.0:
-        raise ValueError(f"probe power must be finite and >= 0 W, got {p_probe_w}")
-    extra = np.asarray(extra_power_w, dtype=float)
-    if not (np.isfinite(extra) & (extra >= 0.0)).all():
-        raise ValueError(f"extra power must be finite and >= 0 W, got {extra_power_w}")
+    p_probe, extra = np.asarray(p_probe_w, dtype=float), np.asarray(extra_power_w, dtype=float)
+    for name, value, given in (("probe", p_probe, p_probe_w), ("extra", extra, extra_power_w)):
+        if not (np.isfinite(value) & (value >= 0.0)).all():
+            raise ValueError(f"{name} power must be finite and >= 0 W, got {given}")
 
     ke, ki = params.kappa_ext_hz, params.kappa_int_hz
     half, absorbed = 0.5 * (ke + ki), _absorption(ke, ki)
@@ -177,11 +177,11 @@ def _steady_state(params: BolometerParams, f_p_hz, p_probe_w: float, extra_power
     f_p = np.asarray(f_p_hz, dtype=float)
     with np.errstate(all="ignore"):
         if dfdt == 0.0:
-            x = (p_probe_w * absorbed(f_p - params.f_r0_hz) + extra) / g_th
+            x = (p_probe * absorbed(f_p - params.f_r0_hz) + extra) / g_th
             stable, multivalued = np.full(np.shape(x), True), np.full(np.shape(x), False)
         else:
             a = (f_p - params.f_r0_hz + extra * dfdt / g_th) / half
-            b = p_probe_w * absorbed(0.0) * dfdt / (g_th * half)
+            b = p_probe * absorbed(0.0) * dfdt / (g_th * half)
             v, slope, multivalued = _lowest_cubic_root(a, b)
             x = v * half / dfdt + extra / g_th
             stable = slope > 0.0

@@ -1,7 +1,7 @@
 """Experiment drivers tying device, frontend and signal chain together.
 
 Steady-state sweeps (probe and heater filter scans) run on the device's
-array kernel alone, one call per sweep row; a cell with no finite steady
+array kernel alone, one call per channel; a cell with no finite steady
 state comes out NaN.  Time-domain runs come in batches on one engine plan:
 one thermal pass steps a batch's every (run, channel), and _timedomain_run
 turns each run into (channels, M) IQ, which a trigger run reduces per
@@ -198,11 +198,11 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -
 
     f_hz holds one probe frequency grid per channel, all of one length.
     Every cell is an independent steady state (no hysteresis): the recorded
-    value is |Gamma(f_p)| at the solved state.  Each (channel, power) row is
-    one call of the array kernel behind solve_operating_point.  Powers above
-    a channel's nonlinear threshold are refused unless allow_nonlinear is
-    set.  Cells with no finite steady state are NaN, not an exception;
-    multivalued cells are flagged but still reported.
+    value is |Gamma(f_p)| at the solved state.  Each channel is one call of
+    the array kernel behind solve_operating_point, on a (powers, 1) x freqs
+    grid.  Powers above a channel's nonlinear threshold are refused unless
+    allow_nonlinear is set.  Cells with no finite steady state are NaN, not
+    an exception; multivalued cells are flagged but still reported.
     """
     powers = [float(p) for p in powers_dbm]
     if not powers:
@@ -217,18 +217,15 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -
         raise ValueError("per-channel frequency grids must have equal length")
 
     mag = np.empty((chip.n_channels, len(powers), n_f))
-    norm = np.full_like(mag, np.nan)
     multi = np.empty_like(mag, dtype=bool)
+    p_w = np.array([[dbm_to_watts(_device_dbm(chip, p))] for p in powers])
     for ch, par in enumerate(chip.bolometers):
-        for pi, p_dbm in enumerate(powers):
-            p_w = dbm_to_watts(_device_dbm(chip, p_dbm))
-            _, _, gamma, _, multi[ch, pi] = _steady_state(par, grids[ch], p_w)
-            row = mag[ch, pi] = np.abs(gamma)
-            finite = row[np.isfinite(row)]
-            if finite.size == 0:
-                continue
-            lo, hi = float(np.min(finite)), float(np.max(finite))
-            norm[ch, pi] = (row - lo) / (hi - lo) if hi > lo else 0.0
+        _, _, gamma, _, multi[ch] = _steady_state(par, grids[ch], p_w)
+        mag[ch] = np.abs(gamma)
+    # per-row min-max over the finite cells: a flat row is 0, an all-NaN one NaN
+    lo, hi = np.fmin.reduce(mag, axis=2, keepdims=True), np.fmax.reduce(mag, axis=2, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        norm = np.where(hi > lo, (mag - lo) / (hi - lo), np.where(np.isnan(lo), np.nan, 0.0))
     return ProbeSweepResult(f_hz=tuple(grids), powers_dbm=tuple(powers), magnitude=mag,
                             normalized=norm, multivalued=multi)
 
@@ -240,7 +237,8 @@ def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points:
     Each channel's grid holds n_points probe frequencies spanning
     span_linewidths total linewidths, centred on its cold resonance.
     Returns (sweep, fits) where fits[ch][pi] is the fit for that panel row,
-    or None where fitting failed.  The lowest-power row is the headline
+    or None where fitting failed; a channel's rows, less their NaN cells, are
+    one call of the stacked fit.  The lowest-power row is the headline
     estimate of f_r0 and the total linewidth.
     """
     if not (math.isfinite(span_linewidths) and span_linewidths > 0.0):
@@ -251,16 +249,10 @@ def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points:
         grids.append(np.linspace(par.f_r0_hz - half, par.f_r0_hz + half, n_points))
     sweep = run_probe_sweep(chip, powers_dbm, grids, allow_nonlinear)
     fits = []
-    for ch in range(chip.n_channels):
-        row_fits = []
-        for pi in range(len(sweep.powers_dbm)):
-            row = sweep.magnitude[ch, pi]
-            ok = np.isfinite(row)
-            try:
-                row_fits.append(analysis.fit_lorentzian(sweep.f_hz[ch][ok], row[ok]))
-            except (analysis.FitError, ValueError):
-                row_fits.append(None)
-        fits.append(tuple(row_fits))
+    for f, rows in zip(sweep.f_hz, sweep.magnitude):
+        kept = np.isfinite(rows)
+        fitted = analysis.fit_lorentzians([(f[ok], row[ok]) for row, ok in zip(rows, kept)])
+        fits.append(tuple(None if isinstance(fit, Exception) else fit for fit in fitted))
     return sweep, tuple(fits)
 
 
@@ -359,8 +351,11 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings):
     paths = _power_sweep_paths(quiet, plan, runs, settings)
     responses = paths.T.reshape(n, len(chip.filters), len(powers))
     powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
-    p1db = np.array([[analysis.fit_compression(powers_w, responses[i, j]) for j in range(n)]
-                     for i in range(n)])
+    fitted = analysis.fit_compressions([(powers_w, path) for path in responses.reshape(n * n, -1)])
+    failed = [fit for fit in fitted if isinstance(fit, Exception)]
+    if failed:
+        raise failed[0]
+    p1db = np.reshape(fitted, (n, n))
     return responses, powers_w, p1db, analysis.crosstalk_matrix(p1db, chip.channel_map)
 
 

@@ -9,12 +9,22 @@ import pytest
 from bolomux.analysis import (
     _P_1DB_FACTOR,
     FitError,
+    _compression,
+    _compression_problem,
+    _exponential,
+    _exponential_problem,
     _fit_exponential,
+    _lm_least_squares,
+    _lorentzian,
+    _lorentzian_problem,
     _median,
+    _per_row,
     capacity_estimate,
     crosstalk_matrix,
     fit_compression,
+    fit_compressions,
     fit_lorentzian,
+    fit_lorentzians,
     snr_table,
 )
 from bolomux.units import dbm_to_watts, watts_to_dbm
@@ -235,6 +245,205 @@ def test_compression_small_signal_median_is_numpy_median(size):
     for values in [rng.lognormal(0.0, 3.0, size) for _ in range(20)] + [
             rng.integers(0, 3, size).astype(float) * 1e12 for _ in range(5)]:
         assert _median(values) == float(np.median(values))
+
+
+# --------------------------------------------------------- stacked solver
+
+
+def one_problem_lm(model, x, y, p0):
+    """The one-problem Levenberg-Marquardt iteration the stacked core replaced,
+    kept as its oracle: 1-d x, y and p0, through the stacked model and its
+    Jacobian on a one-row stack.  Returns (p, perr, residual_norm); raises
+    FitError."""
+    def model_1d(p):
+        return model(x[None], p[None], False)[0]
+
+    def jacobian_1d(p):
+        return model(x[None], p[None], True)[0]
+
+    p = np.asarray(p0, dtype=float)
+    resid = y - model_1d(p)
+    cost = float(resid @ resid)
+    if not math.isfinite(cost):
+        raise FitError("initial guess produces non-finite residuals")
+    lam = 1e-3
+    converged = False
+    for _ in range(200):
+        jac = jacobian_1d(p)
+        jtj = jac.T @ jac
+        grad = jac.T @ resid
+        damp = np.diag(jtj).copy()
+        damp[damp <= 0.0] = 1.0
+        stepped = False
+        while lam <= 1e12:
+            try:
+                dp = np.linalg.solve(jtj + lam * np.diag(damp), grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            p_try = p + dp
+            resid_try = y - model_1d(p_try)
+            cost_try = float(resid_try @ resid_try)
+            if math.isfinite(cost_try) and cost_try <= cost:
+                rel = float(np.max(np.abs(dp) / np.maximum(np.abs(p_try), 1e-3)))
+                p, resid, cost = p_try, resid_try, cost_try
+                lam = max(lam / 10.0, 1e-15)
+                stepped = True
+                if rel < 1e-8:
+                    converged = True
+                break
+            lam *= 10.0
+        if not stepped:
+            converged = True
+        if converged:
+            break
+    if not converged:
+        raise FitError(f"no convergence after 200 iterations (cost {cost:.3e})")
+    jac = jacobian_1d(p)
+    jtj = jac.T @ jac
+    s2 = cost / max(y.size - p.size, 1)
+    try:
+        cov = s2 * np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        cov = s2 * np.linalg.pinv(jtj)
+    return p, np.sqrt(np.clip(np.diag(cov), 0.0, None)), math.sqrt(cost)
+
+
+def random_traces(kind, rows, seed):
+    """rows noisy traces of one length, each with its own true parameters."""
+    rng = np.random.default_rng(seed)
+    traces = []
+    for _ in range(rows):
+        if kind == "lorentzian":
+            f = np.linspace(150e6, 151e6, 201)
+            clean = lorentz(f, rng.uniform(150.3e6, 150.7e6), rng.uniform(5e4, 2e5),
+                            rng.uniform(0.1, 0.8), rng.uniform(0.9, 1.1))
+            traces.append((f, clean + rng.normal(0.0, 0.005, f.size)))
+        elif kind == "compression":
+            p = np.logspace(-16, -12, 25)
+            clean = compress(p, 10 ** rng.uniform(11, 13), 10 ** rng.uniform(-14.5, -13))
+            traces.append((p, clean * (1.0 + rng.normal(0.0, 0.01, p.size))))
+        else:
+            t = np.linspace(0.0, 5e-5, 200)
+            tau = rng.uniform(5e-6, 2e-5)
+            clean = rng.uniform(-1, 1) + rng.uniform(0.5, 2.0) * np.exp(-t / tau)
+            traces.append((t, clean + rng.normal(0.0, 0.01, t.size)))
+    return traces
+
+
+_PROBLEMS = {
+    "lorentzian": (_lorentzian_problem, _lorentzian),
+    "compression": (_compression_problem, _compression),
+    "exponential": (_exponential_problem, _exponential),
+}
+
+
+def stacked_problem(kind, rows, seed):
+    """(model, x, y, p0) of rows random scaled problems of one kind."""
+    problem, model = _PROBLEMS[kind]
+    posed = [problem(*trace) for trace in random_traces(kind, rows, seed)]
+    x, y, p0 = (np.array(column) for column in list(zip(*posed))[:3])
+    return model, x, y, p0
+
+
+def solve_alone(model, x, y, p0, b):
+    """Row b solved as a one-row stack and by the one-problem oracle."""
+    one_row = _lm_least_squares(model, x[b:b + 1], y[b:b + 1], p0[b:b + 1])[0]
+    try:
+        oracle = one_problem_lm(model, x[b], y[b], p0[b])
+    except FitError as exc:
+        oracle = exc
+    return one_row, oracle
+
+
+def assert_same_solution(got, want):
+    if isinstance(want, FitError):
+        assert isinstance(got, FitError) and str(got) == str(want)
+        return
+    assert not isinstance(got, FitError), got
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1], equal_nan=True)
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("kind", sorted(_PROBLEMS))
+def test_stacked_solve_is_each_row_alone(kind):
+    # every row of a stack comes out bit for bit as the one-row solve and as
+    # the one-problem iteration the stacked core replaced
+    model, x, y, p0 = stacked_problem(kind, rows=12, seed=len(kind))
+    solved = _lm_least_squares(model, x, y, p0)
+    assert not any(isinstance(sol, FitError) for sol in solved)
+    for b, sol in enumerate(solved):
+        for want in solve_alone(model, x, y, p0, b):
+            assert_same_solution(sol, want)
+
+
+def test_a_row_out_of_budget_fails_alone():
+    # a straight line pulls the exponential's tau and amplitude out without
+    # end: that row spends the 200-step budget while its neighbours converge
+    model, x, y, p0 = stacked_problem("exponential", rows=5, seed=3)
+    y[2] = 1.0 - 0.5 * x[2]
+    p0[2] = [1.0, 1.0, 0.0]
+    solved = _lm_least_squares(model, x, y, p0)
+    failed = [b for b, sol in enumerate(solved) if isinstance(sol, FitError)]
+    assert failed == [2]
+    assert str(solved[2]).startswith("no convergence after 200 iterations")
+    for b, sol in enumerate(solved):
+        for want in solve_alone(model, x, y, p0, b):
+            assert_same_solution(sol, want)
+
+
+def test_flat_and_exact_rows_stop_alone():
+    # a flat row (constant data: the dip's depth goes to zero) and a row that
+    # starts on its exact fit stop as they would alone, beside noisy rows
+    model, x, y, p0 = stacked_problem("lorentzian", rows=6, seed=4)
+    y[1] = 0.9
+    y[4] = _lorentzian(x[4:5], p0[4:5], False)[0]
+    solved = _lm_least_squares(model, x, y, p0)
+    assert np.array_equal(solved[4][0], p0[4]) and solved[4][2] == 0.0
+    for b, sol in enumerate(solved):
+        for want in solve_alone(model, x, y, p0, b):
+            assert_same_solution(sol, want)
+    # as a trace, flat data are refused before the solve, and the rest fit
+    traces = random_traces("lorentzian", 3, seed=5)
+    traces.insert(1, (traces[0][0], np.full(traces[0][0].size, 0.7)))
+    fits = fit_lorentzians(traces)
+    assert isinstance(fits[1], FitError) and "flat" in str(fits[1])
+    assert [fits[i] for i in (0, 2, 3)] == [fit_lorentzian(*traces[i]) for i in (0, 2, 3)]
+
+
+def test_singular_round_falls_back_to_row_by_row():
+    # numpy refuses a whole stack for one singular matrix; the rows then go
+    # one by one, and only the singular one takes the rescue
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(4, 3, 3))
+    a[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    b = rng.normal(size=(4, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b[..., None])
+    steps = _per_row(lambda m, v: np.linalg.solve(m, v[..., None])[..., 0],
+                     lambda m, v: np.full(v.shape, np.nan), a, b)
+    assert np.isnan(steps[2]).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(steps[i], np.linalg.solve(a[i], b[i]))
+    inverses = _per_row(np.linalg.inv, np.linalg.pinv, a)
+    assert np.array_equal(inverses[2], np.linalg.pinv(a[2]))
+    assert np.array_equal(inverses[0], np.linalg.inv(a[0]))
+
+
+def test_traces_of_two_lengths_fit_as_alone():
+    # traces that share no length stack by length; each result is its fit
+    # alone, errors included
+    traces = random_traces("lorentzian", 4, seed=7)
+    for i in (1, 3):
+        f, y = traces[i]
+        traces[i] = (f[::2], y[::2])
+    traces.append(([1.0, 2.0, 3.0], [1.0, 0.5, 1.0]))
+    fits = fit_lorentzians(traces)
+    assert isinstance(fits[4], ValueError)
+    assert fits[:4] == [fit_lorentzian(*trace) for trace in traces[:4]]
+    paths = random_traces("compression", 3, seed=8)
+    assert fit_compressions(paths) == [fit_compression(*path) for path in paths]
 
 
 # -------------------------------------------------------------- crosstalk

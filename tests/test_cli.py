@@ -8,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+from bolomux import analysis, cli
+from bolomux.analysis import FitError
 from bolomux.cli import main
 from bolomux.config import _default_config_dict, config_hash, load_config
 from bolomux.experiments import calibrate_chip
@@ -465,6 +467,43 @@ def test_unwritable_out_is_a_runtime_failure(capsys, tmp_path, fast_config, comm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert target.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["trigger", "--pattern", "111", "--preset", "fig3"], ["characterize"], ["filterscan"],
+    ["powersweep"], ["multiplex"], ["calibrate"],
+], ids=lambda argv: argv[0])
+def test_unusable_out_fails_before_the_model_runs(capsys, tmp_path, monkeypatch, command):
+    # the output directory is made before the model runs, so an --out that
+    # names a file, or lies under one, fails at once
+    def model(*args, **kwargs):
+        raise AssertionError("the model ran")
+
+    for name in ("characterize", "run_filter_sweep", "power_sweep_matrix", "run_trigger",
+                 "run_full_multiplex", "calibrate_chip"):
+        monkeypatch.setattr(cli, name, model)
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    for out in (target, target / "sub"):
+        assert run_cli(*command, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_text() == "not a directory\n"
+
+
+def test_a_failed_fit_leaves_no_directory(capsys, tmp_path, monkeypatch):
+    # powersweep runs the model, then its compression fit fails before any
+    # file is written: the directories the command made go again, and one
+    # that was there before stays
+    monkeypatch.setattr(analysis, "fit_compressions",
+                        lambda traces: [FitError("stub fit failure")] * len(traces))
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "new" / "deeper" / "sweep", tmp_path / "kept" / "sweep",
+                tmp_path / "kept"):
+        assert run_cli("powersweep", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: stub fit failure\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_analyze_missing_directory(capsys, tmp_path):

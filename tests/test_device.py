@@ -518,6 +518,37 @@ def test_steady_state_non_finite_cell_is_nan():
     assert solve_operating_point(tiny, float(f_p[2]), p_w).t_star_k == t_e[2]
 
 
+def test_steady_state_broadcasts_probe_power():
+    # a (powers, 1) x (freqs) grid in one call is the per-power calls and the
+    # per-cell oracle, bit for bit: past the nonlinear threshold, where cells
+    # fold, and on a linewidth so narrow that a far-detuned cell is NaN
+    powers = np.array([[dbm_to_watts(p)] for p in np.linspace(-160.0, -110.0, 11)])
+    steep, tiny = make_params(), make_params(kappa_ext_hz=1e-70, kappa_int_hz=1e-70)
+    grids = (steep.f_r0_hz + np.linspace(-3.0, 3.0, 41) * steep.kappa_total_hz,
+             tiny.f_r0_hz + np.array([-1e3, 0.0, 1e3, 1e10]))
+    multivalued = nan_cells = 0
+    for par, f_p in zip((steep, tiny), grids):
+        grid = _steady_state(par, f_p, powers)
+        assert all(out.shape == (11, f_p.size) for out in grid)
+        for i, p_w in enumerate(powers[:, 0]):
+            for got, want in zip(grid, _steady_state(par, f_p, float(p_w))):
+                assert np.array_equal(got[i], want, equal_nan=True)
+            for j, f in enumerate(f_p):
+                t_e, stable, multi = scalar_steady_state(par, float(f), float(p_w))
+                assert np.array_equal(grid[0][i, j], t_e, equal_nan=True)
+                assert (grid[3][i, j], grid[4][i, j]) == (stable, multi)
+        multivalued += int(grid[4].sum())
+        nan_cells += int(np.isnan(grid[0]).sum())
+    assert multivalued > 0 and nan_cells > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-18])
+def test_steady_state_refuses_a_bad_probe_power(bad):
+    par = make_params()
+    with pytest.raises(ValueError, match="probe power must be finite and >= 0 W"):
+        _steady_state(par, par.f_r0_hz + np.zeros(3), np.array([[1e-18], [bad]]))
+
+
 def test_operating_point_zero_power_sits_at_bath():
     par = make_params()
     op = solve_operating_point(par, par.f_r0_hz, 0.0)

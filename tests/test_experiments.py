@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from bolomux import engine, experiments
-from bolomux.analysis import _fit_exponential
+from bolomux.analysis import FitError, _fit_exponential, fit_compression, fit_lorentzian
 from bolomux.config import PRESETS, ChipConfig, load_config
-from bolomux.device import _absorption, _gamma, solve_operating_point
+from bolomux.device import _absorption, _gamma, _steady_state, solve_operating_point
 from bolomux.dsp import (IQTrace, _band_iq, _baseline_std_per_volt, _demod_band, _white_bins,
                          response_metric)
 from bolomux.experiments import (
@@ -807,6 +807,33 @@ def test_characterize_dip_depth_shrinks_with_power(default_chip):
             assert b <= a + 1e-12
 
 
+def test_characterize_fits_rows_that_nan_cells_shortened(default_chip, monkeypatch):
+    # NaN cells leave one channel rows of two lengths, and one row too short
+    # to fit: each row's fit is its finite cells fitted alone, or None
+    real = experiments.run_probe_sweep
+
+    def with_nan_cells(*args):
+        sweep = real(*args)
+        sweep.magnitude[1, 0, :40] = np.nan
+        sweep.magnitude[1, 2, -40:] = np.nan
+        sweep.magnitude[1, 3, 3:] = np.nan
+        return sweep
+
+    monkeypatch.setattr(experiments, "run_probe_sweep", with_nan_cells)
+    sweep, fits = characterize(default_chip, (-160.0, -150.0, -144.0, -137.0),
+                               span_linewidths=6.0, n_points=201, allow_nonlinear=False)
+    assert [int(np.isfinite(row).sum()) for row in sweep.magnitude[1]] == [161, 201, 161, 3]
+    assert fits[1][3] is None and None not in fits[1][:3]
+    for ch in range(3):
+        for row, fit in zip(sweep.magnitude[ch], fits[ch]):
+            ok = np.isfinite(row)
+            try:
+                alone = fit_lorentzian(sweep.f_hz[ch][ok], row[ok])
+            except (FitError, ValueError):
+                alone = None
+            assert fit == alone
+
+
 @pytest.fixture(scope="module")
 def tiny_kappa_chip(default_chip):
     """Shipped chip whose middle bolometer has a 1e-70 Hz linewidth.
@@ -850,6 +877,23 @@ def test_probe_sweep_matches_per_cell_loop(tiny_kappa_chip):
     assert np.array_equal(sweep.multivalued, multi) and multi.any()
     # the NaN cell's neighbours keep finite values and normalization
     assert np.all(np.isfinite(sweep.normalized[1, :, :6]))
+
+
+def test_probe_sweep_is_one_kernel_call_per_power_bit_for_bit(tiny_kappa_chip):
+    # each channel's one call over (powers, 1) x freqs gives every row of a
+    # call per power, past the nonlinear threshold (allow_nonlinear), where
+    # cells fold, and on the narrow channel, whose far cells are NaN
+    chip, powers = tiny_kappa_chip, (-150.0, -120.0, -100.0)
+    grids = [par.f_r0_hz + np.linspace(-3.0, 3.0, 41) * par.kappa_total_hz
+             for par in chip.bolometers]
+    grids[1] = chip.bolometers[1].f_r0_hz + np.linspace(-1e3, 1e10, 41)
+    sweep = run_probe_sweep(chip, powers, grids, True)
+    assert sweep.multivalued.any() and np.isnan(sweep.magnitude).any()
+    for ch, par in enumerate(chip.bolometers):
+        for pi, p_w in enumerate(device_watts(chip, powers)):
+            _, _, gamma, _, multi = _steady_state(par, grids[ch], float(p_w))
+            assert np.array_equal(sweep.magnitude[ch, pi], np.abs(gamma), equal_nan=True)
+            assert np.array_equal(sweep.multivalued[ch, pi], multi)
 
 
 def test_filter_sweep_matches_per_cell_loop(tiny_kappa_chip, default_settings):
@@ -1033,6 +1077,27 @@ def test_power_sweep_validation(default_chip, default_settings):
 
 
 SHORT_POWERS_DBM = [-155.0, -140.0, -125.0, -112.5, -100.0, -90.0]
+
+
+def test_power_sweep_matrix_raises_the_first_failed_paths_error(default_chip, default_settings,
+                                                               monkeypatch):
+    # the n x n compression fits are one call; of two paths that cannot be
+    # fitted, the first in (i, j) order raises what it raises fitted alone
+    real, n_p = experiments._power_sweep_paths, len(SHORT_POWERS_DBM)
+
+    def with_bad_paths(*args):
+        paths = real(*args)
+        paths[2 * n_p:3 * n_p, 1] = 0.5   # path (1, 2): flat
+        paths[:n_p, 2] = -1.0             # path (2, 0): not positive
+        return paths
+
+    monkeypatch.setattr(experiments, "_power_sweep_paths", with_bad_paths)
+    with pytest.raises(FitError) as raised:
+        power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings)
+    powers_w = device_watts(default_chip, SHORT_POWERS_DBM)
+    with pytest.raises(FitError) as alone:
+        fit_compression(powers_w, np.full(n_p, 0.5))
+    assert str(raised.value) == str(alone.value)
 
 
 @pytest.fixture(scope="module")
