@@ -195,13 +195,25 @@ def _one(results):
 
 def _lorentzian(x, p, jac):
     df, wid, dep, off = p.T[:, :, None]
-    u = 2.0 * (x - df) / wid
     if not jac:
+        u = 2.0 * (x - df) / wid
         return off - dep / (1.0 + u * u)
-    l = 1.0 / (1.0 + u * u)
-    l2 = l * l
-    return np.stack([-4.0 * dep * u * l2 / wid, -2.0 * dep * u * u * l2 / wid, -l,
-                     np.ones_like(x)], axis=-1)
+    # columns -4 dep u l^2 / wid, -2 dep u u l^2 / wid, -l, 1 hold u, l and l^2 first
+    out = np.empty(x.shape + (4,))
+    u, d_wid, l, l2 = np.moveaxis(out, -1, 0)
+    np.multiply(np.subtract(x, df, out=u), 2.0, out=u)
+    u /= wid
+    np.divide(1.0, np.add(np.multiply(u, u, out=l), 1.0, out=l), out=l)
+    np.multiply(l, l, out=l2)
+    np.multiply(np.multiply(-2.0 * dep, u, out=d_wid), u, out=d_wid)
+    d_wid *= l2
+    d_wid /= wid
+    u *= -4.0 * dep
+    u *= l2
+    u /= wid
+    np.negative(l, out=l)
+    l2.fill(1.0)
+    return out
 
 
 def _lorentzian_problem(f_hz, magnitude):

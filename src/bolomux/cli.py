@@ -7,6 +7,8 @@ the files the command wrote, and prints a short summary; --out is made
 before the model runs and removed if no file was written.  analyze and
 report read such a directory through its manifest and load no config.
 capacity takes only --config and its band flags, and writes no file.
+The parser is built on the first main call and reused by every later
+call in the process.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 (failed fit or calibration, a non-finite operating point, a malformed
@@ -16,6 +18,7 @@ written).
 import argparse
 import contextlib
 import copy
+import functools
 import json
 import math
 import os
@@ -62,6 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     config_flag = _Parser(add_help=False)
     config_flag.add_argument("--config", metavar="FILE",

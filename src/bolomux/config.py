@@ -12,6 +12,7 @@ other.  A violation names the JSON pointer of the first offending field in
 document order.
 """
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -117,16 +118,28 @@ def _violations(value, schema: dict, path=()):
                 yield from _violations(item, sub, path + (key,))
 
 
-def _validate(doc: dict, schema: dict) -> None:
-    _check_keywords(schema)
+def _raise_first_violation(doc: dict, schema: dict) -> None:
     found = next(_violations(doc, schema), None)
     if found is not None:
         raise ConfigError(f"config error at {_pointer(found[0])}: {found[1]}")
 
 
+def _validate(doc: dict, schema: dict) -> None:
+    _check_keywords(schema)
+    _raise_first_violation(doc, schema)
+
+
+@functools.cache
+def _packaged_schema() -> dict:
+    """The packaged schema, read and keyword-checked once per process; read only."""
+    schema = _load_packaged("config_schema.json")
+    _check_keywords(schema)
+    return schema
+
+
 def validate_config(doc: dict) -> None:
     """Schema-check a complete (merged) document; ConfigError on violation."""
-    _validate(doc, _load_packaged("config_schema.json"))
+    _raise_first_violation(doc, _packaged_schema())
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

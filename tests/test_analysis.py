@@ -446,6 +446,36 @@ def test_traces_of_two_lengths_fit_as_alone():
     assert fit_compressions(paths) == [fit_compression(*path) for path in paths]
 
 
+def stacked_lorentzian_jacobian(x, p):
+    """The dip model's (B, N, 4) Jacobian stacked from whole-array temporaries,
+    the expression the in-place one must equal bit for bit."""
+    df, wid, dep, off = p.T[:, :, None]
+    u = 2.0 * (x - df) / wid
+    l = 1.0 / (1.0 + u * u)
+    l2 = l * l
+    return np.stack([-4.0 * dep * u * l2 / wid, -2.0 * dep * u * u * l2 / wid, -l,
+                     np.ones_like(x)], axis=-1)
+
+
+@pytest.mark.parametrize("rows", [1, 9, 27, "nan-shortened"])
+def test_lorentzian_jacobian_in_place_is_the_stacked_expression(rows):
+    if rows == "nan-shortened":
+        # characterize fits a row without its NaN cells: 201 - 5 points
+        f, y = random_traces("lorentzian", 1, seed=3)[0]
+        y[[0, 17, 18, 100, 200]] = np.nan
+        traces = [(f[np.isfinite(y)], y[np.isfinite(y)])]
+    else:
+        traces = random_traces("lorentzian", rows, seed=rows)
+    posed = [_lorentzian_problem(*trace) for trace in traces]
+    x, p0 = np.array([q[0] for q in posed]), np.array([q[2] for q in posed])
+    rng = np.random.default_rng(len(traces))
+    for p in (p0, p0 + rng.normal(0.0, 0.2, p0.shape)):
+        got, want = _lorentzian(x, p, True), stacked_lorentzian_jacobian(x, p)
+        assert got.shape == want.shape == (len(traces), x.shape[1], 4)
+        assert got.flags.c_contiguous  # the layout the solver's J^T J reads
+        assert got.tobytes() == want.tobytes()
+
+
 # -------------------------------------------------------------- crosstalk
 
 

@@ -4,6 +4,9 @@ analyze/report pipeline."""
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -631,3 +634,59 @@ def test_unknown_preset_rejected(capsys, fast_config, tmp_path):
     assert run_cli("trigger", "--pattern", "000", "--config", fast_config,
                    "--preset", "lab", "--out", str(tmp_path / "x")) == 1
     capsys.readouterr()
+
+
+# --------------------------------------------------------- one process
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of argv run by bolomux.cli.main in a new process."""
+    code = "import sys; from bolomux.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_writes_what_fresh_processes_write(capsys, tmp_path):
+    # the benchmark's steady-dense sequence, a usage error among its commands,
+    # run in one process builds the parser once, and every command prints and
+    # writes what it does alone in a new process
+    config = tmp_path / "dense.json"
+    config.write_text(json.dumps({"sweeps": {
+        "characterize": {"powers_dbm": [-160.0 + 3.75 * k for k in range(9)],
+                         "span_linewidths": 8.0, "n_points": 801},
+        "filterscan": {"f_min_hz": 4.0e9, "f_max_hz": 8.0e9, "n_points": 2001,
+                       "heater_power_dbm": -145.0}}}))
+
+    def sequence(root):
+        def run(command):
+            return [command, "--config", str(config), "--seed", "7", "--threads", "1",
+                    "--out", str(root / command)]
+
+        def read(command):
+            return ["analyze", str(root / command), "--config", str(config)]
+        return [run("characterize"), run("filterscan"), ["characterize", "--bogus"],
+                read("characterize"), read("filterscan")]
+
+    cli.build_parser.cache_clear()
+    in_process = []
+    for argv in sequence(tmp_path / "one"):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err))
+    assert cli.build_parser.cache_info()[:2] == (4, 1)  # hits, misses
+    assert in_process[2][0] == 1
+    assert in_process[2][2].startswith("error: unrecognized arguments: --bogus\nusage: ")
+    assert in_process == [fresh_process(argv) for argv in sequence(tmp_path / "fresh")]
+    for command in ("characterize", "filterscan"):
+        one, fresh = tmp_path / "one" / command, tmp_path / "fresh" / command
+        names = sorted(path.name for path in one.iterdir())
+        assert names == sorted(path.name for path in fresh.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+        manifests = [read_manifest(d) for d in (one, fresh)]
+        for manifest in manifests:
+            del manifest["created_utc"]
+        assert manifests[0] == manifests[1]

@@ -12,7 +12,9 @@ from dataclasses import fields
 
 import pytest
 
+from bolomux import config
 from bolomux.config import (
+    PRESETS,
     ChipConfig,
     ConfigError,
     ExperimentConfig,
@@ -372,6 +374,36 @@ def test_checker_refuses_unsupported_type():
     schema = _load_packaged("config_schema.json")
     schema["properties"]["seed"]["type"] = ["integer", "null"]
     with pytest.raises(ConfigError, match=r"type \['integer', 'null'\] at /properties/seed"):
+        _validate(_default_config_dict(), schema)
+
+
+def test_cached_schema_stays_read_only(tmp_path, monkeypatch):
+    # the schema is read and keyword-checked once per process, and loading the
+    # shipped document, one the schema refuses and every preset leaves it as
+    # packaged
+    read = []
+
+    def counted(name):
+        read.append(name)
+        return _load_packaged(name)
+
+    monkeypatch.setattr(config, "_load_packaged", counted)
+    config._packaged_schema.cache_clear()
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps({"run": {"n_avg": 0}, "chip": {"extra": 1}}))
+    load_config(None)
+    with pytest.raises(ConfigError, match="^config error at /chip: Additional properties"):
+        load_config(str(refused))
+    for preset in PRESETS:
+        load_config(None, preset=preset, seed=3)
+    validate_config(_default_config_dict())
+    assert read.count("config_schema.json") == 1
+    assert config._packaged_schema() is config._packaged_schema()
+    assert config._packaged_schema() == _load_packaged("config_schema.json")
+    # a schema passed in is still checked for keywords on every call
+    schema = _load_packaged("config_schema.json")
+    schema["properties"]["run"]["pattern"] = "x"
+    with pytest.raises(ConfigError, match="keyword 'pattern' at /properties/run is not"):
         _validate(_default_config_dict(), schema)
 
 

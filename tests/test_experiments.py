@@ -1270,6 +1270,46 @@ def test_power_sweep_matrix_loads_no_masked_arrays():
     assert out.stdout.strip() == "False"
 
 
+_OTHER_THREADS_CPU = """
+import time
+import numpy as np
+from bolomux.config import load_config
+from bolomux.experiments import characterize, power_sweep_matrix, run_full_multiplex
+
+def settled_other_threads_s():
+    # BLAS worker threads spin for a while after their last task: wait until
+    # their CPU stops rising, then read it
+    seen, still, deadline = -1.0, 0, time.monotonic() + 5.0
+    while still < 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
+        now = time.process_time() - time.thread_time()
+        still, seen = (still + 1 if abs(now - seen) < 1e-3 else 0), now
+    return seen
+
+cfg = load_config(None)
+before, main0 = settled_other_threads_s(), time.thread_time()
+run_full_multiplex(cfg.chip, cfg.settings, cfg.seed)
+ps = cfg.sweeps["powersweep"]
+power_sweep_matrix(cfg.chip, np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"])),
+                   cfg.settings)
+characterize(cfg.chip, **cfg.sweeps["characterize"], allow_nonlinear=cfg.settings.allow_nonlinear)
+main_s = time.thread_time() - main0
+print(settled_other_threads_s() - before, main_s)
+"""
+
+
+def test_the_engine_stays_single_threaded():
+    # a multithreaded BLAS call wakes worker threads that spin for the rest of
+    # the call and beyond; the engine, sweeps and fits run on the main thread,
+    # so the other threads' CPU stays a small share of its CPU
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", _OTHER_THREADS_CPU], capture_output=True,
+                         text=True, check=True, env={**env, "PYTHONPATH": src})
+    other_s, main_s = map(float, out.stdout.split())
+    assert main_s > 0.0 and other_s < 0.1 * main_s, (other_s, main_s)
+
+
 def test_power_sweep_paths_do_not_depend_on_the_batch(default_chip, short_matrix):
     # the short sweep's 18 (filter, power) runs as one batch, which is what
     # power_sweep_matrix runs, or cut into 2 to 5 contiguous batches of 9, 6,
