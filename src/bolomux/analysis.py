@@ -267,11 +267,6 @@ def fit_lorentzians(traces) -> list:
     return _fit_traces(_lorentzian_problem, _lorentzian, traces)
 
 
-def fit_lorentzian(f_hz, magnitude) -> LorentzianFit:
-    """fit_lorentzians of one trace; raises its FitError or ValueError."""
-    return _one(fit_lorentzians([(f_hz, magnitude)]))
-
-
 @dataclass(frozen=True)
 class _ExponentialFit:
     """Decay fit v(t) = offset + amplitude * exp(-t/tau)."""
@@ -407,11 +402,6 @@ def fit_compressions(traces) -> list:
     advice to widen the power range.
     """
     return _fit_traces(_compression_problem, _compression, traces)
-
-
-def fit_compression(p_w, response) -> float:
-    """fit_compressions of one trace; raises its FitError or ValueError."""
-    return _one(fit_compressions([(p_w, response)]))
 
 
 @dataclass(frozen=True)

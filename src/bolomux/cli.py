@@ -12,8 +12,8 @@ call in the process.
 
 Exit codes: 0 success, 1 bad arguments or config, 2 runtime failure
 (failed fit or calibration, a non-finite operating point, a malformed
-or mismatched manifest, a malformed trace, or an output that cannot be
-written).
+or mismatched manifest, a malformed trace or other listed file, or an
+output that cannot be written).
 """
 import argparse
 import contextlib
@@ -291,6 +291,18 @@ def _verified_manifest(results_dir):
     return None if problems else read_manifest(results_dir)
 
 
+@contextlib.contextmanager
+def _listed_json(results_dir, name):
+    """The document of a JSON file the manifest lists.  The checksum vouches
+    only for its bytes: a file that is not JSON, or that its reader cannot
+    index, is malformed, a TraceFormatError naming the file."""
+    try:
+        yield _read_json(os.path.join(results_dir, name))
+    except (ValueError, KeyError, TypeError) as exc:
+        what = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise TraceFormatError(f"{name} is malformed: {what}") from exc
+
+
 def cmd_analyze(args) -> int:
     results_dir = args.results_dir
     manifest = _verified_manifest(results_dir)
@@ -304,14 +316,15 @@ def cmd_analyze(args) -> int:
         "files_verified": len(listed),
     }
     if "snr_table.json" in listed:
-        records = _read_json(os.path.join(results_dir, "snr_table.json"))["records"]
-        summary["min_matched_snr"], summary["max_abs_leakage_snr"] = _snr_summary(records)
+        with _listed_json(results_dir, "snr_table.json") as doc:
+            summary["min_matched_snr"], summary["max_abs_leakage_snr"] = _snr_summary(
+                doc["records"])
     if "metrics.json" in listed:
-        runs = _read_json(os.path.join(results_dir, "metrics.json"))["runs"]
-        summary["n_runs"] = len(runs)
-        summary["snr_by_pattern"] = {
-            r["pattern"]: [m["snr"] for m in r["metrics"]] for r in runs
-        }
+        with _listed_json(results_dir, "metrics.json") as doc:
+            summary["n_runs"] = len(doc["runs"])
+            summary["snr_by_pattern"] = {
+                r["pattern"]: [m["snr"] for m in r["metrics"]] for r in doc["runs"]
+            }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -334,21 +347,22 @@ def cmd_report(args) -> int:
                      [series[0].times()[:n]] + [tr.magnitude()[:n] for tr in series])
 
     if "characterize_fits.json" in listed:
-        doc = _read_json(os.path.join(results_dir, "characterize_fits.json"))
-        fits = [{"channel": entry["channel"], "power_dbm": p_dbm, **fit}
-                for entry in doc["channels"]
-                for p_dbm, fit in zip(doc["powers_dbm"], entry["fits"]) if fit is not None]
         header = ("channel", "power_dbm", "f_r_hz", "fwhm_hz", "depth", "offset")
-        _write_table(_output(args, "report_fits.csv"), header,
-                     [[fit[key] for fit in fits] for key in header])
+        with _listed_json(results_dir, "characterize_fits.json") as doc:
+            fits = [{"channel": entry["channel"], "power_dbm": p_dbm, **fit}
+                    for entry in doc["channels"]
+                    for p_dbm, fit in zip(doc["powers_dbm"], entry["fits"]) if fit is not None]
+            columns = [[fit[key] for fit in fits] for key in header]
+        _write_table(_output(args, "report_fits.csv"), header, columns)
 
     if "filterscan_peaks.json" in listed:
-        peaks = _read_json(os.path.join(results_dir, "filterscan_peaks.json"))["peaks"]
         # a width cut off by the scan edge is null in the JSON and nan in the table
+        with _listed_json(results_dir, "filterscan_peaks.json") as doc:
+            columns = [[peak["channel"] for peak in doc["peaks"]],
+                       *(np.array([peak[key] for peak in doc["peaks"]], dtype=float)
+                         for key in ("f_peak_hz", "fwhm_hz"))]
         _write_table(_output(args, "report_peaks.csv"), ("channel", "f_peak_hz", "fwhm_hz"),
-                     [[peak["channel"] for peak in peaks],
-                      *(np.array([peak[key] for peak in peaks], dtype=float)
-                        for key in ("f_peak_hz", "fwhm_hz"))])
+                     columns)
 
     if "snr_table.csv" in listed:
         shutil.copyfile(os.path.join(results_dir, "snr_table.csv"),

@@ -124,11 +124,6 @@ def _raise_first_violation(doc: dict, schema: dict) -> None:
         raise ConfigError(f"config error at {_pointer(found[0])}: {found[1]}")
 
 
-def _validate(doc: dict, schema: dict) -> None:
-    _check_keywords(schema)
-    _raise_first_violation(doc, schema)
-
-
 @functools.cache
 def _packaged_schema() -> dict:
     """The packaged schema, read and keyword-checked once per process; read only."""

@@ -59,7 +59,6 @@ class _EnginePlan(NamedTuple):
 
     n: int                      # record length
     steps: int                  # thermal steps
-    block: int                  # samples per step
     decimation: int             # to the output rate
     sample_rate_hz: float
     pulse: slice                # the heater window's steps, [on:off)
@@ -114,7 +113,7 @@ def _engine_plan(chip: ChipConfig, settings: RunSettings, operating) -> _EngineP
     q = (starts[..., None] + np.arange(width)) * np.array([1, -1])[:, None, None]
     picks = ((np.arange(n_ch)[:, None, None, None, None] * (order + 1)
               + np.arange(order + 1)[:, None]) * steps + (q % steps)[:, :, :, None, :])
-    return _EnginePlan(n, steps, block, decimation, fs, pulse,
+    return _EnginePlan(n, steps, decimation, fs, pulse,
                        chip.noise_sigma_v / math.sqrt(settings.n_avg), channels, carrier_bins,
                        offsets, fade, x0, spread, starts, rotations, table, picks)
 

@@ -35,8 +35,8 @@ MANIFEST_NAME = "manifest.json"
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace or manifest; a trace's message names the line its error
-    is counted from."""
+    """Malformed trace, manifest or other listed file (exit 2 from the CLI); a
+    trace's message names the line its error is counted from."""
 
 
 def _cells(column) -> list[str]:

@@ -18,7 +18,7 @@ from bolomux.analysis import (
     _P_1DB_FACTOR,
     _fit_exponential,
     crosstalk_matrix,
-    fit_compression,
+    fit_compressions,
 )
 from bolomux.cli import main
 from bolomux.config import load_config
@@ -106,7 +106,7 @@ def test_power_sweep_fit_recovers_known_compression_point():
     p_sat_w = 2.2e-12
     gain = 3.0e6
     p_w = np.logspace(-14.2, -10.8, 25)
-    p_1db_dbm = fit_compression(p_w, gain * p_w / (1.0 + p_w / p_sat_w))
+    [p_1db_dbm] = fit_compressions([(p_w, gain * p_w / (1.0 + p_w / p_sat_w))])
     assert abs(p_1db_dbm - watts_to_dbm(_P_1DB_FACTOR * p_sat_w)) < 0.5
     # closed form at a 1 pW saturation power
     assert watts_to_dbm(_P_1DB_FACTOR * 1e-12) == pytest.approx(-99.14, abs=0.05)

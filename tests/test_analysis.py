@@ -21,9 +21,7 @@ from bolomux.analysis import (
     _per_row,
     capacity_estimate,
     crosstalk_matrix,
-    fit_compression,
     fit_compressions,
-    fit_lorentzian,
     fit_lorentzians,
     snr_table,
 )
@@ -46,7 +44,7 @@ def test_lorentzian_recovers_noiseless_parameters():
         depth = rng.uniform(0.05, 0.9)
         offset = rng.uniform(0.9, 1.1)
         f = np.linspace(f_r - 6 * fwhm, f_r + 6 * fwhm, 201)
-        fit = fit_lorentzian(f, lorentz(f, f_r, fwhm, depth, offset))
+        [fit] = fit_lorentzians([(f, lorentz(f, f_r, fwhm, depth, offset))])
         assert fit.f_r_hz == pytest.approx(f_r, rel=1e-9)
         assert fit.fwhm_hz == pytest.approx(fwhm, rel=1e-7)
         assert fit.depth == pytest.approx(depth, rel=1e-7)
@@ -58,7 +56,7 @@ def test_lorentzian_recovers_noiseless_parameters():
 def test_lorentzian_evaluate_round_trip():
     f = np.linspace(155e6, 158e6, 101)
     y = lorentz(f, 156.7e6, 3e5, 0.4, 1.0)
-    fit = fit_lorentzian(f, y)
+    [fit] = fit_lorentzians([(f, y)])
     assert np.max(np.abs(lorentz(f, fit.f_r_hz, fit.fwhm_hz, fit.depth, fit.offset) - y)) < 1e-9
 
 
@@ -70,7 +68,7 @@ def test_lorentzian_noisy_recovery_and_error_bars():
     clean = lorentz(f, f_r, fwhm, depth, offset)
     covered = 0
     for _ in range(100):
-        fit = fit_lorentzian(f, clean + rng.normal(0.0, 0.01, f.size))
+        [fit] = fit_lorentzians([(f, clean + rng.normal(0.0, 0.01, f.size))])
         assert fit.f_r_hz == pytest.approx(f_r, abs=5e3)
         assert fit.fwhm_hz == pytest.approx(fwhm, rel=0.1)
         if abs(fit.f_r_hz - f_r) < fit.f_r_err_hz:
@@ -80,20 +78,23 @@ def test_lorentzian_noisy_recovery_and_error_bars():
 
 def test_lorentzian_rejects_flat_data():
     f = np.linspace(1e6, 2e6, 50)
-    with pytest.raises(FitError, match="flat"):
-        fit_lorentzian(f, np.full(f.size, 0.7))
+    [error] = fit_lorentzians([(f, np.full(f.size, 0.7))])
+    assert isinstance(error, FitError)
+    assert str(error) == "no dip: data are flat, depth indistinguishable from zero"
 
 
 def test_lorentzian_rejects_pure_noise():
     rng = np.random.default_rng(123)
     f = np.linspace(1e6, 2e6, 100)
-    with pytest.raises(FitError):
-        fit_lorentzian(f, 1.0 + rng.normal(0.0, 0.01, f.size))
+    [error] = fit_lorentzians([(f, 1.0 + rng.normal(0.0, 0.01, f.size))])
+    assert isinstance(error, FitError)
+    assert str(error) == "depth indistinguishable from zero"
 
 
 def test_lorentzian_needs_enough_points():
-    with pytest.raises(ValueError):
-        fit_lorentzian([1e6, 2e6, 3e6], [1.0, 0.5, 1.0])
+    [error] = fit_lorentzians([([1e6, 2e6, 3e6], [1.0, 0.5, 1.0])])
+    assert isinstance(error, ValueError)
+    assert str(error) == "lorentzian fit: need at least 5 points, got 3"
 
 
 def test_lorentzian_accepts_unsorted_frequencies():
@@ -101,7 +102,7 @@ def test_lorentzian_accepts_unsorted_frequencies():
     f = np.linspace(155e6, 158e6, 101)
     y = lorentz(f, 156.5e6, 4e5, 0.3, 1.0)
     kick = rng.permutation(f.size)
-    fit = fit_lorentzian(f[kick], y[kick])
+    [fit] = fit_lorentzians([(f[kick], y[kick])])
     assert fit.f_r_hz == pytest.approx(156.5e6, rel=1e-9)
 
 
@@ -174,7 +175,7 @@ def test_compression_recovers_noiseless_parameters():
         a = 10 ** rng.uniform(10, 14)
         p_sat = 10 ** rng.uniform(-15, -12)
         p = np.logspace(math.log10(p_sat) - 3, math.log10(p_sat) + 1.2, 25)
-        p_1db_dbm = fit_compression(p, compress(p, a, p_sat))
+        [p_1db_dbm] = fit_compressions([(p, compress(p, a, p_sat))])
         assert dbm_to_watts(p_1db_dbm) == pytest.approx(_P_1DB_FACTOR * p_sat, rel=1e-6)
         assert p_1db_dbm == pytest.approx(watts_to_dbm(_P_1DB_FACTOR * p_sat), abs=1e-5)
 
@@ -183,7 +184,8 @@ def test_compression_one_db_point_definition():
     # at P = p_1db the response sits exactly 1 dB below the linear line
     a, p_sat = 1e12, 1e-13
     p = np.logspace(-16, -12, 30)
-    p_1db_w = dbm_to_watts(fit_compression(p, compress(p, a, p_sat)))
+    [p_1db_dbm] = fit_compressions([(p, compress(p, a, p_sat))])
+    p_1db_w = dbm_to_watts(p_1db_dbm)
     linear = a * p_1db_w
     actual = compress(p_1db_w, a, p_sat)
     assert 20 * math.log10(linear / actual) == pytest.approx(1.0, abs=1e-9)
@@ -197,7 +199,8 @@ def test_compression_factor_constant():
 def test_compression_known_example():
     # p_sat = 1 pW: P1dB = 0.12202 pW = -99.14 dBm
     p = np.logspace(-14, -11, 25)
-    assert fit_compression(p, compress(p, 1e12, 1e-12)) == pytest.approx(-99.136, abs=5e-3)
+    [p_1db_dbm] = fit_compressions([(p, compress(p, 1e12, 1e-12))])
+    assert p_1db_dbm == pytest.approx(-99.136, abs=5e-3)
 
 
 def test_compression_rejects_linear_data_with_advice():
@@ -206,24 +209,28 @@ def test_compression_rejects_linear_data_with_advice():
     rng = np.random.default_rng(2)
     p = np.logspace(-17, -16, 10)
     r = 1e12 * p * (1.0 + rng.normal(0.0, 1e-3, p.size))
-    with pytest.raises(FitError, match="extend the power sweep"):
-        fit_compression(p, r)
+    [error] = fit_compressions([(p, r)])
+    assert isinstance(error, FitError) and "extend the power sweep" in str(error)
 
 
 def test_compression_exactly_linear_data_still_fails():
     p = np.logspace(-17, -16, 10)
-    with pytest.raises(FitError):
-        fit_compression(p, 1e12 * p)
+    [error] = fit_compressions([(p, 1e12 * p)])
+    assert isinstance(error, FitError) and str(error).startswith("no convergence after 200 iterations")
 
 
 def test_compression_validation():
     p = np.logspace(-16, -13, 10)
-    with pytest.raises(ValueError):
-        fit_compression(np.append(p, 0.0), np.append(compress(p, 1e12, 1e-14), 1.0))
-    with pytest.raises(ValueError):
-        fit_compression(p[:5], compress(p[:5], 1e12, 1e-14))
-    with pytest.raises(FitError):
-        fit_compression(p, np.full(p.size, 1.0))
+    errors = fit_compressions([
+        (np.append(p, 0.0), np.append(compress(p, 1e12, 1e-14), 1.0)),
+        (p[:5], compress(p[:5], 1e12, 1e-14)),
+        (p, np.full(p.size, 1.0)),
+    ])
+    assert [(type(error), str(error)) for error in errors] == [
+        (ValueError, "compression fit: powers must be > 0 W"),
+        (ValueError, "compression fit: need at least 6 points, got 5"),
+        (FitError, "responses are flat; nothing to fit"),
+    ]
 
 
 def test_compression_noisy_p1db_stability():
@@ -233,8 +240,8 @@ def test_compression_noisy_p1db_stability():
     clean = compress(p, a, p_sat)
     for _ in range(10):
         noisy = clean * (1.0 + rng.normal(0.0, 0.01, p.size))
-        assert fit_compression(p, noisy) == pytest.approx(watts_to_dbm(_P_1DB_FACTOR * p_sat),
-                                                          abs=0.3)
+        [p_1db_dbm] = fit_compressions([(p, noisy)])
+        assert p_1db_dbm == pytest.approx(watts_to_dbm(_P_1DB_FACTOR * p_sat), abs=0.3)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 10, 27, 28])
@@ -409,7 +416,7 @@ def test_flat_and_exact_rows_stop_alone():
     traces.insert(1, (traces[0][0], np.full(traces[0][0].size, 0.7)))
     fits = fit_lorentzians(traces)
     assert isinstance(fits[1], FitError) and "flat" in str(fits[1])
-    assert [fits[i] for i in (0, 2, 3)] == [fit_lorentzian(*traces[i]) for i in (0, 2, 3)]
+    assert [fits[i] for i in (0, 2, 3)] == [fit_lorentzians([traces[i]])[0] for i in (0, 2, 3)]
 
 
 def test_singular_round_falls_back_to_row_by_row():
@@ -441,9 +448,9 @@ def test_traces_of_two_lengths_fit_as_alone():
     traces.append(([1.0, 2.0, 3.0], [1.0, 0.5, 1.0]))
     fits = fit_lorentzians(traces)
     assert isinstance(fits[4], ValueError)
-    assert fits[:4] == [fit_lorentzian(*trace) for trace in traces[:4]]
+    assert fits[:4] == [fit_lorentzians([trace])[0] for trace in traces[:4]]
     paths = random_traces("compression", 3, seed=8)
-    assert fit_compressions(paths) == [fit_compression(*path) for path in paths]
+    assert fit_compressions(paths) == [fit_compressions([path])[0] for path in paths]
 
 
 def stacked_lorentzian_jacobian(x, p):

@@ -16,7 +16,7 @@ from bolomux.analysis import FitError
 from bolomux.cli import main
 from bolomux.config import _default_config_dict, config_hash, load_config
 from bolomux.experiments import calibrate_chip
-from bolomux.traceio import read_manifest, read_trace, verify_manifest
+from bolomux.traceio import read_manifest, read_trace, verify_manifest, write_manifest
 
 
 @pytest.fixture()
@@ -595,6 +595,23 @@ def test_report_refuses_a_checksummed_trace_with_a_bad_header(capsys, tmp_path, 
     capsys.readouterr()
     assert run_cli("report", str(out)) == 2
     assert "line 1: bad sample_rate_hz '0.0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("analyze", "snr_table.json"), ("analyze", "metrics.json"),
+    ("report", "characterize_fits.json"), ("report", "filterscan_peaks.json"),
+])
+@pytest.mark.parametrize("text", ["not json", '{"rows": []}'], ids=["invalid", "missing-key"])
+def test_readers_refuse_a_checksummed_malformed_json_file(capsys, tmp_path, command, name, text):
+    # the manifest vouches for the bytes, but a file its reader cannot parse
+    # or index is malformed: a runtime failure (2) on one error line naming it
+    (tmp_path / name).write_text(text)
+    write_manifest(tmp_path, command, _default_config_dict(), "0.1.0", [name])
+    assert verify_manifest(tmp_path) == []
+    assert run_cli(command, str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} is malformed: ") and err.count("\n") == 1
+    assert not (tmp_path / "report").exists()
 
 
 # ------------------------------------------------------------- presets

@@ -21,11 +21,12 @@ from bolomux.config import (
     RunSettings,
     _build_chip,
     _build_settings,
+    _check_keywords,
     _deep_merge,
     _default_config_dict,
     _load_packaged,
     _pointer,
-    _validate,
+    _raise_first_violation,
     config_hash,
     load_config,
     merge_config,
@@ -310,6 +311,7 @@ def test_checker_matches_jsonschema_oracle():
     # other sections as valid as the defaults, so the oracle reads only that
     # section (half the time); the checker always reads the whole doc
     sections = {name: oracle.evolve(schema=sub) for name, sub in schema["properties"].items()}
+    _check_keywords(schema)
     seen, rejected, mismatches = 0, 0, []
     for path, doc in _mutations(_default_config_dict()):
         seen += 1
@@ -319,7 +321,7 @@ def test_checker_matches_jsonschema_oracle():
         else:
             errors = [tuple(e.absolute_path) for e in oracle.iter_errors(doc)]
         try:
-            _validate(doc, schema)
+            _raise_first_violation(doc, schema)
             pointer = None
         except ConfigError as exc:
             rejected += 1
@@ -367,14 +369,16 @@ def test_checker_refuses_unsupported_keyword(where, keyword):
     del doc["notes"]
     with pytest.raises(ConfigError, match=f"keyword '{keyword}' at {_pointer(where)} "
                                           "is not supported"):
-        _validate(doc, schema)
+        _check_keywords(schema)
+        _raise_first_violation(doc, schema)
 
 
 def test_checker_refuses_unsupported_type():
     schema = _load_packaged("config_schema.json")
     schema["properties"]["seed"]["type"] = ["integer", "null"]
     with pytest.raises(ConfigError, match=r"type \['integer', 'null'\] at /properties/seed"):
-        _validate(_default_config_dict(), schema)
+        _check_keywords(schema)
+        _raise_first_violation(_default_config_dict(), schema)
 
 
 def test_cached_schema_stays_read_only(tmp_path, monkeypatch):
@@ -400,11 +404,13 @@ def test_cached_schema_stays_read_only(tmp_path, monkeypatch):
     assert read.count("config_schema.json") == 1
     assert config._packaged_schema() is config._packaged_schema()
     assert config._packaged_schema() == _load_packaged("config_schema.json")
-    # a schema passed in is still checked for keywords on every call
+    # an edited copy is still checked for keywords, and the cached schema
+    # stays as packaged
     schema = _load_packaged("config_schema.json")
     schema["properties"]["run"]["pattern"] = "x"
     with pytest.raises(ConfigError, match="keyword 'pattern' at /properties/run is not"):
-        _validate(_default_config_dict(), schema)
+        _check_keywords(schema)
+    assert config._packaged_schema() == _load_packaged("config_schema.json")
 
 
 def test_cli_import_loads_no_validator_or_thread_pool():

@@ -1,6 +1,6 @@
 """The package's public surface: every exported name, field and method resolves and
-has a caller, and every defaulted parameter is passed by some call and left out by
-another."""
+has a caller, as does every module-level definition, public or private, and every
+defaulted parameter is passed by some call and left out by another."""
 
 import ast
 import dataclasses
@@ -12,6 +12,7 @@ import pkgutil
 import pytest
 
 import bolomux
+from bolomux import engine
 
 _PACKAGE = pathlib.Path(bolomux.__file__).parent
 # the benchmark drives the package from outside it, so its code counts as a caller
@@ -39,15 +40,20 @@ def test_every_all_entry_exists_on_its_module():
     assert missing == []
 
 
-def _referenced_names(source: str) -> set[str]:
-    """Every bare name and attribute name the code of `source` refers to."""
+def _names_in(tree: ast.AST) -> set[str]:
+    """Every bare name and attribute name the code under `tree` refers to."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _referenced_names(source: str) -> set[str]:
+    """Every bare name and attribute name the code of `source` refers to."""
+    return _names_in(ast.parse(source))
 
 
 def _constructed_names(source: str) -> set[str]:
@@ -111,6 +117,11 @@ _PENDING = {
 }
 
 
+# the engine's private records: the plan every run on a chip shares and its
+# per-channel constants, read field by field by the thermal pass and the readout
+_PRIVATE_RECORDS = (engine._EnginePlan, engine._Channels)
+
+
 def _loaded_attributes(source: str) -> set[tuple[str, str]]:
     """(attribute name, class) for every attribute the code of `source` loads;
     class names the dataclass whose own __post_init__ holds the load, else ""."""
@@ -126,8 +137,9 @@ def _loaded_attributes(source: str) -> set[tuple[str, str]]:
 
 
 def _members(cls) -> list[str]:
-    """The fields, properties and public methods of a dataclass."""
-    fields = [field.name for field in dataclasses.fields(cls)]
+    """The fields, properties and public methods of a dataclass or NamedTuple."""
+    fields = (list(cls._fields) if issubclass(cls, tuple)
+              else [field.name for field in dataclasses.fields(cls)])
     return fields + [name for name, value in vars(cls).items()
                      if not name.startswith("_") and name not in fields
                      and (inspect.isfunction(value)
@@ -141,17 +153,15 @@ def _members_without_reader() -> list[str]:
     reads = set()
     for path in _PACKAGE.glob("*.py"):
         reads |= _loaded_attributes(path.read_text(encoding="utf-8"))
+    records = [cls for module in _MODULES for cls in map(module.__dict__.get, module.__all__)
+               if dataclasses.is_dataclass(cls)]
     unread = []
-    for module in _MODULES:
-        for cls in map(module.__dict__.get, module.__all__):
-            if not dataclasses.is_dataclass(cls):
-                continue
-            whole = ({field.name for field in dataclasses.fields(cls)}
-                     if cls.__name__ in _WRITTEN_WHOLE else set())
-            unread += [f"{cls.__name__}.{name}" for name in _members(cls)
-                       if name not in whole
-                       and not any(attr == name and owner != cls.__name__
-                                   for attr, owner in reads)]
+    for cls in [*records, *_PRIVATE_RECORDS]:
+        whole = ({field.name for field in dataclasses.fields(cls)}
+                 if cls.__name__ in _WRITTEN_WHOLE else set())
+        unread += [f"{cls.__name__}.{name}" for name in _members(cls)
+                   if name not in whole
+                   and not any(attr == name and owner != cls.__name__ for attr, owner in reads)]
     return sorted(unread)
 
 
@@ -256,14 +266,43 @@ def test_every_default_is_omitted_by_some_caller():
 
 @pytest.mark.parametrize("module", _MODULES, ids=_IDS)
 def test_all_lists_what_the_package_re_exports(module):
-    # the package namespace re-exports exactly the module's public surface;
-    # read from the import statements, so constants count as well
-    own = module.__name__.rpartition(".")[2]
-    exported = [alias.name
-                for node in ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
-                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == own
-                for alias in node.names]
-    assert sorted(module.__all__) == sorted(exported)
+    # the package namespace is each module's __all__ by construction: __init__
+    # star-imports every module that declares a non-empty one, only those,
+    # and names no package name itself
+    imports = [node for node in ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom)]
+    assert [node.module for node in imports if [alias.name for alias in node.names] != ["*"]] == []
+    starred = [node.module for node in imports]
+    assert set(starred) <= set(_IDS)
+    assert starred.count(module.__name__.rpartition(".")[2]) == bool(module.__all__)
+    assert [entry for entry in module.__all__
+            if getattr(bolomux, entry, None) is not getattr(module, entry)] == []
+
+
+# definitions nothing calls yet, each with the ROADMAP item that will call it;
+# an entry that gains a caller fails the rule, so the list cannot go stale
+_UNCALLED = {
+    "analysis._fit_exponential": "item 4: trigger's decay_tau_s and its tau_eff test",
+}
+
+
+def _definitions_without_caller() -> list[str]:
+    # every module-level def and class, public or private, stays only if
+    # package code outside its own body, or the benchmark, refers to it;
+    # imports, __all__ strings, tests and README examples do not count
+    statements = [(path.stem, node, _names_in(node)) for path in _PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    used = set()
+    for path in _BENCH.glob("*.py"):
+        used |= _referenced_names(path.read_text(encoding="utf-8"))
+    return sorted(f"{module}.{node.name}" for module, node, _ in statements
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+                  and not any(node.name in names for _, other, names in statements
+                              if other is not node))
+
+
+def test_every_definition_has_a_caller():
+    assert _definitions_without_caller() == sorted(_UNCALLED)
 
 
 def _imported_modules(name: str) -> set[str]:
