@@ -185,14 +185,6 @@ def _fit_traces(problem, model, traces) -> list:
     return out
 
 
-def _one(results):
-    """The result of a one-trace fit; raises the error it holds instead."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _lorentzian(x, p, jac):
     df, wid, dep, off = p.T[:, :, None]
     if not jac:
@@ -265,82 +257,6 @@ def fit_lorentzians(traces) -> list:
     dips (depth < 3 sigma) are rejected with FitError.
     """
     return _fit_traces(_lorentzian_problem, _lorentzian, traces)
-
-
-@dataclass(frozen=True)
-class _ExponentialFit:
-    """Decay fit v(t) = offset + amplitude * exp(-t/tau)."""
-
-    tau_s: float
-    amplitude: float
-    offset: float
-    tau_err_s: float
-    amplitude_err: float
-    offset_err: float
-    residual_norm: float
-
-
-def _exponential(x, p, jac):
-    tau, amp, off = p.T[:, :, None]
-    e = np.exp(-x / tau)
-    if not jac:
-        return off + amp * e
-    return np.stack([amp * e * x / tau ** 2, e, np.ones_like(x)], axis=-1)
-
-
-def _exponential_problem(t_s, values):
-    t, y = _check_xy(t_s, values, 4, "exponential fit")
-    if _flat(y):
-        raise FitError("no decay: data are constant")
-    order = np.argsort(t)
-    t, y = t[order], y[order]
-
-    n_end = max(2, y.size // 10)
-    offset0 = float(np.mean(y[-n_end:]))
-    resid0 = y - offset0
-    head = float(np.mean(resid0[:n_end]))
-    if abs(head) <= 1e-12 * max(float(np.max(np.abs(y))), 1e-300):
-        raise FitError("no decay: start and tail levels coincide")
-    sign = 1.0 if head > 0 else -1.0
-    z = sign * resid0
-    keep = z > max(float(np.max(z)), 0.0) * 1e-3
-    if int(np.count_nonzero(keep)) < 3:
-        raise FitError("no decay: too few points above the tail level")
-    slope, intercept = np.polyfit(t[keep], np.log(z[keep]), 1)
-    if slope >= 0.0:
-        raise FitError("no decay: signal does not relax toward the tail")
-    tau0 = -1.0 / slope
-    amp0 = sign * math.exp(intercept)
-
-    tscale = float(t[-1] - t[0])
-    if tscale <= 0.0:
-        raise ValueError("exponential fit: time axis has zero span")
-    yscale = float(np.max(np.abs(y)))
-
-    def finish(p, perr, rnorm):
-        tau, amp, off = p
-        if tau <= 0.0:
-            raise FitError("fitted time constant is not positive")
-        tau_s = tau * tscale
-        return _ExponentialFit(
-            tau_s=tau_s, amplitude=float(amp * yscale * math.exp(t[0] / tau_s)),
-            offset=float(off) * yscale, tau_err_s=float(perr[0]) * tscale,
-            amplitude_err=float(perr[1]) * yscale, offset_err=float(perr[2]) * yscale,
-            residual_norm=rnorm * yscale)
-
-    # amplitude referenced to t[0] in the scaled frame
-    p0 = [tau0 / tscale, amp0 * math.exp(-t[0] / tau0) / yscale, offset0 / yscale]
-    return (t - t[0]) / tscale, y / yscale, p0, finish
-
-
-def _fit_exponential(t_s, values) -> _ExponentialFit:
-    """Fit a single exponential relaxation toward a constant offset.
-
-    The offset guess is the tail mean; amplitude and tau come from a
-    log-linear regression of the baseline-subtracted data.  Constant input
-    (or input with no resolvable decay) raises FitError.
-    """
-    return _one(_fit_traces(_exponential_problem, _exponential, [(t_s, values)]))
 
 
 _P_1DB_FACTOR = 10.0 ** (1.0 / 20.0) - 1.0  # P_1dB = factor * p_sat for the hyperbolic model

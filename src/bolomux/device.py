@@ -97,28 +97,30 @@ def _absorption(kappa_ext_hz, kappa_int_hz):
 class OperatingPoint:
     """Self-consistent steady state under a CW probe tone.
 
-    stable: the power-balance residual g_th (T - t_bath) - p_abs(T) rises
-    through zero at t_star_k, so a small temperature excursion relaxes.
+    t_star_k is the coolest root of the power balance g_th (T - t_bath) =
+    p_abs(T), the state a probe switched on at the bath settles into.  The
+    residual is <= 0 at the bath, so it rises through zero there (or touches
+    it at a fold) and a small temperature excursion relaxes.
     multivalued: the balance has three distinct steady states (a folded,
-    bistable response); t_star_k is the coolest.
+    bistable response).
     """
 
     t_star_k: float
     f_r_star_hz: float
     gamma: complex
-    stable: bool
     multivalued: bool
 
 
 def _lowest_cubic_root(a, b):
     """Lowest real root v of v (1 + (v + a)^2) = b (b >= 0), elementwise.
 
-    Returns arrays (v, slope of the left side at v, three distinct real
-    roots?).  Closed form in w = v + 2a/3, the trigonometric or the Cardano
-    branch picked per element, then Newton until the step stops shrinking,
-    which restores the accuracy the closed form loses in v when |a| is
-    large.  Each element stops at its own first non-shrinking step.  Call
-    under np.errstate: the branch not taken may divide by zero.
+    Returns arrays (v, three distinct real roots?).  The left side is 0 at
+    v = 0, so it rises through b at this root.  Closed form in w = v + 2a/3,
+    the trigonometric or the Cardano branch picked per element, then Newton
+    until the step stops shrinking, which restores the accuracy the closed
+    form loses in v when |a| is large.  Each element stops at its own first
+    non-shrinking step.  Call under np.errstate: the branch not taken may
+    divide by zero.
     """
     p = 1.0 - a * a / 3.0
     half_q = -(a ** 3 / 27.0 + a / 3.0 + 0.5 * b)
@@ -145,7 +147,7 @@ def _lowest_cubic_root(a, b):
             break
         v = np.where(going, v - step, v)[()]
         last = abs(step)
-    return v, (3.0 * v + 4.0 * a) * v + 1.0 + a * a, three
+    return v, three
 
 
 def _steady_state(params: BolometerParams, f_p_hz, p_probe_w, extra_power_w=0.0):
@@ -162,9 +164,9 @@ def _steady_state(params: BolometerParams, f_p_hz, p_probe_w, extra_power_w=0.0)
 
     The inputs broadcast, each cell's root and Newton stop its own, so a
     (powers, 1) x (freqs) grid in one call is one call per power, bit for
-    bit.  Returns arrays (t_e, f_r, gamma, stable, multivalued), gamma being
-    the reflection at f_p in that state; a cell whose temperature is not
-    finite is NaN in t_e, f_r and gamma and False in both flags.
+    bit.  Returns arrays (t_e, f_r, gamma, multivalued), gamma being the
+    reflection at f_p in that state; a cell whose temperature is not finite
+    is NaN in t_e, f_r and gamma and False in multivalued.
     """
     p_probe, extra = np.asarray(p_probe_w, dtype=float), np.asarray(extra_power_w, dtype=float)
     for name, value, given in (("probe", p_probe, p_probe_w), ("extra", extra, extra_power_w)):
@@ -178,19 +180,18 @@ def _steady_state(params: BolometerParams, f_p_hz, p_probe_w, extra_power_w=0.0)
     with np.errstate(all="ignore"):
         if dfdt == 0.0:
             x = (p_probe * absorbed(f_p - params.f_r0_hz) + extra) / g_th
-            stable, multivalued = np.full(np.shape(x), True), np.full(np.shape(x), False)
+            multivalued = np.full(np.shape(x), False)
         else:
             a = (f_p - params.f_r0_hz + extra * dfdt / g_th) / half
             b = p_probe * absorbed(0.0) * dfdt / (g_th * half)
-            v, slope, multivalued = _lowest_cubic_root(a, b)
+            v, multivalued = _lowest_cubic_root(a, b)
             x = v * half / dfdt + extra / g_th
-            stable = slope > 0.0
         t_e = params.t_bath_k + x
         ok = np.isfinite(t_e)
         t_e = np.where(ok, t_e, np.nan)
         f_r = params.f_r0_hz - dfdt * (t_e - params.t_bath_k)
         gamma = _gamma(f_p - f_r, ke, ki)
-    return t_e, f_r, gamma, stable & ok, multivalued & ok
+    return t_e, f_r, gamma, multivalued & ok
 
 
 def solve_operating_point(params: BolometerParams, f_p_hz: float, p_probe_w: float,
@@ -199,12 +200,10 @@ def solve_operating_point(params: BolometerParams, f_p_hz: float, p_probe_w: flo
 
     The 0-d case of `_steady_state`, which documents the balance.
     extra_power_w is any constant additional load (e.g. a steady heater
-    tone).  multivalued is exact (three distinct real roots); stable is the
-    sign of the residual slope at the root.  Raises SolverError only if the
-    result is not finite.
+    tone).  multivalued is exact (three distinct real roots).  Raises
+    SolverError only if the result is not finite.
     """
-    t_e, f_r, _, stable, multivalued = _steady_state(params, f_p_hz, p_probe_w,
-                                                     extra_power_w)
+    t_e, f_r, _, multivalued = _steady_state(params, f_p_hz, p_probe_w, extra_power_w)
     t_e, f_r = float(t_e), float(f_r)
     if math.isnan(t_e):
         raise SolverError(
@@ -215,6 +214,5 @@ def solve_operating_point(params: BolometerParams, f_p_hz: float, p_probe_w: flo
         t_star_k=t_e,
         f_r_star_hz=f_r,
         gamma=_gamma(float(f_p_hz) - f_r, params.kappa_ext_hz, params.kappa_int_hz),
-        stable=bool(stable),
         multivalued=bool(multivalued),
     )

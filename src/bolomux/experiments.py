@@ -220,7 +220,7 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -
     multi = np.empty_like(mag, dtype=bool)
     p_w = np.array([[dbm_to_watts(_device_dbm(chip, p))] for p in powers])
     for ch, par in enumerate(chip.bolometers):
-        _, _, gamma, _, multi[ch] = _steady_state(par, grids[ch], p_w)
+        _, _, gamma, multi[ch] = _steady_state(par, grids[ch], p_w)
         mag[ch] = np.abs(gamma)
     # per-row min-max over the finite cells: a flat row is 0, an all-NaN one NaN
     lo, hi = np.fmin.reduce(mag, axis=2, keepdims=True), np.fmax.reduce(mag, axis=2, keepdims=True)
@@ -306,8 +306,8 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float,
     resp = np.empty((chip.n_channels, f_grid.size))
     for ch, par in enumerate(chip.bolometers):
         extra = _delivered_w(chip, ch, f_grid, heater_power_dbm)
-        _, _, gamma, _, _ = _steady_state(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
-                                          extra)
+        _, _, gamma, _ = _steady_state(par, tones[ch].f_hz, dbm_to_watts(tones[ch].p_dbm),
+                                       extra)
         resp[ch] = np.abs(gamma - ops[ch].gamma)
     return FilterSweepResult(f_heater_hz=f_grid, response=resp, heater_power_dbm=heater_power_dbm)
 

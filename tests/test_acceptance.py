@@ -14,12 +14,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from bolomux.analysis import (
-    _P_1DB_FACTOR,
-    _fit_exponential,
-    crosstalk_matrix,
-    fit_compressions,
-)
+from bolomux.analysis import _P_1DB_FACTOR, crosstalk_matrix, fit_compressions
 from bolomux.cli import main
 from bolomux.config import load_config
 from bolomux.experiments import run_trigger
@@ -27,6 +22,7 @@ from bolomux.frontend import TriggerPattern
 from bolomux.units import Seed, dbm_to_watts, tone_amplitude_volts, watts_to_dbm
 from test_device import state_at, thermal_step
 from test_dsp import mixer_demodulate
+from test_experiments import decay_tau_s
 
 
 def _load_json(path):
@@ -181,8 +177,8 @@ def test_pulse_decay_matches_configured_time_constants(default_chip, default_set
         iq = run.iq[ch]
         t = iq.times()
         keep = (t >= t_end + 2e-6) & (t <= 95e-6)
-        fit = _fit_exponential(t[keep], iq.magnitude()[keep])
-        assert fit.tau_s == pytest.approx(chip.bolometers[ch].tau_th_s, rel=0.05)
+        tau = decay_tau_s(t[keep], iq.magnitude()[keep], run.metrics[ch].baseline_mean)
+        assert tau == pytest.approx(chip.bolometers[ch].tau_th_s, rel=0.05)
     assert time.monotonic() - t0 < 30.0
 
 

@@ -1,5 +1,6 @@
-"""Curve fits and derived tables: Lorentzian dips, exponential decays,
-gain compression, crosstalk and SNR tables, capacity counting."""
+"""Curve fits and derived tables: Lorentzian dips, gain compression, the
+stacked least-squares core they share, crosstalk and SNR tables, capacity
+counting."""
 
 import math
 
@@ -11,9 +12,6 @@ from bolomux.analysis import (
     FitError,
     _compression,
     _compression_problem,
-    _exponential,
-    _exponential_problem,
-    _fit_exponential,
     _lm_least_squares,
     _lorentzian,
     _lorentzian_problem,
@@ -104,62 +102,6 @@ def test_lorentzian_accepts_unsorted_frequencies():
     kick = rng.permutation(f.size)
     [fit] = fit_lorentzians([(f[kick], y[kick])])
     assert fit.f_r_hz == pytest.approx(156.5e6, rel=1e-9)
-
-
-# ------------------------------------------------------------ exponential
-
-
-def test_exponential_recovers_noiseless_parameters():
-    rng = np.random.default_rng(20)
-    for _ in range(20):
-        tau = 10 ** rng.uniform(-6, -4)
-        amp = rng.uniform(-0.5, 0.5)
-        if abs(amp) < 0.01:
-            amp = 0.1
-        offset = rng.uniform(0.5, 1.5)
-        t = np.linspace(0.0, 5 * tau, 300)
-        fit = _fit_exponential(t, offset + amp * np.exp(-t / tau))
-        assert fit.tau_s == pytest.approx(tau, rel=1e-6)
-        assert fit.amplitude == pytest.approx(amp, rel=1e-5)
-        assert fit.offset == pytest.approx(offset, rel=1e-6)
-
-
-def test_exponential_time_origin_invariance():
-    # amplitude is referenced to t = 0 even when samples start later
-    tau, amp, offset = 13e-6, 0.2, 1.0
-    t = np.linspace(42e-6, 95e-6, 200)
-    fit = _fit_exponential(t, offset + amp * np.exp(-t / tau))
-    assert fit.tau_s == pytest.approx(tau, rel=1e-6)
-    assert fit.amplitude == pytest.approx(amp, rel=1e-4)
-
-
-def test_exponential_noisy_tau_recovery():
-    rng = np.random.default_rng(21)
-    tau = 13e-6
-    t = np.linspace(0.0, 80e-6, 400)
-    y = 1.0 + 0.3 * np.exp(-t / tau) + rng.normal(0.0, 0.003, t.size)
-    fit = _fit_exponential(t, y)
-    assert fit.tau_s == pytest.approx(tau, rel=0.05)
-    assert fit.tau_err_s < 0.05 * tau
-
-
-def test_exponential_rejects_constant():
-    t = np.linspace(0.0, 1e-4, 50)
-    with pytest.raises(FitError, match="constant"):
-        _fit_exponential(t, np.full(t.size, 2.0))
-
-
-def test_exponential_needs_enough_points():
-    with pytest.raises(ValueError):
-        _fit_exponential([0.0, 1e-6, 2e-6], [1.0, 0.5, 0.2])
-
-
-def test_exponential_evaluate_round_trip():
-    t = np.linspace(0.0, 60e-6, 200)
-    y = 0.8 + 0.25 * np.exp(-t / 8e-6)
-    fit = _fit_exponential(t, y)
-    model = fit.offset + fit.amplitude * np.exp(-t / fit.tau_s)
-    assert np.max(np.abs(model - y)) < 1e-9
 
 
 # ------------------------------------------------------------ compression
@@ -326,22 +268,16 @@ def random_traces(kind, rows, seed):
             clean = lorentz(f, rng.uniform(150.3e6, 150.7e6), rng.uniform(5e4, 2e5),
                             rng.uniform(0.1, 0.8), rng.uniform(0.9, 1.1))
             traces.append((f, clean + rng.normal(0.0, 0.005, f.size)))
-        elif kind == "compression":
+        else:
             p = np.logspace(-16, -12, 25)
             clean = compress(p, 10 ** rng.uniform(11, 13), 10 ** rng.uniform(-14.5, -13))
             traces.append((p, clean * (1.0 + rng.normal(0.0, 0.01, p.size))))
-        else:
-            t = np.linspace(0.0, 5e-5, 200)
-            tau = rng.uniform(5e-6, 2e-5)
-            clean = rng.uniform(-1, 1) + rng.uniform(0.5, 2.0) * np.exp(-t / tau)
-            traces.append((t, clean + rng.normal(0.0, 0.01, t.size)))
     return traces
 
 
 _PROBLEMS = {
     "lorentzian": (_lorentzian_problem, _lorentzian),
     "compression": (_compression_problem, _compression),
-    "exponential": (_exponential_problem, _exponential),
 }
 
 
@@ -385,18 +321,33 @@ def test_stacked_solve_is_each_row_alone(kind):
             assert_same_solution(sol, want)
 
 
+def decay(x, p, jac):
+    """off + amp exp(-x / tau) over a stack, or its Jacobian in (tau, amp, off)."""
+    tau, amp, off = p.T[:, :, None]
+    e = np.exp(-x / tau)
+    if not jac:
+        return off + amp * e
+    return np.stack([amp * e * x / tau ** 2, e, np.ones_like(x)], axis=-1)
+
+
 def test_a_row_out_of_budget_fails_alone():
-    # a straight line pulls the exponential's tau and amplitude out without
-    # end: that row spends the 200-step budget while its neighbours converge
-    model, x, y, p0 = stacked_problem("exponential", rows=5, seed=3)
+    # a straight line pulls the decay's tau and amplitude out without end:
+    # that row spends the 200-step budget while its noisy neighbours converge
+    # (under the compression model a straight line converges)
+    rng = np.random.default_rng(3)
+    x = np.tile(np.linspace(0.0, 1.0, 200), (5, 1))
+    true = np.column_stack([rng.uniform(0.1, 0.4, 5), rng.uniform(0.5, 2.0, 5),
+                            rng.uniform(-1.0, 1.0, 5)])
+    y = decay(x, true, False) + rng.normal(0.0, 0.01, x.shape)
+    p0 = 1.2 * true
     y[2] = 1.0 - 0.5 * x[2]
     p0[2] = [1.0, 1.0, 0.0]
-    solved = _lm_least_squares(model, x, y, p0)
+    solved = _lm_least_squares(decay, x, y, p0)
     failed = [b for b, sol in enumerate(solved) if isinstance(sol, FitError)]
     assert failed == [2]
     assert str(solved[2]).startswith("no convergence after 200 iterations")
     for b, sol in enumerate(solved):
-        for want in solve_alone(model, x, y, p0, b):
+        for want in solve_alone(decay, x, y, p0, b):
             assert_same_solution(sol, want)
 
 

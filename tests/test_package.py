@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -111,7 +112,6 @@ _WRITTEN_WHOLE = {"ResponseMetric": "_run_dict", "LorentzianFit": "cmd_character
 # publish it; an entry that gains a reader fails the rule, so the list
 # cannot go stale
 _PENDING = {
-    "OperatingPoint.stable": "item 4: stable <=> tau_eff_s > 0",
     "OperatingPoint.multivalued": "item 3: multivalued cells in the manifest telemetry",
     "ProbeSweepResult.multivalued": "item 3: multivalued cells in the manifest telemetry",
 }
@@ -279,13 +279,6 @@ def test_all_lists_what_the_package_re_exports(module):
             if getattr(bolomux, entry, None) is not getattr(module, entry)] == []
 
 
-# definitions nothing calls yet, each with the ROADMAP item that will call it;
-# an entry that gains a caller fails the rule, so the list cannot go stale
-_UNCALLED = {
-    "analysis._fit_exponential": "item 4: trigger's decay_tau_s and its tau_eff test",
-}
-
-
 def _definitions_without_caller() -> list[str]:
     # every module-level def and class, public or private, stays only if
     # package code outside its own body, or the benchmark, refers to it;
@@ -302,7 +295,7 @@ def _definitions_without_caller() -> list[str]:
 
 
 def test_every_definition_has_a_caller():
-    assert _definitions_without_caller() == sorted(_UNCALLED)
+    assert _definitions_without_caller() == []
 
 
 def _imported_modules(name: str) -> set[str]:
@@ -381,3 +374,37 @@ def test_every_tracer_hook_resolves():
     assert {"experiments.solve_operating_point", "experiments.run_probe_sweep",
             "cli.power_sweep_matrix", "config.load_config"} <= set(targets)
     assert unresolved == _STALE_HOOKS
+
+
+def _readme_names() -> list[str]:
+    """Every dotted name in backticks in the README that starts at `bolomux`,
+    one of its modules or a class it exports, such as `dsp._white_bins` or
+    `RunSettings.pulse_start_s`; file names such as `engine.py` are left out."""
+    readme = (_BENCH.parent / "README.md").read_text(encoding="utf-8")
+    heads = ({"bolomux"} | {info.name for info in pkgutil.iter_modules(bolomux.__path__)}
+             | {name for name, value in vars(bolomux).items() if inspect.isclass(value)})
+    return sorted({name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)", readme)
+                   if name.split(".")[0] in heads and not name.endswith(".py")})
+
+
+def _resolves(name: str) -> bool:
+    """Whether a dotted README name is a module, attribute or dataclass field."""
+    obj = bolomux
+    for part in name.removeprefix("bolomux.").split("."):
+        if inspect.ismodule(obj) and (_PACKAGE / f"{part}.py").is_file():
+            obj = importlib.import_module(f"bolomux.{part}")
+        elif dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            obj = None
+        elif hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            return False
+    return True
+
+
+def test_every_name_the_readme_gives_resolves():
+    # a definition or field deleted from the package must leave the README's
+    # prose too; test_acceptance runs the README's Python example as written
+    names = _readme_names()
+    assert {"RunSettings.pulse_start_s", "dsp._white_bins", "bolomux.cli.main"} <= set(names)
+    assert [name for name in names if not _resolves(name)] == []
