@@ -11,7 +11,25 @@ points, crosstalk, per-pattern SNR).
 
 The public surface is each module's `__all__`, star-imported here; every
 module that declares a non-empty one is listed below.
+
+numpy is first imported here with OpenBLAS asked for one thread, unless the
+caller set OPENBLAS_NUM_THREADS: no BLAS call in the package is large enough
+to use a worker, the pool's spinning workers slow every start, and a threaded
+dot product splits its sum by core count, which moves the last bits of fits
+to traces longer than about 10k points.  The environment is left as found.
 """
+import os
+
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+del os, numpy
+
 from .analysis import *
 from .config import *
 from .device import *

@@ -63,7 +63,7 @@ def _lm_least_squares(model, x, y, p0):
     or the (B, N, P) Jacobian, of any rows.  Each row runs the one-problem
     iteration step for step, through the BLAS and LAPACK calls one problem
     makes alone, so no row's result depends on the others.  Returns per row
-    (p, perr, residual_norm), or its FitError.
+    (p, perr), or its FitError.
     """
     p = np.array(p0, dtype=float)
     resid = y - model(x, p, False)
@@ -123,7 +123,7 @@ def _lm_least_squares(model, x, y, p0):
     cov = s2[:, None, None] * _per_row(np.linalg.inv, np.linalg.pinv, jac_t @ jac)
     perr = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
     for b, err in zip(rows, perr):
-        out[b] = (p[b], err, math.sqrt(cost[b]))
+        out[b] = (p[b], err)
     return out
 
 
@@ -172,8 +172,8 @@ def _caught(fn, *args):
 
 def _fit_traces(problem, model, traces) -> list:
     """Fit each (x, y) of traces as if alone, those of one length in one solve:
-    problem(x, y) -> (xs, ys, p0, finish) scales a trace, finish(p, perr,
-    residual_norm) reads its solution.  Returns per trace its result or error."""
+    problem(x, y) -> (xs, ys, p0, finish) scales a trace, finish(p, perr)
+    reads its solution.  Returns per trace its result or error."""
     out = [_caught(problem, x, y) for x, y in traces]
     lengths = {i: len(posed[0]) for i, posed in enumerate(out) if not isinstance(posed, Exception)}
     for length in set(lengths.values()):
@@ -233,7 +233,7 @@ def _lorentzian_problem(f_hz, magnitude):
     fscale = max(fwhm0, span / 100.0)
     yscale = float(np.max(np.abs(y)))
 
-    def finish(p, perr, _):
+    def finish(p, perr):
         df, wid, dep, off = p
         wid, dep = abs(wid), float(dep)
         if dep <= 0.0 or dep < 3.0 * perr[2]:
@@ -292,7 +292,7 @@ def _compression_problem(p_w, response):
     pref = float(p[-1])
     rref = float(np.max(r))
 
-    def finish(q, *_):
+    def finish(q, _):
         a_s, ps_s = q
         if a_s <= 0.0 or ps_s <= 0.0:
             raise FitError("fit collapsed to a non-physical gain or saturation power")

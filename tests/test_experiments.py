@@ -1297,7 +1297,10 @@ print(settled_other_threads_s() - before, main_s)
 def test_the_engine_stays_single_threaded():
     # a multithreaded BLAS call wakes worker threads that spin for the rest of
     # the call and beyond; the engine, sweeps and fits run on the main thread,
-    # so the other threads' CPU stays a small share of its CPU
+    # so the other threads' CPU stays a small share of its CPU.  Every bolomux
+    # entry point imports bolomux before numpy, which loads OpenBLAS at one
+    # thread, so there no worker is ever started; this script imports numpy
+    # first, so OpenBLAS keeps its default pool and a threaded call would show
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
     out = subprocess.run([sys.executable, "-c", _OTHER_THREADS_CPU], capture_output=True,

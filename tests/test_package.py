@@ -6,9 +6,13 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -408,3 +412,28 @@ def test_every_name_the_readme_gives_resolves():
     names = _readme_names()
     assert {"RunSettings.pulse_start_s", "dsp._white_bins", "bolomux.cli.main"} <= set(names)
     assert [name for name in names if not _resolves(name)] == []
+
+
+_IMPORT = """
+import json, os
+before = dict(os.environ)
+import bolomux
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "environ_kept": dict(os.environ) == before,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(),
+                    reason="needs /proc to count the process's threads")
+def test_import_starts_no_thread_and_leaves_the_environment():
+    # with OPENBLAS_NUM_THREADS unset, importing bolomux loads numpy's
+    # OpenBLAS at one thread, so no worker thread is started, and removes the
+    # setting again; a caller's own setting is kept as given
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(_PACKAGE.parent)
+    unset, caller = (json.loads(subprocess.run([sys.executable, "-c", _IMPORT], capture_output=True,
+                                               text=True, check=True, env={**env, **extra}).stdout)
+                     for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}))
+    assert unset == {"threads": 1, "environ_kept": True, "openblas": None}
+    assert caller["environ_kept"] and caller["openblas"] == "2"
