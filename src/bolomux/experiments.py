@@ -2,12 +2,12 @@
 
 Steady-state sweeps (probe and heater filter scans) run on the device's
 array kernel alone, one call per channel; a cell with no finite steady
-state comes out NaN.  Time-domain runs come in batches on one engine plan:
-one thermal pass steps a batch's every (run, channel), and _timedomain_run
-turns each run into (channels, M) IQ, which a trigger run reduces per
-channel (response_metric), a power sweep at once.  Every random draw comes
-from a stream derived from (master seed, kind, pattern), and no number
-depends on the batching.
+state comes out NaN.  Time-domain runs come in batches, each set up by _iq_runs
+on one engine plan: one thermal pass steps a batch's every (run, channel), and
+_timedomain_run turns each run into (channels, M) IQ, which a trigger run
+reduces per channel (response_metric), a quiet batch at once.  Every random
+draw comes from a stream derived from (master seed, kind, pattern); a quiet
+batch draws none, and no number depends on the batching.
 """
 
 from __future__ import annotations
@@ -123,19 +123,24 @@ def _heater_power_w(chip: ChipConfig, heater_tones) -> np.ndarray:
                      for ch in range(chip.n_channels)], axis=1)
 
 
-def _iq_runs(chip: ChipConfig, plan: _EnginePlan, heater_tones, seed: Seed, stream_labels):
-    """_timedomain_run per list of heater tones after one thermal pass."""
+def _iq_runs(chip: ChipConfig, settings: RunSettings, heater_tones, streams):
+    """One time-domain batch on chip: ((tones, points), output rate, runs).  The probes
+    are placed and the engine planned once, one thermal pass steps every run, and runs
+    lazily yields each run's (channels, M) IQ, with noise from streams[r], (seed,
+    *labels), on a noisy chip; a quiet chip draws from no stream (streams may be None)."""
+    operating = operating_tones(chip, settings)
+    plan = _engine_plan(chip, settings, operating)
     t_start, t_inf, index = _thermal_stage(plan, _heater_power_w(chip, heater_tones))
-    for r, labels in enumerate(stream_labels):
-        yield _timedomain_run(plan, t_start[r].take(index, axis=1), t_inf[r].take(index, axis=1),
-                              seed, labels)
+    runs = (_timedomain_run(plan, t_start[r].take(index, axis=1), t_inf[r].take(index, axis=1),
+                            streams[r] if plan.noise_scale > 0.0 else None)
+            for r in range(len(heater_tones)))
+    return operating, plan.sample_rate_hz / plan.decimation, runs
 
 
-def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, seed: Seed,
-                    stream_labels: tuple[int, ...]) -> np.ndarray:
+def _timedomain_run(plan: _EnginePlan, t_start, t_inf_of, stream) -> np.ndarray:
     """One run's (channels, M) IQ: the band-sliced _readout of its trajectories, with
-    noise on a noisy chip from the stream (seed, *stream_labels)."""
-    rng = derive_stream(seed, *stream_labels) if plan.noise_scale > 0.0 else None
+    noise from the stream (seed, *labels), none where stream is None."""
+    rng = None if stream is None else derive_stream(*stream)
     return _band_iq(_readout(plan, t_start, t_inf_of, rng), plan.offsets, plan.n,
                     plan.decimation)
 
@@ -151,20 +156,18 @@ def run_trigger(chip: ChipConfig, pattern: TriggerPattern, settings: RunSettings
     if len(pattern) != chip.n_channels:
         raise ValueError(
             f"pattern has {len(pattern)} bits for a {chip.n_channels}-channel chip")
-    operating = operating_tones(chip, settings)
-    return _trigger_runs(chip, _engine_plan(chip, settings, operating), [pattern], settings,
-                         operating, seed)[0]
+    return _trigger_runs(chip, [pattern], settings, seed)[0]
 
 
-def _trigger_runs(chip: ChipConfig, plan: _EnginePlan, patterns, settings: RunSettings,
-                  operating, seed: Seed) -> list[MultiplexRun]:
+def _trigger_runs(chip: ChipConfig, patterns, settings: RunSettings,
+                  seed: Seed) -> list[MultiplexRun]:
     """run_trigger for each pattern, as one batch of the engine."""
-    (tones, ops), rate = operating, plan.sample_rate_hz / plan.decimation
     heater_tones = [schedule_heaters(pat, chip.filters, chip.channel_map,
                                      settings.heater_power_dbm) for pat in patterns]
+    (tones, ops), rate, runs = _iq_runs(chip, settings, heater_tones,
+                                        [(seed, _KIND_TRIGGER, pat.value) for pat in patterns])
     traces = [tuple(IQTrace(tone.f_hz, rate, 0.0, row) for tone, row in zip(tones, samples))
-              for samples in _iq_runs(chip, plan, heater_tones, seed,
-                                      [(_KIND_TRIGGER, pat.value) for pat in patterns])]
+              for samples in runs]
     return [MultiplexRun(pat, tones, ops, iqs, tuple(
         response_metric(iq, settings.baseline_window_s, settings.signal_window_s) for iq in iqs),
         settings.n_avg) for pat, iqs in zip(patterns, traces)]
@@ -176,10 +179,7 @@ def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed) -> l
     Every pattern derives its noise stream from its own label, so each run
     is bit-identical to the same pattern's run_trigger.
     """
-    patterns = TriggerPattern.all_patterns(chip.n_channels)
-    operating = operating_tones(chip, settings)
-    return _trigger_runs(chip, _engine_plan(chip, settings, operating), patterns, settings,
-                         operating, seed)
+    return _trigger_runs(chip, TriggerPattern.all_patterns(chip.n_channels), settings, seed)
 
 
 @dataclass(frozen=True)
@@ -312,15 +312,12 @@ def run_filter_sweep(chip: ChipConfig, f_heater_hz, heater_power_dbm: float,
     return FilterSweepResult(f_heater_hz=f_grid, response=resp, heater_power_dbm=heater_power_dbm)
 
 
-def _power_sweep_paths(quiet: ChipConfig, plan: _EnginePlan, heater_tones,
-                       settings: RunSettings) -> np.ndarray:
-    """One batch of power-sweep runs on the quiet chip (noise_sigma_v 0): (runs,
-    n_bolometers) responses, two window means per run over all channels."""
-    rate = plan.sample_rate_hz / plan.decimation
-    # the quiet chip draws no noise, so no stream is derived
+def _quiet_responses(chip: ChipConfig, settings: RunSettings, heater_tones) -> np.ndarray:
+    """One batch of runs on chip's quiet copy (noise_sigma_v 0): (runs, n_bolometers)
+    responses, two window means per run over all channels."""
+    _, rate, runs = _iq_runs(replace(chip, noise_sigma_v=0.0), settings, heater_tones, None)
     means = (_window_means(np.abs(iq), 0.0, rate, settings.baseline_window_s,
-                           settings.signal_window_s)
-             for iq in _iq_runs(quiet, plan, heater_tones, Seed(0), [()] * len(heater_tones)))
+                           settings.signal_window_s) for iq in runs)
     return np.array([signal - baseline for _, baseline, signal in means])
 
 
@@ -343,13 +340,9 @@ def power_sweep_matrix(chip: ChipConfig, powers_dbm, settings: RunSettings):
     powers = [float(p) for p in powers_dbm]
     if not powers or sorted(powers) != powers:
         raise ValueError("powers must be non-empty and sorted ascending")
-    quiet = replace(chip, noise_sigma_v=0.0)
-    operating = operating_tones(quiet, settings)
-    plan = _engine_plan(quiet, settings, operating)
     runs = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)] for filt in chip.filters for p in powers]
     n = chip.n_channels
-    paths = _power_sweep_paths(quiet, plan, runs, settings)
-    responses = paths.T.reshape(n, len(chip.filters), len(powers))
+    responses = _quiet_responses(chip, settings, runs).T.reshape(n, len(chip.filters), len(powers))
     powers_w = np.array([dbm_to_watts(_device_dbm(chip, p)) for p in powers])
     fitted = analysis.fit_compressions([(powers_w, path) for path in responses.reshape(n * n, -1)])
     failed = [fit for fit in fitted if isinstance(fit, Exception)]
@@ -424,10 +417,10 @@ def calibrate_chip(chip: ChipConfig, settings: RunSettings):
             "achieved_shift_hz": s_mid,
             "target_shift_hz": target_shift,
         })
-    quiet = replace(chip, bolometers=tuple(bolos), noise_sigma_v=0.0)
-    # the quiet chip draws no noise, so no stream is derived
-    run = run_trigger(quiet, TriggerPattern((True,) * chip.n_channels), settings, Seed(0))
-    responses = [m.response for m in run.metrics]
+    tuned = replace(chip, bolometers=tuple(bolos))
+    all_on = schedule_heaters(TriggerPattern((True,) * chip.n_channels), chip.filters,
+                              chip.channel_map, settings.heater_power_dbm)
+    responses = _quiet_responses(tuned, settings, [all_on])[0].tolist()
     if not min(responses) > 0.0:
         raise CalibrationError(f"weakest all-on response {min(responses):.3g} V is not positive")
     floor = (_baseline_std_per_volt(n, chip.sample_rate_hz, settings.demod_bandwidth_hz,
@@ -436,4 +429,4 @@ def calibrate_chip(chip: ChipConfig, settings: RunSettings):
     sigma = min(responses) / (_CAL_SNR * floor)
     report["noise"] = {"sigma_v": sigma, "target_snr": _CAL_SNR,
                        "expected_snr": [r / (sigma * floor) for r in responses]}
-    return replace(quiet, noise_sigma_v=sigma), report
+    return replace(tuned, noise_sigma_v=sigma), report

@@ -34,9 +34,9 @@ class FilterParams:
 
     Passband is a Lorentzian in power: IL / (1 + (2 (f - f_c)/fwhm)^2),
     clipped from below by the stopband floor.  stopband_floors optionally
-    lists (frequency, floor_db) pairs giving a different floor near other
-    filters' centers; the floor in effect at f is the one whose listed
-    frequency is closest (falling back to the scalar default).
+    lists (frequency, floor_db) pairs; a filter that lists them uses the
+    nearest listed floor at every frequency, however far, and never reads
+    stopband_floor_db, which serves only a filter without a list.
     """
 
     f_center_hz: float

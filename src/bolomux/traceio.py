@@ -51,23 +51,14 @@ def _cells(column) -> list[str]:
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
-    """`repr` of each float64, formatting each distinct bit pattern once.
-
-    Sorting brings equal values together; a group is a run of equal bits,
-    so -0.0, 0.0 and every NaN payload keep their own text.  A column that
-    is mostly distinct is formatted directly.
+    """`repr` of each float64, formatting each distinct bit pattern once, so
+    -0.0, 0.0 and every NaN payload keep their own text.  A column that is
+    mostly distinct is formatted directly.
     """
-    order = np.argsort(values)
-    bits = values.view(np.int64)[order]
-    starts = np.empty(bits.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    firsts = order[starts]
-    if 2 * firsts.size > values.size:
+    bits, group = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * bits.size > values.size:
         return list(map(repr, values.tolist()))
-    texts = list(map(repr, values[firsts].tolist()))
-    group = np.empty(values.size, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
+    texts = list(map(repr, bits.view(np.float64).tolist()))
     return list(map(texts.__getitem__, group.tolist()))
 
 

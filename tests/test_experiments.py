@@ -594,9 +594,7 @@ def test_engine_takes_no_record_length_transform(default_chip, default_settings,
         monkeypatch.setattr(np.fft, name, counted)
     chip = default_chip if noisy else replace(default_chip, noise_sigma_v=0.0)
     patterns = [TriggerPattern.from_label(label) for label in ("101", "110")]
-    operating = operating_tones(chip, default_settings)
-    experiments._trigger_runs(chip, engine._engine_plan(chip, default_settings, operating),
-                              patterns, default_settings, operating, Seed(3))
+    experiments._trigger_runs(chip, patterns, default_settings, Seed(3))
     assert [c for c in calls if np.prod(c[1]) >= n] == []
     expansion = (chip.n_channels, engine._EXPANSION_ORDER + 1, steps)
     tones = [c for c in calls if c == ("fft", expansion, -1)]
@@ -977,14 +975,10 @@ def device_watts(chip, powers_dbm):
 
 
 def sweep_paths(chip, f_heater_hz, powers_dbm, settings):
-    """_power_sweep_paths on chip's quiet copy, with that copy's operating
-    tones and engine plan, over one share: one heater frequency's powers.
+    """_quiet_responses on chip over one share: one heater frequency's powers.
     Returns (n_bolometers, n_powers)."""
-    quiet = replace(chip, noise_sigma_v=0.0)
-    operating = operating_tones(quiet, settings)
     runs = [[ToneSpec(f_hz=f_heater_hz, p_dbm=p)] for p in powers_dbm]
-    return experiments._power_sweep_paths(quiet, engine._engine_plan(quiet, settings, operating),
-                                          runs, settings).T
+    return experiments._quiet_responses(chip, settings, runs).T
 
 
 def test_power_sweep_linear_at_low_power(default_chip):
@@ -1080,7 +1074,7 @@ def test_power_sweep_matrix_raises_the_first_failed_paths_error(default_chip, de
                                                                monkeypatch):
     # the n x n compression fits are one call; of two paths that cannot be
     # fitted, the first in (i, j) order raises what it raises fitted alone
-    real, n_p = experiments._power_sweep_paths, len(SHORT_POWERS_DBM)
+    real, n_p = experiments._quiet_responses, len(SHORT_POWERS_DBM)
 
     def with_bad_paths(*args):
         paths = real(*args)
@@ -1088,7 +1082,7 @@ def test_power_sweep_matrix_raises_the_first_failed_paths_error(default_chip, de
         paths[:n_p, 2] = -1.0             # path (2, 0): not positive
         return paths
 
-    monkeypatch.setattr(experiments, "_power_sweep_paths", with_bad_paths)
+    monkeypatch.setattr(experiments, "_quiet_responses", with_bad_paths)
     with pytest.raises(FitError) as raised:
         power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings)
     powers_w = device_watts(default_chip, SHORT_POWERS_DBM)
@@ -1101,11 +1095,15 @@ def short_matrix(default_chip):
     return FLANK, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, FLANK)
 
 
-def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch):
-    # one thermal pass per worker share (at one thread, every (filter,
-    # power) run in one pass); one per-run readout per (filter, power), read
-    # on every bolometer; one operating-tone solve and one engine plan for
-    # the whole matrix; the runs are noiseless, so none derives a noise stream
+@pytest.mark.parametrize("batch", ["powersweep", "multiplex", "calibrate"])
+def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch,
+                                                 batch):
+    # each time-domain batch is set up once: one operating-tone solve, one
+    # engine plan and one thermal pass of every (run, channel) in the batch,
+    # then one per-run readout per run, read on every bolometer.  The power
+    # sweep's (filter, power) runs and calibration's all-on run are
+    # noiseless, so none derives a noise stream; a multiplex run derives
+    # (seed, _KIND_TRIGGER, v) for its pattern v
     calls, passes, plans, tone_calls, streams = [], [], [], [], []
     run = experiments._timedomain_run
     thermal = experiments._thermal_stage
@@ -1138,12 +1136,21 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
     monkeypatch.setattr(experiments, "_engine_plan", counted_plan)
     monkeypatch.setattr(experiments, "operating_tones", counted_tones)
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
-    power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings)
-    assert len(calls) == len(default_chip.filters) * len(SHORT_POWERS_DBM)
-    assert passes == [(len(default_chip.filters) * len(SHORT_POWERS_DBM),
-                       default_chip.n_channels)]
+    if batch == "powersweep":
+        power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings)
+        runs, expected = len(default_chip.filters) * len(SHORT_POWERS_DBM), []
+    elif batch == "multiplex":
+        run_full_multiplex(default_chip, default_settings, Seed(3))
+        runs = 2 ** default_chip.n_channels
+        expected = [(Seed(3), _KIND_TRIGGER, v) for v in range(runs)]
+    else:
+        calibrate_chip(default_chip, default_settings)
+        runs, expected = 1, []
+    assert len(calls) == runs
+    assert passes == [(runs, default_chip.n_channels)]
     assert len(plans) == len(tone_calls) == 1
-    assert streams == []
+    assert [args[3] for args in calls] == (expected or [None] * runs)
+    assert streams == expected
 
 
 def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
@@ -1198,13 +1205,11 @@ def test_noisy_batch_holds_no_noise_record(default_chip, default_settings):
     patterns = TriggerPattern.all_patterns(default_chip.n_channels)
     peaks = []
     for chip in (replace(default_chip, noise_sigma_v=0.0), default_chip):
-        operating = operating_tones(chip, default_settings)
-        plan = engine._engine_plan(chip, default_settings, operating)
         # once untraced, so cached transform kernels are not counted
-        experiments._trigger_runs(chip, plan, patterns, default_settings, operating, Seed(3))
+        experiments._trigger_runs(chip, patterns, default_settings, Seed(3))
         tracemalloc.start()
         try:
-            experiments._trigger_runs(chip, plan, patterns, default_settings, operating, Seed(3))
+            experiments._trigger_runs(chip, patterns, default_settings, Seed(3))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1316,15 +1321,13 @@ def test_power_sweep_paths_do_not_depend_on_the_batch(default_chip, short_matrix
     # composition decides where the thermal pass fast-forwards, and moves no
     # number
     settings, (responses, *_) = short_matrix
-    quiet = replace(default_chip, noise_sigma_v=0.0)
-    plan = engine._engine_plan(quiet, settings, operating_tones(quiet, settings))
     runs = [[ToneSpec(f_hz=filt.f_center_hz, p_dbm=p)]
             for filt in default_chip.filters for p in SHORT_POWERS_DBM]
-    whole = experiments._power_sweep_paths(quiet, plan, runs, settings)
+    whole = experiments._quiet_responses(default_chip, settings, runs)
     assert whole.T.reshape(responses.shape).tobytes() == responses.tobytes()
     for k in (2, 3, 4, 5):
         cuts = [runs[i * len(runs) // k:(i + 1) * len(runs) // k] for i in range(k)]
-        parts = [experiments._power_sweep_paths(quiet, plan, cut, settings) for cut in cuts]
+        parts = [experiments._quiet_responses(default_chip, settings, cut) for cut in cuts]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
@@ -1414,16 +1417,18 @@ def test_calibration_closed_loop(default_chip, default_settings, monkeypatch):
         bolometers=tuple(replace(b, dfdt_hz_per_k=2.5 * b.dfdt_hz_per_k)
                          for b in default_chip.bolometers),
     )
-    runs = []
-    trigger = experiments.run_trigger
+    batches = []
+    iq_runs = experiments._iq_runs
 
-    def counted(chip, pattern, *args, **kwargs):
-        runs.append((chip.noise_sigma_v, pattern.label))
-        return trigger(chip, pattern, *args, **kwargs)
+    def counted(chip, settings, heater_tones, streams):
+        batches.append((chip.noise_sigma_v, heater_tones, streams))
+        return iq_runs(chip, settings, heater_tones, streams)
 
-    monkeypatch.setattr(experiments, "run_trigger", counted)
+    monkeypatch.setattr(experiments, "_iq_runs", counted)
     cal_chip, report = calibrate_chip(warped, default_settings)
-    assert runs == [(0.0, "111")]
+    all_on = schedule_heaters(TriggerPattern.from_label("111"), warped.filters,
+                              warped.channel_map, default_settings.heater_power_dbm)
+    assert batches == [(0.0, [all_on], None)]
     for entry in report["channels"]:
         err = abs(entry["achieved_shift_hz"] - entry["target_shift_hz"])
         assert err <= experiments._CAL_SHIFT_TOLERANCE * entry["target_shift_hz"] * 1.001

@@ -89,6 +89,18 @@ def test_transmission_frequency_dependent_floors():
     assert filter_transmission(filt, 6.0e9) == pytest.approx(10 ** -1.0, rel=1e-12)
 
 
+def test_listed_floors_hold_far_away_and_ignore_the_scalar_floor():
+    # a filter that lists floors reads the nearest listed one at every
+    # frequency, however far from the listed ones, and never its scalar floor
+    listed = [(4.0e9, -20.0), (6.0e9, -10.0)]
+    filt = make_filter(stopband_floor_db=-15.0, stopband_floors=listed)
+    assert filt.floor_db_at(1.0e9) == -20.0
+    assert filt.floor_db_at(9.0e9) == -10.0
+    f = np.array([1.0e9, 4.0e9, 5.0e9, 6.0e9, 9.0e9])
+    moved = make_filter(stopband_floor_db=-3.0, stopband_floors=listed)
+    assert np.array_equal(filter_transmission(moved, f), filter_transmission(filt, f))
+
+
 def test_transmission_floor_fallback_without_list():
     filt = make_filter(stopband_floor_db=-17.0, stopband_floors=None)
     assert filt.floor_db_at(1.0e9) == -17.0
