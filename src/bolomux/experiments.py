@@ -19,7 +19,8 @@ import numpy as np
 
 from . import analysis
 from .config import ChipConfig, RunSettings
-from .device import BolometerParams, OperatingPoint, _steady_state, solve_operating_point
+from .device import (BolometerParams, OperatingPoint, _absorption, _steady_state,
+                     solve_operating_point)
 from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _window_means,
                   response_metric)
 from .engine import _engine_plan, _EnginePlan, _readout, _thermal_stage
@@ -78,16 +79,15 @@ def _place_probe(par: BolometerParams, p_w: float, settings: RunSettings):
 
     The tone sits probe_detuning_fraction total linewidths above the
     power-shifted resonance, snapped to the record's DFT grid so the tone
-    is bin-centered in a window-long transform.  The placement is iterated
-    once: probing at the tone moves the resonance again through
-    self-heating, so the offset is re-applied to the re-solved resonance
-    before snapping.
+    is bin-centered in a window-long transform.  At that detuning the power
+    balance is explicit, g_th x = p_w A(offset), so the resonance the tone
+    sits above is f_r0 - dfdt x; the operating point is solved at the
+    snapped tone.
     """
     grid = 1.0 / settings.window_s
     offset = settings.probe_detuning_fraction * par.kappa_total_hz
-    op0 = solve_operating_point(par, par.f_r0_hz, p_w)
-    op1 = solve_operating_point(par, op0.f_r_star_hz + offset, p_w)
-    f_op = round((op1.f_r_star_hz + offset) / grid) * grid
+    rise = p_w * _absorption(par.kappa_ext_hz, par.kappa_int_hz)(offset) / par.g_th_w_per_k
+    f_op = round((par.f_r0_hz - par.dfdt_hz_per_k * rise + offset) / grid) * grid
     return f_op, solve_operating_point(par, f_op, p_w)
 
 
@@ -357,25 +357,26 @@ _CAL_SHIFT_FRACTION = 0.5
 _CAL_HEATER_POWER_DBM = -135.0
 _CAL_SNR = 7.5
 _CAL_SHIFT_TOLERANCE = 0.05
-_CAL_DFDT_BOUNDS_HZ_PER_K = (1e3, 1e15)
 
 
 def calibrate_chip(chip: ChipConfig, settings: RunSettings):
     """Fix dfdt per channel and the noise level to meet two fixed targets.
 
     A matched heater tone at -135 dBm (source power) shifts each resonance
-    by 0.5 total linewidths in steady state, within 5% of that shift, and
+    by S = 0.5 total linewidths in steady state at the run's probe tone, and
     the weakest channel of the all-on pattern reads an expected matched SNR
-    of 7.5.  dfdt is bisected in [1e3, 1e15] Hz/K against the steady-state
-    matched heater shift at the run's probe tone (monotone in dfdt).  The
-    noise follows from one noiseless all-on run: sigma = min over channels
-    of response / (snr * floor), floor the expected baseline std of |IQ| per
-    volt of raw noise (dsp._baseline_std_per_volt over sqrt(n_avg)).  So
-    snr is the weakest channel's SNR at the expected floor, not the minimum
-    over one noise realization; the floor holds while the carrier magnitude
-    dominates the noise (past that, |IQ| is Rician and biased).  Raises
-    CalibrationError when the shift target is outside the dfdt bounds or the
-    weakest response is not positive.
+    of 7.5.  At a probe detuning D the power balance is explicit, g_th S /
+    dfdt = p_probe (A(D + S) - A(D)) + P_heater (A the absorption), so dfdt
+    is taken at the nominal D, the probe placed (_place_probe) and dfdt taken
+    again at the placed tone's D.  The noise follows from one noiseless
+    all-on run: sigma = min over channels of response / (snr * floor), floor
+    the expected baseline std of |IQ| per volt of raw noise
+    (dsp._baseline_std_per_volt over sqrt(n_avg)).  So snr is the weakest
+    channel's SNR at the expected floor, not the minimum over one noise
+    realization; the floor holds while the carrier magnitude dominates the
+    noise (past that, |IQ| is Rician and biased).  Raises CalibrationError
+    when no finite positive dfdt meets the shift (to 5%, as the solver reads
+    it at the placed tone) or the weakest response is not positive.
     """
     n, _, _, decimation = settings.validate_against(chip)
     report: dict = {"channels": []}
@@ -386,35 +387,27 @@ def calibrate_chip(chip: ChipConfig, settings: RunSettings):
         delivered = _delivered_w(chip, ch, chip.matched_filter(ch).f_center_hz,
                                  _CAL_HEATER_POWER_DBM)
         target_shift = _CAL_SHIFT_FRACTION * par.kappa_total_hz
-
-        def shift_of(dfdt: float) -> float:
+        absorbed = _absorption(par.kappa_ext_hz, par.kappa_int_hz)
+        unreachable = f"channel {ch}: shift target {target_shift:.3g} Hz not reachable"
+        detuning = settings.probe_detuning_fraction * par.kappa_total_hz
+        for _ in range(2):
+            drive = float(p_w * (absorbed(detuning + target_shift) - absorbed(detuning))
+                          + delivered)
+            dfdt = target_shift * par.g_th_w_per_k / drive if drive > 0.0 else math.inf
+            if not math.isfinite(dfdt):
+                raise CalibrationError(f"{unreachable}: heating drive {drive:.3g} W")
             trial = replace(par, dfdt_hz_per_k=dfdt)
             f_op, base = _place_probe(trial, p_w, settings)
-            heated = solve_operating_point(trial, f_op, p_w, extra_power_w=delivered)
-            return base.f_r_star_hz - heated.f_r_star_hz
-
-        lo, hi = _CAL_DFDT_BOUNDS_HZ_PER_K
-        s_lo, s_hi = shift_of(lo), shift_of(hi)
-        if not (s_lo <= target_shift <= s_hi):
-            raise CalibrationError(
-                f"channel {ch}: shift target {target_shift:.3g} Hz not reachable within "
-                f"dfdt bounds (achievable {s_lo:.3g}..{s_hi:.3g} Hz)")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            s_mid = shift_of(mid)
-            if abs(s_mid - target_shift) <= _CAL_SHIFT_TOLERANCE * target_shift:
-                break
-            if s_mid < target_shift:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise CalibrationError(f"channel {ch}: dfdt bisection did not converge")
-        bolos.append(replace(par, dfdt_hz_per_k=mid))
+            detuning = f_op - base.f_r_star_hz
+        heated = solve_operating_point(trial, f_op, p_w, extra_power_w=delivered)
+        shift = base.f_r_star_hz - heated.f_r_star_hz
+        if not abs(shift - target_shift) <= _CAL_SHIFT_TOLERANCE * target_shift:
+            raise CalibrationError(f"{unreachable}: the heated balance shifts it {shift:.3g} Hz")
+        bolos.append(trial)
         report["channels"].append({
             "channel": ch,
-            "dfdt_hz_per_k": mid,
-            "achieved_shift_hz": s_mid,
+            "dfdt_hz_per_k": dfdt,
+            "achieved_shift_hz": shift,
             "target_shift_hz": target_shift,
         })
     tuned = replace(chip, bolometers=tuple(bolos))

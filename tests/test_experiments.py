@@ -168,6 +168,18 @@ def test_operating_tones_flank_posture(default_chip, default_settings):
         assert offset == pytest.approx(0.5 * par.kappa_total_hz, abs=2 * grid)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.5, -0.5])
+def test_operating_tones_sit_at_the_offset_on_a_fine_grid(default_chip, default_settings,
+                                                          fraction):
+    # on a 1 Hz grid (a 1 s window) every tone lies within half a bin of its
+    # offset above the power-shifted resonance it is read at: the placement
+    # is exact at the offset, and only the snap to the grid is left
+    settings = replace(default_settings, window_s=1.0, probe_detuning_fraction=fraction)
+    tones, ops = operating_tones(default_chip, settings)
+    for tone, op, par in zip(tones, ops, default_chip.bolometers):
+        assert abs(tone.f_hz - op.f_r_star_hz - fraction * par.kappa_total_hz) <= 0.5
+
+
 def test_operating_tones_nonlinear_guard(default_chip, default_settings):
     hot = replace(default_settings, probe_power_dbm=-124.0)
     with pytest.raises(NonlinearOperationError, match="allow_nonlinear"):
@@ -1448,6 +1460,17 @@ def test_calibration_closed_loop(default_chip, default_settings, monkeypatch):
     assert again == cal_chip
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.5])
+def test_calibration_meets_the_shift_target(default_chip, default_settings, fraction):
+    # dfdt comes from the explicit power balance at the placed tone, so each
+    # channel's matched-heater shift is its target, in the dip and the flank
+    # posture alike
+    settings = replace(default_settings, probe_detuning_fraction=fraction)
+    _, report = calibrate_chip(default_chip, settings)
+    for entry in report["channels"]:
+        assert entry["achieved_shift_hz"] == pytest.approx(entry["target_shift_hz"], rel=1e-6)
+
+
 def test_calibration_shift_is_read_at_the_run_tone(default_chip, default_settings):
     # calibration places the probe where the runs do: each reported shift is
     # the one a matched heater causes at the calibrated chip's probe tone
@@ -1465,7 +1488,8 @@ def test_calibration_shift_is_read_at_the_run_tone(default_chip, default_setting
 
 def test_calibration_rejects_unreachable_shift(default_chip, default_settings):
     # 200 dB of line loss leaves the matched heater too weak to shift any
-    # resonance by half a linewidth within the dfdt bounds
+    # resonance by half a linewidth: the probe's own heating falls as the
+    # resonance moves off it, so no positive dfdt closes the balance
     with pytest.raises(CalibrationError, match="not reachable"):
         calibrate_chip(replace(default_chip, line_attenuation_db=200.0), default_settings)
 
