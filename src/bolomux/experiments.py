@@ -3,7 +3,7 @@
 Steady-state sweeps (probe and heater filter scans) run on the device's
 array kernel alone, one call per channel; a cell with no finite steady
 state comes out NaN.  Time-domain runs come in batches, each set up by _iq_runs
-on one engine plan: one thermal pass steps a batch's every (run, channel), and
+on one engine plan: one thermal pass solves a batch's every (run, channel), and
 _timedomain_run turns each run into (channels, M) IQ, which a trigger run
 reduces per channel (response_metric), a quiet batch at once.  Every random
 draw comes from a stream derived from (master seed, kind, pattern); a quiet
@@ -23,7 +23,7 @@ from .device import (BolometerParams, OperatingPoint, _absorption, _steady_state
                      solve_operating_point)
 from .dsp import (IQTrace, ResponseMetric, _band_iq, _baseline_std_per_volt, _window_means,
                   response_metric)
-from .engine import _engine_plan, _EnginePlan, _readout, _thermal_stage
+from .engine import _engine_plan, _EnginePlan, _readout, _relaxations, _thermal_stage
 from .frontend import ToneSpec, TriggerPattern, filter_transmission, schedule_heaters
 from .units import Seed, dbm_to_watts, derive_stream
 
@@ -125,15 +125,16 @@ def _heater_power_w(chip: ChipConfig, heater_tones) -> np.ndarray:
 
 def _iq_runs(chip: ChipConfig, settings: RunSettings, heater_tones, streams):
     """One time-domain batch on chip: ((tones, points), output rate, runs).  The probes
-    are placed and the engine planned once, one thermal pass steps every run, and runs
-    lazily yields each run's (channels, M) IQ, with noise from streams[r], (seed,
-    *labels), on a noisy chip; a quiet chip draws from no stream (streams may be None)."""
+    are placed and the engine planned once, one thermal pass solves every run, and runs
+    lazily yields each run's (channels, M) IQ, its step relaxations derived from its
+    temperatures just before its readout, with noise from streams[r], (seed, *labels),
+    on a noisy chip; a quiet chip draws from no stream (streams may be None)."""
     operating = operating_tones(chip, settings)
     plan = _engine_plan(chip, settings, operating)
-    t_start, t_inf, index = _thermal_stage(plan, _heater_power_w(chip, heater_tones))
-    runs = (_timedomain_run(plan, t_start[r].take(index, axis=1), t_inf[r].take(index, axis=1),
+    temps = _thermal_stage(plan, _heater_power_w(chip, heater_tones))
+    runs = (_timedomain_run(plan, *_relaxations(plan, t),
                             streams[r] if plan.noise_scale > 0.0 else None)
-            for r in range(len(heater_tones)))
+            for r, t in enumerate(temps))
     return operating, plan.sample_rate_hz / plan.decimation, runs
 
 
