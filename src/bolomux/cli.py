@@ -154,9 +154,9 @@ def cmd_characterize(cfg: configmod.ExperimentConfig, args) -> int:
     n_p, n_f = len(sweep.powers_dbm), len(sweep.f_hz[0])
     for ch in range(cfg.chip.n_channels):
         _write_table(_output(args, f"characterize_ch{ch}.csv"),
-                     ("power_dbm", "f_probe_hz", "magnitude", "normalized"),
+                     ("power_dbm", "f_probe_hz", "magnitude"),
                      (np.repeat(sweep.powers_dbm, n_f), np.tile(sweep.f_hz[ch], n_p),
-                      sweep.magnitude[ch].ravel(), sweep.normalized[ch].ravel()))
+                      sweep.magnitude[ch].ravel()))
     _write_json(_output(args, "characterize_fits.json"), {
         "powers_dbm": list(sweep.powers_dbm),
         "channels": [

@@ -114,9 +114,10 @@ class OperatingPoint:
 def _lowest_cubic_root(a, b):
     """Lowest real root v of v (1 + (v + a)^2) = b (b >= 0), elementwise.
 
-    Returns arrays (v, three distinct real roots?).  The left side is 0 at
-    v = 0, so it rises through b at this root.  Closed form in w = v + 2a/3,
-    the trigonometric or the Cardano branch picked per element, then Newton
+    Returns arrays (v, three distinct real roots?, three real roots with a
+    fold's double root counted twice?).  The left side is 0 at v = 0, so it
+    rises through b at this root.  Closed form in w = v + 2a/3, the
+    trigonometric branch where all roots are real, else Cardano's, then Newton
     until the step stops shrinking, which restores the accuracy the closed
     form loses in v when |a| is large.  Each element stops at its own first
     non-shrinking step.  Call under np.errstate: the branch not taken may
@@ -126,7 +127,7 @@ def _lowest_cubic_root(a, b):
     half_q = -(a ** 3 / 27.0 + a / 3.0 + 0.5 * b)
     # 27 (half_q^2 + (p/3)^3), expanded so the a^6 terms cancel exactly
     disc27 = a ** 4 + a ** 3 * b + 2.0 * a * a + 9.0 * a * b + 1.0 + 6.75 * b * b
-    three = (disc27 < 0.0) & (p < 0.0)
+    three = (disc27 <= 0.0) & (p < 0.0)
     m = np.sqrt(-p / 3.0)
     c = np.minimum(1.0, np.maximum(-1.0, 3.0 * half_q / (p * m)))
     w_three = 2.0 * m * np.cos((np.arccos(c) + 2.0 * np.pi) / 3.0)
@@ -147,7 +148,7 @@ def _lowest_cubic_root(a, b):
             break
         v = np.where(going, v - step, v)[()]
         last = abs(step)
-    return v, three
+    return v, three & (disc27 < 0.0), three
 
 
 def _steady_state(params: BolometerParams, f_p_hz, p_probe_w, extra_power_w=0.0):
@@ -184,7 +185,7 @@ def _steady_state(params: BolometerParams, f_p_hz, p_probe_w, extra_power_w=0.0)
         else:
             a = (f_p - params.f_r0_hz + extra * dfdt / g_th) / half
             b = p_probe * absorbed(0.0) * dfdt / (g_th * half)
-            v, multivalued = _lowest_cubic_root(a, b)
+            v, multivalued, _ = _lowest_cubic_root(a, b)
             x = v * half / dfdt + extra / g_th
         t_e = params.t_bath_k + x
         ok = np.isfinite(t_e)

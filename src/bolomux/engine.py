@@ -195,24 +195,24 @@ def _pair_term(f: _Flow, u):
 def _flow(c: _Channels, x0, heat) -> _Flow:
     """The relaxation from rise x0 under heat (W), per row of c's (R,) columns.
 
-    Raises SolverError where the attractor is a double root of Q (q(u*) = 0, or
-    a root of q between the start and u*, where _lowest_cubic_root took the
-    simple root at an exact fold)."""
+    Raises SolverError where the attractor is a double root of Q (q(u*) = 0)
+    or a root of q lies between the start and u*."""
     half = 0.5 * (c.kappa_ext + c.kappa_int)
     rate, lift = c.dfdt / half, heat / c.g_th
     beta = c.p_probe * _absorption(c.kappa_ext, c.kappa_int)(0.0) / c.g_th
     a, b = (c.f_probe - c.f_r0) / half + rate * lift, beta * rate
+    # of three real roots (a fold's double root twice) the attractor is the one
+    # on u0's side of the middle one; Q / (u - u1) = u^2 + v1 u + 1 + u1 v1
+    # gives the other two.  A double root's 0/0 step fails the check below
     with np.errstate(all="ignore"):
-        v1, three = _lowest_cubic_root(a, b)
-    # of three real roots the attractor is the one on u0's side of the middle
-    # one; Q / (u - u1) = u^2 + v1 u + 1 + u1 v1 gives the other two
-    u1, u0 = a + v1, a + rate * (x0 - lift)
-    gap = np.sqrt(np.maximum(0.25 * v1 * v1 - 1.0 - u1 * v1, 0.0))
-    upper = three & (u0 > -0.5 * v1 - gap)
-    v = np.where(upper, gap - 0.5 * v1 - a, v1)
-    for _ in range(3):          # polish the upper root as _lowest_cubic_root polishes v1
-        v = np.where(upper, v - (v * (1.0 + (v + a) ** 2) - b)
-                     / ((3.0 * v + 4.0 * a) * v + 1.0 + a * a), v)
+        v1, _, three = _lowest_cubic_root(a, b)
+        u1, u0 = a + v1, a + rate * (x0 - lift)
+        gap = np.sqrt(np.maximum(0.25 * v1 * v1 - 1.0 - u1 * v1, 0.0))
+        upper = three & (u0 > -0.5 * v1 - gap)
+        v = np.where(upper, gap - 0.5 * v1 - a, v1)
+        for _ in range(3):          # polish the upper root as _lowest_cubic_root polishes v1
+            v = np.where(upper, v - (v * (1.0 + (v + a) ** 2) - b)
+                         / ((3.0 * v + 4.0 * a) * v + 1.0 + a * a), v)
     # with c1 = u* - a = v (no cancellation), c0 = 1 + u* v and q(u*) = Q'(u*)
     u_star = a + v
     q_star = u_star * (u_star + 2.0 * v) + 1.0
@@ -230,7 +230,7 @@ def _flow(c: _Channels, x0, heat) -> _Flow:
         w0 = np.maximum(np.log(np.abs(x_gap)), w_cut)
     f = _Flow(**{name: value[:, None] for name, value in dict(
         r=(1.0 + u_star * u_star) / q_star, half_b=u_star * v / q_star,
-        coef=np.where(d == 0.0, -sig * k, -sig * k / root_d), u_star=u_star,
+        coef=-sig * k / np.where(d == 0.0, 1.0, root_d), u_star=u_star,
         rate=np.sign(x_gap) * rate, shift=shift, d=d, root_d=root_d, sig=sig,
         real_pair=d < 0.0, double_pair=d == 0.0, base=w0, w0=w0, w_cut=w_cut, s_cut=w_cut,
         x_star=x_star, side=np.sign(x_gap)).items()})

@@ -185,12 +185,11 @@ def run_full_multiplex(chip: ChipConfig, settings: RunSettings, seed: Seed) -> l
 
 @dataclass(frozen=True)
 class ProbeSweepResult:
-    """|Gamma| versus probe frequency and power, one panel per channel."""
+    """Raw |Gamma| versus probe frequency and power, one panel per channel."""
 
     f_hz: tuple[np.ndarray, ...]
     powers_dbm: tuple[float, ...]
     magnitude: np.ndarray          # (n_ch, n_powers, n_freqs)
-    normalized: np.ndarray         # per-panel min-max normalization
     multivalued: np.ndarray        # bool, same shape as magnitude
 
 
@@ -198,12 +197,12 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -
     """Sweep the probe over each resonance at each power.
 
     f_hz holds one probe frequency grid per channel, all of one length.
-    Every cell is an independent steady state (no hysteresis): the recorded
-    value is |Gamma(f_p)| at the solved state.  Each channel is one call of
-    the array kernel behind solve_operating_point, on a (powers, 1) x freqs
-    grid.  Powers above a channel's nonlinear threshold are refused unless
-    allow_nonlinear is set.  Cells with no finite steady state are NaN, not
-    an exception; multivalued cells are flagged but still reported.
+    Every cell is an independent steady state (no hysteresis): its one value
+    is the raw |Gamma(f_p)| at the solved state, with no per-row rescaling.
+    Each channel is one call of the array kernel behind solve_operating_point,
+    on a (powers, 1) x freqs grid.  Powers above a channel's nonlinear
+    threshold are refused unless allow_nonlinear is set.  Cells with no finite
+    steady state are NaN, not an exception; multivalued cells are flagged.
     """
     powers = [float(p) for p in powers_dbm]
     if not powers:
@@ -223,12 +222,8 @@ def run_probe_sweep(chip: ChipConfig, powers_dbm, f_hz, allow_nonlinear: bool) -
     for ch, par in enumerate(chip.bolometers):
         _, _, gamma, multi[ch] = _steady_state(par, grids[ch], p_w)
         mag[ch] = np.abs(gamma)
-    # per-row min-max over the finite cells: a flat row is 0, an all-NaN one NaN
-    lo, hi = np.fmin.reduce(mag, axis=2, keepdims=True), np.fmax.reduce(mag, axis=2, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        norm = np.where(hi > lo, (mag - lo) / (hi - lo), np.where(np.isnan(lo), np.nan, 0.0))
     return ProbeSweepResult(f_hz=tuple(grids), powers_dbm=tuple(powers), magnitude=mag,
-                            normalized=norm, multivalued=multi)
+                            multivalued=multi)
 
 
 def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points: int,

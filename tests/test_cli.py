@@ -190,7 +190,18 @@ def test_trigger_seed_flag_overrides_config(tmp_path, fast_config, capsys):
 # ----------------------------------------------------------------- sweeps
 
 
-def test_characterize_writes_fits(capsys, tmp_path):
+def test_characterize_writes_fits(capsys, tmp_path, monkeypatch):
+    swept, characterize = [], cli.characterize
+
+    def characterize_with_a_nan_cell(*args, **kwargs):
+        # the shipped grid has no cell without a steady state, so mark one
+        # as the sweep marks such a cell
+        sweep, fits = characterize(*args, **kwargs)
+        sweep.magnitude[2, 1, 7] = np.nan
+        swept.append(sweep)
+        return sweep, fits
+
+    monkeypatch.setattr(cli, "characterize", characterize_with_a_nan_cell)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "sweeps": {"characterize": {"powers_dbm": [-160.0, -150.0],
@@ -205,6 +216,20 @@ def test_characterize_writes_fits(capsys, tmp_path):
         assert ch_fit["fits"][0]["f_r_hz"] == pytest.approx(f_r0, abs=1e4)
     assert verify_manifest(out) == []
     assert "MHz" in capsys.readouterr().out
+
+    # one row per (power, frequency) cell, power-major, raw |Gamma| only
+    (sweep,) = swept
+    for ch in range(3):
+        header, *rows = (out / f"characterize_ch{ch}.csv").read_text().splitlines()
+        assert header == "power_dbm,f_probe_hz,magnitude"
+        cells = [row.split(",") for row in rows]
+        assert len(cells) == 2 * 61 and {len(row) for row in cells} == {3}
+        table = np.array([[float(cell) for cell in row] for row in cells])
+        assert np.array_equal(table[:, 0], np.repeat(sweep.powers_dbm, 61))
+        assert np.array_equal(table[:, 1], np.tile(sweep.f_hz[ch], 2))
+        assert np.array_equal(table[:, 2], sweep.magnitude[ch].ravel(), equal_nan=True)
+        assert [i for i, row in enumerate(cells) if row[2] == "nan"] == \
+            ([61 + 7] if ch == 2 else [])
 
 
 @pytest.mark.parametrize("allow", [True, False])

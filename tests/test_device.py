@@ -94,14 +94,15 @@ def thermal_step(par, state, dt_s, p_abs_w):
 def scalar_lowest_cubic_root(a, b):
     """One cell of the cubic v (1 + (v + a)^2) = b in Python floats.
 
-    Same closed form and Newton stopping rule as the array kernel; Python
-    float powers raise OverflowError where numpy's overflow to inf.
+    Same closed form, branch choice and Newton stopping rule as the array
+    kernel, whose step at a double root is 0/0 and stops it; Python float
+    powers raise OverflowError where numpy's overflow to inf.  Returns (v,
+    three distinct real roots?).
     """
     p = 1.0 - a * a / 3.0
     half_q = -(a ** 3 / 27.0 + a / 3.0 + 0.5 * b)
     disc27 = a ** 4 + a ** 3 * b + 2.0 * a * a + 9.0 * a * b + 1.0 + 6.75 * b * b
-    three = disc27 < 0.0 and p < 0.0
-    if three:
+    if disc27 <= 0.0 and p < 0.0:
         m = math.sqrt(-p / 3.0)
         c = min(1.0, max(-1.0, 3.0 * half_q / (p * m)))
         w = 2.0 * m * math.cos((math.acos(c) + 2.0 * math.pi) / 3.0)
@@ -112,13 +113,15 @@ def scalar_lowest_cubic_root(a, b):
     v = max(w - 2.0 * a / 3.0, 0.0)
     last = math.inf
     for _ in range(32):
-        step = (((v + 2.0 * a) * v + 1.0 + a * a) * v - b) / (
-            (3.0 * v + 4.0 * a) * v + 1.0 + a * a)
+        slope = (3.0 * v + 4.0 * a) * v + 1.0 + a * a
+        if slope == 0.0:
+            break
+        step = (((v + 2.0 * a) * v + 1.0 + a * a) * v - b) / slope
         if not abs(step) < last:
             break
         v -= step
         last = abs(step)
-    return v, three
+    return v, disc27 < 0.0 and p < 0.0
 
 
 def scalar_steady_state(par, f_p_hz, p_probe_w, extra_power_w=0.0):
@@ -443,7 +446,7 @@ def test_cubic_root_exact_across_scales():
     a_values = (-1e5, -300.0, -3.0, -0.1, 0.0, 0.1, 3.0, 300.0, 1e5)
     b_values = (1e-8, 1e-3, 1.0, 1e3, 1e6)
     with np.errstate(all="ignore"):
-        grid_v, _ = _lowest_cubic_root(*np.meshgrid(a_values, b_values, indexing="ij"))
+        grid_v = _lowest_cubic_root(*np.meshgrid(a_values, b_values, indexing="ij"))[0]
         for i, a in enumerate(a_values):
             for j, b in enumerate(b_values):
                 for v in (_lowest_cubic_root(a, b)[0], grid_v[i, j]):
@@ -457,9 +460,9 @@ def test_cubic_root_elements_stop_independently():
     a = np.array([0.0, -300.0, -3.0, 0.1])
     b = np.array([1.0, 1e-3, 1e-8, 1e-3])
     with np.errstate(all="ignore"):
-        together, _ = _lowest_cubic_root(a, b)
+        together = _lowest_cubic_root(a, b)[0]
         for i in range(a.size):
-            alone, _ = _lowest_cubic_root(a[i:i + 1], b[i:i + 1])
+            alone = _lowest_cubic_root(a[i:i + 1], b[i:i + 1])[0]
             assert together[i] == alone[0], i
 
 
@@ -636,6 +639,24 @@ def test_operating_point_flags_multivalued():
     assert len(roots) >= 3
     nearest = min(roots, key=lambda r: abs(r - op.t_star_k))
     assert op.t_star_k == pytest.approx(nearest, abs=1e-7)
+
+
+def test_operating_point_at_an_exact_fold_is_the_double_root():
+    # a = -2, b = 2 on a unit channel (half linewidth, g_th and dfdt 1, probe
+    # detuning -3 and a 1 W load): Q = (u - a)(1 + u^2) - b = u (u + 1)^2,
+    # whose discriminant is exactly 0.  The coolest state is the double root
+    # u = -1 (v = 1), not the simple root u = 0 (v = 2); two of the three real
+    # roots coincide, so the response is not multivalued
+    with np.errstate(all="ignore"):
+        v, distinct, counted = _lowest_cubic_root(np.array([-2.0, -3.0]), np.array([2.0, 4.0]))
+    assert v[0] == pytest.approx(1.0, abs=1e-9)
+    assert distinct.tolist() == [False, True] and counted.tolist() == [True, True]
+    assert scalar_lowest_cubic_root(-2.0, 2.0) == (pytest.approx(1.0, abs=1e-9), False)
+    par = BolometerParams(f_r0_hz=3.0, kappa_ext_hz=1.0, kappa_int_hz=1.0, tau_th_s=1.0,
+                          g_th_w_per_k=1.0, dfdt_hz_per_k=1.0, t_bath_k=1.0)
+    op = solve_operating_point(par, 0.0, 2.0, extra_power_w=1.0)
+    assert op.t_star_k == pytest.approx(1.0 + 2.0, abs=1e-9)
+    assert not op.multivalued
 
 
 def test_operating_point_single_valued_cases_unflagged():
