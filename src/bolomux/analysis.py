@@ -188,8 +188,14 @@ def _fit_traces(problem, model, traces) -> list:
 def _lorentzian(x, p, jac):
     df, wid, dep, off = p.T[:, :, None]
     if not jac:
-        u = 2.0 * (x - df) / wid
-        return off - dep / (1.0 + u * u)
+        # off - dep / (1 + u^2), u = 2 (x - df) / wid, in one array
+        out = np.subtract(x, df)
+        out *= 2.0
+        out /= wid
+        np.square(out, out=out)
+        out += 1.0
+        np.divide(dep, out, out=out)
+        return np.subtract(off, out, out=out)
     # columns -4 dep u l^2 / wid, -2 dep u u l^2 / wid, -l, 1 hold u, l and l^2 first
     out = np.empty(x.shape + (4,))
     u, d_wid, l, l2 = np.moveaxis(out, -1, 0)

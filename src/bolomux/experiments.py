@@ -233,9 +233,10 @@ def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points:
     Each channel's grid holds n_points probe frequencies spanning
     span_linewidths total linewidths, centred on its cold resonance.
     Returns (sweep, fits) where fits[ch][pi] is the fit for that panel row,
-    or None where fitting failed; a channel's rows, less their NaN cells, are
-    one call of the stacked fit.  The lowest-power row is the headline
-    estimate of f_r0 and the total linewidth.
+    or None where fitting failed.  Every row of every channel, less its NaN
+    cells, goes into one call of the stacked fit, which makes one solve per
+    row length.  The lowest-power row is the headline estimate of f_r0 and
+    the total linewidth.
     """
     if not (math.isfinite(span_linewidths) and span_linewidths > 0.0):
         raise ValueError(f"span_linewidths must be finite and > 0, got {span_linewidths}")
@@ -244,12 +245,11 @@ def characterize(chip: ChipConfig, powers_dbm, span_linewidths: float, n_points:
         half = 0.5 * span_linewidths * par.kappa_total_hz
         grids.append(np.linspace(par.f_r0_hz - half, par.f_r0_hz + half, n_points))
     sweep = run_probe_sweep(chip, powers_dbm, grids, allow_nonlinear)
-    fits = []
-    for f, rows in zip(sweep.f_hz, sweep.magnitude):
-        kept = np.isfinite(rows)
-        fitted = analysis.fit_lorentzians([(f[ok], row[ok]) for row, ok in zip(rows, kept)])
-        fits.append(tuple(None if isinstance(fit, Exception) else fit for fit in fitted))
-    return sweep, tuple(fits)
+    traces = [(f[ok], row[ok]) for f, rows in zip(sweep.f_hz, sweep.magnitude)
+              for row, ok in zip(rows, np.isfinite(rows))]
+    fits = [None if isinstance(fit, Exception) else fit for fit in analysis.fit_lorentzians(traces)]
+    n = len(sweep.powers_dbm)
+    return sweep, tuple(tuple(fits[i:i + n]) for i in range(0, len(fits), n))
 
 
 @dataclass(frozen=True)

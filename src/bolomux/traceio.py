@@ -53,13 +53,17 @@ def _cells(column) -> list[str]:
 def _float_cells(values: np.ndarray) -> list[str]:
     """`repr` of each float64, formatting each distinct bit pattern once, so
     -0.0, 0.0 and every NaN payload keep their own text.  A column that is
-    mostly distinct is formatted directly.
+    mostly distinct, as one sort of the bit patterns tells, is formatted
+    directly.
     """
-    bits, group = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * bits.size > values.size:
+    keys = values.view(np.int64)
+    ordered = np.sort(keys)
+    fresh = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(fresh)) > values.size:
         return list(map(repr, values.tolist()))
+    bits = ordered[np.concatenate(([True], fresh))]
     texts = list(map(repr, bits.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, group.tolist()))
+    return list(map(texts.__getitem__, np.searchsorted(bits, keys).tolist()))
 
 
 def _write_lines(path, lines) -> None:

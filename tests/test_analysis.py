@@ -418,8 +418,9 @@ def stacked_lorentzian_jacobian(x, p):
                      np.ones_like(x)], axis=-1)
 
 
-@pytest.mark.parametrize("rows", [1, 9, 27, "nan-shortened"])
-def test_lorentzian_jacobian_in_place_is_the_stacked_expression(rows):
+def scaled_lorentzian_stack(rows):
+    """Scaled abscissae of a stack of dip problems, with its initial guesses
+    and a perturbed parameter set."""
     if rows == "nan-shortened":
         # characterize fits a row without its NaN cells: 201 - 5 points
         f, y = random_traces("lorentzian", 1, seed=3)[0]
@@ -430,11 +431,26 @@ def test_lorentzian_jacobian_in_place_is_the_stacked_expression(rows):
     posed = [_lorentzian_problem(*trace) for trace in traces]
     x, p0 = np.array([q[0] for q in posed]), np.array([q[2] for q in posed])
     rng = np.random.default_rng(len(traces))
-    for p in (p0, p0 + rng.normal(0.0, 0.2, p0.shape)):
+    return x, (p0, p0 + rng.normal(0.0, 0.2, p0.shape))
+
+
+@pytest.mark.parametrize("rows", [1, 9, 27, "nan-shortened"])
+def test_lorentzian_jacobian_in_place_is_the_stacked_expression(rows):
+    x, params = scaled_lorentzian_stack(rows)
+    for p in params:
         got, want = _lorentzian(x, p, True), stacked_lorentzian_jacobian(x, p)
-        assert got.shape == want.shape == (len(traces), x.shape[1], 4)
+        assert got.shape == want.shape == (len(p), x.shape[1], 4)
         assert got.flags.c_contiguous  # the layout the solver's J^T J reads
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 27, "nan-shortened"])
+def test_lorentzian_values_in_place_are_the_stacked_expression(rows):
+    x, params = scaled_lorentzian_stack(rows)
+    for p in params:
+        df, wid, dep, off = p.T[:, :, None]
+        u = 2.0 * (x - df) / wid
+        assert _lorentzian(x, p, False).tobytes() == (off - dep / (1.0 + u * u)).tobytes()
 
 
 _LONG_DIP_FIT = """

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bolomux import engine, experiments
+from bolomux import analysis, engine, experiments
 from bolomux.analysis import FitError, fit_compressions, fit_lorentzians
 from bolomux.config import PRESETS, ChipConfig, load_config
 from bolomux.device import _absorption, _gamma, _steady_state, solve_operating_point
@@ -802,8 +802,11 @@ def test_characterize_dip_depth_shrinks_with_power(default_chip):
 
 def test_characterize_fits_rows_that_nan_cells_shortened(default_chip, monkeypatch):
     # NaN cells leave one channel rows of two lengths, and one row too short
-    # to fit: each row's fit is its finite cells fitted alone, or None
-    real = experiments.run_probe_sweep
+    # to fit: each row's fit is its finite cells fitted alone, or None.  The
+    # rows of all channels are stacked by length: the 161- and 201-point rows
+    # make one solve each, and the 3-point row fails before any solve
+    real, real_solve = experiments.run_probe_sweep, analysis._lm_least_squares
+    solves = []
 
     def with_nan_cells(*args):
         sweep = real(*args)
@@ -812,9 +815,15 @@ def test_characterize_fits_rows_that_nan_cells_shortened(default_chip, monkeypat
         sweep.magnitude[1, 3, 3:] = np.nan
         return sweep
 
+    def counted(model, x, y, p0):
+        solves.append(x.shape)
+        return real_solve(model, x, y, p0)
+
     monkeypatch.setattr(experiments, "run_probe_sweep", with_nan_cells)
+    monkeypatch.setattr(analysis, "_lm_least_squares", counted)
     sweep, fits = characterize(default_chip, (-160.0, -150.0, -144.0, -137.0),
                                span_linewidths=6.0, n_points=201, allow_nonlinear=False)
+    assert sorted(solves) == [(2, 161), (9, 201)]
     assert [int(np.isfinite(row).sum()) for row in sweep.magnitude[1]] == [161, 201, 161, 3]
     assert fits[1][3] is None and None not in fits[1][:3]
     for ch in range(3):

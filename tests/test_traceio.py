@@ -286,6 +286,9 @@ ARRAY_COLUMNS = {
     "both zero signs repeated": np.tile([0.0, -0.0, -0.0, 0.0, 2.0], 20),
     "nan payloads repeated": np.repeat(NAN_PAYLOADS, 4),
     "half repeated": np.concatenate([np.repeat([1.5, -0.0], 30), np.linspace(0, 1, 60)]),
+    # n/2 distinct values still take the repeated path, n/2 + 1 the direct one
+    "exactly half distinct": np.concatenate([np.linspace(0, 1, 28), np.repeat([-0.0, 2.5], 16)]),
+    "one over half distinct": np.concatenate([np.linspace(0, 1, 30), np.repeat(-0.0, 30)]),
     "strided float64": np.tile(np.arange(12.0).reshape(3, 4).T, (4, 1))[:, 1],
     "float32": np.repeat(np.array([0.1, -0.0, 3.4e38, np.nan, 1e-45], dtype=np.float32), 3),
     "float16": np.array([0.1, 65504.0, -0.0], dtype=np.float16),
