@@ -1,8 +1,9 @@
 """The time-domain engine: one plan, read by the thermal pass and the readout.
 
 `_engine_plan` holds what every run on a chip shares, and is read-only once
-built.  `_thermal_stage` solves a batch's every (run, channel) temperature
-at each thermal step's start on the exact trajectory, in closed form;
+built.  `_thermal_groups` solves a batch's every (run, channel) temperature
+at each thermal step's start on the exact trajectory, in closed form, and
+streams them in groups of whole runs that fill about one _CHUNK each;
 `_relaxations` turns one run's into the per-step relaxations that
 `_readout` reads, and `_readout` reads one run's demod band bins: its
 tones Re(a Gamma(t) exp(2 pi i k_ch i / n)), Gamma on the exact
@@ -14,6 +15,7 @@ band: no digitizer-rate array for the tones or for the noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -35,7 +37,7 @@ __all__: list[str] = []
 _EXPANSION_ORDER = 8
 _EXPANSION_BOUND = 0.045
 
-# The thermal pass solves its step starts (see _thermal_stage) in chunks of
+# The thermal pass solves its step starts (see _thermal_groups) in chunks of
 # about _CHUNK (row, step) elements, 64 kB an array, each to a Halley step of
 # at most _STEP_TOL in w, which converges cubically: the step leaves it about
 # _STEP_TOL^3 from the root, times the time equation's curvature.  A start
@@ -134,7 +136,7 @@ class _Flow(NamedTuple):
     """One heater segment's relaxation of R rows, each field an (R, 1) column.
 
     In the solver's u, with s = t/tau_th, du/ds = -Q(u)/(1 + u^2) (see
-    _thermal_stage).  With the attractor u*, Q = (u - u*) q, q = v^2 + d, v =
+    _thermal_groups).  With the attractor u*, Q = (u - u*) q, q = v^2 + d, v =
     u + c1/2, c1 = u* - a, c0 = 1 + u* c1, d = c0 - c1^2/4, and
 
         (1 + u^2)/Q = r/(u - u*) + (B u + C)/q,   r = (1 + u*^2)/q(u*),
@@ -161,6 +163,7 @@ class _Flow(NamedTuple):
     real_pair: np.ndarray       # d < 0
     double_pair: np.ndarray     # d == 0
     base: np.ndarray
+    p_star: np.ndarray          # P(u*)
     w0: np.ndarray              # the start's w
     w_cut: np.ndarray           # past it a temperature rounds to the attractor's
     s_cut: np.ndarray           # the time w reaches w_cut
@@ -232,12 +235,13 @@ def _flow(c: _Channels, x0, heat) -> _Flow:
         r=(1.0 + u_star * u_star) / q_star, half_b=u_star * v / q_star,
         coef=-sig * k / np.where(d == 0.0, 1.0, root_d), u_star=u_star,
         rate=np.sign(x_gap) * rate, shift=shift, d=d, root_d=root_d, sig=sig,
-        real_pair=d < 0.0, double_pair=d == 0.0, base=w0, w0=w0, w_cut=w_cut, s_cut=w_cut,
-        x_star=x_star, side=np.sign(x_gap)).items()})
-    # base and s_cut stand in until P can be evaluated
+        real_pair=d < 0.0, double_pair=d == 0.0, base=w0, p_star=w0, w0=w0, w_cut=w_cut,
+        s_cut=w_cut, x_star=x_star, side=np.sign(x_gap)).items()})
+    # base, p_star and s_cut stand in until P can be evaluated
     base = f.r * f.w0 + _pair_term(f, f.u_star + f.rate * np.exp(f.w0))[0]
     s_cut = base - f.r * f.w_cut - _pair_term(f, f.u_star + f.rate * np.exp(f.w_cut))[0]
-    return f._replace(base=base, s_cut=np.where(f.w0 > f.w_cut, s_cut, 0.0))
+    return f._replace(base=base, p_star=_pair_term(f, f.u_star)[0],
+                      s_cut=np.where(f.w0 > f.w_cut, s_cut, 0.0))
 
 
 def _halley(f: _Flow, w, aim):
@@ -286,8 +290,8 @@ def _solve(f: _Flow, s):
     """w at elapsed times s (R, C): Halley from the asymptote w = (base - P(u*) -
     s)/r until its step is at most _STEP_TOL, in at most two passes, then
     _bracketed for a time whose step is still above it (or not finite)."""
-    aim, p_inf = s - f.base, _pair_term(f, f.u_star)[0]
-    w = np.add(aim, p_inf)
+    aim = s - f.base
+    w = np.add(aim, f.p_star)
     w /= -f.r
     with np.errstate(all="ignore"):
         _, step = _halley(f, w, aim)
@@ -299,42 +303,51 @@ def _solve(f: _Flow, s):
             settled |= np.abs(step) <= _STEP_TOL
         if not settled.all():
             rows, cols = np.nonzero(~settled)
-            guess = -(aim[rows, cols, None] + p_inf[rows]) / f.r[rows]
+            guess = -(aim[rows, cols, None] + f.p_star[rows]) / f.r[rows]
             w[rows, cols] = _bracketed(f._make(x[rows] for x in f), s[rows, cols, None],
                                        guess)[:, 0]
     return w
 
 
-def _relax(temps, lo: int, hi: int, c: _Channels, heat) -> None:
-    """Fill temps[:, lo + 1:hi + 1]: each row relaxes from temps[:, lo] for hi - lo
-    steps under heat (W), c holding the rows' (R,) columns."""
-    f = _flow(c, temps[:, lo] - c.t_bath, heat)
+def _relax(out, f: _Flow, c: _Channels, first: int = 1) -> None:
+    """Fill out (R, K): row i's temperature first + k steps along its flow f[i],
+    for k < K, c holding the rows' (R,) columns, in chunks of about _CHUNK
+    starts.  A start that rounds to its attractor is it."""
+    rows, n = out.shape
+    if rows == 0:
+        return
     t_end = (c.t_bath + f.x_star[:, 0])[:, None]
-    width = max(1, _CHUNK // len(temps))
-    for k in range(1, hi - lo + 1, width):
-        ks = np.arange(k, min(k + width, hi - lo + 1))
-        live = np.flatnonzero(f.s_cut[:, 0] > k * c.dt_tau)
-        if live.size < len(temps):  # a row whose start rounds to its attractor is it
-            temps[:, lo + k:hi + 1 if live.size == 0 else lo + ks[-1] + 1] = t_end
+    width = max(1, _CHUNK // rows)
+    for m in range(0, n, width):
+        ks = np.arange(first + m, first + min(m + width, n))
+        live = np.flatnonzero(f.s_cut[:, 0] > ks[0] * c.dt_tau)
+        if live.size < rows:
+            out[:, m:n if live.size == 0 else m + ks.size] = t_end
             if live.size == 0:
                 return
-        g = f if live.size == len(temps) else f._make(x[live] for x in f)
+        g = f if live.size == rows else f._make(x[live] for x in f)
         s = c.dt_tau[live, None] * ks
         t = np.exp(_solve(g, s))
         t *= g.side
         t += g.x_star
         np.add(c.t_bath[live, None], t, out=t)
         np.copyto(t, t_end[live], where=s >= g.s_cut)
-        if live.size == len(temps):
-            temps[:, lo + k:lo + ks[-1] + 1] = t
+        if live.size == rows:
+            out[:, m:m + ks.size] = t
         else:
-            temps[live, lo + k:lo + ks[-1] + 1] = t
+            out[live, m:m + ks.size] = t
 
 
-def _thermal_stage(plan: _EnginePlan, heater_w: np.ndarray) -> np.ndarray:
+def _rows(columns, i: int, j: int):
+    """Rows [i, j) of a NamedTuple of columns, as views."""
+    return columns._make(column[i:j] for column in columns)
+
+
+def _thermal_groups(plan: _EnginePlan, heater_w: np.ndarray):
     """Every (run, channel) temperature at each thermal step's start and at the
-    record's end, (runs, channels, steps + 1), under a (runs, channels) heater
-    power on for the plan's pulse: the exact trajectory, not a stepped one.
+    record's end under a (runs, channels) heater power on for the plan's pulse,
+    as a lazy stream of (runs, channels, steps + 1) groups of consecutive runs:
+    the exact trajectory, not a stepped one.
 
     Between heater edges the heater power is constant, so in the solver's u
     (device._steady_state; a takes the segment's heater power) the thermal
@@ -343,28 +356,66 @@ def _thermal_stage(plan: _EnginePlan, heater_w: np.ndarray) -> np.ndarray:
     one on its side of the middle one, and partial fractions over Q's roots
     give the elapsed time in closed form (_Flow), which is inverted at every
     step start (_solve).  A row without heat stays at its operating point,
-    and a start that rounds to its attractor is it.  An attractor at an exact
-    double root of Q (a fold, where the relaxation is algebraic) raises
-    SolverError; every other row converges, and no start is NaN.  Each
-    (row, step) is solved alone, so no start depends on the batch.
+    and a start that rounds to its attractor is it.
+
+    The pulse's flow, each heated row's pulse-end temperature (solved alone
+    at the pulse's last step) and the relaxation's flow are computed here,
+    once for every heated row; an attractor at an exact double root of Q (a
+    fold, where the relaxation is algebraic) raises SolverError before any
+    group is made.  Every other row converges, and no start is NaN.  The
+    stream then solves the pulse, and the relaxation, in groups of whole runs
+    that fill about one _CHUNK of a segment's starts each, max(1, _CHUNK //
+    (channels x segment steps)) runs, and holds one pulse group and one
+    relaxation group at a time.  Each (row, step) is solved alone, so no
+    start depends on the batch or on the grouping.
     """
     runs, n_ch = heater_w.shape
-    temps = np.empty((runs * n_ch, plan.steps + 1))
-    temps[:] = np.tile(plan.channels.t_star[:, 0], runs)[:, None]
+    lo, hi, steps = plan.pulse.start, plan.pulse.stop, plan.steps
     heat = heater_w.ravel()
     rows = np.flatnonzero(heat > 0.0)
+    c = plan.channels._make(column[rows % n_ch, 0] for column in plan.channels)
+    pulse_end = c.t_star[:, None].copy()
     if rows.size:
-        heated = temps if rows.size == len(temps) else temps[rows]
-        c = plan.channels._make(column[rows % n_ch, 0] for column in plan.channels)
-        _relax(heated, plan.pulse.start, plan.pulse.stop, c, heat[rows])
-        _relax(heated, plan.pulse.stop, plan.steps, c, 0.0)
-        if heated is not temps:
-            temps[rows] = heated
-    return temps.reshape(runs, n_ch, plan.steps + 1)
+        pulse = _flow(c, c.t_star - c.t_bath, heat[rows])
+        if hi > lo:
+            _relax(pulse_end, pulse, c, hi - lo)
+        relax = _flow(c, pulse_end[:, 0] - c.t_bath, 0.0)
+
+    def spans(segment_steps):
+        """Each group's runs [a, b) and its heated rows' positions [i, j) in rows."""
+        size = max(1, _CHUNK // (n_ch * max(segment_steps, 1)))
+        for a in range(0, runs, size):
+            b = min(a + size, runs)
+            yield (a, b, *np.searchsorted(rows, [a * n_ch, b * n_ch]))
+
+    def pulse_group(i, j):
+        """Rows [i, j)'s pulse, its steps 1 to hi - lo."""
+        seg = np.empty((j - i, hi - lo))
+        seg[:, -1:] = pulse_end[i:j]
+        _relax(seg[:, :-1], _rows(pulse, i, j), _rows(c, i, j))
+        return seg
+
+    def relax_group(a, b, i, j, pulses):
+        """Runs [a, b)'s temperatures, their heated rows [i, j)'s pulses read from pulses."""
+        group = np.empty((b - a, n_ch, steps + 1))
+        group[:] = plan.channels.t_star
+        temps = group.reshape(-1, steps + 1)
+        if j > i:
+            every = j - i == len(temps)
+            local = slice(None) if every else rows[i:j] - a * n_ch
+            temps[local, lo + 1:hi + 1] = np.stack([*itertools.islice(pulses, j - i)])
+            out = temps[:, hi + 1:] if every else np.empty((j - i, steps - hi))
+            _relax(out, _rows(relax, i, j), _rows(c, i, j))
+            if not every:
+                temps[local, hi + 1:] = out
+        return group
+
+    pulses = (row for _, _, i, j in spans(hi - lo) for row in pulse_group(i, j))
+    return (relax_group(a, b, i, j, pulses) for a, b, i, j in spans(steps - hi))
 
 
 def _relaxations(plan: _EnginePlan, temps: np.ndarray):
-    """One run's (channels, steps + 1) temperatures from _thermal_stage as
+    """One run's (channels, steps + 1) temperatures from _thermal_groups as
     _readout's (t_start, t_inf): each step relaxes exponentially from its start
     toward t_inf and ends where the trajectory does."""
     t_start = temps[:, :-1]

@@ -35,7 +35,7 @@ from bolomux.frontend import ToneSpec, TriggerPattern, filter_transmission, sche
 from bolomux.units import Seed, dbm_to_watts, derive_stream, tone_amplitude_volts, watts_to_dbm
 from test_device import scalar_steady_state
 from test_dsp import mixer_demodulate
-from test_thermal_trajectory import beyond_rounding, exact_block_starts
+from test_thermal_trajectory import beyond_rounding, exact_block_starts, thermal_stage
 
 
 def predicted_floor(chip, settings):
@@ -445,7 +445,7 @@ def seam_iq(chip, heater_tones, settings, operating, seed, labels):
     chip), the bands sliced to IQ as the pipeline slices them.  Returns the IQ
     samples, one row per channel."""
     plan = engine._engine_plan(chip, settings, operating)
-    temps = engine._thermal_stage(plan, experiments._heater_power_w(chip, [heater_tones]))
+    temps = thermal_stage(plan, experiments._heater_power_w(chip, [heater_tones]))
     bands = engine._readout(plan, *engine._relaxations(plan, temps[0]),
                             derive_stream(seed, *labels) if plan.noise_scale > 0.0 else None)
     return _band_iq(bands, plan.offsets, plan.n, plan.decimation)
@@ -662,12 +662,12 @@ def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
     operating = operating_tones(chip, settings)
     plan = engine._engine_plan(chip, settings, operating)
     heater_w = experiments._heater_power_w(chip, thermal_batch(chip, settings, batch))
-    temps = engine._thermal_stage(plan, heater_w)
+    temps = thermal_stage(plan, heater_w)
     assert temps.shape == (*heater_w.shape, plan.steps + 1)
-    assert np.array_equal(engine._thermal_stage(plan, heater_w[::3]), temps[::3])
+    assert np.array_equal(thermal_stage(plan, heater_w[::3]), temps[::3])
     (tones, ops), t_star = operating, plan.channels.t_star
     for r in range(heater_w.shape[0]):
-        assert np.array_equal(engine._thermal_stage(plan, heater_w[r:r + 1])[0], temps[r])
+        assert np.array_equal(thermal_stage(plan, heater_w[r:r + 1])[0], temps[r])
         oracle = np.array([exact_block_starts(par, tone.f_hz, dbm_to_watts(tone.p_dbm),
                                               op.t_star_k, heat, plan.pulse, plan.steps,
                                               settings.thermal_dt_s)
@@ -691,6 +691,52 @@ def test_thermal_stage_matches_scalar_oracle(posture, batch, change):
         off = round((settings.pulse_start_s + settings.pulse_duration_s) / settings.thermal_dt_s)
         settled = np.all(t_start[..., on + 1:off] == t_start[..., on:off - 1], axis=(0, 1))
         assert settled.any() and not settled[0]
+
+
+@pytest.mark.parametrize("posture, repeats", [
+    ("dip", 1), ("flank", 1), ("fig3", 1), ("dip", 3), ("flank", 3)])
+def test_thermal_groups_match_each_run_alone(posture, repeats):
+    # the "27" batch (repeated) in groups that split it, with pattern 000's
+    # unheated rows in the first: at desk the pulse is solved in groups of 27
+    # runs and the relaxation in groups of 5, so in the 81-run batch the
+    # relaxation group of runs 25-29 reads its pulses from two pulse groups;
+    # at fig3 every group is one run.  Each run's temperatures equal the run
+    # solved alone, bit for bit
+    cfg = load_config(None, preset="fig3" if posture == "fig3" else "desk")
+    chip = cfg.chip
+    settings = replace(cfg.settings, probe_detuning_fraction=0.5 if posture == "flank" else 0.0)
+    plan = engine._engine_plan(chip, settings, operating_tones(chip, settings))
+    heater_w = experiments._heater_power_w(chip, thermal_batch(chip, settings, "27") * repeats)
+    groups = [*engine._thermal_groups(plan, heater_w)]
+    assert len(groups) > repeats and not heater_w[0].any() and heater_w[1].all()
+    temps = np.concatenate(groups)
+    assert temps.shape == (*heater_w.shape, plan.steps + 1)
+    for r in range(len(heater_w)):
+        [alone] = engine._thermal_groups(plan, heater_w[r:r + 1])
+        assert np.array_equal(alone[0], temps[r])
+
+
+def test_fig3_thermal_groups_hold_one_group():
+    # consuming the 8-pattern fig3 batch's groups one at a time holds one
+    # group of one run and one pulse group, not the batch: the traced peak is
+    # 0.60 of the batch's whole temperature array (8 x 3 x 20001 float64,
+    # 3.84 MB), where the pass that returned every run's measured 2.10
+    cfg = load_config(None, preset="fig3")
+    chip, settings = cfg.chip, cfg.settings
+    plan = engine._engine_plan(chip, settings, operating_tones(chip, settings))
+    heater_w = experiments._heater_power_w(chip, [
+        schedule_heaters(pattern, chip.filters, chip.channel_map, settings.heater_power_dbm)
+        for pattern in TriggerPattern.all_patterns(chip.n_channels)])
+    whole = heater_w.size * (plan.steps + 1) * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        for group in engine._thermal_groups(plan, heater_w):
+            assert group.shape == (1, chip.n_channels, plan.steps + 1)
+        del group
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * whole
 
 
 def per_tone_heater_w(chip, heater_tones):
@@ -1097,18 +1143,30 @@ def short_matrix(default_chip):
     return FLANK, power_sweep_matrix(default_chip, SHORT_POWERS_DBM, FLANK)
 
 
+def chunk_groups(heated, segment_steps):
+    """A thermal segment's groups of runs, max(1, _CHUNK // (channels x segment
+    steps)) runs each, as slices of a (runs, channels) heated mask."""
+    size = max(1, engine._CHUNK // (heated.shape[1] * max(segment_steps, 1)))
+    return [heated[a:a + size] for a in range(0, len(heated), size)]
+
+
 @pytest.mark.parametrize("batch", ["powersweep", "multiplex", "calibrate"])
-def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings, monkeypatch,
-                                                 batch):
+def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_config, default_settings,
+                                                 monkeypatch, batch):
     # each time-domain batch is set up once: one operating-tone solve, one
-    # engine plan and one thermal pass of every (run, channel) in the batch,
-    # then one per-run readout per run, read on every bolometer.  The power
-    # sweep's (filter, power) runs and calibration's all-on run are
-    # noiseless, so none derives a noise stream; a multiplex run derives
+    # engine plan and one grouped thermal pass, then one per-run readout per
+    # run, read on every bolometer, in run order.  The pass solves every
+    # heated (run, channel)'s pulse end alone, then its other pulse steps and
+    # its relaxation, each once, in groups of runs that follow _CHUNK: at desk
+    # 27 runs for the pulse and 5 for the relaxation, so on the shipped sweep
+    # some relaxation groups straddle two pulse groups.  The power sweep's
+    # (filter, power) runs and calibration's all-on run are noiseless, so
+    # none derives a noise stream; a multiplex run derives
     # (seed, _KIND_TRIGGER, v) for its pattern v
-    calls, passes, plans, tone_calls, streams = [], [], [], [], []
+    calls, passes, groups, solved, plans, tone_calls, streams = [], [], [], [], [], [], []
     run = experiments._timedomain_run
-    thermal = experiments._thermal_stage
+    thermal = experiments._thermal_groups
+    relax = engine._relax
     plan_of = experiments._engine_plan
     tones = experiments.operating_tones
     derive = experiments.derive_stream
@@ -1118,8 +1176,15 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
         return run(*args, **kwargs)
 
     def counted_thermal(plan, heater_w):
-        passes.append(heater_w.shape)
-        return thermal(plan, heater_w)
+        passes.append((plan, heater_w))
+        for group in thermal(plan, heater_w):
+            groups.append(len(group))
+            yield group
+
+    def counted_relax(out, f, c, first=1):
+        if len(out):
+            solved.append((len(out), first, out.shape[1]))
+        return relax(out, f, c, first)
 
     def counted_plan(*args):
         plans.append(args)
@@ -1134,13 +1199,16 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
         return derive(*args)
 
     monkeypatch.setattr(experiments, "_timedomain_run", counted)
-    monkeypatch.setattr(experiments, "_thermal_stage", counted_thermal)
+    monkeypatch.setattr(experiments, "_thermal_groups", counted_thermal)
+    monkeypatch.setattr(engine, "_relax", counted_relax)
     monkeypatch.setattr(experiments, "_engine_plan", counted_plan)
     monkeypatch.setattr(experiments, "operating_tones", counted_tones)
     monkeypatch.setattr(experiments, "derive_stream", counted_derive)
     if batch == "powersweep":
-        power_sweep_matrix(default_chip, SHORT_POWERS_DBM, default_settings)
-        runs, expected = len(default_chip.filters) * len(SHORT_POWERS_DBM), []
+        ps = default_config.sweeps["powersweep"]
+        powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
+        power_sweep_matrix(default_chip, powers, default_settings)
+        runs, expected = len(default_chip.filters) * len(powers), []
     elif batch == "multiplex":
         run_full_multiplex(default_chip, default_settings, Seed(3))
         runs = 2 ** default_chip.n_channels
@@ -1149,8 +1217,21 @@ def test_power_sweep_matrix_runs_each_drive_once(default_chip, default_settings,
         calibrate_chip(default_chip, default_settings)
         runs, expected = 1, []
     assert len(calls) == runs
-    assert passes == [(runs, default_chip.n_channels)]
-    assert len(plans) == len(tone_calls) == 1
+    assert len(passes) == len(plans) == len(tone_calls) == 1
+    [(plan, heater_w)] = passes
+    assert heater_w.shape == (runs, default_chip.n_channels)
+    lo, hi, steps = plan.pulse.start, plan.pulse.stop, plan.steps
+    heated = heater_w > 0.0
+    pulse_groups, relax_groups = chunk_groups(heated, hi - lo), chunk_groups(heated, steps - hi)
+    assert groups == [len(group) for group in relax_groups]
+    assert solved[0] == (heated.sum(), hi - lo, 1)
+    assert sorted(solved[1:], key=lambda call: call[2]) == (
+        [(group.sum(), 1, hi - lo - 1) for group in pulse_groups if group.any()]
+        + [(group.sum(), 1, steps - hi) for group in relax_groups if group.any()])
+    if batch == "powersweep":
+        assert [len(pulse_groups[0]), len(relax_groups[0])] == [27, 5]
+    temps = thermal_stage(plan, heater_w)
+    assert all(np.array_equal(args[1], temps[r, :, :-1]) for r, args in enumerate(calls))
     assert [args[3] for args in calls] == (expected or [None] * runs)
     assert streams == expected
 
@@ -1177,11 +1258,12 @@ def test_power_sweep_path_allocates_one_gamma_matrix(default_chip):
 
 
 def test_power_sweep_matrix_peak_memory(default_chip, default_config):
-    # the shipped 27-power sweep, every run in one pass at one thread: its
-    # traced peak (the plan, the pass's rows for all 81 runs and one run's
-    # readout) is 2.33 complex (steps x block) matrices.  The bound is the
-    # peak of the sweep that made one pass per filter, 2.498-2.503 matrices
-    # (4.0 MB) over three traced calls
+    # the shipped 27-power sweep, every run in one batch at one thread: its
+    # traced peak (the plan, one pulse group of 27 runs and one relaxation
+    # group of 5, and one run's readout) is 1.12 complex (steps x block)
+    # matrices (1.71 MiB), against 2.07 for the pass that held all 81 runs'
+    # temperatures (1.22 matrices more than one group's).  The bound leaves
+    # 0.13 matrices (200 kB) of margin
     ps = default_config.sweeps["powersweep"]
     powers = np.linspace(ps["p_min_dbm"], ps["p_max_dbm"], int(ps["n_points"]))
     n = round(default_config.settings.window_s * default_chip.sample_rate_hz)
@@ -1194,7 +1276,7 @@ def test_power_sweep_matrix_peak_memory(default_chip, default_config):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * matrix_bytes
+    assert peak <= 1.25 * matrix_bytes
 
 
 def test_noisy_batch_holds_no_noise_record(default_chip, default_settings):

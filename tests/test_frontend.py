@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bolomux.config import load_config
-from bolomux.engine import _engine_plan, _relaxations, _thermal_stage
+from bolomux.engine import _engine_plan, _relaxations
 from bolomux.experiments import _heater_power_w, operating_tones
 from bolomux.frontend import (
     FilterParams,
@@ -17,6 +17,7 @@ from bolomux.frontend import (
     schedule_heaters,
 )
 from bolomux.units import dbm_to_watts
+from test_thermal_trajectory import thermal_stage
 
 
 def make_filter(**overrides) -> FilterParams:
@@ -172,7 +173,7 @@ def test_pulse_window_is_half_open(default_chip):
     assert heater_w[0, 49] > 0.0
     assert heater_w[0, 50] == 0.0
     assert np.count_nonzero(heater_w[0]) == 10
-    _, t_inf = _relaxations(plan, _thermal_stage(plan, heater_w[None, :, 40])[0])
+    _, t_inf = _relaxations(plan, thermal_stage(plan, heater_w[None, :, 40])[0])
     t_inf = t_inf[0]
     jump = heater_w[0, 40] / chip.bolometers[0].g_th_w_per_k
     assert np.all(t_inf[:40] == t_inf[0])

@@ -9,8 +9,8 @@ segment's heater power),
 
 and partial fractions over Q's roots give the elapsed time t(u) in closed
 form.  `exact_block_starts` inverts it at every thermal step's start, so the
-stepping error of engine._thermal_stage is measured against the trajectory
-itself rather than against a finer step.
+stepping error of the thermal pass (engine._thermal_groups) is measured
+against the trajectory itself rather than against a finer step.
 """
 
 import math
@@ -26,6 +26,12 @@ from bolomux.experiments import operating_tones
 from bolomux.frontend import ToneSpec, TriggerPattern, schedule_heaters
 from bolomux.units import dbm_to_watts
 from test_device import brute_force_roots, make_params
+
+
+def thermal_stage(plan, heater_w):
+    """The thermal pass's every (run, channel) temperature at each step start and
+    at the record's end, (runs, channels, steps + 1): its groups, joined."""
+    return np.concatenate([*engine._thermal_groups(plan, heater_w)])
 
 
 def cubic_flow(a, b, u0, s):
@@ -114,7 +120,7 @@ def stage_and_exact(chip, settings, heater_tones):
                                           heat, plan.pulse, plan.steps, dt)
                        for par, tone, op, heat in zip(chip.bolometers, tones, ops, row)]
                       for row in heater_w])
-    return engine._thermal_stage(plan, heater_w), exact, ops
+    return thermal_stage(plan, heater_w), exact, ops
 
 
 def beyond_rounding(temps, exact):
@@ -228,7 +234,7 @@ def test_thermal_stage_tracks_the_exact_trajectory_through_the_bistable_corner(
     rise = heated.t_star_k - cold.t_star_k
     for dt in (100e-9, 50e-9):
         plan = steep_plan(default_config, dt)
-        temps = engine._thermal_stage(plan, np.array([[heat]]))[0, 0]
+        temps = thermal_stage(plan, np.array([[heat]]))[0, 0]
         exact = exact_block_starts(steep, f_p, p_w, cold.t_star_k, heat, plan.pulse,
                                    plan.steps, dt)
         assert exact[plan.pulse.stop - 1] - cold.t_star_k == pytest.approx(rise, rel=1e-9)
@@ -271,7 +277,7 @@ def time_equation_gaps(plan, heater_w, samples=40):
     from engine._solve, bit for bit, and w is checked, not the start, whose
     last bit can stand for more time than the check resolves.  Returns the
     largest |quadrature time - s| per segment, in units of tau_th."""
-    temps, gaps = engine._thermal_stage(plan, heater_w), []
+    temps, gaps = thermal_stage(plan, heater_w), []
     for r, ch in zip(*np.nonzero(heater_w)):
         c = plan.channels._make(column[ch] for column in plan.channels)
         half = 0.5 * (c.kappa_ext + c.kappa_int)
@@ -317,7 +323,7 @@ def test_thermal_stage_meets_the_time_equation_at_the_fold(default_config, heat,
         heat = fold_share * steep_corner()[-1]
     plan = steep_plan(default_config, 100e-9)
     heater_w = np.array([[heat]])
-    assert np.all(np.isfinite(engine._thermal_stage(plan, heater_w)))
+    assert np.all(np.isfinite(thermal_stage(plan, heater_w)))
     assert np.all(time_equation_gaps(plan, heater_w) <= 1e-10)
 
 
@@ -336,10 +342,10 @@ def test_thermal_stage_at_an_exact_double_root(default_config):
                                 g_th=1.0, tau=1.0, t_star=1.0 + (u0 + 3.0))
         heater_w = np.array([[1.0]])
         if converges:
-            temps = engine._thermal_stage(plan, heater_w)[0, 0]
+            temps = thermal_stage(plan, heater_w)[0, 0]
             assert np.all(np.isfinite(temps))
             assert temps[plan.pulse.stop] == pytest.approx(1.0 + 3.0, rel=1e-12)
             assert np.all(time_equation_gaps(plan, heater_w) <= 1e-10)
         else:
             with pytest.raises(SolverError, match="double root"):
-                engine._thermal_stage(plan, heater_w)
+                thermal_stage(plan, heater_w)
