@@ -9,10 +9,11 @@ transforms them.  `_white_bins` draws the band bins of a white record's DFT
 directly, so the engine's averaged noise needs no record.  `_zoom_dft`
 gives a few bins of the DFT of a short sequence zero-padded to any length;
 the engine's readout plans and sums its tones with it.  For a carrier on
-the record's DFT grid the chain equals a full-record mixer.
-`_window_means` holds the one copy of the response windows' arithmetic:
-`response_metric` reduces one trace with it, and a power sweep all of a
-run's channels at once.
+the record's DFT grid the chain equals a full-record mixer.  An `IQTrace`
+is a rate and its samples, the first at t = 0, so a window in seconds is
+one slice of sample indices (`_window_slice`).  `_window_means` holds the
+one copy of the response windows' arithmetic: `response_metric` reduces
+one trace with it, and a power sweep all of a run's channels at once.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IQTrace:
-    """Complex baseband trace produced by demodulation at carrier_hz."""
+    """Complex baseband trace of one probe tone, its first sample at t = 0; the
+    tone's carrier is the run's `probe_tones` entry."""
 
-    carrier_hz: float
     sample_rate_hz: float
-    t0_s: float
     samples: np.ndarray
 
     def __post_init__(self) -> None:
@@ -51,7 +51,7 @@ class IQTrace:
         return self.samples.size
 
     def times(self) -> np.ndarray:
-        return self.t0_s + np.arange(self.samples.size) / self.sample_rate_hz
+        return np.arange(self.samples.size) / self.sample_rate_hz
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.samples)
@@ -169,7 +169,7 @@ def _baseline_std_per_volt(n: int, sample_rate_hz: float, lp_bandwidth_hz: float
     """
     offsets = _band_offsets(n, sample_rate_hz / n, lp_bandwidth_hz)
     m = n // decimation
-    window = _window_slice(0.0, sample_rate_hz / decimation, m, baseline_window_s)
+    window = _window_slice(sample_rate_hz / decimation, m, baseline_window_s)
     n_base = window.stop - window.start
     lags = np.arange(1 - n_base, n_base)
     r = np.mean(np.cos(2.0 * np.pi * np.outer(lags, offsets) / m), axis=1)
@@ -197,13 +197,13 @@ class ResponseMetric:
         return self.signal_mean - self.baseline_mean
 
 
-def _window_slice(trace_t0: float, rate_hz: float, n: int, window_s) -> slice:
+def _window_slice(rate_hz: float, n: int, window_s) -> slice:
     w0, w1 = float(window_s[0]), float(window_s[1])
     if not (math.isfinite(w0) and math.isfinite(w1)) or w1 <= w0:
         raise ValueError(f"window must satisfy start < end, got ({w0}, {w1})")
     # half-open [w0, w1); a sample exactly on the start edge is included
-    i0 = math.ceil((w0 - trace_t0) * rate_hz - 1e-9)
-    i1 = math.ceil((w1 - trace_t0) * rate_hz - 1e-9)
+    i0 = math.ceil(w0 * rate_hz - 1e-9)
+    i1 = math.ceil(w1 * rate_hz - 1e-9)
     if i0 < 0 or i1 > n:
         raise ValueError(f"window ({w0}, {w1}) s falls outside the trace")
     if i1 <= i0:
@@ -211,20 +211,19 @@ def _window_slice(trace_t0: float, rate_hz: float, n: int, window_s) -> slice:
     return slice(i0, i1)
 
 
-def _window_means(mag: np.ndarray, t0_s: float, rate_hz: float, baseline_window_s,
-                  signal_window_s):
+def _window_means(mag: np.ndarray, rate_hz: float, baseline_window_s, signal_window_s):
     """mag's baseline window, and its mean and the signal window's mean, along the
     last axis: a run's every channel in one reduction each."""
     if float(baseline_window_s[1]) > float(signal_window_s[0]):
         raise ValueError("baseline window must end before the signal window starts")
-    base = mag[..., _window_slice(t0_s, rate_hz, mag.shape[-1], baseline_window_s)]
-    sig = mag[..., _window_slice(t0_s, rate_hz, mag.shape[-1], signal_window_s)]
+    base = mag[..., _window_slice(rate_hz, mag.shape[-1], baseline_window_s)]
+    sig = mag[..., _window_slice(rate_hz, mag.shape[-1], signal_window_s)]
     return base, np.mean(base, axis=-1), np.mean(sig, axis=-1)
 
 
 def response_metric(iq: IQTrace, baseline_window_s, signal_window_s) -> ResponseMetric:
     """Compare |IQ| in a signal window against a pre-pulse baseline window."""
-    base, baseline_mean, signal_mean = _window_means(iq.magnitude(), iq.t0_s, iq.sample_rate_hz,
+    base, baseline_mean, signal_mean = _window_means(iq.magnitude(), iq.sample_rate_hz,
                                                      baseline_window_s, signal_window_s)
     baseline_std = float(np.std(base))
     baseline_mean, signal_mean = float(baseline_mean), float(signal_mean)

@@ -170,8 +170,7 @@ def _trigger_runs(chip: ChipConfig, patterns, settings: RunSettings,
                                      settings.heater_power_dbm) for pat in patterns]
     (tones, ops), rate, runs = _iq_runs(chip, settings, heater_tones,
                                         [(seed, _KIND_TRIGGER, pat.value) for pat in patterns])
-    traces = [tuple(IQTrace(tone.f_hz, rate, 0.0, row) for tone, row in zip(tones, samples))
-              for samples in runs]
+    traces = [tuple(IQTrace(rate, row) for row in samples) for samples in runs]
     return [MultiplexRun(pat, tones, ops, iqs, tuple(
         response_metric(iq, settings.baseline_window_s, settings.signal_window_s) for iq in iqs),
         settings.n_avg) for pat, iqs in zip(patterns, traces)]
@@ -315,7 +314,7 @@ def _quiet_responses(chip: ChipConfig, settings: RunSettings, heater_tones) -> n
     """One batch of runs on chip's quiet copy (noise_sigma_v 0): (runs, n_bolometers)
     responses, two window means per run over all channels."""
     _, rate, runs = _iq_runs(replace(chip, noise_sigma_v=0.0), settings, heater_tones, None)
-    means = (_window_means(np.abs(iq), 0.0, rate, settings.baseline_window_s,
+    means = (_window_means(np.abs(iq), rate, settings.baseline_window_s,
                            settings.signal_window_s) for iq in runs)
     return np.array([signal - baseline for _, baseline, signal in means])
 

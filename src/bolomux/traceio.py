@@ -6,10 +6,12 @@ shortest round-trip precision; files are utf-8 with `\n` newlines and a
 trailing newline; JSON is `indent=2, sort_keys=True`, with a non-finite
 float written as `null`.
 
-Trace format: `#`-prefixed header lines (`# key=value`, with `kind=iq`
-and a `carrier_hz`), then one complex baseband sample per `index,re,im`
-row.  Write -> read -> write is byte-identical.  The reader converts the
-body in one `np.loadtxt` call and refuses a body that call refuses.
+Trace format: one header line, `# sample_rate_hz=<rate>`, then one complex
+baseband sample per `index,re,im` row.  The reader requires that key and
+ignores any other `# key=value` header, such as the `t0_s`, `kind` and
+`carrier_hz` lines of earlier builds.  Write -> read -> write is
+byte-identical.  The reader converts the body in one `np.loadtxt` call and
+refuses a body that call refuses.
 
 Each run directory gets a `manifest.json` naming the tool version, the
 seed, the sha256 of the canonical config document the run used (after
@@ -106,23 +108,8 @@ def _read_json(path):
 def write_trace(trace: IQTrace, path) -> None:
     """Write an IQTrace as a headered CSV."""
     samples = trace.samples
-    _write_csv(path, [
-        f"# sample_rate_hz={trace.sample_rate_hz!r}",
-        f"# t0_s={trace.t0_s!r}",
-        "# kind=iq",
-        f"# carrier_hz={trace.carrier_hz!r}",
-    ], (np.arange(samples.size), samples.real, samples.imag))
-
-
-def _header_float(headers: dict, key: str, positive: bool = False) -> float:
-    """A finite float header, and > 0 if positive; anything else is a TraceFormatError."""
-    try:
-        value = float(headers[key])
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or (positive and value <= 0.0):
-        raise TraceFormatError(f"line 1: bad {key} {headers[key]!r}")
-    return value
+    _write_csv(path, [f"# sample_rate_hz={trace.sample_rate_hz!r}"],
+               (np.arange(samples.size), samples.real, samples.imag))
 
 
 # one body row as the writer puts it: an integer index, then re and im
@@ -177,21 +164,17 @@ def read_trace(path) -> IQTrace:
         head_end = text.find("\n", head_end) + 1 or len(text)
     headers = _scan_headers(text[:head_end].split("\n"))
 
-    for key in ("sample_rate_hz", "t0_s", "kind"):
-        if key not in headers:
-            raise TraceFormatError(f"line 1: missing header '# {key}='")
-    kind = headers["kind"]
-    if kind != "iq":
-        raise TraceFormatError(f"line 1: unknown kind {kind!r}")
-    sample_rate = _header_float(headers, "sample_rate_hz", positive=True)
-    t0 = _header_float(headers, "t0_s")
-    if "carrier_hz" not in headers:
-        raise TraceFormatError("line 1: iq trace missing header '# carrier_hz='")
-    carrier = _header_float(headers, "carrier_hz")
+    if "sample_rate_hz" not in headers:
+        raise TraceFormatError("line 1: missing header '# sample_rate_hz='")
+    try:
+        sample_rate = float(headers["sample_rate_hz"])
+    except ValueError:
+        sample_rate = math.nan
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise TraceFormatError(f"line 1: bad sample_rate_hz {headers['sample_rate_hz']!r}")
     values = _bulk_iq(text[head_end:], text.count("\n", 0, head_end) + 1)
     # a view of the (re, im) pairs keeps -0.0 and infinite parts as written
-    return IQTrace(carrier_hz=carrier, sample_rate_hz=sample_rate, t0_s=t0,
-                   samples=values.view(complex).ravel())
+    return IQTrace(sample_rate, values.view(complex).ravel())
 
 
 def _sha256_file(path) -> str:

@@ -42,7 +42,7 @@ def band_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=
     n = record.size
     k_c, offsets = _demod_band(n, fs, f_carrier_hz, lp_bandwidth_hz, decimation)
     band = np.fft.fft(record)[(k_c + offsets) % n] * np.exp(-2j * np.pi * f_carrier_hz * t0_s)
-    return IQTrace(f_carrier_hz, fs / decimation, t0_s, _band_iq(band, offsets, n, decimation))
+    return IQTrace(fs / decimation, _band_iq(band, offsets, n, decimation))
 
 
 def mixer_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s=0.0):
@@ -65,7 +65,7 @@ def mixer_demodulate(record, fs, f_carrier_hz, lp_bandwidth_hz, decimation, t0_s
 
 
 def test_iq_trace_magnitude():
-    iq = IQTrace(156.7e6, 1e7, 0.0, np.full(10, 3.0 + 4.0j))
+    iq = IQTrace(1e7, np.full(10, 3.0 + 4.0j))
     assert np.allclose(iq.magnitude(), 5.0)
     assert len(iq) == 10
 
@@ -78,7 +78,6 @@ def test_demod_pure_carrier_gives_half_amplitude():
     iq = band_demodulate(tone_record(f_hz=10e6, p_dbm=0.0), 1e9, 10e6, 2e6, 100)
     assert np.max(np.abs(iq.magnitude() - a / 2)) < 1e-9
     assert iq.sample_rate_hz == 1e7
-    assert iq.carrier_hz == 10e6
 
 
 def test_demod_carries_phase():
@@ -117,7 +116,7 @@ def test_demod_matches_mixer_oracle(t0, f_c, lp_bw, dec):
     record = with_noise(comb, 1e-4, stream(12, 0))
     oracle = mixer_demodulate(record, fs, f_c, lp_bw, dec, t0)
     iq = band_demodulate(record, fs, f_c, lp_bw, dec, t0)
-    assert iq.t0_s == t0 and iq.sample_rate_hz == fs / dec
+    assert iq.sample_rate_hz == fs / dec
     assert np.max(np.abs(iq.samples - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
@@ -259,7 +258,7 @@ def test_baseline_floor_holds_while_the_carrier_dominates():
     rng = stream(5, 1)
     for amplitude, lo, hi in ((1.0, None, None), (0.0, 0.0, 0.8)):
         var = np.array([
-            response_metric(IQTrace(FLOOR_CARRIER, FLOOR_FS / dec, 0.0, mixer_demodulate(
+            response_metric(IQTrace(FLOOR_FS / dec, mixer_demodulate(
                 amplitude * carrier + rng.normal(0.0, sigma, FLOOR_N), FLOOR_FS,
                 FLOOR_CARRIER, lp_bw, dec)), FLOOR_WINDOW, (3e-3, 3.5e-3)).baseline_std ** 2
             for _ in range(draws)])
@@ -282,7 +281,7 @@ def step_iq(base=1.0, top=2.0, sigma=0.0, seed=0):
     mag[n // 2:] = top
     if sigma:
         mag = mag + np.random.default_rng(seed).normal(0.0, sigma, n)
-    return IQTrace(1e6, 1e7, 0.0, mag.astype(complex))
+    return IQTrace(1e7, mag.astype(complex))
 
 
 def test_response_metric_on_clean_step():
@@ -309,18 +308,10 @@ def test_response_metric_with_noise():
 def test_response_metric_window_edges_are_half_open():
     # samples land on exact microseconds; a window (a, b) takes [a, b)
     mag = np.arange(10, dtype=float)
-    iq = IQTrace(1e6, 1e6, 0.0, mag.astype(complex))
+    iq = IQTrace(1e6, mag.astype(complex))
     m = response_metric(iq, (1e-6, 3e-6), (5e-6, 8e-6))
     assert m.baseline_mean == pytest.approx(1.5)   # samples 1, 2
     assert m.signal_mean == pytest.approx(6.0)     # samples 5, 6, 7
-
-
-def test_response_metric_honors_trace_origin():
-    mag = np.arange(10, dtype=float)
-    iq = IQTrace(1e6, 1e6, 10e-6, mag.astype(complex))
-    m = response_metric(iq, (11e-6, 13e-6), (15e-6, 18e-6))
-    assert m.baseline_mean == pytest.approx(1.5)
-    assert m.signal_mean == pytest.approx(6.0)
 
 
 def test_response_metric_validation():

@@ -222,11 +222,9 @@ def test_trigger_traces_shape(default_chip, default_settings):
     run = run_trigger(default_chip, TriggerPattern.from_label("010"),
                       default_settings, Seed(15))
     n_out = round(default_settings.window_s * default_settings.output_rate_hz)
-    for iq, tone in zip(run.iq, run.probe_tones):
+    for iq in run.iq:
         assert len(iq) == n_out
         assert iq.sample_rate_hz == default_settings.output_rate_hz
-        assert iq.carrier_hz == tone.f_hz
-        assert iq.t0_s == 0.0
 
 
 def test_trigger_is_reproducible(default_chip, default_settings):
@@ -1322,9 +1320,8 @@ def direct_responses(chip, tone, settings, operating):
     each channel's row as an IQTrace at the output rate."""
     rate = chip.sample_rate_hz / round(chip.sample_rate_hz / settings.output_rate_hz)
     iq = seam_iq(chip, [tone], settings, operating, Seed(0), ())
-    return [response_metric(IQTrace(probe.f_hz, rate, 0.0, row), settings.baseline_window_s,
-                            settings.signal_window_s).response
-            for probe, row in zip(operating[0], iq)]
+    return [response_metric(IQTrace(rate, row), settings.baseline_window_s,
+                            settings.signal_window_s).response for row in iq]
 
 
 def test_power_sweep_matrix_matches_direct_runs(default_chip, short_matrix):
